@@ -37,11 +37,14 @@ def v_coord(i: int, alpha: int) -> Coord:
     return Coord("v", i, alpha)
 
 
+def vertical_coords(dims: Dims):
+    return [v_coord(i, a) for i in range(dims.n) for a in range(dims.p)]
+
+
 def all_coords(dims: Dims):
     out = [t_coord(a) for a in range(dims.p)]
     out += [x_coord(i) for i in range(dims.n)]
-    out += [v_coord(i, a) for i in range(dims.n) for a in range(dims.p)]
-    return out
+    return out + vertical_coords(dims)
 
 
 def parse_coord(text: str) -> Coord:
@@ -279,3 +282,16 @@ def structure_values(obj):
 
 def structure_dual_parts(obj):
     return map_structure(dual_part, obj)
+
+
+def structure_entry(obj, idx):
+    """The leaf of a nested structure at the index path ``idx``."""
+    for k in idx:
+        obj = obj[k]
+    return obj
+
+
+def field_jacobian(field, point: JetPoint, coords):
+    """Derivatives of a structure-valued field along each coordinate, as a
+    dict keyed by coordinate."""
+    return {c: structure_dual_parts(field(lift_d1(point, c))) for c in coords}

@@ -23,23 +23,40 @@ import numpy as np
 
 from .calculus import (
     all_coords,
+    field_jacobian,
     lift_d1,
     structure_dual_parts,
+    structure_entry,
     t_coord,
     v_coord,
+    vertical_coords,
     x_coord,
 )
-from .connection import NonlinearConnection, metric_pair_connection
+from .connection import (
+    NonlinearConnection,
+    SpatialAdapted,
+    TemporalAdapted,
+    VerticalDirection,
+    adapted_derivative,
+    delta_entry,
+    metric_pair_connection,
+)
 from .errors import DimensionError
 from .jet_core import Dims, DTensor, JetPoint, SlotKind
 from .metric_engine import (
     SpatialMetricField,
     TemporalMetric,
     checked_inverse,
+    christoffel,
     g_christoffel_values,
     h_christoffel_values,
 )
-from .regularity import ElectrodynamicsDecomposition, electrodynamics_decompose, hessian_blocks
+from .regularity import (
+    ElectrodynamicsDecomposition,
+    electrodynamics_decompose,
+    hessian_blocks,
+    trace_metric,
+)
 from .scalars import scalar_value
 
 
@@ -69,15 +86,6 @@ class LinearConnectionPack:
     conn: NonlinearConnection
     h: TemporalMetric
 
-    def hbar_at(self, point):
-        return self.coefficients_at(point).hbar
-
-    def g_at(self, point):
-        return self.coefficients_at(point).g
-
-    def l_at(self, point):
-        return self.coefficients_at(point).l
-
     def c_at(self, point):
         return self.coefficients_at(point).c
 
@@ -85,9 +93,6 @@ class LinearConnectionPack:
         """G^{(k)(b)}_{(a)(i)c} = delta^b_a G^k_{ic} - delta^k_i H^b_{ac}."""
         n, p = self.dims.n, self.dims.p
         co = self.coefficients_at(point)
-        out = [[[[[0.0] * p for _ in range(n)] for _ in range(p)] for _ in range(n)]
-               for _ in range(p)]
-        # index order [b][k][a][i][c] flattened below by callers as needed
         vals = {}
         for k in range(n):
             for b in range(p):
@@ -100,7 +105,6 @@ class LinearConnectionPack:
                             if k == i:
                                 val = val - co.hbar[b][a][c]
                             vals[(k, b, i, a, c)] = val
-        del out
         return vals
 
     def vertical_l(self, point):
@@ -113,18 +117,15 @@ class LinearConnectionPack:
             for a in range(p) for j in range(n)
         }
 
-    def vertical_c(self, point):
-        """C^{(k)(b)(c)}_{(a)(i)(j)} = delta^b_a C^{k(c)}_{i(j)}."""
-        co = self.coefficients_at(point)
-        n, p = self.dims.n, self.dims.p
-        return {
-            (k, b, i, a, j, c): (co.c[k][i][j][c] if b == a else 0.0)
-            for k in range(n) for b in range(p) for i in range(n)
-            for a in range(p) for j in range(n) for c in range(p)
-        }
-
 
 # --- Cartan construction -------------------------------------------------------
+
+
+def _delta_matrix(jac, coord, coeffs):
+    """Adapted derivative of a square-matrix field along one direction."""
+    size = len(jac[coord])
+    return [[delta_entry(jac, (i, j), coord, coeffs) for j in range(size)]
+            for i in range(size)]
 
 
 def _cartan_coefficients_p1(L, h, conn, dims):
@@ -135,11 +136,7 @@ def _cartan_coefficients_p1(L, h, conn, dims):
 
     def g_matrix(point: JetPoint):
         blocks = hessian_blocks(L, point, dims)
-        hmat = h.matrix_at(point.t)
-        return [
-            [hmat[0][0] * blocks[i][0][j][0] for j in range(n)]
-            for i in range(n)
-        ]
+        return trace_metric(h.matrix_at(point.t), blocks)
 
     def coefficients(point: JetPoint):
         g = g_matrix(point)
@@ -147,58 +144,19 @@ def _cartan_coefficients_p1(L, h, conn, dims):
         hbar = h_christoffel_values(h, point.t)
         m_co = conn.m_at(point)
         n_co = conn.n_at(point)
-
-        dg_t = structure_dual_parts(g_matrix(lift_d1(point, t_coord(0))))
-        dg_x = [
-            structure_dual_parts(g_matrix(lift_d1(point, x_coord(k))))
-            for k in range(n)
-        ]
-        dg_v = [
-            structure_dual_parts(g_matrix(lift_d1(point, v_coord(l, 0))))
-            for l in range(n)
-        ]
-
-        def delta_t(i, j):
-            acc = dg_t[i][j]
-            for l in range(n):
-                acc = acc - m_co[l][0][0] * dg_v[l][i][j]
-            return acc
-
-        def delta_x(k, i, j):
-            acc = dg_x[k][i][j]
-            for l in range(n):
-                acc = acc - n_co[l][0][k] * dg_v[l][i][j]
-            return acc
-
+        jac = field_jacobian(g_matrix, point, all_coords(dims))
+        dg_t = _delta_matrix(jac, t_coord(0), m_co)
         g_co = [[[0.0] for _ in range(n)] for _ in range(n)]
         for k in range(n):
             for j in range(n):
                 acc = 0.0
                 for i in range(n):
-                    acc = acc + ginv[k][i] * delta_t(i, j)
+                    acc = acc + ginv[k][i] * dg_t[i][j]
                 g_co[k][j][0] = acc * 0.5
 
-        l_co = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = 0.0
-                    for m in range(n):
-                        acc = acc + ginv[i][m] * (
-                            delta_x(k, j, m) + delta_x(j, k, m) - delta_x(m, j, k)
-                        )
-                    l_co[i][j][k] = acc * 0.5
-
-        c_co = [[[[0.0] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = 0.0
-                    for m in range(n):
-                        acc = acc + ginv[i][m] * (
-                            dg_v[k][j][m] + dg_v[j][k][m] - dg_v[m][j][k]
-                        )
-                    c_co[i][j][k][0] = acc * 0.5
+        l_co = christoffel(ginv, [_delta_matrix(jac, x_coord(k), n_co) for k in range(n)])
+        c_co = christoffel(ginv, [jac[v_coord(k, 0)] for k in range(n)])
+        c_co = [[[[e] for e in row] for row in plane] for plane in c_co]  # trailing index c = 0
         return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co)
 
     return coefficients, g_matrix
@@ -319,13 +277,6 @@ def _direction_tables(pack: LinearConnectionPack, point: JetPoint, direction):
     return spatial, temporal
 
 
-def _field_jacobian(field, point: JetPoint, coords):
-    """Derivatives of a structure-valued field along each coordinate."""
-    return {
-        c: structure_dual_parts(field(lift_d1(point, c))) for c in coords
-    }
-
-
 def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
                          conn: NonlinearConnection, point: JetPoint) -> DTensor:
     """Covariant derivative of a tensor field of the given valence.
@@ -341,13 +292,6 @@ def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
     if not valence:
         # scalar fields have no slot corrections: the covariant derivative
         # is the adapted derivative itself
-        from .connection import (
-            SpatialAdapted,
-            TemporalAdapted,
-            VerticalDirection,
-            adapted_derivative,
-        )
-
         if isinstance(direction, THorizontal):
             adapted = TemporalAdapted(direction.gamma)
         elif isinstance(direction, MHorizontal):
@@ -357,67 +301,57 @@ def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
         return adapted_derivative(field, point, adapted, conn)
 
     if isinstance(direction, THorizontal):
-        base_coord = t_coord(direction.gamma)
-        m_co = conn.m_at(point)
-        weights = {v_coord(l, b): m_co[l][b][direction.gamma] for l in range(n) for b in range(p)}
+        base_coord, coeffs = t_coord(direction.gamma), conn.m_at(point)
     elif isinstance(direction, MHorizontal):
-        base_coord = x_coord(direction.k)
-        n_co = conn.n_at(point)
-        weights = {v_coord(l, b): n_co[l][b][direction.k] for l in range(n) for b in range(p)}
+        base_coord, coeffs = x_coord(direction.k), conn.n_at(point)
     elif isinstance(direction, VerticalCov):
-        base_coord = v_coord(direction.k, direction.gamma)
-        weights = {}
+        base_coord, coeffs = v_coord(direction.k, direction.gamma), None
     else:
         raise DimensionError(f"unknown covariant direction {direction!r}")
 
-    coords = [base_coord] + list(weights)
-    jac = _field_jacobian(field, point, coords)
+    coords = [base_coord] if coeffs is None else [base_coord] + vertical_coords(dims)
+    jac = field_jacobian(field, point, coords)
     values = field(point)
 
     out = DTensor(valence)
     spatial, temporal = _direction_tables(pack, point, direction)
 
-    def lookup(struct, idx):
-        cur = struct
-        for k in idx:
-            cur = cur[k]
-        return cur
-
     shape = out.shape
     for idx in np.ndindex(shape):
-        acc = lookup(jac[base_coord], idx)
-        for c, w in weights.items():
-            acc = acc - w * lookup(jac[c], idx)
+        if coeffs is None:
+            acc = structure_entry(jac[base_coord], idx)
+        else:
+            acc = delta_entry(jac, idx, base_coord, coeffs)
         for pos, slot in enumerate(valence):
             kind = slot.kind
             if kind is SlotKind.SPATIAL_UPPER:
                 m = idx[pos]
                 for l in range(n):
-                    acc = acc + spatial[m][l] * lookup(values, _with(idx, pos, l))
+                    acc = acc + spatial[m][l] * structure_entry(values, _with(idx, pos, l))
             elif kind is SlotKind.SPATIAL_LOWER:
                 i = idx[pos]
                 for l in range(n):
-                    acc = acc - spatial[l][i] * lookup(values, _with(idx, pos, l))
+                    acc = acc - spatial[l][i] * structure_entry(values, _with(idx, pos, l))
             elif kind is SlotKind.TEMPORAL_UPPER:
                 a = idx[pos]
                 for mu in range(p):
-                    acc = acc + temporal[a][mu] * lookup(values, _with(idx, pos, mu))
+                    acc = acc + temporal[a][mu] * structure_entry(values, _with(idx, pos, mu))
             elif kind is SlotKind.TEMPORAL_LOWER:
                 b = idx[pos]
                 for mu in range(p):
-                    acc = acc - temporal[mu][b] * lookup(values, _with(idx, pos, mu))
+                    acc = acc - temporal[mu][b] * structure_entry(values, _with(idx, pos, mu))
             elif kind is SlotKind.VERTICAL_UPPER:
                 i, a = divmod(idx[pos], p)
                 for l in range(n):
-                    acc = acc + spatial[i][l] * lookup(values, _with(idx, pos, l * p + a))
+                    acc = acc + spatial[i][l] * structure_entry(values, _with(idx, pos, l * p + a))
                 for mu in range(p):
-                    acc = acc - temporal[mu][a] * lookup(values, _with(idx, pos, i * p + mu))
+                    acc = acc - temporal[mu][a] * structure_entry(values, _with(idx, pos, i * p + mu))
             elif kind is SlotKind.VERTICAL_LOWER:
                 k, c = divmod(idx[pos], p)
                 for l in range(n):
-                    acc = acc - spatial[l][k] * lookup(values, _with(idx, pos, l * p + c))
+                    acc = acc - spatial[l][k] * structure_entry(values, _with(idx, pos, l * p + c))
                 for mu in range(p):
-                    acc = acc + temporal[c][mu] * lookup(values, _with(idx, pos, k * p + mu))
+                    acc = acc + temporal[c][mu] * structure_entry(values, _with(idx, pos, k * p + mu))
         out.data[idx] = scalar_value(acc)
     return out
 
@@ -496,28 +430,9 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint) -> dict:
     gv = [[scalar_value(e) for e in row] for row in pack.g_matrix_at(point)]
     hv = [[scalar_value(e) for e in row] for row in pack.h.matrix_at(point.t)]
 
-    def jac(field):
-        out = {}
-        for c in all_coords(dims):
-            out[c] = structure_dual_parts(field(lift_d1(point, c)))
-        return out
-
-    g_jac = jac(lambda q: pack.g_matrix_at(q))
-    h_jac = jac(lambda q: pack.h.matrix_at(q.t))
-
-    def delta(jacobian, weights, base_coord):
-        """Adapted derivative of a matrix field along one direction."""
-        out = [[scalar_value(jacobian[base_coord][i][j]) for j in range(len(jacobian[base_coord][i]))]
-               for i in range(len(jacobian[base_coord]))]
-        for (l, b), w in weights.items():
-            wv = scalar_value(w)
-            if wv == 0.0:
-                continue
-            dv = jacobian[v_coord(l, b)]
-            for i in range(len(out)):
-                for j in range(len(out[i])):
-                    out[i][j] -= wv * scalar_value(dv[i][j])
-        return out
+    coords = all_coords(dims)
+    g_jac = field_jacobian(pack.g_matrix_at, point, coords)
+    h_jac = field_jacobian(lambda q: pack.h.matrix_at(q.t), point, coords)
 
     G = [[[scalar_value(e) for e in r] for r in m] for m in co.g]
     Lc = [[[scalar_value(e) for e in r] for r in m] for m in co.l]
@@ -529,9 +444,8 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint) -> dict:
         "h_t_horizontal": 0.0, "h_m_horizontal": 0.0, "h_vertical": 0.0,
     }
     for c in range(p):
-        weights = {(l, b): conn_m[l][b][c] for l in range(n) for b in range(p)}
-        dg = delta(g_jac, weights, t_coord(c))
-        dh = delta(h_jac, weights, t_coord(c))
+        dg = _delta_matrix(g_jac, t_coord(c), conn_m)
+        dh = _delta_matrix(h_jac, t_coord(c), conn_m)
         for i in range(n):
             for j in range(n):
                 val = dg[i][j]
@@ -545,9 +459,8 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint) -> dict:
                     val -= H[mu][a][c] * hv[mu][b] + H[mu][b][c] * hv[a][mu]
                 worst["h_t_horizontal"] = max(worst["h_t_horizontal"], abs(val))
     for k in range(n):
-        weights = {(l, b): n_co[l][b][k] for l in range(n) for b in range(p)}
-        dg = delta(g_jac, weights, x_coord(k))
-        dh = delta(h_jac, weights, x_coord(k))
+        dg = _delta_matrix(g_jac, x_coord(k), n_co)
+        dh = _delta_matrix(h_jac, x_coord(k), n_co)
         for i in range(n):
             for j in range(n):
                 val = dg[i][j]

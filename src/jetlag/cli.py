@@ -10,9 +10,11 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
+from .calculus import structure_values
 from .cartan import berwald_connection, cartan_connection
 from .config import ProblemInstance, assemble, load_config
 from .connection import canonical_nonlinear_connection, spray_entities
@@ -58,6 +60,8 @@ def _parse_point(text: str, instance: ProblemInstance) -> JetPoint:
             parts[name] = [float(v) for v in values.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"--point {name!r} values must be numbers")
+        if not all(math.isfinite(v) for v in parts[name]):
+            raise ConfigError(f"--point {name!r} values must be finite")
     expected = {"t": dims.p, "x": dims.n, "v": dims.n * dims.p}
     for name, count in expected.items():
         got = parts.get(name, [])
@@ -153,18 +157,11 @@ def _metric_pair_applicable(instance: ProblemInstance) -> bool:
 
 def _coefficient_tables(pack, point) -> dict:
     co = pack.coefficients_at(point)
-    from .scalars import scalar_value
-
-    def nested(x):
-        if isinstance(x, list):
-            return [nested(e) for e in x]
-        return scalar_value(x)
-
     return {
-        "H_temporal": nested(co.hbar),
-        "G_block": nested(co.g),
-        "L_block": nested(co.l),
-        "C_block": nested(co.c),
+        "H_temporal": structure_values(co.hbar),
+        "G_block": structure_values(co.g),
+        "L_block": structure_values(co.l),
+        "C_block": structure_values(co.c),
     }
 
 

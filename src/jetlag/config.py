@@ -102,10 +102,15 @@ class ProblemInstance:
         return self.sampling["seed"]
 
 
+def _reject_constant(token: str):
+    raise ConfigError(f"config is not valid JSON: {token} is not a number")
+
+
 def load_config(path: str) -> dict:
+    """Read a config file as strict JSON: NaN and Infinity are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:

@@ -22,14 +22,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import (
+    Coord,
     d1,
     d2,
     dual_part,
+    field_jacobian,
     grad_and_hess_pair,
     lift_d1,
     structure_dual_parts,
+    structure_entry,
     t_coord,
     v_coord,
+    vertical_coords,
     x_coord,
 )
 from .errors import DimensionError
@@ -52,6 +56,7 @@ from .regularity import (
     ElectrodynamicsDecomposition,
     electrodynamics_decompose,
     hessian_blocks,
+    trace_metric,
 )
 from .scalars import scalar_value
 
@@ -96,14 +101,7 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     hch = h_christoffel_values(h, point.t)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
 
-    g = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for a in range(p):
-                for b in range(p):
-                    acc = acc + hmat[a][b] * blocks[i][a][j][b]
-            g[i][j] = acc * (1.0 / p)
+    g = trace_metric(hmat, blocks)
     ginv = checked_inverse(g)
 
     dldx = [0.0] * n
@@ -374,17 +372,22 @@ def zero_connection(dims: Dims) -> NonlinearConnection:
     return NonlinearConnection(dims=dims, m_at=m_at, n_at=n_at)
 
 
+def _m_values(h: TemporalMetric, point: JetPoint, dims: Dims):
+    """M^{(i)}_{(a)b} = -H^c_{ab} v^i_c as [i][a][b]."""
+    hch = h_christoffel_values(h, point.t)
+    return [
+        [[-_sum(hch[c][a][b] * point.v[i][c] for c in range(dims.p))
+          for b in range(dims.p)] for a in range(dims.p)]
+        for i in range(dims.n)
+    ]
+
+
 def metric_pair_connection(h: TemporalMetric, g: SpatialMetricField, dims: Dims) -> NonlinearConnection:
     """The nonlinear connection of a metric pair: M = -H^c_{ab} v^i_c,
     N = gamma^i_{jk} v^k_a (the frame the Berwald connection lives over)."""
 
     def m_at(point: JetPoint):
-        hch = h_christoffel_values(h, point.t)
-        return [
-            [[-_sum(hch[c][a][b] * point.v[i][c] for c in range(dims.p))
-              for b in range(dims.p)] for a in range(dims.p)]
-            for i in range(dims.n)
-        ]
+        return _m_values(h, point, dims)
 
     def n_at(point: JetPoint):
         gamma = g_christoffel_values(g, point)
@@ -414,12 +417,7 @@ def canonical_nonlinear_connection(L, h: TemporalMetric,
     n, p = dims.n, dims.p
 
     def m_at(point: JetPoint):
-        hch = h_christoffel_values(h, point.t)
-        return [
-            [[-_sum(hch[c][a][b] * point.v[i][c] for c in range(p))
-              for b in range(p)] for a in range(p)]
-            for i in range(n)
-        ]
+        return _m_values(h, point, dims)
 
     if p == 1:
 
@@ -476,28 +474,38 @@ class VerticalDirection(NamedTuple):
     alpha: int
 
 
+def delta_entry(jac, idx, coord: Coord, coeffs):
+    """Adapted derivative of entry ``idx`` of a field whose coordinate
+    Jacobian is ``jac`` (``calculus.field_jacobian`` along ``coord`` and
+    every vertical coordinate): for coord = t^a and coeffs = M values
+    delta/delta t^a = d/dt^a - M^{(l)}_{(b)a} d/dv^l_b, for coord = x^j and
+    coeffs = N values delta/delta x^j = d/dx^j - N^{(l)}_{(b)j} d/dv^l_b.
+    Weights that are plain float zeros are skipped."""
+    col = coord.alpha if coord.kind == "t" else coord.i
+    acc = structure_entry(jac[coord], idx)
+    for l, block in enumerate(coeffs):
+        for b, row in enumerate(block):
+            w = row[col]
+            if type(w) is float and w == 0.0:
+                continue
+            acc = acc - w * structure_entry(jac[v_coord(l, b)], idx)
+    return acc
+
+
 def adapted_derivative(field, point: JetPoint, direction, conn: NonlinearConnection):
     """Adapted-frame derivative of a scalar coefficient field:
     d/dt^a - M^{(j)}_{(b)a} d/dv^j_b,  d/dx^i - N^{(j)}_{(b)i} d/dv^j_b,
     or the plain vertical d/dv^i_a."""
-    dims = conn.dims
-    n, p = dims.n, dims.p
     if isinstance(direction, VerticalDirection):
         return d1(field, point, v_coord(direction.i, direction.alpha))
     if isinstance(direction, TemporalAdapted):
-        base = d1(field, point, t_coord(direction.alpha))
-        coeff = conn.m_at(point)
-        pick = lambda j, b: coeff[j][b][direction.alpha]
+        coord, coeffs = t_coord(direction.alpha), conn.m_at(point)
     elif isinstance(direction, SpatialAdapted):
-        base = d1(field, point, x_coord(direction.i))
-        coeff = conn.n_at(point)
-        pick = lambda j, b: coeff[j][b][direction.i]
+        coord, coeffs = x_coord(direction.i), conn.n_at(point)
     else:
         raise DimensionError(f"unknown direction {direction!r}")
-    for j in range(n):
-        for b in range(p):
-            base = base - pick(j, b) * d1(field, point, v_coord(j, b))
-    return base
+    jac = field_jacobian(field, point, [coord] + vertical_coords(conn.dims))
+    return delta_entry(jac, (), coord, coeffs)
 
 
 # --- Block-diagonal metric on the jet space ----------------------------------------

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import all_coords, lift_d1, structure_dual_parts, structure_values, t_coord, v_coord, x_coord
+from .calculus import all_coords, field_jacobian, structure_entry, structure_values, t_coord, v_coord, x_coord
 from .cartan import LinearConnectionPack
-from .connection import NonlinearConnection
+from .connection import NonlinearConnection, delta_entry
 from .jet_core import (
     DTensor,
     JetPoint,
@@ -25,73 +25,41 @@ from .jet_core import (
     vertical_lower,
     vertical_upper,
 )
-from .metric_engine import TemporalMetric
+from .metric_engine import TemporalMetric, riemann
 
 
 # --- Frame data: all coefficient tables and their coordinate derivatives ----
 
 
+_TABLES = ("M", "N", "H", "G", "L", "C")
+
+
 class _Frame:
-    """Coefficient tables at a point plus their full coordinate jacobian."""
+    """Coefficient tables at a point plus their full coordinate jacobian;
+    ``d[coord][table]`` is the partial of a table along ``coord``."""
 
     def __init__(self, pack: LinearConnectionPack, conn: NonlinearConnection,
                  point: JetPoint):
         self.dims = pack.dims
-        n, p = self.dims.n, self.dims.p
 
         def tables(q):
             co = pack.coefficients_at(q)
-            return {
-                "M": conn.m_at(q),
-                "N": conn.n_at(q),
-                "H": co.hbar,
-                "G": co.g,
-                "L": co.l,
-                "C": co.c,
-            }
+            return [conn.m_at(q), conn.n_at(q), co.hbar, co.g, co.l, co.c]
 
-        raw = tables(point)
-        self.base = {k: structure_values(v) for k, v in raw.items()}
-        self.d = {}
-        for c in all_coords(self.dims):
-            lifted = lift_d1(point, c)
-            self.d[c] = {k: structure_dual_parts(v) for k, v in tables(lifted).items()}
-
-    def _get(self, struct, idx):
-        cur = struct
-        for k in idx:
-            cur = cur[k]
-        return cur
-
-    def partial_t(self, table, idx, b):
-        return self._get(self.d[t_coord(b)][table], idx)
+        self.base = dict(zip(_TABLES, structure_values(tables(point))))
+        jac = field_jacobian(tables, point, all_coords(self.dims))
+        self.d = {c: dict(zip(_TABLES, parts)) for c, parts in jac.items()}
 
     def partial_v(self, table, idx, l, c):
-        return self._get(self.d[v_coord(l, c)][table], idx)
+        return structure_entry(self.d[v_coord(l, c)][table], idx)
 
     def delta_t(self, table, idx, b):
         """Adapted d/dt^b of a coefficient entry."""
-        n, p = self.dims.n, self.dims.p
-        acc = self._get(self.d[t_coord(b)][table], idx)
-        m = self.base["M"]
-        for l in range(n):
-            for c in range(p):
-                w = m[l][c][b]
-                if w != 0.0:
-                    acc -= w * self._get(self.d[v_coord(l, c)][table], idx)
-        return acc
+        return delta_entry(self.d, (table,) + idx, t_coord(b), self.base["M"])
 
     def delta_x(self, table, idx, j):
         """Adapted d/dx^j of a coefficient entry."""
-        n, p = self.dims.n, self.dims.p
-        acc = self._get(self.d[x_coord(j)][table], idx)
-        nn = self.base["N"]
-        for l in range(n):
-            for c in range(p):
-                w = nn[l][c][j]
-                if w != 0.0:
-                    acc -= w * self._get(self.d[v_coord(l, c)][table], idx)
-        return acc
+        return delta_entry(self.d, (table,) + idx, x_coord(j), self.base["N"])
 
 
 # --- Torsion -----------------------------------------------------------------
@@ -231,15 +199,8 @@ def curvature_table(pack: LinearConnectionPack, conn: NonlinearConnection,
     tor = torsion or torsion_table(pack, conn, h, point)
 
     # Temporal block curvature (plain t-partials; H depends on t only).
-    tt_t = DTensor((temporal_upper(p), temporal_lower(p), temporal_lower(p), temporal_lower(p)))
-    for a in range(p):
-        for eta in range(p):
-            for b in range(p):
-                for c in range(p):
-                    val = fr.partial_t("H", (a, eta, b), c) - fr.partial_t("H", (a, eta, c), b)
-                    for mu in range(p):
-                        val += H[mu][eta][b] * H[a][mu][c] - H[mu][eta][c] * H[a][mu][b]
-                    tt_t.set((a, eta, b, c), val)
+    tt_t = DTensor((temporal_upper(p), temporal_lower(p), temporal_lower(p), temporal_lower(p)),
+                   riemann(H, [fr.d[t_coord(b)]["H"] for b in range(p)]))
 
     # Covariant derivatives of C in the T- and M-horizontal directions.
     ccov_t = [[[[[0.0] * p for _ in range(p)] for _ in range(n)] for _ in range(n)] for _ in range(n)]

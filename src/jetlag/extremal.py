@@ -10,6 +10,7 @@ differences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -192,13 +193,13 @@ class GridMap:
         return tuple(lo + k * sp for (lo, _), sp, k in zip(self.box, self.spacing, idx))
 
     def interior_indices(self):
-        return _product([range(1, s - 1) for s in self.shape])
+        return itertools.product(*[range(1, s - 1) for s in self.shape])
 
 
-def _product(ranges):
-    import itertools
-
-    return itertools.product(*ranges)
+def _shift(idx, axis, step):
+    out = list(idx)
+    out[axis] += step
+    return tuple(out)
 
 
 def _grid_jet(grid: GridMap, idx):
@@ -206,25 +207,19 @@ def _grid_jet(grid: GridMap, idx):
     p, n = grid.dims.p, grid.dims.n
     v = grid.values
     sp = grid.spacing
-
-    def shift(base, axis, step):
-        out = list(base)
-        out[axis] += step
-        return tuple(out)
-
     first = np.zeros((n, p))
     second = np.zeros((n, p, p))
     for a in range(p):
-        up = v[shift(idx, a, 1)]
-        dn = v[shift(idx, a, -1)]
+        up = v[_shift(idx, a, 1)]
+        dn = v[_shift(idx, a, -1)]
         first[:, a] = (up - dn) / (2.0 * sp[a])
         second[:, a, a] = (up - 2.0 * v[idx] + dn) / (sp[a] ** 2)
     for a in range(p):
         for b in range(a + 1, p):
-            pp = v[shift(shift(idx, a, 1), b, 1)]
-            pm = v[shift(shift(idx, a, 1), b, -1)]
-            mp = v[shift(shift(idx, a, -1), b, 1)]
-            mm = v[shift(shift(idx, a, -1), b, -1)]
+            pp = v[_shift(_shift(idx, a, 1), b, 1)]
+            pm = v[_shift(_shift(idx, a, 1), b, -1)]
+            mp = v[_shift(_shift(idx, a, -1), b, 1)]
+            mm = v[_shift(_shift(idx, a, -1), b, -1)]
             mixed = (pp - pm - mp + mm) / (4.0 * sp[a] * sp[b])
             second[:, a, b] = mixed
             second[:, b, a] = mixed
@@ -308,21 +303,15 @@ def _grid_velocity(grid: GridMap, idx):
     v = grid.values
     sp = grid.spacing
     out = np.zeros((n, p))
-
-    def shift(base, axis, step):
-        lst = list(base)
-        lst[axis] += step
-        return tuple(lst)
-
     for a in range(p):
         k = idx[a]
         s = grid.shape[a]
         if 0 < k < s - 1:
-            out[:, a] = (v[shift(idx, a, 1)] - v[shift(idx, a, -1)]) / (2 * sp[a])
+            out[:, a] = (v[_shift(idx, a, 1)] - v[_shift(idx, a, -1)]) / (2 * sp[a])
         elif k == 0:
-            out[:, a] = (-3 * v[idx] + 4 * v[shift(idx, a, 1)] - v[shift(idx, a, 2)]) / (2 * sp[a])
+            out[:, a] = (-3 * v[idx] + 4 * v[_shift(idx, a, 1)] - v[_shift(idx, a, 2)]) / (2 * sp[a])
         else:
-            out[:, a] = (3 * v[idx] - 4 * v[shift(idx, a, -1)] + v[shift(idx, a, -2)]) / (2 * sp[a])
+            out[:, a] = (3 * v[idx] - 4 * v[_shift(idx, a, -1)] + v[_shift(idx, a, -2)]) / (2 * sp[a])
     return out
 
 

@@ -71,15 +71,9 @@ def mat_invert_generic(rows):
 
 
 def invert_metric(m):
-    """Invert a small square matrix, refusing matrices with
-    |det| <= 1e-10 * (max |entry|)^dim."""
-    rows = [list(map(float, r)) for r in np.asarray(m, dtype=float)]
-    dim = len(rows)
-    scale = max(abs(e) for r in rows for e in r)
-    det = float(mat_det(rows))
-    if abs(det) <= _DEGENERACY_SCALE * scale**dim:
-        raise DegeneracyError(f"degenerate matrix (det={det:.3e})", det=det)
-    inv = mat_invert_generic(rows)
+    """Float inverse of a small square matrix by ``checked_inverse``; an
+    ndarray argument gives an ndarray result, anything else nested lists."""
+    inv = checked_inverse([list(map(float, r)) for r in np.asarray(m, dtype=float)])
     if isinstance(m, np.ndarray):
         return np.array(inv, dtype=float)
     return inv
@@ -159,6 +153,43 @@ def _symmetrize(rows, warn_tag, warned: set):
         [(rows[i][j] + rows[j][i]) * 0.5 for j in range(dim)]
         for i in range(dim)
     ]
+
+
+# --- Christoffel and Riemann kernels --------------------------------------------
+
+
+def christoffel(inv, d):
+    """The Christoffel process of a metric m with inverse ``inv`` and
+    partials ``d[k][i][j]`` = d_k m_ij:
+    Gamma^l_{jk} = inv^{li}(d_k m_ij + d_j m_ik - d_i m_jk)/2, as [l][j][k].
+    Generic over the scalar kind; ``d`` may hold adapted derivatives."""
+    dim = len(inv)
+    out = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
+    for l in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                acc = 0.0
+                for i in range(dim):
+                    acc = acc + inv[l][i] * (d[k][i][j] + d[j][i][k] - d[i][j][k])
+                out[l][j][k] = acc * 0.5
+    return out
+
+
+def riemann(ch, dch):
+    """Curvature of Christoffel symbols ``ch`` [c][m][a] with partials
+    ``dch[b]`` = d_b ch: R^c_{mab} = d_b Ch^c_{ma} - d_a Ch^c_{mb}
+    + Ch^e_{ma} Ch^c_{eb} - Ch^e_{mb} Ch^c_{ea}, as [c][m][a][b]."""
+    dim = len(ch)
+    out = [[[[0.0] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    for c in range(dim):
+        for m in range(dim):
+            for a in range(dim):
+                for b in range(dim):
+                    acc = dch[b][c][m][a] - dch[a][c][m][b]
+                    for e in range(dim):
+                        acc = acc + ch[e][m][a] * ch[c][e][b] - ch[e][m][b] * ch[c][e][a]
+                    out[c][m][a][b] = acc
+    return out
 
 
 # --- Temporal metric ---------------------------------------------------------
@@ -242,15 +273,7 @@ def h_christoffel_values(h: TemporalMetric, ts):
     for a in range(p):
         lifted = _lift_ts(ts, a)
         dh.append(structure_dual_parts(h.matrix_at(lifted)))
-    out = [[[0.0] * p for _ in range(p)] for _ in range(p)]
-    for c in range(p):
-        for a in range(p):
-            for b in range(p):
-                acc = 0.0
-                for m in range(p):
-                    acc = acc + hinv[c][m] * (dh[a][m][b] + dh[b][m][a] - dh[m][a][b])
-                out[c][a][b] = acc * 0.5
-    return out
+    return christoffel(hinv, dh)
 
 
 def h_christoffel(h: TemporalMetric, t) -> DTensor:
@@ -270,16 +293,7 @@ def h_curvature_values(h: TemporalMetric, ts):
     for b in range(p):
         lifted = _lift_ts(ts, b)
         dch.append(structure_dual_parts(h_christoffel_values(h, lifted)))
-    out = [[[[0.0] * p for _ in range(p)] for _ in range(p)] for _ in range(p)]
-    for c in range(p):
-        for m in range(p):
-            for a in range(p):
-                for b in range(p):
-                    acc = dch[b][c][m][a] - dch[a][c][m][b]
-                    for e in range(p):
-                        acc = acc + ch[e][m][a] * ch[c][e][b] - ch[e][m][b] * ch[c][e][a]
-                    out[c][m][a][b] = acc
-    return out
+    return riemann(ch, dch)
 
 
 def h_curvature(h: TemporalMetric, t) -> DTensor:
@@ -334,15 +348,7 @@ def g_christoffel_values(g: SpatialMetricField, point: JetPoint):
     for k in range(n):
         lifted = lift_d1(point, x_coord(k))
         dg.append(structure_dual_parts(g.matrix_at(lifted)))
-    out = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = 0.0
-                for i in range(n):
-                    acc = acc + ginv[l][i] * (dg[k][i][j] + dg[j][i][k] - dg[i][j][k])
-                out[l][j][k] = acc * 0.5
-    return out
+    return christoffel(ginv, dg)
 
 
 def g_christoffel(g: SpatialMetricField, point: JetPoint) -> DTensor:
@@ -360,16 +366,7 @@ def g_curvature_values(g: SpatialMetricField, point: JetPoint):
     for j in range(n):
         lifted = lift_d1(point, x_coord(j))
         dgam.append(structure_dual_parts(g_christoffel_values(g, lifted)))
-    out = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for m in range(n):
-        for pp in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = dgam[j][m][pp][i] - dgam[i][m][pp][j]
-                    for k in range(n):
-                        acc = acc + gam[k][pp][i] * gam[m][k][j] - gam[k][pp][j] * gam[m][k][i]
-                    out[m][pp][i][j] = acc
-    return out
+    return riemann(gam, dgam)
 
 
 def g_curvature(g: SpatialMetricField, point: JetPoint) -> DTensor:

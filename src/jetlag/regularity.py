@@ -97,13 +97,11 @@ def vertical_hessian(L, point: JetPoint) -> DTensor:
     return DTensor(slots, data)
 
 
-def g_from_hessian(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None):
-    """Spatial metric estimate g_ij = (1/p) h_ab G^{(ab)}_{(ij)} (the
-    h-trace of the vertical Hessian); generic over the scalar kind."""
-    dims = dims or point.dims
-    n, p = dims.n, dims.p
-    hmat = h.matrix_at(point.t)
-    blocks = hessian_blocks(L, point, dims)
+def trace_metric(hmat, blocks):
+    """g_ij = (1/p) h_ab G^{(ab)}_{(ij)}: the h-trace of already computed
+    ``hessian_blocks`` under the temporal metric matrix ``hmat``; generic
+    over the scalar kind."""
+    n, p = len(blocks), len(hmat)
     g = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -115,14 +113,12 @@ def g_from_hessian(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = No
     return g
 
 
-def hessian_g_field(L, h: TemporalMetric, dims: Dims):
-    """The h-trace metric as a field of the full jet point (velocity kept;
-    the p = 1 velocity-dependent branch needs this)."""
-
-    def g_at(point: JetPoint):
-        return g_from_hessian(L, h, point, dims)
-
-    return g_at
+def g_from_hessian(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None):
+    """Spatial metric estimate g_ij = (1/p) h_ab G^{(ab)}_{(ij)} (the
+    h-trace of the vertical Hessian); generic over the scalar kind."""
+    dims = dims or point.dims
+    hmat = h.matrix_at(point.t)
+    return trace_metric(hmat, hessian_blocks(L, point, dims))
 
 
 # --- Block-regularity verdict ------------------------------------------------
@@ -203,16 +199,8 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         idx, point = idx_point
         n, p = dims.n, dims.p
         blocks = hessian_blocks(L, point, dims)
-        hmat = h.matrix_at(point.t)
+        g = trace_metric(h.matrix_at(point.t), blocks)
         hinv = h.inverse_at(point.t)
-        g = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for a in range(p):
-                    for b in range(p):
-                        acc += hmat[a][b] * scalar_value(blocks[i][a][j][b])
-                g[i][j] = acc / p
         residual = 0.0
         for i in range(n):
             for a in range(p):

@@ -48,30 +48,6 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def pretty_json(obj) -> str:
-    """Human-facing variant: indented, still sorted and 17-digit floats."""
-    return _pretty(obj, 0) + "\n"
-
-
-def _pretty(obj, depth) -> str:
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(k, ensure_ascii=False)}: {_pretty(obj[k], depth + 1)}"
-            for k in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_pretty(o, depth + 1)}" for o in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return canonical_json(obj)
-
-
 def config_hash(raw_config: dict) -> str:
     return hashlib.sha256(canonical_json(raw_config).encode("utf-8")).hexdigest()
 

@@ -9,6 +9,8 @@ from jetlag.cartan import (
     Coefficients,
     LinearConnectionPack,
     MHorizontal,
+    THorizontal,
+    VerticalCov,
     berwald_connection,
     cartan_connection,
     covariant_derivative,
@@ -22,7 +24,7 @@ from jetlag.fields import (
     LagrangianModel,
     constant_field,
 )
-from jetlag.jet_core import Dims, JetPoint, spatial_lower, spatial_upper
+from jetlag.jet_core import Dims, JetPoint, spatial_lower, spatial_upper, temporal_lower
 from jetlag.metric_engine import SpatialMetricField, TemporalMetric, g_christoffel_values
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
@@ -174,20 +176,33 @@ class TestMetricCompatibility:
         compat = metric_compatibility(pack, pt)
         assert max(compat.values()) <= 1e-9
 
-    def test_suite_matches_covariant_derivative_op(self):
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_suite_matches_covariant_derivative_op(self, p):
         # the fast compatibility loop and the generic operator implement the
-        # same slot rules; pin them against each other on one instance
-        inst = corpus_instance("non_autonomous", 1, 2)
+        # same slot rules and adapted frame; pin all six entries against each
+        # other on one instance per p
+        n = 2
+        inst = corpus_instance("non_autonomous", p, n)
         conn, pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=15)[0]
         compat = metric_compatibility(pack, pt)
-        g_field = lambda q: pack.g_matrix_at(q)
-        g_val = (spatial_lower(2), spatial_lower(2))
-        worst_op = 0.0
-        for k in range(2):
-            out = covariant_derivative(g_field, g_val, MHorizontal(k), pack, conn, pt)
-            worst_op = max(worst_op, out.max_abs())
-        assert compat["g_m_horizontal"] == pytest.approx(worst_op, abs=1e-12)
+        fields = {
+            "g": (pack.g_matrix_at, (spatial_lower(n), spatial_lower(n))),
+            "h": (lambda q: pack.h.matrix_at(q.t), (temporal_lower(p), temporal_lower(p))),
+        }
+        directions = {
+            "t_horizontal": [THorizontal(c) for c in range(p)],
+            "m_horizontal": [MHorizontal(k) for k in range(n)],
+            "vertical": [VerticalCov(k, c) for k in range(n) for c in range(p)],
+        }
+        for name, (fld, valence) in fields.items():
+            for label, dirs in directions.items():
+                worst_op = max(
+                    covariant_derivative(fld, valence, d, pack, conn, pt).max_abs()
+                    for d in dirs
+                )
+                entry = f"{name}_{label}"
+                assert compat[entry] == pytest.approx(worst_op, abs=1e-12), entry
 
 
 class TestCovariantDerivative:

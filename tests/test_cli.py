@@ -76,6 +76,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "kronecker_regularity" in err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_number_rejected(self, tmp_path, capsys, value):
+        cfg = sphere_config()
+        cfg["solver"]["t_end"] = value  # json.dumps writes NaN / Infinity
+        path = write_config(tmp_path, cfg)
+        assert run(["extremal", "--config", path]) == EX_USAGE
+        assert "is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_point_rejected(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, sphere_config())
+        code = run(["connection", "--config", path,
+                    "--point", f"t=0;x={value},0.2;v=0.4,0.7"])
+        assert code == EX_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
     def test_bad_point_argument(self, tmp_path, capsys):
         path = write_config(tmp_path, sphere_config())
         assert run(["connection", "--config", path, "--point", "t=0;x=1"]) == EX_USAGE
