@@ -118,13 +118,6 @@ def dual_part(s):
     return s.du if type(s) is Dual else 0.0
 
 
-def value_part(s):
-    t = type(s)
-    if t is Dual or t is HyperDual:
-        return s.re
-    return s
-
-
 def mixed_part(s):
     return s.e12 if type(s) is HyperDual else 0.0
 

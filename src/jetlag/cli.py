@@ -3,8 +3,8 @@
 Commands: analyze, connection, torsion, curvature, extremal, residual,
 verify.  Reports are canonical JSON on stdout (byte-identical for a fixed
 config and seed); trajectories and residual fields are CSV.  Exit codes:
-0 success, 1 failed verification, 2 irregular Lagrangian, 64 usage/config
-errors.
+0 success, 1 failed verification, evaluation-domain error or aborted
+extremal, 2 irregular Lagrangian, 64 usage/config errors.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def cmd_extremal(instance: ProblemInstance, args) -> int:
     if traj.aborted:
         summary += f" aborted=({traj.abort_reason})"
     sys.stderr.write(summary + "\n")
-    return EX_OK
+    return EX_VERIFY_FAIL if traj.aborted else EX_OK
 
 
 def cmd_residual(instance: ProblemInstance, args) -> int:

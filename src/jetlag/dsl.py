@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DslSemanticError, DslSyntaxError, EvalDomainError
-from .jet_core import Dims, JetPoint
+from .errors import DslSemanticError, DslSyntaxError
+from .jet_core import Dims
 from . import scalars
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "abs")
@@ -352,54 +352,6 @@ def parse(source: str, dims: Dims) -> ExprAst:
     return node
 
 
-# --- Evaluation -----------------------------------------------------------
-
-
-def eval_ast(ast, point: JetPoint):
-    """Tree-walking evaluation, deterministic and left-to-right.
-
-    Works for any scalar kind the arithmetic in ``scalars`` supports, so the
-    same AST serves plain values and forward-derivative evaluations.
-    """
-    cls = ast.__class__
-    if cls is Const:
-        return ast.value
-    if cls is VarT:
-        return point.t[ast.alpha]
-    if cls is VarX:
-        return point.x[ast.i]
-    if cls is VarV:
-        return point.v[ast.i][ast.alpha]
-    if cls is Add:
-        return eval_ast(ast.left, point) + eval_ast(ast.right, point)
-    if cls is Sub:
-        return eval_ast(ast.left, point) - eval_ast(ast.right, point)
-    if cls is Mul:
-        return eval_ast(ast.left, point) * eval_ast(ast.right, point)
-    if cls is Div:
-        num = eval_ast(ast.left, point)
-        den = eval_ast(ast.right, point)
-        if scalars.scalar_value(den) == 0.0:
-            raise EvalDomainError("division by zero", offset=ast.offset)
-        return num / den
-    if cls is Pow:
-        base = eval_ast(ast.left, point)
-        expo = eval_ast(ast.right, point)
-        try:
-            return scalars.g_pow(base, expo)
-        except EvalDomainError as exc:
-            raise EvalDomainError(str(exc.args[0] if exc.args else exc), offset=ast.offset)
-    if cls is Neg:
-        return -eval_ast(ast.child, point)
-    if cls is Func:
-        arg = eval_ast(ast.arg, point)
-        try:
-            return _FUNC_IMPL[ast.name](arg)
-        except EvalDomainError as exc:
-            raise EvalDomainError(str(exc.args[0] if exc.args else exc), offset=ast.offset)
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
 # --- Formatting -----------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
@@ -491,10 +443,21 @@ def used_variables(ast) -> set:
 
 
 def compile_ast(ast):
-    """Compile an AST to a fast closure f(t, x, v); same semantics as
-    eval_ast, but domain errors surface without source offsets.
+    """Compile an AST to a closure f(t, x, v) and its line table.
+
+    The closure is the one evaluator of the expression language: left to
+    right, on plain floats and on every derivative scalar in ``scalars``.
+    Each node that can raise (division, power, function) starts its own line
+    of the generated source, and the table maps that line to the node's
+    source offset, so a failure is located from the traceback's line number
+    without evaluating again.
     """
-    counter = [0]
+    lines = {}
+
+    def own_line(node):
+        # lines 1 and 2 of the generated source are "def" and "return ("
+        lines[len(lines) + 3] = node.offset
+        return "\n"
 
     def emit(node):
         cls = node.__class__
@@ -513,16 +476,16 @@ def compile_ast(ast):
         if cls is Mul:
             return f"({emit(node.left)} * {emit(node.right)})"
         if cls is Div:
-            return f"_div({emit(node.left)}, {emit(node.right)})"
+            return f"{own_line(node)}_div({emit(node.left)}, {emit(node.right)})"
         if cls is Pow:
+            start = own_line(node)
             if node.right.__class__ is Const and float(node.right.value).is_integer():
-                return f"_ipow({emit(node.left)}, {int(node.right.value)})"
-            return f"_pow({emit(node.left)}, {emit(node.right)})"
+                return f"{start}_ipow({emit(node.left)}, {int(node.right.value)})"
+            return f"{start}_pow({emit(node.left)}, {emit(node.right)})"
         if cls is Neg:
             return f"(-{emit(node.child)})"
         if cls is Func:
-            counter[0] += 1
-            return f"_{node.name}({emit(node.arg)})"
+            return f"{own_line(node)}_{node.name}({emit(node.arg)})"
         raise TypeError(f"not an AST node: {node!r}")
 
     body = emit(ast)
@@ -533,6 +496,6 @@ def compile_ast(ast):
     }
     for name, fn in _FUNC_IMPL.items():
         env[f"_{name}"] = fn
-    code = f"def _compiled(T, X, V):\n    return {body}\n"
+    code = f"def _compiled(T, X, V):\n    return ({body})\n"
     exec(code, env)  # noqa: S102 - source is generated from our own AST
-    return env["_compiled"]
+    return env["_compiled"], lines

@@ -30,15 +30,17 @@ class DslSemanticError(DslError):
 
 
 class EvalDomainError(JetLagError):
-    """Evaluation hit a domain violation (log of non-positive, zero divide).
+    """Evaluation hit a domain violation (log of non-positive, zero divide,
+    overflow).
 
-    ``offset`` is the byte offset of the offending node in the original
-    source, or None when the expression did not come from source text.
+    ``offset`` is the offset of the offending node in the expression's
+    source text, or None when the scalar arithmetic raised it, before an
+    expression field located it.
     """
 
     def __init__(self, message, offset=None):
         self.offset = offset
-        super().__init__(message if offset is None else f"{message} (at offset {offset})")
+        super().__init__(message)
 
 
 class DegeneracyError(JetLagError):

@@ -18,34 +18,34 @@ from .metric_engine import TemporalMetric
 class ExpressionField:
     """Field backed by a parsed expression.
 
-    Evaluation runs a compiled closure; if that hits a domain error the tree
-    interpreter re-runs the evaluation to attach the offending node offset.
+    Evaluation runs the closure ``dsl.compile_ast`` builds.  A domain error,
+    zero division or overflow inside it is raised again as an
+    EvalDomainError carrying the failing node's source offset, which the
+    closure's line table gives for the line the traceback stopped at.
     """
 
     def __init__(self, source, dims: Dims):
-        if isinstance(source, str):
-            self.source = source
-            self.ast = dsl.parse(source, dims)
-        else:
-            self.ast = source
-            self.source = dsl.format_ast(source)
+        if not isinstance(source, str):
+            source = dsl.format_ast(source)
+        self.source = source
+        self.ast = dsl.parse(source, dims)
         self.dims = dims
-        self._fast = dsl.compile_ast(self.ast)
+        self._evaluate, self._offsets = dsl.compile_ast(self.ast)
 
     def __call__(self, point: JetPoint):
         try:
-            return self._fast(point.t, point.x, point.v)
-        except (EvalDomainError, ZeroDivisionError, ValueError, OverflowError):
-            return dsl.eval_ast(self.ast, point)
+            return self._evaluate(point.t, point.x, point.v)
+        except (EvalDomainError, ZeroDivisionError, ValueError, OverflowError) as exc:
+            # the first traceback entry below this frame is the closure's
+            offset = self._offsets[exc.__traceback__.tb_next.tb_lineno]
+            where = dsl.ParseDiagnostic(offset, str(exc)).render(self.source)
+            raise EvalDomainError(f"{where} in {self.source!r}", offset=offset) from exc
 
     def __repr__(self):
         return f"ExpressionField({self.source!r})"
 
     def uses_velocity(self) -> bool:
         return any(kind == "v" for kind, _, _ in dsl.used_variables(self.ast))
-
-    def uses_space(self) -> bool:
-        return any(kind == "x" for kind, _, _ in dsl.used_variables(self.ast))
 
 
 @dataclass

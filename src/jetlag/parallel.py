@@ -1,25 +1,6 @@
-"""Deterministic sample-parallel mapping, capped by JETLAG_THREADS."""
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count() -> int:
-    raw = os.environ.get("JETLAG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+"""Order-preserving map over independent samples."""
 
 
 def map_ordered(fn, items):
-    """map() preserving order; results are merged by item index so the
-    outcome is identical whatever the worker count."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(item) for item in items], in item order."""
+    return [fn(item) for item in items]

@@ -61,6 +61,43 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert run(["extremal", "--config", path]) == EX_USAGE
 
+    def test_extremal_abort_exits_1(self, tmp_path, capsys):
+        # g = sqrt(1 - x1) turns negative once the extremal passes x1 = 1
+        cfg = {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "harmonic", "g_entries": [["sqrt(1 - x1)"]]},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+            "solver": {"t_end": 2.0, "dt": 0.01,
+                       "initial": {"t": 0.0, "x": [0.0], "y": [1.0]}},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "t,x1,y1"
+        assert len(out.splitlines()) == 82  # header, t0 and 80 steps
+        assert err == ("steps=80 max_el_residual=nan aborted=(EvalDomainError: "
+                       "1:1: sqrt of a negative value in 'sqrt(1 - x1)')\n")
+
+    @pytest.mark.parametrize("expression, box, x, position", [
+        ("exp(x1^3)*v1_1^2", [-1.0, 1.0], "10", "1:1"),
+        ("v1_1^2*log(x1)", [[-1.0, 1.0], [2.0, 3.0], [-1.0, 1.0]], "-1", "1:8"),
+    ], ids=["overflow", "log_domain"])
+    def test_evaluation_error_is_one_line(self, tmp_path, capsys, expression, box, x, position):
+        cfg = {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "expression", "expression": expression},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": box, "count": 4, "seed": 0},
+        }
+        path = write_config(tmp_path, cfg)
+        code = run(["connection", "--config", path, "--point", f"t=0;x={x};v=1"])
+        out, err = capsys.readouterr()
+        assert code == EX_VERIFY_FAIL
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {position}: ") and expression in err
+
     def test_connection_irregular_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, quartic_config(count=8))
         code = run(["connection", "--config", path,

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlag import dsl
+from jetlag import dsl, scalars
+from jetlag.calculus import lift_d1, lift_d2, v_coord, x_coord
 from jetlag.errors import DslError, DslSemanticError, DslSyntaxError, EvalDomainError
+from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint
 
 
@@ -24,10 +26,47 @@ def pt(dims, t=None, x=None, v=None):
     return JetPoint(t, x, v)
 
 
+def evaluate(source, dims, point):
+    return ExpressionField(source, dims)(point)
+
+
+_KERNELS = {name: getattr(scalars, f"g_{name}") for name in dsl.FUNCTIONS}
+
+
+def tree_eval(ast, point):
+    """Oracle for the compiled evaluator: a direct walk of the AST over the
+    ``scalars`` kernels that raises EvalDomainError at the failing node."""
+    cls = ast.__class__
+    if cls is dsl.Const:
+        return ast.value
+    if cls is dsl.VarT:
+        return point.t[ast.alpha]
+    if cls is dsl.VarX:
+        return point.x[ast.i]
+    if cls is dsl.VarV:
+        return point.v[ast.i][ast.alpha]
+    if cls is dsl.Neg:
+        return -tree_eval(ast.child, point)
+    if cls is dsl.Func:
+        kernel, args = _KERNELS[ast.name], (tree_eval(ast.arg, point),)
+    else:
+        args = (tree_eval(ast.left, point), tree_eval(ast.right, point))
+        if cls is dsl.Add:
+            return args[0] + args[1]
+        if cls is dsl.Sub:
+            return args[0] - args[1]
+        if cls is dsl.Mul:
+            return args[0] * args[1]
+        kernel = scalars.g_div if cls is dsl.Div else scalars.g_pow
+    try:
+        return kernel(*args)
+    except (EvalDomainError, ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise EvalDomainError(str(exc), offset=ast.offset)
+
+
 class TestParse:
     def test_flat_kinetic(self):
-        ast = dsl.parse("v1_1*v1_1 + v2_1*v2_1", D12)
-        value = dsl.eval_ast(ast, pt(D12, v=((3.0,), (4.0,))))
+        value = evaluate("v1_1*v1_1 + v2_1*v2_1", D12, pt(D12, v=((3.0,), (4.0,))))
         assert value == 25.0
 
     def test_h_is_not_a_function(self):
@@ -35,8 +74,7 @@ class TestParse:
             dsl.parse("h(1,1)", D21)
 
     def test_sin_power_velocity(self):
-        ast = dsl.parse("sin(t1)^2 * v1_2", D21)
-        value = dsl.eval_ast(ast, pt(D21, t=(math.pi / 2, 0.0), v=((0.0, 3.0),)))
+        value = evaluate("sin(t1)^2 * v1_2", D21, pt(D21, t=(math.pi / 2, 0.0), v=((0.0, 3.0),)))
         assert value == pytest.approx(3.0)
 
     def test_index_out_of_range(self):
@@ -74,63 +112,81 @@ class TestParse:
             assert exc.diagnostic.render("1 + @").startswith("1:5:")
 
     def test_power_right_associative(self):
-        ast = dsl.parse("2^3^2", D21)
-        assert dsl.eval_ast(ast, pt(D21)) == 512.0
+        assert evaluate("2^3^2", D21, pt(D21)) == 512.0
 
     def test_unary_minus_binds_power(self):
-        ast = dsl.parse("-2^2", D21)
-        assert dsl.eval_ast(ast, pt(D21)) == -4.0
+        assert evaluate("-2^2", D21, pt(D21)) == -4.0
 
     def test_number_forms(self):
         for text, value in (("1.5", 1.5), ("0.5", 0.5), (".5", 0.5),
                             ("2e3", 2000.0), ("1.5e-2", 0.015)):
-            assert dsl.eval_ast(dsl.parse(text, D21), pt(D21)) == value
+            assert evaluate(text, D21, pt(D21)) == value
 
 
 class TestEval:
     def test_constant(self):
-        assert dsl.eval_ast(dsl.Const(7.0), pt(D21)) == 7.0
+        assert evaluate(dsl.Const(7.0), D21, pt(D21)) == 7.0
 
     def test_square_of_negative(self):
-        ast = dsl.parse("v1_1^2", D12)
-        assert dsl.eval_ast(ast, pt(D12, v=((-2.0,), (0.0,)))) == 4.0
+        assert evaluate("v1_1^2", D12, pt(D12, v=((-2.0,), (0.0,)))) == 4.0
 
     def test_exp_zero(self):
-        ast = dsl.parse("exp(t1)*x1", Dims(1, 1))
-        assert dsl.eval_ast(ast, JetPoint((0.0,), (5.0,), ((0.0,),))) == 5.0
+        assert evaluate("exp(t1)*x1", Dims(1, 1), JetPoint((0.0,), (5.0,), ((0.0,),))) == 5.0
 
-    def test_division_by_zero_offset(self):
-        ast = dsl.parse("1 / x1", Dims(1, 1))
+    # Evaluated on a point lifted in x1, as derivatives evaluate L: sqrt at
+    # zero is only an error when differentiated.
+    @pytest.mark.parametrize("source, x1, offset, position", [
+        ("1 / x1", 0.0, 2, "1:3"),
+        ("log(x1)", 0.0, 0, "1:1"),
+        ("sqrt(x1)", 0.0, 0, "1:1"),
+        ("x1^(-1)", 0.0, 2, "1:3"),
+        ("exp(x1^3)", 10.0, 0, "1:1"),
+        ("1 +\n  log(x1)", 0.0, 6, "2:3"),
+    ], ids=["div", "log", "sqrt", "negative_power", "exp_overflow", "second_line"])
+    def test_division_by_zero_offset(self, source, x1, offset, position):
+        field = ExpressionField(source, Dims(1, 1))
+        point = lift_d1(JetPoint((0.0,), (x1,), ((0.0,),)), x_coord(0))
         with pytest.raises(EvalDomainError) as err:
-            dsl.eval_ast(ast, JetPoint((0.0,), (0.0,), ((0.0,),)))
-        assert err.value.offset == 2
+            field(point)
+        assert err.value.offset == offset
+        assert str(err.value).startswith(f"{position}: ")
+        assert str(err.value).endswith(f" in {source!r}")
 
     def test_log_domain(self):
-        ast = dsl.parse("log(x1)", Dims(1, 1))
         with pytest.raises(EvalDomainError):
-            dsl.eval_ast(ast, JetPoint((0.0,), (-1.0,), ((0.0,),)))
+            evaluate("log(x1)", Dims(1, 1), JetPoint((0.0,), (-1.0,), ((0.0,),)))
 
     def test_deterministic(self):
-        ast = dsl.parse("sin(t1) * x1 + t1 / (1 + x1^2)", Dims(1, 1))
+        field = ExpressionField("sin(t1) * x1 + t1 / (1 + x1^2)", Dims(1, 1))
         point = JetPoint((0.7,), (0.3,), ((0.0,),))
-        values = {dsl.eval_ast(ast, point) for _ in range(5)}
+        values = {field(point) for _ in range(5)}
         assert len(values) == 1
 
     def test_compiled_matches_tree(self):
         rng = random.Random(21)
         dims = Dims(2, 2)
-        for _ in range(50):
-            ast = random_ast(rng, dims, depth=4)
-            fn = dsl.compile_ast(ast)
+        failures = 0
+        for _ in range(200):
+            # parsed text, so that every node carries its own offset
+            text = dsl.format_ast(random_ast(rng, dims, depth=4))
+            ast = dsl.parse(text, dims)
+            field = ExpressionField(text, dims)
             point = pt(dims,
                        t=tuple(rng.uniform(0.1, 2) for _ in range(2)),
                        x=tuple(rng.uniform(0.1, 2) for _ in range(2)),
                        v=tuple(tuple(rng.uniform(0.1, 2) for _ in range(2)) for _ in range(2)))
-            try:
-                tree = dsl.eval_ast(ast, point)
-            except EvalDomainError:
-                continue
-            assert fn(point.t, point.x, point.v) == tree
+            for probe in (point, lift_d2(point, x_coord(0), v_coord(1, 1))):
+                try:
+                    expected = tree_eval(ast, probe)
+                except EvalDomainError as exc:
+                    failures += 1
+                    with pytest.raises(EvalDomainError) as err:
+                        field(probe)
+                    assert err.value.offset == exc.offset, text
+                    continue
+                # repr tells -0.0 from 0.0 and matches nan, so this is bitwise
+                assert repr(field(probe)) == repr(expected), text
+        assert failures >= 10
 
 
 class TestFormat:

@@ -190,15 +190,6 @@ class TestDecomposition:
 
 
 class TestSampling:
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        inst = corpus_instance("non_autonomous", 2, 2, count=8)
-        base = kronecker_test(inst.L, inst.h, inst.sampling["box"], K=8, seed=2)
-        monkeypatch.setenv("JETLAG_THREADS", "4")
-        threaded = kronecker_test(inst.L, inst.h, inst.sampling["box"], K=8, seed=2)
-        assert threaded.is_kronecker == base.is_kronecker
-        assert threaded.max_block_residual == base.max_block_residual
-        assert threaded.g_estimates == base.g_estimates
-
     def test_deterministic(self):
         d = Dims(1, 2)
         a = sample_points(d, [-1, 1], 5, seed=9)
