@@ -86,9 +86,6 @@ class LinearConnectionPack:
     conn: NonlinearConnection
     h: TemporalMetric
 
-    def c_at(self, point):
-        return self.coefficients_at(point).c
-
     def vertical_g(self, point):
         """G^{(k)(b)}_{(a)(i)c} = delta^b_a G^k_{ic} - delta^k_i H^b_{ac}."""
         n, p = self.dims.n, self.dims.p

@@ -200,26 +200,25 @@ def cmd_tables(instance: ProblemInstance, args, which: str) -> int:
         sys.stderr.write("Lagrangian is not block-regular; no canonical connection\n")
         return EX_IRREGULAR
     point = _parse_point(args.point, instance)
-    conn, pack, berwald = _connection_objects(instance, verdict)
+    _, pack, berwald = _connection_objects(instance, verdict)
     report = _report_head(instance, which)
     report["point"] = {"t": list(point.t), "x": list(point.x), "v": [list(r) for r in point.v]}
-    sections = [("cartan", pack, conn)]
+    sections = [("cartan", pack)]
     if berwald is not None:
-        sections.append(("berwald", berwald, berwald.conn))
-    for label, the_pack, the_conn in sections:
-        tor = torsion_table(the_pack, the_conn, instance.h, point)
+        sections.append(("berwald", berwald))
+    for label, the_pack in sections:
+        tor = torsion_table(the_pack, point)
         if which == "torsion":
             report[label] = tor.to_json_dict()
         else:
-            cur = curvature_table(the_pack, the_conn, instance.h, point, torsion=tor)
-            report[label] = cur.to_json_dict()
+            report[label] = curvature_table(tor).to_json_dict()
         if label == "berwald" and not _metric_pair_applicable(instance):
             # the zero table assumes a metric pair with g = g(x); for
             # time-dependent g the Berwald tables are a distinctness probe,
             # not a case the zero cells describe
             report["berwald_zero_audit"] = {"skipped": "g depends on t; metric-pair zero table not applicable"}
             continue
-        audit = table_zero_audit(the_pack, the_conn, instance.h, [point])
+        audit = table_zero_audit(the_pack, [point])
         report[f"{label}_zero_audit"] = audit.to_json_dict()
     _emit(report, args.out)
     return EX_OK

@@ -480,7 +480,8 @@ def delta_entry(jac, idx, coord: Coord, coeffs):
     every vertical coordinate): for coord = t^a and coeffs = M values
     delta/delta t^a = d/dt^a - M^{(l)}_{(b)a} d/dv^l_b, for coord = x^j and
     coeffs = N values delta/delta x^j = d/dx^j - N^{(l)}_{(b)j} d/dv^l_b.
-    Weights that are plain float zeros are skipped."""
+    Weights that are plain float zeros are skipped.  An ``idx`` that ends at
+    an ndarray leaf gives the derivative of every entry of that array."""
     col = coord.alpha if coord.kind == "t" else coord.i
     acc = structure_entry(jac[coord], idx)
     for l, block in enumerate(coeffs):

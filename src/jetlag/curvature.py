@@ -1,20 +1,29 @@
 """Torsion and curvature d-tensors of an h-normal linear connection.
 
-Every component family is evaluated from its generic defining formula:
-adapted derivatives of the nonlinear-connection coefficients (M, N) and of
-the linear coefficients (Hbar, G, L, C), obtained by running the coefficient
-assemblies on lifted points.  The specialized closed forms of the two
-distinguished connections are exercised by the test-suite as oracles; the
-zero cells of their component tables are asserted by ``table_zero_audit``.
+Both tables read one frame per point: the coefficient tables (M, N, Hbar,
+G, L, C) at the point and their partials along every coordinate, from one
+Dual-lifted evaluation per coordinate.  ``torsion_table`` builds the frame
+and keeps it; ``curvature_table`` takes that torsion table and reads the same
+frame.
+
+Every family is evaluated from its generic defining formula as one numpy
+array, vertical index pairs flattened as i*p + a.  A sum over a repeated
+index adds one array term per index value, in index order, so each entry
+goes through the float operations of the scalar formula.  The specialized
+closed forms of the two distinguished connections are exercised by the
+test-suite as oracles; the zero cells of their component tables are
+asserted by ``table_zero_audit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .calculus import all_coords, field_jacobian, structure_entry, structure_values, t_coord, v_coord, x_coord
+import numpy as np
+
+from .calculus import all_coords, field_jacobian, structure_values, t_coord, vertical_coords, x_coord
 from .cartan import LinearConnectionPack
-from .connection import NonlinearConnection, delta_entry
+from .connection import delta_entry
 from .jet_core import (
     DTensor,
     JetPoint,
@@ -25,7 +34,7 @@ from .jet_core import (
     vertical_lower,
     vertical_upper,
 )
-from .metric_engine import TemporalMetric, riemann
+from .metric_engine import riemann
 
 
 # --- Frame data: all coefficient tables and their coordinate derivatives ----
@@ -35,31 +44,58 @@ _TABLES = ("M", "N", "H", "G", "L", "C")
 
 
 class _Frame:
-    """Coefficient tables at a point plus their full coordinate jacobian;
-    ``d[coord][table]`` is the partial of a table along ``coord``."""
+    """Coefficient tables at a point and their partials: ``d[coord][table]``
+    is the partial of a table along ``coord``.  The derivative methods return
+    a table's derivatives with the direction appended as the last axes."""
 
-    def __init__(self, pack: LinearConnectionPack, conn: NonlinearConnection,
-                 point: JetPoint):
+    def __init__(self, pack: LinearConnectionPack, point: JetPoint):
         self.dims = pack.dims
+        conn = pack.conn
 
         def tables(q):
             co = pack.coefficients_at(q)
             return [conn.m_at(q), conn.n_at(q), co.hbar, co.g, co.l, co.c]
 
-        self.base = dict(zip(_TABLES, structure_values(tables(point))))
+        base = dict(zip(_TABLES, structure_values(tables(point))))
+        # M and N stay nested float lists: delta_entry skips their float zeros
+        self.m_values, self.n_values = base["M"], base["N"]
+        self.H, self.G, self.L, self.C = (np.array(base[k]) for k in "HGLC")
         jac = field_jacobian(tables, point, all_coords(self.dims))
-        self.d = {c: dict(zip(_TABLES, parts)) for c, parts in jac.items()}
+        self.d = {c: {k: np.array(part) for k, part in zip(_TABLES, parts)}
+                  for c, parts in jac.items()}
 
-    def partial_v(self, table, idx, l, c):
-        return structure_entry(self.d[v_coord(l, c)][table], idx)
+    def partial_v(self, table):
+        """d/dv^k_c of a table, axes (k, c) appended."""
+        parts = [self.d[c][table] for c in vertical_coords(self.dims)]
+        return np.stack(parts, axis=-1).reshape(parts[0].shape + (self.dims.n, self.dims.p))
 
-    def delta_t(self, table, idx, b):
-        """Adapted d/dt^b of a coefficient entry."""
-        return delta_entry(self.d, (table,) + idx, t_coord(b), self.base["M"])
+    def delta_t(self, table):
+        """Adapted d/dt^b of a table, axis b appended."""
+        return np.stack([delta_entry(self.d, (table,), t_coord(b), self.m_values)
+                         for b in range(self.dims.p)], axis=-1)
 
-    def delta_x(self, table, idx, j):
-        """Adapted d/dx^j of a coefficient entry."""
-        return delta_entry(self.d, (table,) + idx, x_coord(j), self.base["N"])
+    def delta_x(self, table):
+        """Adapted d/dx^j of a table, axis j appended."""
+        return np.stack([delta_entry(self.d, (table,), x_coord(j), self.n_values)
+                         for j in range(self.dims.n)], axis=-1)
+
+
+def _tensor(slots, array) -> DTensor:
+    """Wrap an array whose vertical index pairs may still be two axes."""
+    return DTensor(slots, array.reshape([s.extent for s in slots]))
+
+
+def _product(spec, x, y):
+    """Entrywise product of two arrays laid out by an einsum-style spec with
+    no summed index, e.g. "ib,lc->libc" is x[i,b] * y[l,c].  (np.einsum adds
+    each product to a zero, which turns a -0.0 product into 0.0.)"""
+    ins, out = spec.split("->")
+    views = []
+    for letters, arr in zip(ins.split(","), (x, y)):
+        size = dict(zip(letters, arr.shape))
+        arr = arr.transpose([letters.index(ch) for ch in out if ch in letters])
+        views.append(arr.reshape([size.get(ch, 1) for ch in out]))
+    return views[0] * views[1]
 
 
 # --- Torsion -----------------------------------------------------------------
@@ -68,7 +104,8 @@ class _Frame:
 @dataclass
 class TorsionTable:
     """The nine possibly-nonzero torsion families, keyed by the block row
-    (tt/mt/mm/vt/vm/vv) and output column (m: spatial, v: vertical)."""
+    (tt/mt/mm/vt/vm/vv) and output column (m: spatial, v: vertical), and the
+    frame they were read from."""
 
     tt_v: DTensor  # R^{(m)}_{(mu) a b}
     mt_m: DTensor  # T^m_{a j}
@@ -79,6 +116,7 @@ class TorsionTable:
     vm_m: DTensor  # P^{m(b)}_{i(j)}
     vm_v: DTensor  # P^{(m)(b)}_{(mu) i (j)}
     vv_v: DTensor  # S^{(m)(a)(b)}_{(mu)(i)(j)}
+    frame: _Frame = field(repr=False, compare=False)
 
     def families(self) -> dict:
         return {k: getattr(self, k) for k in (
@@ -88,70 +126,37 @@ class TorsionTable:
         return {k: v.to_json_dict() for k, v in self.families().items()}
 
 
-def torsion_table(pack: LinearConnectionPack, conn: NonlinearConnection,
-                  h: TemporalMetric, point: JetPoint) -> TorsionTable:
-    dims = pack.dims
-    n, p = dims.n, dims.p
-    fr = _Frame(pack, conn, point)
-    G, L, C, H = fr.base["G"], fr.base["L"], fr.base["C"], fr.base["H"]
+def torsion_table(pack: LinearConnectionPack, point: JetPoint) -> TorsionTable:
+    fr = _Frame(pack, point)
+    n, p = fr.dims.n, fr.dims.p
+    G, L, C, H = fr.G, fr.L, fr.C, fr.H
+    su, vu = spatial_upper(n), vertical_upper(n, p)
+    tl, sl, vl = temporal_lower(p), spatial_lower(n), vertical_lower(n, p)
 
-    tt_v = DTensor((vertical_upper(n, p), temporal_lower(p), temporal_lower(p)))
-    mt_m = DTensor((spatial_upper(n), temporal_lower(p), spatial_lower(n)))
-    mt_v = DTensor((vertical_upper(n, p), temporal_lower(p), spatial_lower(n)))
-    mm_m = DTensor((spatial_upper(n), spatial_lower(n), spatial_lower(n)))
-    mm_v = DTensor((vertical_upper(n, p), spatial_lower(n), spatial_lower(n)))
-    vt_v = DTensor((vertical_upper(n, p), temporal_lower(p), vertical_lower(n, p)))
-    vm_m = DTensor((spatial_upper(n), spatial_lower(n), vertical_lower(n, p)))
-    vm_v = DTensor((vertical_upper(n, p), spatial_lower(n), vertical_lower(n, p)))
-    vv_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), vertical_lower(n, p)))
-
+    dtM, dxN = fr.delta_t("M"), fr.delta_x("N")    # [m, mu, a, b], [m, mu, i, j]
+    vt_v = fr.partial_v("M")                       # [m, mu, a, j, b]
+    vm_v = fr.partial_v("N")                       # [m, mu, i, j, b]
+    vv_v = np.zeros((n, p, n, p, n, p))            # [m, mu, i, a, j, b]
+    for mu in range(p):
+        vt_v[:, mu, :, :, mu] -= G.transpose(0, 2, 1)       # delta^b_mu G^m_{ja}
+        vm_v[:, mu, :, :, mu] -= L.transpose(0, 2, 1)       # delta^b_mu L^m_{ji}
+        vv_v[:, mu, :, mu] += C                             # delta^a_mu C^{m(b)}_{i(j)}
+        vv_v[:, mu, :, :, :, mu] -= C.transpose(0, 2, 3, 1)  # delta^b_mu C^{m(a)}_{j(i)}
     for m in range(n):
-        for mu in range(p):
-            for a in range(p):
-                for b in range(p):
-                    val = fr.delta_t("M", (m, mu, a), b) - fr.delta_t("M", (m, mu, b), a)
-                    tt_v.set(((m, mu), a, b), val)
-                for j in range(n):
-                    val = fr.delta_x("M", (m, mu, a), j) - fr.delta_t("N", (m, mu, j), a)
-                    mt_v.set(((m, mu), a, j), val)
-                    for b in range(p):
-                        val = fr.partial_v("M", (m, mu, a), j, b)
-                        if b == mu:
-                            val -= G[m][j][a]
-                        if m == j:
-                            val += H[b][mu][a]
-                        vt_v.set(((m, mu), a, (j, b)), val)
-            for i in range(n):
-                for j in range(n):
-                    val = fr.delta_x("N", (m, mu, i), j) - fr.delta_x("N", (m, mu, j), i)
-                    mm_v.set(((m, mu), i, j), val)
-                    for b in range(p):
-                        val = fr.partial_v("N", (m, mu, i), j, b)
-                        if b == mu:
-                            val -= L[m][j][i]
-                        vm_v.set(((m, mu), i, (j, b)), val)
-                for ia in range(n):
-                    for aa in range(p):
-                        for j in range(n):
-                            for b in range(p):
-                                val = 0.0
-                                if aa == mu:
-                                    val += C[m][ia][j][b]
-                                if b == mu:
-                                    val -= C[m][j][ia][aa]
-                                vv_v.set(((m, mu), (ia, aa), (j, b)), val)
-    for m in range(n):
-        for a in range(p):
-            for j in range(n):
-                mt_m.set((m, a, j), -G[m][j][a])
-        for i in range(n):
-            for j in range(n):
-                mm_m.set((m, i, j), L[m][i][j] - L[m][j][i])
-                for b in range(p):
-                    vm_m.set((m, i, (j, b)), C[m][i][j][b])
+        vt_v[m, :, :, m] += H.transpose(1, 2, 0)            # delta^m_j H^b_{mu a}
 
-    return TorsionTable(tt_v=tt_v, mt_m=mt_m, mt_v=mt_v, mm_m=mm_m, mm_v=mm_v,
-                        vt_v=vt_v, vm_m=vm_m, vm_v=vm_v, vv_v=vv_v)
+    return TorsionTable(
+        tt_v=_tensor((vu, tl, tl), dtM - dtM.swapaxes(2, 3)),
+        mt_m=_tensor((su, tl, sl), -G.transpose(0, 2, 1)),
+        mt_v=_tensor((vu, tl, sl), fr.delta_x("M") - fr.delta_t("N").swapaxes(2, 3)),
+        mm_m=_tensor((su, sl, sl), L - L.transpose(0, 2, 1)),
+        mm_v=_tensor((vu, sl, sl), dxN - dxN.swapaxes(2, 3)),
+        vt_v=_tensor((vu, tl, vl), vt_v),
+        vm_m=_tensor((su, sl, vl), C),
+        vm_v=_tensor((vu, sl, vl), vm_v),
+        vv_v=_tensor((vu, vl, vl), vv_v),
+        frame=fr,
+    )
 
 
 # --- Curvature ----------------------------------------------------------------
@@ -189,138 +194,91 @@ class CurvatureTable:
         return {k: v.to_json_dict() for k, v in self.families().items()}
 
 
-def curvature_table(pack: LinearConnectionPack, conn: NonlinearConnection,
-                    h: TemporalMetric, point: JetPoint,
-                    torsion: TorsionTable | None = None) -> CurvatureTable:
-    dims = pack.dims
-    n, p = dims.n, dims.p
-    fr = _Frame(pack, conn, point)
-    G, L, C, H = fr.base["G"], fr.base["L"], fr.base["C"], fr.base["H"]
-    tor = torsion or torsion_table(pack, conn, h, point)
+def _c_covariant(dC, gam, C):
+    """dC + gam^l_{m.} C^m_{ikc} - gam^m_{i.} C^l_{mkc} - gam^m_{k.} C^l_{imc}
+    over [l, i, k, c, .]: the spatial-connection part of a horizontal
+    covariant derivative of C."""
+    for m in range(len(C)):
+        dC = (dC + _product("lx,ikc->likcx", gam[:, m], C[m])
+              - _product("ix,lkc->likcx", gam[m], C[:, m])
+              - _product("kx,lic->likcx", gam[m], C[:, :, m]))
+    return dC
+
+
+def _plus_c_torsion(acc, C, torsion):
+    """acc + C^{l(mu)}_{i(m)} X^{(m)}_{(mu)...} for a torsion family's data X."""
+    n = len(C)
+    cz = C.reshape(n, n, -1)  # z = m*p + mu, the flat vertical index of X
+    for z, x in enumerate(torsion.data):
+        acc = acc + cz[:, :, z].reshape((n, n) + (1,) * x.ndim) * x
+    return acc
+
+
+def _delta_lift(x, p):
+    """delta^alpha_eta X^l_{i...} as [l, eta, i, alpha, ...]."""
+    eye = np.eye(p).reshape((1, p, 1, p) + (1,) * (x.ndim - 2))
+    return eye * x[:, None, :, None]
+
+
+def curvature_table(torsion: TorsionTable) -> CurvatureTable:
+    fr = torsion.frame
+    n, p = fr.dims.n, fr.dims.p
+    G, L, C, H = fr.G, fr.L, fr.C, fr.H
+    tu, su, vu = temporal_upper(p), spatial_upper(n), vertical_upper(n, p)
+    tl, sl, vl = temporal_lower(p), spatial_lower(n), vertical_lower(n, p)
 
     # Temporal block curvature (plain t-partials; H depends on t only).
-    tt_t = DTensor((temporal_upper(p), temporal_lower(p), temporal_lower(p), temporal_lower(p)),
-                   riemann(H, [fr.d[t_coord(b)]["H"] for b in range(p)]))
+    tt_t = np.array(riemann(H, [fr.d[t_coord(b)]["H"] for b in range(p)]))
 
-    # Covariant derivatives of C in the T- and M-horizontal directions.
-    ccov_t = [[[[[0.0] * p for _ in range(p)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    ccov_x = [[[[[0.0] * n for _ in range(p)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    # index order: [l][i][k][c][b or j]
-    for l in range(n):
-        for i in range(n):
-            for k in range(n):
-                for c in range(p):
-                    for b in range(p):
-                        acc = fr.delta_t("C", (l, i, k, c), b)
-                        for m in range(n):
-                            acc += G[l][m][b] * C[m][i][k][c]
-                            acc -= G[m][i][b] * C[l][m][k][c]
-                            acc -= G[m][k][b] * C[l][i][m][c]
-                        for mu in range(p):
-                            acc += H[c][mu][b] * C[l][i][k][mu]
-                        ccov_t[l][i][k][c][b] = acc
-                    for j in range(n):
-                        acc = fr.delta_x("C", (l, i, k, c), j)
-                        for m in range(n):
-                            acc += L[l][m][j] * C[m][i][k][c]
-                            acc -= L[m][i][j] * C[l][m][k][c]
-                            acc -= L[m][k][j] * C[l][i][m][c]
-                        ccov_x[l][i][k][c][j] = acc
+    # Covariant derivatives of C in the T- and M-horizontal directions,
+    # [l, i, k, c, b] and [l, i, k, c, j].
+    ccov_t = _c_covariant(fr.delta_t("C"), G, C)
+    for mu in range(p):
+        ccov_t = ccov_t + _product("cb,lik->likcb", H[:, mu], C[..., mu])
+    ccov_x = _c_covariant(fr.delta_x("C"), L, C)
 
-    tt_m = DTensor((spatial_upper(n), spatial_lower(n), temporal_lower(p), temporal_lower(p)))
-    mt_m = DTensor((spatial_upper(n), spatial_lower(n), temporal_lower(p), spatial_lower(n)))
-    mm_m = DTensor((spatial_upper(n), spatial_lower(n), spatial_lower(n), spatial_lower(n)))
-    vt_m = DTensor((spatial_upper(n), spatial_lower(n), temporal_lower(p), vertical_lower(n, p)))
-    vm_m = DTensor((spatial_upper(n), spatial_lower(n), spatial_lower(n), vertical_lower(n, p)))
-    vv_m = DTensor((spatial_upper(n), spatial_lower(n), vertical_lower(n, p), vertical_lower(n, p)))
-
-    for l in range(n):
-        for i in range(n):
-            for b in range(p):
-                for c in range(p):
-                    val = fr.delta_t("G", (l, i, b), c) - fr.delta_t("G", (l, i, c), b)
-                    for m in range(n):
-                        val += G[m][i][b] * G[l][m][c] - G[m][i][c] * G[l][m][b]
-                    for m in range(n):
-                        for mu in range(p):
-                            val += C[l][i][m][mu] * tor.tt_v.get((m, mu), b, c)
-                    tt_m.set((l, i, b, c), val)
-                for k in range(n):
-                    val = fr.delta_x("G", (l, i, b), k) - fr.delta_t("L", (l, i, k), b)
-                    for m in range(n):
-                        val += G[m][i][b] * L[l][m][k] - L[m][i][k] * G[l][m][b]
-                    for m in range(n):
-                        for mu in range(p):
-                            val += C[l][i][m][mu] * tor.mt_v.get((m, mu), b, k)
-                    mt_m.set((l, i, b, k), val)
-                    for c in range(p):
-                        val = fr.partial_v("G", (l, i, b), k, c) - ccov_t[l][i][k][c][b]
-                        for m in range(n):
-                            for mu in range(p):
-                                val += C[l][i][m][mu] * tor.vt_v.get((m, mu), b, (k, c))
-                        vt_m.set((l, i, b, (k, c)), val)
-            for j in range(n):
-                for k in range(n):
-                    val = fr.delta_x("L", (l, i, j), k) - fr.delta_x("L", (l, i, k), j)
-                    for m in range(n):
-                        val += L[m][i][j] * L[l][m][k] - L[m][i][k] * L[l][m][j]
-                    for m in range(n):
-                        for mu in range(p):
-                            val += C[l][i][m][mu] * tor.mm_v.get((m, mu), j, k)
-                    mm_m.set((l, i, j, k), val)
-                    for c in range(p):
-                        val = fr.partial_v("L", (l, i, j), k, c) - ccov_x[l][i][k][c][j]
-                        for m in range(n):
-                            for mu in range(p):
-                                val += C[l][i][m][mu] * tor.vm_v.get((m, mu), j, (k, c))
-                        vm_m.set((l, i, j, (k, c)), val)
-                for b in range(p):
-                    for k in range(n):
-                        for c in range(p):
-                            val = fr.partial_v("C", (l, i, j, b), k, c) - fr.partial_v("C", (l, i, k, c), j, b)
-                            for m in range(n):
-                                val += C[m][i][j][b] * C[l][m][k][c] - C[m][i][k][c] * C[l][m][j][b]
-                            vv_m.set((l, i, (j, b), (k, c)), val)
+    dtG, dxL, pvC = fr.delta_t("G"), fr.delta_x("L"), fr.partial_v("C")
+    tt_m = dtG - dtG.swapaxes(2, 3)                           # [l, i, b, c]
+    mt_m = fr.delta_x("G") - fr.delta_t("L").swapaxes(2, 3)  # [l, i, b, k]
+    mm_m = dxL - dxL.swapaxes(2, 3)                           # [l, i, j, k]
+    vv_m = pvC - pvC.transpose(0, 1, 4, 5, 2, 3)              # [l, i, j, b, k, c]
+    for m in range(n):
+        tt_m = tt_m + (_product("ib,lc->libc", G[m], G[:, m])
+                       - _product("ic,lb->libc", G[m], G[:, m]))
+        mt_m = mt_m + (_product("ib,lk->libk", G[m], L[:, m])
+                       - _product("ik,lb->libk", L[m], G[:, m]))
+        mm_m = mm_m + (_product("ij,lk->lijk", L[m], L[:, m])
+                       - _product("ik,lj->lijk", L[m], L[:, m]))
+        vv_m = vv_m + (_product("ijb,lkc->lijbkc", C[m], C[:, m])
+                       - _product("ikc,ljb->lijbkc", C[m], C[:, m]))
+    tt_m = _plus_c_torsion(tt_m, C, torsion.tt_v)
+    mt_m = _plus_c_torsion(mt_m, C, torsion.mt_v)
+    mm_m = _plus_c_torsion(mm_m, C, torsion.mm_v)
+    vt_m = (fr.partial_v("G") - ccov_t.transpose(0, 1, 4, 2, 3)).reshape(n, n, p, n * p)
+    vt_m = _plus_c_torsion(vt_m, C, torsion.vt_v)            # [l, i, b, (k, c)]
+    vm_m = (fr.partial_v("L") - ccov_x.transpose(0, 1, 4, 2, 3)).reshape(n, n, n, n * p)
+    vm_m = _plus_c_torsion(vm_m, C, torsion.vm_v)            # [l, i, j, (k, c)]
 
     # Delta-lifted vertical column.
-    tt_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), temporal_lower(p), temporal_lower(p)))
-    mt_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), temporal_lower(p), spatial_lower(n)))
-    mm_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), spatial_lower(n), spatial_lower(n)))
-    vt_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), temporal_lower(p), vertical_lower(n, p)))
-    vm_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), spatial_lower(n), vertical_lower(n, p)))
-    vv_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), vertical_lower(n, p), vertical_lower(n, p)))
+    tt_v = _delta_lift(tt_m, p)
     for l in range(n):
-        for eta in range(p):
-            for i in range(n):
-                for al in range(p):
-                    dl = 1.0 if al == eta else 0.0
-                    for b in range(p):
-                        for c in range(p):
-                            val = dl * tt_m.get(l, i, b, c)
-                            if l == i:
-                                val += tt_t.get(al, eta, b, c)
-                            tt_v.set(((l, eta), (i, al), b, c), val)
-                        for k in range(n):
-                            mt_v.set(((l, eta), (i, al), b, k), dl * mt_m.get(l, i, b, k))
-                            for c in range(p):
-                                vt_v.set(((l, eta), (i, al), b, (k, c)),
-                                         dl * vt_m.get(l, i, b, (k, c)))
-                    for j in range(n):
-                        for k in range(n):
-                            mm_v.set(((l, eta), (i, al), j, k), dl * mm_m.get(l, i, j, k))
-                            for c in range(p):
-                                vm_v.set(((l, eta), (i, al), j, (k, c)),
-                                         dl * vm_m.get(l, i, j, (k, c)))
-                        for b in range(p):
-                            for k in range(n):
-                                for c in range(p):
-                                    vv_v.set(((l, eta), (i, al), (j, b), (k, c)),
-                                             dl * vv_m.get(l, i, (j, b), (k, c)))
+        tt_v[l, :, l] += tt_t.transpose(1, 0, 2, 3)         # delta^l_i H^alpha_{eta b c}
 
-    return CurvatureTable(tt_t=tt_t, tt_m=tt_m, mt_m=mt_m, mm_m=mm_m,
-                          vt_m=vt_m, vm_m=vm_m, vv_m=vv_m,
-                          tt_v=tt_v, mt_v=mt_v, mm_v=mm_v,
-                          vt_v=vt_v, vm_v=vm_v, vv_v=vv_v)
+    return CurvatureTable(
+        tt_t=_tensor((tu, tl, tl, tl), tt_t),
+        tt_m=_tensor((su, sl, tl, tl), tt_m),
+        mt_m=_tensor((su, sl, tl, sl), mt_m),
+        mm_m=_tensor((su, sl, sl, sl), mm_m),
+        vt_m=_tensor((su, sl, tl, vl), vt_m),
+        vm_m=_tensor((su, sl, sl, vl), vm_m),
+        vv_m=_tensor((su, sl, vl, vl), vv_m),
+        tt_v=_tensor((vu, vl, tl, tl), tt_v),
+        mt_v=_tensor((vu, vl, tl, sl), _delta_lift(mt_m, p)),
+        mm_v=_tensor((vu, vl, sl, sl), _delta_lift(mm_m, p)),
+        vt_v=_tensor((vu, vl, tl, vl), _delta_lift(vt_m, p)),
+        vm_v=_tensor((vu, vl, sl, vl), _delta_lift(vm_m, p)),
+        vv_v=_tensor((vu, vl, vl, vl), _delta_lift(vv_m, p)),
+    )
 
 
 # --- Zero audits -----------------------------------------------------------------
@@ -363,8 +321,7 @@ class ZeroAuditReport:
         }
 
 
-def table_zero_audit(pack: LinearConnectionPack, conn: NonlinearConnection,
-                     h: TemporalMetric, points, tol: float = AUDIT_TOL) -> ZeroAuditReport:
+def table_zero_audit(pack: LinearConnectionPack, points, tol: float = AUDIT_TOL) -> ZeroAuditReport:
     """Evaluate the generic formula for every component the tables declare
     zero for this (p, connection kind) and report the worst magnitude."""
     key_p = 1 if pack.dims.p == 1 else 2
@@ -372,8 +329,8 @@ def table_zero_audit(pack: LinearConnectionPack, conn: NonlinearConnection,
     cur_zero = CURVATURE_ZERO_CELLS[(pack.kind, key_p)]
     per_cell = {}
     for point in points:
-        tor = torsion_table(pack, conn, h, point)
-        cur = curvature_table(pack, conn, h, point, torsion=tor)
+        tor = torsion_table(pack, point)
+        cur = curvature_table(tor)
         for cell in tor_zero:
             val = tor.families()[cell].max_abs()
             per_cell[f"torsion.{cell}"] = max(per_cell.get(f"torsion.{cell}", 0.0), val)

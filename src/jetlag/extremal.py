@@ -110,7 +110,7 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
         t=np.array(ts), x=np.vstack(xs), y=np.vstack(ys),
         aborted=aborted, abort_reason=reason,
     )
-    if not aborted and len(ts) >= 3:
+    if len(ts) >= 3:
         traj.el_residuals = trajectory_el_residuals(L, h, traj)
     return traj
 

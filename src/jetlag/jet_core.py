@@ -103,14 +103,6 @@ class SlotKind(enum.Enum):
     VERTICAL_LOWER = "vertical_lower"
 
     @property
-    def is_upper(self) -> bool:
-        return self in (
-            SlotKind.TEMPORAL_UPPER,
-            SlotKind.SPATIAL_UPPER,
-            SlotKind.VERTICAL_UPPER,
-        )
-
-    @property
     def family(self) -> str:
         return self.value.rsplit("_", 1)[0]
 

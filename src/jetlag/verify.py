@@ -15,14 +15,15 @@ from .config import ProblemInstance
 from .connection import (
     canonical_nonlinear_connection,
     euler_lagrange_residual,
-    gcal_values,
     jet_map_from_fields,
     spray_data,
     spray_entities,
 )
 from .curvature import curvature_table, table_zero_audit, torsion_table
+from .dsl import used_variables
 from .errors import DecompositionError
 from .fields import ExpressionField
+from .metric_engine import g_christoffel_values, h_christoffel_values
 from .regularity import electrodynamics_decompose, kronecker_test, sample_points
 from .scalars import scalar_value
 
@@ -152,8 +153,6 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
         data = spray_data(L, h, mid, dims)
         ginv = [[scalar_value(e) for e in row] for row in data.ginv]
         hinv = [[scalar_value(e) for e in row] for row in h.inverse_at(pt.t)]
-        from .metric_engine import h_christoffel_values
-
         hch = h_christoffel_values(h, pt.t)
         xab = jm.d2x(pt.t)
         for k in range(dims.n):
@@ -165,8 +164,7 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
                     for c in range(dims.p):
                         term -= scalar_value(hch[c][a][b]) * mid.v[k][c]
                     lap += hinv[a][b] * term
-            g_vec = gcal_values(L, h, mid, dims)
-            worst_el = max(worst_el, abs(weighted - (lap + 2.0 * scalar_value(g_vec[k]))))
+            worst_el = max(worst_el, abs(weighted - (lap + 2.0 * scalar_value(data.g_vec[k]))))
     checks.append(CheckResult("el_rearrangement", worst_el <= 1e-7, worst_el, 1e-7))
 
     # Cartan pack: compatibility, symmetry, zero audits, antisymmetry.
@@ -191,15 +189,14 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
                         worst_sym = max(worst_sym, abs(scalar_value(co.c[i][j][k][c]) - scalar_value(co.c[i][k][j][c])))
     checks.append(CheckResult("cartan_coefficient_symmetry", worst_sym <= 1e-9, worst_sym, 1e-9))
 
-    audit = table_zero_audit(pack, conn, h, pts[:2])
+    audit = table_zero_audit(pack, pts[:2])
     checks.append(CheckResult("table_zero_audit", audit.passed, audit.worst, 1e-7,
                               audit.worst_cell))
 
     worst_anti = 0.0
     for pt in pts[:2]:
-        tor = torsion_table(pack, conn, h, pt)
-        cur = curvature_table(pack, conn, h, pt, torsion=tor)
-        worst_anti = max(worst_anti, _antisymmetry_defect(tor, cur, dims))
+        tor = torsion_table(pack, pt)
+        worst_anti = max(worst_anti, _antisymmetry_defect(tor, curvature_table(tor)))
     checks.append(CheckResult("torsion_curvature_antisymmetry",
                               worst_anti <= 1e-9, worst_anti, 1e-9))
 
@@ -210,8 +207,6 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
             e.uses_velocity() or _uses_time(e) for row in g_expl.entries for e in row
         )
         if autonomous and instance.L.structure is not None and instance.L.structure.u_entries is None:
-            from .metric_engine import g_christoffel_values
-
             worst_red = 0.0
             for pt in pts[:3]:
                 gamma = g_christoffel_values(g_expl, pt)
@@ -228,33 +223,15 @@ def _uses_time(entry) -> bool:
     ast = getattr(entry, "ast", None)
     if ast is None:
         return True
-    from .dsl import used_variables
-
     return any(kind == "t" for kind, _, _ in used_variables(ast))
 
 
-def _antisymmetry_defect(tor, cur, dims) -> float:
-    n, p = dims.n, dims.p
-    worst = 0.0
-    for m in range(n):
-        for mu in range(p):
-            for a in range(p):
-                for b in range(p):
-                    worst = max(worst, abs(tor.tt_v.get((m, mu), a, b) + tor.tt_v.get((m, mu), b, a)))
-            for i in range(n):
-                for j in range(n):
-                    worst = max(worst, abs(tor.mm_v.get((m, mu), i, j) + tor.mm_v.get((m, mu), j, i)))
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    worst = max(worst, abs(cur.mm_m.get(l, i, j, k) + cur.mm_m.get(l, i, k, j)))
-    for a in range(p):
-        for e in range(p):
-            for b in range(p):
-                for c in range(p):
-                    worst = max(worst, abs(cur.tt_t.get(a, e, b, c) + cur.tt_t.get(a, e, c, b)))
-    return worst
+def _antisymmetry_defect(tor, cur) -> float:
+    """Largest |X + X^T| over the antisymmetric last index pair of the torsion
+    families tt_v, mm_v and the curvature families mm_m, tt_t (0.0 when all
+    are zero; NaN entries are skipped)."""
+    sums = [x.data + x.data.swapaxes(-1, -2) for x in (tor.tt_v, tor.mm_v, cur.mm_m, cur.tt_t)]
+    return max(float(np.fmax.reduce(np.abs(s), axis=None, initial=0.0)) for s in sums)
 
 
 def checks_to_json(checks) -> dict:

@@ -145,12 +145,12 @@ def test_criterion_5_zero_audits():
             inst = corpus_instance(kind, p, 2)
             deco, conn, pack = build_geometry(inst)
             pts = sample_points(inst.dims, [-1, 1], 2, seed=5)
-            audit = table_zero_audit(pack, conn, inst.h, pts)
+            audit = table_zero_audit(pack, pts)
             assert audit.passed, (kind, p, "cartan", audit.worst_cell, audit.worst)
             worst = max(worst, audit.worst)
             if inst.g_explicit is not None and kind != "non_autonomous":
                 bw = berwald_connection(inst.h, inst.g_explicit, inst.dims)
-                audit_b = table_zero_audit(bw, bw.conn, inst.h, pts)
+                audit_b = table_zero_audit(bw, pts)
                 assert audit_b.passed, (kind, p, "berwald", audit_b.worst_cell)
                 worst = max(worst, audit_b.worst)
     # autonomous electrodynamics: only the three R-families survive in the
@@ -158,10 +158,10 @@ def test_criterion_5_zero_audits():
     inst = corpus_instance("autonomous", 2, 2)
     deco, conn, pack = build_geometry(inst)
     pt = sample_points(inst.dims, [-1, 1], 1, seed=6)[0]
-    tor = torsion_table(pack, conn, inst.h, pt)
+    tor = torsion_table(pack, pt)
     for cell in ("mt_m", "mm_m", "vt_v", "vm_m", "vm_v", "vv_v"):
         assert tor.families()[cell].max_abs() <= 1e-7, cell
-    cur = curvature_table(pack, conn, inst.h, pt, torsion=tor)
+    cur = curvature_table(tor)
     for cell in ("tt_m", "mt_m", "vt_m", "vm_m", "vv_m"):
         assert cur.families()[cell].max_abs() <= 1e-7, cell
     elapsed = time.monotonic() - start

@@ -76,7 +76,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "t,x1,y1"
         assert len(out.splitlines()) == 82  # header, t0 and 80 steps
-        assert err == ("steps=80 max_el_residual=nan aborted=(EvalDomainError: "
+        assert err == ("steps=80 max_el_residual=8.522e+01 aborted=(EvalDomainError: "
                        "1:1: sqrt of a negative value in 'sqrt(1 - x1)')\n")
 
     @pytest.mark.parametrize("expression, box, x, position", [

@@ -1,6 +1,7 @@
 """Torsion/curvature tables: closed forms vs generic formulas, zero audits,
 antisymmetries, classical reductions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,13 @@ from jetlag.curvature import curvature_table, table_zero_audit, torsion_table
 from jetlag.fields import ExpressionField, constant_field
 from jetlag.jet_core import (
     Dims,
+    DTensor,
     JetPoint,
     spatial_lower,
     spatial_upper,
     temporal_lower,
+    vertical_lower,
+    vertical_upper,
 )
 from jetlag.metric_engine import (
     SpatialMetricField,
@@ -27,6 +31,7 @@ from jetlag.metric_engine import (
 )
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
+from jetlag.verify import _antisymmetry_defect
 
 from conftest import corpus_instance, sphere_config
 
@@ -53,7 +58,7 @@ class TestBerwald:
         self.pt = JetPoint((0.2, -0.1), (0.9, 0.4), ((0.3, -0.2), (0.5, 0.1)))
 
     def test_torsion_only_r_families(self):
-        tor = torsion_table(self.pack, self.pack.conn, self.h, self.pt)
+        tor = torsion_table(self.pack, self.pt)
         r = g_curvature(self.g, self.pt)
         for m in range(2):
             for mu in range(2):
@@ -66,14 +71,14 @@ class TestBerwald:
             assert tor.families()[cell].max_abs() <= 1e-12, cell
 
     def test_curvature_only_h_and_r(self):
-        cur = curvature_table(self.pack, self.pack.conn, self.h, self.pt)
+        cur = curvature_table(torsion_table(self.pack, self.pt))
         r = g_curvature(self.g, self.pt)
         assert np.allclose(cur.mm_m.data, r.data, atol=1e-10)
         for cell in ("tt_t", "tt_m", "mt_m", "vt_m", "vm_m", "vv_m"):
             assert cur.families()[cell].max_abs() <= 1e-12, cell
 
     def test_curvature_delta_lift_structure(self):
-        cur = curvature_table(self.pack, self.pack.conn, self.h, self.pt)
+        cur = curvature_table(torsion_table(self.pack, self.pt))
         for l in range(2):
             for eta in range(2):
                 for i in range(2):
@@ -84,7 +89,7 @@ class TestBerwald:
                                 assert cur.mm_v.get((l, eta), (i, al), j, k) == expect
 
     def test_audit_passes(self):
-        audit = table_zero_audit(self.pack, self.pack.conn, self.h, [self.pt])
+        audit = table_zero_audit(self.pack, [self.pt])
         assert audit.passed
 
     def test_nonflat_h_tt_v(self):
@@ -98,7 +103,7 @@ class TestBerwald:
         g = SpatialMetricField.flat(1)
         pack = berwald_connection(h, g, dims)
         pt = JetPoint((0.7, 0.2), (0.4,), ((0.3, -0.5),))
-        tor = torsion_table(pack, pack.conn, h, pt)
+        tor = torsion_table(pack, pt)
         Hc = h_curvature(h, pt.t)
         # tt_v = -H^c_{mu a b} x^m_c
         for m in range(1):
@@ -118,7 +123,7 @@ class TestCartanTwoRoute:
         deco, conn, pack = build(inst)
         pts = sample_points(inst.dims, [-1, 1], 2, seed=31)
         for pt in pts:
-            tor = torsion_table(pack, conn, inst.h, pt)
+            tor = torsion_table(pack, pt)
             f_tensor = _f_tensor(inst, deco, pt)
             co = pack.coefficients_at(pt)
             for m in range(2):
@@ -140,7 +145,7 @@ class TestCartanTwoRoute:
         pts = sample_points(inst.dims, [-1, 1], 2, seed=32)
         valence = (spatial_upper(2), spatial_lower(2), temporal_lower(2))
         for pt in pts:
-            tor = torsion_table(pack, conn, inst.h, pt)
+            tor = torsion_table(pack, pt)
             r = g_curvature(gs, pt)
 
             def f_field(q):
@@ -169,7 +174,7 @@ class TestCartanTwoRoute:
         from jetlag.calculus import v_coord
 
         for pt in pts:
-            tor = torsion_table(pack, conn, inst.h, pt)
+            tor = torsion_table(pack, pt)
             co = pack.coefficients_at(pt)
             h111 = scalar_value(co.hbar[0][0][0])
             for m in range(2):
@@ -187,7 +192,7 @@ class TestCartanTwoRoute:
         inst = assemble(sphere_config())
         deco, conn, pack = build(inst)
         pt = JetPoint((0.1,), (0.9, 0.2), ((0.4,), (0.7,)))
-        tor = torsion_table(pack, conn, inst.h, pt)
+        tor = torsion_table(pack, pt)
         co = pack.coefficients_at(pt)
         for m in range(2):
             for j in range(2):
@@ -204,7 +209,7 @@ class TestCartanTwoRoute:
         inst = assemble(sphere_config())
         deco, conn, pack = build(inst)
         pt = JetPoint((0.1,), (0.9, 0.2), ((0.4,), (0.7,)))
-        tor = torsion_table(pack, conn, inst.h, pt)
+        tor = torsion_table(pack, pt)
         co = pack.coefficients_at(pt)
         from jetlag.calculus import v_coord
 
@@ -224,10 +229,10 @@ class TestCartanTables:
         deco, conn, pack = build(inst)
         gs = SpatialMetricField.from_matrix_function(2, deco.g_field)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=41)[0]
-        tor = torsion_table(pack, conn, inst.h, pt)
+        tor = torsion_table(pack, pt)
         for cell in ("mt_m", "mm_m", "vt_v", "vm_m", "vm_v", "vv_v"):
             assert tor.families()[cell].max_abs() <= 1e-9, cell
-        cur = curvature_table(pack, conn, inst.h, pt)
+        cur = curvature_table(tor)
         r = g_curvature(gs, pt)
         assert np.allclose(cur.mm_m.data, r.data, atol=1e-8)
         for cell in ("tt_m", "mt_m", "vt_m", "vm_m", "vv_m"):
@@ -239,13 +244,13 @@ class TestCartanTables:
         deco, conn, pack = build(inst)
         gs = sphere_metric(inst.dims)
         pt = JetPoint((0.1,), (0.9, 0.2), ((0.4,), (0.7,)))
-        cur = curvature_table(pack, conn, inst.h, pt)
+        tor = torsion_table(pack, pt)
+        cur = curvature_table(tor)
         r = g_curvature(gs, pt)
         assert np.allclose(cur.mm_m.data, r.data, atol=1e-9)
         # frozen sphere value (defining order): mm_m[1,2,2,1] = sin^2 x1
         assert cur.mm_m.get(0, 1, 1, 0) == pytest.approx(math.sin(0.9) ** 2, abs=1e-9)
         # torsion mm_v equals r^m_{kij} y^k (classical reduction)
-        tor = torsion_table(pack, conn, inst.h, pt)
         for m in range(2):
             for i in range(2):
                 for j in range(2):
@@ -257,7 +262,7 @@ class TestCartanTables:
             inst = corpus_instance(kind, p, 2)
             deco, conn, pack = build(inst)
             pts = sample_points(inst.dims, [-1, 1], 2, seed=42)
-            audit = table_zero_audit(pack, conn, inst.h, pts)
+            audit = table_zero_audit(pack, pts)
             assert audit.passed, (kind, p, audit.worst_cell, audit.worst)
 
     def test_p1_audit_does_not_flag_t_m1j(self):
@@ -265,17 +270,17 @@ class TestCartanTables:
         inst = corpus_instance("non_autonomous", 1, 2)
         deco, conn, pack = build(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=43)[0]
-        tor = torsion_table(pack, conn, inst.h, pt)
+        tor = torsion_table(pack, pt)
         assert tor.mt_m.max_abs() > 1e-6  # nonzero...
-        audit = table_zero_audit(pack, conn, inst.h, [pt])
+        audit = table_zero_audit(pack, [pt])
         assert audit.passed  # ...and not audited as a zero cell
 
     def test_antisymmetries(self):
         inst = corpus_instance("non_autonomous", 2, 2)
         deco, conn, pack = build(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=44)[0]
-        tor = torsion_table(pack, conn, inst.h, pt)
-        cur = curvature_table(pack, conn, inst.h, pt, torsion=tor)
+        tor = torsion_table(pack, pt)
+        cur = curvature_table(tor)
         for m in range(2):
             for mu in range(2):
                 for a in range(2):
@@ -340,7 +345,7 @@ class TestAsymmetricCPack:
     def test_vv_torsion_formula(self):
         pack, conn, h = self._pack()
         pt = JetPoint((0.0,), (0.1, 0.2), ((0.9,), (0.4,)))
-        tor = torsion_table(pack, conn, h, pt)
+        tor = torsion_table(pack, pt)
         co = pack.coefficients_at(pt)
         nonzero = 0
         for m in range(2):
@@ -359,7 +364,7 @@ class TestAsymmetricCPack:
         # C coefficient field, plus the C*C commutator
         pack, conn, h = self._pack()
         pt = JetPoint((0.0,), (0.1, 0.2), ((0.9,), (0.4,)))
-        cur = curvature_table(pack, conn, h, pt)
+        cur = curvature_table(torsion_table(pack, pt))
         step = 1e-6
 
         def c_at(y_shift_i, delta):
@@ -386,6 +391,110 @@ class TestAsymmetricCPack:
                         # joint-swap antisymmetry of the vertical pair
                         assert got == pytest.approx(
                             -cur.vv_m.get(l, i, (k, 0), (j, 0)), abs=1e-12)
+
+
+class TestOneFramePerPoint:
+    """Both tables read one frame; the array assembly keeps every float of
+    the per-entry loops it replaced, signed zeros included."""
+
+    def test_coefficients_evaluated_once_per_lift(self):
+        inst = corpus_instance("non_autonomous", 2, 2)
+        deco, conn, pack = build(inst)
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return pack.coefficients_at(q)
+
+        counting = dataclasses.replace(pack, coefficients_at=counted)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
+        curvature_table(torsion_table(counting, pt))
+        p, n = inst.dims.p, inst.dims.n
+        assert len(calls) == 1 + p + n + n * p  # the point, then one lift per coordinate
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_arrays_match_entry_loops_bitwise(self, p):
+        inst = corpus_instance("non_autonomous", p, 2)
+        deco, conn, pack = build(inst)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=3)[0]
+        tor = torsion_table(pack, pt)
+        cur = curvature_table(tor)
+        lifted = _delta_lifted_loops(cur, inst.dims)
+        for name, want in lifted.items():
+            assert _reprs(cur.families()[name]) == _reprs(want), name
+        # off the delta diagonal, 0.0 times a negative entry gives -0.0
+        assert p == 1 or any("-0.0" in _reprs(want) for want in lifted.values())
+        assert repr(_antisymmetry_defect(tor, cur)) == repr(_antisymmetry_loops(tor, cur, inst.dims))
+
+
+def _reprs(tensor):
+    return [repr(float(v)) for v in tensor.data.ravel()]
+
+
+def _delta_lifted_loops(cur, dims):
+    """The per-entry assembly of the delta-lifted vertical curvature column
+    (X^{(l)(alpha)}_{(eta)(i)...} = delta^alpha_eta X^l_{i...}, plus
+    delta^l_i H^alpha_{eta b c} for tt_v), kept as the reference."""
+    n, p = dims.n, dims.p
+    tt_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), temporal_lower(p), temporal_lower(p)))
+    mt_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), temporal_lower(p), spatial_lower(n)))
+    mm_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), spatial_lower(n), spatial_lower(n)))
+    vt_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), temporal_lower(p), vertical_lower(n, p)))
+    vm_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), spatial_lower(n), vertical_lower(n, p)))
+    vv_v = DTensor((vertical_upper(n, p), vertical_lower(n, p), vertical_lower(n, p), vertical_lower(n, p)))
+    for l in range(n):
+        for eta in range(p):
+            for i in range(n):
+                for al in range(p):
+                    dl = 1.0 if al == eta else 0.0
+                    for b in range(p):
+                        for c in range(p):
+                            val = dl * cur.tt_m.get(l, i, b, c)
+                            if l == i:
+                                val += cur.tt_t.get(al, eta, b, c)
+                            tt_v.set(((l, eta), (i, al), b, c), val)
+                        for k in range(n):
+                            mt_v.set(((l, eta), (i, al), b, k), dl * cur.mt_m.get(l, i, b, k))
+                            for c in range(p):
+                                vt_v.set(((l, eta), (i, al), b, (k, c)),
+                                         dl * cur.vt_m.get(l, i, b, (k, c)))
+                    for j in range(n):
+                        for k in range(n):
+                            mm_v.set(((l, eta), (i, al), j, k), dl * cur.mm_m.get(l, i, j, k))
+                            for c in range(p):
+                                vm_v.set(((l, eta), (i, al), j, (k, c)),
+                                         dl * cur.vm_m.get(l, i, j, (k, c)))
+                        for b in range(p):
+                            for k in range(n):
+                                for c in range(p):
+                                    vv_v.set(((l, eta), (i, al), (j, b), (k, c)),
+                                             dl * cur.vv_m.get(l, i, (j, b), (k, c)))
+    return {"tt_v": tt_v, "mt_v": mt_v, "mm_v": mm_v, "vt_v": vt_v, "vm_v": vm_v, "vv_v": vv_v}
+
+
+def _antisymmetry_loops(tor, cur, dims):
+    """Per-entry worst |X + X^T| of the four antisymmetric families."""
+    n, p = dims.n, dims.p
+    worst = 0.0
+    for m in range(n):
+        for mu in range(p):
+            for a in range(p):
+                for b in range(p):
+                    worst = max(worst, abs(tor.tt_v.get((m, mu), a, b) + tor.tt_v.get((m, mu), b, a)))
+            for i in range(n):
+                for j in range(n):
+                    worst = max(worst, abs(tor.mm_v.get((m, mu), i, j) + tor.mm_v.get((m, mu), j, i)))
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    worst = max(worst, abs(cur.mm_m.get(l, i, j, k) + cur.mm_m.get(l, i, k, j)))
+    for a in range(p):
+        for e in range(p):
+            for b in range(p):
+                for c in range(p):
+                    worst = max(worst, abs(cur.tt_t.get(a, e, b, c) + cur.tt_t.get(a, e, c, b)))
+    return worst
 
 
 def _f_tensor(inst, deco, pt):
