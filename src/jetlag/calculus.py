@@ -1,9 +1,10 @@
 """First and second partials of scalar fields on the jet space.
 
 Derivatives are exact (to roundoff) forward directional derivatives, not
-difference quotients: a single evaluation of the field on a seeded scalar
-kind yields the requested partial.  Central finite differences exist only to
-cross-check the forward values.
+difference quotients.  One evaluation of the field on a Dual lift gives one
+first partial; one evaluation on a Taylor2 lift over k coordinates gives all
+k first partials and all k(k+1)/2 second partials along them.  Central
+finite differences exist only to cross-check the forward values.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DimensionError
 from .jet_core import Dims, JetPoint, raw_point
-from .scalars import Dual, HyperDual, scalar_value
+from .scalars import Dual, Taylor2, hessian_pairs, scalar_value
 
 
 class Coord(NamedTuple):
@@ -90,36 +91,28 @@ def lift_d1(point: JetPoint, wrt: Coord) -> JetPoint:
     return raw_point(t, x, v)
 
 
-def _seed_coord(point: JetPoint, coord: Coord, scalar) -> JetPoint:
-    kind, i, a = coord
-    if kind == "t":
-        t = tuple(scalar if a == k else v for k, v in enumerate(point.t))
-        return raw_point(t, point.x, point.v)
-    if kind == "x":
-        x = tuple(scalar if i == k else v for k, v in enumerate(point.x))
-        return raw_point(point.t, x, point.v)
+def lift_taylor(point: JetPoint, coords) -> JetPoint:
+    """Wrap the coordinates in ``coords`` in Taylor2 scalars over
+    len(coords) seeds, seed s on coords[s]; the other coordinates stay as
+    they are.  A coordinate listed twice is seeded in both of its slots, so
+    the entry between those slots is its pure second partial."""
+    k = len(coords)
+    zeros = [0.0] * (k * (k + 1) // 2)
+    seeded = {
+        c: Taylor2(point.coord(c), [1.0 if d == c else 0.0 for d in coords], zeros)
+        for c in coords
+    }
+    t = tuple(seeded.get(t_coord(a), val) for a, val in enumerate(point.t))
+    x = tuple(seeded.get(x_coord(i), val) for i, val in enumerate(point.x))
     v = tuple(
-        tuple(scalar if (i == r and a == c) else val for c, val in enumerate(row))
-        if r == i else row
-        for r, row in enumerate(point.v)
+        tuple(seeded.get(v_coord(i, a), val) for a, val in enumerate(row))
+        for i, row in enumerate(point.v)
     )
-    return raw_point(point.t, point.x, v)
-
-
-def lift_d2(point: JetPoint, w1: Coord, w2: Coord) -> JetPoint:
-    """Wrap only the seeded coordinates in a HyperDual (e1 on w1, e2 on w2)."""
-    if w1 == w2:
-        return _seed_coord(point, w1, HyperDual(point.coord(w1), 1.0, 1.0, 0.0))
-    lifted = _seed_coord(point, w1, HyperDual(point.coord(w1), 1.0, 0.0, 0.0))
-    return _seed_coord(lifted, w2, HyperDual(point.coord(w2), 0.0, 1.0, 0.0))
+    return raw_point(t, x, v)
 
 
 def dual_part(s):
     return s.du if type(s) is Dual else 0.0
-
-
-def mixed_part(s):
-    return s.e12 if type(s) is HyperDual else 0.0
 
 
 # --- Derivatives ------------------------------------------------------------
@@ -132,21 +125,29 @@ def d1(f, point: JetPoint, wrt: Coord):
     return dual_part(f(lift_d1(point, wrt)))
 
 
+def gradient_hessian(f, point: JetPoint, coords):
+    """All first and second partials of ``f`` along ``coords`` from one
+    evaluation on a Taylor2 lift: ``grad[s]`` is the partial along
+    coords[s] and ``hess[s][r] = hess[r][s]`` the second partial along
+    coords[s] and coords[r], computed with coords[min(s, r)] as the first
+    direction."""
+    k = len(coords)
+    r = f(lift_taylor(point, coords))
+    if type(r) is not Taylor2:
+        return [0.0] * k, [[0.0] * k for _ in range(k)]
+    hess = [[0.0] * k for _ in range(k)]
+    for i, j, e in zip(*hessian_pairs(k), r.h):
+        hess[i][j] = hess[j][i] = e
+    return r.g, hess
+
+
 def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):
-    """Mixed second partial; symmetric in (wrt1, wrt2) by construction."""
+    """Mixed second partial, with ``wrt1`` as the first direction."""
     if isinstance(wrt1, str):
         wrt1 = parse_coord(wrt1)
     if isinstance(wrt2, str):
         wrt2 = parse_coord(wrt2)
-    return mixed_part(f(lift_d2(point, wrt1, wrt2)))
-
-
-def grad_and_hess_pair(f, point: JetPoint, w1: Coord, w2: Coord):
-    """One evaluation returning (df/dw1, df/dw2, d2f/dw1dw2)."""
-    r = f(lift_d2(point, w1, w2))
-    if type(r) is HyperDual:
-        return r.e1, r.e2, r.e12
-    return 0.0, 0.0, 0.0
+    return gradient_hessian(f, point, (wrt1, wrt2))[1][0][1]
 
 
 # --- Finite differences (cross-check only) ---------------------------------
@@ -245,16 +246,13 @@ def fd_crosscheck(f, point: JetPoint, dims: Dims | None = None,
         if not ok:
             report.passed = False
 
-    for c in coords:
-        record((c,), 1, d1(f, point, c), fd_d1(f, point, c, config.fd_step_1))
-    for i, c1 in enumerate(coords):
-        for c2 in coords[i:]:
-            record(
-                (c1, c2),
-                2,
-                d2(f, point, c1, c2),
-                fd_d2(f, point, c1, c2, config.fd_step_2),
-            )
+    grad, hess = gradient_hessian(f, point, coords)
+    for s, c in enumerate(coords):
+        record((c,), 1, grad[s], fd_d1(f, point, c, config.fd_step_1))
+    for s, c1 in enumerate(coords):
+        for r in range(s, len(coords)):
+            c2 = coords[r]
+            record((c1, c2), 2, hess[s][r], fd_d2(f, point, c1, c2, config.fd_step_2))
     return report
 
 

@@ -61,12 +61,16 @@ from .scalars import scalar_value
 
 
 class Coefficients(NamedTuple):
-    """Point values of the four effective families (generic scalars)."""
+    """Point values of the four effective families (generic scalars), and
+    the (M, N) values of the nonlinear connection when the evaluation
+    computed them on its way (None otherwise)."""
 
     hbar: list  # [c][a][b]
     g: list     # [k][j][c]
     l: list     # [i][j][k]
     c: list     # [i][j][k][c]  (C^{i(c)}_{j(k)})
+    m: list | None = None  # [i][a][b]
+    n: list | None = None  # [i][a][j]
 
 
 @dataclass
@@ -154,7 +158,7 @@ def _cartan_coefficients_p1(L, h, conn, dims):
         l_co = christoffel(ginv, [_delta_matrix(jac, x_coord(k), n_co) for k in range(n)])
         c_co = christoffel(ginv, [jac[v_coord(k, 0)] for k in range(n)])
         c_co = [[[[e] for e in row] for row in plane] for plane in c_co]  # trailing index c = 0
-        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co)
+        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co, m=m_co, n=n_co)
 
     return coefficients, g_matrix
 

@@ -23,11 +23,12 @@ import numpy as np
 
 from .calculus import (
     Coord,
+    all_coords,
     d1,
     d2,
     dual_part,
     field_jacobian,
-    grad_and_hess_pair,
+    gradient_hessian,
     lift_d1,
     structure_dual_parts,
     structure_entry,
@@ -104,21 +105,14 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     g = trace_metric(hmat, blocks)
     ginv = checked_inverse(g)
 
-    dldx = [0.0] * n
-    dldv = [[0.0] * p for _ in range(n)]
-    cross_xv = [[[0.0] * p for _ in range(n)] for _ in range(n)]  # [j][i][a]
-    for j in range(n):
-        for i in range(n):
-            for a in range(p):
-                e1, e2, e12 = grad_and_hess_pair(L, point, x_coord(j), v_coord(i, a))
-                cross_xv[j][i][a] = e12
-                dldx[j] = e1
-                dldv[i][a] = e2
-    cross_tv = [[0.0] * p for _ in range(n)]  # [i][a]
-    for i in range(n):
-        for a in range(p):
-            _, _, e12 = grad_and_hess_pair(L, point, t_coord(a), v_coord(i, a))
-            cross_tv[i][a] = e12
+    # one evaluation over every coordinate, ordered t, x, v
+    grad, hess = gradient_hessian(L, point, all_coords(dims))
+    off = p + n  # index of v^0_0
+    dldx = grad[p:off]
+    dldv = [[grad[off + i * p + a] for a in range(p)] for i in range(n)]
+    cross_xv = [[[hess[p + j][off + i * p + a] for a in range(p)] for i in range(n)]
+                for j in range(n)]  # [j][i][a]
+    cross_tv = [[hess[a][off + i * p + a] for a in range(p)] for i in range(n)]  # [i][a]
 
     spatial_part = [0.0] * n
     temporal_part = [0.0] * n

@@ -2,8 +2,10 @@
 
 Both tables read one frame per point: the coefficient tables (M, N, Hbar,
 G, L, C) at the point and their partials along every coordinate, from one
-Dual-lifted evaluation per coordinate.  ``torsion_table`` builds the frame
-and keeps it; ``curvature_table`` takes that torsion table and reads the same
+Dual-lifted evaluation per coordinate.  M and N are taken from the
+coefficient evaluation when it computed them (the p = 1 Cartan pack does),
+so they are evaluated once per lift.  ``torsion_table`` builds the frame and
+keeps it; ``curvature_table`` takes that torsion table and reads the same
 frame.
 
 Every family is evaluated from its generic defining formula as one numpy
@@ -54,7 +56,9 @@ class _Frame:
 
         def tables(q):
             co = pack.coefficients_at(q)
-            return [conn.m_at(q), conn.n_at(q), co.hbar, co.g, co.l, co.c]
+            m = conn.m_at(q) if co.m is None else co.m
+            n = conn.n_at(q) if co.n is None else co.n
+            return [m, n, co.hbar, co.g, co.l, co.c]
 
         base = dict(zip(_TABLES, structure_values(tables(point))))
         # M and N stay nested float lists: delta_entry skips their float zeros

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import JetMap, euler_lagrange_residual, gcal_values
+from .connection import JetMap, euler_lagrange_residual, gcal_values, spray_data
 from .errors import DegeneracyError, DimensionError, JetLagError, StencilError
 from .jet_core import Dims, JetPoint
-from .metric_engine import TemporalMetric, h_christoffel_values
+from .metric_engine import TemporalMetric, h_christoffel_values, signature_of
 from .scalars import scalar_value
 
 
@@ -62,21 +62,24 @@ class Trajectory:
 
 
 def _acceleration(L, h, dims, t, x, y):
-    """x''^k = H^1_11 x'^k - 2 h_11 G^k."""
+    """x''^k = H^1_11 x'^k - 2 h_11 G^k, and the spray's spatial metric g."""
     point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
-    g_vec = gcal_values(L, h, point, dims)
+    data = spray_data(L, h, point, dims)
     hch = h_christoffel_values(h, (t,))
     h11 = scalar_value(h.matrix_at((t,))[0][0])
     hc = scalar_value(hch[0][0][0])
-    return np.array([hc * y[k] - 2.0 * h11 * scalar_value(g_vec[k]) for k in range(dims.n)])
+    accel = np.array([hc * y[k] - 2.0 * h11 * scalar_value(data.g_vec[k]) for k in range(dims.n)])
+    return accel, data.g
 
 
 def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     """Classical RK4 on the first-order system (x, y); aborts cleanly with
-    the last valid state if the spray degenerates mid-trajectory."""
+    the last valid state if the spray degenerates mid-trajectory.  The
+    paper's regularity (det g != 0, constant signature) is checked at every
+    state the spray is evaluated at: each step's starting state and its
+    three inner stages must keep the signature g has at the initial state."""
     L, h = problem.L, problem.h
     dims = getattr(L, "dims")
-    n = dims.n
     span = problem.t_end - problem.t0
     steps = max(1, round(span / problem.dt))
     dt = span / steps
@@ -86,18 +89,33 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     ys = [np.array(problem.y0, dtype=float)]
     aborted = False
     reason = ""
+    signature = None
+
+    def stage(step, t, x, y):
+        nonlocal signature
+        accel, g = _acceleration(L, h, dims, t, x, y)
+        where = f"at step {step}, t={t:.6g}"
+        try:
+            sig = signature_of([[scalar_value(e) for e in row] for row in g])
+        except DegeneracyError as exc:
+            raise DegeneracyError(f"{exc} {where}") from exc
+        if signature is not None and sig != signature:
+            raise DegeneracyError(f"signature of g changed from {signature} to {sig} {where}")
+        signature = sig
+        return accel
+
     for k in range(steps):
         t = ts[-1]
         x = xs[-1]
         y = ys[-1]
         try:
-            k1x, k1y = y, _acceleration(L, h, dims, t, x, y)
+            k1x, k1y = y, stage(k + 1, t, x, y)
             k2x = y + 0.5 * dt * k1y
-            k2y = _acceleration(L, h, dims, t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+            k2y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
             k3x = y + 0.5 * dt * k2y
-            k3y = _acceleration(L, h, dims, t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+            k3y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
             k4x = y + dt * k3y
-            k4y = _acceleration(L, h, dims, t + dt, x + dt * k3x, k4x)
+            k4y = stage(k + 1, t + dt, x + dt * k3x, k4x)
         except (DegeneracyError, JetLagError, OverflowError, ZeroDivisionError) as exc:
             aborted = True
             reason = f"{type(exc).__name__}: {exc}"

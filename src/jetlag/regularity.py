@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import d1, d2, v_coord, x_coord
+from .calculus import d1, gradient_hessian, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, DTensor, JetPoint, vertical_lower, zero_velocity_point
 from .metric_engine import TemporalMetric, mat_det, signature_of
@@ -65,20 +65,15 @@ def sample_points(dims: Dims, box, count: int, seed: int = 0):
 
 
 def hessian_blocks(L, point: JetPoint, dims: Dims | None = None):
-    """Nested [i][a][j][b] values of (1/2) d^2L/dv^i_a dv^j_b; generic over
-    the scalar kind of the point, symmetric by construction."""
+    """Nested [i][a][j][b] values of (1/2) d^2L/dv^i_a dv^j_b from one
+    evaluation of L over the np vertical coordinates; generic over the
+    scalar kind of the point, symmetric by construction."""
     dims = dims or point.dims
     n, p = dims.n, dims.p
-    out = [[[[None] * p for _ in range(n)] for _ in range(p)] for _ in range(n)]
-    for i in range(n):
-        for a in range(p):
-            for j in range(n):
-                for b in range(p):
-                    if (j, b) < (i, a):
-                        out[i][a][j][b] = out[j][b][i][a]
-                    else:
-                        out[i][a][j][b] = d2(L, point, v_coord(i, a), v_coord(j, b)) * 0.5
-    return out
+    _, hess = gradient_hessian(L, point, vertical_coords(dims))
+    half = [[e * 0.5 for e in row] for row in hess]
+    return [[[[half[i * p + a][j * p + b] for b in range(p)] for j in range(n)]
+             for a in range(p)] for i in range(n)]
 
 
 def vertical_hessian(L, point: JetPoint) -> DTensor:

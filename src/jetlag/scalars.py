@@ -5,10 +5,13 @@ Two scalar kinds:
 * ``Dual`` carries (value, one directional sensitivity).  Used for first
   derivatives; lifts wrap every coordinate of a point so nested Dual layers
   stay unambiguous.
-* ``HyperDual`` carries (value, two first-order sensitivities, one mixed
-  second sensitivity).  Used for second derivatives; it is only ever applied
-  directly to raw scalar fields, so when a HyperDual meets a Dual the Dual
-  is always an older layer and is treated as a constant.
+* ``Taylor2`` carries (value, gradient, Hessian) over k seeded coordinates,
+  so one evaluation of a field gives all of its first and second partials
+  along them: vector forward mode (Griewank & Walther, *Evaluating
+  Derivatives*, 2nd ed., SIAM 2008).  Its two-seed case is the hyper-dual
+  number (Fike & Alonso, AIAA 2011-886).  It is only ever applied directly to
+  raw scalar fields, so when a Taylor2 meets a Dual the Dual is always an
+  older layer and is treated as a constant.
 
 All arithmetic is generic over the component kind, which is what makes
 nesting (derivatives of quantities that are themselves assembled from
@@ -17,6 +20,7 @@ derivatives) work without any symbolic machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import EvalDomainError
@@ -28,7 +32,7 @@ def scalar_value(s) -> float:
     """Innermost plain value of a possibly nested derivative scalar."""
     while True:
         t = type(s)
-        if t is Dual or t is HyperDual:
+        if t is Dual or t is Taylor2:
             s = s.re
         else:
             return float(s)
@@ -38,9 +42,13 @@ def _is_zero(s) -> bool:
     t = type(s)
     if t is Dual:
         return _is_zero(s.re) and _is_zero(s.du)
-    if t is HyperDual:
-        return _is_zero(s.re) and _is_zero(s.e1) and _is_zero(s.e2) and _is_zero(s.e12)
+    if t is Taylor2:
+        return _is_zero(s.re) and _no_seed(s)
     return s == 0.0
+
+
+def _no_seed(s) -> bool:
+    return all(_is_zero(e) for e in s.g) and all(_is_zero(e) for e in s.h)
 
 
 def is_seedless(s) -> bool:
@@ -48,13 +56,8 @@ def is_seedless(s) -> bool:
     t = type(s)
     if t is Dual:
         return _is_zero(s.du) and is_seedless(s.re)
-    if t is HyperDual:
-        return (
-            _is_zero(s.e1)
-            and _is_zero(s.e2)
-            and _is_zero(s.e12)
-            and is_seedless(s.re)
-        )
+    if t is Taylor2:
+        return _no_seed(s) and is_seedless(s.re)
     return True
 
 
@@ -130,51 +133,63 @@ class Dual:
         return g_pow(o, self)
 
 
-class HyperDual:
-    """v + a*e1 + b*e2 + c*e1*e2 with e1^2 = e2^2 = 0."""
+class Taylor2:
+    """Value, gradient and Hessian of a quantity over k seeded coordinates:
+    v + g_i e_i + sum_{i<=j} h_ij e_i e_j with every product of three e's
+    zero (and e_i^2 kept, so h_ii is a second partial).
 
-    __slots__ = ("re", "e1", "e2", "e12")
+    ``g`` is a list of k entries; ``h`` is the upper triangle of the Hessian,
+    row-major (pairs i <= j, see ``hessian_pairs``).  Both lists are shared
+    between scalars and never mutated.  Entry (i, j) goes through exactly the
+    operations of a hyper-dual number seeded with e1 on coordinate i and e2
+    on coordinate j, so one evaluation reproduces every two-direction pair.
+    """
 
-    def __init__(self, re, e1=0.0, e2=0.0, e12=0.0):
+    __slots__ = ("re", "g", "h")
+
+    def __init__(self, re, g, h):
         self.re = re
-        self.e1 = e1
-        self.e2 = e2
-        self.e12 = e12
+        self.g = g
+        self.h = h
 
     def __repr__(self):
-        return f"HyperDual({self.re!r}, {self.e1!r}, {self.e2!r}, {self.e12!r})"
+        return f"Taylor2({self.re!r}, {self.g!r}, {self.h!r})"
 
     def __add__(self, o):
-        if type(o) is HyperDual:
-            return HyperDual(self.re + o.re, self.e1 + o.e1, self.e2 + o.e2, self.e12 + o.e12)
+        if type(o) is Taylor2:
+            return Taylor2(self.re + o.re, [x + y for x, y in zip(self.g, o.g)],
+                           [x + y for x, y in zip(self.h, o.h)])
         if isinstance(o, _NUM) or type(o) is Dual:
-            return HyperDual(self.re + o, self.e1, self.e2, self.e12)
+            return Taylor2(self.re + o, self.g, self.h)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        if type(o) is HyperDual:
-            return HyperDual(self.re - o.re, self.e1 - o.e1, self.e2 - o.e2, self.e12 - o.e12)
+        if type(o) is Taylor2:
+            return Taylor2(self.re - o.re, [x - y for x, y in zip(self.g, o.g)],
+                           [x - y for x, y in zip(self.h, o.h)])
         if isinstance(o, _NUM) or type(o) is Dual:
-            return HyperDual(self.re - o, self.e1, self.e2, self.e12)
+            return Taylor2(self.re - o, self.g, self.h)
         return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _NUM) or type(o) is Dual:
-            return HyperDual(o - self.re, -self.e1, -self.e2, -self.e12)
+            return Taylor2(o - self.re, [-x for x in self.g], [-x for x in self.h])
         return NotImplemented
 
     def __mul__(self, o):
-        if type(o) is HyperDual:
-            return HyperDual(
-                self.re * o.re,
-                self.re * o.e1 + self.e1 * o.re,
-                self.re * o.e2 + self.e2 * o.re,
-                self.re * o.e12 + self.e1 * o.e2 + self.e2 * o.e1 + self.e12 * o.re,
+        if type(o) is Taylor2:
+            a, b, ga, gb = self.re, o.re, self.g, o.g
+            rows, cols = hessian_pairs(len(ga))
+            return Taylor2(
+                a * b,
+                [a * y + x * b for x, y in zip(ga, gb)],
+                [a * hb + ga[i] * gb[j] + ga[j] * gb[i] + ha * b
+                 for i, j, ha, hb in zip(rows, cols, self.h, o.h)],
             )
         if isinstance(o, _NUM) or type(o) is Dual:
-            return HyperDual(self.re * o, self.e1 * o, self.e2 * o, self.e12 * o)
+            return Taylor2(self.re * o, [x * o for x in self.g], [x * o for x in self.h])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -182,24 +197,27 @@ class HyperDual:
     def _reciprocal(self):
         v = self.re
         if scalar_value(v) == 0.0:
-            raise ZeroDivisionError("hyperdual division by zero")
+            raise ZeroDivisionError("taylor division by zero")
         inv = 1.0 / v if isinstance(v, _NUM) else _reciprocal(v)
         inv2 = inv * inv
-        return HyperDual(
+        g = self.g
+        twice = [2.0 * x for x in g]
+        rows, cols = hessian_pairs(len(g))
+        return Taylor2(
             inv,
-            -self.e1 * inv2,
-            -self.e2 * inv2,
-            -self.e12 * inv2 + 2.0 * self.e1 * self.e2 * inv2 * inv,
+            [-x * inv2 for x in g],
+            [-hh * inv2 + twice[i] * g[j] * inv2 * inv
+             for i, j, hh in zip(rows, cols, self.h)],
         )
 
     def __truediv__(self, o):
-        if type(o) is HyperDual:
+        if type(o) is Taylor2:
             return self * o._reciprocal()
         if isinstance(o, _NUM) or type(o) is Dual:
             if scalar_value(o) == 0.0:
-                raise ZeroDivisionError("hyperdual division by zero")
+                raise ZeroDivisionError("taylor division by zero")
             inv = 1.0 / o if isinstance(o, _NUM) else _reciprocal(o)
-            return HyperDual(self.re * inv, self.e1 * inv, self.e2 * inv, self.e12 * inv)
+            return Taylor2(self.re * inv, [x * inv for x in self.g], [x * inv for x in self.h])
         return NotImplemented
 
     def __rtruediv__(self, o):
@@ -208,7 +226,7 @@ class HyperDual:
         return NotImplemented
 
     def __neg__(self):
-        return HyperDual(-self.re, -self.e1, -self.e2, -self.e12)
+        return Taylor2(-self.re, [-x for x in self.g], [-x for x in self.h])
 
     def __pow__(self, o):
         return g_pow(self, o)
@@ -217,24 +235,37 @@ class HyperDual:
         return g_pow(o, self)
 
 
+@functools.cache
+def hessian_pairs(k: int):
+    """Row and column seed indices of the Hessian entries a Taylor2 over k
+    seeds stores, row-major over i <= j."""
+    rows = tuple(i for i in range(k) for _ in range(i, k))
+    cols = tuple(j for i in range(k) for j in range(i, k))
+    return rows, cols
+
+
 def _reciprocal(s):
     """1/s for a nested derivative scalar."""
     return 1.0 / s if isinstance(s, _NUM) else s.__rtruediv__(1.0)
 
 
-def _chain1(x, f, df):
-    """Apply f with derivative df through a Dual."""
-    return Dual(f(x.re), df(x.re) * x.du)
+_LIFTED = (Dual, Taylor2)
 
 
-def _chain2(x, f, df, d2f):
-    """Apply f with first/second derivatives through a HyperDual."""
-    d = df(x.re)
-    return HyperDual(
-        f(x.re),
-        d * x.e1,
-        d * x.e2,
-        d * x.e12 + d2f(x.re) * x.e1 * x.e2,
+def _chain(x, f, df, d2f):
+    """Apply f, with first and second derivatives df and d2f, through a
+    Dual or Taylor2 x (a Dual reads only df)."""
+    v = x.re
+    if type(x) is Dual:
+        return Dual(f(v), df(v) * x.du)
+    d, dd = df(v), d2f(v)
+    g = x.g
+    scaled = [dd * e for e in g]
+    rows, cols = hessian_pairs(len(g))
+    return Taylor2(
+        f(v),
+        [d * e for e in g],
+        [d * hh + scaled[i] * g[j] for i, j, hh in zip(rows, cols, x.h)],
     )
 
 
@@ -244,71 +275,48 @@ def _domain(cond, message):
 
 
 def g_sin(x):
-    t = type(x)
-    if t is Dual:
-        return _chain1(x, g_sin, g_cos)
-    if t is HyperDual:
-        return _chain2(x, g_sin, g_cos, lambda v: -g_sin(v))
+    if type(x) in _LIFTED:
+        return _chain(x, g_sin, g_cos, lambda v: -g_sin(v))
     return math.sin(x)
 
 
 def g_cos(x):
-    t = type(x)
-    if t is Dual:
-        return _chain1(x, g_cos, lambda v: -g_sin(v))
-    if t is HyperDual:
-        return _chain2(x, g_cos, lambda v: -g_sin(v), lambda v: -g_cos(v))
+    if type(x) in _LIFTED:
+        return _chain(x, g_cos, lambda v: -g_sin(v), lambda v: -g_cos(v))
     return math.cos(x)
 
 
 def g_tan(x):
-    t = type(x)
-    if t is Dual:
-        return _chain1(x, g_tan, lambda v: 1.0 + g_tan(v) * g_tan(v))
-    if t is HyperDual:
+    if type(x) in _LIFTED:
         def dtan(v):
             tv = g_tan(v)
             return 1.0 + tv * tv
 
-        def d2tan(v):
-            tv = g_tan(v)
-            return 2.0 * tv * (1.0 + tv * tv)
-
-        return _chain2(x, g_tan, dtan, d2tan)
+        return _chain(x, g_tan, dtan, lambda v: 2.0 * g_tan(v) * dtan(v))
     return math.tan(x)
 
 
 def g_exp(x):
-    t = type(x)
-    if t is Dual:
-        return _chain1(x, g_exp, g_exp)
-    if t is HyperDual:
-        return _chain2(x, g_exp, g_exp, g_exp)
+    if type(x) in _LIFTED:
+        return _chain(x, g_exp, g_exp, g_exp)
     return math.exp(x)
 
 
 def g_log(x):
     _domain(scalar_value(x) > 0.0, "log of a non-positive value")
-    t = type(x)
-    if t is Dual:
-        return _chain1(x, g_log, _reciprocal)
-    if t is HyperDual:
-        return _chain2(x, g_log, _reciprocal, lambda v: -_reciprocal(v * v))
+    if type(x) in _LIFTED:
+        return _chain(x, g_log, _reciprocal, lambda v: -_reciprocal(v * v))
     return math.log(x)
 
 
 def g_sqrt(x):
-    t = type(x)
-    if t is Dual or t is HyperDual:
+    if type(x) in _LIFTED:
         # Differentiating through sqrt needs a strictly interior point.
         _domain(scalar_value(x) > 0.0, "sqrt differentiated at a non-positive value")
-        half = 0.5
-        if t is Dual:
-            return _chain1(x, g_sqrt, lambda v: half * _reciprocal(g_sqrt(v)))
-        return _chain2(
+        return _chain(
             x,
             g_sqrt,
-            lambda v: half * _reciprocal(g_sqrt(v)),
+            lambda v: 0.5 * _reciprocal(g_sqrt(v)),
             lambda v: -0.25 * _reciprocal(g_sqrt(v) * v),
         )
     _domain(x >= 0.0, "sqrt of a negative value")
@@ -316,26 +324,19 @@ def g_sqrt(x):
 
 
 def g_sinh(x):
-    t = type(x)
-    if t is Dual:
-        return _chain1(x, g_sinh, g_cosh)
-    if t is HyperDual:
-        return _chain2(x, g_sinh, g_cosh, g_sinh)
+    if type(x) in _LIFTED:
+        return _chain(x, g_sinh, g_cosh, g_sinh)
     return math.sinh(x)
 
 
 def g_cosh(x):
-    t = type(x)
-    if t is Dual:
-        return _chain1(x, g_cosh, g_sinh)
-    if t is HyperDual:
-        return _chain2(x, g_cosh, g_sinh, g_cosh)
+    if type(x) in _LIFTED:
+        return _chain(x, g_cosh, g_sinh, g_cosh)
     return math.cosh(x)
 
 
 def g_abs(x):
-    t = type(x)
-    if t is Dual or t is HyperDual:
+    if type(x) in _LIFTED:
         v = scalar_value(x)
         _domain(v != 0.0, "abs differentiated at zero")
         return x if v > 0.0 else -x

@@ -79,6 +79,26 @@ class TestExitCodes:
         assert err == ("steps=80 max_el_residual=8.522e+01 aborted=(EvalDomainError: "
                        "1:1: sqrt of a negative value in 'sqrt(1 - x1)')\n")
 
+    def test_extremal_stops_where_g_changes_signature(self, tmp_path, capsys):
+        # g = x1 is positive at x0 = 0.3; the extremal runs into x1 = 0 near
+        # t = 0.2, where RK4 would step across into g < 0 and go on
+        cfg = {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "harmonic", "g_entries": [["x1"]]},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+            "solver": {"t_end": 3.0, "dt": 0.01,
+                       "initial": {"t": 0.0, "x": [0.3], "y": [-1.0]}},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
+        out, err = capsys.readouterr()
+        rows = out.splitlines()
+        assert len(rows) == 22  # header, t0 and 20 steps
+        assert all(float(row.split(",")[1]) > 0.0 for row in rows[1:])
+        assert err == ("steps=20 max_el_residual=2.418e+01 aborted=(DegeneracyError: "
+                       "signature of g changed from (1, 0) to (0, 1) at step 21, t=0.205)\n")
+
     @pytest.mark.parametrize("expression, box, x, position", [
         ("exp(x1^3)*v1_1^2", [-1.0, 1.0], "10", "1:1"),
         ("v1_1^2*log(x1)", [[-1.0, 1.0], [2.0, 3.0], [-1.0, 1.0]], "-1", "1:8"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlag import dsl, scalars
-from jetlag.calculus import lift_d1, lift_d2, v_coord, x_coord
+from jetlag.calculus import lift_d1, lift_taylor, v_coord, x_coord
 from jetlag.errors import DslError, DslSemanticError, DslSyntaxError, EvalDomainError
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint
@@ -175,7 +175,7 @@ class TestEval:
                        t=tuple(rng.uniform(0.1, 2) for _ in range(2)),
                        x=tuple(rng.uniform(0.1, 2) for _ in range(2)),
                        v=tuple(tuple(rng.uniform(0.1, 2) for _ in range(2)) for _ in range(2)))
-            for probe in (point, lift_d2(point, x_coord(0), v_coord(1, 1))):
+            for probe in (point, lift_taylor(point, (x_coord(0), v_coord(1, 1)))):
                 try:
                     expected = tree_eval(ast, probe)
                 except EvalDomainError as exc:

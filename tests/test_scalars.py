@@ -1,0 +1,363 @@
+"""The dense second-order scalar Taylor2 against the two-direction
+hyper-dual numbers it replaced, and the number of evaluations it takes.
+
+``HyperDual``, its function kernels and ``lift_d2`` below are the
+library's former implementation, kept here as the oracle: every gradient
+and Hessian entry of one Taylor2 evaluation must be bitwise the entry of
+the hyper-dual evaluation seeded on that pair of coordinates (e1 on the
+lower index).  Zeros are compared by value, since the Taylor2 evaluation
+also carries the other coordinates' seeds, whose zero terms can flip the
+sign of a zero.  The electrodynamics family is compared with the former
+two-seed evaluations as they were; random expressions, whose quotients of
+unseeded coordinates round differently in plain floats, with every
+coordinate wrapped.
+"""
+
+import dataclasses
+import math
+import random
+
+import pytest
+
+from jetlag import dsl, metric_engine, scalars
+from jetlag.calculus import all_coords, gradient_hessian, lift_d1, v_coord, x_coord
+from jetlag.cartan import cartan_connection
+from jetlag.connection import canonical_nonlinear_connection, spray_data
+from jetlag.curvature import curvature_table, torsion_table
+from jetlag.errors import EvalDomainError
+from jetlag.fields import ExpressionField
+from jetlag.jet_core import Dims, JetPoint, raw_point
+from jetlag.regularity import hessian_blocks, sample_points
+from jetlag.scalars import Dual, Taylor2
+
+from conftest import corpus_instance
+from test_dsl import random_ast
+
+_NUM = (int, float)
+
+
+# --- Oracle: the former hyper-dual scalar ---------------------------------------
+
+
+def _value(s):
+    while type(s) in (Dual, HyperDual, Taylor2):
+        s = s.re
+    return float(s)
+
+
+def _reciprocal(s):
+    return 1.0 / s if isinstance(s, _NUM) else s.__rtruediv__(1.0)
+
+
+class HyperDual:
+    """v + a*e1 + b*e2 + c*e1*e2 with e1^2 = e2^2 = 0."""
+
+    __slots__ = ("re", "e1", "e2", "e12")
+
+    def __init__(self, re, e1=0.0, e2=0.0, e12=0.0):
+        self.re = re
+        self.e1 = e1
+        self.e2 = e2
+        self.e12 = e12
+
+    def __add__(self, o):
+        if type(o) is HyperDual:
+            return HyperDual(self.re + o.re, self.e1 + o.e1, self.e2 + o.e2, self.e12 + o.e12)
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return HyperDual(self.re + o, self.e1, self.e2, self.e12)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is HyperDual:
+            return HyperDual(self.re - o.re, self.e1 - o.e1, self.e2 - o.e2, self.e12 - o.e12)
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return HyperDual(self.re - o, self.e1, self.e2, self.e12)
+        return NotImplemented
+
+    def __rsub__(self, o):
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return HyperDual(o - self.re, -self.e1, -self.e2, -self.e12)
+        return NotImplemented
+
+    def __mul__(self, o):
+        if type(o) is HyperDual:
+            return HyperDual(
+                self.re * o.re,
+                self.re * o.e1 + self.e1 * o.re,
+                self.re * o.e2 + self.e2 * o.re,
+                self.re * o.e12 + self.e1 * o.e2 + self.e2 * o.e1 + self.e12 * o.re,
+            )
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return HyperDual(self.re * o, self.e1 * o, self.e2 * o, self.e12 * o)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _reciprocal(self):
+        v = self.re
+        if _value(v) == 0.0:
+            raise ZeroDivisionError("hyperdual division by zero")
+        inv = 1.0 / v if isinstance(v, _NUM) else _reciprocal(v)
+        inv2 = inv * inv
+        return HyperDual(
+            inv,
+            -self.e1 * inv2,
+            -self.e2 * inv2,
+            -self.e12 * inv2 + 2.0 * self.e1 * self.e2 * inv2 * inv,
+        )
+
+    def __truediv__(self, o):
+        if type(o) is HyperDual:
+            return self * o._reciprocal()
+        if isinstance(o, _NUM) or type(o) is Dual:
+            if _value(o) == 0.0:
+                raise ZeroDivisionError("hyperdual division by zero")
+            inv = 1.0 / o if isinstance(o, _NUM) else _reciprocal(o)
+            return HyperDual(self.re * inv, self.e1 * inv, self.e2 * inv, self.e12 * inv)
+        return NotImplemented
+
+    def __rtruediv__(self, o):
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return self._reciprocal() * o
+        return NotImplemented
+
+    def __neg__(self):
+        return HyperDual(-self.re, -self.e1, -self.e2, -self.e12)
+
+
+def _chain2(x, f, df, d2f):
+    d = df(x.re)
+    return HyperDual(f(x.re), d * x.e1, d * x.e2, d * x.e12 + d2f(x.re) * x.e1 * x.e2)
+
+
+def _domain(cond, message):
+    if not cond:
+        raise EvalDomainError(message)
+
+
+def _hd_tan(x):
+    def dtan(v):
+        tv = scalars.g_tan(v)
+        return 1.0 + tv * tv
+
+    def d2tan(v):
+        tv = scalars.g_tan(v)
+        return 2.0 * tv * (1.0 + tv * tv)
+
+    return _chain2(x, scalars.g_tan, dtan, d2tan)
+
+
+def _hd_log(x):
+    _domain(_value(x) > 0.0, "log of a non-positive value")
+    return _chain2(x, scalars.g_log, _reciprocal, lambda v: -_reciprocal(v * v))
+
+
+def _hd_sqrt(x):
+    _domain(_value(x) > 0.0, "sqrt differentiated at a non-positive value")
+    return _chain2(x, scalars.g_sqrt, lambda v: 0.5 * _reciprocal(scalars.g_sqrt(v)),
+                   lambda v: -0.25 * _reciprocal(scalars.g_sqrt(v) * v))
+
+
+def _hd_abs(x):
+    v = _value(x)
+    _domain(v != 0.0, "abs differentiated at zero")
+    return x if v > 0.0 else -x
+
+
+# The hyper-dual branches of the former kernels; inner values are never
+# hyper-dual, so they go to the library's own kernels.
+_HD_KERNELS = {
+    "sin": lambda x: _chain2(x, scalars.g_sin, scalars.g_cos, lambda v: -scalars.g_sin(v)),
+    "cos": lambda x: _chain2(x, scalars.g_cos, lambda v: -scalars.g_sin(v),
+                             lambda v: -scalars.g_cos(v)),
+    "tan": _hd_tan,
+    "exp": lambda x: _chain2(x, scalars.g_exp, scalars.g_exp, scalars.g_exp),
+    "log": _hd_log,
+    "sqrt": _hd_sqrt,
+    "sinh": lambda x: _chain2(x, scalars.g_sinh, scalars.g_cosh, scalars.g_sinh),
+    "cosh": lambda x: _chain2(x, scalars.g_cosh, scalars.g_sinh, scalars.g_cosh),
+    "abs": _hd_abs,
+}
+
+
+def _seed_coord(point, coord, scalar):
+    kind, i, a = coord
+    if kind == "t":
+        t = tuple(scalar if a == k else v for k, v in enumerate(point.t))
+        return raw_point(t, point.x, point.v)
+    if kind == "x":
+        x = tuple(scalar if i == k else v for k, v in enumerate(point.x))
+        return raw_point(point.t, x, point.v)
+    v = tuple(
+        tuple(scalar if (i == r and a == c) else val for c, val in enumerate(row))
+        if r == i else row
+        for r, row in enumerate(point.v)
+    )
+    return raw_point(point.t, point.x, v)
+
+
+def lift_d2(point, w1, w2):
+    """Wrap only the seeded coordinates in a HyperDual (e1 on w1, e2 on w2)."""
+    if w1 == w2:
+        return _seed_coord(point, w1, HyperDual(point.coord(w1), 1.0, 1.0, 0.0))
+    lifted = _seed_coord(point, w1, HyperDual(point.coord(w1), 1.0, 0.0, 0.0))
+    return _seed_coord(lifted, w2, HyperDual(point.coord(w2), 0.0, 1.0, 0.0))
+
+
+def lift_d2_everywhere(point, coords, w1, w2):
+    """``lift_d2`` with every other coordinate of ``coords`` wrapped in an
+    unseeded HyperDual, so that no subexpression runs in plain floats."""
+    for c in coords:
+        if c not in (w1, w2):
+            point = _seed_coord(point, c, HyperDual(point.coord(c)))
+    return lift_d2(point, w1, w2)
+
+
+@pytest.fixture
+def hyperdual_kernels(monkeypatch):
+    """Expression closures compiled inside this fixture send hyper-dual
+    arguments to the oracle kernels; the metric inversion reads their
+    values with the oracle's value function."""
+    for name, fn in list(dsl._FUNC_IMPL.items()):
+        hd = _HD_KERNELS[name]
+        monkeypatch.setitem(dsl._FUNC_IMPL, name,
+                            lambda x, fn=fn, hd=hd: hd(x) if type(x) is HyperDual else fn(x))
+
+    def div(a, b):
+        if _value(b) == 0.0:
+            raise EvalDomainError("division by zero")
+        return a / b
+
+    monkeypatch.setattr(scalars, "g_div", div)
+    monkeypatch.setattr(metric_engine, "scalar_value", _value)
+
+
+# --- Comparison -----------------------------------------------------------------
+
+
+def _same(a, b) -> bool:
+    """Bitwise equality by repr, zeros by value; a float x and a Dual
+    (x, 0.0) are the same value."""
+    if type(a) is Dual or type(b) is Dual:
+        ra, da = (a.re, a.du) if type(a) is Dual else (a, 0.0)
+        rb, db = (b.re, b.du) if type(b) is Dual else (b, 0.0)
+        return _same(ra, rb) and _same(da, db)
+    if a == 0.0 and b == 0.0:
+        return True
+    return repr(a) == repr(b)
+
+
+def _pair_mismatches(f, point, coords, everywhere=False):
+    """Entries where the one Taylor2 evaluation over ``coords`` differs from
+    the hyper-dual evaluation of each pair (with ``everywhere``, the other
+    coordinates wrapped too); None when both raise."""
+    try:
+        grad, hess = gradient_hessian(f, point, coords)
+    except EvalDomainError:
+        grad = None
+    bad, raised = [], False
+    for i, c1 in enumerate(coords):
+        for j in range(i, len(coords)):
+            try:
+                if everywhere:
+                    r = f(lift_d2_everywhere(point, coords, c1, coords[j]))
+                else:
+                    r = f(lift_d2(point, c1, coords[j]))
+            except EvalDomainError:
+                raised = True
+                continue
+            if grad is None:
+                continue
+            e1, e2, e12 = (r.e1, r.e2, r.e12) if type(r) is HyperDual else (0.0, 0.0, 0.0)
+            for got, want, what in ((grad[i], e1, "e1"), (grad[j], e2, "e2"),
+                                    (hess[i][j], e12, "e12")):
+                if not _same(got, want):
+                    bad.append((i, j, what, got, want))
+    assert raised == (grad is None), "Taylor2 and hyper-dual disagree on a domain error"
+    return None if raised else bad
+
+
+class TestTaylor2MatchesHyperDual:
+    def test_random_expressions(self, hyperdual_kernels):
+        # In a two-seed evaluation a quotient of unseeded coordinates runs in
+        # floats, and a/b rounds differently from the a * (1/b) of every
+        # derivative scalar (3.932 / v2_1 moves an entry by one ulp), so the
+        # oracle here wraps every coordinate.
+        rng = random.Random(21)
+        dims = Dims(2, 2)
+        coords = all_coords(dims)
+        compared = 0
+        for _ in range(200):
+            text = dsl.format_ast(random_ast(rng, dims, depth=4))
+            field = ExpressionField(text, dims)
+            point = JetPoint(tuple(rng.uniform(0.1, 2) for _ in range(2)),
+                             tuple(rng.uniform(0.1, 2) for _ in range(2)),
+                             tuple(tuple(rng.uniform(0.1, 2) for _ in range(2)) for _ in range(2)))
+            bad = _pair_mismatches(field, point, coords, everywhere=True)
+            if bad is not None:
+                compared += 1
+                assert bad == [], text
+        assert compared >= 150
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_electrodynamics_at_dual_lifted_point(self, hyperdual_kernels, p):
+        inst = corpus_instance("non_autonomous", p, 2)
+        coords = all_coords(inst.dims)
+        for base in sample_points(inst.dims, [-1, 1], 2, seed=7):
+            for lift in (v_coord(0, 0), x_coord(1)):
+                point = lift_d1(base, lift)
+                assert _pair_mismatches(inst.L, point, coords) == []
+
+    def test_pure_second_partial_from_a_repeated_coordinate(self):
+        dims = Dims(1, 1)
+        field = ExpressionField("sin(x1) * v1_1^3", dims)
+        point = JetPoint((0.0,), (0.4,), ((1.5,),))
+        grad, hess = gradient_hessian(field, point, (v_coord(0, 0), v_coord(0, 0)))
+        assert grad[0] == grad[1] == 3.0 * math.sin(0.4) * 1.5 ** 2
+        assert hess[0][1] == pytest.approx(6.0 * math.sin(0.4) * 1.5, rel=1e-15)
+
+
+# --- Evaluations per assembly ---------------------------------------------------------
+
+
+class _Counted:
+    def __init__(self, L):
+        self.L, self.dims, self.calls = L, L.dims, 0
+
+    def __call__(self, point):
+        self.calls += 1
+        return self.L(point)
+
+
+class TestOneEvaluationPerHessian:
+    @pytest.mark.parametrize("p, n", [(1, 3), (2, 3)])
+    def test_hessian_blocks_once_spray_twice(self, p, n):
+        inst = corpus_instance("non_autonomous", p, n)
+        L = _Counted(inst.L)
+        point = sample_points(inst.dims, [-1, 1], 1, seed=5)[0]
+        hessian_blocks(L, point)
+        assert L.calls == 1
+        spray_data(L, inst.h, point)
+        assert L.calls == 1 + 2
+
+    def test_p1_frame_evaluates_m_and_n_once_per_lift(self):
+        inst = corpus_instance("non_autonomous", 1, 2)
+        conn = canonical_nonlinear_connection(inst.L, inst.h)
+        calls = {"m": 0, "n": 0}
+
+        def counted(name, fn):
+            def wrapped(q):
+                calls[name] += 1
+                return fn(q)
+            return wrapped
+
+        counting = dataclasses.replace(conn, m_at=counted("m", conn.m_at),
+                                       n_at=counted("n", conn.n_at))
+        pack = cartan_connection(inst.L, inst.h, counting)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
+        curvature_table(torsion_table(pack, pt))
+        p, n = inst.dims.p, inst.dims.n
+        lifts = 1 + p + n + n * p  # the point, then one lift per coordinate
+        assert calls == {"m": lifts, "n": lifts}
