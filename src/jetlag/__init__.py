@@ -15,13 +15,10 @@ from .jet_core import (
     SlotKind,
     IndexSlot,
     DTensor,
-    tensor_new,
-    contract,
 )
 from .errors import (
     JetLagError,
     DimensionError,
-    ContractionError,
     DslError,
     DslSyntaxError,
     DslSemanticError,
@@ -38,11 +35,8 @@ __all__ = [
     "SlotKind",
     "IndexSlot",
     "DTensor",
-    "tensor_new",
-    "contract",
     "JetLagError",
     "DimensionError",
-    "ContractionError",
     "DslError",
     "DslSyntaxError",
     "DslSemanticError",

@@ -9,9 +9,11 @@ This module builds the two instances the geometry singles out:
 * the Berwald connection of a metric pair (h, g), whose only nonzero
   spatial block is the Christoffel symbols of g.
 
-It also provides the three covariant derivative operators (T-horizontal,
-M-horizontal, vertical) for arbitrary d-tensor valences, and a uniqueness
-probe that re-derives the coefficients from metric compatibility.
+``metric_compatibility`` checks that a pack is metric for (h, g) in all
+three directions.  ``covariant_derivative`` is the generic T-horizontal,
+M-horizontal and vertical operator for any d-tensor valence; an empty
+valence gives the adapted-frame derivative of a scalar field.  The tests
+use it as the reference for ``metric_compatibility``.
 """
 
 from __future__ import annotations
@@ -32,15 +34,7 @@ from .calculus import (
     vertical_coords,
     x_coord,
 )
-from .connection import (
-    NonlinearConnection,
-    SpatialAdapted,
-    TemporalAdapted,
-    VerticalDirection,
-    adapted_derivative,
-    delta_entry,
-    metric_pair_connection,
-)
+from .connection import NonlinearConnection, delta_entry, metric_pair_connection
 from .errors import DimensionError
 from .jet_core import Dims, DTensor, JetPoint, SlotKind
 from .metric_engine import (
@@ -61,27 +55,23 @@ from .scalars import scalar_value
 
 
 class Coefficients(NamedTuple):
-    """Point values of the four effective families (generic scalars), and
-    the (M, N) values of the nonlinear connection when the evaluation
-    computed them on its way (None otherwise)."""
+    """Point values of the four effective families (generic scalars) and
+    of the (M, N) coefficients of the nonlinear connection below them."""
 
     hbar: list  # [c][a][b]
     g: list     # [k][j][c]
     l: list     # [i][j][k]
     c: list     # [i][j][k][c]  (C^{i(c)}_{j(k)})
-    m: list | None = None  # [i][a][b]
-    n: list | None = None  # [i][a][j]
+    m: list     # [i][a][b]
+    n: list     # [i][a][j]
 
 
 @dataclass
 class LinearConnectionPack:
     """An h-normal linear connection: the four effective coefficient fields
     plus the nonlinear connection and spatial metric they were built over.
-
-    The derived vertical coefficients are delta-combinations of these four
-    and are produced on demand (``vertical_g`` etc.); the covariant
-    derivative operators implement exactly those combinations.
-    """
+    The derived vertical coefficients are delta-combinations of these four,
+    which the covariant derivative operators implement."""
 
     dims: Dims
     kind: str                  # "cartan" | "berwald" | "custom"
@@ -89,34 +79,6 @@ class LinearConnectionPack:
     g_matrix_at: object        # JetPoint -> n x n spatial metric values
     conn: NonlinearConnection
     h: TemporalMetric
-
-    def vertical_g(self, point):
-        """G^{(k)(b)}_{(a)(i)c} = delta^b_a G^k_{ic} - delta^k_i H^b_{ac}."""
-        n, p = self.dims.n, self.dims.p
-        co = self.coefficients_at(point)
-        vals = {}
-        for k in range(n):
-            for b in range(p):
-                for i in range(n):
-                    for a in range(p):
-                        for c in range(p):
-                            val = 0.0
-                            if b == a:
-                                val = val + co.g[k][i][c]
-                            if k == i:
-                                val = val - co.hbar[b][a][c]
-                            vals[(k, b, i, a, c)] = val
-        return vals
-
-    def vertical_l(self, point):
-        """L^{(k)(b)}_{(a)(i)j} = delta^b_a L^k_{ij}."""
-        co = self.coefficients_at(point)
-        n, p = self.dims.n, self.dims.p
-        return {
-            (k, b, i, a, j): (co.l[k][i][j] if b == a else 0.0)
-            for k in range(n) for b in range(p) for i in range(n)
-            for a in range(p) for j in range(n)
-        }
 
 
 # --- Cartan construction -------------------------------------------------------
@@ -163,7 +125,7 @@ def _cartan_coefficients_p1(L, h, conn, dims):
     return coefficients, g_matrix
 
 
-def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
+def _cartan_coefficients_p2(h, conn, deco: ElectrodynamicsDecomposition, dims):
     """For p >= 2 the spatial metric depends on (t, x) only, so the adapted
     derivatives reduce to plain partials and the vertical coefficients
     vanish identically."""
@@ -185,7 +147,8 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
                         acc = acc + ginv[k][i] * dg[i][j]
                     g_co[k][j][a] = acc * 0.5
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co)
+        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co,
+                            m=conn.m_at(point), n=conn.n_at(point))
 
     return coefficients, g_field.matrix_at
 
@@ -209,7 +172,7 @@ def cartan_connection(L, h: TemporalMetric, conn: NonlinearConnection,
         coefficients, g_matrix = _cartan_coefficients_p1(L, h, conn, dims)
     else:
         deco = decomposition or electrodynamics_decompose(L, h)
-        coefficients, g_matrix = _cartan_coefficients_p2(h, deco, dims)
+        coefficients, g_matrix = _cartan_coefficients_p2(h, conn, deco, dims)
     return LinearConnectionPack(
         dims=dims, kind="cartan", coefficients_at=coefficients,
         g_matrix_at=g_matrix, conn=conn, h=h,
@@ -231,7 +194,8 @@ def berwald_connection(h: TemporalMetric, g: SpatialMetricField,
         l_co = g_christoffel_values(g, point)
         g_co = [[[0.0] * p for _ in range(n)] for _ in range(n)]
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co)
+        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co,
+                            m=conn0.m_at(point), n=conn0.n_at(point))
 
     return LinearConnectionPack(
         dims=dims, kind="berwald", coefficients_at=coefficients,
@@ -269,42 +233,34 @@ def _direction_tables(pack: LinearConnectionPack, point: JetPoint, direction):
         k = direction.k
         spatial = [[co.l[m][l][k] for l in range(n)] for m in range(n)]
         temporal = [[0.0] * p for _ in range(p)]
-    elif isinstance(direction, VerticalCov):
+    else:
         k, c = direction.k, direction.gamma
         spatial = [[co.c[m][l][k][c] for l in range(n)] for m in range(n)]
         temporal = [[0.0] * p for _ in range(p)]
-    else:
-        raise DimensionError(f"unknown covariant direction {direction!r}")
     return spatial, temporal
 
 
 def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
-                         conn: NonlinearConnection, point: JetPoint) -> DTensor:
-    """Covariant derivative of a tensor field of the given valence.
+                         point: JetPoint):
+    """Covariant derivative of a tensor field of the given valence, over the
+    pack's nonlinear connection.
 
     ``field`` maps a JetPoint to nested lists matching ``valence`` (flat
     vertical indexing i*p + a).  The base derivative is the adapted one for
-    horizontal directions; slot corrections contract the pack coefficients,
-    vertical slots receiving both their spatial and temporal contributions.
+    horizontal directions, d/dt^a - M^{(l)}_{(b)a} d/dv^l_b and
+    d/dx^k - N^{(l)}_{(b)k} d/dv^l_b, and the plain d/dv^k_c for vertical
+    ones; slot corrections contract the pack coefficients, vertical slots
+    receiving both their spatial and temporal contributions.  An empty
+    valence (a scalar field) has no corrections and gives the base
+    derivative as a scalar; any other valence gives a DTensor.
     """
     dims = pack.dims
     n, p = dims.n, dims.p
     valence = tuple(valence)
-    if not valence:
-        # scalar fields have no slot corrections: the covariant derivative
-        # is the adapted derivative itself
-        if isinstance(direction, THorizontal):
-            adapted = TemporalAdapted(direction.gamma)
-        elif isinstance(direction, MHorizontal):
-            adapted = SpatialAdapted(direction.k)
-        else:
-            adapted = VerticalDirection(direction.k, direction.gamma)
-        return adapted_derivative(field, point, adapted, conn)
-
     if isinstance(direction, THorizontal):
-        base_coord, coeffs = t_coord(direction.gamma), conn.m_at(point)
+        base_coord, coeffs = t_coord(direction.gamma), pack.conn.m_at(point)
     elif isinstance(direction, MHorizontal):
-        base_coord, coeffs = x_coord(direction.k), conn.n_at(point)
+        base_coord, coeffs = x_coord(direction.k), pack.conn.n_at(point)
     elif isinstance(direction, VerticalCov):
         base_coord, coeffs = v_coord(direction.k, direction.gamma), None
     else:
@@ -312,6 +268,8 @@ def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
 
     coords = [base_coord] if coeffs is None else [base_coord] + vertical_coords(dims)
     jac = field_jacobian(field, point, coords)
+    if not valence:
+        return jac[base_coord] if coeffs is None else delta_entry(jac, (), base_coord, coeffs)
     values = field(point)
 
     out = DTensor(valence)
@@ -363,55 +321,6 @@ def _with(idx, pos, value):
     return tuple(lst)
 
 
-# --- Uniqueness probe --------------------------------------------------------------
-
-
-@dataclass
-class ProbeReport:
-    """Worst deviation per family between a pack and the coefficients
-    re-derived from metric compatibility."""
-
-    worst: dict
-    worst_index: dict
-    tol: float
-    passed: bool
-
-
-def uniqueness_probe(pack: LinearConnectionPack, L, h: TemporalMetric,
-                     conn: NonlinearConnection, points, tol: float = 1e-8) -> ProbeReport:
-    """Re-derive (G, L, C) by the Christoffel process on the metric derived
-    from L and compare against the supplied pack at each point."""
-    dims = pack.dims
-    if dims.p == 1:
-        reference, _ = _cartan_coefficients_p1(L, h, conn, dims)
-    else:
-        reference, _ = _cartan_coefficients_p2(h, electrodynamics_decompose(L, h), dims)
-    worst = {"G": 0.0, "L": 0.0, "C": 0.0}
-    worst_index = {"G": None, "L": None, "C": None}
-    n, p = dims.n, dims.p
-    for point in points:
-        ref = reference(point)
-        got = pack.coefficients_at(point)
-        for k in range(n):
-            for j in range(n):
-                for c in range(p):
-                    dev = abs(scalar_value(ref.g[k][j][c]) - scalar_value(got.g[k][j][c]))
-                    if dev > worst["G"]:
-                        worst["G"], worst_index["G"] = dev, (k, j, c)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    dev = abs(scalar_value(ref.l[i][j][k]) - scalar_value(got.l[i][j][k]))
-                    if dev > worst["L"]:
-                        worst["L"], worst_index["L"] = dev, (i, j, k)
-                    for c in range(p):
-                        dev = abs(scalar_value(ref.c[i][j][k][c]) - scalar_value(got.c[i][j][k][c]))
-                        if dev > worst["C"]:
-                            worst["C"], worst_index["C"] = dev, (i, j, k, c)
-    passed = all(v <= tol for v in worst.values())
-    return ProbeReport(worst=worst, worst_index=worst_index, tol=tol, passed=passed)
-
-
 # --- Metric compatibility ------------------------------------------------------------
 
 
@@ -426,8 +335,7 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint) -> dict:
     dims = pack.dims
     n, p = dims.n, dims.p
     co = pack.coefficients_at(point)
-    conn_m = pack.conn.m_at(point)
-    n_co = pack.conn.n_at(point)
+    conn_m, n_co = co.m, co.n
     gv = [[scalar_value(e) for e in row] for row in pack.g_matrix_at(point)]
     hv = [[scalar_value(e) for e in row] for row in pack.h.matrix_at(point.t)]
 

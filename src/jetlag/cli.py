@@ -3,8 +3,10 @@
 Commands: analyze, connection, torsion, curvature, extremal, residual,
 verify.  Reports are canonical JSON on stdout (byte-identical for a fixed
 config and seed); trajectories and residual fields are CSV.  Exit codes:
-0 success, 1 failed verification, evaluation-domain error or aborted
-extremal, 2 irregular Lagrangian, 64 usage/config errors.
+0 success (``--help`` and ``--version`` included), 1 failed verification,
+evaluation-domain error or aborted extremal, 2 irregular Lagrangian,
+64 usage errors (a missing or unknown argument or command among them)
+and config errors.
 """
 
 from __future__ import annotations
@@ -326,8 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, 0 after --help or --version
+        return EX_OK if not exc.code else EX_USAGE
     try:
         raw = load_config(args.config)
         instance = assemble(raw, seed_override=args.seed)

@@ -7,7 +7,7 @@ that a hash of the canonicalized config pins down exactly what ran.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import dsl
 from .errors import ConfigError, DslError

@@ -6,8 +6,8 @@ From L and the temporal metric h this module assembles, at any jet point:
 * the spray entity vectors S, H, J and their sum G (stored halved: the
   displayed geometric quantities are 2S, 2H, 2J, 2G),
 * the spray coefficient packages (temporal and spatial blocks),
-* the induced nonlinear connection (M, N) and adapted-frame derivatives,
-* the block-diagonal metric on the full jet space.
+* the induced nonlinear connection (M, N), and the adapted-frame
+  derivative of a field's entries along it (``delta_entry``).
 
 Every assembly evaluates generically over the scalar kind; derivatives of
 M and N (needed by torsion/curvature) come from running the same assembly
@@ -27,14 +27,12 @@ from .calculus import (
     d1,
     d2,
     dual_part,
-    field_jacobian,
     gradient_hessian,
     lift_d1,
     structure_dual_parts,
     structure_entry,
     t_coord,
     v_coord,
-    vertical_coords,
     x_coord,
 )
 from .errors import DimensionError
@@ -356,16 +354,6 @@ class NonlinearConnection:
         return out
 
 
-def zero_connection(dims: Dims) -> NonlinearConnection:
-    def m_at(point):
-        return [[[0.0] * dims.p for _ in range(dims.p)] for _ in range(dims.n)]
-
-    def n_at(point):
-        return [[[0.0] * dims.n for _ in range(dims.p)] for _ in range(dims.n)]
-
-    return NonlinearConnection(dims=dims, m_at=m_at, n_at=n_at)
-
-
 def _m_values(h: TemporalMetric, point: JetPoint, dims: Dims):
     """M^{(i)}_{(a)b} = -H^c_{ab} v^i_c as [i][a][b]."""
     hch = h_christoffel_values(h, point.t)
@@ -455,19 +443,6 @@ def canonical_nonlinear_connection(L, h: TemporalMetric,
 # --- Adapted derivatives ----------------------------------------------------------
 
 
-class TemporalAdapted(NamedTuple):
-    alpha: int
-
-
-class SpatialAdapted(NamedTuple):
-    i: int
-
-
-class VerticalDirection(NamedTuple):
-    i: int
-    alpha: int
-
-
 def delta_entry(jac, idx, coord: Coord, coeffs):
     """Adapted derivative of entry ``idx`` of a field whose coordinate
     Jacobian is ``jac`` (``calculus.field_jacobian`` along ``coord`` and
@@ -485,45 +460,3 @@ def delta_entry(jac, idx, coord: Coord, coeffs):
                 continue
             acc = acc - w * structure_entry(jac[v_coord(l, b)], idx)
     return acc
-
-
-def adapted_derivative(field, point: JetPoint, direction, conn: NonlinearConnection):
-    """Adapted-frame derivative of a scalar coefficient field:
-    d/dt^a - M^{(j)}_{(b)a} d/dv^j_b,  d/dx^i - N^{(j)}_{(b)i} d/dv^j_b,
-    or the plain vertical d/dv^i_a."""
-    if isinstance(direction, VerticalDirection):
-        return d1(field, point, v_coord(direction.i, direction.alpha))
-    if isinstance(direction, TemporalAdapted):
-        coord, coeffs = t_coord(direction.alpha), conn.m_at(point)
-    elif isinstance(direction, SpatialAdapted):
-        coord, coeffs = x_coord(direction.i), conn.n_at(point)
-    else:
-        raise DimensionError(f"unknown direction {direction!r}")
-    jac = field_jacobian(field, point, [coord] + vertical_coords(conn.dims))
-    return delta_entry(jac, (), coord, coeffs)
-
-
-# --- Block-diagonal metric on the jet space ----------------------------------------
-
-
-def sasakian_metric(h: TemporalMetric, g, conn: NonlinearConnection,
-                    point: JetPoint) -> np.ndarray:
-    """The (p+n+n*p)^2 block-diagonal matrix h + g + h^{ab} g_ij in the
-    adapted frame of ``conn`` (the frame fixes the splitting; the block
-    values do not depend on it)."""
-    dims = conn.dims
-    n, p = dims.n, dims.p
-    hmat = [[scalar_value(e) for e in row] for row in h.matrix_at(point.t)]
-    gmat = g.matrix_at(point) if hasattr(g, "matrix_at") else g(point)
-    gmat = [[scalar_value(e) for e in row] for row in gmat]
-    hinv = [[scalar_value(e) for e in row] for row in h.inverse_at(point.t)]
-    size = p + n + n * p
-    out = np.zeros((size, size))
-    out[:p, :p] = np.array(hmat)
-    out[p:p + n, p:p + n] = np.array(gmat)
-    for i in range(n):
-        for a in range(p):
-            for j in range(n):
-                for b in range(p):
-                    out[p + n + i * p + a, p + n + j * p + b] = hinv[a][b] * gmat[i][j]
-    return out

@@ -2,11 +2,10 @@
 
 Both tables read one frame per point: the coefficient tables (M, N, Hbar,
 G, L, C) at the point and their partials along every coordinate, from one
-Dual-lifted evaluation per coordinate.  M and N are taken from the
-coefficient evaluation when it computed them (the p = 1 Cartan pack does),
-so they are evaluated once per lift.  ``torsion_table`` builds the frame and
-keeps it; ``curvature_table`` takes that torsion table and reads the same
-frame.
+Dual-lifted evaluation per coordinate.  Every pack's coefficient evaluation
+returns M and N with the four families, so they are evaluated once per
+lift.  ``torsion_table`` builds the frame and keeps it; ``curvature_table``
+takes that torsion table and reads the same frame.
 
 Every family is evaluated from its generic defining formula as one numpy
 array, vertical index pairs flattened as i*p + a.  A sum over a repeated
@@ -52,13 +51,10 @@ class _Frame:
 
     def __init__(self, pack: LinearConnectionPack, point: JetPoint):
         self.dims = pack.dims
-        conn = pack.conn
 
         def tables(q):
             co = pack.coefficients_at(q)
-            m = conn.m_at(q) if co.m is None else co.m
-            n = conn.n_at(q) if co.n is None else co.n
-            return [m, n, co.hbar, co.g, co.l, co.c]
+            return [co.m, co.n, co.hbar, co.g, co.l, co.c]
 
         base = dict(zip(_TABLES, structure_values(tables(point))))
         # M and N stay nested float lists: delta_entry skips their float zeros
@@ -189,10 +185,6 @@ class CurvatureTable:
         return {k: getattr(self, k) for k in (
             "tt_t", "tt_m", "mt_m", "mm_m", "vt_m", "vm_m", "vv_m",
             "tt_v", "mt_v", "mm_v", "vt_v", "vm_v", "vv_v")}
-
-    def effective(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "tt_t", "tt_m", "mt_m", "mm_m", "vt_m", "vm_m", "vv_m")}
 
     def to_json_dict(self) -> dict:
         return {k: v.to_json_dict() for k, v in self.families().items()}

@@ -9,10 +9,6 @@ class DimensionError(JetLagError):
     """Inconsistent or invalid tensor/slot dimensions."""
 
 
-class ContractionError(JetLagError):
-    """Slot pairing for a contraction is invalid (variance or extent)."""
-
-
 class DslError(JetLagError):
     """Base for expression-language errors; carries a diagnostic."""
 

@@ -65,9 +65,8 @@ def _acceleration(L, h, dims, t, x, y):
     """x''^k = H^1_11 x'^k - 2 h_11 G^k, and the spray's spatial metric g."""
     point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
     data = spray_data(L, h, point, dims)
-    hch = h_christoffel_values(h, (t,))
     h11 = scalar_value(h.matrix_at((t,))[0][0])
-    hc = scalar_value(hch[0][0][0])
+    hc = scalar_value(data.hch[0][0][0])
     accel = np.array([hc * y[k] - 2.0 * h11 * scalar_value(data.g_vec[k]) for k in range(dims.n)])
     return accel, data.g
 
@@ -297,58 +296,13 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
 # --- Action values ----------------------------------------------------------------
 
 
-def action_value(L, h: TemporalMetric, target) -> float:
-    """Trapezoidal quadrature of L * sqrt(|det h|) over a trajectory (p = 1)
-    or a lattice map (p >= 2, one-sided second-order edges for velocities)."""
-    if isinstance(target, Trajectory):
-        vals = []
-        for t, x, y in zip(target.t, target.x, target.y):
-            point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
-            h11 = scalar_value(h.matrix_at((t,))[0][0])
-            vals.append(scalar_value(L(point)) * math.sqrt(abs(h11)))
-        dt = target.t[1] - target.t[0]
-        vals = np.asarray(vals)
-        return float(dt * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1]))
-    if isinstance(target, GridMap):
-        return _grid_action(L, h, target)
-    raise DimensionError("action targets are Trajectory or GridMap")
-
-
-def _grid_velocity(grid: GridMap, idx):
-    """First derivatives at any node: central interior, 3-point one-sided at
-    the boundary (both second order)."""
-    p, n = grid.dims.p, grid.dims.n
-    v = grid.values
-    sp = grid.spacing
-    out = np.zeros((n, p))
-    for a in range(p):
-        k = idx[a]
-        s = grid.shape[a]
-        if 0 < k < s - 1:
-            out[:, a] = (v[_shift(idx, a, 1)] - v[_shift(idx, a, -1)]) / (2 * sp[a])
-        elif k == 0:
-            out[:, a] = (-3 * v[idx] + 4 * v[_shift(idx, a, 1)] - v[_shift(idx, a, 2)]) / (2 * sp[a])
-        else:
-            out[:, a] = (3 * v[idx] - 4 * v[_shift(idx, a, -1)] + v[_shift(idx, a, -2)]) / (2 * sp[a])
-    return out
-
-
-def _grid_action(L, h: TemporalMetric, grid: GridMap) -> float:
-    weights = None
-    for s in grid.shape:
-        w = np.ones(s)
-        w[0] = w[-1] = 0.5
-        weights = w if weights is None else np.multiply.outer(weights, w)
-    total = 0.0
-    n = grid.dims.n
-    for idx in np.ndindex(grid.shape):
-        ts = grid.node_t(idx)
-        first = _grid_velocity(grid, idx)
-        point = JetPoint(ts, tuple(grid.values[idx]), tuple(tuple(first[i]) for i in range(n)))
-        hmat = [[scalar_value(e) for e in r] for r in h.matrix_at(ts)]
-        det = float(np.linalg.det(np.array(hmat))) if len(hmat) > 1 else hmat[0][0]
-        total += weights[idx] * scalar_value(L(point)) * math.sqrt(abs(det))
-    cell = 1.0
-    for sp in grid.spacing:
-        cell *= sp
-    return total * cell
+def action_value(L, h: TemporalMetric, traj: Trajectory) -> float:
+    """Trapezoidal quadrature of L * sqrt(|h_11|) over a p = 1 trajectory."""
+    vals = []
+    for t, x, y in zip(traj.t, traj.x, traj.y):
+        point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
+        h11 = scalar_value(h.matrix_at((t,))[0][0])
+        vals.append(scalar_value(L(point)) * math.sqrt(abs(h11)))
+    dt = traj.t[1] - traj.t[0]
+    vals = np.asarray(vals)
+    return float(dt * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractionError, DimensionError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,6 @@ class Dims:
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
             raise DimensionError(f"dims must be positive, got p={self.p}, n={self.n}")
-
-    @property
-    def vertical(self) -> int:
-        return self.n * self.p
 
 
 @dataclass(frozen=True)
@@ -175,16 +171,6 @@ def vertical_lower(n, p):
     return IndexSlot(SlotKind.VERTICAL_LOWER, n=n, p=p)
 
 
-_OPPOSITE = {
-    SlotKind.TEMPORAL_UPPER: SlotKind.TEMPORAL_LOWER,
-    SlotKind.TEMPORAL_LOWER: SlotKind.TEMPORAL_UPPER,
-    SlotKind.SPATIAL_UPPER: SlotKind.SPATIAL_LOWER,
-    SlotKind.SPATIAL_LOWER: SlotKind.SPATIAL_UPPER,
-    SlotKind.VERTICAL_UPPER: SlotKind.VERTICAL_LOWER,
-    SlotKind.VERTICAL_LOWER: SlotKind.VERTICAL_UPPER,
-}
-
-
 @dataclass
 class DTensor:
     """Dense multi-index array with declared slot valences.
@@ -239,49 +225,3 @@ class DTensor:
             "shape": list(self.shape),
             "entries": entries,
         }
-
-
-def tensor_new(slots) -> DTensor:
-    """Zero tensor over the given slots."""
-    return DTensor(slots)
-
-
-def contract(a: DTensor, b: DTensor, pairs) -> DTensor:
-    """Contract ``a`` with ``b`` over the given (slot-of-a, slot-of-b) pairs.
-
-    Paired slots must belong to the same index family with opposite variance
-    and equal extent.  Result slots are the unpaired slots of ``a`` followed
-    by those of ``b``.
-    """
-    axes_a, axes_b = [], []
-    for sa, sb in pairs:
-        if not (0 <= sa < len(a.slots) and 0 <= sb < len(b.slots)):
-            raise ContractionError(f"slot pair ({sa}, {sb}) out of range")
-        ka, kb = a.slots[sa].kind, b.slots[sb].kind
-        if _OPPOSITE[ka] is not kb:
-            raise ContractionError(f"variance mismatch: {ka.value} with {kb.value}")
-        if a.slots[sa].extent != b.slots[sb].extent:
-            raise ContractionError(
-                f"extent mismatch: {a.slots[sa].extent} != {b.slots[sb].extent}"
-            )
-        axes_a.append(sa)
-        axes_b.append(sb)
-    if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-        raise ContractionError("a slot may appear in at most one pair")
-
-    out = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    free = [s for i, s in enumerate(a.slots) if i not in axes_a]
-    free += [s for i, s in enumerate(b.slots) if i not in axes_b]
-    if not free:
-        # Full contraction: keep the scalar as a rank-one singleton so the
-        # result type stays uniform; callers use .scalar() to unwrap.
-        result = DTensor((temporal_upper(1),), np.array([float(out)]))
-        return result
-    return DTensor(free, out)
-
-
-def scalar_of(t: DTensor) -> float:
-    """Unwrap a fully contracted (singleton) tensor."""
-    if t.data.size != 1:
-        raise DimensionError("tensor is not a scalar")
-    return float(t.data.reshape(-1)[0])

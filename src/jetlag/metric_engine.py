@@ -10,18 +10,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .calculus import lift_d1, structure_dual_parts, x_coord
 from .errors import DegeneracyError
-from .jet_core import (
-    DTensor,
-    JetPoint,
-    spatial_lower,
-    spatial_upper,
-    temporal_lower,
-    temporal_upper,
-)
+from .jet_core import JetPoint
 from .scalars import Dual, scalar_value
 
 _DEGENERACY_SCALE = 1e-10
@@ -68,15 +59,6 @@ def mat_invert_generic(rows):
                 continue
             aug[r] = [er - factor * ec for er, ec in zip(aug[r], aug[col])]
     return [row[dim:] for row in aug]
-
-
-def invert_metric(m):
-    """Float inverse of a small square matrix by ``checked_inverse``; an
-    ndarray argument gives an ndarray result, anything else nested lists."""
-    inv = checked_inverse([list(map(float, r)) for r in np.asarray(m, dtype=float)])
-    if isinstance(m, np.ndarray):
-        return np.array(inv, dtype=float)
-    return inv
 
 
 def checked_inverse(rows):
@@ -276,12 +258,6 @@ def h_christoffel_values(h: TemporalMetric, ts):
     return christoffel(hinv, dh)
 
 
-def h_christoffel(h: TemporalMetric, t) -> DTensor:
-    values = h_christoffel_values(h, tuple(float(v) for v in t))
-    slots = (temporal_upper(h.p), temporal_lower(h.p), temporal_lower(h.p))
-    return DTensor(slots, np.array(values, dtype=float))
-
-
 def h_curvature_values(h: TemporalMetric, ts):
     """H^c_{m a b} = d_b H^c_{ma} - d_a H^c_{mb} + H^e_{ma} H^c_{eb}
     - H^e_{mb} H^c_{ea}, [c][m][a][b]."""
@@ -294,13 +270,6 @@ def h_curvature_values(h: TemporalMetric, ts):
         lifted = _lift_ts(ts, b)
         dch.append(structure_dual_parts(h_christoffel_values(h, lifted)))
     return riemann(ch, dch)
-
-
-def h_curvature(h: TemporalMetric, t) -> DTensor:
-    values = h_curvature_values(h, tuple(float(v) for v in t))
-    p = h.p
-    slots = (temporal_upper(p), temporal_lower(p), temporal_lower(p), temporal_lower(p))
-    return DTensor(slots, np.array(values, dtype=float))
 
 
 # --- Spatial metric ----------------------------------------------------------
@@ -351,12 +320,6 @@ def g_christoffel_values(g: SpatialMetricField, point: JetPoint):
     return christoffel(ginv, dg)
 
 
-def g_christoffel(g: SpatialMetricField, point: JetPoint) -> DTensor:
-    values = g_christoffel_values(g, point)
-    slots = (spatial_upper(g.n), spatial_lower(g.n), spatial_lower(g.n))
-    return DTensor(slots, np.array(values, dtype=float))
-
-
 def g_curvature_values(g: SpatialMetricField, point: JetPoint):
     """r^m_{pij} = d_j Gamma^m_{pi} - d_i Gamma^m_{pj}
     + Gamma^k_{pi} Gamma^m_{kj} - Gamma^k_{pj} Gamma^m_{ki}, [m][p][i][j]."""
@@ -367,10 +330,3 @@ def g_curvature_values(g: SpatialMetricField, point: JetPoint):
         lifted = lift_d1(point, x_coord(j))
         dgam.append(structure_dual_parts(g_christoffel_values(g, lifted)))
     return riemann(gam, dgam)
-
-
-def g_curvature(g: SpatialMetricField, point: JetPoint) -> DTensor:
-    values = g_curvature_values(g, point)
-    n = g.n
-    slots = (spatial_upper(n), spatial_lower(n), spatial_lower(n), spatial_lower(n))
-    return DTensor(slots, np.array(values, dtype=float))

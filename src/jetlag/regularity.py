@@ -13,11 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .calculus import d1, gradient_hessian, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
-from .jet_core import Dims, DTensor, JetPoint, vertical_lower, zero_velocity_point
+from .jet_core import Dims, JetPoint, zero_velocity_point
 from .metric_engine import TemporalMetric, mat_det, signature_of
 from .parallel import map_ordered
 from .scalars import scalar_value
@@ -74,22 +72,6 @@ def hessian_blocks(L, point: JetPoint, dims: Dims | None = None):
     half = [[e * 0.5 for e in row] for row in hess]
     return [[[[half[i * p + a][j * p + b] for b in range(p)] for j in range(n)]
              for a in range(p)] for i in range(n)]
-
-
-def vertical_hessian(L, point: JetPoint) -> DTensor:
-    """The (n*p) x (n*p) Hessian block matrix as a d-tensor on vertical
-    slots (flat index i*p + a)."""
-    dims = point.dims
-    n, p = dims.n, dims.p
-    blocks = hessian_blocks(L, point, dims)
-    data = np.zeros((n * p, n * p))
-    for i in range(n):
-        for a in range(p):
-            for j in range(n):
-                for b in range(p):
-                    data[i * p + a, j * p + b] = scalar_value(blocks[i][a][j][b])
-    slots = (vertical_lower(n, p), vertical_lower(n, p))
-    return DTensor(slots, data)
 
 
 def trace_metric(hmat, blocks):

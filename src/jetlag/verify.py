@@ -23,7 +23,7 @@ from .curvature import curvature_table, table_zero_audit, torsion_table
 from .dsl import used_variables
 from .errors import DecompositionError
 from .fields import ExpressionField
-from .metric_engine import g_christoffel_values, h_christoffel_values
+from .metric_engine import g_christoffel_values
 from .regularity import electrodynamics_decompose, kronecker_test, sample_points
 from .scalars import scalar_value
 
@@ -153,7 +153,6 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
         data = spray_data(L, h, mid, dims)
         ginv = [[scalar_value(e) for e in row] for row in data.ginv]
         hinv = [[scalar_value(e) for e in row] for row in h.inverse_at(pt.t)]
-        hch = h_christoffel_values(h, pt.t)
         xab = jm.d2x(pt.t)
         for k in range(dims.n):
             weighted = 0.5 * sum(ginv[k][i] * res[i] for i in range(dims.n))
@@ -162,7 +161,7 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
                 for b in range(dims.p):
                     term = xab[k][a][b]
                     for c in range(dims.p):
-                        term -= scalar_value(hch[c][a][b]) * mid.v[k][c]
+                        term -= scalar_value(data.hch[c][a][b]) * mid.v[k][c]
                     lap += hinv[a][b] * term
             worst_el = max(worst_el, abs(weighted - (lap + 2.0 * scalar_value(data.g_vec[k]))))
     checks.append(CheckResult("el_rearrangement", worst_el <= 1e-7, worst_el, 1e-7))

@@ -153,6 +153,21 @@ class TestExitCodes:
         path = write_config(tmp_path, sphere_config())
         assert run(["connection", "--config", path, "--point", "t=0;x=1"]) == EX_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["connection", "--config", "cfg.json"],
+        ["frobnicate", "--config", "cfg.json"],
+    ], ids=["missing_config", "missing_point", "unknown_command"])
+    def test_argument_errors_exit_64(self, argv, capsys):
+        # argparse's own exit code would be 2, the code of an irregular Lagrangian
+        assert run(argv) == EX_USAGE
+        assert "usage: jetlag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        assert run([flag]) == EX_OK
+        assert "jetlag" in capsys.readouterr().out
+
     def test_asymmetric_g_text_warns_and_passes(self, tmp_path, capsys, recwarn):
         cfg = sphere_config()
         cfg["lagrangian"]["g_entries"] = [["1", "0.1000000001"],

@@ -1,5 +1,4 @@
-"""Sprays, the canonical nonlinear connection, adapted derivatives, and the
-block-diagonal jet-space metric."""
+"""Sprays, the canonical nonlinear connection and adapted derivatives."""
 
 import math
 import random
@@ -7,16 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from jetlag.cartan import MHorizontal, THorizontal, VerticalCov, cartan_connection, covariant_derivative
 from jetlag.connection import (
-    SpatialAdapted,
-    TemporalAdapted,
-    VerticalDirection,
-    adapted_derivative,
     canonical_nonlinear_connection,
     euler_lagrange_residual,
     gcal_values,
     jet_map_from_fields,
-    sasakian_metric,
     spray_entities,
 )
 from jetlag.fields import (
@@ -32,7 +27,6 @@ from jetlag.metric_engine import (
     TemporalMetric,
     g_christoffel_values,
     h_christoffel_values,
-    signature_of,
 )
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
@@ -273,86 +267,44 @@ class TestNonlinearConnection:
                         assert scalar_value(nval[i][a][j]) == pytest.approx(expect, abs=1e-8)
 
 
+def cartan_pack(inst):
+    """A pack over the canonical connection; a covariant derivative of empty
+    valence over it is the adapted-frame derivative along that connection."""
+    conn = canonical_nonlinear_connection(inst.L, inst.h)
+    return cartan_connection(inst.L, inst.h, conn)
+
+
 class TestAdaptedDerivative:
     def test_zero_connection_reduces_to_partial(self):
         inst = corpus_instance("harmonic", 2, 1)
-        conn = canonical_nonlinear_connection(inst.L, inst.h)
         fld = ExpressionField("sin(t1)*x1", inst.dims)
         pt = JetPoint((0.4, 0.1), (2.0,), ((0.3, 0.2),))
         # flat h => M = 0; field v-independent => result is the plain partial
-        val = adapted_derivative(fld, pt, TemporalAdapted(0), conn)
+        val = covariant_derivative(fld, (), THorizontal(0), cartan_pack(inst), pt)
         assert val == pytest.approx(2.0 * math.cos(0.4), abs=1e-12)
 
     def test_v_independent_field_ignores_n(self):
         inst = corpus_instance("non_autonomous", 2, 2)
-        conn = canonical_nonlinear_connection(inst.L, inst.h)
         fld = ExpressionField("x1^2 * x2", inst.dims)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=2)[0]
-        val = adapted_derivative(fld, pt, SpatialAdapted(0), conn)
+        val = covariant_derivative(fld, (), MHorizontal(0), cartan_pack(inst), pt)
         assert val == pytest.approx(2.0 * pt.x[0] * pt.x[1], abs=1e-12)
 
     def test_velocity_field_picks_minus_m(self):
         inst = corpus_instance("autonomous", 2, 2)  # nonflat h
-        conn = canonical_nonlinear_connection(inst.L, inst.h)
+        pack = cartan_pack(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=3)[0]
-        m = conn.m_at(pt)
+        m = pack.conn.m_at(pt)
         for j in range(2):
             for b in range(2):
                 fld = lambda q, j=j, b=b: q.v[j][b]
                 for a in range(2):
-                    val = adapted_derivative(fld, pt, TemporalAdapted(a), conn)
+                    val = covariant_derivative(fld, (), THorizontal(a), pack, pt)
                     assert val == pytest.approx(-scalar_value(m[j][b][a]), abs=1e-10)
 
     def test_vertical_direction_plain(self):
         inst = corpus_instance("harmonic", 1, 2)
-        conn = canonical_nonlinear_connection(inst.L, inst.h)
         fld = ExpressionField("v1_1^2", inst.dims)
         pt = JetPoint((0.0,), (0.3, 0.1), ((0.7,), (0.4,)))
-        assert adapted_derivative(fld, pt, VerticalDirection(0, 0), conn) == pytest.approx(1.4)
-
-
-class TestSasakian:
-    def test_identity_blocks(self):
-        inst = corpus_instance("harmonic", 1, 2)
-        conn = canonical_nonlinear_connection(inst.L, inst.h)
-        g = SpatialMetricField.flat(2)
-        pt = JetPoint((0.0,), (0.1, 0.2), ((0.0,), (0.0,)))
-        S = sasakian_metric(inst.h, g, conn, pt)
-        assert np.allclose(S, np.eye(5))
-
-    def test_scaled_temporal_frozen(self):
-        d = Dims(1, 2)
-        h = TemporalMetric(p=1, entries=[[temporal_entry(constant_field(4.0))]],
-                           signature=(1, 0))
-        L = LagrangianModel.from_family(
-            ElectrodynamicsLagrangian(d, h, [[constant_field(1.0), constant_field(0.0)],
-                                             [constant_field(0.0), constant_field(1.0)]]),
-            "harmonic")
-        conn = canonical_nonlinear_connection(L, h)
-        g = SpatialMetricField.flat(2)
-        pt = JetPoint((0.0,), (0.1, 0.2), ((0.0,), (0.0,)))
-        S = sasakian_metric(h, g, conn, pt)
-        assert np.allclose(np.diag(S), [4.0, 1.0, 1.0, 0.25, 0.25])
-        assert np.allclose(S, np.diag(np.diag(S)))
-
-    def test_signature_additivity_eigen_oracle(self):
-        rng = random.Random(2)
-        d = Dims(2, 2)
-        h = TemporalMetric(p=2, entries=[
-            [temporal_entry(constant_field(1.0)), temporal_entry(constant_field(0.0))],
-            [temporal_entry(constant_field(0.0)), temporal_entry(constant_field(-2.0))],
-        ], signature=(1, 1))
-        gmat = [[3.0, 0.4], [0.4, 1.0]]
-        g = SpatialMetricField(n=2, entries=[
-            [constant_field(gmat[0][0]), constant_field(gmat[0][1])],
-            [constant_field(gmat[1][0]), constant_field(gmat[1][1])],
-        ])
-        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g.entries), "harmonic")
-        conn = canonical_nonlinear_connection(L, h)
-        pt = JetPoint((0.0, 0.0), (0.1, 0.2), ((0.0, 0.0), (0.0, 0.0)))
-        S = sasakian_metric(h, g, conn, pt)
-        sig = signature_of(S)
-        sig_h, sig_g = (1, 1), signature_of(gmat)
-        expect = (sig_h[0] * sig_g[0] + sig_h[1] * sig_g[1] + sig_h[0] + sig_g[0],
-                  sig_h[0] * sig_g[1] + sig_h[1] * sig_g[0] + sig_h[1] + sig_g[1])
-        assert sig == expect
+        val = covariant_derivative(fld, (), VerticalCov(0, 0), cartan_pack(inst), pt)
+        assert val == pytest.approx(1.4)

@@ -26,8 +26,8 @@ from jetlag.jet_core import (
 from jetlag.metric_engine import (
     SpatialMetricField,
     TemporalMetric,
-    g_curvature,
-    h_curvature,
+    g_curvature_values,
+    h_curvature_values,
 )
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
@@ -59,12 +59,12 @@ class TestBerwald:
 
     def test_torsion_only_r_families(self):
         tor = torsion_table(self.pack, self.pt)
-        r = g_curvature(self.g, self.pt)
+        r = np.array(g_curvature_values(self.g, self.pt))
         for m in range(2):
             for mu in range(2):
                 for i in range(2):
                     for j in range(2):
-                        expect = sum(r.get(m, k, i, j) * self.pt.v[k][mu] for k in range(2))
+                        expect = sum(r[m, k, i, j] * self.pt.v[k][mu] for k in range(2))
                         assert tor.mm_v.get((m, mu), i, j) == pytest.approx(expect, abs=1e-10)
         # everything else vanishes (flat h also kills tt_v)
         for cell in ("tt_v", "mt_m", "mt_v", "mm_m", "vt_v", "vm_m", "vm_v", "vv_v"):
@@ -72,8 +72,8 @@ class TestBerwald:
 
     def test_curvature_only_h_and_r(self):
         cur = curvature_table(torsion_table(self.pack, self.pt))
-        r = g_curvature(self.g, self.pt)
-        assert np.allclose(cur.mm_m.data, r.data, atol=1e-10)
+        r = np.array(g_curvature_values(self.g, self.pt))
+        assert np.allclose(cur.mm_m.data, r, atol=1e-10)
         for cell in ("tt_t", "tt_m", "mt_m", "vt_m", "vm_m", "vv_m"):
             assert cur.families()[cell].max_abs() <= 1e-12, cell
 
@@ -104,13 +104,13 @@ class TestBerwald:
         pack = berwald_connection(h, g, dims)
         pt = JetPoint((0.7, 0.2), (0.4,), ((0.3, -0.5),))
         tor = torsion_table(pack, pt)
-        Hc = h_curvature(h, pt.t)
+        Hc = np.array(h_curvature_values(h, pt.t))
         # tt_v = -H^c_{mu a b} x^m_c
         for m in range(1):
             for mu in range(2):
                 for a in range(2):
                     for b in range(2):
-                        expect = -sum(Hc.get(c, mu, a, b) * pt.v[m][c] for c in range(2))
+                        expect = -sum(Hc[c, mu, a, b] * pt.v[m][c] for c in range(2))
                         assert tor.tt_v.get((m, mu), a, b) == pytest.approx(expect, abs=1e-9)
 
 
@@ -146,18 +146,18 @@ class TestCartanTwoRoute:
         valence = (spatial_upper(2), spatial_lower(2), temporal_lower(2))
         for pt in pts:
             tor = torsion_table(pack, pt)
-            r = g_curvature(gs, pt)
+            r = np.array(g_curvature_values(gs, pt))
 
             def f_field(q):
                 return _f_tensor(inst, deco, q)
 
-            cov = [covariant_derivative(f_field, valence, MHorizontal(j), pack, conn, pt)
+            cov = [covariant_derivative(f_field, valence, MHorizontal(j), pack, pt)
                    for j in range(2)]
             for m in range(2):
                 for mu in range(2):
                     for i in range(2):
                         for j in range(2):
-                            expect = sum(r.get(m, k, i, j) * pt.v[k][mu] for k in range(2))
+                            expect = sum(r[m, k, i, j] * pt.v[k][mu] for k in range(2))
                             expect += cov[j].get(m, i, mu) - cov[i].get(m, j, mu)
                             assert tor.mm_v.get((m, mu), i, j) == pytest.approx(expect, abs=1e-7)
 
@@ -233,8 +233,8 @@ class TestCartanTables:
         for cell in ("mt_m", "mm_m", "vt_v", "vm_m", "vm_v", "vv_v"):
             assert tor.families()[cell].max_abs() <= 1e-9, cell
         cur = curvature_table(tor)
-        r = g_curvature(gs, pt)
-        assert np.allclose(cur.mm_m.data, r.data, atol=1e-8)
+        r = np.array(g_curvature_values(gs, pt))
+        assert np.allclose(cur.mm_m.data, r, atol=1e-8)
         for cell in ("tt_m", "mt_m", "vt_m", "vm_m", "vv_m"):
             assert cur.families()[cell].max_abs() <= 1e-8, cell
 
@@ -246,15 +246,15 @@ class TestCartanTables:
         pt = JetPoint((0.1,), (0.9, 0.2), ((0.4,), (0.7,)))
         tor = torsion_table(pack, pt)
         cur = curvature_table(tor)
-        r = g_curvature(gs, pt)
-        assert np.allclose(cur.mm_m.data, r.data, atol=1e-9)
+        r = np.array(g_curvature_values(gs, pt))
+        assert np.allclose(cur.mm_m.data, r, atol=1e-9)
         # frozen sphere value (defining order): mm_m[1,2,2,1] = sin^2 x1
         assert cur.mm_m.get(0, 1, 1, 0) == pytest.approx(math.sin(0.9) ** 2, abs=1e-9)
         # torsion mm_v equals r^m_{kij} y^k (classical reduction)
         for m in range(2):
             for i in range(2):
                 for j in range(2):
-                    expect = sum(r.get(m, k, i, j) * pt.v[k][0] for k in range(2))
+                    expect = sum(r[m, k, i, j] * pt.v[k][0] for k in range(2))
                     assert tor.mm_v.get((m, 0), i, j) == pytest.approx(expect, abs=1e-9)
 
     def test_zero_audits_per_kind(self):
@@ -320,11 +320,18 @@ class TestAsymmetricCPack:
 
     def _pack(self):
         from jetlag.cartan import Coefficients, LinearConnectionPack
-        from jetlag.connection import zero_connection
+        from jetlag.connection import NonlinearConnection
 
         d = Dims(1, 2)
         h = TemporalMetric.flat(1)
-        conn = zero_connection(d)
+
+        def m_at(point):
+            return [[[0.0] * d.p for _ in range(d.p)] for _ in range(d.n)]
+
+        def n_at(point):
+            return [[[0.0] * d.n for _ in range(d.p)] for _ in range(d.n)]
+
+        conn = NonlinearConnection(dims=d, m_at=m_at, n_at=n_at)
 
         def coefficients(point: JetPoint):
             y1 = point.v[0][0]
@@ -334,7 +341,7 @@ class TestAsymmetricCPack:
             hbar = [[[0.0]]]
             g = [[[0.0] for _ in range(2)] for _ in range(2)]
             l = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
-            return Coefficients(hbar=hbar, g=g, l=l, c=c)
+            return Coefficients(hbar=hbar, g=g, l=l, c=c, m=m_at(point), n=n_at(point))
 
         pack = LinearConnectionPack(
             dims=d, kind="custom", coefficients_at=coefficients,

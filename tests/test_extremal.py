@@ -255,13 +255,3 @@ class TestAction:
             y = base.y + eps * np.outer(dphi, w)
             traj = Trajectory(t=base.t, x=x, y=y)
             assert action_value(inst.L, inst.h, traj) >= s0 - 1e-10
-
-    def test_grid_action_flat(self):
-        d = Dims(2, 1)
-        h = TemporalMetric.flat(2)
-        g = [[constant_field(1.0)]]
-        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
-        grid = GridMap.from_function(d, [(0, 1), (0, 1)], (21, 21),
-                                     lambda ts: [ts[0] + 2.0 * ts[1]])
-        # L = h^{ab} x_a x_b = 1 + 4 = 5 everywhere
-        assert action_value(L, h, grid) == pytest.approx(5.0, abs=1e-9)

@@ -1,65 +1,36 @@
-"""Dense d-tensor storage and contraction."""
+"""Jet points and dense d-tensor storage."""
 
 import random
 
 import numpy as np
 import pytest
 
-from jetlag.errors import ContractionError, DimensionError
+from jetlag.errors import DimensionError
 from jetlag.jet_core import (
     Dims,
     DTensor,
     JetPoint,
-    contract,
-    scalar_of,
     spatial_lower,
     spatial_upper,
     temporal_lower,
     temporal_upper,
-    tensor_new,
     vertical_lower,
-    vertical_upper,
 )
-
-
-def brute_force_contract(a: DTensor, b: DTensor, pairs):
-    """Loop oracle for contract(): sums of products over paired indices."""
-    axes_a = [pa for pa, _ in pairs]
-    axes_b = [pb for _, pb in pairs]
-    free_a = [i for i in range(len(a.slots)) if i not in axes_a]
-    free_b = [i for i in range(len(b.slots)) if i not in axes_b]
-    out_slots = [a.slots[i] for i in free_a] + [b.slots[i] for i in free_b]
-    if not out_slots:
-        total = 0.0
-        for ia in np.ndindex(a.shape):
-            ib = [0] * len(b.slots)
-            for (pa, pb) in pairs:
-                ib[pb] = ia[pa]
-            total += a.data[ia] * b.data[tuple(ib)]
-        return total
-    out = tensor_new(out_slots)
-    for ia in np.ndindex(a.shape):
-        for ib in np.ndindex(b.shape):
-            if any(ia[pa] != ib[pb] for pa, pb in pairs):
-                continue
-            oidx = tuple(ia[i] for i in free_a) + tuple(ib[i] for i in free_b)
-            out.data[oidx] += a.data[ia] * b.data[ib]
-    return out
 
 
 class TestConstruction:
     def test_zero_init_matrix(self):
-        t = tensor_new([spatial_lower(2), spatial_lower(2)])
+        t = DTensor([spatial_lower(2), spatial_lower(2)])
         assert t.shape == (2, 2)
         assert np.all(t.data == 0.0)
 
     def test_zero_init_vector(self):
-        t = tensor_new([temporal_upper(2)])
+        t = DTensor([temporal_upper(2)])
         assert t.shape == (2,)
         assert list(t.data) == [0.0, 0.0]
 
     def test_zero_init_vertical(self):
-        t = tensor_new([vertical_lower(2, 2)])
+        t = DTensor([vertical_lower(2, 2)])
         assert t.shape == (4,)
         # addressed by (i, a) pairs
         t.set(((1, 0),), 5.0)
@@ -70,87 +41,16 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             spatial_lower(0)
         with pytest.raises(DimensionError):
-            tensor_new([])
+            DTensor([])
 
     def test_get_set_roundtrip(self):
         rng = random.Random(3)
-        t = tensor_new([spatial_upper(3), temporal_lower(2), vertical_lower(3, 2)])
+        t = DTensor([spatial_upper(3), temporal_lower(2), vertical_lower(3, 2)])
         for _ in range(50):
             idx = (rng.randrange(3), rng.randrange(2), rng.randrange(6))
             val = rng.uniform(-5, 5)
             t.set(idx, val)
             assert t.get(*idx) == val
-
-
-class TestContract:
-    def test_zero_through_identity(self):
-        h = DTensor([temporal_upper(2), temporal_upper(2)], np.eye(2))
-        g = tensor_new([vertical_upper(2, 2), temporal_lower(2), temporal_lower(2)])
-        out = contract(h, g, [(0, 1), (1, 2)])
-        assert np.all(out.data == 0.0)
-
-    def test_identity_delta(self):
-        delta = DTensor([spatial_upper(3), spatial_lower(3)], np.eye(3))
-        u = DTensor([spatial_lower(3)], np.array([1.0, -2.0, 0.5]))
-        # contract delta's lower slot with... u is lower; pair upper-of-u? u
-        # has one lower slot so pair it with delta's upper slot.
-        out = contract(delta, u, [(0, 0)])
-        assert np.allclose(out.data, u.data)
-
-    def test_two_slot_trace(self):
-        h = DTensor([temporal_upper(2), temporal_upper(2)], np.diag([2.0, 3.0]))
-        t = DTensor([temporal_lower(2), temporal_lower(2)], np.diag([1.0, 1.0]))
-        out = contract(h, t, [(0, 0), (1, 1)])
-        assert scalar_of(out) == pytest.approx(5.0)  # frozen: 2*1 + 3*1
-
-    def test_variance_mismatch(self):
-        a = tensor_new([spatial_upper(2)])
-        b = tensor_new([spatial_upper(2)])
-        with pytest.raises(ContractionError):
-            contract(a, b, [(0, 0)])
-
-    def test_family_mismatch(self):
-        a = tensor_new([spatial_upper(2)])
-        b = tensor_new([temporal_lower(2)])
-        with pytest.raises(ContractionError):
-            contract(a, b, [(0, 0)])
-
-    def test_extent_mismatch(self):
-        a = tensor_new([spatial_upper(2)])
-        b = tensor_new([spatial_lower(3)])
-        with pytest.raises(ContractionError):
-            contract(a, b, [(0, 0)])
-
-    def test_matches_brute_force(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            a = DTensor([spatial_upper(2), temporal_lower(3)],
-                        np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)]))
-            b = DTensor([temporal_upper(3), spatial_lower(2)],
-                        np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(3)]))
-            out = contract(a, b, [(1, 0)])
-            oracle = brute_force_contract(a, b, [(1, 0)])
-            assert np.allclose(out.data, oracle.data, atol=1e-14)
-
-    def test_bilinearity(self):
-        rng = random.Random(7)
-
-        def rand(slots):
-            t = tensor_new(slots)
-            t.data[...] = np.array(
-                [rng.uniform(-2, 2) for _ in range(t.data.size)]
-            ).reshape(t.shape)
-            return t
-
-        slots_a = [spatial_upper(2), spatial_lower(2)]
-        slots_b = [spatial_upper(2), temporal_lower(2)]
-        for _ in range(5):
-            a1, a2 = rand(slots_a), rand(slots_a)
-            b = rand(slots_b)
-            lhs = contract(DTensor(slots_a, a1.data + a2.data), b, [(1, 0)])
-            r1 = contract(a1, b, [(1, 0)])
-            r2 = contract(a2, b, [(1, 0)])
-            assert np.allclose(lhs.data, r1.data + r2.data, atol=1e-13)
 
 
 class TestJetPoint:

@@ -1,0 +1,146 @@
+"""The library's surface: every definition in ``src/jetlag`` is run by the
+command line, except a short list of test oracles.
+
+A definition is reachable when its name is used in code that runs:
+``cli.run``, the module-level statements of every module (they run on
+import), and, transitively, the body of every reachable definition.
+Names are matched without regard to which module or class defines them,
+so the walk over-approximates what runs; an unreachable definition is
+certainly dead.  A reachable class brings its special methods along.
+Imports are not uses; annotations are.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "jetlag"
+TESTS = Path(__file__).resolve().parent
+
+# Public definitions no command runs, kept because tests use them as
+# independent references for what the commands compute.
+TEST_ORACLES = (
+    "covariant_derivative",
+    "THorizontal",
+    "MHorizontal",
+    "VerticalCov",
+    "h_curvature_values",
+    "g_curvature_values",
+    "action_value",
+    "constant_field",
+    "CallableField",
+    "LagrangianModel.from_expression",
+    "CrosscheckReport.failures",
+)
+
+
+class _Uses(ast.NodeVisitor):
+    """Names a piece of code reads; an import is not a read."""
+
+    def __init__(self):
+        self.names = set()
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.attr)
+        self.visit(node.value)
+
+    def visit_Import(self, node):
+        pass
+
+    visit_ImportFrom = visit_Import
+
+
+def _uses(nodes) -> set:
+    visitor = _Uses()
+    for node in nodes:
+        visitor.visit(node)
+    return visitor.names
+
+
+class _Definition:
+    def __init__(self, qualname, name, nodes, special=None):
+        self.qualname = qualname
+        self.name = name
+        self.nodes = nodes
+        self.special = special or []  # a class's special methods
+
+
+def _scan():
+    """Every definition in the package, and the module-level statements."""
+    defs, top = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append(_Definition(stmt.name, stmt.name, [stmt]))
+            elif isinstance(stmt, ast.ClassDef):
+                methods = [s for s in stmt.body
+                           if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                body = [s for s in stmt.body if s not in methods]
+                special = [m for m in methods if m.name.startswith("__")]
+                defs.append(_Definition(stmt.name, stmt.name,
+                                        stmt.bases + stmt.decorator_list + body, special))
+                for m in methods:
+                    if m not in special:
+                        defs.append(_Definition(f"{stmt.name}.{m.name}", m.name, [m]))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets
+                         if isinstance(t, ast.Name) and not t.id.startswith("__")]
+                if names:
+                    for name in names:
+                        defs.append(_Definition(name, name, [stmt.value]))
+                else:
+                    top.append(stmt)
+            else:
+                top.append(stmt)
+    return defs, top
+
+
+def _reachable(defs, roots) -> set:
+    """Qualified names of the definitions reachable from ``roots``."""
+    by_name = {}
+    for d in defs:
+        by_name.setdefault(d.name, []).append(d)
+    seen_names, reached = set(), set()
+    pending = set(_uses(roots))
+    while pending:
+        name = pending.pop()
+        if name in seen_names:
+            continue
+        seen_names.add(name)
+        for d in by_name.get(name, ()):
+            reached.add(d.qualname)
+            pending |= _uses(d.nodes + d.special) - seen_names
+    return reached
+
+
+def _run_function(defs):
+    return next(d for d in defs if d.qualname == "run").nodes
+
+
+def test_unreachable_public_definitions_are_the_test_oracles():
+    defs, top = _scan()
+    reached = _reachable(defs, _run_function(defs) + top)
+    unreachable = {d.qualname for d in defs if d.qualname not in reached
+                   and not any(part.startswith("_") for part in d.qualname.split("."))}
+    assert sorted(unreachable) == sorted(TEST_ORACLES)
+
+
+def test_every_definition_serves_the_commands_or_the_oracles():
+    defs, top = _scan()
+    oracles = [node for d in defs if d.qualname in TEST_ORACLES for node in d.nodes + d.special]
+    reached = _reachable(defs, _run_function(defs) + top + oracles) | set(TEST_ORACLES)
+    assert sorted(d.qualname for d in defs if d.qualname not in reached) == []
+
+
+def test_every_oracle_is_used_by_a_test():
+    used = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        if path.name != Path(__file__).name:
+            used |= _uses(ast.parse(path.read_text(encoding="utf-8")).body)
+    missing = [q for q in TEST_ORACLES if q.rsplit(".", 1)[-1] not in used]
+    assert missing == []
