@@ -83,16 +83,12 @@ class TestCartanCoefficients:
             assert np.allclose(np.array(a.c, dtype=float), 0.0, atol=1e-12)
 
     def test_cartan_berwald_distinct_nonautonomous(self):
-        # for g = g(t, x) the Cartan G block is (g^{ki}/2) dg_ij/dt^c, while
-        # the Berwald connection of the pair (h, g) has G = 0
         inst = corpus_instance("non_autonomous", 2, 2)
         conn, pack = build_cartan(inst)
-        berwald = berwald_connection(inst.h, inst.g_explicit, inst.dims)
-        for pt in sample_points(inst.dims, [-1, 1], 2, seed=23):
-            cartan_g = np.array(pack.coefficients_at(pt).g, dtype=float)
-            berwald_g = np.array(berwald.coefficients_at(pt).g, dtype=float)
-            assert np.max(np.abs(berwald_g)) == 0.0
-            assert np.max(np.abs(cartan_g - berwald_g)) > 1e-4
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=2)[0]
+        co = pack.coefficients_at(pt)
+        g_block = np.array([[[scalar_value(e) for e in r] for r in m] for m in co.g])
+        assert np.max(np.abs(g_block)) > 1e-4  # Berwald would be exactly 0
 
     def test_p1_sphere_is_levi_civita(self):
         inst = assemble(sphere_config())
@@ -245,3 +241,22 @@ class TestCovariantDerivative:
         pt = JetPoint((0.1, 0.2), (0.9, 0.5), ((0.2, 0.1), (0.3, -0.2)))
         compat = metric_compatibility(pack, pt)
         assert max(compat.values()) <= 1e-9
+
+
+class TestUniquenessProbe:
+    def test_berwald_mismatch_on_nonautonomous(self):
+        # for g = g(t, x) the Cartan G block is (g^{ki}/2) dg_ij/dt^c, while
+        # the Berwald connection of the pair (h, g) has G = 0; the Cartan pack
+        # is the one metric under the temporal horizontal derivative, so the
+        # Berwald pack must fail exactly that identity
+        inst = corpus_instance("non_autonomous", 2, 2)
+        conn, pack = build_cartan(inst)
+        berwald = berwald_connection(inst.h, inst.g_explicit, inst.dims)
+        for pt in sample_points(inst.dims, [-1, 1], 2, seed=23):
+            cartan_g = np.array(pack.coefficients_at(pt).g, dtype=float)
+            berwald_g = np.array(berwald.coefficients_at(pt).g, dtype=float)
+            assert np.max(np.abs(berwald_g)) == 0.0
+            assert np.max(np.abs(cartan_g - berwald_g)) > 1e-4
+            compat = metric_compatibility(berwald, pt)
+            assert compat["g_t_horizontal"] > 1e-4
+            assert max(metric_compatibility(pack, pt).values()) <= 1e-10
