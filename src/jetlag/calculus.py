@@ -3,8 +3,9 @@
 Derivatives are exact (to roundoff) forward directional derivatives, not
 difference quotients.  One evaluation of the field on a Dual lift gives one
 first partial; one evaluation on a Taylor2 lift over k coordinates gives all
-k first partials and all k(k+1)/2 second partials along them.  Central
-finite differences exist only to cross-check the forward values.
+k first partials and the second partials of the pairs it is lifted with, by
+default all k(k+1)/2 of them.  Central finite differences exist only to
+cross-check the forward values.
 """
 
 from __future__ import annotations
@@ -91,15 +92,18 @@ def lift_d1(point: JetPoint, wrt: Coord) -> JetPoint:
     return raw_point(t, x, v)
 
 
-def lift_taylor(point: JetPoint, coords) -> JetPoint:
+def lift_taylor(point: JetPoint, coords, pairs=None) -> JetPoint:
     """Wrap the coordinates in ``coords`` in Taylor2 scalars over
-    len(coords) seeds, seed s on coords[s]; the other coordinates stay as
-    they are.  A coordinate listed twice is seeded in both of its slots, so
-    the entry between those slots is its pure second partial."""
-    k = len(coords)
-    zeros = [0.0] * (k * (k + 1) // 2)
+    len(coords) seeds, seed s on coords[s], carrying the Hessian entries of
+    ``pairs`` (a ``(rows, cols)`` tuple of seed indices; default the full
+    triangle); the other coordinates stay as they are.  A coordinate listed
+    twice is seeded in both of its slots, so the entry between those slots
+    is its pure second partial."""
+    if pairs is None:
+        pairs = hessian_pairs(len(coords))
+    zeros = [0.0] * len(pairs[0])
     seeded = {
-        c: Taylor2(point.coord(c), [1.0 if d == c else 0.0 for d in coords], zeros)
+        c: Taylor2(point.coord(c), [1.0 if d == c else 0.0 for d in coords], zeros, pairs)
         for c in coords
     }
     t = tuple(seeded.get(t_coord(a), val) for a, val in enumerate(point.t))
@@ -125,20 +129,26 @@ def d1(f, point: JetPoint, wrt: Coord):
     return dual_part(f(lift_d1(point, wrt)))
 
 
-def gradient_hessian(f, point: JetPoint, coords):
-    """All first and second partials of ``f`` along ``coords`` from one
+def gradient_hessian(f, point: JetPoint, coords, pairs=None):
+    """First and second partials of ``f`` along ``coords`` from one
     evaluation on a Taylor2 lift: ``grad[s]`` is the partial along
-    coords[s] and ``hess[s][r] = hess[r][s]`` the second partial along
-    coords[s] and coords[r], computed with coords[min(s, r)] as the first
-    direction."""
+    coords[s] and, for each pair (s, r) = (rows[m], cols[m]) of ``pairs``
+    (default the full triangle), ``hess[s][r] = hess[r][s]`` the second
+    partial along coords[s] and coords[r], computed with coords[s] as the
+    first direction.  Entries outside ``pairs`` are None: they were never
+    computed, so reading one fails instead of giving a plausible zero."""
     k = len(coords)
-    r = f(lift_taylor(point, coords))
-    if type(r) is not Taylor2:
-        return [0.0] * k, [[0.0] * k for _ in range(k)]
-    hess = [[0.0] * k for _ in range(k)]
-    for i, j, e in zip(*hessian_pairs(k), r.h):
+    if pairs is None:
+        pairs = hessian_pairs(k)
+    r = f(lift_taylor(point, coords, pairs))
+    if type(r) is Taylor2:
+        grad, entries = r.g, r.h
+    else:
+        grad, entries = [0.0] * k, [0.0] * len(pairs[0])
+    hess = [[None] * k for _ in range(k)]
+    for i, j, e in zip(*pairs, entries):
         hess[i][j] = hess[j][i] = e
-    return r.g, hess
+    return grad, hess
 
 
 def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):

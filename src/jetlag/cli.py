@@ -122,6 +122,9 @@ def cmd_analyze(instance: ProblemInstance, args) -> int:
 
 
 def _connection_objects(instance: ProblemInstance, verdict):
+    """The decomposition of L (None for p = 1), the canonical nonlinear
+    connection, the Cartan pack and the Berwald pack (None where it is not
+    defined)."""
     deco = None
     if instance.dims.p >= 2:
         deco = _decompose(instance)
@@ -130,14 +133,14 @@ def _connection_objects(instance: ProblemInstance, verdict):
     # The Berwald connection is only defined over a velocity-independent
     # metric; skip it when the derived g depends on v (p = 1 only).
     if instance.dims.p == 1 and verdict.velocity_dependent_g:
-        return conn, pack, None
+        return deco, conn, pack, None
     if instance.g_explicit is not None:
         g_for_berwald = instance.g_explicit
     else:
         g_for_berwald = SpatialMetricField.from_matrix_function(
             instance.dims.n, pack.g_matrix_at)
     berwald = berwald_connection(instance.h, g_for_berwald, instance.dims)
-    return conn, pack, berwald
+    return deco, conn, pack, berwald
 
 
 def _metric_pair_applicable(instance: ProblemInstance) -> bool:
@@ -173,7 +176,7 @@ def cmd_connection(instance: ProblemInstance, args) -> int:
         sys.stderr.write("Lagrangian is not block-regular; no canonical connection\n")
         return EX_IRREGULAR
     point = _parse_point(args.point, instance)
-    conn, pack, berwald = _connection_objects(instance, verdict)
+    deco, conn, pack, berwald = _connection_objects(instance, verdict)
     report = _report_head(instance, "connection")
     report["point"] = {"t": list(point.t), "x": list(point.x), "v": [list(r) for r in point.v]}
     report["nonlinear"] = {
@@ -183,7 +186,7 @@ def cmd_connection(instance: ProblemInstance, args) -> int:
     report["cartan"] = _coefficient_tables(pack, point)
     if berwald is not None:
         report["berwald"] = _coefficient_tables(berwald, point)
-    spray = spray_entities(instance.L, instance.h, point)
+    spray = spray_entities(instance.L, instance.h, point, decomposition=deco)
     report["spray"] = {
         "S": list(spray.S),
         "H": list(spray.Hc),
@@ -202,7 +205,7 @@ def cmd_tables(instance: ProblemInstance, args, which: str) -> int:
         sys.stderr.write("Lagrangian is not block-regular; no canonical connection\n")
         return EX_IRREGULAR
     point = _parse_point(args.point, instance)
-    _, pack, berwald = _connection_objects(instance, verdict)
+    _, _, pack, berwald = _connection_objects(instance, verdict)
     report = _report_head(instance, which)
     report["point"] = {"t": list(point.t), "x": list(point.x), "v": [list(r) for r in point.v]}
     sections = [("cartan", pack)]

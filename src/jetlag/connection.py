@@ -16,6 +16,7 @@ on a lifted point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,6 +84,18 @@ class SprayData(NamedTuple):
     g_vec: list
 
 
+@functools.cache
+def _spray_pairs(n: int, p: int):
+    """The Hessian pairs the spray reads, over the coordinates ordered t, x,
+    v: t^a with v^i_a, and x^j with v^i_a, row-major with the row first."""
+    off = p + n  # index of v^0_0
+    kept = sorted(
+        [(a, off + i * p + a) for i in range(n) for a in range(p)]
+        + [(p + j, off + i * p + a) for j in range(n) for i in range(n) for a in range(p)]
+    )
+    return tuple(r for r, _ in kept), tuple(c for _, c in kept)
+
+
 def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) -> SprayData:
     """Assemble the spray entities from first/second partials of L.
 
@@ -103,8 +116,9 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     g = trace_metric(hmat, blocks)
     ginv = checked_inverse(g)
 
-    # one evaluation over every coordinate, ordered t, x, v
-    grad, hess = gradient_hessian(L, point, all_coords(dims))
+    # one evaluation over every coordinate, ordered t, x, v, carrying only
+    # the mixed pairs read below
+    grad, hess = gradient_hessian(L, point, all_coords(dims), _spray_pairs(n, p))
     off = p + n  # index of v^0_0
     dldx = grad[p:off]
     dldv = [[grad[off + i * p + a] for a in range(p)] for i in range(n)]

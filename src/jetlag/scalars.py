@@ -5,9 +5,10 @@ Two scalar kinds:
 * ``Dual`` carries (value, one directional sensitivity).  Used for first
   derivatives; lifts wrap every coordinate of a point so nested Dual layers
   stay unambiguous.
-* ``Taylor2`` carries (value, gradient, Hessian) over k seeded coordinates,
-  so one evaluation of a field gives all of its first and second partials
-  along them: vector forward mode (Griewank & Walther, *Evaluating
+* ``Taylor2`` carries (value, gradient, Hessian entries) over k seeded
+  coordinates, so one evaluation of a field gives all of its first partials
+  along them and the second partials of the pairs it is asked for (by
+  default all of them): vector forward mode (Griewank & Walther, *Evaluating
   Derivatives*, 2nd ed., SIAM 2008).  Its two-seed case is the hyper-dual
   number (Fike & Alonso, AIAA 2011-886).  It is only ever applied directly to
   raw scalar fields, so when a Taylor2 meets a Dual the Dual is always an
@@ -134,33 +135,38 @@ class Dual:
 
 
 class Taylor2:
-    """Value, gradient and Hessian of a quantity over k seeded coordinates:
-    v + g_i e_i + sum_{i<=j} h_ij e_i e_j with every product of three e's
-    zero (and e_i^2 kept, so h_ii is a second partial).
+    """Value, gradient and chosen Hessian entries of a quantity over k
+    seeded coordinates: v + g_i e_i + sum h_ij e_i e_j over the kept pairs
+    (i, j), with every product of three e's zero (and e_i^2 kept, so h_ii
+    is a second partial).
 
-    ``g`` is a list of k entries; ``h`` is the upper triangle of the Hessian,
-    row-major (pairs i <= j, see ``hessian_pairs``).  Both lists are shared
-    between scalars and never mutated.  Entry (i, j) goes through exactly the
-    operations of a hyper-dual number seeded with e1 on coordinate i and e2
-    on coordinate j, so one evaluation reproduces every two-direction pair.
+    ``g`` is a list of k entries.  ``pairs`` is a ``(rows, cols)`` tuple of
+    seed indices, shared by every scalar of one evaluation, and ``h`` holds
+    one entry per pair, aligned with it; ``hessian_pairs(k)`` is the full
+    upper triangle.  The lists are shared between scalars and never
+    mutated.  Entry (i, j) reads only entry (i, j) and gradient entries i
+    and j of the operands, and goes through exactly the operations of a
+    hyper-dual number seeded with e1 on coordinate i and e2 on coordinate
+    j, so one evaluation reproduces every two-direction pair it keeps.
     """
 
-    __slots__ = ("re", "g", "h")
+    __slots__ = ("re", "g", "h", "pairs")
 
-    def __init__(self, re, g, h):
+    def __init__(self, re, g, h, pairs):
         self.re = re
         self.g = g
         self.h = h
+        self.pairs = pairs
 
     def __repr__(self):
-        return f"Taylor2({self.re!r}, {self.g!r}, {self.h!r})"
+        return f"Taylor2({self.re!r}, {self.g!r}, {self.h!r}, {self.pairs!r})"
 
     def __add__(self, o):
         if type(o) is Taylor2:
             return Taylor2(self.re + o.re, [x + y for x, y in zip(self.g, o.g)],
-                           [x + y for x, y in zip(self.h, o.h)])
+                           [x + y for x, y in zip(self.h, o.h)], self.pairs)
         if isinstance(o, _NUM) or type(o) is Dual:
-            return Taylor2(self.re + o, self.g, self.h)
+            return Taylor2(self.re + o, self.g, self.h, self.pairs)
         return NotImplemented
 
     __radd__ = __add__
@@ -168,28 +174,31 @@ class Taylor2:
     def __sub__(self, o):
         if type(o) is Taylor2:
             return Taylor2(self.re - o.re, [x - y for x, y in zip(self.g, o.g)],
-                           [x - y for x, y in zip(self.h, o.h)])
+                           [x - y for x, y in zip(self.h, o.h)], self.pairs)
         if isinstance(o, _NUM) or type(o) is Dual:
-            return Taylor2(self.re - o, self.g, self.h)
+            return Taylor2(self.re - o, self.g, self.h, self.pairs)
         return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _NUM) or type(o) is Dual:
-            return Taylor2(o - self.re, [-x for x in self.g], [-x for x in self.h])
+            return Taylor2(o - self.re, [-x for x in self.g], [-x for x in self.h],
+                           self.pairs)
         return NotImplemented
 
     def __mul__(self, o):
         if type(o) is Taylor2:
             a, b, ga, gb = self.re, o.re, self.g, o.g
-            rows, cols = hessian_pairs(len(ga))
+            rows, cols = pairs = self.pairs
             return Taylor2(
                 a * b,
                 [a * y + x * b for x, y in zip(ga, gb)],
                 [a * hb + ga[i] * gb[j] + ga[j] * gb[i] + ha * b
                  for i, j, ha, hb in zip(rows, cols, self.h, o.h)],
+                pairs,
             )
         if isinstance(o, _NUM) or type(o) is Dual:
-            return Taylor2(self.re * o, [x * o for x in self.g], [x * o for x in self.h])
+            return Taylor2(self.re * o, [x * o for x in self.g], [x * o for x in self.h],
+                           self.pairs)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -202,12 +211,13 @@ class Taylor2:
         inv2 = inv * inv
         g = self.g
         twice = [2.0 * x for x in g]
-        rows, cols = hessian_pairs(len(g))
+        rows, cols = pairs = self.pairs
         return Taylor2(
             inv,
             [-x * inv2 for x in g],
             [-hh * inv2 + twice[i] * g[j] * inv2 * inv
              for i, j, hh in zip(rows, cols, self.h)],
+            pairs,
         )
 
     def __truediv__(self, o):
@@ -217,7 +227,8 @@ class Taylor2:
             if scalar_value(o) == 0.0:
                 raise ZeroDivisionError("taylor division by zero")
             inv = 1.0 / o if isinstance(o, _NUM) else _reciprocal(o)
-            return Taylor2(self.re * inv, [x * inv for x in self.g], [x * inv for x in self.h])
+            return Taylor2(self.re * inv, [x * inv for x in self.g], [x * inv for x in self.h],
+                           self.pairs)
         return NotImplemented
 
     def __rtruediv__(self, o):
@@ -226,7 +237,7 @@ class Taylor2:
         return NotImplemented
 
     def __neg__(self):
-        return Taylor2(-self.re, [-x for x in self.g], [-x for x in self.h])
+        return Taylor2(-self.re, [-x for x in self.g], [-x for x in self.h], self.pairs)
 
     def __pow__(self, o):
         return g_pow(self, o)
@@ -237,8 +248,8 @@ class Taylor2:
 
 @functools.cache
 def hessian_pairs(k: int):
-    """Row and column seed indices of the Hessian entries a Taylor2 over k
-    seeds stores, row-major over i <= j."""
+    """Row and column seed indices of the full upper triangle of a Hessian
+    over k seeds, row-major over i <= j: the default pairs of a Taylor2."""
     rows = tuple(i for i in range(k) for _ in range(i, k))
     cols = tuple(j for i in range(k) for j in range(i, k))
     return rows, cols
@@ -261,11 +272,12 @@ def _chain(x, f, df, d2f):
     d, dd = df(v), d2f(v)
     g = x.g
     scaled = [dd * e for e in g]
-    rows, cols = hessian_pairs(len(g))
+    rows, cols = pairs = x.pairs
     return Taylor2(
         f(v),
         [d * e for e in g],
         [d * hh + scaled[i] * g[j] for i, j, hh in zip(rows, cols, x.h)],
+        pairs,
     )
 
 

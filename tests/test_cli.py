@@ -265,6 +265,34 @@ class TestTableCommands:
         assert "skipped" in rep["berwald_zero_audit"]
         assert rep["cartan_zero_audit"]["passed"] is True
 
+    def test_connection_decomposes_once(self, tmp_path, capsys, monkeypatch):
+        # p >= 2: the spray reuses the decomposition built at the instance's
+        # points.  The reference run lets it decompose L again at its own
+        # default points, as it once did; the report must not change.
+        from jetlag import cli, connection, regularity
+
+        path = write_config(tmp_path, corpus_config("autonomous", 2, 2))
+        argv = ["connection", "--config", path, "--point", "t=0.1,0.2;x=0.3,0.4;v=0.5,0.1,-0.2,0.3"]
+        calls = []
+        decompose = regularity.electrodynamics_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("base_points"))
+            return decompose(*args, **kwargs)
+
+        for module in (cli, connection, regularity):
+            monkeypatch.setattr(module, "electrodynamics_decompose", counted)
+        assert run(argv) == EX_OK
+        report = capsys.readouterr().out
+        assert len(calls) == 1 and calls[0] is not None
+
+        spray = cli.spray_entities
+        monkeypatch.setattr(cli, "spray_entities",
+                            lambda L, h, point, decomposition: spray(L, h, point))
+        assert run(argv) == EX_OK
+        assert capsys.readouterr().out == report
+        assert len(calls) == 1 + 2
+
     def test_connection_report_blocks(self, tmp_path, capsys):
         cfg = corpus_config("autonomous", 2, 2)
         path = write_config(tmp_path, cfg)

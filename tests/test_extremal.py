@@ -97,6 +97,53 @@ class TestIntegration:
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert all(o >= 3.8 for o in orders), orders
 
+    def test_charged_particle_in_uniform_magnetic_field(self):
+        # L = |y|^2 + U.y with U = (B/2)(-x2, x1): the Euler-Lagrange
+        # equations d/dt(2y + U) = grad(U.y) give 2y' = B (y2, -y1), so y
+        # turns clockwise at omega = B/2 and x circles the centre
+        # c = x0 + J y0/omega (J = [[0, 1], [-1, 0]]) at radius |y0|/omega,
+        # with period 2 pi/omega.  The only velocity-linear term is U, so
+        # this reaches the spray's x-v second partials.
+        B = 3.0
+        omega = B / 2.0
+        inst = assemble({
+            "dims": {"p": 1, "n": 2},
+            "lagrangian": {"kind": "electrodynamics", "g_entries": [["1", "0"], ["0", "1"]],
+                           "U_entries": [[f"-{B / 2}*x2"], [f"{B / 2}*x1"]]},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 8, "seed": 0},
+        })
+        x0, y0 = np.array([0.2, 0.1]), np.array([0.6, -0.8])
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        centre = x0 + J @ y0 / omega
+        radius = np.linalg.norm(y0) / omega
+        period = 2.0 * math.pi / omega
+
+        def closed_form(t):
+            y = math.cos(omega * t) * y0 + math.sin(omega * t) * (J @ y0)
+            return centre - J @ y / omega, y
+
+        # RK4 on a rotation lags in phase by (omega dt)^5/120 a step, so by
+        # 2 pi (omega dt)^4/120 = 3.2e-5 over a period of 40 steps
+        tol = 5e-5
+        errors = []
+        for steps in (40, 80):
+            traj = integrate_extremal(ExtremalProblem(
+                L=inst.L, h=inst.h, t0=0.0, x0=tuple(x0), y0=tuple(y0),
+                t_end=period, dt=period / steps))
+            assert not traj.aborted and len(traj.t) == steps + 1
+            err = 0.0
+            for t, x, y in zip(traj.t, traj.x, traj.y):
+                cx, cy = closed_form(t)
+                err = max(err, np.max(np.abs(x - cx)), np.max(np.abs(y - cy)))
+            errors.append(err)
+            assert np.max(np.abs(np.linalg.norm(traj.x - centre, axis=1) - radius)) <= tol
+            # one period brings the particle back to where it started
+            assert np.max(np.abs(traj.x[-1] - x0)) <= tol
+            assert np.max(np.abs(traj.y[-1] - y0)) <= tol
+        assert errors[0] <= tol
+        assert math.log2(errors[0] / errors[1]) >= 3.8, errors
+
     def test_sphere_vs_independent_oracle(self):
         inst = assemble(sphere_config(dt=1e-3))
         sol = inst.solver

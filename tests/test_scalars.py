@@ -1,5 +1,6 @@
 """The dense second-order scalar Taylor2 against the two-direction
-hyper-dual numbers it replaced, and the number of evaluations it takes.
+hyper-dual numbers it replaced, its pair-restricted evaluation against the
+full triangle, and the number of evaluations and entries it takes.
 
 ``HyperDual``, its function kernels and ``lift_d2`` below are the
 library's former implementation, kept here as the oracle: every gradient
@@ -19,7 +20,7 @@ import random
 
 import pytest
 
-from jetlag import dsl, metric_engine, scalars
+from jetlag import connection, dsl, metric_engine, scalars
 from jetlag.calculus import all_coords, gradient_hessian, lift_d1, v_coord, x_coord
 from jetlag.cartan import cartan_connection
 from jetlag.connection import canonical_nonlinear_connection, spray_data
@@ -28,7 +29,7 @@ from jetlag.errors import EvalDomainError
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint, raw_point
 from jetlag.regularity import hessian_blocks, sample_points
-from jetlag.scalars import Dual, Taylor2
+from jetlag.scalars import Dual, Taylor2, hessian_pairs
 
 from conftest import corpus_instance
 from test_dsl import random_ast
@@ -319,21 +320,114 @@ class TestTaylor2MatchesHyperDual:
         assert hess[0][1] == pytest.approx(6.0 * math.sin(0.4) * 1.5, rel=1e-15)
 
 
+# --- Pair-restricted evaluation ------------------------------------------------------
+
+
+def _random_pairs(rng, k):
+    """A random subset of the upper triangle over k seeds, in random order,
+    each pair with its lower index first."""
+    rows, cols = hessian_pairs(k)
+    kept = rng.sample(list(zip(rows, cols)), rng.randrange(1, len(rows) + 1))
+    return tuple(r for r, _ in kept), tuple(c for _, c in kept)
+
+
+def _restriction_mismatches(f, point, coords, pairs):
+    """Entries where the evaluation carrying only ``pairs`` is not the
+    full-triangle evaluation bitwise (by repr, signed zeros included), or
+    where an entry outside ``pairs`` is not None; None when both raise."""
+    try:
+        full = gradient_hessian(f, point, coords)
+    except EvalDomainError:
+        full = None
+    try:
+        grad, hess = gradient_hessian(f, point, coords, pairs)
+    except EvalDomainError:
+        assert full is None, "only the restricted evaluation raised"
+        return None
+    assert full is not None, "only the full evaluation raised"
+    kept = set(zip(*pairs)) | set(zip(pairs[1], pairs[0]))
+    bad = [("grad", s) for s in range(len(coords)) if repr(grad[s]) != repr(full[0][s])]
+    for s in range(len(coords)):
+        for r in range(len(coords)):
+            want = full[1][s][r] if (s, r) in kept else None
+            if repr(hess[s][r]) != repr(want):
+                bad.append((s, r, hess[s][r], want))
+    return bad
+
+
+class TestPairRestriction:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_random_expressions(self, p):
+        rng = random.Random(30 + p)
+        dims = Dims(p, 2)
+        coords = all_coords(dims)
+        compared = 0
+        for _ in range(60):
+            text = dsl.format_ast(random_ast(rng, dims, depth=4))
+            field = ExpressionField(text, dims)
+            point = JetPoint(tuple(rng.uniform(0.1, 2) for _ in range(p)),
+                             tuple(rng.uniform(0.1, 2) for _ in range(2)),
+                             tuple(tuple(rng.uniform(0.1, 2) for _ in range(p)) for _ in range(2)))
+            for probe in (point, lift_d1(point, v_coord(1, p - 1))):
+                for pairs in (connection._spray_pairs(2, p), _random_pairs(rng, len(coords))):
+                    bad = _restriction_mismatches(field, probe, coords, pairs)
+                    if bad is not None:
+                        compared += 1
+                        assert bad == [], text
+        assert compared >= 180
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_electrodynamics_at_dual_lifted_point(self, p):
+        inst = corpus_instance("non_autonomous", p, 2)
+        coords = all_coords(inst.dims)
+        rng = random.Random(p)
+        for base in sample_points(inst.dims, [-1, 1], 2, seed=7):
+            for lift in (v_coord(0, 0), x_coord(1)):
+                point = lift_d1(base, lift)
+                for pairs in (connection._spray_pairs(2, p), _random_pairs(rng, len(coords))):
+                    assert _restriction_mismatches(inst.L, point, coords, pairs) == []
+
+    @pytest.mark.parametrize("p, n", [(1, 3), (2, 3)])
+    def test_spray_matches_full_triangle_spray(self, monkeypatch, p, n):
+        # The spray as it would be assembled from the full triangle: the
+        # same code with every pair kept.
+        inst = corpus_instance("non_autonomous", p, n)
+        base = sample_points(inst.dims, [-1, 1], 1, seed=9)[0]
+        points = [base] + ([lift_d1(base, v_coord(j, 0)) for j in range(n)] if p == 1 else [])
+        restricted = [repr(spray_data(inst.L, inst.h, q)) for q in points]
+        monkeypatch.setattr(connection, "_spray_pairs",
+                            lambda n, p: hessian_pairs(p + n + n * p))
+        assert restricted == [repr(spray_data(inst.L, inst.h, q)) for q in points]
+
+
 # --- Evaluations per assembly ---------------------------------------------------------
 
 
 class _Counted:
+    """L, counting its evaluations and recording, for each one on a
+    Taylor2-lifted point, the seed count and the Hessian entries carried."""
+
     def __init__(self, L):
-        self.L, self.dims, self.calls = L, L.dims, 0
+        self.L, self.dims, self.calls, self.lifts = L, L.dims, 0, []
 
     def __call__(self, point):
         self.calls += 1
+        coords = list(point.t) + list(point.x) + [e for row in point.v for e in row]
+        lifted = [e for e in coords if type(e) is Taylor2]
+        if lifted:
+            self.lifts.append((len(lifted[0].g), len(lifted[0].pairs[0])))
         return self.L(point)
+
+
+# Hessian entries of the spray's dense evaluation: the t^a-v^i_a and
+# x^j-v^i_a pairs, of (p + n + np)(p + n + np + 1)/2 (28 and 66).
+_SPRAY_ENTRIES = {(1, 3): 12, (2, 3): 24}
 
 
 class TestOneEvaluationPerHessian:
     @pytest.mark.parametrize("p, n", [(1, 3), (2, 3)])
     def test_hessian_blocks_once_spray_twice(self, p, n):
+        entries = _SPRAY_ENTRIES[(p, n)]
         inst = corpus_instance("non_autonomous", p, n)
         L = _Counted(inst.L)
         point = sample_points(inst.dims, [-1, 1], 1, seed=5)[0]
@@ -341,6 +435,11 @@ class TestOneEvaluationPerHessian:
         assert L.calls == 1
         spray_data(L, inst.h, point)
         assert L.calls == 1 + 2
+        # the vertical blocks carry their full triangle; the dense
+        # evaluation only the t-v and x-v pairs the spray reads
+        k, kv = p + n + n * p, n * p
+        assert L.lifts == [(kv, kv * (kv + 1) // 2)] * 2 + [(k, entries)]
+        assert entries == n * p + n * n * p
 
     def test_p1_frame_evaluates_m_and_n_once_per_lift(self):
         inst = corpus_instance("non_autonomous", 1, 2)
