@@ -26,8 +26,6 @@ import numpy as np
 from .calculus import (
     all_coords,
     field_jacobian,
-    lift_d1,
-    structure_dual_parts,
     structure_entry,
     t_coord,
     v_coord,
@@ -48,8 +46,7 @@ from .metric_engine import (
 from .regularity import (
     ElectrodynamicsDecomposition,
     electrodynamics_decompose,
-    hessian_blocks,
-    trace_metric,
+    g_from_hessian,
 )
 from .scalars import scalar_value
 
@@ -98,8 +95,7 @@ def _cartan_coefficients_p1(L, h, conn, dims):
     n = dims.n
 
     def g_matrix(point: JetPoint):
-        blocks = hessian_blocks(L, point, dims)
-        return trace_metric(h.matrix_at(point.t), blocks)
+        return g_from_hessian(L, h, point, dims)
 
     def coefficients(point: JetPoint):
         g = g_matrix(point)
@@ -130,16 +126,17 @@ def _cartan_coefficients_p2(h, conn, deco: ElectrodynamicsDecomposition, dims):
     derivatives reduce to plain partials and the vertical coefficients
     vanish identically."""
     n, p = dims.n, dims.p
-    g_field = SpatialMetricField.from_matrix_function(n, deco.g_field)
+    ts = [t_coord(a) for a in range(p)]
 
     def coefficients(point: JetPoint):
-        g = g_field.matrix_at(point)
+        g = deco.metric.matrix_at(point)
         ginv = checked_inverse(g)
         hbar = h_christoffel_values(h, point.t)
-        l_co = g_christoffel_values(g_field, point)
+        l_co = g_christoffel_values(deco.metric, point)
         g_co = [[[0.0] * p for _ in range(n)] for _ in range(n)]
+        jac = field_jacobian(deco.metric.matrix_at, point, ts)
         for a in range(p):
-            dg = structure_dual_parts(g_field.matrix_at(lift_d1(point, t_coord(a))))
+            dg = jac[ts[a]]
             for k in range(n):
                 for j in range(n):
                     acc = 0.0
@@ -150,7 +147,7 @@ def _cartan_coefficients_p2(h, conn, deco: ElectrodynamicsDecomposition, dims):
         return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co,
                             m=conn.m_at(point), n=conn.n_at(point))
 
-    return coefficients, g_field.matrix_at
+    return coefficients, deco.metric.matrix_at
 
 
 def cartan_connection(L, h: TemporalMetric, conn: NonlinearConnection,

@@ -25,7 +25,7 @@ from .errors import ConfigError, DecompositionError, JetLagError
 from .extremal import ExtremalProblem, GridMap, harmonic_residual, integrate_extremal
 from .jet_core import JetPoint
 from .metric_engine import SpatialMetricField
-from .regularity import electrodynamics_decompose, kronecker_test
+from .regularity import electrodynamics_decompose, kronecker_test, sample_points
 from .report import canonical_json, config_hash, csv_row
 from .verify import checks_to_json, run_checks
 
@@ -94,8 +94,6 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def _decompose(instance: ProblemInstance):
-    from .regularity import sample_points
-
     base = sample_points(instance.dims, instance.sampling["box"], 8, seed=instance.seed)
     return electrodynamics_decompose(instance.L, instance.h, base_points=base,
                                      seed=instance.seed)
@@ -137,27 +135,9 @@ def _connection_objects(instance: ProblemInstance, verdict):
     if instance.g_explicit is not None:
         g_for_berwald = instance.g_explicit
     else:
-        g_for_berwald = SpatialMetricField.from_matrix_function(
-            instance.dims.n, pack.g_matrix_at)
+        g_for_berwald = SpatialMetricField(instance.dims.n, pack.g_matrix_at)
     berwald = berwald_connection(instance.h, g_for_berwald, instance.dims)
     return deco, conn, pack, berwald
-
-
-def _metric_pair_applicable(instance: ProblemInstance) -> bool:
-    """True when the instance's spatial metric is g(x) only, the situation
-    the Berwald zero tables describe."""
-    from .dsl import used_variables
-
-    if instance.g_explicit is None:
-        return False
-    for row in instance.g_explicit.entries:
-        for entry in row:
-            ast = getattr(entry, "ast", None)
-            if ast is None:
-                return False
-            if any(kind != "x" for kind, _, _ in used_variables(ast)):
-                return False
-    return True
 
 
 def _coefficient_tables(pack, point) -> dict:
@@ -217,7 +197,7 @@ def cmd_tables(instance: ProblemInstance, args, which: str) -> int:
             report[label] = tor.to_json_dict()
         else:
             report[label] = curvature_table(tor).to_json_dict()
-        if label == "berwald" and not _metric_pair_applicable(instance):
+        if label == "berwald" and not instance.g_reads_x_only():
             # the zero table assumes a metric pair with g = g(x); for
             # time-dependent g the Berwald tables are a distinctness probe,
             # not a case the zero cells describe

@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 from . import dsl
 from .errors import ConfigError, DslError
-from .fields import (
-    ElectrodynamicsLagrangian,
-    ExpressionField,
-    LagrangianModel,
-    temporal_entry,
-)
-from .jet_core import Dims
+from .fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
+from .jet_core import Dims, JetPoint
 from .metric_engine import SpatialMetricField, TemporalMetric
 
 DEFAULT_TOLERANCES = {"regularity": 1e-6, "compatibility": 1e-7, "crosscheck": 1e-5}
@@ -100,6 +95,18 @@ class ProblemInstance:
     @property
     def seed(self) -> int:
         return self.sampling["seed"]
+
+    def g_reads_x_only(self) -> bool:
+        """True when L is a builtin family and every g entry is an expression
+        of x alone, the metric-pair situation with g = g(x)."""
+        if self.L.structure is None:
+            return False
+        for row in self.L.structure.g_entries:
+            for entry in row:
+                ast = getattr(entry, "ast", None)
+                if ast is None or any(kind != "x" for kind, _, _ in dsl.used_variables(ast)):
+                    return False
+        return True
 
 
 def _reject_constant(token: str):
@@ -209,8 +216,12 @@ def _assemble_metric(raw, dims: Dims) -> TemporalMetric:
     _require("entries" in raw, "temporal_metric", "expression metric needs 'entries'")
     _require(signature is not None, "temporal_metric", "expression metric needs 'signature'")
     entries = _matrix_of_expressions(raw["entries"], p, p, dims, "temporal_metric.entries", ("t",))
-    wrapped = [[temporal_entry(entries[i][j]) for j in range(p)] for i in range(p)]
-    return TemporalMetric(p=p, entries=wrapped, signature=signature)
+
+    def matrix(ts):
+        point = JetPoint(ts, (), ())
+        return [[entry(point) for entry in row] for row in entries]
+
+    return TemporalMetric(p=p, matrix=matrix, signature=signature)
 
 
 def _assemble_lagrangian(raw, dims: Dims, h: TemporalMetric):
@@ -241,7 +252,10 @@ def _assemble_lagrangian(raw, dims: Dims, h: TemporalMetric):
         if "F" in raw:
             f_entry = _expression(raw["F"], dims, "lagrangian.F", ("t", "x"))
     family = ElectrodynamicsLagrangian(dims, h, g_entries, u_entries, f_entry)
-    g_explicit = SpatialMetricField(n=n, entries=[[g_entries[i][j] for j in range(n)] for i in range(n)])
+    # the raw entries, not the family's symmetrized g, so an asymmetric
+    # g_entries text is warned about
+    g_explicit = SpatialMetricField(
+        n=n, matrix=lambda pt: [[entry(pt) for entry in row] for row in g_entries])
     return LagrangianModel.from_family(family, kind), g_explicit
 
 

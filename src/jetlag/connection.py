@@ -28,6 +28,7 @@ from .calculus import (
     d1,
     d2,
     dual_part,
+    field_jacobian,
     gradient_hessian,
     lift_d1,
     structure_dual_parts,
@@ -55,8 +56,8 @@ from .metric_engine import (
 from .regularity import (
     ElectrodynamicsDecomposition,
     electrodynamics_decompose,
+    g_from_hessian,
     hessian_blocks,
-    trace_metric,
 )
 from .scalars import scalar_value
 
@@ -107,13 +108,10 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     n, p = dims.n, dims.p
     v = point.v
 
-    blocks = hessian_blocks(L, point, dims)
-    hmat = h.matrix_at(point.t)
+    g = g_from_hessian(L, h, point, dims)
     hinv = h.inverse_at(point.t)
     hch = h_christoffel_values(h, point.t)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
-
-    g = trace_metric(hmat, blocks)
     ginv = checked_inverse(g)
 
     # one evaluation over every coordinate, ordered t, x, v, carrying only
@@ -275,7 +273,7 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
         if decomposition is None:
             decomposition = electrodynamics_decompose(L, h)
         t_vec = _trace_tensor_vector(h, point, decomposition, data)
-        gamma = _gamma_of_decomposition(decomposition, point)
+        gamma = g_christoffel_values(decomposition.metric, point)
         t_tens = DTensor((vertical_upper(n, p), temporal_lower(p)))
         for l in range(n):
             for a in range(p):
@@ -290,11 +288,6 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
                     g_spat.set(((l, a), b), 0.5 * quad + t_ab)
     return SprayPack(S=s, Hc=hv, J=jv, Gc=gv, H_temporal=h_temp,
                      G_spatial=g_spat, T_tensor=t_tens)
-
-
-def _gamma_of_decomposition(deco: ElectrodynamicsDecomposition, point: JetPoint):
-    g_field = SpatialMetricField.from_matrix_function(deco.dims.n, deco.g_field)
-    return g_christoffel_values(g_field, point)
 
 
 def _trace_tensor_vector(h, point, deco: ElectrodynamicsDecomposition, data: SprayData):
@@ -427,16 +420,13 @@ def canonical_nonlinear_connection(L, h: TemporalMetric,
 
     else:
         deco = decomposition or electrodynamics_decompose(L, h)
-        g_field = SpatialMetricField.from_matrix_function(n, deco.g_field)
+        ts = [t_coord(a) for a in range(p)]
 
         def n_at(point: JetPoint):
-            gamma = g_christoffel_values(g_field, point)
-            ginv = g_field.inverse_at(point)
+            gamma = g_christoffel_values(deco.metric, point)
+            ginv = deco.metric.inverse_at(point)
             hmat = h.matrix_at(point.t)
-            dg_dt = []
-            for a in range(p):
-                lifted = lift_d1(point, t_coord(a))
-                dg_dt.append(structure_dual_parts(deco.g_field(lifted)))
+            dg_dt = field_jacobian(deco.g_field, point, ts)
             ucurl = deco.u_curl_at(point)
             out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
             for i in range(n):
@@ -445,7 +435,7 @@ def canonical_nonlinear_connection(L, h: TemporalMetric,
                         acc = 0.0
                         for k in range(n):
                             acc = acc + gamma[i][j][k] * point.v[k][a]
-                            acc = acc + 0.5 * ginv[i][k] * dg_dt[a][j][k]
+                            acc = acc + 0.5 * ginv[i][k] * dg_dt[ts[a]][j][k]
                             for c in range(p):
                                 acc = acc + 0.25 * ginv[i][k] * hmat[a][c] * ucurl[k][c][j]
                         out[i][a][j] = acc

@@ -80,7 +80,7 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     L, h = problem.L, problem.h
     dims = getattr(L, "dims")
     span = problem.t_end - problem.t0
-    steps = max(1, round(span / problem.dt))
+    steps = max(1, round(abs(span) / problem.dt))
     dt = span / steps
 
     ts = [problem.t0]

@@ -44,9 +44,6 @@ class ExpressionField:
     def __repr__(self):
         return f"ExpressionField({self.source!r})"
 
-    def uses_velocity(self) -> bool:
-        return any(kind == "v" for kind, _, _ in dsl.used_variables(self.ast))
-
 
 @dataclass
 class CallableField:
@@ -61,12 +58,6 @@ class CallableField:
 
 def constant_field(value: float):
     return CallableField(lambda pt, v=float(value): v, label=f"const {value}")
-
-
-def temporal_entry(fld):
-    """Adapt a JetPoint field that only reads t into a t-tuple callable, as
-    the temporal metric expects."""
-    return lambda ts: fld(JetPoint(ts, (), ()))
 
 
 class ElectrodynamicsLagrangian:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .calculus import lift_d1, structure_dual_parts, x_coord
+from .calculus import field_jacobian, structure_dual_parts, x_coord
 from .errors import DegeneracyError
 from .jet_core import JetPoint
 from .scalars import Dual, scalar_value
@@ -183,11 +183,12 @@ def _lift_ts(ts, alpha):
 
 @dataclass
 class TemporalMetric:
-    """Semi-Riemannian metric h on the temporal factor; entries are callables
-    of the t-tuple only."""
+    """Semi-Riemannian metric h on the temporal factor: ``matrix`` maps a
+    t-tuple to the p x p matrix of h there, evaluated once per
+    ``matrix_at``.  A ``constant`` metric is evaluated once, at t = 0."""
 
     p: int
-    entries: list  # p x p callables ts -> scalar
+    matrix: object  # ts -> p x p
     signature: tuple = None
     constant: bool = False
     _warned: set = field(default_factory=set, repr=False)
@@ -195,23 +196,18 @@ class TemporalMetric:
 
     @classmethod
     def flat(cls, p: int) -> "TemporalMetric":
-        entries = [
-            [(lambda ts, v=1.0 if i == j else 0.0: v) for j in range(p)]
-            for i in range(p)
-        ]
-        return cls(p=p, entries=entries, signature=(p, 0), constant=True)
+        identity = [[1.0 if i == j else 0.0 for j in range(p)] for i in range(p)]
+        return cls(p=p, matrix=lambda ts: identity, signature=(p, 0), constant=True)
 
     def matrix_at(self, ts):
         if self.constant:
             cached = self._cache.get("matrix")
             if cached is None:
-                rows = [[float(self.entries[i][j]((0.0,) * self.p)) for j in range(self.p)]
-                        for i in range(self.p)]
+                rows = [[float(e) for e in row] for row in self.matrix((0.0,) * self.p)]
                 cached = _symmetrize(rows, "temporal metric", self._warned)
                 self._cache["matrix"] = cached
             return cached
-        rows = [[self.entries[i][j](ts) for j in range(self.p)] for i in range(self.p)]
-        return _symmetrize(rows, "temporal metric", self._warned)
+        return _symmetrize(self.matrix(ts), "temporal metric", self._warned)
 
     def inverse_at(self, ts):
         if self.constant:
@@ -277,32 +273,16 @@ def h_curvature_values(h: TemporalMetric, ts):
 
 @dataclass
 class SpatialMetricField:
-    """Spatial metric g with entries evaluated on full jet points; velocity
-    dependence is only meaningful for p = 1 instances."""
+    """Spatial metric g: ``matrix`` maps a jet point to the n x n matrix of g
+    there, evaluated once per ``matrix_at``; velocity dependence is only
+    meaningful for p = 1 instances."""
 
     n: int
-    entries: list  # n x n callables JetPoint -> scalar
+    matrix: object  # JetPoint -> n x n
     _warned: set = field(default_factory=set, repr=False)
 
-    @classmethod
-    def flat(cls, n: int) -> "SpatialMetricField":
-        entries = [
-            [(lambda pt, v=1.0 if i == j else 0.0: v) for j in range(n)]
-            for i in range(n)
-        ]
-        return cls(n=n, entries=entries)
-
-    @classmethod
-    def from_matrix_function(cls, n: int, fn) -> "SpatialMetricField":
-        entries = [
-            [(lambda pt, i=i, j=j: fn(pt)[i][j]) for j in range(n)]
-            for i in range(n)
-        ]
-        return cls(n=n, entries=entries)
-
     def matrix_at(self, point: JetPoint):
-        rows = [[self.entries[i][j](point) for j in range(self.n)] for i in range(self.n)]
-        return _symmetrize(rows, "spatial metric", self._warned)
+        return _symmetrize(self.matrix(point), "spatial metric", self._warned)
 
     def inverse_at(self, point: JetPoint):
         return checked_inverse(self.matrix_at(point))
@@ -311,22 +291,16 @@ class SpatialMetricField:
 def g_christoffel_values(g: SpatialMetricField, point: JetPoint):
     """Gamma^l_{jk} = g^{li}(d_k g_{ij} + d_j g_{ik} - d_i g_{jk})/2,
     [l][j][k]; spatial partials only."""
-    n = g.n
+    xs = [x_coord(k) for k in range(g.n)]
     ginv = g.inverse_at(point)
-    dg = []
-    for k in range(n):
-        lifted = lift_d1(point, x_coord(k))
-        dg.append(structure_dual_parts(g.matrix_at(lifted)))
-    return christoffel(ginv, dg)
+    dg = field_jacobian(g.matrix_at, point, xs)
+    return christoffel(ginv, [dg[c] for c in xs])
 
 
 def g_curvature_values(g: SpatialMetricField, point: JetPoint):
     """r^m_{pij} = d_j Gamma^m_{pi} - d_i Gamma^m_{pj}
     + Gamma^k_{pi} Gamma^m_{kj} - Gamma^k_{pj} Gamma^m_{ki}, [m][p][i][j]."""
-    n = g.n
+    xs = [x_coord(j) for j in range(g.n)]
     gam = g_christoffel_values(g, point)
-    dgam = []
-    for j in range(n):
-        lifted = lift_d1(point, x_coord(j))
-        dgam.append(structure_dual_parts(g_christoffel_values(g, lifted)))
-    return riemann(gam, dgam)
+    dgam = field_jacobian(lambda q: g_christoffel_values(g, q), point, xs)
+    return riemann(gam, [dgam[c] for c in xs])

@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .calculus import d1, gradient_hessian, v_coord, vertical_coords, x_coord
+from .calculus import d1, field_jacobian, gradient_hessian, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, JetPoint, zero_velocity_point
-from .metric_engine import TemporalMetric, mat_det, signature_of
+from .metric_engine import SpatialMetricField, TemporalMetric, mat_det, signature_of
 from .parallel import map_ordered
 from .scalars import scalar_value
 
@@ -263,12 +263,16 @@ def _infer_n(L, h) -> int:
 @dataclass
 class ElectrodynamicsDecomposition:
     """g, U, F fields with L = h^{ab} g_ij v^i_a v^j_b + U^a_i v^i_a + F,
-    plus per-point samples and the verified reassembly residual."""
+    plus per-point samples and the verified reassembly residual.
+
+    ``metric`` is the spatial metric over ``g_field``, built once here; the
+    spray, N and the Cartan closure all read it."""
 
     dims: Dims
     g_field: object          # JetPoint -> n x n (reads t, x only)
     u_field: object          # JetPoint -> n x p
     f_field: object          # JetPoint -> scalar
+    metric: SpatialMetricField
     g_samples: list = field(default_factory=list)
     u_samples: list = field(default_factory=list)
     f_samples: list = field(default_factory=list)
@@ -276,14 +280,13 @@ class ElectrodynamicsDecomposition:
     reassembly_residual: float = 0.0
 
     def u_curl_at(self, point: JetPoint):
-        """U^{(a)}_{(i)j} = d U^a_i/dx^j - d U^a_j/dx^i as [i][a][j]."""
+        """U^{(a)}_{(i)j} = d U^a_i/dx^j - d U^a_j/dx^i as [i][a][j], from n
+        lifted evaluations of the U field."""
         n, p = self.dims.n, self.dims.p
-        du = [
-            [[d1(lambda pt, i=i, a=a: self.u_field(pt)[i][a], point, x_coord(j))
-              for j in range(n)] for a in range(p)] for i in range(n)
-        ]
+        xs = [x_coord(j) for j in range(n)]
+        du = field_jacobian(self.u_field, point, xs)
         return [
-            [[du[i][a][j] - du[j][a][i] for j in range(n)] for a in range(p)]
+            [[du[xs[j]][i][a] - du[xs[i]][j][a] for j in range(n)] for a in range(p)]
             for i in range(n)
         ]
 
@@ -330,7 +333,8 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
             return L(_at_zero_velocity(pt, dims))
 
     deco = ElectrodynamicsDecomposition(
-        dims=dims, g_field=g_field, u_field=u_field, f_field=f_field
+        dims=dims, g_field=g_field, u_field=u_field, f_field=f_field,
+        metric=SpatialMetricField(n, g_field),
     )
 
     if base_points is None:

@@ -20,7 +20,6 @@ from .connection import (
     spray_entities,
 )
 from .curvature import curvature_table, table_zero_audit, torsion_table
-from .dsl import used_variables
 from .errors import DecompositionError
 from .fields import ExpressionField
 from .metric_engine import g_christoffel_values
@@ -200,29 +199,18 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
                               worst_anti <= 1e-9, worst_anti, 1e-9))
 
     # Reductions applicable to the instance.
-    if instance.g_explicit is not None and dims.p == 1 and h.constant:
-        g_expl = instance.g_explicit
-        autonomous = not any(
-            e.uses_velocity() or _uses_time(e) for row in g_expl.entries for e in row
-        )
-        if autonomous and instance.L.structure is not None and instance.L.structure.u_entries is None:
-            worst_red = 0.0
-            for pt in pts[:3]:
-                gamma = g_christoffel_values(g_expl, pt)
-                nval = conn.n_at(pt)
-                for i in range(dims.n):
-                    for j in range(dims.n):
-                        expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(dims.n))
-                        worst_red = max(worst_red, abs(scalar_value(nval[i][0][j]) - expect))
-            checks.append(CheckResult("classical_reduction", worst_red <= 1e-8, worst_red, 1e-8))
+    if (dims.p == 1 and h.constant and instance.g_reads_x_only()
+            and instance.L.structure.u_entries is None):
+        worst_red = 0.0
+        for pt in pts[:3]:
+            gamma = g_christoffel_values(instance.g_explicit, pt)
+            nval = conn.n_at(pt)
+            for i in range(dims.n):
+                for j in range(dims.n):
+                    expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(dims.n))
+                    worst_red = max(worst_red, abs(scalar_value(nval[i][0][j]) - expect))
+        checks.append(CheckResult("classical_reduction", worst_red <= 1e-8, worst_red, 1e-8))
     return checks
-
-
-def _uses_time(entry) -> bool:
-    ast = getattr(entry, "ast", None)
-    if ast is None:
-        return True
-    return any(kind == "t" for kind, _, _ in used_variables(ast))
 
 
 def _antisymmetry_defect(tor, cur) -> float:

@@ -7,6 +7,7 @@ import pytest
 from jetlag.calculus import Coord
 from jetlag.config import assemble
 from jetlag.jet_core import JetPoint
+from jetlag.metric_engine import SpatialMetricField, TemporalMetric
 
 CORPUS_DIMS = [(p, n) for p in (1, 2, 3) for n in (1, 2, 3)]
 KINDS = ("harmonic", "autonomous", "non_autonomous")
@@ -100,6 +101,26 @@ def sphere_config(dt: float = 1e-3) -> dict:
             "initial": {"t": 0.0, "x": [1.5707963267948966, 0.0], "y": [0.0, 1.0]},
         },
     }
+
+
+# --- Metrics from grids of scalar fields ---------------------------------------
+
+
+def spatial_metric_of(entries) -> SpatialMetricField:
+    """g whose matrix at a jet point is the grid ``entries`` of scalar
+    fields evaluated there."""
+    return SpatialMetricField(len(entries), lambda pt: [[e(pt) for e in row] for row in entries])
+
+
+def temporal_metric_of(entries, signature) -> TemporalMetric:
+    """h whose matrix at a t-tuple is the grid ``entries`` of scalar fields
+    (reading t only) evaluated there."""
+
+    def matrix(ts):
+        point = JetPoint(ts, (), ())
+        return [[e(point) for e in row] for row in entries]
+
+    return TemporalMetric(len(entries), matrix, signature)
 
 
 # --- Small central-difference oracles (independent of the calculus module) ---

@@ -24,14 +24,21 @@ from jetlag.fields import (
     ExpressionField,
     LagrangianModel,
     constant_field,
-    temporal_entry,
 )
 from jetlag.jet_core import Dims
-from jetlag.metric_engine import SpatialMetricField, TemporalMetric, g_christoffel_values
+from jetlag.metric_engine import TemporalMetric, g_christoffel_values
 from jetlag.regularity import electrodynamics_decompose, kronecker_test, sample_points
 from jetlag.scalars import scalar_value
 
-from conftest import CORPUS_DIMS, KINDS, corpus_instance, quartic_config, sphere_config
+from conftest import (
+    CORPUS_DIMS,
+    KINDS,
+    corpus_instance,
+    quartic_config,
+    spatial_metric_of,
+    sphere_config,
+    temporal_metric_of,
+)
 from test_dsl import random_ast
 from test_extremal import sphere_geodesic_oracle
 
@@ -174,7 +181,7 @@ def test_criterion_6_classical_reduction():
     start = time.monotonic()
     inst = assemble(sphere_config(dt=1e-3))
     deco, conn, pack = build_geometry(inst)
-    gs = SpatialMetricField(n=2, entries=[
+    gs = spatial_metric_of([
         [constant_field(1.0), constant_field(0.0)],
         [constant_field(0.0), ExpressionField("sin(x1)^2", inst.dims)]])
     # N equals gamma^i_{jk} y^k
@@ -218,10 +225,7 @@ def _el_corpus():
     flat1 = Dims(1, 1)
     flat2 = Dims(1, 2)
     h_flat = TemporalMetric.flat(1)
-    h_exp = TemporalMetric(
-        p=1,
-        entries=[[temporal_entry(ExpressionField("exp(2*t1)", flat1))]],
-        signature=(1, 0))
+    h_exp = temporal_metric_of([[ExpressionField("exp(2*t1)", flat1)]], (1, 0))
     out = []
     out.append(("flat-line", LagrangianModel.from_expression("v1_1^2 + v2_1^2", flat2),
                 h_flat, (0.0, 0.0), (1.0, 2.0)))
@@ -251,9 +255,7 @@ def test_criterion_7_euler_lagrange_consistency():
     # RK4 order on the two closed-form cases
     orders = []
     flat1 = Dims(1, 1)
-    h_exp = TemporalMetric(
-        p=1, entries=[[temporal_entry(ExpressionField("exp(2*t1)", flat1))]],
-        signature=(1, 0))
+    h_exp = temporal_metric_of([[ExpressionField("exp(2*t1)", flat1)]], (1, 0))
     L_exp = LagrangianModel.from_family(
         ElectrodynamicsLagrangian(flat1, h_exp, [[constant_field(1.0)]]), "harmonic")
     exact_exp = 0.5 + (math.e - 1.0)

@@ -27,7 +27,7 @@ from jetlag.metric_engine import SpatialMetricField, TemporalMetric, g_christoff
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 
-from conftest import corpus_instance, sphere_config
+from conftest import corpus_instance, spatial_metric_of, sphere_config
 from jetlag.config import assemble
 
 
@@ -59,7 +59,7 @@ class TestCartanCoefficients:
         co = pack.coefficients_at(pt)
         assert np.max(np.abs(np.array(co.c))) == 0.0
         deco = electrodynamics_decompose(inst.L, inst.h)
-        gs = SpatialMetricField.from_matrix_function(2, deco.g_field)
+        gs = SpatialMetricField(2, deco.g_field)
         gamma = g_christoffel_values(gs, pt)
         for i in range(2):
             for j in range(2):
@@ -219,7 +219,7 @@ class TestCovariantDerivative:
     def test_berwald_sphere_block(self):
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
-        gs = SpatialMetricField(n=2, entries=[
+        gs = spatial_metric_of([
             [constant_field(1.0), constant_field(0.0)],
             [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
         pack = berwald_connection(h, gs, d)
@@ -234,7 +234,7 @@ class TestCovariantDerivative:
         # Berwald is metric for x-only pairs in all three directions
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
-        gs = SpatialMetricField(n=2, entries=[
+        gs = spatial_metric_of([
             [constant_field(1.0), constant_field(0.0)],
             [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
         pack = berwald_connection(h, gs, d)

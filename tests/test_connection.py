@@ -19,7 +19,6 @@ from jetlag.fields import (
     ExpressionField,
     LagrangianModel,
     constant_field,
-    temporal_entry,
 )
 from jetlag.jet_core import Dims, JetPoint
 from jetlag.metric_engine import (
@@ -31,7 +30,7 @@ from jetlag.metric_engine import (
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 
-from conftest import corpus_instance
+from conftest import corpus_instance, spatial_metric_of, temporal_metric_of
 
 
 def flat_h(p):
@@ -124,7 +123,7 @@ class TestSprayEntities:
         # Assembled G matches (1/2) h^{ab} Gamma^l_{jk} v^j_a v^k_b + T^l
         inst = corpus_instance("non_autonomous", 2, 2)
         deco = electrodynamics_decompose(inst.L, inst.h)
-        g_field = SpatialMetricField.from_matrix_function(2, deco.g_field)
+        g_field = SpatialMetricField(2, deco.g_field)
         pts = sample_points(inst.dims, [-1, 1], 6, seed=8)
         for pt in pts:
             pack = spray_entities(inst.L, inst.h, pt, decomposition=deco)
@@ -196,7 +195,7 @@ class TestNonlinearConnection:
         d = Dims(1, 2)
         L = LagrangianModel.from_expression("v1_1*v1_1 + sin(x1)^2*v2_1*v2_1", d)
         conn = canonical_nonlinear_connection(L, flat_h(1))
-        gs = SpatialMetricField(n=2, entries=[
+        gs = spatial_metric_of([
             [constant_field(1.0), constant_field(0.0)],
             [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
         rng = random.Random(6)
@@ -214,10 +213,7 @@ class TestNonlinearConnection:
     def test_p1_electrodynamics_closed_form(self):
         # N^{(i)}_{(1)j} = gamma^i_{jk} y^k + (g^{ik}/4) h_11 U^{(1)}_{(k)j}
         d = Dims(1, 2)
-        h = TemporalMetric(
-            p=1,
-            entries=[[temporal_entry(ExpressionField("exp(2*t1)", d))]],
-            signature=(1, 0))
+        h = temporal_metric_of([[ExpressionField("exp(2*t1)", d)]], (1, 0))
         g = [[ExpressionField("1 + x1^2", d), constant_field(0.2)],
              [constant_field(0.2), ExpressionField("1 + x2^2", d)]]
         u = [[ExpressionField("0.5*t1*x1", d)], [ExpressionField("0.7*x2*x1", d)]]
@@ -225,7 +221,7 @@ class TestNonlinearConnection:
         fam = ElectrodynamicsLagrangian(d, h, g, u, f)
         L = LagrangianModel.from_family(fam, "electrodynamics")
         conn = canonical_nonlinear_connection(L, h)
-        gs = SpatialMetricField(n=2, entries=g)
+        gs = spatial_metric_of(g)
         deco = electrodynamics_decompose(L, h)
         rng = random.Random(16)
         for _ in range(4):
@@ -249,7 +245,7 @@ class TestNonlinearConnection:
         inst = corpus_instance("autonomous", 2, 2)
         deco = electrodynamics_decompose(inst.L, inst.h)
         conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=deco)
-        gs = SpatialMetricField.from_matrix_function(2, deco.g_field)
+        gs = SpatialMetricField(2, deco.g_field)
         pts = sample_points(inst.dims, [-1, 1], 4, seed=11)
         for pt in pts:
             gamma = g_christoffel_values(gs, pt)

@@ -33,7 +33,7 @@ from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 from jetlag.verify import _antisymmetry_defect
 
-from conftest import corpus_instance, sphere_config
+from conftest import corpus_instance, spatial_metric_of, sphere_config, temporal_metric_of
 
 
 def build(inst):
@@ -44,7 +44,7 @@ def build(inst):
 
 
 def sphere_metric(dims):
-    return SpatialMetricField(n=2, entries=[
+    return spatial_metric_of([
         [constant_field(1.0), constant_field(0.0)],
         [constant_field(0.0), ExpressionField("sin(x1)^2", dims)]])
 
@@ -95,12 +95,9 @@ class TestBerwald:
     def test_nonflat_h_tt_v(self):
         dims = Dims(2, 1)
         entries = [["1", "0"], ["0", "sin(t1)^2"]]
-        from jetlag.fields import temporal_entry
-
-        h = TemporalMetric(p=2, entries=[
-            [temporal_entry(ExpressionField(e, dims)) for e in row] for row in entries
-        ], signature=(2, 0))
-        g = SpatialMetricField.flat(1)
+        h = temporal_metric_of([[ExpressionField(e, dims) for e in row] for row in entries],
+                               (2, 0))
+        g = spatial_metric_of([[constant_field(1.0)]])
         pack = berwald_connection(h, g, dims)
         pt = JetPoint((0.7, 0.2), (0.4,), ((0.3, -0.5),))
         tor = torsion_table(pack, pt)
@@ -141,7 +138,7 @@ class TestCartanTwoRoute:
         # R^{(m)}_{(mu)ij} = r^m_{kij} x^k_mu + [F^m_{i(mu)|j} - F^m_{j(mu)|i}]
         inst = corpus_instance("non_autonomous", 2, 2)
         deco, conn, pack = build(inst)
-        gs = SpatialMetricField.from_matrix_function(2, deco.g_field)
+        gs = SpatialMetricField(2, deco.g_field)
         pts = sample_points(inst.dims, [-1, 1], 2, seed=32)
         valence = (spatial_upper(2), spatial_lower(2), temporal_lower(2))
         for pt in pts:
@@ -227,7 +224,7 @@ class TestCartanTables:
         # R-families; curvature vanishes except tt_t and mm_m = r
         inst = corpus_instance("autonomous", 2, 2)
         deco, conn, pack = build(inst)
-        gs = SpatialMetricField.from_matrix_function(2, deco.g_field)
+        gs = SpatialMetricField(2, deco.g_field)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=41)[0]
         tor = torsion_table(pack, pt)
         for cell in ("mt_m", "mm_m", "vt_v", "vm_m", "vm_v", "vv_v"):
@@ -513,7 +510,7 @@ def _f_tensor(inst, deco, pt):
     from jetlag.calculus import lift_d1, structure_dual_parts
 
     n, p = inst.dims.n, inst.dims.p
-    gs = SpatialMetricField.from_matrix_function(n, deco.g_field)
+    gs = SpatialMetricField(n, deco.g_field)
     ginv = gs.inverse_at(pt)
     hmat = inst.h.matrix_at(pt.t)
     dg = []

@@ -21,12 +21,11 @@ from jetlag.fields import (
     ExpressionField,
     LagrangianModel,
     constant_field,
-    temporal_entry,
 )
 from jetlag.jet_core import Dims
 from jetlag.metric_engine import TemporalMetric
 
-from conftest import sphere_config
+from conftest import sphere_config, temporal_metric_of
 
 
 def flat_metric_model(n, h=None):
@@ -74,8 +73,7 @@ class TestIntegration:
     def test_exponential_h_closed_form(self):
         # h_11 = e^{2t} (so H^1_11 = 1), flat g: x'' = x'
         d = Dims(1, 2)
-        h = TemporalMetric(p=1, entries=[[temporal_entry(ExpressionField("exp(2*t1)", d))]],
-                           signature=(1, 0))
+        h = temporal_metric_of([[ExpressionField("exp(2*t1)", d)]], (1, 0))
         L, _ = flat_metric_model(2, h)
         x0, y0 = (0.5, -0.2), (1.0, 0.5)
         traj = integrate_extremal(ExtremalProblem(
@@ -85,8 +83,7 @@ class TestIntegration:
 
     def test_rk4_convergence_order(self):
         d = Dims(1, 1)
-        h = TemporalMetric(p=1, entries=[[temporal_entry(ExpressionField("exp(2*t1)", d))]],
-                           signature=(1, 0))
+        h = temporal_metric_of([[ExpressionField("exp(2*t1)", d)]], (1, 0))
         L, _ = flat_metric_model(1, h)
         exact = 0.5 + 1.0 * (math.e - 1.0)
         errors = []
@@ -164,6 +161,21 @@ class TestIntegration:
         traj = integrate_extremal(ExtremalProblem(
             L=inst.L, h=inst.h, t0=0.0, x0=(1.1, 0.3), y0=(0.2, 0.8),
             t_end=1.0, dt=1e-3))
+        assert traj.max_el_residual <= 1e-6
+
+    def test_backward_span_vs_independent_oracle(self):
+        # t_end before t0: dt keeps the sign of the span, so the run takes
+        # |span|/dt steps backwards instead of one step across the span
+        inst = assemble(sphere_config(dt=1e-3))
+        x0, y0 = (1.1, 0.3), (0.2, 0.8)
+        traj = integrate_extremal(ExtremalProblem(
+            L=inst.L, h=inst.h, t0=0.0, x0=x0, y0=y0, t_end=-0.5, dt=1e-3))
+        assert not traj.aborted and len(traj.t) == 501
+        assert traj.t[-1] == pytest.approx(-0.5, abs=1e-12)
+        ox, oy = sphere_geodesic_oracle(x0, y0, -0.5, -1e-3)
+        assert np.max(np.abs(traj.x[-1] - ox)) <= 1e-6
+        assert np.max(np.abs(traj.y[-1] - oy)) <= 1e-6
+        assert math.isfinite(traj.max_el_residual)
         assert traj.max_el_residual <= 1e-6
 
     def test_degeneracy_aborts_with_state(self):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from jetlag.errors import DegeneracyError
-from jetlag.fields import ExpressionField, constant_field, temporal_entry
+from jetlag.fields import ExpressionField, constant_field
 from jetlag.jet_core import Dims, JetPoint
 from jetlag.metric_engine import (
-    SpatialMetricField,
     TemporalMetric,
     checked_inverse,
     g_christoffel_values,
@@ -20,22 +19,20 @@ from jetlag.metric_engine import (
     jacobi_eigenvalues,
     signature_of,
 )
+from jetlag.regularity import electrodynamics_decompose, sample_points
+
+from conftest import corpus_instance, spatial_metric_of, temporal_metric_of
 
 
 def tmetric(p, entries_src, signature):
     dims = Dims(p, 1)
-    entries = [
-        [temporal_entry(ExpressionField(src, dims)) for src in row]
-        for row in entries_src
-    ]
-    return TemporalMetric(p=p, entries=entries, signature=signature)
+    return temporal_metric_of(
+        [[ExpressionField(src, dims) for src in row] for row in entries_src], signature)
 
 
 def smetric(n, entries_src, p=1):
     dims = Dims(p, n)
-    return SpatialMetricField(n=n, entries=[
-        [ExpressionField(src, dims) for src in row] for row in entries_src
-    ])
+    return spatial_metric_of([[ExpressionField(src, dims) for src in row] for row in entries_src])
 
 
 def fd_h_christoffel(h: TemporalMetric, ts, step=1e-6):
@@ -166,7 +163,7 @@ class TestTemporalCurvature:
 
 class TestSpatial:
     def test_identity_zero(self):
-        g = SpatialMetricField.flat(2)
+        g = smetric(2, [["1", "0"], ["0", "1"]])
         pt = JetPoint((0.0,), (0.5, -0.4), ((0.0,), (0.0,)))
         assert np.max(np.abs(g_christoffel_values(g, pt))) == 0.0
 
@@ -213,8 +210,26 @@ class TestSpatial:
         pt1 = JetPoint((0.0,), (0.4,), ((0.0,),))
         assert np.max(np.abs(g_curvature_values(g1, pt1))) == 0.0
 
+    def test_christoffels_evaluate_the_metric_once_per_lift(self):
+        # once at the point for the inverse and once per x-lift for the
+        # partials: 1 + n matrices, each one evaluation of g_field
+        n = 3
+        inst = corpus_instance("non_autonomous", 2, n, count=4)
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        assert deco.metric.matrix is deco.g_field
+        calls = []
+
+        def counted(pt):
+            calls.append(pt)
+            return deco.g_field(pt)
+
+        deco.metric.matrix = counted
+        pt = sample_points(inst.dims, None, 1, seed=3)[0]
+        g_christoffel_values(deco.metric, pt)
+        assert len(calls) == 1 + n
+
     def test_flat_curvature_zero(self):
-        g = SpatialMetricField.flat(3)
+        g = smetric(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
         pt = JetPoint((0.0,), (0.1, 0.2, 0.3), ((0.0,), (0.0,), (0.0,)))
         assert np.max(np.abs(g_curvature_values(g, pt))) == 0.0
 
@@ -262,7 +277,7 @@ class TestSignature:
 
     def test_asymmetric_entries_warn_and_average(self):
         dims = Dims(1, 2)
-        g = SpatialMetricField(n=2, entries=[
+        g = spatial_metric_of([
             [constant_field(1.0), constant_field(0.30000001)],
             [constant_field(0.3), constant_field(2.0)],
         ])

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from jetlag.calculus import d1, lift_d1, t_coord, x_coord
 from jetlag.config import assemble
 from jetlag.errors import DecompositionError
 from jetlag.fields import (
@@ -21,8 +22,30 @@ from jetlag.regularity import (
     kronecker_test,
     sample_points,
 )
+from jetlag.scalars import scalar_value
 
 from conftest import corpus_config, corpus_instance, oracle_d2, quartic_config
+
+
+def u_curl_per_entry(deco, point):
+    """Oracle: the curl of U from one first partial per entry of U and
+    direction, n^2 p lifted evaluations of the whole U field."""
+    n, p = deco.dims.n, deco.dims.p
+    du = [
+        [[d1(lambda pt, i=i, a=a: deco.u_field(pt)[i][a], point, x_coord(j))
+          for j in range(n)] for a in range(p)] for i in range(n)
+    ]
+    return [
+        [[du[i][a][j] - du[j][a][i] for j in range(n)] for a in range(p)]
+        for i in range(n)
+    ]
+
+
+def _curl_probe_points(dims, seed):
+    for pt in sample_points(dims, None, 2, seed=seed):
+        yield pt
+        yield lift_d1(pt, t_coord(0))
+        yield lift_d1(pt, x_coord(1))
 
 
 class TestVerticalHessian:
@@ -168,6 +191,40 @@ class TestDecomposition:
                 for a in range(2):
                     for j in range(3):
                         assert curl[i][a][j] == pytest.approx(-curl[j][a][i], abs=1e-10)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_u_curl_matches_per_entry_partials_bitwise(self, p):
+        inst = corpus_instance("non_autonomous", p, 3, count=4)
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        for pt in _curl_probe_points(inst.dims, seed=p):
+            assert repr(deco.u_curl_at(pt)) == repr(u_curl_per_entry(deco, pt))
+
+    def test_u_curl_matches_per_entry_partials_bitwise_generic(self):
+        # the generic decomposition, whose U is a vertical gradient of L
+        d = Dims(2, 2)
+        src = ("(1 + t1^2)*(v1_1*v1_1 + v1_2*v1_2) + v2_1*v2_1 + v2_2*v2_2"
+               " + t1*x2*v1_1 + x1^2*v2_2 + t1 + x1")
+        deco = electrodynamics_decompose(LagrangianModel.from_expression(src, d),
+                                         TemporalMetric.flat(2))
+        for pt in _curl_probe_points(d, seed=5):
+            curl = deco.u_curl_at(pt)
+            assert repr(curl) == repr(u_curl_per_entry(deco, pt))
+        assert abs(scalar_value(curl[0][0][1])) > 0.0  # dU^1_1/dx^2 = t1
+
+    def test_u_curl_evaluates_u_once_per_x_direction(self):
+        n = 3
+        inst = corpus_instance("non_autonomous", 2, n, count=4)
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        u_field = deco.u_field
+        calls = []
+
+        def counted(pt):
+            calls.append(pt)
+            return u_field(pt)
+
+        deco.u_field = counted
+        deco.u_curl_at(sample_points(inst.dims, None, 1, seed=4)[0])
+        assert len(calls) == n
 
     def test_non_quadratic_rejected(self):
         d = Dims(2, 1)
