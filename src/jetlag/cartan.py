@@ -9,6 +9,11 @@ This module builds the two instances the geometry singles out:
 * the Berwald connection of a metric pair (h, g), whose only nonzero
   spatial block is the Christoffel symbols of g.
 
+A pack's ``coefficients_at`` also returns the (M, N) below it, built by
+the ``connection`` kernels from the closure's own H, g^{-1} and
+Christoffels; only the p = 1 Cartan N, the spray derivative, comes from
+the canonical connection's ``n_at``.
+
 ``metric_compatibility`` checks that a pack is metric for (h, g) in all
 three directions.  ``covariant_derivative`` is the generic T-horizontal,
 M-horizontal and vertical operator for any d-tensor valence; an empty
@@ -32,7 +37,13 @@ from .calculus import (
     vertical_coords,
     x_coord,
 )
-from .connection import NonlinearConnection, delta_entry, metric_pair_connection
+from .connection import (
+    NonlinearConnection,
+    delta_entry,
+    electrodynamics_n_values,
+    m_values,
+    pair_n_values,
+)
 from .errors import DimensionError
 from .jet_core import Dims, DTensor, JetPoint, SlotKind
 from .metric_engine import (
@@ -66,7 +77,7 @@ class Coefficients(NamedTuple):
 @dataclass
 class LinearConnectionPack:
     """An h-normal linear connection: the four effective coefficient fields
-    plus the nonlinear connection and spatial metric they were built over.
+    (with the M, N below them) and the spatial metric they were built over.
     The derived vertical coefficients are delta-combinations of these four,
     which the covariant derivative operators implement."""
 
@@ -74,7 +85,6 @@ class LinearConnectionPack:
     kind: str                  # "cartan" | "berwald" | "custom"
     coefficients_at: object    # JetPoint -> Coefficients
     g_matrix_at: object        # JetPoint -> n x n spatial metric values
-    conn: NonlinearConnection
     h: TemporalMetric
 
 
@@ -86,6 +96,21 @@ def _delta_matrix(jac, coord, coeffs):
     size = len(jac[coord])
     return [[delta_entry(jac, (i, j), coord, coeffs) for j in range(size)]
             for i in range(size)]
+
+
+def _g_block(ginv, dg_dt):
+    """G^k_{jc} = (g^{ki}/2) dg_ij/dt^c as [k][j][c], from the (adapted)
+    t-derivatives ``dg_dt[c]`` of g."""
+    n, p = len(ginv), len(dg_dt)
+    g_co = [[[0.0] * p for _ in range(n)] for _ in range(n)]
+    for c, dg in enumerate(dg_dt):
+        for k in range(n):
+            for j in range(n):
+                acc = 0.0
+                for i in range(n):
+                    acc = acc + ginv[k][i] * dg[i][j]
+                g_co[k][j][c] = acc * 0.5
+    return g_co
 
 
 def _cartan_coefficients_p1(L, h, conn, dims):
@@ -101,18 +126,10 @@ def _cartan_coefficients_p1(L, h, conn, dims):
         g = g_matrix(point)
         ginv = checked_inverse(g)
         hbar = h_christoffel_values(h, point.t)
-        m_co = conn.m_at(point)
+        m_co = m_values(hbar, point)
         n_co = conn.n_at(point)
         jac = field_jacobian(g_matrix, point, all_coords(dims))
-        dg_t = _delta_matrix(jac, t_coord(0), m_co)
-        g_co = [[[0.0] for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for j in range(n):
-                acc = 0.0
-                for i in range(n):
-                    acc = acc + ginv[k][i] * dg_t[i][j]
-                g_co[k][j][0] = acc * 0.5
-
+        g_co = _g_block(ginv, [_delta_matrix(jac, t_coord(0), m_co)])
         l_co = christoffel(ginv, [_delta_matrix(jac, x_coord(k), n_co) for k in range(n)])
         c_co = christoffel(ginv, [jac[v_coord(k, 0)] for k in range(n)])
         c_co = [[[[e] for e in row] for row in plane] for plane in c_co]  # trailing index c = 0
@@ -121,31 +138,25 @@ def _cartan_coefficients_p1(L, h, conn, dims):
     return coefficients, g_matrix
 
 
-def _cartan_coefficients_p2(h, conn, deco: ElectrodynamicsDecomposition, dims):
+def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
     """For p >= 2 the spatial metric depends on (t, x) only, so the adapted
     derivatives reduce to plain partials and the vertical coefficients
-    vanish identically."""
+    vanish identically.  One Jacobian of g along x and t gives L (the
+    Christoffels of g), G and, with g^{-1} and H, the M and N below them."""
     n, p = dims.n, dims.p
+    xs = [x_coord(k) for k in range(n)]
     ts = [t_coord(a) for a in range(p)]
 
     def coefficients(point: JetPoint):
-        g = deco.metric.matrix_at(point)
-        ginv = checked_inverse(g)
+        ginv = checked_inverse(deco.metric.matrix_at(point))
         hbar = h_christoffel_values(h, point.t)
-        l_co = g_christoffel_values(deco.metric, point)
-        g_co = [[[0.0] * p for _ in range(n)] for _ in range(n)]
-        jac = field_jacobian(deco.metric.matrix_at, point, ts)
-        for a in range(p):
-            dg = jac[ts[a]]
-            for k in range(n):
-                for j in range(n):
-                    acc = 0.0
-                    for i in range(n):
-                        acc = acc + ginv[k][i] * dg[i][j]
-                    g_co[k][j][a] = acc * 0.5
+        jac = field_jacobian(deco.metric.matrix_at, point, xs + ts)
+        l_co = christoffel(ginv, [jac[c] for c in xs])
+        dg_dt = [jac[c] for c in ts]
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co,
-                            m=conn.m_at(point), n=conn.n_at(point))
+        return Coefficients(
+            hbar=hbar, g=_g_block(ginv, dg_dt), l=l_co, c=c_co, m=m_values(hbar, point),
+            n=electrodynamics_n_values(h, deco, point, l_co, ginv, dg_dt))
 
     return coefficients, deco.metric.matrix_at
 
@@ -161,6 +172,9 @@ def cartan_connection(L, h: TemporalMetric, conn: NonlinearConnection,
                - delta g_jk/delta x^m),
     C^{i(c)}_{j(k)} = (g^{im}/2)(d g_jm/dv^k_c + d g_km/dv^j_c
                - d g_jk/dv^m_c).
+
+    ``conn`` is read for p = 1 only, for N (the spray derivative); M, and
+    N for p >= 2, come from the H, Gamma and g^{-1} the closure computes.
     """
     dims = getattr(L, "dims", None)
     if dims is None:
@@ -169,21 +183,21 @@ def cartan_connection(L, h: TemporalMetric, conn: NonlinearConnection,
         coefficients, g_matrix = _cartan_coefficients_p1(L, h, conn, dims)
     else:
         deco = decomposition or electrodynamics_decompose(L, h)
-        coefficients, g_matrix = _cartan_coefficients_p2(h, conn, deco, dims)
+        coefficients, g_matrix = _cartan_coefficients_p2(h, deco, dims)
     return LinearConnectionPack(
         dims=dims, kind="cartan", coefficients_at=coefficients,
-        g_matrix_at=g_matrix, conn=conn, h=h,
+        g_matrix_at=g_matrix, h=h,
     )
 
 
 def berwald_connection(h: TemporalMetric, g: SpatialMetricField,
                        dims: Dims | None = None) -> LinearConnectionPack:
     """The connection (Hbar, 0, gamma^k_ij, 0) of the metric pair (h, g),
-    over the pair's own nonlinear connection.  Intended for g = g(x); for
-    time-dependent g it freezes t as a parameter, which is what the
-    distinctness probes exercise."""
+    over the pair's own nonlinear connection M = -H^c_{ab} v^i_c,
+    N = gamma^i_{jk} v^k_a.  Intended for g = g(x); for time-dependent g it
+    freezes t as a parameter, which is what the distinctness probes
+    exercise."""
     dims = dims or Dims(h.p, g.n)
-    conn0 = metric_pair_connection(h, g, dims)
     n, p = dims.n, dims.p
 
     def coefficients(point: JetPoint):
@@ -192,11 +206,11 @@ def berwald_connection(h: TemporalMetric, g: SpatialMetricField,
         g_co = [[[0.0] * p for _ in range(n)] for _ in range(n)]
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
         return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co,
-                            m=conn0.m_at(point), n=conn0.n_at(point))
+                            m=m_values(hbar, point), n=pair_n_values(l_co, point))
 
     return LinearConnectionPack(
         dims=dims, kind="berwald", coefficients_at=coefficients,
-        g_matrix_at=g.matrix_at, conn=conn0, h=h,
+        g_matrix_at=g.matrix_at, h=h,
     )
 
 
@@ -216,12 +230,11 @@ class VerticalCov(NamedTuple):
     gamma: int
 
 
-def _direction_tables(pack: LinearConnectionPack, point: JetPoint, direction):
+def _direction_tables(co: Coefficients, dims: Dims, direction):
     """(spatial, temporal) correction coefficient tables for a direction:
     spatial[m][l] multiplies upper-spatial slots, temporal[a][mu] upper-
     temporal slots (lower slots use the transposes with a minus sign)."""
-    co = pack.coefficients_at(point)
-    n, p = pack.dims.n, pack.dims.p
+    n, p = dims.n, dims.p
     if isinstance(direction, THorizontal):
         c = direction.gamma
         spatial = [[co.g[m][l][c] for l in range(n)] for m in range(n)]
@@ -254,10 +267,11 @@ def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
     dims = pack.dims
     n, p = dims.n, dims.p
     valence = tuple(valence)
+    co = pack.coefficients_at(point)
     if isinstance(direction, THorizontal):
-        base_coord, coeffs = t_coord(direction.gamma), pack.conn.m_at(point)
+        base_coord, coeffs = t_coord(direction.gamma), co.m
     elif isinstance(direction, MHorizontal):
-        base_coord, coeffs = x_coord(direction.k), pack.conn.n_at(point)
+        base_coord, coeffs = x_coord(direction.k), co.n
     elif isinstance(direction, VerticalCov):
         base_coord, coeffs = v_coord(direction.k, direction.gamma), None
     else:
@@ -270,7 +284,7 @@ def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
     values = field(point)
 
     out = DTensor(valence)
-    spatial, temporal = _direction_tables(pack, point, direction)
+    spatial, temporal = _direction_tables(co, dims, direction)
 
     shape = out.shape
     for idx in np.ndindex(shape):
@@ -321,18 +335,18 @@ def _with(idx, pos, value):
 # --- Metric compatibility ------------------------------------------------------------
 
 
-def metric_compatibility(pack: LinearConnectionPack, point: JetPoint) -> dict:
+def metric_compatibility(pack: LinearConnectionPack, point: JetPoint,
+                         co: Coefficients) -> dict:
     """Max |covariant derivative| of the spatial and temporal metrics in all
     three directions; all six must vanish for the Cartan pack.
 
-    Shares one coefficient/jacobian evaluation across all directions (the
+    ``co`` is ``pack.coefficients_at(point)``, which the caller has already
+    evaluated.  One Jacobian of each metric serves all directions (the
     slot rules are the same ones ``covariant_derivative`` implements; the
     test-suite pins the two code paths against each other).
     """
     dims = pack.dims
     n, p = dims.n, dims.p
-    co = pack.coefficients_at(point)
-    conn_m, n_co = co.m, co.n
     gv = [[scalar_value(e) for e in row] for row in pack.g_matrix_at(point)]
     hv = [[scalar_value(e) for e in row] for row in pack.h.matrix_at(point.t)]
 
@@ -350,8 +364,8 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint) -> dict:
         "h_t_horizontal": 0.0, "h_m_horizontal": 0.0, "h_vertical": 0.0,
     }
     for c in range(p):
-        dg = _delta_matrix(g_jac, t_coord(c), conn_m)
-        dh = _delta_matrix(h_jac, t_coord(c), conn_m)
+        dg = _delta_matrix(g_jac, t_coord(c), co.m)
+        dh = _delta_matrix(h_jac, t_coord(c), co.m)
         for i in range(n):
             for j in range(n):
                 val = dg[i][j]
@@ -365,8 +379,8 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint) -> dict:
                     val -= H[mu][a][c] * hv[mu][b] + H[mu][b][c] * hv[a][mu]
                 worst["h_t_horizontal"] = max(worst["h_t_horizontal"], abs(val))
     for k in range(n):
-        dg = _delta_matrix(g_jac, x_coord(k), n_co)
-        dh = _delta_matrix(h_jac, x_coord(k), n_co)
+        dg = _delta_matrix(g_jac, x_coord(k), co.n)
+        dh = _delta_matrix(h_jac, x_coord(k), co.n)
         for i in range(n):
             for j in range(n):
                 val = dg[i][j]

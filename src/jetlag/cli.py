@@ -23,7 +23,7 @@ from .connection import canonical_nonlinear_connection, spray_entities
 from .curvature import curvature_table, table_zero_audit, torsion_table
 from .errors import ConfigError, DecompositionError, JetLagError
 from .extremal import ExtremalProblem, GridMap, harmonic_residual, integrate_extremal
-from .jet_core import JetPoint
+from .jet_core import DTensor, JetPoint, spatial_lower, temporal_lower, vertical_upper
 from .metric_engine import SpatialMetricField
 from .regularity import electrodynamics_decompose, kronecker_test, sample_points
 from .report import canonical_json, config_hash, csv_row
@@ -84,8 +84,8 @@ def _regularity_gate(instance: ProblemInstance):
     return verdict
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = canonical_json(report) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """Write a command's output to the ``--out`` file, or else to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -115,14 +115,13 @@ def cmd_analyze(instance: ProblemInstance, args) -> int:
             }
         except DecompositionError as exc:
             report["decomposition"] = {"error": str(exc)}
-    _emit(report, args.out)
+    _write(canonical_json(report) + "\n", args.out)
     return EX_OK if verdict.is_kronecker else EX_IRREGULAR
 
 
 def _connection_objects(instance: ProblemInstance, verdict):
-    """The decomposition of L (None for p = 1), the canonical nonlinear
-    connection, the Cartan pack and the Berwald pack (None where it is not
-    defined)."""
+    """The decomposition of L (None for p = 1), the Cartan pack and the
+    Berwald pack (None where it is not defined)."""
     deco = None
     if instance.dims.p >= 2:
         deco = _decompose(instance)
@@ -131,17 +130,24 @@ def _connection_objects(instance: ProblemInstance, verdict):
     # The Berwald connection is only defined over a velocity-independent
     # metric; skip it when the derived g depends on v (p = 1 only).
     if instance.dims.p == 1 and verdict.velocity_dependent_g:
-        return deco, conn, pack, None
+        return deco, pack, None
     if instance.g_explicit is not None:
         g_for_berwald = instance.g_explicit
     else:
         g_for_berwald = SpatialMetricField(instance.dims.n, pack.g_matrix_at)
     berwald = berwald_connection(instance.h, g_for_berwald, instance.dims)
-    return deco, conn, pack, berwald
+    return deco, pack, berwald
 
 
-def _coefficient_tables(pack, point) -> dict:
-    co = pack.coefficients_at(point)
+def _nonlinear_tables(co, dims) -> dict:
+    """M and N as d-tensors over a vertical upper slot (row i*p + a)."""
+    n, p = dims.n, dims.p
+    return {name: DTensor((vertical_upper(n, p), lower),
+                          [row for block in structure_values(values) for row in block]).to_json_dict()
+            for name, values, lower in (("M", co.m, temporal_lower(p)), ("N", co.n, spatial_lower(n)))}
+
+
+def _coefficient_tables(co) -> dict:
     return {
         "H_temporal": structure_values(co.hbar),
         "G_block": structure_values(co.g),
@@ -156,16 +162,14 @@ def cmd_connection(instance: ProblemInstance, args) -> int:
         sys.stderr.write("Lagrangian is not block-regular; no canonical connection\n")
         return EX_IRREGULAR
     point = _parse_point(args.point, instance)
-    deco, conn, pack, berwald = _connection_objects(instance, verdict)
+    deco, pack, berwald = _connection_objects(instance, verdict)
     report = _report_head(instance, "connection")
     report["point"] = {"t": list(point.t), "x": list(point.x), "v": [list(r) for r in point.v]}
-    report["nonlinear"] = {
-        "M": conn.m_tensor(point).to_json_dict(),
-        "N": conn.n_tensor(point).to_json_dict(),
-    }
-    report["cartan"] = _coefficient_tables(pack, point)
+    co = pack.coefficients_at(point)
+    report["nonlinear"] = _nonlinear_tables(co, instance.dims)
+    report["cartan"] = _coefficient_tables(co)
     if berwald is not None:
-        report["berwald"] = _coefficient_tables(berwald, point)
+        report["berwald"] = _coefficient_tables(berwald.coefficients_at(point))
     spray = spray_entities(instance.L, instance.h, point, decomposition=deco)
     report["spray"] = {
         "S": list(spray.S),
@@ -175,7 +179,7 @@ def cmd_connection(instance: ProblemInstance, args) -> int:
         "G_spatial": spray.G_spatial.to_json_dict(),
         "H_temporal": spray.H_temporal.to_json_dict(),
     }
-    _emit(report, args.out)
+    _write(canonical_json(report) + "\n", args.out)
     return EX_OK
 
 
@@ -185,7 +189,7 @@ def cmd_tables(instance: ProblemInstance, args, which: str) -> int:
         sys.stderr.write("Lagrangian is not block-regular; no canonical connection\n")
         return EX_IRREGULAR
     point = _parse_point(args.point, instance)
-    _, _, pack, berwald = _connection_objects(instance, verdict)
+    _, pack, berwald = _connection_objects(instance, verdict)
     report = _report_head(instance, which)
     report["point"] = {"t": list(point.t), "x": list(point.x), "v": [list(r) for r in point.v]}
     sections = [("cartan", pack)]
@@ -205,7 +209,7 @@ def cmd_tables(instance: ProblemInstance, args, which: str) -> int:
             continue
         audit = table_zero_audit(the_pack, [point])
         report[f"{label}_zero_audit"] = audit.to_json_dict()
-    _emit(report, args.out)
+    _write(canonical_json(report) + "\n", args.out)
     return EX_OK
 
 
@@ -227,12 +231,7 @@ def cmd_extremal(instance: ProblemInstance, args) -> int:
     lines = [",".join(header)]
     for k in range(len(traj.t)):
         lines.append(csv_row([float(traj.t[k])] + list(map(float, traj.x[k])) + list(map(float, traj.y[k]))))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     summary = f"steps={len(traj.t) - 1} max_el_residual={traj.max_el_residual:.3e}"
     if traj.aborted:
         summary += f" aborted=({traj.abort_reason})"
@@ -264,12 +263,7 @@ def cmd_residual(instance: ProblemInstance, args) -> int:
         ts = field.points[row]
         xs = grid.values[idx]
         lines.append(csv_row(list(ts) + list(map(float, xs)) + list(map(float, field.residuals[row]))))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     sys.stderr.write(f"max_norm={field.max_norm:.6e} rms={field.rms:.6e}\n")
     return EX_OK
 
@@ -278,7 +272,7 @@ def cmd_verify(instance: ProblemInstance, args) -> int:
     checks = run_checks(instance)
     report = _report_head(instance, "verify")
     report.update(checks_to_json(checks))
-    _emit(report, args.out)
+    _write(canonical_json(report) + "\n", args.out)
     if report["passed"]:
         return EX_OK
     failing = [c.name for c in checks if not c.passed]

@@ -279,6 +279,8 @@ def _assemble_solver(raw, dims: Dims) -> dict:
     x0 = [_number(v, "solver.initial.x") for v in x0]
     y0 = [_number(v, "solver.initial.y") for v in y0]
     _require(t_end != t0, "solver.t_end", "must differ from initial.t")
+    _require(round(abs(t_end - t0) / dt) >= 2, "solver.dt",
+             "must give at least 2 steps over |t_end - initial.t|")
     return {"t_end": t_end, "dt": dt, "t0": t0, "x0": tuple(x0), "y0": tuple(y0)}
 
 

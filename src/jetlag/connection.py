@@ -9,6 +9,10 @@ From L and the temporal metric h this module assembles, at any jet point:
 * the induced nonlinear connection (M, N), and the adapted-frame
   derivative of a field's entries along it (``delta_entry``).
 
+M and N are kernels over values the caller holds at the point
+(``m_values``, ``pair_n_values``, ``electrodynamics_n_values``), so a
+linear-connection closure computes H, Gamma and g^{-1} once per point.
+
 Every assembly evaluates generically over the scalar kind; derivatives of
 M and N (needed by torsion/curvature) come from running the same assembly
 on a lifted point.
@@ -42,12 +46,10 @@ from .jet_core import (
     Dims,
     DTensor,
     JetPoint,
-    spatial_lower,
     temporal_lower,
     vertical_upper,
 )
 from .metric_engine import (
-    SpatialMetricField,
     TemporalMetric,
     checked_inverse,
     g_christoffel_values,
@@ -334,59 +336,57 @@ def _trace_tensor_vector(h, point, deco: ElectrodynamicsDecomposition, data: Spr
 
 @dataclass
 class NonlinearConnection:
-    """Evaluatable nonlinear-connection coefficients (M, N)."""
+    """Evaluatable nonlinear-connection coefficients (M, N).  The linear
+    connections apply the kernels below to their own values instead; only
+    the p = 1 Cartan connection calls ``n_at``, the spray derivative."""
 
     dims: Dims
     m_at: object  # JetPoint -> [i][a][b]
     n_at: object  # JetPoint -> [i][a][j]
 
-    def m_tensor(self, point: JetPoint) -> DTensor:
-        n, p = self.dims.n, self.dims.p
-        out = DTensor((vertical_upper(n, p), temporal_lower(p)))
-        m = self.m_at(point)
-        for i in range(n):
-            for a in range(p):
-                for b in range(p):
-                    out.set(((i, a), b), scalar_value(m[i][a][b]))
-        return out
 
-    def n_tensor(self, point: JetPoint) -> DTensor:
-        n, p = self.dims.n, self.dims.p
-        out = DTensor((vertical_upper(n, p), spatial_lower(n)))
-        nn = self.n_at(point)
-        for i in range(n):
-            for a in range(p):
-                for j in range(n):
-                    out.set(((i, a), j), scalar_value(nn[i][a][j]))
-        return out
-
-
-def _m_values(h: TemporalMetric, point: JetPoint, dims: Dims):
-    """M^{(i)}_{(a)b} = -H^c_{ab} v^i_c as [i][a][b]."""
-    hch = h_christoffel_values(h, point.t)
+def m_values(hch, point: JetPoint):
+    """M^{(i)}_{(a)b} = -H^c_{ab} v^i_c as [i][a][b], from the temporal
+    Christoffels ``hch`` [c][a][b] at the point."""
+    p = len(hch)
     return [
-        [[-_sum(hch[c][a][b] * point.v[i][c] for c in range(dims.p))
-          for b in range(dims.p)] for a in range(dims.p)]
-        for i in range(dims.n)
+        [[-_sum(hch[c][a][b] * vi[c] for c in range(p)) for b in range(p)] for a in range(p)]
+        for vi in point.v
     ]
 
 
-def metric_pair_connection(h: TemporalMetric, g: SpatialMetricField, dims: Dims) -> NonlinearConnection:
-    """The nonlinear connection of a metric pair: M = -H^c_{ab} v^i_c,
-    N = gamma^i_{jk} v^k_a (the frame the Berwald connection lives over)."""
+def pair_n_values(gamma, point: JetPoint):
+    """N^{(i)}_{(a)j} = Gamma^i_{jk} v^k_a as [i][a][j], the N of a metric
+    pair, from the Christoffels ``gamma`` [i][j][k] of g at the point."""
+    n, p = len(gamma), len(point.t)
+    return [
+        [[_sum(gamma[i][j][k] * point.v[k][a] for k in range(n)) for j in range(n)]
+         for a in range(p)]
+        for i in range(n)
+    ]
 
-    def m_at(point: JetPoint):
-        return _m_values(h, point, dims)
 
-    def n_at(point: JetPoint):
-        gamma = g_christoffel_values(g, point)
-        return [
-            [[_sum(gamma[i][j][k] * point.v[k][a] for k in range(dims.n))
-              for j in range(dims.n)] for a in range(dims.p)]
-            for i in range(dims.n)
-        ]
-
-    return NonlinearConnection(dims=dims, m_at=m_at, n_at=n_at)
+def electrodynamics_n_values(h: TemporalMetric, deco: ElectrodynamicsDecomposition,
+                             point: JetPoint, gamma, ginv, dg_dt):
+    """The p >= 2 canonical N^{(i)}_{(a)j} = Gamma^i_{jk} v^k_a
+    + (g^{ik}/2) dg_jk/dt^a + (g^{ik}/4) h_{ac} U^{(c)}_{(k)j} as
+    [i][a][j], from the decomposition metric's Christoffels ``gamma``,
+    inverse ``ginv`` and t-partials ``dg_dt[a]`` at the point."""
+    n, p = len(ginv), len(dg_dt)
+    hmat = h.matrix_at(point.t)
+    ucurl = deco.u_curl_at(point)
+    out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
+    for i in range(n):
+        for a in range(p):
+            for j in range(n):
+                acc = 0.0
+                for k in range(n):
+                    acc = acc + gamma[i][j][k] * point.v[k][a]
+                    acc = acc + 0.5 * ginv[i][k] * dg_dt[a][j][k]
+                    for c in range(p):
+                        acc = acc + 0.25 * ginv[i][k] * hmat[a][c] * ucurl[k][c][j]
+                out[i][a][j] = acc
+    return out
 
 
 def canonical_nonlinear_connection(L, h: TemporalMetric,
@@ -397,8 +397,7 @@ def canonical_nonlinear_connection(L, h: TemporalMetric,
     M^{(i)}_{(a)b} = -H^c_{ab} v^i_c for every p.  N^{(i)}_{(1)j} is
     h_11 dG^i/dy^j for p = 1 (forward mode pushed through the whole spray
     assembly, metric inversion included); for p >= 2 it is the closed
-    electrodynamics form Gamma^i_{jk} v^k_a + (g^{ik}/2) dg_jk/dt^a
-    + (g^{ik}/4) h_{ac} U^{(c)}_{(k)j}.
+    electrodynamics form of ``electrodynamics_n_values``.
     """
     dims = getattr(L, "dims", None)
     if dims is None:
@@ -406,7 +405,7 @@ def canonical_nonlinear_connection(L, h: TemporalMetric,
     n, p = dims.n, dims.p
 
     def m_at(point: JetPoint):
-        return _m_values(h, point, dims)
+        return m_values(h_christoffel_values(h, point.t), point)
 
     if p == 1:
 
@@ -423,23 +422,10 @@ def canonical_nonlinear_connection(L, h: TemporalMetric,
         ts = [t_coord(a) for a in range(p)]
 
         def n_at(point: JetPoint):
-            gamma = g_christoffel_values(deco.metric, point)
-            ginv = deco.metric.inverse_at(point)
-            hmat = h.matrix_at(point.t)
-            dg_dt = field_jacobian(deco.g_field, point, ts)
-            ucurl = deco.u_curl_at(point)
-            out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
-            for i in range(n):
-                for a in range(p):
-                    for j in range(n):
-                        acc = 0.0
-                        for k in range(n):
-                            acc = acc + gamma[i][j][k] * point.v[k][a]
-                            acc = acc + 0.5 * ginv[i][k] * dg_dt[ts[a]][j][k]
-                            for c in range(p):
-                                acc = acc + 0.25 * ginv[i][k] * hmat[a][c] * ucurl[k][c][j]
-                        out[i][a][j] = acc
-            return out
+            jac = field_jacobian(deco.metric.matrix_at, point, ts)
+            return electrodynamics_n_values(
+                h, deco, point, g_christoffel_values(deco.metric, point),
+                deco.metric.inverse_at(point), [jac[c] for c in ts])
 
     return NonlinearConnection(dims=dims, m_at=m_at, n_at=n_at)
 

@@ -169,22 +169,20 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
     conn = canonical_nonlinear_connection(L, h, decomposition=deco)
     pack = cartan_connection(L, h, conn, decomposition=deco)
     worst_compat = 0.0
-    for pt in pts[:4]:
-        compat = metric_compatibility(pack, pt)
-        worst_compat = max(worst_compat, max(compat.values()))
-    checks.append(CheckResult("cartan_metric_compatibility",
-                              worst_compat <= tols["compatibility"],
-                              worst_compat, tols["compatibility"]))
-
     worst_sym = 0.0
     for pt in pts[:4]:
         co = pack.coefficients_at(pt)
+        compat = metric_compatibility(pack, pt, co)
+        worst_compat = max(worst_compat, max(compat.values()))
         for i in range(dims.n):
             for j in range(dims.n):
                 for k in range(dims.n):
                     worst_sym = max(worst_sym, abs(scalar_value(co.l[i][j][k]) - scalar_value(co.l[i][k][j])))
                     for c in range(dims.p):
                         worst_sym = max(worst_sym, abs(scalar_value(co.c[i][j][k][c]) - scalar_value(co.c[i][k][j][c])))
+    checks.append(CheckResult("cartan_metric_compatibility",
+                              worst_compat <= tols["compatibility"],
+                              worst_compat, tols["compatibility"]))
     checks.append(CheckResult("cartan_coefficient_symmetry", worst_sym <= 1e-9, worst_sym, 1e-9))
 
     audit = table_zero_audit(pack, pts[:2])

@@ -138,7 +138,7 @@ def test_criterion_4_metric_compatibility():
             deco, conn, pack = build_geometry(inst)
             pts = sample_points(inst.dims, [-1, 1], 32, seed=4)
             for pt in pts:
-                worst = max(worst, max(metric_compatibility(pack, pt).values()))
+                worst = max(worst, max(metric_compatibility(pack, pt, pack.coefficients_at(pt)).values()))
     assert worst <= 1e-7, worst
     report(4, f"all six Cartan metric-compatibility tensors <= 1e-7 over the "
               f"corpus (worst {worst:.2e})", time.monotonic() - start)

@@ -1,11 +1,13 @@
 """Cartan and Berwald connections, covariant derivatives, metric compatibility."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from jetlag.calculus import d1, v_coord, x_coord
+from jetlag import cartan, connection, metric_engine
+from jetlag.calculus import d1, lift_d1, t_coord, v_coord, x_coord
 from jetlag.cartan import (
     MHorizontal,
     THorizontal,
@@ -142,7 +144,7 @@ class TestMetricCompatibility:
         conn, pack = build_cartan(inst)
         pts = sample_points(inst.dims, [-1, 1], 3, seed=14)
         for pt in pts:
-            compat = metric_compatibility(pack, pt)
+            compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
             worst = max(compat.values())
             assert worst <= 1e-7, (kind, p, n, compat)
 
@@ -153,7 +155,7 @@ class TestMetricCompatibility:
         conn = canonical_nonlinear_connection(L, h)
         pack = cartan_connection(L, h, conn)
         pt = JetPoint((0.1,), (0.4,), ((0.6,),))
-        compat = metric_compatibility(pack, pt)
+        compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
         assert max(compat.values()) <= 1e-9
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -165,7 +167,7 @@ class TestMetricCompatibility:
         inst = corpus_instance("non_autonomous", p, n)
         conn, pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=15)[0]
-        compat = metric_compatibility(pack, pt)
+        compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
         fields = {
             "g": (pack.g_matrix_at, (spatial_lower(n), spatial_lower(n))),
             "h": (lambda q: pack.h.matrix_at(q.t), (temporal_lower(p), temporal_lower(p))),
@@ -239,7 +241,7 @@ class TestCovariantDerivative:
             [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
         pack = berwald_connection(h, gs, d)
         pt = JetPoint((0.1, 0.2), (0.9, 0.5), ((0.2, 0.1), (0.3, -0.2)))
-        compat = metric_compatibility(pack, pt)
+        compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
         assert max(compat.values()) <= 1e-9
 
 
@@ -257,6 +259,69 @@ class TestUniquenessProbe:
             berwald_g = np.array(berwald.coefficients_at(pt).g, dtype=float)
             assert np.max(np.abs(berwald_g)) == 0.0
             assert np.max(np.abs(cartan_g - berwald_g)) > 1e-4
-            compat = metric_compatibility(berwald, pt)
+            compat = metric_compatibility(berwald, pt, berwald.coefficients_at(pt))
             assert compat["g_t_horizontal"] > 1e-4
-            assert max(metric_compatibility(pack, pt).values()) <= 1e-10
+            assert max(metric_compatibility(pack, pt, pack.coefficients_at(pt)).values()) <= 1e-10
+
+
+class TestOneEvaluationPerPoint:
+    """A coefficient closure computes H, g, g^{-1} and the Christoffels once
+    per point and builds M and N from those values."""
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
+    def test_p2_cartan_evaluates_g_once_per_direction(self, p, n):
+        inst = corpus_instance("non_autonomous", p, n)
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return deco.g_field(q)
+
+        counting = dataclasses.replace(deco, g_field=counted,
+                                       metric=SpatialMetricField(n, counted))
+        conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=counting)
+        pack = cartan_connection(inst.L, inst.h, conn, decomposition=counting)
+        pack.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=31)[0])
+        assert len(calls) == 1 + n + p  # the point, then one lift per x^k and t^a
+
+    def test_berwald_computes_each_christoffel_family_once(self, monkeypatch):
+        inst = corpus_instance("non_autonomous", 2, 2)  # h depends on t
+        calls = {"g": 0, "h": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for module in (cartan, connection):
+            monkeypatch.setattr(module, "g_christoffel_values",
+                                counted("g", metric_engine.g_christoffel_values))
+            monkeypatch.setattr(module, "h_christoffel_values",
+                                counted("h", metric_engine.h_christoffel_values))
+        berwald = berwald_connection(inst.h, inst.g_explicit, inst.dims)
+        berwald.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=32)[0])
+        assert calls == {"g": 1, "h": 1}
+
+    @pytest.mark.parametrize("lift", [None, t_coord(0), x_coord(1)])
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
+    def test_m_and_n_are_the_nonlinear_connection_bitwise(self, p, n, lift):
+        inst = corpus_instance("non_autonomous", p, n)
+        conn, pack = build_cartan(inst)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=33)[0]
+        if lift is not None:
+            pt = lift_d1(pt, lift)
+        co = pack.coefficients_at(pt)
+        assert repr(co.m) == repr(conn.m_at(pt))
+        assert repr(co.n) == repr(conn.n_at(pt))
+
+    def test_berwald_n_is_gamma_v(self):
+        inst = corpus_instance("autonomous", 2, 3)
+        p, n = inst.dims.p, inst.dims.n
+        berwald = berwald_connection(inst.h, inst.g_explicit, inst.dims)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=34)[0]
+        gamma = g_christoffel_values(inst.g_explicit, pt)
+        expect = [[[sum(gamma[i][j][k] * pt.v[k][a] for k in range(n)) for j in range(n)]
+                   for a in range(p)] for i in range(n)]
+        assert berwald.coefficients_at(pt).n == expect

@@ -79,6 +79,23 @@ class TestExitCodes:
         assert err == ("steps=80 max_el_residual=8.522e+01 aborted=(EvalDomainError: "
                        "1:1: sqrt of a negative value in 'sqrt(1 - x1)')\n")
 
+    @pytest.mark.parametrize("dt", [0.75, 5.0])
+    def test_extremal_needs_two_steps(self, tmp_path, capsys, dt):
+        # round(1 / dt) < 2: one step across the whole span used to print
+        # 2 rows, max_el_residual=nan and exit 0
+        path = write_config(tmp_path, sphere_config(dt=dt))
+        assert run(["extremal", "--config", path]) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: solver.dt: ")
+
+    def test_extremal_two_steps_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, sphere_config(dt=0.5))
+        assert run(["extremal", "--config", path]) == EX_OK
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 4  # header, t0 and 2 steps
+        assert err.startswith("steps=2 ")
+
     def test_extremal_stops_where_g_changes_signature(self, tmp_path, capsys):
         # g = x1 is positive at x0 = 0.3; the extremal runs into x1 = 0 near
         # t = 0.2, where RK4 would step across into g < 0 and go on

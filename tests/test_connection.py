@@ -290,7 +290,7 @@ class TestAdaptedDerivative:
         inst = corpus_instance("autonomous", 2, 2)  # nonflat h
         pack = cartan_pack(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=3)[0]
-        m = pack.conn.m_at(pt)
+        m = pack.coefficients_at(pt).m
         for j in range(2):
             for b in range(2):
                 fld = lambda q, j=j, b=b: q.v[j][b]

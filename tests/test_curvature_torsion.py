@@ -317,18 +317,6 @@ class TestAsymmetricCPack:
 
     def _pack(self):
         from jetlag.cartan import Coefficients, LinearConnectionPack
-        from jetlag.connection import NonlinearConnection
-
-        d = Dims(1, 2)
-        h = TemporalMetric.flat(1)
-
-        def m_at(point):
-            return [[[0.0] * d.p for _ in range(d.p)] for _ in range(d.n)]
-
-        def n_at(point):
-            return [[[0.0] * d.n for _ in range(d.p)] for _ in range(d.n)]
-
-        conn = NonlinearConnection(dims=d, m_at=m_at, n_at=n_at)
 
         def coefficients(point: JetPoint):
             y1 = point.v[0][0]
@@ -338,16 +326,16 @@ class TestAsymmetricCPack:
             hbar = [[[0.0]]]
             g = [[[0.0] for _ in range(2)] for _ in range(2)]
             l = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
-            return Coefficients(hbar=hbar, g=g, l=l, c=c, m=m_at(point), n=n_at(point))
+            m = [[[0.0]] for _ in range(2)]      # M = 0, [i][a][b]
+            n = [[[0.0] * 2] for _ in range(2)]  # N = 0, [i][a][j]
+            return Coefficients(hbar=hbar, g=g, l=l, c=c, m=m, n=n)
 
-        pack = LinearConnectionPack(
-            dims=d, kind="custom", coefficients_at=coefficients,
-            g_matrix_at=lambda pt: [[1.0, 0.0], [0.0, 1.0]],
-            conn=conn, h=h)
-        return pack, conn, h
+        return LinearConnectionPack(
+            dims=Dims(1, 2), kind="custom", coefficients_at=coefficients,
+            g_matrix_at=lambda pt: [[1.0, 0.0], [0.0, 1.0]], h=TemporalMetric.flat(1))
 
     def test_vv_torsion_formula(self):
-        pack, conn, h = self._pack()
+        pack = self._pack()
         pt = JetPoint((0.0,), (0.1, 0.2), ((0.9,), (0.4,)))
         tor = torsion_table(pack, pt)
         co = pack.coefficients_at(pt)
@@ -366,7 +354,7 @@ class TestAsymmetricCPack:
     def test_vv_curvature_against_fd_oracle(self):
         # S-family: dC/dy terms from the frame vs central differences of the
         # C coefficient field, plus the C*C commutator
-        pack, conn, h = self._pack()
+        pack = self._pack()
         pt = JetPoint((0.0,), (0.1, 0.2), ((0.9,), (0.4,)))
         cur = curvature_table(torsion_table(pack, pt))
         step = 1e-6

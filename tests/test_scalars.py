@@ -459,4 +459,6 @@ class TestOneEvaluationPerHessian:
         curvature_table(torsion_table(pack, pt))
         p, n = inst.dims.p, inst.dims.n
         lifts = 1 + p + n + n * p  # the point, then one lift per coordinate
-        assert calls == {"m": lifts, "n": lifts}
+        # M comes from the closure's own temporal Christoffels; N, the spray
+        # derivative, is read from the connection once per lift
+        assert calls == {"m": 0, "n": lifts}
