@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import DimensionError
 from .jet_core import Dims, JetPoint, raw_point
-from .scalars import Dual, Taylor2, hessian_pairs, scalar_value
+from .scalars import Dual, Taylor2, hessian_pairs, scalar_value, seeded
 
 
 class Coord(NamedTuple):
@@ -96,20 +96,19 @@ def lift_taylor(point: JetPoint, coords, pairs=None) -> JetPoint:
     """Wrap the coordinates in ``coords`` in Taylor2 scalars over
     len(coords) seeds, seed s on coords[s], carrying the Hessian entries of
     ``pairs`` (a ``(rows, cols)`` tuple of seed indices; default the full
-    triangle); the other coordinates stay as they are.  A coordinate listed
-    twice is seeded in both of its slots, so the entry between those slots
-    is its pure second partial."""
+    triangle); the other coordinates stay as they are.  Each coordinate's
+    support is its own slots: a coordinate listed twice is seeded in both,
+    so the entry between those slots is its pure second partial."""
     if pairs is None:
         pairs = hessian_pairs(len(coords))
-    zeros = [0.0] * len(pairs[0])
-    seeded = {
-        c: Taylor2(point.coord(c), [1.0 if d == c else 0.0 for d in coords], zeros, pairs)
-        for c in coords
-    }
-    t = tuple(seeded.get(t_coord(a), val) for a, val in enumerate(point.t))
-    x = tuple(seeded.get(x_coord(i), val) for i, val in enumerate(point.x))
+    slots = {}
+    for s, c in enumerate(coords):
+        slots.setdefault(c, []).append(s)
+    lifted = {c: seeded(point.coord(c), pairs, tuple(ss)) for c, ss in slots.items()}
+    t = tuple(lifted.get(t_coord(a), val) for a, val in enumerate(point.t))
+    x = tuple(lifted.get(x_coord(i), val) for i, val in enumerate(point.x))
     v = tuple(
-        tuple(seeded.get(v_coord(i, a), val) for a, val in enumerate(row))
+        tuple(lifted.get(v_coord(i, a), val) for a, val in enumerate(row))
         for i, row in enumerate(point.v)
     )
     return raw_point(t, x, v)
@@ -135,19 +134,26 @@ def gradient_hessian(f, point: JetPoint, coords, pairs=None):
     coords[s] and, for each pair (s, r) = (rows[m], cols[m]) of ``pairs``
     (default the full triangle), ``hess[s][r] = hess[r][s]`` the second
     partial along coords[s] and coords[r], computed with coords[s] as the
-    first direction.  Entries outside ``pairs`` are None: they were never
-    computed, so reading one fails instead of giving a plausible zero."""
+    first direction.  An entry of ``pairs`` outside the result's support is
+    0.0, since it is structurally zero.  Entries outside ``pairs`` are
+    None: they were never computed, so reading one fails instead of giving a
+    plausible zero."""
     k = len(coords)
     if pairs is None:
         pairs = hessian_pairs(k)
     r = f(lift_taylor(point, coords, pairs))
-    if type(r) is Taylor2:
-        grad, entries = r.g, r.h
-    else:
-        grad, entries = [0.0] * k, [0.0] * len(pairs[0])
+    rows, cols = pairs
+    grad = [0.0] * k
     hess = [[None] * k for _ in range(k)]
-    for i, j, e in zip(*pairs, entries):
-        hess[i][j] = hess[j][i] = e
+    for i, j in zip(rows, cols):
+        hess[i][j] = hess[j][i] = 0.0
+    if type(r) is Taylor2:
+        lay = r.layout
+        for s, e in zip(lay.seeds, r.g):
+            grad[s] = e
+        for m, e in zip(lay.kept, r.h):
+            i, j = rows[m], cols[m]
+            hess[i][j] = hess[j][i] = e
     return grad, hess
 
 

@@ -14,6 +14,17 @@ Two scalar kinds:
   raw scalar fields, so when a Taylor2 meets a Dual the Dual is always an
   older layer and is treated as a constant.
 
+A Taylor2 stores only its support (the sparse forward mode of Griewank &
+Walther, ch. 7): the seeds its gradient depends on and the evaluation's
+pairs within them, named by an interned ``Layout``.  A product of two
+velocities in the spray's evaluation carries its 2 gradient entries and no
+Hessian entry instead of all k and every pair.  A binary op reads the union
+of its operands' supports through an index ``_Plan`` cached on their
+layouts, and a 0.0 sentinel at the end of every entry list stands for an
+entry an operand does not carry.  Each entry goes through the dense
+formula's operations in the dense order, so every entry a dense scalar would
+compute nonzero comes out bitwise the same; only zeros can differ, in sign.
+
 All arithmetic is generic over the component kind, which is what makes
 nesting (derivatives of quantities that are themselves assembled from
 derivatives) work without any symbolic machinery.
@@ -134,71 +145,159 @@ class Dual:
         return g_pow(o, self)
 
 
+class Layout:
+    """Where the entries of a Taylor2 sit in its evaluation.
+
+    ``pairs`` is the evaluation's ``(rows, cols)``; ``seeds`` the sorted
+    seed indices the gradient can be nonzero on, aligned with ``g``;
+    ``kept`` the indices into ``pairs`` of the pairs with both seeds in
+    ``seeds``, aligned with ``h``; ``hg`` the positions in ``g`` of the two
+    seeds of each kept pair.  Layouts are interned by ``layout``, so one
+    (pairs, seeds) is one object, and each caches in ``plans`` its plan
+    with every layout it has met as left operand.  Both live for the
+    process; their number is bounded by the supports the fields produce,
+    not by the number of evaluations.
+    """
+
+    __slots__ = ("pairs", "seeds", "kept", "hg", "plans")
+
+    def __init__(self, pairs, seeds):
+        rows, cols = pairs
+        at = {s: q for q, s in enumerate(seeds)}
+        self.pairs = pairs
+        self.seeds = seeds
+        self.kept = tuple(m for m, (i, j) in enumerate(zip(rows, cols))
+                          if i in at and j in at)
+        self.hg = tuple((at[rows[m]], at[cols[m]]) for m in self.kept)
+        self.plans = {}
+
+    def __repr__(self):
+        return f"Layout({self.seeds!r}, {self.kept!r})"
+
+
+_LAYOUTS = {}
+
+
+def layout(pairs, seeds) -> Layout:
+    """The one Layout of the sorted seed indices ``seeds`` in an evaluation
+    carrying ``pairs``."""
+    key = (pairs, seeds)
+    lay = _LAYOUTS.get(key)
+    if lay is None:
+        lay = _LAYOUTS[key] = Layout(pairs, seeds)
+    return lay
+
+
+class _Plan:
+    """Index plan of a binary op between Taylor2s of layouts a and b: the
+    layout of the union of their seeds, and for each entry of it the
+    positions of the operand entries the dense formula reads, -1 (the 0.0
+    sentinel) where an operand does not carry the entry.  ``g`` and ``h``
+    hold (a, b) positions of the same entry, each with a last (-1, -1) row
+    that makes a sum or difference end in its own sentinel (0.0 +- 0.0 is
+    0.0); ``mul`` holds, per Hessian pair (i, j), the positions of h_a,
+    h_b, g_a[i], g_b[j], g_a[j] and g_b[i]."""
+
+    __slots__ = ("layout", "g", "h", "mul")
+
+    def __init__(self, a, b):
+        rows, cols = a.pairs
+        u = self.layout = layout(a.pairs, tuple(sorted({*a.seeds, *b.seeds})))
+        ga = {s: q for q, s in enumerate(a.seeds)}
+        gb = {s: q for q, s in enumerate(b.seeds)}
+        ha = {m: q for q, m in enumerate(a.kept)}
+        hb = {m: q for q, m in enumerate(b.kept)}
+        self.g = tuple((ga.get(s, -1), gb.get(s, -1)) for s in u.seeds) + ((-1, -1),)
+        self.h = tuple((ha.get(m, -1), hb.get(m, -1)) for m in u.kept) + ((-1, -1),)
+        self.mul = tuple(
+            (ha.get(m, -1), hb.get(m, -1), ga.get(rows[m], -1), gb.get(cols[m], -1),
+             ga.get(cols[m], -1), gb.get(rows[m], -1))
+            for m in u.kept
+        )
+
+
+def _plan(a: Layout, b: Layout) -> _Plan:
+    """Make the plan of a op b and cache it on a."""
+    plan = a.plans[b] = _Plan(a, b)
+    return plan
+
+
 class Taylor2:
     """Value, gradient and chosen Hessian entries of a quantity over k
     seeded coordinates: v + g_i e_i + sum h_ij e_i e_j over the kept pairs
     (i, j), with every product of three e's zero (and e_i^2 kept, so h_ii
     is a second partial).
 
-    ``g`` is a list of k entries.  ``pairs`` is a ``(rows, cols)`` tuple of
-    seed indices, shared by every scalar of one evaluation, and ``h`` holds
-    one entry per pair, aligned with it; ``hessian_pairs(k)`` is the full
-    upper triangle.  The lists are shared between scalars and never
+    Each scalar carries only its support, the entries that can be nonzero:
+    ``layout`` (a ``Layout``) names the seeds its gradient depends on and
+    the evaluation's pairs within them, and ``g`` and ``h`` hold those
+    entries in that order, each followed by a 0.0 sentinel at index -1.
+    The evaluation's ``(rows, cols)`` is ``layout.pairs``;
+    ``hessian_pairs(k)`` is the full upper triangle.  A binary op computes
+    every entry of the union of its operands' supports with the dense
+    formula, reading an entry an operand does not carry at the sentinel,
+    through the plan cached on the operands' layouts; a unary op keeps its
+    operand's layout.  The lists are shared between scalars and never
     mutated.  Entry (i, j) reads only entry (i, j) and gradient entries i
     and j of the operands, and goes through exactly the operations of a
     hyper-dual number seeded with e1 on coordinate i and e2 on coordinate
-    j, so one evaluation reproduces every two-direction pair it keeps.
+    j, so one evaluation reproduces every two-direction pair it keeps, up
+    to the sign of a zero.
     """
 
-    __slots__ = ("re", "g", "h", "pairs")
+    __slots__ = ("re", "g", "h", "layout")
 
-    def __init__(self, re, g, h, pairs):
+    def __init__(self, re, g, h, layout):
         self.re = re
         self.g = g
         self.h = h
-        self.pairs = pairs
+        self.layout = layout
 
     def __repr__(self):
-        return f"Taylor2({self.re!r}, {self.g!r}, {self.h!r}, {self.pairs!r})"
+        return f"Taylor2({self.re!r}, {self.g!r}, {self.h!r}, {self.layout!r})"
 
     def __add__(self, o):
         if type(o) is Taylor2:
-            return Taylor2(self.re + o.re, [x + y for x, y in zip(self.g, o.g)],
-                           [x + y for x, y in zip(self.h, o.h)], self.pairs)
+            ga, gb, ha, hb = self.g, o.g, self.h, o.h
+            plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
+            return Taylor2(self.re + o.re, [ga[p] + gb[q] for p, q in plan.g],
+                           [ha[p] + hb[q] for p, q in plan.h], plan.layout)
         if isinstance(o, _NUM) or type(o) is Dual:
-            return Taylor2(self.re + o, self.g, self.h, self.pairs)
+            return Taylor2(self.re + o, self.g, self.h, self.layout)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if type(o) is Taylor2:
-            return Taylor2(self.re - o.re, [x - y for x, y in zip(self.g, o.g)],
-                           [x - y for x, y in zip(self.h, o.h)], self.pairs)
+            ga, gb, ha, hb = self.g, o.g, self.h, o.h
+            plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
+            return Taylor2(self.re - o.re, [ga[p] - gb[q] for p, q in plan.g],
+                           [ha[p] - hb[q] for p, q in plan.h], plan.layout)
         if isinstance(o, _NUM) or type(o) is Dual:
-            return Taylor2(self.re - o, self.g, self.h, self.pairs)
+            return Taylor2(self.re - o, self.g, self.h, self.layout)
         return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _NUM) or type(o) is Dual:
-            return Taylor2(o - self.re, [-x for x in self.g], [-x for x in self.h],
-                           self.pairs)
+            return (-self) + o
         return NotImplemented
 
     def __mul__(self, o):
         if type(o) is Taylor2:
-            a, b, ga, gb = self.re, o.re, self.g, o.g
-            rows, cols = pairs = self.pairs
-            return Taylor2(
-                a * b,
-                [a * y + x * b for x, y in zip(ga, gb)],
-                [a * hb + ga[i] * gb[j] + ga[j] * gb[i] + ha * b
-                 for i, j, ha, hb in zip(rows, cols, self.h, o.h)],
-                pairs,
-            )
+            a, b, ga, gb, ha, hb = self.re, o.re, self.g, o.g, self.h, o.h
+            plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
+            g = [a * gb[q] + ga[p] * b for p, q in plan.g]
+            g[-1] = 0.0
+            h = [a * hb[q] + ga[i] * gb[j] + ga[j2] * gb[i2] + ha[p] * b
+                 for p, q, i, j, j2, i2 in plan.mul]
+            h.append(0.0)
+            return Taylor2(a * b, g, h, plan.layout)
         if isinstance(o, _NUM) or type(o) is Dual:
-            return Taylor2(self.re * o, [x * o for x in self.g], [x * o for x in self.h],
-                           self.pairs)
+            g = [x * o for x in self.g]
+            h = [x * o for x in self.h]
+            g[-1] = h[-1] = 0.0
+            return Taylor2(self.re * o, g, h, self.layout)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -211,14 +310,12 @@ class Taylor2:
         inv2 = inv * inv
         g = self.g
         twice = [2.0 * x for x in g]
-        rows, cols = pairs = self.pairs
-        return Taylor2(
-            inv,
-            [-x * inv2 for x in g],
-            [-hh * inv2 + twice[i] * g[j] * inv2 * inv
-             for i, j, hh in zip(rows, cols, self.h)],
-            pairs,
-        )
+        dg = [-x * inv2 for x in g]
+        dg[-1] = 0.0
+        dh = [-hh * inv2 + twice[i] * g[j] * inv2 * inv
+              for (i, j), hh in zip(self.layout.hg, self.h)]
+        dh.append(0.0)
+        return Taylor2(inv, dg, dh, self.layout)
 
     def __truediv__(self, o):
         if type(o) is Taylor2:
@@ -227,8 +324,7 @@ class Taylor2:
             if scalar_value(o) == 0.0:
                 raise ZeroDivisionError("taylor division by zero")
             inv = 1.0 / o if isinstance(o, _NUM) else _reciprocal(o)
-            return Taylor2(self.re * inv, [x * inv for x in self.g], [x * inv for x in self.h],
-                           self.pairs)
+            return self * inv
         return NotImplemented
 
     def __rtruediv__(self, o):
@@ -237,13 +333,23 @@ class Taylor2:
         return NotImplemented
 
     def __neg__(self):
-        return Taylor2(-self.re, [-x for x in self.g], [-x for x in self.h], self.pairs)
+        g = [-x for x in self.g]
+        h = [-x for x in self.h]
+        g[-1] = h[-1] = 0.0
+        return Taylor2(-self.re, g, h, self.layout)
 
     def __pow__(self, o):
         return g_pow(self, o)
 
     def __rpow__(self, o):
         return g_pow(o, self)
+
+
+def seeded(value, pairs, seeds) -> Taylor2:
+    """``value`` seeded with 1 in each of ``seeds`` (sorted seed indices) of
+    an evaluation carrying ``pairs``."""
+    lay = layout(pairs, seeds)
+    return Taylor2(value, [1.0] * len(seeds) + [0.0], [0.0] * (len(lay.kept) + 1), lay)
 
 
 @functools.cache
@@ -272,13 +378,11 @@ def _chain(x, f, df, d2f):
     d, dd = df(v), d2f(v)
     g = x.g
     scaled = [dd * e for e in g]
-    rows, cols = pairs = x.pairs
-    return Taylor2(
-        f(v),
-        [d * e for e in g],
-        [d * hh + scaled[i] * g[j] for i, j, hh in zip(rows, cols, x.h)],
-        pairs,
-    )
+    dg = [d * e for e in g]
+    dg[-1] = 0.0
+    dh = [d * hh + scaled[i] * g[j] for (i, j), hh in zip(x.layout.hg, x.h)]
+    dh.append(0.0)
+    return Taylor2(f(v), dg, dh, x.layout)
 
 
 def _domain(cond, message):

@@ -170,8 +170,10 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
     pack = cartan_connection(L, h, conn, decomposition=deco)
     worst_compat = 0.0
     worst_sym = 0.0
+    cos = []
     for pt in pts[:4]:
         co = pack.coefficients_at(pt)
+        cos.append(co)
         compat = metric_compatibility(pack, pt, co)
         worst_compat = max(worst_compat, max(compat.values()))
         for i in range(dims.n):
@@ -200,13 +202,13 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
     if (dims.p == 1 and h.constant and instance.g_reads_x_only()
             and instance.L.structure.u_entries is None):
         worst_red = 0.0
-        for pt in pts[:3]:
+        # for p = 1 the Cartan pack's N is the connection's own (conn.n_at)
+        for pt, co in zip(pts[:3], cos):
             gamma = g_christoffel_values(instance.g_explicit, pt)
-            nval = conn.n_at(pt)
             for i in range(dims.n):
                 for j in range(dims.n):
                     expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(dims.n))
-                    worst_red = max(worst_red, abs(scalar_value(nval[i][0][j]) - expect))
+                    worst_red = max(worst_red, abs(scalar_value(co.n[i][0][j]) - expect))
         checks.append(CheckResult("classical_reduction", worst_red <= 1e-8, worst_red, 1e-8))
     return checks
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from jetlag import cartan, connection, metric_engine
+from jetlag import cartan, connection, metric_engine, verify
 from jetlag.calculus import d1, lift_d1, t_coord, v_coord, x_coord
 from jetlag.cartan import (
     MHorizontal,
@@ -29,7 +29,7 @@ from jetlag.metric_engine import SpatialMetricField, TemporalMetric, g_christoff
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 
-from conftest import corpus_instance, spatial_metric_of, sphere_config
+from conftest import corpus_config, corpus_instance, spatial_metric_of, sphere_config
 from jetlag.config import assemble
 
 
@@ -325,3 +325,38 @@ class TestOneEvaluationPerPoint:
         expect = [[[sum(gamma[i][j][k] * pt.v[k][a] for k in range(n)) for j in range(n)]
                    for a in range(p)] for i in range(n)]
         assert berwald.coefficients_at(pt).n == expect
+
+    def test_verify_reads_the_reduction_n_from_the_cartan_coefficients(self, monkeypatch):
+        # p = 1, constant h, g of x only and no U: verify runs the classical
+        # reduction N^i_j = Gamma^i_jk v^k at its first three points
+        inst = assemble(corpus_config("harmonic", 1, 2, count=4))
+        p, n = inst.dims.p, inst.dims.n
+        calls = []
+        build = verify.canonical_nonlinear_connection
+
+        def counting(*args, **kwargs):
+            conn = build(*args, **kwargs)
+
+            def n_at(q):
+                calls.append(q)
+                return conn.n_at(q)
+
+            return dataclasses.replace(conn, n_at=n_at)
+
+        monkeypatch.setattr(verify, "canonical_nonlinear_connection", counting)
+        checks = verify.run_checks(inst)
+        # one per coefficients_at: the 4 compatibility points, then the
+        # point and each coordinate lift of 4 torsion tables (2 audit, 2
+        # antisymmetry); 3 more when the reduction called n_at itself
+        assert len(calls) == 4 + 4 * (1 + p + n + n * p) == 28
+        conn, _ = build_cartan(inst)
+        worst = 0.0
+        for pt in verify._points(inst, 6)[:3]:
+            gamma = g_christoffel_values(inst.g_explicit, pt)
+            nval = conn.n_at(pt)
+            for i in range(n):
+                for j in range(n):
+                    expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(n))
+                    worst = max(worst, abs(scalar_value(nval[i][0][j]) - expect))
+        (reduction,) = [c for c in checks if c.name == "classical_reduction"]
+        assert reduction.passed and repr(reduction.worst) == repr(worst)

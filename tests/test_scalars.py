@@ -1,6 +1,7 @@
-"""The dense second-order scalar Taylor2 against the two-direction
-hyper-dual numbers it replaced, its pair-restricted evaluation against the
-full triangle, and the number of evaluations and entries it takes.
+"""The second-order scalar Taylor2 against the two-direction hyper-dual
+numbers it replaced, its pair-restricted evaluation against the full
+triangle, its sparse support against the dense scalar it replaced, and the
+number of evaluations and entries it takes.
 
 ``HyperDual``, its function kernels and ``lift_d2`` below are the
 library's former implementation, kept here as the oracle: every gradient
@@ -12,6 +13,10 @@ sign of a zero.  The electrodynamics family is compared with the former
 two-seed evaluations as they were; random expressions, whose quotients of
 unseeded coordinates round differently in plain floats, with every
 coordinate wrapped.
+
+``DenseTaylor2`` below is the former dense Taylor2, every scalar carrying
+all k gradient entries and every pair: the sparse evaluation must give each
+of its entries bitwise, zeros by value.
 """
 
 import dataclasses
@@ -21,7 +26,15 @@ import random
 import pytest
 
 from jetlag import connection, dsl, metric_engine, scalars
-from jetlag.calculus import all_coords, gradient_hessian, lift_d1, v_coord, x_coord
+from jetlag.calculus import (
+    all_coords,
+    gradient_hessian,
+    lift_d1,
+    lift_taylor,
+    t_coord,
+    v_coord,
+    x_coord,
+)
 from jetlag.cartan import cartan_connection
 from jetlag.connection import canonical_nonlinear_connection, spray_data
 from jetlag.curvature import curvature_table, torsion_table
@@ -41,7 +54,7 @@ _NUM = (int, float)
 
 
 def _value(s):
-    while type(s) in (Dual, HyperDual, Taylor2):
+    while type(s) in (Dual, HyperDual, Taylor2, DenseTaylor2):
         s = s.re
     return float(s)
 
@@ -400,12 +413,314 @@ class TestPairRestriction:
         assert restricted == [repr(spray_data(inst.L, inst.h, q)) for q in points]
 
 
+# --- Sparse support against the former dense scalar ------------------------------------
+
+
+class DenseTaylor2:
+    """The library's former second-order scalar, kept as the oracle of the
+    sparse one: every scalar of an evaluation carries all k gradient
+    entries and one Hessian entry per pair of ``pairs``."""
+
+    __slots__ = ("re", "g", "h", "pairs")
+
+    def __init__(self, re, g, h, pairs):
+        self.re = re
+        self.g = g
+        self.h = h
+        self.pairs = pairs
+
+    def __add__(self, o):
+        if type(o) is DenseTaylor2:
+            return DenseTaylor2(self.re + o.re, [x + y for x, y in zip(self.g, o.g)],
+                                [x + y for x, y in zip(self.h, o.h)], self.pairs)
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return DenseTaylor2(self.re + o, self.g, self.h, self.pairs)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is DenseTaylor2:
+            return DenseTaylor2(self.re - o.re, [x - y for x, y in zip(self.g, o.g)],
+                                [x - y for x, y in zip(self.h, o.h)], self.pairs)
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return DenseTaylor2(self.re - o, self.g, self.h, self.pairs)
+        return NotImplemented
+
+    def __rsub__(self, o):
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return DenseTaylor2(o - self.re, [-x for x in self.g], [-x for x in self.h],
+                                self.pairs)
+        return NotImplemented
+
+    def __mul__(self, o):
+        if type(o) is DenseTaylor2:
+            a, b, ga, gb = self.re, o.re, self.g, o.g
+            rows, cols = pairs = self.pairs
+            return DenseTaylor2(
+                a * b,
+                [a * y + x * b for x, y in zip(ga, gb)],
+                [a * hb + ga[i] * gb[j] + ga[j] * gb[i] + ha * b
+                 for i, j, ha, hb in zip(rows, cols, self.h, o.h)],
+                pairs,
+            )
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return DenseTaylor2(self.re * o, [x * o for x in self.g],
+                                [x * o for x in self.h], self.pairs)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _reciprocal(self):
+        v = self.re
+        if _value(v) == 0.0:
+            raise ZeroDivisionError("taylor division by zero")
+        inv = 1.0 / v if isinstance(v, _NUM) else _reciprocal(v)
+        inv2 = inv * inv
+        g = self.g
+        twice = [2.0 * x for x in g]
+        rows, cols = pairs = self.pairs
+        return DenseTaylor2(
+            inv,
+            [-x * inv2 for x in g],
+            [-hh * inv2 + twice[i] * g[j] * inv2 * inv
+             for i, j, hh in zip(rows, cols, self.h)],
+            pairs,
+        )
+
+    def __truediv__(self, o):
+        if type(o) is DenseTaylor2:
+            return self * o._reciprocal()
+        if isinstance(o, _NUM) or type(o) is Dual:
+            if _value(o) == 0.0:
+                raise ZeroDivisionError("taylor division by zero")
+            inv = 1.0 / o if isinstance(o, _NUM) else _reciprocal(o)
+            return DenseTaylor2(self.re * inv, [x * inv for x in self.g],
+                                [x * inv for x in self.h], self.pairs)
+        return NotImplemented
+
+    def __rtruediv__(self, o):
+        if isinstance(o, _NUM) or type(o) is Dual:
+            return self._reciprocal() * o
+        return NotImplemented
+
+    def __neg__(self):
+        return DenseTaylor2(-self.re, [-x for x in self.g], [-x for x in self.h], self.pairs)
+
+
+def _dense_chain(x, f, df, d2f):
+    v = x.re
+    d, dd = df(v), d2f(v)
+    g = x.g
+    scaled = [dd * e for e in g]
+    rows, cols = pairs = x.pairs
+    return DenseTaylor2(
+        f(v),
+        [d * e for e in g],
+        [d * hh + scaled[i] * g[j] for i, j, hh in zip(rows, cols, x.h)],
+        pairs,
+    )
+
+
+def _dense_tan(x):
+    def dtan(v):
+        tv = scalars.g_tan(v)
+        return 1.0 + tv * tv
+
+    return _dense_chain(x, scalars.g_tan, dtan, lambda v: 2.0 * scalars.g_tan(v) * dtan(v))
+
+
+def _dense_log(x):
+    _domain(_value(x) > 0.0, "log of a non-positive value")
+    return _dense_chain(x, scalars.g_log, _reciprocal, lambda v: -_reciprocal(v * v))
+
+
+def _dense_sqrt(x):
+    _domain(_value(x) > 0.0, "sqrt differentiated at a non-positive value")
+    return _dense_chain(x, scalars.g_sqrt, lambda v: 0.5 * _reciprocal(scalars.g_sqrt(v)),
+                        lambda v: -0.25 * _reciprocal(scalars.g_sqrt(v) * v))
+
+
+# The former kernels' second-order branches; inner values are never dense
+# scalars, so they go to the library's own kernels.
+_DENSE_KERNELS = {
+    "sin": lambda x: _dense_chain(x, scalars.g_sin, scalars.g_cos,
+                                  lambda v: -scalars.g_sin(v)),
+    "cos": lambda x: _dense_chain(x, scalars.g_cos, lambda v: -scalars.g_sin(v),
+                                  lambda v: -scalars.g_cos(v)),
+    "tan": _dense_tan,
+    "exp": lambda x: _dense_chain(x, scalars.g_exp, scalars.g_exp, scalars.g_exp),
+    "log": _dense_log,
+    "sqrt": _dense_sqrt,
+    "sinh": lambda x: _dense_chain(x, scalars.g_sinh, scalars.g_cosh, scalars.g_sinh),
+    "cosh": lambda x: _dense_chain(x, scalars.g_cosh, scalars.g_sinh, scalars.g_cosh),
+    "abs": _hd_abs,
+}
+
+
+@pytest.fixture
+def dense_kernels(monkeypatch):
+    """Expression closures compiled inside this fixture send dense
+    arguments to the former kernels; value reads know the dense scalar."""
+    for name, fn in list(dsl._FUNC_IMPL.items()):
+        dense = _DENSE_KERNELS[name]
+        monkeypatch.setitem(dsl._FUNC_IMPL, name,
+                            lambda x, fn=fn, dense=dense: dense(x) if type(x) is DenseTaylor2
+                            else fn(x))
+
+    def div(a, b):
+        if _value(b) == 0.0:
+            raise EvalDomainError("division by zero")
+        return a / b
+
+    monkeypatch.setattr(scalars, "g_div", div)
+    monkeypatch.setattr(metric_engine, "scalar_value", _value)
+
+
+def _dense_gradient_hessian(f, point, coords, pairs):
+    """The former ``gradient_hessian``: one evaluation on a lift where every
+    seeded coordinate carries all len(coords) gradient entries."""
+    k = len(coords)
+    zeros = [0.0] * len(pairs[0])
+    seeded = {
+        c: DenseTaylor2(point.coord(c), [1.0 if d == c else 0.0 for d in coords], zeros, pairs)
+        for c in coords
+    }
+    t = tuple(seeded.get(t_coord(a), val) for a, val in enumerate(point.t))
+    x = tuple(seeded.get(x_coord(i), val) for i, val in enumerate(point.x))
+    v = tuple(tuple(seeded.get(v_coord(i, a), val) for a, val in enumerate(row))
+              for i, row in enumerate(point.v))
+    r = f(raw_point(t, x, v))
+    if type(r) is DenseTaylor2:
+        grad, entries = r.g, r.h
+    else:
+        grad, entries = [0.0] * k, [0.0] * len(pairs[0])
+    hess = [[None] * k for _ in range(k)]
+    for i, j, e in zip(*pairs, entries):
+        hess[i][j] = hess[j][i] = e
+    return grad, hess
+
+
+def _dense_mismatches(f, point, coords, pairs):
+    """Entries where the sparse evaluation is not the dense one (bitwise by
+    repr, zeros by value, None where neither computed the entry); None
+    when both raise."""
+    try:
+        want = _dense_gradient_hessian(f, point, coords, pairs)
+    except EvalDomainError:
+        want = None
+    try:
+        grad, hess = gradient_hessian(f, point, coords, pairs)
+    except EvalDomainError:
+        assert want is None, "only the sparse evaluation raised"
+        return None
+    assert want is not None, "only the dense evaluation raised"
+    bad = [("grad", s, grad[s], want[0][s]) for s in range(len(coords))
+           if not _same(grad[s], want[0][s])]
+    for s in range(len(coords)):
+        for r in range(len(coords)):
+            got, exp = hess[s][r], want[1][s][r]
+            if (got is None or exp is None) and got is not exp:
+                bad.append((s, r, got, exp))
+            elif got is not None and not _same(got, exp):
+                bad.append((s, r, got, exp))
+    return bad
+
+
+class TestSparseMatchesDense:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_random_expressions(self, dense_kernels, p):
+        rng = random.Random(40 + p)
+        dims = Dims(p, 2)
+        coords = all_coords(dims)
+        compared = 0
+        for _ in range(60):
+            text = dsl.format_ast(random_ast(rng, dims, depth=4))
+            field = ExpressionField(text, dims)
+            point = JetPoint(tuple(rng.uniform(0.1, 2) for _ in range(p)),
+                             tuple(rng.uniform(0.1, 2) for _ in range(2)),
+                             tuple(tuple(rng.uniform(0.1, 2) for _ in range(p)) for _ in range(2)))
+            for probe in (point, lift_d1(point, v_coord(1, p - 1))):
+                for pairs in (hessian_pairs(len(coords)), connection._spray_pairs(2, p)):
+                    bad = _dense_mismatches(field, probe, coords, pairs)
+                    if bad is not None:
+                        compared += 1
+                        assert bad == [], text
+        assert compared >= 180
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_electrodynamics(self, dense_kernels, p):
+        inst = corpus_instance("non_autonomous", p, 2)
+        coords = all_coords(inst.dims)
+        for base in sample_points(inst.dims, [-1, 1], 2, seed=8):
+            for point in (base, lift_d1(base, v_coord(0, 0)), lift_d1(base, x_coord(1))):
+                for pairs in (hessian_pairs(len(coords)), connection._spray_pairs(2, p)):
+                    assert _dense_mismatches(inst.L, point, coords, pairs) == []
+
+
+def _spray_lift(p, n):
+    """A point of the p, n jet space lifted over every coordinate with the
+    spray's pairs, and those coordinates in seed order."""
+    dims = Dims(p, n)
+    coords = all_coords(dims)
+    point = sample_points(dims, [-1, 1], 1, seed=3)[0]
+    return lift_taylor(point, coords, connection._spray_pairs(n, p)), coords
+
+
+class TestSupport:
+    def test_velocity_product_carries_no_hessian_entry(self):
+        q, coords = _spray_lift(2, 3)
+        r = q.v[0][0] * q.v[1][1]
+        assert r.layout.seeds == (coords.index(v_coord(0, 0)), coords.index(v_coord(1, 1)))
+        assert r.layout.kept == ()
+        assert len(r.g) == 2 + 1 and r.h == [0.0]  # the entries, then the sentinel
+
+    def test_metric_times_velocity_product_carries_its_two_x_v_entries(self):
+        q, coords = _spray_lift(2, 3)
+        r = scalars.g_cos(q.x[0]) * (q.v[0][0] * q.v[1][1])
+        rows, cols = r.layout.pairs
+        x0 = coords.index(x_coord(0))
+        assert {(rows[m], cols[m]) for m in r.layout.kept} == {
+            (x0, coords.index(v_coord(0, 0))), (x0, coords.index(v_coord(1, 1)))}
+        assert len(r.h) == 2 + 1
+
+    def test_gradient_hessian_reads_zero_in_pairs_and_none_outside(self):
+        dims = Dims(2, 3)
+        coords = all_coords(dims)
+        point = sample_points(dims, [-1, 1], 1, seed=3)[0]
+        grad, hess = gradient_hessian(lambda q: q.v[0][0] * q.v[1][1], point, coords,
+                                      connection._spray_pairs(3, 2))
+        x0, v00, v11 = (coords.index(c) for c in (x_coord(0), v_coord(0, 0), v_coord(1, 1)))
+        assert repr(hess[x0][v00]) == repr(hess[v00][x0]) == "0.0"  # kept, outside support
+        assert hess[v00][v11] is None  # not a spray pair
+        assert grad[v00] == point.v[1][1] and repr(grad[x0]) == "0.0"
+
+    def test_repeated_evaluation_makes_no_new_layout_or_plan(self):
+        def totals():
+            return (len(scalars._LAYOUTS),
+                    sum(len(lay.plans) for lay in scalars._LAYOUTS.values()))
+
+        inst = corpus_instance("non_autonomous", 2, 2)
+        conn = canonical_nonlinear_connection(inst.L, inst.h)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=4)[0]
+        seen = []
+        for _ in range(2):
+            for q in (pt, lift_d1(pt, x_coord(0))):
+                hessian_blocks(inst.L, q)
+                spray_data(inst.L, inst.h, q)
+                conn.n_at(q)
+            seen.append(totals())
+        assert seen[0] == seen[1]
+
+
 # --- Evaluations per assembly ---------------------------------------------------------
 
 
 class _Counted:
     """L, counting its evaluations and recording, for each one on a
-    Taylor2-lifted point, the seed count and the Hessian entries carried."""
+    Taylor2-lifted point, the seed count (the lifted coordinates: each
+    scalar carries only its own seeds) and the Hessian entries carried (the
+    evaluation's pairs)."""
 
     def __init__(self, L):
         self.L, self.dims, self.calls, self.lifts = L, L.dims, 0, []
@@ -415,7 +730,7 @@ class _Counted:
         coords = list(point.t) + list(point.x) + [e for row in point.v for e in row]
         lifted = [e for e in coords if type(e) is Taylor2]
         if lifted:
-            self.lifts.append((len(lifted[0].g), len(lifted[0].pairs[0])))
+            self.lifts.append((len(lifted), len(lifted[0].layout.pairs[0])))
         return self.L(point)
 
 
