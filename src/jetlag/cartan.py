@@ -47,7 +47,6 @@ from .connection import (
 from .errors import DimensionError
 from .jet_core import Dims, DTensor, JetPoint, SlotKind
 from .metric_engine import (
-    SpatialMetricField,
     TemporalMetric,
     checked_inverse,
     christoffel,
@@ -148,9 +147,9 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
     ts = [t_coord(a) for a in range(p)]
 
     def coefficients(point: JetPoint):
-        ginv = checked_inverse(deco.metric.matrix_at(point))
+        ginv = checked_inverse(deco.g_field(point))
         hbar = h_christoffel_values(h, point.t)
-        jac = field_jacobian(deco.metric.matrix_at, point, xs + ts)
+        jac = field_jacobian(deco.g_field, point, xs + ts)
         l_co = christoffel(ginv, [jac[c] for c in xs])
         dg_dt = [jac[c] for c in ts]
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -158,7 +157,7 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
             hbar=hbar, g=_g_block(ginv, dg_dt), l=l_co, c=c_co, m=m_values(hbar, point),
             n=electrodynamics_n_values(h, deco, point, l_co, ginv, dg_dt))
 
-    return coefficients, deco.metric.matrix_at
+    return coefficients, deco.g_field
 
 
 def cartan_connection(L, h: TemporalMetric, conn: NonlinearConnection,
@@ -190,19 +189,17 @@ def cartan_connection(L, h: TemporalMetric, conn: NonlinearConnection,
     )
 
 
-def berwald_connection(h: TemporalMetric, g: SpatialMetricField,
-                       dims: Dims | None = None) -> LinearConnectionPack:
+def berwald_connection(h: TemporalMetric, g_matrix, dims: Dims) -> LinearConnectionPack:
     """The connection (Hbar, 0, gamma^k_ij, 0) of the metric pair (h, g),
     over the pair's own nonlinear connection M = -H^c_{ab} v^i_c,
     N = gamma^i_{jk} v^k_a.  Intended for g = g(x); for time-dependent g it
     freezes t as a parameter, which is what the distinctness probes
-    exercise."""
-    dims = dims or Dims(h.p, g.n)
+    exercise.  ``g_matrix`` maps a jet point to the n x n matrix of g."""
     n, p = dims.n, dims.p
 
     def coefficients(point: JetPoint):
         hbar = h_christoffel_values(h, point.t)
-        l_co = g_christoffel_values(g, point)
+        l_co = g_christoffel_values(g_matrix, point)
         g_co = [[[0.0] * p for _ in range(n)] for _ in range(n)]
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
         return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co,
@@ -210,7 +207,7 @@ def berwald_connection(h: TemporalMetric, g: SpatialMetricField,
 
     return LinearConnectionPack(
         dims=dims, kind="berwald", coefficients_at=coefficients,
-        g_matrix_at=g.matrix_at, h=h,
+        g_matrix_at=g_matrix, h=h,
     )
 
 

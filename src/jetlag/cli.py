@@ -24,7 +24,6 @@ from .curvature import curvature_table, table_zero_audit, torsion_table
 from .errors import ConfigError, DecompositionError, JetLagError
 from .extremal import ExtremalProblem, GridMap, harmonic_residual, integrate_extremal
 from .jet_core import DTensor, JetPoint, spatial_lower, temporal_lower, vertical_upper
-from .metric_engine import SpatialMetricField
 from .regularity import electrodynamics_decompose, kronecker_test, sample_points
 from .report import canonical_json, config_hash, csv_row
 from .verify import checks_to_json, run_checks
@@ -131,11 +130,9 @@ def _connection_objects(instance: ProblemInstance, verdict):
     # metric; skip it when the derived g depends on v (p = 1 only).
     if instance.dims.p == 1 and verdict.velocity_dependent_g:
         return deco, pack, None
-    if instance.g_explicit is not None:
-        g_for_berwald = instance.g_explicit
-    else:
-        g_for_berwald = SpatialMetricField(instance.dims.n, pack.g_matrix_at)
-    berwald = berwald_connection(instance.h, g_for_berwald, instance.dims)
+    structure = instance.L.structure
+    g_matrix = structure.g_matrix if structure is not None else pack.g_matrix_at
+    berwald = berwald_connection(instance.h, g_matrix, instance.dims)
     return deco, pack, berwald
 
 

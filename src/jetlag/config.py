@@ -7,13 +7,14 @@ that a hash of the canonicalized config pins down exactly what ran.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 from . import dsl
 from .errors import ConfigError, DslError
 from .fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from .jet_core import Dims, JetPoint
-from .metric_engine import SpatialMetricField, TemporalMetric
+from .metric_engine import TemporalMetric, symmetric_matrix
 
 DEFAULT_TOLERANCES = {"regularity": 1e-6, "compatibility": 1e-7, "crosscheck": 1e-5}
 DEFAULT_SAMPLING = {"box": [-1.0, 1.0], "count": 16, "seed": 0}
@@ -78,6 +79,25 @@ def _matrix_of_expressions(raw, rows, cols, dims, path, allow):
     return out
 
 
+def _symmetric_matrix_of_expressions(raw, size, dims, path, allow):
+    """A size x size matrix of expressions, symmetric by construction: one
+    field sits at [i][j] and [j][i].  Where the two texts parse to different
+    ASTs, that field is their average (a + b) * 0.5, with a warning."""
+    out = _matrix_of_expressions(raw, size, size, dims, path, allow)
+    for i in range(size):
+        for j in range(i + 1, size):
+            upper, lower = out[i][j], out[j][i]
+            if upper.ast != lower.ast:
+                warnings.warn(
+                    f"{path}[{i}][{j}] = {upper.source!r} and {path}[{j}][{i}] = "
+                    f"{lower.source!r} are asymmetric; using their average",
+                    stacklevel=2)
+                upper = ExpressionField(
+                    dsl.Mul(dsl.Add(upper.ast, lower.ast), dsl.Const(0.5)), dims)
+            out[i][j] = out[j][i] = upper
+    return out
+
+
 @dataclass
 class ProblemInstance:
     """A fully assembled problem: everything the commands operate on."""
@@ -90,7 +110,6 @@ class ProblemInstance:
     tolerances: dict
     solver: dict | None = None
     grid: dict | None = None
-    g_explicit: SpatialMetricField | None = None
 
     @property
     def seed(self) -> int:
@@ -138,7 +157,7 @@ def assemble(raw: dict, seed_override: int | None = None) -> ProblemInstance:
     dims = Dims(p, n)
 
     h = _assemble_metric(raw["temporal_metric"], dims)
-    L, g_explicit = _assemble_lagrangian(raw["lagrangian"], dims, h)
+    L = _assemble_lagrangian(raw["lagrangian"], dims, h)
 
     sampling = dict(DEFAULT_SAMPLING)
     if "sampling" in raw:
@@ -168,8 +187,7 @@ def assemble(raw: dict, seed_override: int | None = None) -> ProblemInstance:
         grid = _assemble_grid(raw["grid"], dims)
 
     return ProblemInstance(raw=raw, dims=dims, h=h, L=L, sampling=sampling,
-                           tolerances=tolerances, solver=solver, grid=grid,
-                           g_explicit=g_explicit)
+                           tolerances=tolerances, solver=solver, grid=grid)
 
 
 def _box(raw, dims, path):
@@ -215,11 +233,11 @@ def _assemble_metric(raw, dims: Dims) -> TemporalMetric:
         return metric
     _require("entries" in raw, "temporal_metric", "expression metric needs 'entries'")
     _require(signature is not None, "temporal_metric", "expression metric needs 'signature'")
-    entries = _matrix_of_expressions(raw["entries"], p, p, dims, "temporal_metric.entries", ("t",))
+    entries = _symmetric_matrix_of_expressions(raw["entries"], p, dims,
+                                               "temporal_metric.entries", ("t",))
 
     def matrix(ts):
-        point = JetPoint(ts, (), ())
-        return [[entry(point) for entry in row] for row in entries]
+        return symmetric_matrix(entries, JetPoint(ts, (), ()))
 
     return TemporalMetric(p=p, matrix=matrix, signature=signature)
 
@@ -235,11 +253,12 @@ def _assemble_lagrangian(raw, dims: Dims, h: TemporalMetric):
         for key in ("g_entries", "U_entries", "F"):
             _require(key not in raw, f"lagrangian.{key}", "only valid for builtin families")
         fld = _expression(raw["expression"], dims, "lagrangian.expression")
-        return LagrangianModel(dims=dims, field=fld, kind="expression"), None
+        return LagrangianModel(dims=dims, field=fld, kind="expression")
 
     _require("g_entries" in raw, "lagrangian", f"kind '{kind}' needs 'g_entries'")
     g_allow = ("t", "x", "v") if p == 1 else ("t", "x")
-    g_entries = _matrix_of_expressions(raw["g_entries"], n, n, dims, "lagrangian.g_entries", g_allow)
+    g_entries = _symmetric_matrix_of_expressions(raw["g_entries"], n, dims,
+                                                 "lagrangian.g_entries", g_allow)
     u_entries = None
     f_entry = None
     if kind == "harmonic":
@@ -252,11 +271,7 @@ def _assemble_lagrangian(raw, dims: Dims, h: TemporalMetric):
         if "F" in raw:
             f_entry = _expression(raw["F"], dims, "lagrangian.F", ("t", "x"))
     family = ElectrodynamicsLagrangian(dims, h, g_entries, u_entries, f_entry)
-    # the raw entries, not the family's symmetrized g, so an asymmetric
-    # g_entries text is warned about
-    g_explicit = SpatialMetricField(
-        n=n, matrix=lambda pt: [[entry(pt) for entry in row] for row in g_entries])
-    return LagrangianModel.from_family(family, kind), g_explicit
+    return LagrangianModel.from_family(family, kind)
 
 
 def _assemble_solver(raw, dims: Dims) -> dict:

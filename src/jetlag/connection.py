@@ -275,7 +275,7 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
         if decomposition is None:
             decomposition = electrodynamics_decompose(L, h)
         t_vec = _trace_tensor_vector(h, point, decomposition, data)
-        gamma = g_christoffel_values(decomposition.metric, point)
+        gamma = g_christoffel_values(decomposition.g_field, point)
         t_tens = DTensor((vertical_upper(n, p), temporal_lower(p)))
         for l in range(n):
             for a in range(p):
@@ -422,10 +422,10 @@ def canonical_nonlinear_connection(L, h: TemporalMetric,
         ts = [t_coord(a) for a in range(p)]
 
         def n_at(point: JetPoint):
-            jac = field_jacobian(deco.metric.matrix_at, point, ts)
+            jac = field_jacobian(deco.g_field, point, ts)
             return electrodynamics_n_values(
-                h, deco, point, g_christoffel_values(deco.metric, point),
-                deco.metric.inverse_at(point), [jac[c] for c in ts])
+                h, deco, point, g_christoffel_values(deco.g_field, point),
+                checked_inverse(deco.g_field(point)), [jac[c] for c in ts])
 
     return NonlinearConnection(dims=dims, m_at=m_at, n_at=n_at)
 

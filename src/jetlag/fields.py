@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import dsl
 from .errors import EvalDomainError
 from .jet_core import Dims, JetPoint
-from .metric_engine import TemporalMetric
+from .metric_engine import TemporalMetric, symmetric_matrix
 
 
 class ExpressionField:
@@ -63,7 +63,8 @@ def constant_field(value: float):
 class ElectrodynamicsLagrangian:
     """Closed-form family L = h^{ab}(t) g_ij v^i_a v^j_b + U^a_i v^i_a + F.
 
-    ``g_entries`` may depend on (t, x) (and on v only when p = 1),
+    ``g_entries`` is a symmetric n x n grid of fields (one field at [i][j]
+    and [j][i]) that may depend on (t, x), and on v only when p = 1;
     ``u_entries`` is an n x p matrix of (t, x) fields, ``f_entry`` a (t, x)
     field.  Evaluation is generic over the scalar kind, including the
     temporal-metric inversion.
@@ -77,12 +78,7 @@ class ElectrodynamicsLagrangian:
         self.f_entry = f_entry
 
     def g_matrix(self, point: JetPoint):
-        n = self.dims.n
-        raw = [[self.g_entries[i][j](point) for j in range(n)] for i in range(n)]
-        return [
-            [(raw[i][j] + raw[j][i]) * 0.5 for j in range(n)]
-            for i in range(n)
-        ]
+        return symmetric_matrix(self.g_entries, point)
 
     def __call__(self, point: JetPoint):
         n, p = self.dims.n, self.dims.p

@@ -7,16 +7,14 @@ curvature code can push derivative scalars straight through them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .calculus import field_jacobian, structure_dual_parts, x_coord
 from .errors import DegeneracyError
 from .jet_core import JetPoint
-from .scalars import Dual, scalar_value
+from .scalars import Dual, reciprocal, scalar_value
 
 _DEGENERACY_SCALE = 1e-10
-_SYMMETRY_WARN = 1e-12
 
 
 # --- Generic dense linear algebra (dims <= 4, correctness first) -----------
@@ -49,7 +47,7 @@ def mat_invert_generic(rows):
             raise DegeneracyError("singular matrix in inversion", det=0.0)
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1.0 / aug[col][col] if isinstance(aug[col][col], (int, float)) else aug[col][col].__rtruediv__(1.0)
+        inv_p = reciprocal(aug[col][col])
         aug[col] = [e * inv_p for e in aug[col]]
         for r in range(dim):
             if r == col:
@@ -69,8 +67,7 @@ def checked_inverse(rows):
         det_value = scalar_value(entry)
         if abs(det_value) <= _DEGENERACY_SCALE * max(abs(det_value), 1e-300):
             raise DegeneracyError(f"degenerate metric (det={det_value:.3e})", det=det_value)
-        inv = 1.0 / entry if isinstance(entry, (int, float)) else entry.__rtruediv__(1.0)
-        return [[inv]]
+        return [[reciprocal(entry)]]
     scale = max(abs(scalar_value(e)) for r in rows for e in r)
     det = mat_det(rows)
     det_value = scalar_value(det)
@@ -119,22 +116,15 @@ def signature_of(m) -> tuple:
     return pos, len(eigs) - pos
 
 
-def _symmetrize(rows, warn_tag, warned: set):
-    dim = len(rows)
-    worst = 0.0
+def symmetric_matrix(entries, point):
+    """The matrix of the symmetric grid ``entries`` of fields at ``point``:
+    each entry of the upper triangle is evaluated once and mirrored."""
+    dim = len(entries)
+    rows = [[None] * dim for _ in range(dim)]
     for i in range(dim):
-        for j in range(i + 1, dim):
-            worst = max(worst, abs(scalar_value(rows[i][j]) - scalar_value(rows[j][i])))
-    if worst > _SYMMETRY_WARN and warn_tag not in warned:
-        warned.add(warn_tag)
-        warnings.warn(
-            f"{warn_tag}: entries asymmetric by {worst:.3e}; averaging (m + m^T)/2",
-            stacklevel=3,
-        )
-    return [
-        [(rows[i][j] + rows[j][i]) * 0.5 for j in range(dim)]
-        for i in range(dim)
-    ]
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = entries[i][j](point)
+    return rows
 
 
 # --- Christoffel and Riemann kernels --------------------------------------------
@@ -184,14 +174,13 @@ def _lift_ts(ts, alpha):
 @dataclass
 class TemporalMetric:
     """Semi-Riemannian metric h on the temporal factor: ``matrix`` maps a
-    t-tuple to the p x p matrix of h there, evaluated once per
+    t-tuple to the symmetric p x p matrix of h there, evaluated once per
     ``matrix_at``.  A ``constant`` metric is evaluated once, at t = 0."""
 
     p: int
     matrix: object  # ts -> p x p
     signature: tuple = None
     constant: bool = False
-    _warned: set = field(default_factory=set, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -203,11 +192,10 @@ class TemporalMetric:
         if self.constant:
             cached = self._cache.get("matrix")
             if cached is None:
-                rows = [[float(e) for e in row] for row in self.matrix((0.0,) * self.p)]
-                cached = _symmetrize(rows, "temporal metric", self._warned)
+                cached = [[float(e) for e in row] for row in self.matrix((0.0,) * self.p)]
                 self._cache["matrix"] = cached
             return cached
-        return _symmetrize(self.matrix(ts), "temporal metric", self._warned)
+        return self.matrix(ts)
 
     def inverse_at(self, ts):
         if self.constant:
@@ -271,36 +259,20 @@ def h_curvature_values(h: TemporalMetric, ts):
 # --- Spatial metric ----------------------------------------------------------
 
 
-@dataclass
-class SpatialMetricField:
-    """Spatial metric g: ``matrix`` maps a jet point to the n x n matrix of g
-    there, evaluated once per ``matrix_at``; velocity dependence is only
-    meaningful for p = 1 instances."""
-
-    n: int
-    matrix: object  # JetPoint -> n x n
-    _warned: set = field(default_factory=set, repr=False)
-
-    def matrix_at(self, point: JetPoint):
-        return _symmetrize(self.matrix(point), "spatial metric", self._warned)
-
-    def inverse_at(self, point: JetPoint):
-        return checked_inverse(self.matrix_at(point))
-
-
-def g_christoffel_values(g: SpatialMetricField, point: JetPoint):
+def g_christoffel_values(g_matrix, point: JetPoint):
     """Gamma^l_{jk} = g^{li}(d_k g_{ij} + d_j g_{ik} - d_i g_{jk})/2,
-    [l][j][k]; spatial partials only."""
-    xs = [x_coord(k) for k in range(g.n)]
-    ginv = g.inverse_at(point)
-    dg = field_jacobian(g.matrix_at, point, xs)
+    [l][j][k], of the spatial metric ``g_matrix`` (JetPoint -> n x n);
+    spatial partials only."""
+    xs = [x_coord(k) for k in range(len(point.x))]
+    ginv = checked_inverse(g_matrix(point))
+    dg = field_jacobian(g_matrix, point, xs)
     return christoffel(ginv, [dg[c] for c in xs])
 
 
-def g_curvature_values(g: SpatialMetricField, point: JetPoint):
+def g_curvature_values(g_matrix, point: JetPoint):
     """r^m_{pij} = d_j Gamma^m_{pi} - d_i Gamma^m_{pj}
     + Gamma^k_{pi} Gamma^m_{kj} - Gamma^k_{pj} Gamma^m_{ki}, [m][p][i][j]."""
-    xs = [x_coord(j) for j in range(g.n)]
-    gam = g_christoffel_values(g, point)
-    dgam = field_jacobian(lambda q: g_christoffel_values(g, q), point, xs)
+    xs = [x_coord(j) for j in range(len(point.x))]
+    gam = g_christoffel_values(g_matrix, point)
+    dgam = field_jacobian(lambda q: g_christoffel_values(g_matrix, q), point, xs)
     return riemann(gam, [dgam[c] for c in xs])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .calculus import d1, field_jacobian, gradient_hessian, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, JetPoint, zero_velocity_point
-from .metric_engine import SpatialMetricField, TemporalMetric, mat_det, signature_of
+from .metric_engine import TemporalMetric, mat_det, signature_of
 from .parallel import map_ordered
 from .scalars import scalar_value
 
@@ -265,14 +265,13 @@ class ElectrodynamicsDecomposition:
     """g, U, F fields with L = h^{ab} g_ij v^i_a v^j_b + U^a_i v^i_a + F,
     plus per-point samples and the verified reassembly residual.
 
-    ``metric`` is the spatial metric over ``g_field``, built once here; the
-    spray, N and the Cartan closure all read it."""
+    ``g_field`` is the spatial metric, symmetric at every point; the spray,
+    N, the T-tensor and the Cartan closure all read it."""
 
     dims: Dims
     g_field: object          # JetPoint -> n x n (reads t, x only)
     u_field: object          # JetPoint -> n x p
     f_field: object          # JetPoint -> scalar
-    metric: SpatialMetricField
     g_samples: list = field(default_factory=list)
     u_samples: list = field(default_factory=list)
     f_samples: list = field(default_factory=list)
@@ -297,10 +296,12 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
     """Recover (g, U, F) from a block-regular, velocity-independent L.
 
     F(t,x) = L(t,x,0); U^a_i = dL/dv^i_a at v=0; g is the h-trace of the
-    vertical Hessian at v=0.  When L is a builtin quadratic family the
-    recovered fields coincide exactly with its (symmetrized) entries, which
-    are then used as the field backend; the reassembly check below runs on L
-    itself either way and fails loudly when L is not quadratic in v.
+    vertical Hessian at v=0, averaged with its transpose (for p >= 2 the
+    (i, j) and (j, i) sums of the trace run in different orders).  When L
+    is a builtin quadratic family the recovered fields coincide exactly
+    with its entries, which are then used as the field backend; the
+    reassembly check below runs on L itself either way and fails loudly
+    when L is not quadratic in v.
     """
     dims = Dims(h.p, _infer_n(L, h))
     n, p = dims.n, dims.p
@@ -320,7 +321,8 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
             f_field = lambda pt: 0.0
     else:
         def g_field(pt):
-            return g_from_hessian(L, h, _at_zero_velocity(pt, dims), dims)
+            g = g_from_hessian(L, h, _at_zero_velocity(pt, dims), dims)
+            return [[(g[i][j] + g[j][i]) * 0.5 for j in range(n)] for i in range(n)]
 
         def u_field(pt):
             pt0 = _at_zero_velocity(pt, dims)
@@ -334,7 +336,6 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
 
     deco = ElectrodynamicsDecomposition(
         dims=dims, g_field=g_field, u_field=u_field, f_field=f_field,
-        metric=SpatialMetricField(n, g_field),
     )
 
     if base_points is None:

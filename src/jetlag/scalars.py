@@ -119,7 +119,7 @@ class Dual:
         if type(o) is Dual:
             if scalar_value(o.re) == 0.0:
                 raise ZeroDivisionError("dual division by zero")
-            inv = 1.0 / o.re if isinstance(o.re, _NUM) else _reciprocal(o.re)
+            inv = 1.0 / o.re if isinstance(o.re, _NUM) else reciprocal(o.re)
             return Dual(self.re * inv, (self.du * o.re - self.re * o.du) * inv * inv)
         if isinstance(o, _NUM):
             if o == 0.0:
@@ -131,7 +131,7 @@ class Dual:
         if isinstance(o, _NUM):
             if scalar_value(self.re) == 0.0:
                 raise ZeroDivisionError("dual division by zero")
-            inv = 1.0 / self.re if isinstance(self.re, _NUM) else _reciprocal(self.re)
+            inv = 1.0 / self.re if isinstance(self.re, _NUM) else reciprocal(self.re)
             return Dual(o * inv, -o * self.du * inv * inv)
         return NotImplemented
 
@@ -306,7 +306,7 @@ class Taylor2:
         v = self.re
         if scalar_value(v) == 0.0:
             raise ZeroDivisionError("taylor division by zero")
-        inv = 1.0 / v if isinstance(v, _NUM) else _reciprocal(v)
+        inv = 1.0 / v if isinstance(v, _NUM) else reciprocal(v)
         inv2 = inv * inv
         g = self.g
         twice = [2.0 * x for x in g]
@@ -323,7 +323,7 @@ class Taylor2:
         if isinstance(o, _NUM) or type(o) is Dual:
             if scalar_value(o) == 0.0:
                 raise ZeroDivisionError("taylor division by zero")
-            inv = 1.0 / o if isinstance(o, _NUM) else _reciprocal(o)
+            inv = 1.0 / o if isinstance(o, _NUM) else reciprocal(o)
             return self * inv
         return NotImplemented
 
@@ -361,7 +361,7 @@ def hessian_pairs(k: int):
     return rows, cols
 
 
-def _reciprocal(s):
+def reciprocal(s):
     """1/s for a nested derivative scalar."""
     return 1.0 / s if isinstance(s, _NUM) else s.__rtruediv__(1.0)
 
@@ -421,7 +421,7 @@ def g_exp(x):
 def g_log(x):
     _domain(scalar_value(x) > 0.0, "log of a non-positive value")
     if type(x) in _LIFTED:
-        return _chain(x, g_log, _reciprocal, lambda v: -_reciprocal(v * v))
+        return _chain(x, g_log, reciprocal, lambda v: -reciprocal(v * v))
     return math.log(x)
 
 
@@ -432,8 +432,8 @@ def g_sqrt(x):
         return _chain(
             x,
             g_sqrt,
-            lambda v: 0.5 * _reciprocal(g_sqrt(v)),
-            lambda v: -0.25 * _reciprocal(g_sqrt(v) * v),
+            lambda v: 0.5 * reciprocal(g_sqrt(v)),
+            lambda v: -0.25 * reciprocal(g_sqrt(v) * v),
         )
     _domain(x >= 0.0, "sqrt of a negative value")
     return math.sqrt(x)
@@ -482,7 +482,7 @@ def g_ipow(u, k: int):
     if negative:
         if scalar_value(acc) == 0.0:
             raise EvalDomainError("zero raised to a negative power")
-        return _reciprocal(acc)
+        return reciprocal(acc)
     return acc
 
 

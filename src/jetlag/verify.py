@@ -204,7 +204,7 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
         worst_red = 0.0
         # for p = 1 the Cartan pack's N is the connection's own (conn.n_at)
         for pt, co in zip(pts[:3], cos):
-            gamma = g_christoffel_values(instance.g_explicit, pt)
+            gamma = g_christoffel_values(instance.L.structure.g_matrix, pt)
             for i in range(dims.n):
                 for j in range(dims.n):
                     expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(dims.n))

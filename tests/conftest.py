@@ -7,7 +7,7 @@ import pytest
 from jetlag.calculus import Coord
 from jetlag.config import assemble
 from jetlag.jet_core import JetPoint
-from jetlag.metric_engine import SpatialMetricField, TemporalMetric
+from jetlag.metric_engine import TemporalMetric
 
 CORPUS_DIMS = [(p, n) for p in (1, 2, 3) for n in (1, 2, 3)]
 KINDS = ("harmonic", "autonomous", "non_autonomous")
@@ -106,10 +106,10 @@ def sphere_config(dt: float = 1e-3) -> dict:
 # --- Metrics from grids of scalar fields ---------------------------------------
 
 
-def spatial_metric_of(entries) -> SpatialMetricField:
-    """g whose matrix at a jet point is the grid ``entries`` of scalar
-    fields evaluated there."""
-    return SpatialMetricField(len(entries), lambda pt: [[e(pt) for e in row] for row in entries])
+def spatial_metric_of(entries):
+    """The matrix function of g: a jet point to the grid ``entries`` of
+    scalar fields evaluated there."""
+    return lambda pt: [[e(pt) for e in row] for row in entries]
 
 
 def temporal_metric_of(entries, signature) -> TemporalMetric:

@@ -155,8 +155,8 @@ def test_criterion_5_zero_audits():
             audit = table_zero_audit(pack, pts)
             assert audit.passed, (kind, p, "cartan", audit.worst_cell, audit.worst)
             worst = max(worst, audit.worst)
-            if inst.g_explicit is not None and kind != "non_autonomous":
-                bw = berwald_connection(inst.h, inst.g_explicit, inst.dims)
+            if inst.L.structure is not None and kind != "non_autonomous":
+                bw = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
                 audit_b = table_zero_audit(bw, pts)
                 assert audit_b.passed, (kind, p, "berwald", audit_b.worst_cell)
                 worst = max(worst, audit_b.worst)

@@ -25,7 +25,7 @@ from jetlag.fields import (
     constant_field,
 )
 from jetlag.jet_core import Dims, JetPoint, spatial_lower, spatial_upper, temporal_lower
-from jetlag.metric_engine import SpatialMetricField, TemporalMetric, g_christoffel_values
+from jetlag.metric_engine import TemporalMetric, g_christoffel_values
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 
@@ -61,8 +61,7 @@ class TestCartanCoefficients:
         co = pack.coefficients_at(pt)
         assert np.max(np.abs(np.array(co.c))) == 0.0
         deco = electrodynamics_decompose(inst.L, inst.h)
-        gs = SpatialMetricField(2, deco.g_field)
-        gamma = g_christoffel_values(gs, pt)
+        gamma = g_christoffel_values(deco.g_field, pt)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
@@ -75,7 +74,7 @@ class TestCartanCoefficients:
     def test_autonomous_matches_berwald(self):
         inst = corpus_instance("autonomous", 2, 2)
         conn, pack = build_cartan(inst)
-        berwald = berwald_connection(inst.h, inst.g_explicit, inst.dims)
+        berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
         pts = sample_points(inst.dims, [-1, 1], 3, seed=9)
         for pt in pts:
             a = pack.coefficients_at(pt)
@@ -253,7 +252,7 @@ class TestUniquenessProbe:
         # Berwald pack must fail exactly that identity
         inst = corpus_instance("non_autonomous", 2, 2)
         conn, pack = build_cartan(inst)
-        berwald = berwald_connection(inst.h, inst.g_explicit, inst.dims)
+        berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
         for pt in sample_points(inst.dims, [-1, 1], 2, seed=23):
             cartan_g = np.array(pack.coefficients_at(pt).g, dtype=float)
             berwald_g = np.array(berwald.coefficients_at(pt).g, dtype=float)
@@ -278,8 +277,7 @@ class TestOneEvaluationPerPoint:
             calls.append(q)
             return deco.g_field(q)
 
-        counting = dataclasses.replace(deco, g_field=counted,
-                                       metric=SpatialMetricField(n, counted))
+        counting = dataclasses.replace(deco, g_field=counted)
         conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=counting)
         pack = cartan_connection(inst.L, inst.h, conn, decomposition=counting)
         pack.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=31)[0])
@@ -300,7 +298,7 @@ class TestOneEvaluationPerPoint:
                                 counted("g", metric_engine.g_christoffel_values))
             monkeypatch.setattr(module, "h_christoffel_values",
                                 counted("h", metric_engine.h_christoffel_values))
-        berwald = berwald_connection(inst.h, inst.g_explicit, inst.dims)
+        berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
         berwald.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=32)[0])
         assert calls == {"g": 1, "h": 1}
 
@@ -319,9 +317,9 @@ class TestOneEvaluationPerPoint:
     def test_berwald_n_is_gamma_v(self):
         inst = corpus_instance("autonomous", 2, 3)
         p, n = inst.dims.p, inst.dims.n
-        berwald = berwald_connection(inst.h, inst.g_explicit, inst.dims)
+        berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=34)[0]
-        gamma = g_christoffel_values(inst.g_explicit, pt)
+        gamma = g_christoffel_values(inst.L.structure.g_matrix, pt)
         expect = [[[sum(gamma[i][j][k] * pt.v[k][a] for k in range(n)) for j in range(n)]
                    for a in range(p)] for i in range(n)]
         assert berwald.coefficients_at(pt).n == expect
@@ -352,7 +350,7 @@ class TestOneEvaluationPerPoint:
         conn, _ = build_cartan(inst)
         worst = 0.0
         for pt in verify._points(inst, 6)[:3]:
-            gamma = g_christoffel_values(inst.g_explicit, pt)
+            gamma = g_christoffel_values(inst.L.structure.g_matrix, pt)
             nval = conn.n_at(pt)
             for i in range(n):
                 for j in range(n):

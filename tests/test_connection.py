@@ -22,8 +22,8 @@ from jetlag.fields import (
 )
 from jetlag.jet_core import Dims, JetPoint
 from jetlag.metric_engine import (
-    SpatialMetricField,
     TemporalMetric,
+    checked_inverse,
     g_christoffel_values,
     h_christoffel_values,
 )
@@ -123,7 +123,7 @@ class TestSprayEntities:
         # Assembled G matches (1/2) h^{ab} Gamma^l_{jk} v^j_a v^k_b + T^l
         inst = corpus_instance("non_autonomous", 2, 2)
         deco = electrodynamics_decompose(inst.L, inst.h)
-        g_field = SpatialMetricField(2, deco.g_field)
+        g_field = deco.g_field
         pts = sample_points(inst.dims, [-1, 1], 6, seed=8)
         for pt in pts:
             pack = spray_entities(inst.L, inst.h, pt, decomposition=deco)
@@ -229,7 +229,7 @@ class TestNonlinearConnection:
                           (rng.uniform(-1, 1), rng.uniform(-1, 1)),
                           ((rng.uniform(-1, 1),), (rng.uniform(-1, 1),)))
             gamma = g_christoffel_values(gs, pt)
-            ginv = [[scalar_value(e) for e in row] for row in gs.inverse_at(pt)]
+            ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt))]
             h11 = scalar_value(h.matrix_at(pt.t)[0][0])
             ucurl = deco.u_curl_at(pt)
             nval = conn.n_at(pt)
@@ -245,11 +245,11 @@ class TestNonlinearConnection:
         inst = corpus_instance("autonomous", 2, 2)
         deco = electrodynamics_decompose(inst.L, inst.h)
         conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=deco)
-        gs = SpatialMetricField(2, deco.g_field)
+        gs = deco.g_field
         pts = sample_points(inst.dims, [-1, 1], 4, seed=11)
         for pt in pts:
             gamma = g_christoffel_values(gs, pt)
-            ginv = [[scalar_value(e) for e in row] for row in gs.inverse_at(pt)]
+            ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt))]
             hmat = [[scalar_value(e) for e in row] for row in inst.h.matrix_at(pt.t)]
             ucurl = deco.u_curl_at(pt)
             nval = conn.n_at(pt)

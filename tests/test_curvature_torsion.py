@@ -24,8 +24,8 @@ from jetlag.jet_core import (
     vertical_upper,
 )
 from jetlag.metric_engine import (
-    SpatialMetricField,
     TemporalMetric,
+    checked_inverse,
     g_curvature_values,
     h_curvature_values,
 )
@@ -138,7 +138,7 @@ class TestCartanTwoRoute:
         # R^{(m)}_{(mu)ij} = r^m_{kij} x^k_mu + [F^m_{i(mu)|j} - F^m_{j(mu)|i}]
         inst = corpus_instance("non_autonomous", 2, 2)
         deco, conn, pack = build(inst)
-        gs = SpatialMetricField(2, deco.g_field)
+        gs = deco.g_field
         pts = sample_points(inst.dims, [-1, 1], 2, seed=32)
         valence = (spatial_upper(2), spatial_lower(2), temporal_lower(2))
         for pt in pts:
@@ -224,7 +224,7 @@ class TestCartanTables:
         # R-families; curvature vanishes except tt_t and mm_m = r
         inst = corpus_instance("autonomous", 2, 2)
         deco, conn, pack = build(inst)
-        gs = SpatialMetricField(2, deco.g_field)
+        gs = deco.g_field
         pt = sample_points(inst.dims, [-1, 1], 1, seed=41)[0]
         tor = torsion_table(pack, pt)
         for cell in ("mt_m", "mm_m", "vt_v", "vm_m", "vm_v", "vv_v"):
@@ -498,8 +498,8 @@ def _f_tensor(inst, deco, pt):
     from jetlag.calculus import lift_d1, structure_dual_parts
 
     n, p = inst.dims.n, inst.dims.p
-    gs = SpatialMetricField(n, deco.g_field)
-    ginv = gs.inverse_at(pt)
+    gs = deco.g_field
+    ginv = checked_inverse(gs(pt))
     hmat = inst.h.matrix_at(pt.t)
     dg = []
     for mu in range(p):

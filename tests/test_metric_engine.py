@@ -1,13 +1,17 @@
 """Metric inverses, Christoffel symbols, curvature tensors."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from jetlag.calculus import lift_d1, x_coord
+from jetlag.cli import run
+from jetlag.config import assemble
 from jetlag.errors import DegeneracyError
-from jetlag.fields import ExpressionField, constant_field
+from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint
 from jetlag.metric_engine import (
     TemporalMetric,
@@ -216,16 +220,14 @@ class TestSpatial:
         n = 3
         inst = corpus_instance("non_autonomous", 2, n, count=4)
         deco = electrodynamics_decompose(inst.L, inst.h)
-        assert deco.metric.matrix is deco.g_field
         calls = []
 
         def counted(pt):
             calls.append(pt)
             return deco.g_field(pt)
 
-        deco.metric.matrix = counted
         pt = sample_points(inst.dims, None, 1, seed=3)[0]
-        g_christoffel_values(deco.metric, pt)
+        g_christoffel_values(counted, pt)
         assert len(calls) == 1 + n
 
     def test_flat_curvature_zero(self):
@@ -275,13 +277,86 @@ class TestSignature:
         report = h.validate_samples([(-0.5,), (0.0,), (0.5,)])
         assert not report["ok"]
 
+
+class TestSymmetricAssembly:
+    """``assemble`` makes g_entries and temporal_metric.entries symmetric by
+    construction; metric evaluation mirrors the upper triangle."""
+
+    @staticmethod
+    def _config(g_entries, h_entries):
+        return {
+            "dims": {"p": 2, "n": len(g_entries)},
+            "lagrangian": {"kind": "harmonic", "g_entries": g_entries},
+            "temporal_metric": {"kind": "expression", "entries": h_entries,
+                                "signature": [2, 0]},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+        }
+
+    def test_identical_mirror_text_is_one_field_evaluated_once(self, monkeypatch, recwarn):
+        g_src = [["1 + x1^2", "0.1*x3", "0"],
+                 ["0.1*x3", "2 + x2^2", "0.2"],
+                 ["0", "0.2", "3"]]
+        inst = assemble(self._config(g_src, [["1 + t1^2", "0.2*t1*t2"],
+                                             ["0.2*t1*t2", "1 + t2^2"]]))
+        assert recwarn.list == []
+        g_entries = inst.L.structure.g_entries
+        for i in range(3):
+            for j in range(3):
+                assert g_entries[i][j] is g_entries[j][i]
+        calls = []
+        evaluate = ExpressionField.__call__
+
+        def counted(field, point):
+            calls.append(field)
+            return evaluate(field, point)
+
+        monkeypatch.setattr(ExpressionField, "__call__", counted)
+        pt = sample_points(inst.dims, None, 1, seed=1)[0]
+        g = inst.L.structure.g_matrix(pt)
+        assert len(calls) == 3 * 4 // 2
+        assert all(g[i][j] is g[j][i] for i in range(3) for j in range(3))
+        del calls[:]
+        h = inst.h.matrix_at(pt.t)
+        assert len(calls) == 2 * 3 // 2
+        assert h[0][1] is h[1][0]
+
     def test_asymmetric_entries_warn_and_average(self):
-        dims = Dims(1, 2)
-        g = spatial_metric_of([
-            [constant_field(1.0), constant_field(0.30000001)],
-            [constant_field(0.3), constant_field(2.0)],
-        ])
-        with pytest.warns(UserWarning):
-            m = g.matrix_at(JetPoint((0.0,), (0.0, 0.0), ((0.0,), (0.0,))))
-        assert m[0][1] == pytest.approx(0.300000005)
-        assert m[0][1] == m[1][0]
+        g_src = [["1", "0.1000000001", "x1*x2"],
+                 ["0.1", "2 + x2^2", "0"],
+                 ["x2*x1", "0", "3"]]
+        h_src = [["1 + t1^2", "0.2*t1"], ["0.2*t1 + 0", "1 + t2^2"]]
+        with pytest.warns(UserWarning) as record:
+            inst = assemble(self._config(g_src, h_src))
+        messages = sorted(str(w.message) for w in record)
+        assert len(messages) == 3
+        assert all("asymmetric" in m for m in messages)
+        assert "lagrangian.g_entries[0][1]" in messages[0]
+        assert "lagrangian.g_entries[1][0]" in messages[0]
+        assert "lagrangian.g_entries[0][2]" in messages[1]
+        assert "lagrangian.g_entries[2][0]" in messages[1]
+        assert "temporal_metric.entries[0][1]" in messages[2]
+        assert "temporal_metric.entries[1][0]" in messages[2]
+
+        dims = inst.dims
+        pt = sample_points(dims, None, 1, seed=2)[0]
+        lifted = lift_d1(pt, x_coord(0))
+        g_entries = inst.L.structure.g_entries
+        for (i, j) in ((0, 1), (0, 2)):
+            assert g_entries[i][j] is g_entries[j][i]
+            a, b = ExpressionField(g_src[i][j], dims), ExpressionField(g_src[j][i], dims)
+            for q in (pt, lifted):
+                assert repr(g_entries[i][j](q)) == repr((a(q) + b(q)) * 0.5)
+        assert g_entries[0][1](pt) == pytest.approx(0.10000000005)
+        a, b = ExpressionField(h_src[0][1], dims), ExpressionField(h_src[1][0], dims)
+        h = inst.h.matrix_at(pt.t)
+        assert repr(h[0][1]) == repr((a(pt) + b(pt)) * 0.5)
+        assert h[0][1] is h[1][0]
+
+    def test_analyze_warns_on_asymmetric_text(self, tmp_path, capsys):
+        cfg = self._config([["1", "x1*x2"], ["x2*x1", "2"]],
+                           [["1", "0"], ["0", "1"]])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.warns(UserWarning, match="asymmetric") as record:
+            run(["analyze", "--config", str(path)])
+        assert len(record) == 1

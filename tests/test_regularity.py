@@ -18,6 +18,7 @@ from jetlag.jet_core import Dims, JetPoint, zero_velocity_point
 from jetlag.metric_engine import TemporalMetric
 from jetlag.regularity import (
     electrodynamics_decompose,
+    g_from_hessian,
     hessian_blocks,
     kronecker_test,
     sample_points,
@@ -176,6 +177,38 @@ class TestDecomposition:
         assert gm[0][1] == pytest.approx(0.0, abs=1e-9)
         assert deco.u_field(pt)[0][0] == pytest.approx(0.35, abs=1e-9)
         assert deco.f_field(pt) == pytest.approx(0.8, abs=1e-9)
+
+    def test_expression_g_is_symmetric_where_the_trace_is_not(self):
+        # L = h^{ab} g_ij v^i_a v^j_b written out term by term, with g_12 and
+        # g_21 summed in opposite orders, so the mixed Hessian entries differ
+        # in the last bits.  For p >= 2 the (i, j) and (j, i) sums of the
+        # h-trace run in different orders, so where |h_12| is large the trace
+        # can differ from its transpose; the decomposition's g averages the
+        # two, so every reader of g sees one symmetric matrix
+        h = [["1 + 0.3*t1^2", "0.2*t1*t2"], ["0.2*t1*t2", "1 + 0.4*t2^2"]]
+        det = "((1 + 0.3*t1^2)*(1 + 0.4*t2^2) - (0.2*t1*t2)^2)"
+        hinv = [[f"(1 + 0.4*t2^2)/{det}", f"-0.2*t1*t2/{det}"],
+                [f"-0.2*t1*t2/{det}", f"(1 + 0.3*t1^2)/{det}"]]
+        g12 = ["0.7", "0.35*x1", "0.3*x2", "0.2*x1*x2", "0.1*x1^2", "0.15*x2^2"]
+        g = [[["1 + x1^2"], g12], [g12[::-1], ["2 + x2^2"]]]
+        src = " + ".join(f"{hinv[a][b]}*({term})*v{i + 1}_{a + 1}*v{j + 1}_{b + 1}"
+                         for a in range(2) for b in range(2) for i in range(2)
+                         for j in range(2) for term in g[i][j])
+        inst = assemble({
+            "dims": {"p": 2, "n": 2},
+            "lagrangian": {"kind": "expression", "expression": src},
+            "temporal_metric": {"kind": "expression", "entries": h, "signature": [2, 0]},
+        })
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        asymmetric = []
+        for pt in sample_points(inst.dims, [-3.0, 3.0], 200, seed=0):
+            trace = g_from_hessian(inst.L, inst.h, zero_velocity_point(pt.t, pt.x, inst.dims))
+            if repr(trace[0][1]) != repr(trace[1][0]):
+                asymmetric.append(pt)
+        assert asymmetric
+        for pt in asymmetric:
+            gm = deco.g_field(pt)
+            assert repr(gm[0][1]) == repr(gm[1][0])
 
     def test_pure_kinetic_has_no_linear_or_constant_part(self):
         inst = corpus_instance("harmonic", 2, 2)
