@@ -11,8 +11,8 @@ This module builds the two instances the geometry singles out:
 
 A pack's ``coefficients_at`` also returns the (M, N) below it, built by
 the ``connection`` kernels from the closure's own H, g^{-1} and
-Christoffels; only the p = 1 Cartan N, the spray derivative, comes from
-the canonical connection's ``n_at``.
+Christoffels; the p = 1 Cartan N is the spray derivative
+(``spray_n_values``).
 
 ``metric_compatibility`` checks that a pack is metric for (h, g) in all
 three directions.  ``covariant_derivative`` is the generic T-horizontal,
@@ -38,11 +38,11 @@ from .calculus import (
     x_coord,
 )
 from .connection import (
-    NonlinearConnection,
     delta_entry,
     electrodynamics_n_values,
     m_values,
     pair_n_values,
+    spray_n_values,
 )
 from .errors import DimensionError
 from .jet_core import Dims, DTensor, JetPoint, SlotKind
@@ -112,10 +112,11 @@ def _g_block(ginv, dg_dt):
     return g_co
 
 
-def _cartan_coefficients_p1(L, h, conn, dims):
+def _cartan_coefficients_p1(L, h, dims):
     """Generic-coefficient closure for p = 1: the spatial metric is the
     h-trace of the vertical Hessian evaluated at the full point (velocity
-    dependence allowed), and all delta-derivatives use the adapted frame."""
+    dependence allowed), N is the spray derivative, and all
+    delta-derivatives use the adapted frame."""
     n = dims.n
 
     def g_matrix(point: JetPoint):
@@ -126,7 +127,7 @@ def _cartan_coefficients_p1(L, h, conn, dims):
         ginv = checked_inverse(g)
         hbar = h_christoffel_values(h, point.t)
         m_co = m_values(hbar, point)
-        n_co = conn.n_at(point)
+        n_co = spray_n_values(L, h, point, dims)
         jac = field_jacobian(g_matrix, point, all_coords(dims))
         g_co = _g_block(ginv, [_delta_matrix(jac, t_coord(0), m_co)])
         l_co = christoffel(ginv, [_delta_matrix(jac, x_coord(k), n_co) for k in range(n)])
@@ -160,11 +161,12 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
     return coefficients, deco.g_field
 
 
-def cartan_connection(L, h: TemporalMetric, conn: NonlinearConnection,
+def cartan_connection(L, h: TemporalMetric,
                       decomposition: ElectrodynamicsDecomposition | None = None
                       ) -> LinearConnectionPack:
-    """The unique h-normal connection over ``conn`` that is metric for the
-    derived spatial metric and has symmetric L and C blocks:
+    """The unique h-normal connection over the canonical nonlinear
+    connection that is metric for the derived spatial metric and has
+    symmetric L and C blocks:
 
     G^k_{jc} = (g^{ki}/2) delta g_ij/delta t^c,
     L^i_{jk} = (g^{im}/2)(delta g_jm/delta x^k + delta g_km/delta x^j
@@ -172,14 +174,15 @@ def cartan_connection(L, h: TemporalMetric, conn: NonlinearConnection,
     C^{i(c)}_{j(k)} = (g^{im}/2)(d g_jm/dv^k_c + d g_km/dv^j_c
                - d g_jk/dv^m_c).
 
-    ``conn`` is read for p = 1 only, for N (the spray derivative); M, and
-    N for p >= 2, come from the H, Gamma and g^{-1} the closure computes.
+    M comes from the temporal Christoffels H the closure computes; N is
+    the spray derivative for p = 1 and, for p >= 2, the closed form over
+    the closure's Gamma and g^{-1}.
     """
     dims = getattr(L, "dims", None)
     if dims is None:
         raise DimensionError("Lagrangian must expose .dims")
     if dims.p == 1:
-        coefficients, g_matrix = _cartan_coefficients_p1(L, h, conn, dims)
+        coefficients, g_matrix = _cartan_coefficients_p1(L, h, dims)
     else:
         deco = decomposition or electrodynamics_decompose(L, h)
         coefficients, g_matrix = _cartan_coefficients_p2(h, deco, dims)

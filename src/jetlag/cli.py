@@ -19,7 +19,7 @@ from . import __version__
 from .calculus import structure_values
 from .cartan import berwald_connection, cartan_connection
 from .config import ProblemInstance, assemble, load_config
-from .connection import canonical_nonlinear_connection, spray_entities
+from .connection import spray_entities
 from .curvature import curvature_table, table_zero_audit, torsion_table
 from .errors import ConfigError, DecompositionError, JetLagError
 from .extremal import ExtremalProblem, GridMap, harmonic_residual, integrate_extremal
@@ -124,8 +124,7 @@ def _connection_objects(instance: ProblemInstance, verdict):
     deco = None
     if instance.dims.p >= 2:
         deco = _decompose(instance)
-    conn = canonical_nonlinear_connection(instance.L, instance.h, decomposition=deco)
-    pack = cartan_connection(instance.L, instance.h, conn, decomposition=deco)
+    pack = cartan_connection(instance.L, instance.h, decomposition=deco)
     # The Berwald connection is only defined over a velocity-independent
     # metric; skip it when the derived g depends on v (p = 1 only).
     if instance.dims.p == 1 and verdict.velocity_dependent_g:

@@ -7,6 +7,7 @@ that a hash of the canonicalized config pins down exactly what ran.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ def _check_keys(obj, allowed, path):
 
 def _number(value, path):
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
+    _require(math.isfinite(value), path, "must be finite")
     return float(value)
 
 
@@ -195,7 +197,7 @@ def _box(raw, dims, path):
     _require(isinstance(raw, list) and raw, path, "expected a range or list of ranges")
     if all(isinstance(e, (int, float)) for e in raw):
         _require(len(raw) == 2, path, "a flat range needs exactly [lo, hi]")
-        lo, hi = float(raw[0]), float(raw[1])
+        lo, hi = _number(raw[0], f"{path}[0]"), _number(raw[1], f"{path}[1]")
         _require(lo < hi, path, "lo must be < hi")
         return [lo, hi]
     _require(len(raw) == total, path, f"need {total} per-coordinate ranges")
@@ -294,7 +296,9 @@ def _assemble_solver(raw, dims: Dims) -> dict:
     x0 = [_number(v, "solver.initial.x") for v in x0]
     y0 = [_number(v, "solver.initial.y") for v in y0]
     _require(t_end != t0, "solver.t_end", "must differ from initial.t")
-    _require(round(abs(t_end - t0) / dt) >= 2, "solver.dt",
+    steps = abs(t_end - t0) / dt
+    _require(math.isfinite(steps), "solver.dt", "gives a step count that is not finite")
+    _require(round(steps) >= 2, "solver.dt",
              "must give at least 2 steps over |t_end - initial.t|")
     return {"t_end": t_end, "dt": dt, "t0": t0, "x0": tuple(x0), "y0": tuple(y0)}
 

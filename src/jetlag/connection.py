@@ -6,12 +6,13 @@ From L and the temporal metric h this module assembles, at any jet point:
 * the spray entity vectors S, H, J and their sum G (stored halved: the
   displayed geometric quantities are 2S, 2H, 2J, 2G),
 * the spray coefficient packages (temporal and spatial blocks),
-* the induced nonlinear connection (M, N), and the adapted-frame
-  derivative of a field's entries along it (``delta_entry``).
+* the M and N kernels of the induced nonlinear connection, and the
+  adapted-frame derivative of a field's entries along it (``delta_entry``).
 
 M and N are kernels over values the caller holds at the point
 (``m_values``, ``pair_n_values``, ``electrodynamics_n_values``), so a
-linear-connection closure computes H, Gamma and g^{-1} once per point.
+linear-connection closure computes H, Gamma and g^{-1} once per point;
+the p = 1 canonical N, the spray derivative, is ``spray_n_values``.
 
 Every assembly evaluates generically over the scalar kind; derivatives of
 M and N (needed by torsion/curvature) come from running the same assembly
@@ -31,17 +32,13 @@ from .calculus import (
     all_coords,
     d1,
     d2,
-    dual_part,
     field_jacobian,
     gradient_hessian,
-    lift_d1,
-    structure_dual_parts,
     structure_entry,
     t_coord,
     v_coord,
     x_coord,
 )
-from .errors import DimensionError
 from .jet_core import (
     Dims,
     DTensor,
@@ -301,12 +298,10 @@ def _trace_tensor_vector(h, point, deco: ElectrodynamicsDecomposition, data: Spr
     hinv = h.inverse_at(point.t)
     htrace = [_sum(data.hch[c][a][c] for c in range(p)) for a in range(p)]
 
-    dg_dt = []
-    du_dt = []
-    for a in range(p):
-        lifted = lift_d1(point, t_coord(a))
-        dg_dt.append(structure_dual_parts(deco.g_field(lifted)))
-        du_dt.append(structure_dual_parts(deco.u_field(lifted)))
+    ts = [t_coord(a) for a in range(p)]
+    jac = field_jacobian(lambda q: (deco.g_field(q), deco.u_field(q)), point, ts)
+    dg_dt = [jac[c][0] for c in ts]
+    du_dt = [jac[c][1] for c in ts]
     u = deco.u_field(point)
     ucurl = deco.u_curl_at(point)
     df_dx = [d1(deco.f_field, point, x_coord(i)) for i in range(n)]
@@ -331,18 +326,7 @@ def _trace_tensor_vector(h, point, deco: ElectrodynamicsDecomposition, data: Spr
     return out
 
 
-# --- Nonlinear connection --------------------------------------------------------
-
-
-@dataclass
-class NonlinearConnection:
-    """Evaluatable nonlinear-connection coefficients (M, N).  The linear
-    connections apply the kernels below to their own values instead; only
-    the p = 1 Cartan connection calls ``n_at``, the spray derivative."""
-
-    dims: Dims
-    m_at: object  # JetPoint -> [i][a][b]
-    n_at: object  # JetPoint -> [i][a][j]
+# --- Nonlinear connection kernels -------------------------------------------------
 
 
 def m_values(hch, point: JetPoint):
@@ -389,45 +373,14 @@ def electrodynamics_n_values(h: TemporalMetric, deco: ElectrodynamicsDecompositi
     return out
 
 
-def canonical_nonlinear_connection(L, h: TemporalMetric,
-                                   decomposition: ElectrodynamicsDecomposition | None = None
-                                   ) -> NonlinearConnection:
-    """The nonlinear connection induced by the canonical spray.
-
-    M^{(i)}_{(a)b} = -H^c_{ab} v^i_c for every p.  N^{(i)}_{(1)j} is
-    h_11 dG^i/dy^j for p = 1 (forward mode pushed through the whole spray
-    assembly, metric inversion included); for p >= 2 it is the closed
-    electrodynamics form of ``electrodynamics_n_values``.
-    """
-    dims = getattr(L, "dims", None)
-    if dims is None:
-        raise DimensionError("Lagrangian must expose .dims")
-    n, p = dims.n, dims.p
-
-    def m_at(point: JetPoint):
-        return m_values(h_christoffel_values(h, point.t), point)
-
-    if p == 1:
-
-        def n_at(point: JetPoint):
-            hmat = h.matrix_at(point.t)
-            cols = []
-            for j in range(n):
-                lifted = lift_d1(point, v_coord(j, 0))
-                cols.append([dual_part(e) for e in gcal_values(L, h, lifted, dims)])
-            return [[[hmat[0][0] * cols[j][i] for j in range(n)]] for i in range(n)]
-
-    else:
-        deco = decomposition or electrodynamics_decompose(L, h)
-        ts = [t_coord(a) for a in range(p)]
-
-        def n_at(point: JetPoint):
-            jac = field_jacobian(deco.g_field, point, ts)
-            return electrodynamics_n_values(
-                h, deco, point, g_christoffel_values(deco.g_field, point),
-                checked_inverse(deco.g_field(point)), [jac[c] for c in ts])
-
-    return NonlinearConnection(dims=dims, m_at=m_at, n_at=n_at)
+def spray_n_values(L, h: TemporalMetric, point: JetPoint, dims: Dims):
+    """The p = 1 canonical N^{(i)}_{(1)j} = h_11 dG^i/dv^j_1 as [i][0][j]:
+    forward mode pushed through the whole spray assembly, metric inversion
+    included."""
+    vs = [v_coord(j, 0) for j in range(dims.n)]
+    hmat = h.matrix_at(point.t)
+    jac = field_jacobian(lambda q: gcal_values(L, h, q, dims), point, vs)
+    return [[[hmat[0][0] * jac[c][i] for c in vs]] for i in range(dims.n)]
 
 
 # --- Adapted derivatives ----------------------------------------------------------

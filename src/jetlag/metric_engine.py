@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .calculus import field_jacobian, structure_dual_parts, x_coord
+from .calculus import field_jacobian, t_coord, x_coord
 from .errors import DegeneracyError
-from .jet_core import JetPoint
-from .scalars import Dual, reciprocal, scalar_value
+from .jet_core import JetPoint, raw_point
+from .scalars import reciprocal, scalar_value
 
 _DEGENERACY_SCALE = 1e-10
 
@@ -167,8 +167,12 @@ def riemann(ch, dch):
 # --- Temporal metric ---------------------------------------------------------
 
 
-def _lift_ts(ts, alpha):
-    return tuple(Dual(v, 1.0 if a == alpha else 0.0) for a, v in enumerate(ts))
+def _t_partials(fn, ts):
+    """[d fn/dt^a for each a] of a structure-valued function of the
+    t-tuple alone."""
+    coords = [t_coord(a) for a in range(len(ts))]
+    jac = field_jacobian(lambda q: fn(q.t), raw_point(tuple(ts), (), ()), coords)
+    return [jac[c] for c in coords]
 
 
 @dataclass
@@ -234,12 +238,7 @@ def h_christoffel_values(h: TemporalMetric, ts):
     p = h.p
     if h.constant:
         return [[[0.0] * p for _ in range(p)] for _ in range(p)]
-    hinv = h.inverse_at(ts)
-    dh = []
-    for a in range(p):
-        lifted = _lift_ts(ts, a)
-        dh.append(structure_dual_parts(h.matrix_at(lifted)))
-    return christoffel(hinv, dh)
+    return christoffel(h.inverse_at(ts), _t_partials(h.matrix_at, ts))
 
 
 def h_curvature_values(h: TemporalMetric, ts):
@@ -249,11 +248,7 @@ def h_curvature_values(h: TemporalMetric, ts):
     if h.constant or p == 1:
         return [[[[0.0] * p for _ in range(p)] for _ in range(p)] for _ in range(p)]
     ch = h_christoffel_values(h, ts)
-    dch = []
-    for b in range(p):
-        lifted = _lift_ts(ts, b)
-        dch.append(structure_dual_parts(h_christoffel_values(h, lifted)))
-    return riemann(ch, dch)
+    return riemann(ch, _t_partials(lambda q: h_christoffel_values(h, q), ts))
 
 
 # --- Spatial metric ----------------------------------------------------------

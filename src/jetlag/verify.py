@@ -13,7 +13,6 @@ from .calculus import DiffConfig, d2, fd_crosscheck, v_coord, x_coord
 from .cartan import cartan_connection, metric_compatibility
 from .config import ProblemInstance
 from .connection import (
-    canonical_nonlinear_connection,
     euler_lagrange_residual,
     jet_map_from_fields,
     spray_data,
@@ -166,8 +165,7 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
     checks.append(CheckResult("el_rearrangement", worst_el <= 1e-7, worst_el, 1e-7))
 
     # Cartan pack: compatibility, symmetry, zero audits, antisymmetry.
-    conn = canonical_nonlinear_connection(L, h, decomposition=deco)
-    pack = cartan_connection(L, h, conn, decomposition=deco)
+    pack = cartan_connection(L, h, decomposition=deco)
     worst_compat = 0.0
     worst_sym = 0.0
     cos = []
@@ -202,7 +200,8 @@ def run_checks(instance: ProblemInstance, point_budget: int = 6) -> list:
     if (dims.p == 1 and h.constant and instance.g_reads_x_only()
             and instance.L.structure.u_entries is None):
         worst_red = 0.0
-        # for p = 1 the Cartan pack's N is the connection's own (conn.n_at)
+        # for p = 1 the Cartan pack's N is the spray derivative
+        # (connection.spray_n_values), read from the coefficients above
         for pt, co in zip(pts[:3], cos):
             gamma = g_christoffel_values(instance.L.structure.g_matrix, pt)
             for i in range(dims.n):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from jetlag.calculus import Coord
+from jetlag.calculus import Coord, field_jacobian, t_coord
 from jetlag.config import assemble
+from jetlag.connection import electrodynamics_n_values
 from jetlag.jet_core import JetPoint
-from jetlag.metric_engine import TemporalMetric
+from jetlag.metric_engine import TemporalMetric, checked_inverse, g_christoffel_values
 
 CORPUS_DIMS = [(p, n) for p in (1, 2, 3) for n in (1, 2, 3)]
 KINDS = ("harmonic", "autonomous", "non_autonomous")
@@ -121,6 +122,20 @@ def temporal_metric_of(entries, signature) -> TemporalMetric:
         return [[e(point) for e in row] for row in entries]
 
     return TemporalMetric(len(entries), matrix, signature)
+
+
+# --- Reference values of the nonlinear connection -------------------------------
+
+
+def canonical_n_reference(h: TemporalMetric, deco, point: JetPoint):
+    """The p >= 2 canonical N^{(i)}_{(a)j} as [i][a][j], from this helper's
+    own evaluations of the decomposition metric: its Christoffels, its
+    inverse and its Jacobian along t."""
+    ts = [t_coord(a) for a in range(len(point.t))]
+    jac = field_jacobian(deco.g_field, point, ts)
+    return electrodynamics_n_values(
+        h, deco, point, g_christoffel_values(deco.g_field, point),
+        checked_inverse(deco.g_field(point)), [jac[c] for c in ts])
 
 
 # --- Small central-difference oracles (independent of the calculus module) ---

@@ -14,7 +14,7 @@ import numpy as np
 from jetlag import dsl
 from jetlag.cartan import berwald_connection, cartan_connection, metric_compatibility
 from jetlag.config import assemble
-from jetlag.connection import canonical_nonlinear_connection, spray_entities
+from jetlag.connection import spray_entities
 from jetlag.curvature import curvature_table, table_zero_audit, torsion_table
 from jetlag.calculus import d2, fd_crosscheck, v_coord, x_coord
 from jetlag.errors import DslError
@@ -50,9 +50,8 @@ def report(number, description, elapsed=None):
 
 def build_geometry(inst):
     deco = electrodynamics_decompose(inst.L, inst.h) if inst.dims.p >= 2 else None
-    conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=deco)
-    pack = cartan_connection(inst.L, inst.h, conn, decomposition=deco)
-    return deco, conn, pack
+    pack = cartan_connection(inst.L, inst.h, decomposition=deco)
+    return deco, pack
 
 
 def test_criterion_1_regularity_corpus():
@@ -135,7 +134,7 @@ def test_criterion_4_metric_compatibility():
     for kind in KINDS:
         for (p, n) in CORPUS_DIMS:
             inst = corpus_instance(kind, p, n)
-            deco, conn, pack = build_geometry(inst)
+            deco, pack = build_geometry(inst)
             pts = sample_points(inst.dims, [-1, 1], 32, seed=4)
             for pt in pts:
                 worst = max(worst, max(metric_compatibility(pack, pt, pack.coefficients_at(pt)).values()))
@@ -150,7 +149,7 @@ def test_criterion_5_zero_audits():
     for kind in KINDS:
         for p in (1, 2, 3):
             inst = corpus_instance(kind, p, 2)
-            deco, conn, pack = build_geometry(inst)
+            deco, pack = build_geometry(inst)
             pts = sample_points(inst.dims, [-1, 1], 2, seed=5)
             audit = table_zero_audit(pack, pts)
             assert audit.passed, (kind, p, "cartan", audit.worst_cell, audit.worst)
@@ -163,7 +162,7 @@ def test_criterion_5_zero_audits():
     # autonomous electrodynamics: only the three R-families survive in the
     # torsion table and only tt_t/mm_m in the curvature table
     inst = corpus_instance("autonomous", 2, 2)
-    deco, conn, pack = build_geometry(inst)
+    deco, pack = build_geometry(inst)
     pt = sample_points(inst.dims, [-1, 1], 1, seed=6)[0]
     tor = torsion_table(pack, pt)
     for cell in ("mt_m", "mm_m", "vt_v", "vm_m", "vm_v", "vv_v"):
@@ -180,7 +179,7 @@ def test_criterion_5_zero_audits():
 def test_criterion_6_classical_reduction():
     start = time.monotonic()
     inst = assemble(sphere_config(dt=1e-3))
-    deco, conn, pack = build_geometry(inst)
+    deco, pack = build_geometry(inst)
     gs = spatial_metric_of([
         [constant_field(1.0), constant_field(0.0)],
         [constant_field(0.0), ExpressionField("sin(x1)^2", inst.dims)]])
@@ -188,7 +187,7 @@ def test_criterion_6_classical_reduction():
     worst_n = 0.0
     for pt in sample_points(inst.dims, inst.sampling["box"], 8, seed=61):
         gamma = g_christoffel_values(gs, pt)
-        nval = conn.n_at(pt)
+        nval = pack.coefficients_at(pt).n
         for i in range(2):
             for j in range(2):
                 expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(2))

@@ -17,7 +17,7 @@ from jetlag.cartan import (
     covariant_derivative,
     metric_compatibility,
 )
-from jetlag.connection import canonical_nonlinear_connection
+from jetlag.connection import m_values
 from jetlag.fields import (
     ElectrodynamicsLagrangian,
     ExpressionField,
@@ -25,19 +25,23 @@ from jetlag.fields import (
     constant_field,
 )
 from jetlag.jet_core import Dims, JetPoint, spatial_lower, spatial_upper, temporal_lower
-from jetlag.metric_engine import TemporalMetric, g_christoffel_values
+from jetlag.metric_engine import TemporalMetric, g_christoffel_values, h_christoffel_values
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 
-from conftest import corpus_config, corpus_instance, spatial_metric_of, sphere_config
+from conftest import (
+    canonical_n_reference,
+    corpus_config,
+    corpus_instance,
+    spatial_metric_of,
+    sphere_config,
+)
 from jetlag.config import assemble
 
 
 def build_cartan(inst):
     deco = electrodynamics_decompose(inst.L, inst.h) if inst.dims.p >= 2 else None
-    conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=deco)
-    pack = cartan_connection(inst.L, inst.h, conn, decomposition=deco)
-    return conn, pack
+    return cartan_connection(inst.L, inst.h, decomposition=deco)
 
 
 class TestCartanCoefficients:
@@ -46,8 +50,7 @@ class TestCartanCoefficients:
         h = TemporalMetric.flat(2)
         g = [[constant_field(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
         L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
-        conn = canonical_nonlinear_connection(L, h)
-        pack = cartan_connection(L, h, conn)
+        pack = cartan_connection(L, h)
         pt = JetPoint((0.2, -0.4), (0.5, 0.6), ((0.3, 0.2), (-0.1, 0.5)))
         co = pack.coefficients_at(pt)
         for block in (co.hbar, co.g, co.l, co.c):
@@ -56,7 +59,7 @@ class TestCartanCoefficients:
     def test_p2_general_form(self):
         # C == 0, L == Gamma(t,x), G == (g^{ki}/2) dg_ij/dt
         inst = corpus_instance("non_autonomous", 2, 2)
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=5)[0]
         co = pack.coefficients_at(pt)
         assert np.max(np.abs(np.array(co.c))) == 0.0
@@ -73,7 +76,7 @@ class TestCartanCoefficients:
 
     def test_autonomous_matches_berwald(self):
         inst = corpus_instance("autonomous", 2, 2)
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
         pts = sample_points(inst.dims, [-1, 1], 3, seed=9)
         for pt in pts:
@@ -85,7 +88,7 @@ class TestCartanCoefficients:
 
     def test_cartan_berwald_distinct_nonautonomous(self):
         inst = corpus_instance("non_autonomous", 2, 2)
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=2)[0]
         co = pack.coefficients_at(pt)
         g_block = np.array([[[scalar_value(e) for e in r] for r in m] for m in co.g])
@@ -93,7 +96,7 @@ class TestCartanCoefficients:
 
     def test_p1_sphere_is_levi_civita(self):
         inst = assemble(sphere_config())
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         pt = JetPoint((0.1,), (0.9, 0.2), ((0.4,), (0.7,)))
         co = pack.coefficients_at(pt)
         th = 0.9
@@ -105,7 +108,7 @@ class TestCartanCoefficients:
     def test_coefficient_symmetries(self):
         for kind, p, n in (("non_autonomous", 2, 2), ("harmonic", 1, 2)):
             inst = corpus_instance(kind, p, n)
-            conn, pack = build_cartan(inst)
+            pack = build_cartan(inst)
             pt = sample_points(inst.dims, [-1, 1], 1, seed=1)[0]
             co = pack.coefficients_at(pt)
             for i in range(n):
@@ -123,8 +126,7 @@ class TestCartanCoefficients:
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
         L = LagrangianModel.from_expression("v1_1^2 + 0.5*v1_1^4", d)
-        conn = canonical_nonlinear_connection(L, h)
-        pack = cartan_connection(L, h, conn)
+        pack = cartan_connection(L, h)
         for y in (0.6, -0.4, 1.1):
             pt = JetPoint((0.0,), (0.2,), ((y,),))
             co = pack.coefficients_at(pt)
@@ -140,7 +142,7 @@ class TestMetricCompatibility:
     ])
     def test_all_six_identities(self, kind, p, n):
         inst = corpus_instance(kind, p, n)
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         pts = sample_points(inst.dims, [-1, 1], 3, seed=14)
         for pt in pts:
             compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
@@ -151,8 +153,7 @@ class TestMetricCompatibility:
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
         L = LagrangianModel.from_expression("v1_1^2 + 0.5*v1_1^4", d)
-        conn = canonical_nonlinear_connection(L, h)
-        pack = cartan_connection(L, h, conn)
+        pack = cartan_connection(L, h)
         pt = JetPoint((0.1,), (0.4,), ((0.6,),))
         compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
         assert max(compat.values()) <= 1e-9
@@ -164,7 +165,7 @@ class TestMetricCompatibility:
         # other on one instance per p
         n = 2
         inst = corpus_instance("non_autonomous", p, n)
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=15)[0]
         compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
         fields = {
@@ -190,10 +191,10 @@ class TestCovariantDerivative:
     def test_empty_valence_is_adapted_derivative(self):
         # d/dx^k - N^{(l)}_{(1)k} d/dv^l_1 from separate partials
         inst = corpus_instance("non_autonomous", 1, 2)
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=19)[0]
         fld = ExpressionField("sin(x1)*v2_1 + t1*x2", inst.dims)
-        nval = conn.n_at(pt)
+        nval = pack.coefficients_at(pt).n
         for k in range(2):
             cov = covariant_derivative(fld, (), MHorizontal(k), pack, pt)
             adapted = d1(fld, pt, x_coord(k)) - sum(
@@ -203,7 +204,7 @@ class TestCovariantDerivative:
     def test_scalar_is_adapted_derivative(self):
         # a 1-slot tensor whose entries ignore v reduces to plain partials
         inst = corpus_instance("harmonic", 1, 2)
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         pt = JetPoint((0.3,), (0.7, 0.4), ((0.2,), (0.5,)))
 
         fld = lambda q: [q.x[0] * q.x[1], q.x[1]]
@@ -251,7 +252,7 @@ class TestUniquenessProbe:
         # is the one metric under the temporal horizontal derivative, so the
         # Berwald pack must fail exactly that identity
         inst = corpus_instance("non_autonomous", 2, 2)
-        conn, pack = build_cartan(inst)
+        pack = build_cartan(inst)
         berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
         for pt in sample_points(inst.dims, [-1, 1], 2, seed=23):
             cartan_g = np.array(pack.coefficients_at(pt).g, dtype=float)
@@ -278,8 +279,7 @@ class TestOneEvaluationPerPoint:
             return deco.g_field(q)
 
         counting = dataclasses.replace(deco, g_field=counted)
-        conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=counting)
-        pack = cartan_connection(inst.L, inst.h, conn, decomposition=counting)
+        pack = cartan_connection(inst.L, inst.h, decomposition=counting)
         pack.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=31)[0])
         assert len(calls) == 1 + n + p  # the point, then one lift per x^k and t^a
 
@@ -305,14 +305,17 @@ class TestOneEvaluationPerPoint:
     @pytest.mark.parametrize("lift", [None, t_coord(0), x_coord(1)])
     @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
     def test_m_and_n_are_the_nonlinear_connection_bitwise(self, p, n, lift):
+        # the pack's M and N equal the reference bitwise, at the point and
+        # at lifted points
         inst = corpus_instance("non_autonomous", p, n)
-        conn, pack = build_cartan(inst)
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        pack = cartan_connection(inst.L, inst.h, decomposition=deco)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=33)[0]
         if lift is not None:
             pt = lift_d1(pt, lift)
         co = pack.coefficients_at(pt)
-        assert repr(co.m) == repr(conn.m_at(pt))
-        assert repr(co.n) == repr(conn.n_at(pt))
+        assert repr(co.m) == repr(m_values(h_christoffel_values(inst.h, pt.t), pt))
+        assert repr(co.n) == repr(canonical_n_reference(inst.h, deco, pt))
 
     def test_berwald_n_is_gamma_v(self):
         inst = corpus_instance("autonomous", 2, 3)
@@ -330,28 +333,22 @@ class TestOneEvaluationPerPoint:
         inst = assemble(corpus_config("harmonic", 1, 2, count=4))
         p, n = inst.dims.p, inst.dims.n
         calls = []
-        build = verify.canonical_nonlinear_connection
+        spray_n_values = cartan.spray_n_values
 
-        def counting(*args, **kwargs):
-            conn = build(*args, **kwargs)
+        def counting(*args):
+            calls.append(args[2])
+            return spray_n_values(*args)
 
-            def n_at(q):
-                calls.append(q)
-                return conn.n_at(q)
-
-            return dataclasses.replace(conn, n_at=n_at)
-
-        monkeypatch.setattr(verify, "canonical_nonlinear_connection", counting)
+        monkeypatch.setattr(cartan, "spray_n_values", counting)
         checks = verify.run_checks(inst)
         # one per coefficients_at: the 4 compatibility points, then the
         # point and each coordinate lift of 4 torsion tables (2 audit, 2
-        # antisymmetry); 3 more when the reduction called n_at itself
+        # antisymmetry); 3 more when the reduction computed N itself
         assert len(calls) == 4 + 4 * (1 + p + n + n * p) == 28
-        conn, _ = build_cartan(inst)
         worst = 0.0
         for pt in verify._points(inst, 6)[:3]:
             gamma = g_christoffel_values(inst.L.structure.g_matrix, pt)
-            nval = conn.n_at(pt)
+            nval = spray_n_values(inst.L, inst.h, pt, inst.dims)
             for i in range(n):
                 for j in range(n):
                     expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(n))

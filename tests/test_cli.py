@@ -150,13 +150,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "kronecker_regularity" in err
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_config_number_rejected(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("edits, reason", [
+        pytest.param({"solver.t_end": "NaN"}, "NaN is not a number", id="nan"),
+        pytest.param({"solver.t_end": "Infinity"}, "Infinity is not a number", id="inf"),
+        # json parses an overflowing literal as inf without calling parse_constant
+        pytest.param({"solver.t_end": "1e999"}, "solver.t_end: must be finite",
+                     id="overflow_t_end"),
+        pytest.param({"solver.t_end": "1e300", "solver.dt": "1e-10"},
+                     "solver.dt: gives a step count that is not finite", id="overflow_steps"),
+        pytest.param({"tolerances.regularity": "1e999"}, "tolerances.regularity: must be finite",
+                     id="overflow_tolerance"),
+        pytest.param({"sampling.box": "[-1e999, 1]"}, "sampling.box[0]: must be finite",
+                     id="overflow_flat_box"),
+        pytest.param({"sampling.box": "[false, true]"}, "sampling.box[0]: expected a number",
+                     id="bool_flat_box"),
+    ])
+    def test_non_finite_config_number_rejected(self, tmp_path, capsys, edits, reason):
+        # each edit's JSON text is spliced into the file as written, so the
+        # parser sees the literal
         cfg = sphere_config()
-        cfg["solver"]["t_end"] = value  # json.dumps writes NaN / Infinity
-        path = write_config(tmp_path, cfg)
-        assert run(["extremal", "--config", path]) == EX_USAGE
-        assert "is not a number" in capsys.readouterr().err
+        for k, dotted in enumerate(edits):
+            *parents, key = dotted.split(".")
+            node = cfg
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[key] = f"@{k}@"
+        text = json.dumps(cfg)
+        for k, literal in enumerate(edits.values()):
+            text = text.replace(f'"@{k}@"', literal)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run(["extremal", "--config", str(path)]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert reason in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_point_rejected(self, tmp_path, capsys, value):

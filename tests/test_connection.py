@@ -8,7 +8,6 @@ import pytest
 
 from jetlag.cartan import MHorizontal, THorizontal, VerticalCov, cartan_connection, covariant_derivative
 from jetlag.connection import (
-    canonical_nonlinear_connection,
     euler_lagrange_residual,
     gcal_values,
     jet_map_from_fields,
@@ -167,10 +166,10 @@ class TestSprayEntities:
 class TestNonlinearConnection:
     def test_m_is_temporal_block(self):
         inst = corpus_instance("autonomous", 2, 2)  # nonflat h
-        conn = canonical_nonlinear_connection(inst.L, inst.h)
+        pack = cartan_connection(inst.L, inst.h)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=0)[0]
         hch = h_christoffel_values(inst.h, pt.t)
-        m = conn.m_at(pt)
+        m = pack.coefficients_at(pt).m
         for i in range(2):
             for a in range(2):
                 for b in range(2):
@@ -185,16 +184,17 @@ class TestNonlinearConnection:
         d = inst.dims
         L = LagrangianModel.from_family(
             ElectrodynamicsLagrangian(d, inst.h, [[constant_field(1.0)]]), "harmonic")
-        conn = canonical_nonlinear_connection(L, inst.h)
+        pack = cartan_connection(L, inst.h)
         pt = JetPoint((0.1, 0.2), (0.4,), ((0.3, -0.2),))
-        assert np.max(np.abs(np.array(conn.m_at(pt)))) == 0.0
-        assert np.max(np.abs(np.array(conn.n_at(pt)))) <= 1e-12
+        co = pack.coefficients_at(pt)
+        assert np.max(np.abs(np.array(co.m))) == 0.0
+        assert np.max(np.abs(np.array(co.n))) <= 1e-12
 
     def test_p1_reduction_to_geodesic_form(self):
         # (T,h)=(R,delta), L = g_ij(x) y^i y^j: N^{(i)}_{(1)j} = gamma^i_{jk} y^k
         d = Dims(1, 2)
         L = LagrangianModel.from_expression("v1_1*v1_1 + sin(x1)^2*v2_1*v2_1", d)
-        conn = canonical_nonlinear_connection(L, flat_h(1))
+        pack = cartan_connection(L, flat_h(1))
         gs = spatial_metric_of([
             [constant_field(1.0), constant_field(0.0)],
             [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
@@ -204,7 +204,7 @@ class TestNonlinearConnection:
                           (rng.uniform(0.5, 2.5), rng.uniform(-1, 1)),
                           ((rng.uniform(-1, 1),), (rng.uniform(-1, 1),)))
             gamma = g_christoffel_values(gs, pt)
-            nval = conn.n_at(pt)
+            nval = pack.coefficients_at(pt).n
             for i in range(2):
                 for j in range(2):
                     expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(2))
@@ -220,7 +220,7 @@ class TestNonlinearConnection:
         f = ExpressionField("t1 + x2", d)
         fam = ElectrodynamicsLagrangian(d, h, g, u, f)
         L = LagrangianModel.from_family(fam, "electrodynamics")
-        conn = canonical_nonlinear_connection(L, h)
+        pack = cartan_connection(L, h)
         gs = spatial_metric_of(g)
         deco = electrodynamics_decompose(L, h)
         rng = random.Random(16)
@@ -232,7 +232,7 @@ class TestNonlinearConnection:
             ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt))]
             h11 = scalar_value(h.matrix_at(pt.t)[0][0])
             ucurl = deco.u_curl_at(pt)
-            nval = conn.n_at(pt)
+            nval = pack.coefficients_at(pt).n
             for i in range(2):
                 for j in range(2):
                     expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(2))
@@ -244,7 +244,7 @@ class TestNonlinearConnection:
         # Eq-form: N = gamma^i_{jk} x^k_a + (g^{ik}/4) h_{ac} U^{(c)}_{(k)j}
         inst = corpus_instance("autonomous", 2, 2)
         deco = electrodynamics_decompose(inst.L, inst.h)
-        conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=deco)
+        pack = cartan_connection(inst.L, inst.h, decomposition=deco)
         gs = deco.g_field
         pts = sample_points(inst.dims, [-1, 1], 4, seed=11)
         for pt in pts:
@@ -252,7 +252,7 @@ class TestNonlinearConnection:
             ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt))]
             hmat = [[scalar_value(e) for e in row] for row in inst.h.matrix_at(pt.t)]
             ucurl = deco.u_curl_at(pt)
-            nval = conn.n_at(pt)
+            nval = pack.coefficients_at(pt).n
             for i in range(2):
                 for a in range(2):
                     for j in range(2):
@@ -266,8 +266,7 @@ class TestNonlinearConnection:
 def cartan_pack(inst):
     """A pack over the canonical connection; a covariant derivative of empty
     valence over it is the adapted-frame derivative along that connection."""
-    conn = canonical_nonlinear_connection(inst.L, inst.h)
-    return cartan_connection(inst.L, inst.h, conn)
+    return cartan_connection(inst.L, inst.h)
 
 
 class TestAdaptedDerivative:

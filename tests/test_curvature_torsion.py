@@ -10,7 +10,6 @@ import pytest
 from jetlag.calculus import d1, t_coord
 from jetlag.cartan import MHorizontal, berwald_connection, cartan_connection, covariant_derivative
 from jetlag.config import assemble
-from jetlag.connection import canonical_nonlinear_connection
 from jetlag.curvature import curvature_table, table_zero_audit, torsion_table
 from jetlag.fields import ExpressionField, constant_field
 from jetlag.jet_core import (
@@ -33,14 +32,19 @@ from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 from jetlag.verify import _antisymmetry_defect
 
-from conftest import corpus_instance, spatial_metric_of, sphere_config, temporal_metric_of
+from conftest import (
+    canonical_n_reference,
+    corpus_instance,
+    spatial_metric_of,
+    sphere_config,
+    temporal_metric_of,
+)
 
 
 def build(inst):
     deco = electrodynamics_decompose(inst.L, inst.h) if inst.dims.p >= 2 else None
-    conn = canonical_nonlinear_connection(inst.L, inst.h, decomposition=deco)
-    pack = cartan_connection(inst.L, inst.h, conn, decomposition=deco)
-    return deco, conn, pack
+    pack = cartan_connection(inst.L, inst.h, decomposition=deco)
+    return deco, pack
 
 
 def sphere_metric(dims):
@@ -117,7 +121,7 @@ class TestCartanTwoRoute:
     def test_p2_r_mt_closed_form(self):
         # R^{(m)}_{(mu)aj} = -dN^{(m)}_{(mu)j}/dt^a + H^b_{mu a} F^m_{j(b)}
         inst = corpus_instance("non_autonomous", 2, 2)
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         pts = sample_points(inst.dims, [-1, 1], 2, seed=31)
         for pt in pts:
             tor = torsion_table(pack, pt)
@@ -127,7 +131,8 @@ class TestCartanTwoRoute:
                 for mu in range(2):
                     for a in range(2):
                         for j in range(2):
-                            dn = d1(lambda q, m=m, mu=mu, j=j: conn.n_at(q)[m][mu][j],
+                            dn = d1(lambda q, m=m, mu=mu, j=j:
+                                    canonical_n_reference(inst.h, deco, q)[m][mu][j],
                                     pt, t_coord(a))
                             expect = -dn + sum(
                                 scalar_value(co.hbar[b][mu][a]) * f_tensor[m][j][b]
@@ -137,7 +142,7 @@ class TestCartanTwoRoute:
     def test_p2_r_mm_closed_form(self):
         # R^{(m)}_{(mu)ij} = r^m_{kij} x^k_mu + [F^m_{i(mu)|j} - F^m_{j(mu)|i}]
         inst = corpus_instance("non_autonomous", 2, 2)
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         gs = deco.g_field
         pts = sample_points(inst.dims, [-1, 1], 2, seed=32)
         valence = (spatial_upper(2), spatial_lower(2), temporal_lower(2))
@@ -166,7 +171,7 @@ class TestCartanTwoRoute:
         raw["temporal_metric"] = {"kind": "expression", "entries": [["exp(2*t1)"]],
                                   "signature": [1, 0]}
         inst = assemble(raw)
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         pts = sample_points(inst.dims, inst.sampling["box"], 2, seed=33)
         from jetlag.calculus import v_coord
 
@@ -176,10 +181,11 @@ class TestCartanTwoRoute:
             h111 = scalar_value(co.hbar[0][0][0])
             for m in range(2):
                 for j in range(2):
-                    nval = scalar_value(conn.n_at(pt)[m][0][j])
-                    dn_t = d1(lambda q, m=m, j=j: conn.n_at(q)[m][0][j], pt, t_coord(0))
+                    nval = scalar_value(co.n[m][0][j])
+                    dn_t = d1(lambda q, m=m, j=j: pack.coefficients_at(q).n[m][0][j],
+                              pt, t_coord(0))
                     sweep = sum(
-                        pt.v[k][0] * d1(lambda q, m=m, j=j: conn.n_at(q)[m][0][j],
+                        pt.v[k][0] * d1(lambda q, m=m, j=j: pack.coefficients_at(q).n[m][0][j],
                                         pt, v_coord(k, 0))
                         for k in range(2))
                     expect = -dn_t + h111 * (nval - sweep)
@@ -187,7 +193,7 @@ class TestCartanTwoRoute:
 
     def test_p1_simple_torsion_identities(self):
         inst = assemble(sphere_config())
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         pt = JetPoint((0.1,), (0.9, 0.2), ((0.4,), (0.7,)))
         tor = torsion_table(pack, pt)
         co = pack.coefficients_at(pt)
@@ -204,7 +210,7 @@ class TestCartanTwoRoute:
 
     def test_p1_p_vm_v_closed_form(self):
         inst = assemble(sphere_config())
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         pt = JetPoint((0.1,), (0.9, 0.2), ((0.4,), (0.7,)))
         tor = torsion_table(pack, pt)
         co = pack.coefficients_at(pt)
@@ -213,7 +219,8 @@ class TestCartanTwoRoute:
         for m in range(2):
             for i in range(2):
                 for j in range(2):
-                    dn = d1(lambda q, m=m, i=i: conn.n_at(q)[m][0][i], pt, v_coord(j, 0))
+                    dn = d1(lambda q, m=m, i=i: pack.coefficients_at(q).n[m][0][i],
+                            pt, v_coord(j, 0))
                     expect = dn - scalar_value(co.l[m][j][i])
                     assert tor.vm_v.get((m, 0), i, (j, 0)) == pytest.approx(expect, abs=1e-8)
 
@@ -223,7 +230,7 @@ class TestCartanTables:
         # autonomous electrodynamics: torsions vanish except the three
         # R-families; curvature vanishes except tt_t and mm_m = r
         inst = corpus_instance("autonomous", 2, 2)
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         gs = deco.g_field
         pt = sample_points(inst.dims, [-1, 1], 1, seed=41)[0]
         tor = torsion_table(pack, pt)
@@ -238,7 +245,7 @@ class TestCartanTables:
     def test_sphere_p1_reduction(self):
         # the classical equality: curvature mm_m equals Riemannian r
         inst = assemble(sphere_config())
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         gs = sphere_metric(inst.dims)
         pt = JetPoint((0.1,), (0.9, 0.2), ((0.4,), (0.7,)))
         tor = torsion_table(pack, pt)
@@ -257,7 +264,7 @@ class TestCartanTables:
     def test_zero_audits_per_kind(self):
         for kind, p in (("harmonic", 1), ("autonomous", 2), ("non_autonomous", 2)):
             inst = corpus_instance(kind, p, 2)
-            deco, conn, pack = build(inst)
+            deco, pack = build(inst)
             pts = sample_points(inst.dims, [-1, 1], 2, seed=42)
             audit = table_zero_audit(pack, pts)
             assert audit.passed, (kind, p, audit.worst_cell, audit.worst)
@@ -265,7 +272,7 @@ class TestCartanTables:
     def test_p1_audit_does_not_flag_t_m1j(self):
         # T^m_{1j} = -G^m_{j1} is generally nonzero for p=1 non-autonomous
         inst = corpus_instance("non_autonomous", 1, 2)
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=43)[0]
         tor = torsion_table(pack, pt)
         assert tor.mt_m.max_abs() > 1e-6  # nonzero...
@@ -274,7 +281,7 @@ class TestCartanTables:
 
     def test_antisymmetries(self):
         inst = corpus_instance("non_autonomous", 2, 2)
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=44)[0]
         tor = torsion_table(pack, pt)
         cur = curvature_table(tor)
@@ -391,7 +398,7 @@ class TestOneFramePerPoint:
 
     def test_coefficients_evaluated_once_per_lift(self):
         inst = corpus_instance("non_autonomous", 2, 2)
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         calls = []
 
         def counted(q):
@@ -407,7 +414,7 @@ class TestOneFramePerPoint:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_arrays_match_entry_loops_bitwise(self, p):
         inst = corpus_instance("non_autonomous", p, 2)
-        deco, conn, pack = build(inst)
+        deco, pack = build(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=3)[0]
         tor = torsion_table(pack, pt)
         cur = curvature_table(tor)

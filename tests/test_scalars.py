@@ -19,13 +19,12 @@ all k gradient entries and every pair: the sparse evaluation must give each
 of its entries bitwise, zeros by value.
 """
 
-import dataclasses
 import math
 import random
 
 import pytest
 
-from jetlag import connection, dsl, metric_engine, scalars
+from jetlag import cartan, connection, dsl, metric_engine, scalars
 from jetlag.calculus import (
     all_coords,
     gradient_hessian,
@@ -36,7 +35,7 @@ from jetlag.calculus import (
     x_coord,
 )
 from jetlag.cartan import cartan_connection
-from jetlag.connection import canonical_nonlinear_connection, spray_data
+from jetlag.connection import spray_data
 from jetlag.curvature import curvature_table, torsion_table
 from jetlag.errors import EvalDomainError
 from jetlag.fields import ExpressionField
@@ -701,14 +700,14 @@ class TestSupport:
                     sum(len(lay.plans) for lay in scalars._LAYOUTS.values()))
 
         inst = corpus_instance("non_autonomous", 2, 2)
-        conn = canonical_nonlinear_connection(inst.L, inst.h)
+        pack = cartan_connection(inst.L, inst.h)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=4)[0]
         seen = []
         for _ in range(2):
             for q in (pt, lift_d1(pt, x_coord(0))):
                 hessian_blocks(inst.L, q)
                 spray_data(inst.L, inst.h, q)
-                conn.n_at(q)
+                pack.coefficients_at(q)
             seen.append(totals())
         assert seen[0] == seen[1]
 
@@ -756,24 +755,23 @@ class TestOneEvaluationPerHessian:
         assert L.lifts == [(kv, kv * (kv + 1) // 2)] * 2 + [(k, entries)]
         assert entries == n * p + n * n * p
 
-    def test_p1_frame_evaluates_m_and_n_once_per_lift(self):
+    def test_p1_frame_evaluates_m_and_n_once_per_lift(self, monkeypatch):
         inst = corpus_instance("non_autonomous", 1, 2)
-        conn = canonical_nonlinear_connection(inst.L, inst.h)
         calls = {"m": 0, "n": 0}
 
         def counted(name, fn):
-            def wrapped(q):
+            def wrapped(*args):
                 calls[name] += 1
-                return fn(q)
+                return fn(*args)
             return wrapped
 
-        counting = dataclasses.replace(conn, m_at=counted("m", conn.m_at),
-                                       n_at=counted("n", conn.n_at))
-        pack = cartan_connection(inst.L, inst.h, counting)
+        monkeypatch.setattr(cartan, "m_values", counted("m", cartan.m_values))
+        monkeypatch.setattr(cartan, "spray_n_values", counted("n", cartan.spray_n_values))
+        pack = cartan_connection(inst.L, inst.h)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
         curvature_table(torsion_table(pack, pt))
         p, n = inst.dims.p, inst.dims.n
         lifts = 1 + p + n + n * p  # the point, then one lift per coordinate
-        # M comes from the closure's own temporal Christoffels; N, the spray
-        # derivative, is read from the connection once per lift
-        assert calls == {"m": 0, "n": lifts}
+        # M, from the closure's own temporal Christoffels, and N, the spray
+        # derivative, are each computed once per lift
+        assert calls == {"m": lifts, "n": lifts}

@@ -33,6 +33,13 @@ TEST_ORACLES = (
 )
 
 
+# The modules that may name the forward-mode first-derivative machinery;
+# every other module takes first derivatives through
+# ``calculus.field_jacobian`` (or ``d1``).
+DUAL_MODULES = ("scalars", "calculus")
+DUAL_NAMES = {"Dual", "lift_d1", "dual_part", "structure_dual_parts"}
+
+
 class _Uses(ast.NodeVisitor):
     """Names a piece of code reads; an import is not a read."""
 
@@ -144,3 +151,27 @@ def test_every_oracle_is_used_by_a_test():
             used |= _uses(ast.parse(path.read_text(encoding="utf-8")).body)
     missing = [q for q in TEST_ORACLES if q.rsplit(".", 1)[-1] not in used]
     assert missing == []
+
+
+def _referenced_names(tree) -> set:
+    """Every name a module reads, binds or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def test_only_calculus_and_scalars_name_the_dual_lift():
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in DUAL_MODULES:
+            continue
+        used = _referenced_names(ast.parse(path.read_text(encoding="utf-8"))) & DUAL_NAMES
+        if used:
+            offenders[path.stem] = sorted(used)
+    assert offenders == {}
