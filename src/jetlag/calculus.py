@@ -1,10 +1,10 @@
 """First and second partials of scalar fields on the jet space.
 
 Derivatives are exact (to roundoff) forward directional derivatives, not
-difference quotients.  One evaluation of the field on a Dual lift gives one
-first partial; one evaluation on a Taylor2 lift over k coordinates gives all
-k first partials and the second partials of the pairs it is lifted with, by
-default all k(k+1)/2 of them.  Central finite differences exist only to
+difference quotients.  One evaluation of the field on a Dual lift over k
+coordinates gives all k first partials; one on a Taylor2 lift over k
+coordinates also gives the second partials of the pairs it is lifted with,
+by default all k(k+1)/2 of them.  Central finite differences exist only to
 cross-check the forward values.
 """
 
@@ -69,27 +69,27 @@ def parse_coord(text: str) -> Coord:
 # --- Lifts ------------------------------------------------------------------
 
 
-def lift_d1(point: JetPoint, wrt: Coord) -> JetPoint:
-    """Wrap every coordinate in a Dual, seeding ``wrt`` with 1.
+def lift_d1(point: JetPoint, coords) -> JetPoint:
+    """Wrap every coordinate in a Dual over len(coords) directions, seeding
+    direction s on coords[s]; the unseeded coordinates share one zero row.
 
     Wrapping everything keeps nested first-derivative layers distinct: inside
     a lifted evaluation no un-lifted sibling from an older layer can appear.
     """
-    kind, wi, wa = wrt
-    t = tuple(
-        Dual(v, 1.0 if kind == "t" and wa == a else 0.0) for a, v in enumerate(point.t)
+    if isinstance(coords, (Coord, str)):
+        raise TypeError(f"coords must be a sequence of coordinates, not {coords!r}")
+    k = len(coords)
+    zero = (0.0,) * k
+    rows = {}
+    for s, c in enumerate(coords):
+        rows.setdefault(c, [0.0] * k)[s] = 1.0
+    row = rows.get  # keyed by plain (kind, i, alpha) tuples, which equal Coords
+    return raw_point(
+        tuple([Dual(val, row(("t", 0, a), zero)) for a, val in enumerate(point.t)]),
+        tuple([Dual(val, row(("x", i, 0), zero)) for i, val in enumerate(point.x)]),
+        tuple([tuple([Dual(val, row(("v", i, a), zero)) for a, val in enumerate(vi)])
+               for i, vi in enumerate(point.v)]),
     )
-    x = tuple(
-        Dual(v, 1.0 if kind == "x" and wi == i else 0.0) for i, v in enumerate(point.x)
-    )
-    v = tuple(
-        tuple(
-            Dual(val, 1.0 if kind == "v" and wi == i and wa == a else 0.0)
-            for a, val in enumerate(row)
-        )
-        for i, row in enumerate(point.v)
-    )
-    return raw_point(t, x, v)
 
 
 def lift_taylor(point: JetPoint, coords, pairs=None) -> JetPoint:
@@ -114,18 +114,7 @@ def lift_taylor(point: JetPoint, coords, pairs=None) -> JetPoint:
     return raw_point(t, x, v)
 
 
-def dual_part(s):
-    return s.du if type(s) is Dual else 0.0
-
-
 # --- Derivatives ------------------------------------------------------------
-
-
-def d1(f, point: JetPoint, wrt: Coord):
-    """First partial of ``f`` at ``point`` along coordinate ``wrt``."""
-    if isinstance(wrt, str):
-        wrt = parse_coord(wrt)
-    return dual_part(f(lift_d1(point, wrt)))
 
 
 def gradient_hessian(f, point: JetPoint, coords, pairs=None):
@@ -287,10 +276,6 @@ def structure_values(obj):
     return map_structure(scalar_value, obj)
 
 
-def structure_dual_parts(obj):
-    return map_structure(dual_part, obj)
-
-
 def structure_entry(obj, idx):
     """The leaf of a nested structure at the index path ``idx``."""
     for k in idx:
@@ -298,7 +283,16 @@ def structure_entry(obj, idx):
     return obj
 
 
+def _partial(obj, s):
+    """Sensitivity s of every leaf of a lifted structure (0.0 if no Dual)."""
+    if isinstance(obj, (list, tuple)):
+        return [_partial(o, s) for o in obj]
+    return obj.du[s] if type(obj) is Dual else 0.0
+
+
 def field_jacobian(field, point: JetPoint, coords):
-    """Derivatives of a structure-valued field along each coordinate, as a
-    dict keyed by coordinate."""
-    return {c: structure_dual_parts(field(lift_d1(point, c))) for c in coords}
+    """Derivatives of a structure-valued field along each of ``coords``,
+    from one evaluation on a Dual lift over them, as a dict keyed by
+    coordinate."""
+    out = field(lift_d1(point, coords))
+    return {c: _partial(out, s) for s, c in enumerate(coords)}

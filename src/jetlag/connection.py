@@ -30,7 +30,6 @@ import numpy as np
 from .calculus import (
     Coord,
     all_coords,
-    d1,
     d2,
     field_jacobian,
     gradient_hessian,
@@ -191,7 +190,9 @@ def jet_map_from_fields(fields, dims: Dims) -> JetMap:
         return [scalar_value(f(as_point(ts))) for f in fields]
 
     def dx(ts):
-        return [[d1(f, as_point(ts), t_coord(a)) for a in range(dims.p)] for f in fields]
+        jac = field_jacobian(lambda q: [f(q) for f in fields], as_point(ts),
+                             [t_coord(a) for a in range(dims.p)])
+        return [list(row) for row in zip(*jac.values())]
 
     def d2x(ts):
         return [
@@ -304,7 +305,8 @@ def _trace_tensor_vector(h, point, deco: ElectrodynamicsDecomposition, data: Spr
     du_dt = [jac[c][1] for c in ts]
     u = deco.u_field(point)
     ucurl = deco.u_curl_at(point)
-    df_dx = [d1(deco.f_field, point, x_coord(i)) for i in range(n)]
+    df_dx = list(field_jacobian(deco.f_field, point,
+                                [x_coord(i) for i in range(n)]).values())
 
     out = []
     for l in range(n):

@@ -2,10 +2,10 @@
 
 Both tables read one frame per point: the coefficient tables (M, N, Hbar,
 G, L, C) at the point and their partials along every coordinate, from one
-Dual-lifted evaluation per coordinate.  Every pack's coefficient evaluation
-returns M and N with the four families, so they are evaluated once per
-lift.  ``torsion_table`` builds the frame and keeps it; ``curvature_table``
-takes that torsion table and reads the same frame.
+evaluation on a Dual lift over all of them.  Every pack's coefficient
+evaluation returns M and N with the four families.  ``torsion_table``
+builds the frame and keeps it; ``curvature_table`` takes that torsion
+table and reads the same frame.
 
 Every family is evaluated from its generic defining formula as one numpy
 array, vertical index pairs flattened as i*p + a.  A sum over a repeated

@@ -48,7 +48,8 @@ def mat_invert_generic(rows):
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
         inv_p = reciprocal(aug[col][col])
-        aug[col] = [e * inv_p for e in aug[col]]
+        # a plain 0.0 stays a float, so structural zeros survive a lifted pivot
+        aug[col] = [e if type(e) is float and e == 0.0 else e * inv_p for e in aug[col]]
         for r in range(dim):
             if r == col:
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .calculus import d1, field_jacobian, gradient_hessian, v_coord, vertical_coords, x_coord
+from .calculus import field_jacobian, gradient_hessian, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, JetPoint, zero_velocity_point
 from .metric_engine import TemporalMetric, mat_det, signature_of
@@ -279,8 +279,8 @@ class ElectrodynamicsDecomposition:
     reassembly_residual: float = 0.0
 
     def u_curl_at(self, point: JetPoint):
-        """U^{(a)}_{(i)j} = d U^a_i/dx^j - d U^a_j/dx^i as [i][a][j], from n
-        lifted evaluations of the U field."""
+        """U^{(a)}_{(i)j} = d U^a_i/dx^j - d U^a_j/dx^i as [i][a][j], from one
+        evaluation of the U field lifted over every x."""
         n, p = self.dims.n, self.dims.p
         xs = [x_coord(j) for j in range(n)]
         du = field_jacobian(self.u_field, point, xs)
@@ -325,11 +325,8 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
             return [[(g[i][j] + g[j][i]) * 0.5 for j in range(n)] for i in range(n)]
 
         def u_field(pt):
-            pt0 = _at_zero_velocity(pt, dims)
-            return [
-                [d1(L, pt0, v_coord(i, a)) for a in range(p)]
-                for i in range(n)
-            ]
+            jac = field_jacobian(L, _at_zero_velocity(pt, dims), vertical_coords(dims))
+            return [[jac[v_coord(i, a)] for a in range(p)] for i in range(n)]
 
         def f_field(pt):
             return L(_at_zero_velocity(pt, dims))

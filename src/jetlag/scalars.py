@@ -1,18 +1,18 @@
 """Forward-mode derivative scalars and the generic math they plug into.
 
-Two scalar kinds:
+Two scalar kinds, both vector forward mode (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 3):
 
-* ``Dual`` carries (value, one directional sensitivity).  Used for first
-  derivatives; lifts wrap every coordinate of a point so nested Dual layers
-  stay unambiguous.
+* ``Dual`` carries (value, one sensitivity per seeded direction): one
+  evaluation gives every first partial, each bitwise that of a one-direction
+  dual number.  Lifts wrap every coordinate so nested Dual layers stay
+  unambiguous.
 * ``Taylor2`` carries (value, gradient, Hessian entries) over k seeded
-  coordinates, so one evaluation of a field gives all of its first partials
-  along them and the second partials of the pairs it is asked for (by
-  default all of them): vector forward mode (Griewank & Walther, *Evaluating
-  Derivatives*, 2nd ed., SIAM 2008).  Its two-seed case is the hyper-dual
-  number (Fike & Alonso, AIAA 2011-886).  It is only ever applied directly to
-  raw scalar fields, so when a Taylor2 meets a Dual the Dual is always an
-  older layer and is treated as a constant.
+  coordinates: one evaluation gives all first partials along them and the
+  second partials of the pairs it is asked for (by default all of them).
+  Its two-seed case is the hyper-dual number (Fike & Alonso, AIAA
+  2011-886).  It is only ever applied directly to raw scalar fields, so when
+  a Taylor2 meets a Dual the Dual is an older layer, treated as a constant.
 
 A Taylor2 stores only its support (the sparse forward mode of Griewank &
 Walther, ch. 7): the seeds its gradient depends on and the evaluation's
@@ -53,7 +53,7 @@ def scalar_value(s) -> float:
 def _is_zero(s) -> bool:
     t = type(s)
     if t is Dual:
-        return _is_zero(s.re) and _is_zero(s.du)
+        return _is_zero(s.re) and all(_is_zero(e) for e in s.du)
     if t is Taylor2:
         return _is_zero(s.re) and _no_seed(s)
     return s == 0.0
@@ -67,18 +67,19 @@ def is_seedless(s) -> bool:
     """True when s carries no derivative information at any layer."""
     t = type(s)
     if t is Dual:
-        return _is_zero(s.du) and is_seedless(s.re)
+        return all(_is_zero(e) for e in s.du) and is_seedless(s.re)
     if t is Taylor2:
         return _no_seed(s) and is_seedless(s.re)
     return True
 
 
 class Dual:
-    """a + b*eps with eps^2 = 0."""
+    """a + sum_s du[s] eps_s with eps_s eps_r = 0; entry s of a result reads
+    only entry s of the operands.  ``du`` is shared, never mutated."""
 
     __slots__ = ("re", "du")
 
-    def __init__(self, re, du=0.0):
+    def __init__(self, re, du):
         self.re = re
         self.du = du
 
@@ -87,7 +88,7 @@ class Dual:
 
     def __add__(self, o):
         if type(o) is Dual:
-            return Dual(self.re + o.re, self.du + o.du)
+            return Dual(self.re + o.re, [x + y for x, y in zip(self.du, o.du)])
         if isinstance(o, _NUM):
             return Dual(self.re + o, self.du)
         return NotImplemented
@@ -96,35 +97,37 @@ class Dual:
 
     def __sub__(self, o):
         if type(o) is Dual:
-            return Dual(self.re - o.re, self.du - o.du)
+            return Dual(self.re - o.re, [x - y for x, y in zip(self.du, o.du)])
         if isinstance(o, _NUM):
             return Dual(self.re - o, self.du)
         return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _NUM):
-            return Dual(o - self.re, -self.du)
+            return Dual(o - self.re, [-x for x in self.du])
         return NotImplemented
 
     def __mul__(self, o):
         if type(o) is Dual:
-            return Dual(self.re * o.re, self.re * o.du + self.du * o.re)
+            a, b = self.re, o.re
+            return Dual(a * b, [a * y + x * b for x, y in zip(self.du, o.du)])
         if isinstance(o, _NUM):
-            return Dual(self.re * o, self.du * o)
+            return Dual(self.re * o, [x * o for x in self.du])
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         if type(o) is Dual:
-            if scalar_value(o.re) == 0.0:
+            a, b = self.re, o.re
+            if scalar_value(b) == 0.0:
                 raise ZeroDivisionError("dual division by zero")
-            inv = 1.0 / o.re if isinstance(o.re, _NUM) else reciprocal(o.re)
-            return Dual(self.re * inv, (self.du * o.re - self.re * o.du) * inv * inv)
+            inv = 1.0 / b if isinstance(b, _NUM) else reciprocal(b)
+            return Dual(a * inv, [(x * b - a * y) * inv * inv for x, y in zip(self.du, o.du)])
         if isinstance(o, _NUM):
             if o == 0.0:
                 raise ZeroDivisionError("dual division by zero")
-            return Dual(self.re / o, self.du / o)
+            return Dual(self.re / o, [x / o for x in self.du])
         return NotImplemented
 
     def __rtruediv__(self, o):
@@ -132,11 +135,11 @@ class Dual:
             if scalar_value(self.re) == 0.0:
                 raise ZeroDivisionError("dual division by zero")
             inv = 1.0 / self.re if isinstance(self.re, _NUM) else reciprocal(self.re)
-            return Dual(o * inv, -o * self.du * inv * inv)
+            return Dual(o * inv, [-o * x * inv * inv for x in self.du])
         return NotImplemented
 
     def __neg__(self):
-        return Dual(-self.re, -self.du)
+        return Dual(-self.re, [-x for x in self.du])
 
     def __pow__(self, o):
         return g_pow(self, o)
@@ -374,7 +377,8 @@ def _chain(x, f, df, d2f):
     Dual or Taylor2 x (a Dual reads only df)."""
     v = x.re
     if type(x) is Dual:
-        return Dual(f(v), df(v) * x.du)
+        d = df(v)
+        return Dual(f(v), [d * e for e in x.du])
     d, dd = df(v), d2f(v)
     g = x.g
     scaled = [dd * e for e in g]
@@ -488,7 +492,8 @@ def g_ipow(u, k: int):
 
 def g_pow(u, w):
     """General power.  Integer seedless exponents work for any base; other
-    exponents go through exp(w*log(u)) and need a positive base."""
+    exponents go through exp(w*log(u)) and need a positive base.  A Dual
+    exponent is seedless only when it is so along all its directions."""
     if is_seedless(w):
         wv = scalar_value(w)
         if wv.is_integer() and abs(wv) <= 1e6:

@@ -7,9 +7,11 @@ import pytest
 
 from jetlag.calculus import (
     DiffConfig,
-    d1,
+    all_coords,
     d2,
     fd_crosscheck,
+    field_jacobian,
+    lift_d1,
     parse_coord,
     t_coord,
     v_coord,
@@ -29,7 +31,14 @@ def jp(dims, **kw):
     return JetPoint(t, x, v)
 
 
+def d1(f, point, c):
+    """The first partial of ``f`` along ``c``, from a Jacobian along c alone."""
+    return field_jacobian(f, point, (c,))[c]
+
+
 class TestD1:
+    """First partials, from ``field_jacobian``."""
+
     def test_velocity_square(self):
         dims = Dims(1, 1)
         f = ExpressionField("v1_1^2", dims)
@@ -54,8 +63,8 @@ class TestD1:
         dims = Dims(2, 2)
         f = ExpressionField("v2_1 * t2", dims)
         point = jp(dims, t=(0.0, 3.0), v=((0.0, 0.0), (5.0, 0.0)))
-        assert d1(f, point, "v2_1") == 3.0
-        assert d1(f, point, "t2") == 5.0
+        assert d1(f, point, parse_coord("v2_1")) == 3.0
+        assert d1(f, point, parse_coord("t2")) == 5.0
 
     def test_linearity_random(self):
         rng = random.Random(8)
@@ -70,10 +79,43 @@ class TestD1:
             point = jp(dims,
                        x=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                        v=((rng.uniform(-1, 1),), (rng.uniform(-1, 1),)))
-            for c in (x_coord(0), x_coord(1), v_coord(0, 0), v_coord(1, 0)):
-                lhs = d1(combo, point, c)
-                rhs = d1(f, point, c) + d1(g, point, c)
-                assert lhs == pytest.approx(rhs, abs=1e-14)
+            coords = (x_coord(0), x_coord(1), v_coord(0, 0), v_coord(1, 0))
+            lhs = field_jacobian(combo, point, coords)
+            jf, jg = field_jacobian(f, point, coords), field_jacobian(g, point, coords)
+            for c in coords:
+                assert lhs[c] == pytest.approx(jf[c] + jg[c], abs=1e-14)
+
+    def test_one_evaluation_gives_each_single_direction_partial_bitwise(self):
+        dims = Dims(2, 2)
+        f = ExpressionField("sin(x1)*v2_1/(1 + t2^2) + sqrt(2 + x2*v1_2) - exp(t1)*x1", dims)
+        calls = []
+
+        def counted(pt):
+            calls.append(pt)
+            return [f(pt), [f(pt) * pt.x[0], 2.0]]
+
+        point = jp(dims, t=(0.3, -0.4), x=(0.7, 0.2), v=((0.5, 1.1), (-0.6, 0.9)))
+        coords = all_coords(dims)
+        jac = field_jacobian(counted, point, coords)
+        assert len(calls) == 1
+        for c in coords:
+            assert repr(jac[c]) == repr(field_jacobian(counted, point, (c,))[c])
+        assert jac[x_coord(0)][1][1] == 0.0
+
+    def test_unseeded_coordinates_share_one_zero_row(self):
+        dims = Dims(1, 2)
+        q = lift_d1(jp(dims), (x_coord(1), t_coord(0)))
+        assert q.t[0].du == [0.0, 1.0] and q.x[1].du == [1.0, 0.0]
+        assert q.x[0].du == (0.0, 0.0) and q.x[0].du is q.v[1][0].du
+
+    def test_a_bare_coordinate_is_rejected(self):
+        # a Coord is a tuple: read as a sequence it would seed "x", 0 and 0
+        dims = Dims(1, 1)
+        f = ExpressionField("x1", dims)
+        with pytest.raises(TypeError):
+            lift_d1(jp(dims), x_coord(0))
+        with pytest.raises(TypeError):
+            field_jacobian(f, jp(dims), x_coord(0))
 
 
 class TestD2:

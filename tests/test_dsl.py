@@ -145,7 +145,7 @@ class TestEval:
     ], ids=["div", "log", "sqrt", "negative_power", "exp_overflow", "second_line"])
     def test_division_by_zero_offset(self, source, x1, offset, position):
         field = ExpressionField(source, Dims(1, 1))
-        point = lift_d1(JetPoint((0.0,), (x1,), ((0.0,),)), x_coord(0))
+        point = lift_d1(JetPoint((0.0,), (x1,), ((0.0,),)), (x_coord(0),))
         with pytest.raises(EvalDomainError) as err:
             field(point)
         assert err.value.offset == offset

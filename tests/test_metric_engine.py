@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from jetlag.calculus import lift_d1, x_coord
+from jetlag.calculus import all_coords, lift_d1, lift_taylor, t_coord, x_coord
 from jetlag.cli import run
 from jetlag.config import assemble
 from jetlag.errors import DegeneracyError
@@ -215,8 +215,8 @@ class TestSpatial:
         assert np.max(np.abs(g_curvature_values(g1, pt1))) == 0.0
 
     def test_christoffels_evaluate_the_metric_once_per_lift(self):
-        # once at the point for the inverse and once per x-lift for the
-        # partials: 1 + n matrices, each one evaluation of g_field
+        # once at the point for the inverse and once on the lift over
+        # every x for the partials: 2 matrices, each one evaluation of g_field
         n = 3
         inst = corpus_instance("non_autonomous", 2, n, count=4)
         deco = electrodynamics_decompose(inst.L, inst.h)
@@ -228,7 +228,7 @@ class TestSpatial:
 
         pt = sample_points(inst.dims, None, 1, seed=3)[0]
         g_christoffel_values(counted, pt)
-        assert len(calls) == 1 + n
+        assert len(calls) == 1 + 1
 
     def test_flat_curvature_zero(self):
         g = smetric(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
@@ -256,6 +256,20 @@ class TestInversion:
         with pytest.raises(DegeneracyError) as err:
             checked_inverse([[1.0, 1.0], [1.0, 1.0]])
         assert err.value.det == pytest.approx(0.0, abs=1e-15)
+
+    def test_structural_zeros_stay_floats_under_a_lifted_pivot(self):
+        # a diagonal, t-dependent h: its inverse keeps plain 0.0 off the
+        # diagonal, so the Lagrangian's h^{ab} = 0 terms are skipped
+        inst = corpus_instance("non_autonomous", 3, 2)
+        pt = sample_points(inst.dims, None, 1, seed=5)[0]
+        coords = [t_coord(a) for a in range(3)]
+        for q in (lift_d1(pt, coords), lift_taylor(pt, all_coords(inst.dims))):
+            inv = inst.h.inverse_at(q.t)
+            for a in range(3):
+                for b in range(3):
+                    if a != b:
+                        assert type(inv[a][b]) is float and inv[a][b] == 0.0
+            assert repr(inv[2][2]) == repr(1.0 / inst.h.matrix_at(q.t)[2][2])
 
 
 class TestSignature:
@@ -339,7 +353,7 @@ class TestSymmetricAssembly:
 
         dims = inst.dims
         pt = sample_points(dims, None, 1, seed=2)[0]
-        lifted = lift_d1(pt, x_coord(0))
+        lifted = lift_d1(pt, (x_coord(0),))
         g_entries = inst.L.structure.g_entries
         for (i, j) in ((0, 1), (0, 2)):
             assert g_entries[i][j] is g_entries[j][i]

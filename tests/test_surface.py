@@ -35,9 +35,9 @@ TEST_ORACLES = (
 
 # The modules that may name the forward-mode first-derivative machinery;
 # every other module takes first derivatives through
-# ``calculus.field_jacobian`` (or ``d1``).
+# ``calculus.field_jacobian``.
 DUAL_MODULES = ("scalars", "calculus")
-DUAL_NAMES = {"Dual", "lift_d1", "dual_part", "structure_dual_parts"}
+DUAL_NAMES = {"Dual", "lift_d1"}
 
 
 class _Uses(ast.NodeVisitor):
