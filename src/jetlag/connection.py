@@ -32,7 +32,6 @@ from .calculus import (
     all_coords,
     d2,
     field_jacobian,
-    gradient_hessian,
     structure_entry,
     t_coord,
     v_coord,
@@ -54,8 +53,8 @@ from .metric_engine import (
 from .regularity import (
     ElectrodynamicsDecomposition,
     electrodynamics_decompose,
-    g_from_hessian,
     hessian_blocks,
+    trace_metric,
 )
 from .scalars import scalar_value
 
@@ -86,17 +85,23 @@ class SprayData(NamedTuple):
 @functools.cache
 def _spray_pairs(n: int, p: int):
     """The Hessian pairs the spray reads, over the coordinates ordered t, x,
-    v: t^a with v^i_a, and x^j with v^i_a, row-major with the row first."""
+    v: t^a with v^i_a, x^j with v^i_a, and the v-v triangle that g is the
+    h-trace of; row-major with the row first.  That is np + n^2 p +
+    np(np + 1)/2 of the (p + n + np)(p + n + np + 1)/2 pairs."""
     off = p + n  # index of v^0_0
+    k = n * p
     kept = sorted(
         [(a, off + i * p + a) for i in range(n) for a in range(p)]
         + [(p + j, off + i * p + a) for j in range(n) for i in range(n) for a in range(p)]
+        + [(off + r, off + c) for r in range(k) for c in range(r, k)]
     )
     return tuple(r for r, _ in kept), tuple(c for _, c in kept)
 
 
 def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) -> SprayData:
-    """Assemble the spray entities from first/second partials of L.
+    """Assemble the spray entities from first/second partials of L, all
+    from one evaluation of L over every coordinate (``hessian_blocks`` with
+    the pairs of ``_spray_pairs``); g is the h-trace of its vertical blocks.
 
     2S^k = (g^{ki}/2)[d2L/dx^j dv^i_a v^j_a - dL/dx^i]
     2H^k = (g^{ki}/2)[d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}]
@@ -106,15 +111,13 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     n, p = dims.n, dims.p
     v = point.v
 
-    g = g_from_hessian(L, h, point, dims)
+    blocks, grad, hess = hessian_blocks(L, point, dims, all_coords(dims), _spray_pairs(n, p))
+    g = trace_metric(h.matrix_at(point.t), blocks)
     hinv = h.inverse_at(point.t)
     hch = h_christoffel_values(h, point.t)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
     ginv = checked_inverse(g)
 
-    # one evaluation over every coordinate, ordered t, x, v, carrying only
-    # the mixed pairs read below
-    grad, hess = gradient_hessian(L, point, all_coords(dims), _spray_pairs(n, p))
     off = p + n  # index of v^0_0
     dldx = grad[p:off]
     dldv = [[grad[off + i * p + a] for a in range(p)] for i in range(n)]
@@ -212,7 +215,7 @@ def euler_lagrange_residual(L, h: TemporalMetric, map2jet: JetMap, t) -> np.ndar
     point = map2jet.point_at(ts)
     dims = map2jet.dims
     xab = map2jet.d2x(ts)
-    blocks = hessian_blocks(L, point, dims)
+    blocks = hessian_blocks(L, point, dims).blocks
     data_bracket = spray_data(L, h, point, dims).bracket
     res = []
     for i in range(dims.n):

@@ -94,7 +94,10 @@ class ElectrodynamicsLagrangian:
                 s = 0.0
                 for i in range(n):
                     for j in range(n):
-                        s = s + g[i][j] * (v[i][a] * v[j][b])
+                        gij = g[i][j]
+                        if isinstance(gij, float) and gij == 0.0:
+                            continue
+                        s = s + gij * (v[i][a] * v[j][b])
                 total = total + hab * s
         if self.u_entries is not None:
             for i in range(n):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .calculus import field_jacobian, gradient_hessian, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
@@ -62,16 +63,33 @@ def sample_points(dims: Dims, box, count: int, seed: int = 0):
 # --- Vertical Hessian --------------------------------------------------------
 
 
-def hessian_blocks(L, point: JetPoint, dims: Dims | None = None):
-    """Nested [i][a][j][b] values of (1/2) d^2L/dv^i_a dv^j_b from one
-    evaluation of L over the np vertical coordinates; generic over the
-    scalar kind of the point, symmetric by construction."""
+class HessianBlocks(NamedTuple):
+    """The vertical blocks of one second-order evaluation of L, beside that
+    evaluation's gradient and Hessian over its coordinates."""
+
+    blocks: list  # [i][a][j][b] = (1/2) d^2L/dv^i_a dv^j_b
+    grad: list
+    hess: list
+
+
+def hessian_blocks(L, point: JetPoint, dims: Dims | None = None, coords=None,
+                   pairs=None) -> HessianBlocks:
+    """The one second-order evaluation of L at ``point``: one Taylor2 lift
+    over ``coords`` (default the np vertical coordinates) carrying ``pairs``
+    (default the full triangle), as ``calculus.gradient_hessian`` takes
+    them.  ``coords`` ends with the np verticals in row-major (i, a) order,
+    as ``vertical_coords`` and ``all_coords`` give them, and ``pairs`` holds
+    the v-v triangle.  The blocks are symmetric by construction and generic
+    over the scalar kind of the point."""
     dims = dims or point.dims
     n, p = dims.n, dims.p
-    _, hess = gradient_hessian(L, point, vertical_coords(dims))
-    half = [[e * 0.5 for e in row] for row in hess]
-    return [[[[half[i * p + a][j * p + b] for b in range(p)] for j in range(n)]
-             for a in range(p)] for i in range(n)]
+    if coords is None:
+        coords = vertical_coords(dims)
+    grad, hess = gradient_hessian(L, point, coords, pairs)
+    off = len(coords) - n * p  # index of v^0_0
+    blocks = [[[[hess[off + i * p + a][off + j * p + b] * 0.5 for b in range(p)]
+                for j in range(n)] for a in range(p)] for i in range(n)]
+    return HessianBlocks(blocks, grad, hess)
 
 
 def trace_metric(hmat, blocks):
@@ -95,7 +113,7 @@ def g_from_hessian(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = No
     h-trace of the vertical Hessian); generic over the scalar kind."""
     dims = dims or point.dims
     hmat = h.matrix_at(point.t)
-    return trace_metric(hmat, hessian_blocks(L, point, dims))
+    return trace_metric(hmat, hessian_blocks(L, point, dims).blocks)
 
 
 # --- Block-regularity verdict ------------------------------------------------
@@ -175,7 +193,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
     def examine(idx_point):
         idx, point = idx_point
         n, p = dims.n, dims.p
-        blocks = hessian_blocks(L, point, dims)
+        blocks = hessian_blocks(L, point, dims).blocks
         g = trace_metric(h.matrix_at(point.t), blocks)
         hinv = h.inverse_at(point.t)
         residual = 0.0

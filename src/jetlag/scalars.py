@@ -17,13 +17,14 @@ Derivatives*, 2nd ed., SIAM 2008, ch. 3):
 A Taylor2 stores only its support (the sparse forward mode of Griewank &
 Walther, ch. 7): the seeds its gradient depends on and the evaluation's
 pairs within them, named by an interned ``Layout``.  A product of two
-velocities in the spray's evaluation carries its 2 gradient entries and no
-Hessian entry instead of all k and every pair.  A binary op reads the union
-of its operands' supports through an index ``_Plan`` cached on their
-layouts, and a 0.0 sentinel at the end of every entry list stands for an
-entry an operand does not carry.  Each entry goes through the dense
-formula's operations in the dense order, so every entry a dense scalar would
-compute nonzero comes out bitwise the same; only zeros can differ, in sign.
+velocities in the spray's evaluation carries its 2 gradient entries and
+the 3 Hessian entries between them instead of all k and every pair.  A
+binary op reads the union of its operands' supports through an index
+``_Plan`` cached on their layouts, and a 0.0 sentinel at the end of every
+entry list stands for an entry an operand does not carry.  Each entry goes
+through the dense formula's operations in the dense order, so every entry a
+dense scalar would compute nonzero comes out bitwise the same; only zeros
+can differ, in sign.
 
 All arithmetic is generic over the component kind, which is what makes
 nesting (derivatives of quantities that are themselves assembled from
@@ -430,16 +431,17 @@ def g_log(x):
 
 
 def g_sqrt(x):
+    value = scalar_value(x)
+    _domain(value >= 0.0, "sqrt of a negative value")
     if type(x) in _LIFTED:
         # Differentiating through sqrt needs a strictly interior point.
-        _domain(scalar_value(x) > 0.0, "sqrt differentiated at a non-positive value")
+        _domain(value != 0.0, "sqrt differentiated at zero")
         return _chain(
             x,
             g_sqrt,
             lambda v: 0.5 * reciprocal(g_sqrt(v)),
             lambda v: -0.25 * reciprocal(g_sqrt(v) * v),
         )
-    _domain(x >= 0.0, "sqrt of a negative value")
     return math.sqrt(x)
 
 

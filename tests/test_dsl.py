@@ -156,6 +156,23 @@ class TestEval:
         with pytest.raises(EvalDomainError):
             evaluate("log(x1)", Dims(1, 1), JetPoint((0.0,), (-1.0,), ((0.0,),)))
 
+    # The reason names the value, whichever coordinates are seeded: a
+    # derivative evaluation that also seeds x must not report the error of
+    # a velocity-only one differently.
+    @pytest.mark.parametrize("x1, reason", [(-0.5, "sqrt of a negative value"),
+                                            (0.0, "sqrt differentiated at zero")])
+    def test_sqrt_reason_depends_on_the_value(self, x1, reason):
+        field = ExpressionField("sqrt(x1)", Dims(1, 1))
+        point = JetPoint((0.0,), (x1,), ((0.0,),))
+        probes = [lift_d1(point, (x_coord(0),)), lift_taylor(point, (x_coord(0),)),
+                  lift_taylor(point, (v_coord(0, 0),))]
+        for q in probes:
+            if x1 == 0.0 and q is probes[-1]:
+                assert field(q) == 0.0  # x1 is not seeded: sqrt is not differentiated
+                continue
+            with pytest.raises(EvalDomainError, match=f"1:1: {reason} in "):
+                field(q)
+
     def test_deterministic(self):
         field = ExpressionField("sin(t1) * x1 + t1 / (1 + x1^2)", Dims(1, 1))
         point = JetPoint((0.7,), (0.3,), ((0.0,),))

@@ -57,20 +57,20 @@ class TestVerticalHessian:
         g = [[constant_field(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
         L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
         pt = JetPoint((0.1, 0.2), (0.3, -0.4), ((0.5, -0.6), (0.7, 0.8)))
-        G = np.array(hessian_blocks(L, pt)).reshape(4, 4)  # flat index i*p + a
+        G = np.array(hessian_blocks(L, pt).blocks).reshape(4, 4)  # flat index i*p + a
         assert np.allclose(G, np.eye(4))
 
     def test_linear_in_velocity_zero(self):
         d = Dims(1, 1)
         L = LagrangianModel.from_expression("3*v1_1 + x1", d)
         pt = JetPoint((0.0,), (0.2,), ((1.5,),))
-        assert hessian_blocks(L, pt) == [[[[0.0]]]]
+        assert hessian_blocks(L, pt).blocks == [[[[0.0]]]]
 
     def test_quartic_single(self):
         d = Dims(1, 1)
         L = LagrangianModel.from_expression("v1_1^4", d)
         pt = JetPoint((0.0,), (0.0,), ((1.0,),))
-        G = hessian_blocks(L, pt)[0][0][0][0]
+        G = hessian_blocks(L, pt).blocks[0][0][0][0]
         oracle = 0.5 * oracle_d2(L, pt, ("v", 0, 0), ("v", 0, 0))
         assert G == pytest.approx(6.0, abs=1e-12)
         assert G == pytest.approx(oracle, rel=1e-6)
@@ -80,7 +80,7 @@ class TestVerticalHessian:
         L = LagrangianModel.from_expression(
             "exp(0.2*v1_1*v2_2) + sin(v1_2)*v2_1 + x1*v1_1^2", d)
         pt = JetPoint((0.1, -0.2), (0.4, 0.3), ((0.2, -0.5), (0.3, 0.1)))
-        G = np.array(hessian_blocks(L, pt)).reshape(4, 4)
+        G = np.array(hessian_blocks(L, pt).blocks).reshape(4, 4)
         assert np.max(np.abs(G - G.T)) <= 1e-9
 
 

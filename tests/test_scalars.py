@@ -24,12 +24,13 @@ import random
 
 import pytest
 
-from jetlag import cartan, connection, dsl, metric_engine, scalars
+from jetlag import cartan, connection, dsl, extremal, metric_engine, scalars
 from jetlag.calculus import (
     all_coords,
     gradient_hessian,
     lift_d1,
     lift_taylor,
+    map_structure,
     t_coord,
     v_coord,
     x_coord,
@@ -40,10 +41,10 @@ from jetlag.curvature import curvature_table, torsion_table
 from jetlag.errors import EvalDomainError
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint, raw_point
-from jetlag.regularity import hessian_blocks, sample_points
+from jetlag.regularity import hessian_blocks, sample_points, trace_metric
 from jetlag.scalars import Dual, Taylor2, hessian_pairs
 
-from conftest import corpus_instance
+from conftest import CORPUS_DIMS, KINDS, corpus_instance
 from test_dsl import random_ast
 
 _NUM = (int, float)
@@ -414,6 +415,39 @@ class TestPairRestriction:
         assert restricted == [repr(spray_data(inst.L, inst.h, q)) for q in points]
 
 
+def _unsigned(x):
+    """x with every zero, a Dual's value and entries included, as +0.0."""
+    if type(x) is Dual:
+        return Dual(_unsigned(x.re), [_unsigned(e) for e in x.du])
+    return 0.0 if x == 0.0 else x
+
+
+def _repr_unsigned(structure):
+    return repr(map_structure(_unsigned, structure))
+
+
+class TestSprayMetricFromItsOnePass:
+    """The spray's g and vertical blocks come from its one evaluation over
+    every coordinate; a standalone velocity-only evaluation is the oracle."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p, n", CORPUS_DIMS)
+    def test_g_and_blocks_match_a_velocity_only_pass(self, kind, p, n):
+        inst = corpus_instance(kind, p, n)
+        dims = inst.dims
+        base = sample_points(dims, [-1, 1], 1, seed=21)[0]
+        # a plain point, and one Dual-lifted as the spray derivative and a
+        # curvature frame lift it
+        for point in (base, lift_d1(base, all_coords(dims))):
+            alone = hessian_blocks(inst.L, point).blocks
+            spray = hessian_blocks(inst.L, point, dims, all_coords(dims),
+                                   connection._spray_pairs(n, p)).blocks
+            assert _repr_unsigned(spray) == _repr_unsigned(alone)
+            want = trace_metric(inst.h.matrix_at(point.t), alone)
+            got = spray_data(inst.L, inst.h, point).g
+            assert _repr_unsigned(got) == _repr_unsigned(want)
+
+
 # --- Sparse support against the former dense scalar ------------------------------------
 
 
@@ -669,21 +703,26 @@ def _spray_lift(p, n):
 
 
 class TestSupport:
-    def test_velocity_product_carries_no_hessian_entry(self):
+    def test_velocity_product_carries_the_v_v_triangle_of_its_two_seeds(self):
         q, coords = _spray_lift(2, 3)
         r = q.v[0][0] * q.v[1][1]
-        assert r.layout.seeds == (coords.index(v_coord(0, 0)), coords.index(v_coord(1, 1)))
-        assert r.layout.kept == ()
-        assert len(r.g) == 2 + 1 and r.h == [0.0]  # the entries, then the sentinel
+        v00, v11 = coords.index(v_coord(0, 0)), coords.index(v_coord(1, 1))
+        assert r.layout.seeds == (v00, v11)
+        rows, cols = r.layout.pairs
+        assert [(rows[m], cols[m]) for m in r.layout.kept] == [(v00, v00), (v00, v11),
+                                                               (v11, v11)]
+        # 3 of the 45 spray pairs: the entries, then the sentinel
+        assert len(r.g) == 2 + 1 and r.h == [0.0, 1.0, 0.0, 0.0]
 
-    def test_metric_times_velocity_product_carries_its_two_x_v_entries(self):
+    def test_metric_times_velocity_product_carries_its_x_v_and_v_v_entries(self):
         q, coords = _spray_lift(2, 3)
         r = scalars.g_cos(q.x[0]) * (q.v[0][0] * q.v[1][1])
         rows, cols = r.layout.pairs
-        x0 = coords.index(x_coord(0))
+        x0, v00, v11 = (coords.index(c) for c in (x_coord(0), v_coord(0, 0), v_coord(1, 1)))
+        # (x0, x0) is not a spray pair
         assert {(rows[m], cols[m]) for m in r.layout.kept} == {
-            (x0, coords.index(v_coord(0, 0))), (x0, coords.index(v_coord(1, 1)))}
-        assert len(r.h) == 2 + 1
+            (x0, v00), (x0, v11), (v00, v00), (v00, v11), (v11, v11)}
+        assert len(r.h) == 5 + 1
 
     def test_gradient_hessian_reads_zero_in_pairs_and_none_outside(self):
         dims = Dims(2, 3)
@@ -691,9 +730,11 @@ class TestSupport:
         point = sample_points(dims, [-1, 1], 1, seed=3)[0]
         grad, hess = gradient_hessian(lambda q: q.v[0][0] * q.v[1][1], point, coords,
                                       connection._spray_pairs(3, 2))
-        x0, v00, v11 = (coords.index(c) for c in (x_coord(0), v_coord(0, 0), v_coord(1, 1)))
+        x0, x1, v00, v11 = (coords.index(c)
+                            for c in (x_coord(0), x_coord(1), v_coord(0, 0), v_coord(1, 1)))
         assert repr(hess[x0][v00]) == repr(hess[v00][x0]) == "0.0"  # kept, outside support
-        assert hess[v00][v11] is None  # not a spray pair
+        assert hess[v00][v11] == hess[v11][v00] == 1.0
+        assert hess[x0][x1] is None  # not a spray pair
         assert grad[v00] == point.v[1][1] and repr(grad[x0]) == "0.0"
 
     def test_repeated_evaluation_makes_no_new_layout_or_plan(self):
@@ -735,14 +776,14 @@ class _Counted:
         return self.L(point)
 
 
-# Hessian entries of the spray's dense evaluation: the t^a-v^i_a and
-# x^j-v^i_a pairs, of (p + n + np)(p + n + np + 1)/2 (28 and 66).
-_SPRAY_ENTRIES = {(1, 3): 12, (2, 3): 24}
+# Hessian entries of the spray's one evaluation: the t^a-v^i_a and x^j-v^i_a
+# pairs and the v-v triangle, of (p + n + np)(p + n + np + 1)/2 (28 and 66).
+_SPRAY_ENTRIES = {(1, 3): 18, (2, 3): 45}
 
 
 class TestOneEvaluationPerHessian:
     @pytest.mark.parametrize("p, n", [(1, 3), (2, 3)])
-    def test_hessian_blocks_once_spray_twice(self, p, n):
+    def test_hessian_blocks_once_spray_once(self, p, n):
         entries = _SPRAY_ENTRIES[(p, n)]
         inst = corpus_instance("non_autonomous", p, n)
         L = _Counted(inst.L)
@@ -750,12 +791,13 @@ class TestOneEvaluationPerHessian:
         hessian_blocks(L, point)
         assert L.calls == 1
         spray_data(L, inst.h, point)
-        assert L.calls == 1 + 2
-        # the vertical blocks carry their full triangle; the dense
-        # evaluation only the t-v and x-v pairs the spray reads
+        assert L.calls == 1 + 1
+        # the vertical blocks alone carry their full triangle; the spray's
+        # evaluation seeds every coordinate and carries the t-v, x-v and
+        # v-v pairs, its g the h-trace of the v-v blocks
         k, kv = p + n + n * p, n * p
-        assert L.lifts == [(kv, kv * (kv + 1) // 2)] * 2 + [(k, entries)]
-        assert entries == n * p + n * n * p
+        assert L.lifts == [(kv, kv * (kv + 1) // 2), (k, entries)]
+        assert entries == n * p + n * n * p + kv * (kv + 1) // 2
 
     def test_p1_frame_evaluates_m_and_n_once_per_lift(self, monkeypatch):
         inst = corpus_instance("non_autonomous", 1, 2)
@@ -776,3 +818,48 @@ class TestOneEvaluationPerHessian:
         # M, from the closure's own temporal Christoffels, and N, the spray
         # derivative, are each computed once per lift
         assert calls == {"m": lifts, "n": lifts}
+
+
+class TestBenchmarkCallStructure:
+    """The call structure the benchmark's self-test pins per job: each spray
+    is one Taylor2 evaluation of L, and each Euler-Lagrange residual adds
+    its own vertical one."""
+
+    @pytest.fixture
+    def sprays(self, monkeypatch):
+        count, spray = [0], connection.spray_data
+
+        def counted(*args):
+            count[0] += 1
+            return spray(*args)
+
+        monkeypatch.setattr(extremal, "spray_data", counted)
+        monkeypatch.setattr(connection, "spray_data", counted)
+        return count
+
+    def test_extremal(self, sprays):
+        inst = corpus_instance("non_autonomous", 1, 3)
+        L = _Counted(inst.L)
+        steps = 4
+        problem = extremal.ExtremalProblem(L=L, h=inst.h, t0=0.0, x0=(0.1, -0.2, 0.3),
+                                           y0=(0.4, 0.2, -0.3), t_end=0.04, dt=0.01)
+        traj = extremal.integrate_extremal(problem)
+        assert not traj.aborted and len(traj.t) == steps + 1
+        # 4 RK4 stages per step, then one spray per interior sample
+        assert sprays[0] == 5 * steps - 1
+        # each interior sample's residual also evaluates the vertical blocks
+        assert len(L.lifts) == L.calls == 6 * steps - 2
+        assert L.lifts.count((1 + 3 + 3, _SPRAY_ENTRIES[(1, 3)])) == 5 * steps - 1
+
+    def test_lattice(self, sprays):
+        inst = corpus_instance("non_autonomous", 2, 3)
+        L = _Counted(inst.L)
+        grid = extremal.GridMap.from_function(
+            inst.dims, [(0.0, 0.5), (0.0, 0.5)], (5, 6),
+            lambda ts: [0.1 * ts[0], 0.2 * ts[1], 0.1 * ts[0] * ts[1]])
+        interior = 3 * 4
+        res = extremal.harmonic_residual(L, inst.h, grid)
+        assert len(res.indices) == interior
+        assert sprays[0] == interior
+        assert L.lifts == [(2 + 3 + 6, _SPRAY_ENTRIES[(2, 3)])] * interior
+        assert L.calls == interior
