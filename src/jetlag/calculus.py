@@ -4,8 +4,9 @@ Derivatives are exact (to roundoff) forward directional derivatives, not
 difference quotients.  One evaluation of the field on a Dual lift over k
 coordinates gives all k first partials; one on a Taylor2 lift over k
 coordinates also gives the second partials of the pairs it is lifted with,
-by default all k(k+1)/2 of them.  Central finite differences exist only to
-cross-check the forward values.
+by default all k(k+1)/2 of them.  Central finite differences, at the fixed
+steps ``FD_STEP_1`` and ``FD_STEP_2``, exist only to cross-check the forward
+values.
 """
 
 from __future__ import annotations
@@ -158,14 +159,10 @@ def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):
 # --- Finite differences (cross-check only) ---------------------------------
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """Steps scale as step*max(1, |coordinate|); tolerances are relative with
-    a 1e-8 absolute floor."""
-
-    fd_step_1: float = 6e-6
-    fd_step_2: float = 2e-4
-    crosscheck_tol: float = 1e-5
+# Central-difference steps for first and second partials; each scales as
+# step*max(1, |coordinate|).
+FD_STEP_1 = 6e-6
+FD_STEP_2 = 2e-4
 
 
 def _shift(point: JetPoint, coord: Coord, delta: float) -> JetPoint:
@@ -218,30 +215,28 @@ class CrosscheckReport:
 _ABS_FLOOR = 1e-8
 
 
-def fd_crosscheck(f, point: JetPoint, dims: Dims | None = None,
-                  config: DiffConfig = DiffConfig()) -> CrosscheckReport:
+def fd_crosscheck(f, point: JetPoint, dims: Dims, tol: float) -> CrosscheckReport:
     """Compare all first and second partials at ``point`` against central
-    finite differences; flags any discrepancy above the configured relative
-    tolerance.
+    finite differences; flags any discrepancy above the relative tolerance
+    ``tol`` (with an absolute floor, below).
 
-    The absolute floor is stated in units of the field magnitude: with the
-    default steps, the rounding noise of a second-difference stencil is
+    The absolute floor is stated in units of the field magnitude: with
+    these steps, the rounding noise of a second-difference stencil is
     about 1e-8 * |f| on its own, so a smaller floor would flag noise.
     """
-    dims = dims or point.dims
     coords = all_coords(dims)
     report = CrosscheckReport()
     scale = max(1.0, abs(float(f(point))))
     eps = 2.220446049250313e-16
     # Rounding noise of the stencils themselves: each is a near-cancelling
     # combination of O(scale) evaluations divided by h or h^2.
-    floor_1 = max(_ABS_FLOOR * scale, 8.0 * eps * scale / (2.0 * config.fd_step_1))
-    floor_2 = max(_ABS_FLOOR * scale, 16.0 * eps * scale / config.fd_step_2**2)
+    floor_1 = max(_ABS_FLOOR * scale, 8.0 * eps * scale / (2.0 * FD_STEP_1))
+    floor_2 = max(_ABS_FLOOR * scale, 16.0 * eps * scale / FD_STEP_2**2)
 
     def record(coords_key, order, ad, fd):
         floor = floor_1 if order == 1 else floor_2
         denom = max(abs(ad), abs(fd))
-        ok = abs(ad - fd) <= max(config.crosscheck_tol * denom, floor)
+        ok = abs(ad - fd) <= max(tol * denom, floor)
         # Relative discrepancy with the denominator floored at the field
         # scale: a pair of near-zero derivatives agreeing to stencil noise
         # should not register as a large relative disagreement.
@@ -253,11 +248,11 @@ def fd_crosscheck(f, point: JetPoint, dims: Dims | None = None,
 
     grad, hess = gradient_hessian(f, point, coords)
     for s, c in enumerate(coords):
-        record((c,), 1, grad[s], fd_d1(f, point, c, config.fd_step_1))
+        record((c,), 1, grad[s], fd_d1(f, point, c, FD_STEP_1))
     for s, c1 in enumerate(coords):
         for r in range(s, len(coords)):
             c2 = coords[r]
-            record((c1, c2), 2, hess[s][r], fd_d2(f, point, c1, c2, config.fd_step_2))
+            record((c1, c2), 2, hess[s][r], fd_d2(f, point, c1, c2, FD_STEP_2))
     return report
 
 

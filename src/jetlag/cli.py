@@ -57,6 +57,8 @@ def _parse_point(text: str, instance: ProblemInstance) -> JetPoint:
         name = name.strip()
         if name not in ("t", "x", "v"):
             raise ConfigError(f"--point group must be t, x, or v, got {name!r}")
+        if name in parts:
+            raise ConfigError(f"--point group {name!r} is given twice")
         try:
             parts[name] = [float(v) for v in values.split(",") if v.strip()]
         except ValueError:

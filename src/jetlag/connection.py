@@ -2,7 +2,7 @@
 
 From L and the temporal metric h this module assembles, at any jet point:
 
-* the Euler-Lagrange residual of a candidate map,
+* the Euler-Lagrange residual at a map's 2-jet, from the spray there,
 * the spray entity vectors S, H, J and their sum G (stored halved: the
   displayed geometric quantities are 2S, 2H, 2J, 2G),
 * the spray coefficient packages (temporal and spatial blocks),
@@ -30,7 +30,6 @@ import numpy as np
 from .calculus import (
     Coord,
     all_coords,
-    d2,
     field_jacobian,
     structure_entry,
     t_coord,
@@ -169,57 +168,17 @@ def gcal_values(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None)
 # --- Euler-Lagrange residual ---------------------------------------------------
 
 
-@dataclass
-class JetMap:
-    """A candidate map t -> x(t) with first and second derivatives."""
-
-    dims: Dims
-    x: object    # ts -> [n]
-    dx: object   # ts -> [n][p]
-    d2x: object  # ts -> [n][p][p]
-
-    def point_at(self, ts) -> JetPoint:
-        ts = tuple(ts)
-        return JetPoint(ts, self.x(ts), self.dx(ts))
-
-
-def jet_map_from_fields(fields, dims: Dims) -> JetMap:
-    """JetMap from n scalar fields of t only; derivatives by forward mode."""
-
-    def as_point(ts):
-        return JetPoint(ts, (0.0,) * dims.n, tuple((0.0,) * dims.p for _ in range(dims.n)))
-
-    def x(ts):
-        return [scalar_value(f(as_point(ts))) for f in fields]
-
-    def dx(ts):
-        jac = field_jacobian(lambda q: [f(q) for f in fields], as_point(ts),
-                             [t_coord(a) for a in range(dims.p)])
-        return [list(row) for row in zip(*jac.values())]
-
-    def d2x(ts):
-        return [
-            [[d2(f, as_point(ts), t_coord(a), t_coord(b)) for b in range(dims.p)]
-             for a in range(dims.p)]
-            for f in fields
-        ]
-
-    return JetMap(dims=dims, x=x, dx=dx, d2x=d2x)
-
-
-def euler_lagrange_residual(L, h: TemporalMetric, map2jet: JetMap, t) -> np.ndarray:
-    """Left side of the extremal equations at parameter value t, per i:
-    2 G^{(ab)}_{(ij)} x^j_{ab} + d2L/dx^j dv^i_a x^j_a - dL/dx^i
-    + d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}."""
-    ts = tuple(float(val) for val in t)
-    point = map2jet.point_at(ts)
-    dims = map2jet.dims
-    xab = map2jet.d2x(ts)
-    blocks = hessian_blocks(L, point, dims).blocks
-    data_bracket = spray_data(L, h, point, dims).bracket
+def euler_lagrange_residual(L, point: JetPoint, xab, data: SprayData) -> np.ndarray:
+    """Left side of the extremal equations at the 2-jet (t, x, x_a, x_ab) of a
+    map, per i: 2 G^{(ab)}_{(ij)} x^j_{ab} + d2L/dx^j dv^i_a x^j_a - dL/dx^i
+    + d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}.  ``point`` is (t, x, x_a),
+    ``xab[j][a][b]`` the second derivatives and ``data`` the ``spray_data``
+    at ``point``, whose bracket holds every term but the first."""
+    dims = point.dims
+    blocks = hessian_blocks(L, point).blocks
     res = []
     for i in range(dims.n):
-        acc = data_bracket[i]
+        acc = data.bracket[i]
         for j in range(dims.n):
             for a in range(dims.p):
                 for b in range(dims.p):

@@ -317,7 +317,7 @@ class ZeroAuditReport:
         }
 
 
-def table_zero_audit(pack: LinearConnectionPack, points, tol: float = AUDIT_TOL) -> ZeroAuditReport:
+def table_zero_audit(pack: LinearConnectionPack, points) -> ZeroAuditReport:
     """Evaluate the generic formula for every component the tables declare
     zero for this (p, connection kind) and report the worst magnitude."""
     key_p = 1 if pack.dims.p == 1 else 2
@@ -339,4 +339,4 @@ def table_zero_audit(pack: LinearConnectionPack, points, tol: float = AUDIT_TOL)
             worst_cell, worst = cell, val
     return ZeroAuditReport(kind=pack.kind, p=pack.dims.p, worst=worst,
                            worst_cell=worst_cell, per_cell=per_cell,
-                           passed=worst <= tol)
+                           passed=worst <= AUDIT_TOL)

@@ -2,10 +2,11 @@
 
 For one-dimensional time the extremal equations reduce to the second-order
 system x'' = H(t) x' - 2 h_11(t) G(t, x, x') which is integrated by the
-classical fourth-order Runge-Kutta scheme.  For several times the equations
-form a PDE system; candidate maps are only *checked* by evaluating the
-residual h^{ab}(x_ab - H^c_ab x_c) + 2G on a lattice with central
-differences.
+classical fourth-order Runge-Kutta scheme, then checked by the
+Euler-Lagrange residual at each interior sample's 2-jet.  For several times
+the equations form a PDE system; candidate maps are only *checked* by
+evaluating the residual h^{ab}(x_ab - H^c_ab x_c) + 2G on a lattice with
+central differences.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import JetMap, euler_lagrange_residual, gcal_values, spray_data
+from .connection import euler_lagrange_residual, gcal_values, spray_data
 from .errors import DegeneracyError, DimensionError, JetLagError, StencilError
 from .jet_core import Dims, JetPoint
 from .metric_engine import TemporalMetric, h_christoffel_values, signature_of
@@ -132,38 +133,18 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     return traj
 
 
-def trajectory_jet_map(traj: Trajectory, dims: Dims) -> JetMap:
-    """JetMap over the trajectory samples: x and y are looked up, the second
-    derivative comes from central differences of the stored y (independent
-    of the integrator's right-hand side)."""
-    dt = traj.t[1] - traj.t[0]
-
-    def index_of(ts):
-        return int(round((ts[0] - traj.t[0]) / dt))
-
-    def x(ts):
-        return list(traj.x[index_of(ts)])
-
-    def dx(ts):
-        return [[v] for v in traj.y[index_of(ts)]]
-
-    def d2x(ts):
-        k = index_of(ts)
-        if not 1 <= k <= len(traj.t) - 2:
-            raise DimensionError("second differences need an interior sample")
-        acc = (traj.y[k + 1] - traj.y[k - 1]) / (2.0 * dt)
-        return [[[a]] for a in acc]
-
-    return JetMap(dims=dims, x=x, dx=dx, d2x=d2x)
-
-
 def trajectory_el_residuals(L, h: TemporalMetric, traj: Trajectory) -> np.ndarray:
-    """Max-norm Euler-Lagrange residual at every interior trajectory sample."""
+    """Max-norm Euler-Lagrange residual at every interior trajectory sample;
+    the second derivative is the central difference of the stored y
+    (independent of the integrator's right-hand side)."""
     dims = getattr(L, "dims")
-    jm = trajectory_jet_map(traj, dims)
+    t, x, y = traj.t, traj.x, traj.y
+    dt = t[1] - t[0]
     out = []
-    for k in range(1, len(traj.t) - 1):
-        res = euler_lagrange_residual(L, h, jm, (traj.t[k],))
+    for k in range(1, len(t) - 1):
+        point = JetPoint((float(t[k]),), x[k], [[yi] for yi in y[k]])
+        xab = [[[a]] for a in (y[k + 1] - y[k - 1]) / (2.0 * dt)]
+        res = euler_lagrange_residual(L, point, xab, spray_data(L, h, point, dims))
         out.append(float(np.max(np.abs(res))))
     return np.array(out)
 

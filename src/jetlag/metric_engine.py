@@ -15,6 +15,7 @@ from .jet_core import JetPoint, raw_point
 from .scalars import reciprocal, scalar_value
 
 _DEGENERACY_SCALE = 1e-10
+_JACOBI_SWEEPS = 64
 
 
 # --- Generic dense linear algebra (dims <= 4, correctness first) -----------
@@ -77,11 +78,11 @@ def checked_inverse(rows):
     return mat_invert_generic(rows)
 
 
-def jacobi_eigenvalues(m, max_sweeps: int = 64) -> list:
+def jacobi_eigenvalues(m) -> list:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
     a = [[float(e) for e in row] for row in m]
     dim = len(a)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = max(
             (abs(a[i][j]) for i in range(dim) for j in range(i + 1, dim)),
             default=0.0,

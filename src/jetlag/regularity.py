@@ -309,7 +309,6 @@ class ElectrodynamicsDecomposition:
 
 
 def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
-                              reassembly_tol: float = REASSEMBLY_TOL,
                               seed: int = 0) -> ElectrodynamicsDecomposition:
     """Recover (g, U, F) from a block-regular, velocity-independent L.
 
@@ -382,9 +381,9 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
             lin = sum(u[i][a] * v[i][a] for i in range(n) for a in range(p))
             worst = max(worst, abs(scalar_value(L(probe)) - (quad + lin + f_val)))
     deco.reassembly_residual = worst
-    if worst > reassembly_tol:
+    if worst > REASSEMBLY_TOL:
         raise DecompositionError(
-            f"reassembly residual {worst:.3e} exceeds {reassembly_tol:.1e}; "
+            f"reassembly residual {worst:.3e} exceeds {REASSEMBLY_TOL:.1e}; "
             "the Lagrangian is not quadratic in the velocities"
         )
     return deco

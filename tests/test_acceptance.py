@@ -324,7 +324,7 @@ def test_criterion_9_ad_fd_crosscheck():
             inst = corpus_instance(kind, p, n)
             pts = sample_points(inst.dims, [-1, 1], 2, seed=9)
             for pt in pts:
-                rep = fd_crosscheck(inst.L, pt, inst.dims)
+                rep = fd_crosscheck(inst.L, pt, inst.dims, 1e-5)
                 assert rep.passed, (kind, p, n, [f.coords for f in rep.failures])
                 worst_rel = max(worst_rel, rep.max_rel_discrepancy)
                 for i in range(n):

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from jetlag.calculus import (
-    DiffConfig,
     all_coords,
     d2,
     fd_crosscheck,
@@ -170,7 +169,7 @@ class TestCrosscheck:
                        t=(rng.uniform(-1, 1),),
                        x=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                        v=((rng.uniform(-1, 1),), (rng.uniform(-1, 1),)))
-            rep = fd_crosscheck(f, point, dims)
+            rep = fd_crosscheck(f, point, dims, 1e-5)
             assert rep.passed
             # scale-floored discrepancy for near-zero derivatives
             for e in rep.entries:
@@ -180,7 +179,7 @@ class TestCrosscheck:
     def test_constant_field_exact(self):
         dims = Dims(1, 1)
         f = ExpressionField("3.5", dims)
-        rep = fd_crosscheck(f, jp(dims), dims)
+        rep = fd_crosscheck(f, jp(dims), dims, 1e-5)
         firsts = [e for e in rep.entries if e.order == 1]
         assert all(e.forward == 0.0 and e.central == 0.0 for e in firsts)
 
@@ -188,19 +187,21 @@ class TestCrosscheck:
         dims = Dims(1, 1)
         f = ExpressionField("exp(10*t1)", dims)
         point = JetPoint((1.0,), (0.0,), ((0.0,),))
-        rep = fd_crosscheck(f, point, dims)
+        rep = fd_crosscheck(f, point, dims, 1e-5)
         assert rep.passed
         assert rep.max_rel_discrepancy < 1e-5
 
     def test_failure_reported_not_raised(self):
-        # a deliberately huge step makes the quartic's FD second derivative
-        # wrong; the report flags it instead of raising
+        # a kink 3e-6 from the point lies inside both stencils, so the
+        # central differences disagree with the forward values (first
+        # partial -1 against -0.5); the report flags it instead of raising
         dims = Dims(1, 1)
-        f = ExpressionField("t1^4", dims)
-        point = JetPoint((0.5,), (0.0,), ((0.0,),))
-        rep = fd_crosscheck(f, point, dims, DiffConfig(fd_step_2=0.5, crosscheck_tol=1e-12))
+        f = ExpressionField("abs(t1 - 0.000003)", dims)
+        point = JetPoint((0.0,), (0.0,), ((0.0,),))
+        rep = fd_crosscheck(f, point, dims, 1e-5)
         assert not rep.passed
-        assert rep.failures
+        first = next(e for e in rep.failures if e.order == 1)
+        assert (first.forward, first.central) == (-1.0, pytest.approx(-0.5))
 
 
 class TestDomainEdges:

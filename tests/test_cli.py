@@ -197,6 +197,13 @@ class TestExitCodes:
         path = write_config(tmp_path, sphere_config())
         assert run(["connection", "--config", path, "--point", "t=0;x=1"]) == EX_USAGE
 
+    def test_repeated_point_group_rejected(self, tmp_path, capsys):
+        # a second t= group must not silently replace the first
+        path = write_config(tmp_path, sphere_config())
+        code = run(["connection", "--config", path, "--point", "t=0;t=5;x=0.1,0.2;v=0.3,0.4"])
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == "config error: --point group 't' is given twice\n"
+
     @pytest.mark.parametrize("argv", [
         ["analyze"],
         ["connection", "--config", "cfg.json"],

@@ -10,7 +10,7 @@ from jetlag.cartan import MHorizontal, THorizontal, VerticalCov, cartan_connecti
 from jetlag.connection import (
     euler_lagrange_residual,
     gcal_values,
-    jet_map_from_fields,
+    spray_data,
     spray_entities,
 )
 from jetlag.fields import (
@@ -36,41 +36,66 @@ def flat_h(p):
     return TemporalMetric.flat(p)
 
 
+def el_residual(L, h, point, xab):
+    return euler_lagrange_residual(L, point, xab, spray_data(L, h, point))
+
+
 class TestEulerLagrange:
+    # Each map's 2-jet (t, x, x_a, x_ab) is written out in closed form.
+
     def test_straight_line_flat(self):
-        d = Dims(1, 2)
-        L = LagrangianModel.from_expression("v1_1*v1_1 + v2_1*v2_1", d)
-        m = jet_map_from_fields(
-            [ExpressionField("1 + 2*t1", d), ExpressionField("0.5 - t1", d)], d)
-        res = euler_lagrange_residual(L, flat_h(1), m, (0.3,))
+        # x = (1 + 2 t, 0.5 - t) at t = 0.3
+        L = LagrangianModel.from_expression("v1_1*v1_1 + v2_1*v2_1", Dims(1, 2))
+        point = JetPoint((0.3,), (1.6, 0.2), ((2.0,), (-1.0,)))
+        res = el_residual(L, flat_h(1), point, [[[0.0]], [[0.0]]])
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_parabola_frozen(self):
-        d = Dims(1, 1)
-        L = LagrangianModel.from_expression("v1_1*v1_1", d)
-        m = jet_map_from_fields([ExpressionField("t1^2", d)], d)
-        res = euler_lagrange_residual(L, flat_h(1), m, (0.5,))
+        # x = t^2 at t = 0.5
+        L = LagrangianModel.from_expression("v1_1*v1_1", Dims(1, 1))
+        point = JetPoint((0.5,), (0.25,), ((1.0,),))
+        res = el_residual(L, flat_h(1), point, [[[2.0]]])
         assert res[0] == pytest.approx(4.0, abs=1e-12)
 
+    @pytest.mark.parametrize("sign, expect", [(-1.0, 0.0), (1.0, 8.0)])
+    def test_p2_flat_quadratic_maps(self, sign, expect):
+        # x = t1^2 + sign t2^2: the residual is 2 (x_11 + x_22)
+        L = LagrangianModel.from_expression("v1_1^2 + v1_2^2", Dims(2, 1))
+        t1, t2 = 0.3, -0.4
+        point = JetPoint((t1, t2), (t1 * t1 + sign * t2 * t2,), ((2.0 * t1, sign * 2.0 * t2),))
+        res = el_residual(L, flat_h(2), point, [[[2.0, 0.0], [0.0, sign * 2.0]]])
+        assert res[0] == pytest.approx(expect, abs=1e-12)
+
+    def test_p2_off_diagonal_contraction(self):
+        # L = h^{ab} v_a v_b under constant h = [[2, 1], [1, 2]] and x = t1 t2:
+        # only x_12 = x_21 = 1 is nonzero, so the residual is 4 h^{12} = -4/3
+        d = Dims(2, 1)
+        h = TemporalMetric(p=2, matrix=lambda ts: [[2.0, 1.0], [1.0, 2.0]],
+                           signature=(2, 0), constant=True)
+        L = LagrangianModel.from_family(
+            ElectrodynamicsLagrangian(d, h, [[constant_field(1.0)]]), "harmonic")
+        t1, t2 = 0.7, -0.2
+        point = JetPoint((t1, t2), (t1 * t2,), ((t2, t1),))
+        res = el_residual(L, h, point, [[[0.0, 1.0], [1.0, 0.0]]])
+        assert res[0] == pytest.approx(-4.0 / 3.0, abs=1e-12)
+
     def test_weighted_residual_is_rearranged_form(self):
-        # (g^{ki}/2) EL_i == h^{ab}(x_ab - H^c_ab x_c) + 2 G^k on smooth maps
+        # (g^{ki}/2) EL_i == h^{ab}(x_ab - H^c_ab x_c) + 2 G^k on smooth maps:
+        # x1 = 0.2 + 0.3 t1 - 0.1 t2^2, x2 = 0.1 t1^2 + 0.4 t2
         inst = corpus_instance("non_autonomous", 2, 2)
         d = inst.dims
-        m = jet_map_from_fields(
-            [ExpressionField("0.2 + 0.3*t1 - 0.1*t2^2", d),
-             ExpressionField("0.1*t1^2 + 0.4*t2", d)], d)
-        from jetlag.connection import spray_data
-
+        xab = [[[0.0, 0.0], [0.0, -0.2]], [[0.2, 0.0], [0.0, 0.0]]]
         rng = random.Random(1)
         for _ in range(4):
-            ts = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            point = m.point_at(ts)
-            res = euler_lagrange_residual(inst.L, inst.h, m, ts)
+            t1, t2 = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+            ts = (t1, t2)
+            point = JetPoint(ts, (0.2 + 0.3 * t1 - 0.1 * t2 * t2, 0.1 * t1 * t1 + 0.4 * t2),
+                             ((0.3, -0.2 * t2), (0.2 * t1, 0.4)))
             data = spray_data(inst.L, inst.h, point, d)
+            res = euler_lagrange_residual(inst.L, point, xab, data)
             ginv = [[scalar_value(e) for e in row] for row in data.ginv]
             hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(ts)]
             hch = h_christoffel_values(inst.h, ts)
-            xab = m.d2x(ts)
             for k in range(d.n):
                 weighted = 0.5 * sum(ginv[k][i] * res[i] for i in range(d.n))
                 lap = 0.0

@@ -175,3 +175,59 @@ def test_only_calculus_and_scalars_name_the_dual_lift():
         if used:
             offenders[path.stem] = sorted(used)
     assert offenders == {}
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, positional index or None) for every
+    defaulted parameter of a function in ``tree``; a method's index skips
+    its bound first argument, and a constructor is named by its class."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                if cls is not None and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list):
+                    positional = positional[1:]
+                name = cls if cls is not None and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                out.extend((name, positional[k].arg, k) for k in range(first, len(positional)))
+                out.extend((name, a.arg, None)
+                           for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _passes(call, param, index) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant in disguise
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [f"{path.stem}.{name}({param})"
+                for path in sorted(SRC.glob("*.py"))
+                for name, param, index in _defaulted_parameters(trees[path])
+                if not any(_passes(c, param, index) for c in calls.get(name, ()))]
+    assert unpassed == []
