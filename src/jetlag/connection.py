@@ -45,9 +45,9 @@ from .jet_core import (
 )
 from .metric_engine import (
     TemporalMetric,
-    checked_inverse,
     g_christoffel_values,
     h_christoffel_values,
+    symmetric_factor,
 )
 from .regularity import (
     ElectrodynamicsDecomposition,
@@ -73,6 +73,7 @@ class SprayData(NamedTuple):
 
     g: list        # h-trace spatial metric
     ginv: list
+    inertia: tuple  # of g: (positive, negative) eigenvalue counts
     hch: list      # temporal Christoffels [c][a][b]
     bracket: list  # first-order Euler-Lagrange bracket, per i
     s_vec: list
@@ -115,7 +116,7 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     hinv = h.inverse_at(point.t)
     hch = h_christoffel_values(h, point.t)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
-    ginv = checked_inverse(g)
+    ginv, _, inertia = symmetric_factor(g)
 
     off = p + n  # index of v^0_0
     dldx = grad[p:off]
@@ -156,7 +157,7 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
         h_vec.append(h_k)
         j_vec.append(j_k)
         g_vec.append(s_k + h_k + j_k)
-    return SprayData(g=g, ginv=ginv, hch=hch, bracket=bracket,
+    return SprayData(g=g, ginv=ginv, inertia=inertia, hch=hch, bracket=bracket,
                      s_vec=s_vec, h_vec=h_vec, j_vec=j_vec, g_vec=g_vec)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .connection import euler_lagrange_residual, gcal_values, spray_data
 from .errors import DegeneracyError, DimensionError, JetLagError, StencilError
 from .jet_core import Dims, JetPoint
-from .metric_engine import TemporalMetric, h_christoffel_values, signature_of
+from .metric_engine import TemporalMetric, h_christoffel_values
 from .scalars import scalar_value
 
 
@@ -63,13 +63,14 @@ class Trajectory:
 
 
 def _acceleration(L, h, dims, t, x, y):
-    """x''^k = H^1_11 x'^k - 2 h_11 G^k, and the spray's spatial metric g."""
+    """x''^k = H^1_11 x'^k - 2 h_11 G^k, and the inertia of the spray's
+    spatial metric g."""
     point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
     data = spray_data(L, h, point, dims)
     h11 = scalar_value(h.matrix_at((t,))[0][0])
     hc = scalar_value(data.hch[0][0][0])
     accel = np.array([hc * y[k] - 2.0 * h11 * scalar_value(data.g_vec[k]) for k in range(dims.n)])
-    return accel, data.g
+    return accel, data.inertia
 
 
 def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
@@ -93,36 +94,38 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
 
     def stage(step, t, x, y):
         nonlocal signature
-        accel, g = _acceleration(L, h, dims, t, x, y)
         where = f"at step {step}, t={t:.6g}"
         try:
-            sig = signature_of([[scalar_value(e) for e in row] for row in g])
-        except DegeneracyError as exc:
-            raise DegeneracyError(f"{exc} {where}") from exc
+            accel, sig = _acceleration(L, h, dims, t, x, y)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} {where}") from exc
         if signature is not None and sig != signature:
             raise DegeneracyError(f"signature of g changed from {signature} to {sig} {where}")
         signature = sig
         return accel
 
-    for k in range(steps):
-        t = ts[-1]
-        x = xs[-1]
-        y = ys[-1]
-        try:
-            k1x, k1y = y, stage(k + 1, t, x, y)
-            k2x = y + 0.5 * dt * k1y
-            k2y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
-            k3x = y + 0.5 * dt * k2y
-            k3y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
-            k4x = y + dt * k3y
-            k4y = stage(k + 1, t + dt, x + dt * k3x, k4x)
-        except (DegeneracyError, JetLagError, OverflowError, ZeroDivisionError) as exc:
-            aborted = True
-            reason = f"{type(exc).__name__}: {exc}"
-            break
-        xs.append(x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x))
-        ys.append(y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y))
-        ts.append(problem.t0 + (k + 1) * dt)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for k in range(steps):
+            t = ts[-1]
+            x = xs[-1]
+            y = ys[-1]
+            try:
+                k1x, k1y = y, stage(k + 1, t, x, y)
+                k2x = y + 0.5 * dt * k1y
+                k2y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+                k3x = y + 0.5 * dt * k2y
+                k3y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+                k4x = y + dt * k3y
+                k4y = stage(k + 1, t + dt, x + dt * k3x, k4x)
+                x_next = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+                y_next = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+            except (JetLagError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+                aborted = True
+                reason = f"{type(exc).__name__}: {exc}"
+                break
+            xs.append(x_next)
+            ys.append(y_next)
+            ts.append(problem.t0 + (k + 1) * dt)
 
     traj = Trajectory(
         t=np.array(ts), x=np.vstack(xs), y=np.vstack(ys),

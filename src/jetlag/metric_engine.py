@@ -1,4 +1,5 @@
-"""Temporal and spatial metric machinery: inverses, Christoffel symbols,
+"""Temporal and spatial metric machinery: one symmetric factorization per
+metric matrix (its inverse, determinant and inertia), Christoffel symbols
 and their curvature tensors.
 
 All assembly routines are generic over the scalar kind so connection and
@@ -8,6 +9,7 @@ curvature code can push derivative scalars straight through them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .calculus import field_jacobian, t_coord, x_coord
 from .errors import DegeneracyError
@@ -15,107 +17,88 @@ from .jet_core import JetPoint, raw_point
 from .scalars import reciprocal, scalar_value
 
 _DEGENERACY_SCALE = 1e-10
-_JACOBI_SWEEPS = 64
+_BK_ALPHA = (1.0 + 17.0 ** 0.5) / 8.0  # Bunch-Kaufman's pivot growth bound
 
 
-# --- Generic dense linear algebra (dims <= 4, correctness first) -----------
+# --- Symmetric factorization (dims <= 4, generic over the scalar kind) ---------
 
 
-def mat_det(rows):
-    """Determinant via fraction-free expansion; generic over scalar kind."""
-    m = [list(r) for r in rows]
-    dim = len(m)
-    if dim == 1:
-        return m[0][0]
-    if dim == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    det = 0.0
-    for j in range(dim):
-        minor = [r[:j] + r[j + 1:] for r in m[1:]]
-        term = m[0][j] * mat_det(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+class SymmetricFactor(NamedTuple):
+    """A symmetric matrix's inverse (generic over the scalar kind), its
+    determinant and its inertia (positive, negative eigenvalue counts), the
+    latter two as plain values."""
+
+    inverse: list
+    det: float
+    inertia: tuple
 
 
-def mat_invert_generic(rows):
-    """Inverse by partial-pivot LU (Gauss-Jordan form); pivoting compares the
-    plain values of entries so lifted scalars pass through untouched."""
+def _exchange(a, k, c):
+    """Gauss-Jordan exchange of row k and column c of ``a`` in place.  Plain
+    0.0 entries of the pivot row and plain 0.0 multipliers are skipped, so
+    structural zeros stay floats under a lifted pivot."""
+    inv_p = reciprocal(a[k][c])
+    a[k][c] = 0.0
+    pivot = a[k] = [e if type(e) is float and e == 0.0 else e * inv_p for e in a[k]]
+    pivot[c] = inv_p
+    for i, row in enumerate(a):
+        f = row[c]
+        if i == k or isinstance(f, (int, float)) and f == 0.0:
+            continue
+        row[c] = 0.0
+        a[i] = [e - f * q for e, q in zip(row, pivot)]
+
+
+def symmetric_factor(rows) -> SymmetricFactor:
+    """Gauss-Jordan sweep of a symmetric matrix in place, one 1x1 or 2x2
+    diagonal pivot block at a time, chosen by Bunch-Kaufman on plain values
+    (Bunch & Kaufman, Math. Comp. 31, 1977; Golub & Van Loan, Matrix
+    Computations, 4.4); a 2x2 block (k, r) is the exchanges (k, r), (r, k)
+    and a swap back.  The swept array is the inverse, the product of the
+    pivot blocks the determinant, and their signs, by Sylvester's law of
+    inertia, the inertia (a 2x2 block is indefinite).  Raises
+    DegeneracyError where |det| <= 1e-10 scale^n."""
     dim = len(rows)
-    aug = [list(r) + [1.0 if i == j else 0.0 for j in range(dim)] for i, r in enumerate(rows)]
-    for col in range(dim):
-        pivot = max(range(col, dim), key=lambda r: abs(scalar_value(aug[r][col])))
-        if scalar_value(aug[pivot][col]) == 0.0:
-            raise DegeneracyError("singular matrix in inversion", det=0.0)
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = reciprocal(aug[col][col])
-        # a plain 0.0 stays a float, so structural zeros survive a lifted pivot
-        aug[col] = [e if type(e) is float and e == 0.0 else e * inv_p for e in aug[col]]
-        for r in range(dim):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if isinstance(factor, (int, float)) and factor == 0.0:
-                continue
-            aug[r] = [er - factor * ec for er, ec in zip(aug[r], aug[col])]
-    return [row[dim:] for row in aug]
+    a = [list(r) for r in rows]
+    scale = max([abs(scalar_value(e)) for r in rows for e in r])
+    det, neg = 1.0, 0
+    todo = list(range(dim))
+    while todo:
+        k = todo.pop(0)
+        akk = scalar_value(a[k][k])
+        if todo:
+            lam, r = max((abs(scalar_value(a[i][k])), i) for i in todo)
+            if abs(akk) < _BK_ALPHA * lam:
+                sigma = max(abs(scalar_value(a[i][r])) for i in todo + [k] if i != r)
+                if abs(akk) * sigma < _BK_ALPHA * lam * lam:
+                    arr = scalar_value(a[r][r])
+                    if abs(arr) >= _BK_ALPHA * sigma:
+                        todo[todo.index(r)] = k
+                        k, akk = r, arr
+                    else:
+                        todo.remove(r)
+                        det *= akk * arr - lam * lam
+                        neg += 1
+                        _exchange(a, k, r)
+                        _exchange(a, r, k)
+                        a[k], a[r] = a[r], a[k]
+                        for row in a:
+                            row[k], row[r] = row[r], row[k]
+                        continue
+        if akk == 0.0:
+            det = 0.0
+            break
+        det *= akk
+        neg += 1 if akk < 0.0 else 0
+        _exchange(a, k, k)
+    if abs(det) <= _DEGENERACY_SCALE * max(scale, 1e-300) ** dim:
+        raise DegeneracyError(f"degenerate metric (det={det:.3e})", det=det)
+    return SymmetricFactor(a, det, (dim - neg, neg))
 
 
 def checked_inverse(rows):
-    """Generic inverse with the degeneracy threshold applied to plain values."""
-    dim = len(rows)
-    if dim == 1:
-        entry = rows[0][0]
-        det_value = scalar_value(entry)
-        if abs(det_value) <= _DEGENERACY_SCALE * max(abs(det_value), 1e-300):
-            raise DegeneracyError(f"degenerate metric (det={det_value:.3e})", det=det_value)
-        return [[reciprocal(entry)]]
-    scale = max(abs(scalar_value(e)) for r in rows for e in r)
-    det = mat_det(rows)
-    det_value = scalar_value(det)
-    if abs(det_value) <= _DEGENERACY_SCALE * max(scale, 1e-300) ** dim:
-        raise DegeneracyError(f"degenerate metric (det={det_value:.3e})", det=det_value)
-    return mat_invert_generic(rows)
-
-
-def jacobi_eigenvalues(m) -> list:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    a = [[float(e) for e in row] for row in m]
-    dim = len(a)
-    for _ in range(_JACOBI_SWEEPS):
-        off = max(
-            (abs(a[i][j]) for i in range(dim) for j in range(i + 1, dim)),
-            default=0.0,
-        )
-        if off < 1e-14 * max(1.0, max(abs(a[i][i]) for i in range(dim))):
-            break
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if a[i][j] == 0.0:
-                    continue
-                theta = (a[j][j] - a[i][i]) / (2.0 * a[i][j])
-                t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + (theta * theta + 1.0) ** 0.5)
-                c = 1.0 / (t * t + 1.0) ** 0.5
-                s = t * c
-                for k in range(dim):
-                    aik, ajk = a[i][k], a[j][k]
-                    a[i][k] = c * aik - s * ajk
-                    a[j][k] = s * aik + c * ajk
-                for k in range(dim):
-                    aki, akj = a[k][i], a[k][j]
-                    a[k][i] = c * aki - s * akj
-                    a[k][j] = s * aki + c * akj
-    return sorted(a[i][i] for i in range(dim))
-
-
-def signature_of(m) -> tuple:
-    """(positive, negative) eigenvalue counts; zero eigenvalues are an error."""
-    eigs = jacobi_eigenvalues(m)
-    scale = max(abs(e) for e in eigs) if eigs else 0.0
-    if scale == 0.0 or any(abs(e) <= 1e-10 * scale for e in eigs):
-        raise DegeneracyError("metric has (numerically) zero eigenvalue")
-    pos = sum(1 for e in eigs if e > 0)
-    return pos, len(eigs) - pos
+    """The inverse of a symmetric matrix, from ``symmetric_factor``."""
+    return symmetric_factor(rows).inverse
 
 
 def symmetric_matrix(entries, point):
@@ -218,9 +201,8 @@ class TemporalMetric:
         issues = []
         seen = set()
         for ts in ts_list:
-            m = [[scalar_value(e) for e in row] for row in self.matrix_at(ts)]
             try:
-                sig = signature_of(m)
+                sig = symmetric_factor(self.matrix_at(ts)).inertia
             except DegeneracyError as exc:
                 issues.append({"t": list(ts), "issue": str(exc)})
                 continue

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .calculus import field_jacobian, gradient_hessian, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, JetPoint, zero_velocity_point
-from .metric_engine import TemporalMetric, mat_det, signature_of
+from .metric_engine import TemporalMetric, symmetric_factor
 from .parallel import map_ordered
 from .scalars import scalar_value
 
@@ -208,13 +208,11 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         sym = max(
             abs(g[i][j] - g[j][i]) for i in range(n) for j in range(n)
         )
-        det = float(scalar_value(mat_det(g)))
         issue = ""
-        sig = None
         try:
-            sig = signature_of(g)
+            _, det, sig = symmetric_factor(g)
         except DegeneracyError as exc:
-            issue = f"sample {idx}: {exc}"
+            det, sig, issue = exc.det, None, f"sample {idx}: {exc}"
         # Velocity dependence: redraw v at fixed (t, x) and compare estimates.
         vdep = 0.0
         for redraw in redraws[idx]:

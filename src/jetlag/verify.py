@@ -114,12 +114,10 @@ def run_checks(instance: ProblemInstance) -> list:
                                       REASSEMBLY_TOL, str(exc)))
             return checks
 
-    # Spray identities.
-    worst_sum = 0.0
+    # Spray identity: the h-trace of the spatial block is G.
     worst_trace = 0.0
     for pt in pts:
         pack = spray_entities(L, h, pt, decomposition=deco)
-        worst_sum = max(worst_sum, float(np.max(np.abs(pack.Gc - (pack.S + pack.Hc + pack.J)))))
         hinv = [[scalar_value(e) for e in row] for row in h.inverse_at(pt.t)]
         for l in range(dims.n):
             acc = 0.0
@@ -127,7 +125,6 @@ def run_checks(instance: ProblemInstance) -> list:
                 for b in range(dims.p):
                     acc += hinv[a][b] * pack.G_spatial.get((l, a), b)
             worst_trace = max(worst_trace, abs(acc - pack.Gc[l]))
-    checks.append(CheckResult("spray_entity_sum", worst_sum <= 1e-12, worst_sum, 1e-12))
     checks.append(CheckResult("h_trace_identity", worst_trace <= 1e-8, worst_trace, 1e-8))
 
     # Euler-Lagrange consistency: g^{ki}/2-weighted residual equals the

@@ -116,6 +116,24 @@ class TestExitCodes:
         assert err == ("steps=20 max_el_residual=2.418e+01 aborted=(DegeneracyError: "
                        "signature of g changed from (1, 0) to (0, 1) at step 21, t=0.205)\n")
 
+    def test_extremal_stops_at_the_first_float_error(self, tmp_path, capsys):
+        # g = x1^2 keeps its sign, but it vanishes at x1 = 0 near t = 0.15;
+        # past it the acceleration blows up until numpy overflows
+        cfg = {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "harmonic", "g_entries": [["x1^2"]]},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+            "solver": {"t_end": 3.0, "dt": 0.01,
+                       "initial": {"t": 0.0, "x": [0.3], "y": [-1.0]}},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 36  # header, t0 and 34 steps
+        assert err == ("steps=34 max_el_residual=4.661e+215 aborted=(FloatingPointError: "
+                       "overflow encountered in scalar multiply at step 35, t=0.35)\n")
+
     @pytest.mark.parametrize("expression, box, x, position", [
         ("exp(x1^3)*v1_1^2", [-1.0, 1.0], "10", "1:1"),
         ("v1_1^2*log(x1)", [[-1.0, 1.0], [2.0, 3.0], [-1.0, 1.0]], "-1", "1:8"),

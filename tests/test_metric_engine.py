@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from jetlag.calculus import all_coords, lift_d1, lift_taylor, t_coord, x_coord
+from jetlag import verify
 from jetlag.cli import run
 from jetlag.config import assemble
 from jetlag.errors import DegeneracyError
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint
+from jetlag.scalars import Dual
 from jetlag.metric_engine import (
     TemporalMetric,
     checked_inverse,
@@ -20,8 +22,7 @@ from jetlag.metric_engine import (
     g_curvature_values,
     h_christoffel_values,
     h_curvature_values,
-    jacobi_eigenvalues,
-    signature_of,
+    symmetric_factor,
 )
 from jetlag.regularity import electrodynamics_decompose, sample_points
 
@@ -272,24 +273,72 @@ class TestInversion:
             assert repr(inv[2][2]) == repr(1.0 / inst.h.matrix_at(q.t)[2][2])
 
 
-class TestSignature:
-    def test_jacobi_eigenvalues(self):
-        m = [[2.0, 1.0], [1.0, 2.0]]
-        eigs = jacobi_eigenvalues(m)
-        assert eigs == pytest.approx([1.0, 3.0], abs=1e-12)
+def _symmetric_samples(seed=7, per_dim=10):
+    """Random symmetric matrices, n = 1..4, condition number below 1e3; half
+    of those with n >= 2 have a zero diagonal, which forces a 2x2 pivot."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(1, 5):
+        while sum(len(m) == n for m in out) < per_dim:
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            a = a + a.T
+            if n >= 2 and len(out) % 2:
+                np.fill_diagonal(a, 0.0)
+            if np.linalg.cond(a) < 1e3:
+                out.append(a)
+    return out
 
-    def test_signature(self):
-        assert signature_of([[2.0, 0.0], [0.0, -3.0]]) == (1, 1)
-        assert signature_of(np.eye(3)) == (3, 0)
 
-    def test_zero_eigenvalue_rejected(self):
-        with pytest.raises(DegeneracyError):
-            signature_of([[1.0, 1.0], [1.0, 1.0]])
+class TestSymmetricFactor:
+    @pytest.mark.parametrize("a", _symmetric_samples(), ids=lambda a: f"n{len(a)}")
+    def test_against_numpy(self, a):
+        fac = symmetric_factor(a.tolist())
+        eigs = np.linalg.eigvalsh(a)
+        assert fac.inertia == (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
+        assert fac.det == pytest.approx(np.linalg.det(a), rel=1e-12)
+        assert np.max(np.abs(a @ np.array(fac.inverse) - np.eye(len(a)))) <= 1e-12
+
+    def test_zero_diagonal_takes_a_2x2_pivot(self):
+        fac = symmetric_factor([[0.0, 1.0], [1.0, 0.0]])
+        assert fac.inverse == [[0.0, 1.0], [1.0, 0.0]]
+        assert (fac.det, fac.inertia) == (-1.0, (1, 1))
+
+    def test_dual_inverse_derivative(self):
+        # d(A^-1) = -A^-1 (dA) A^-1 along two directions at once, relative
+        # to the largest entry
+        rng = np.random.default_rng(3)
+        for a in _symmetric_samples(seed=11, per_dim=5):
+            n = len(a)
+            da = [rng.uniform(-1.0, 1.0, (n, n)) for _ in range(2)]
+            da = [d + d.T for d in da]
+            lifted = [[Dual(a[i][j], [d[i][j] for d in da]) for j in range(n)] for i in range(n)]
+            inv = symmetric_factor(lifted).inverse
+            ainv = np.linalg.inv(a)
+            for s, d in enumerate(da):
+                want = -ainv @ d @ ainv
+                got = np.array([[inv[i][j].du[s] for j in range(n)] for i in range(n)])
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_singular_rejected_with_det_zero(self):
+        with pytest.raises(DegeneracyError, match=r"degenerate metric \(det=0\.000e\+00\)") as err:
+            symmetric_factor([[1.0, 1.0], [1.0, 1.0]])
+        assert err.value.det == 0.0
 
     def test_declared_signature_validated(self):
         h = tmetric(1, [["exp(2*t1)"]], (0, 1))  # deliberately wrong
         report = h.validate_samples([(-0.5,), (0.0,), (0.5,)])
         assert not report["ok"]
+
+    def test_verify_passes_an_indefinite_h_with_zero_diagonal(self):
+        inst = assemble({
+            "dims": {"p": 2, "n": 1},
+            "lagrangian": {"kind": "harmonic", "g_entries": [["1 + x1^2"]]},
+            "temporal_metric": {"kind": "expression", "entries": [["0", "1"], ["1", "0"]],
+                                "signature": [1, 1]},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+        })
+        checks = {c.name: c for c in verify.run_checks(inst)}
+        assert checks["temporal_metric_signature"].passed
 
 
 class TestSymmetricAssembly:
