@@ -124,7 +124,7 @@ def _cartan_coefficients_p1(L, h, dims):
 
     def coefficients(point: JetPoint):
         g = g_matrix(point)
-        ginv = checked_inverse(g)
+        ginv = checked_inverse(g).inverse
         hbar = h_christoffel_values(h, point.t)
         m_co = m_values(hbar, point)
         n_co = spray_n_values(L, h, point, dims)
@@ -148,7 +148,7 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
     ts = [t_coord(a) for a in range(p)]
 
     def coefficients(point: JetPoint):
-        ginv = checked_inverse(deco.g_field(point))
+        ginv = checked_inverse(deco.g_field(point)).inverse
         hbar = h_christoffel_values(h, point.t)
         jac = field_jacobian(deco.g_field, point, xs + ts)
         l_co = christoffel(ginv, [jac[c] for c in xs])

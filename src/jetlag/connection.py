@@ -45,9 +45,9 @@ from .jet_core import (
 )
 from .metric_engine import (
     TemporalMetric,
+    checked_inverse,
     g_christoffel_values,
     h_christoffel_values,
-    symmetric_factor,
 )
 from .regularity import (
     ElectrodynamicsDecomposition,
@@ -116,7 +116,7 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     hinv = h.inverse_at(point.t)
     hch = h_christoffel_values(h, point.t)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
-    ginv, _, inertia = symmetric_factor(g)
+    ginv, _, inertia = checked_inverse(g)
 
     off = p + n  # index of v^0_0
     dldx = grad[p:off]

@@ -78,7 +78,8 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     the last valid state if the spray degenerates mid-trajectory.  The
     paper's regularity (det g != 0, constant signature) is checked at every
     state the spray is evaluated at: each step's starting state and its
-    three inner stages must keep the signature g has at the initial state."""
+    three inner stages must keep the signature g has at the initial state.
+    The abort reason ends with the step and t of the last stage begun."""
     L, h = problem.L, problem.h
     dims = getattr(L, "dims")
     span = problem.t_end - problem.t0
@@ -91,16 +92,14 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     aborted = False
     reason = ""
     signature = None
+    where = ""
 
     def stage(step, t, x, y):
-        nonlocal signature
+        nonlocal signature, where
         where = f"at step {step}, t={t:.6g}"
-        try:
-            accel, sig = _acceleration(L, h, dims, t, x, y)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"{exc} {where}") from exc
+        accel, sig = _acceleration(L, h, dims, t, x, y)
         if signature is not None and sig != signature:
-            raise DegeneracyError(f"signature of g changed from {signature} to {sig} {where}")
+            raise DegeneracyError(f"signature of g changed from {signature} to {sig}")
         signature = sig
         return accel
 
@@ -121,7 +120,7 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
                 y_next = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
             except (JetLagError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
                 aborted = True
-                reason = f"{type(exc).__name__}: {exc}"
+                reason = f"{type(exc).__name__}: {exc} {where}"
                 break
             xs.append(x_next)
             ys.append(y_next)

@@ -49,8 +49,9 @@ def _exchange(a, k, c):
         a[i] = [e - f * q for e, q in zip(row, pivot)]
 
 
-def symmetric_factor(rows) -> SymmetricFactor:
-    """Gauss-Jordan sweep of a symmetric matrix in place, one 1x1 or 2x2
+def checked_inverse(rows) -> SymmetricFactor:
+    """The symmetric factorization every inverse, determinant and signature
+    of a metric is read from: a Gauss-Jordan sweep in place, one 1x1 or 2x2
     diagonal pivot block at a time, chosen by Bunch-Kaufman on plain values
     (Bunch & Kaufman, Math. Comp. 31, 1977; Golub & Van Loan, Matrix
     Computations, 4.4); a 2x2 block (k, r) is the exchanges (k, r), (r, k)
@@ -94,11 +95,6 @@ def symmetric_factor(rows) -> SymmetricFactor:
     if abs(det) <= _DEGENERACY_SCALE * max(scale, 1e-300) ** dim:
         raise DegeneracyError(f"degenerate metric (det={det:.3e})", det=det)
     return SymmetricFactor(a, det, (dim - neg, neg))
-
-
-def checked_inverse(rows):
-    """The inverse of a symmetric matrix, from ``symmetric_factor``."""
-    return symmetric_factor(rows).inverse
 
 
 def symmetric_matrix(entries, point):
@@ -190,10 +186,10 @@ class TemporalMetric:
         if self.constant:
             cached = self._cache.get("inverse")
             if cached is None:
-                cached = checked_inverse(self.matrix_at(ts))
+                cached = checked_inverse(self.matrix_at(ts)).inverse
                 self._cache["inverse"] = cached
             return cached
-        return checked_inverse(self.matrix_at(ts))
+        return checked_inverse(self.matrix_at(ts)).inverse
 
     def validate_samples(self, ts_list) -> dict:
         """Sampled rank/signature report; signature mismatches and
@@ -202,7 +198,7 @@ class TemporalMetric:
         seen = set()
         for ts in ts_list:
             try:
-                sig = symmetric_factor(self.matrix_at(ts)).inertia
+                sig = checked_inverse(self.matrix_at(ts)).inertia
             except DegeneracyError as exc:
                 issues.append({"t": list(ts), "issue": str(exc)})
                 continue
@@ -243,7 +239,7 @@ def g_christoffel_values(g_matrix, point: JetPoint):
     [l][j][k], of the spatial metric ``g_matrix`` (JetPoint -> n x n);
     spatial partials only."""
     xs = [x_coord(k) for k in range(len(point.x))]
-    ginv = checked_inverse(g_matrix(point))
+    ginv = checked_inverse(g_matrix(point)).inverse
     dg = field_jacobian(g_matrix, point, xs)
     return christoffel(ginv, [dg[c] for c in xs])
 

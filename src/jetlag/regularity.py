@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .calculus import field_jacobian, gradient_hessian, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, JetPoint, zero_velocity_point
-from .metric_engine import TemporalMetric, symmetric_factor
+from .metric_engine import TemporalMetric, checked_inverse
 from .parallel import map_ordered
 from .scalars import scalar_value
 
@@ -210,7 +210,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         )
         issue = ""
         try:
-            _, det, sig = symmetric_factor(g)
+            _, det, sig = checked_inverse(g)
         except DegeneracyError as exc:
             det, sig, issue = exc.det, None, f"sample {idx}: {exc}"
         # Velocity dependence: redraw v at fixed (t, x) and compare estimates.

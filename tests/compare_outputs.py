@@ -1,16 +1,19 @@
 """Run every command over a fixed set of configs with two source trees and
 report where their outputs differ.
 
-    python3 tests/compare_outputs.py OLD_SRC NEW_SRC [--jobs 2]
+    python3 tests/compare_outputs.py OLD_SRC NEW_SRC
 
 Each run is ``python -m jetlag COMMAND --config FILE`` in a fresh process
-with ``PYTHONPATH`` set to one tree.  The configs are the 27 corpus configs
-of ``conftest`` (``count=4``), the quartic (``count=4``) and the sphere
-(``dt=1e-2``), two metrics that vanish along an extremal (g = x1 and
-g = x1^2) and an indefinite temporal metric with a zero diagonal.  Every
-config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
+with ``PYTHONPATH`` set to one tree, two runs at a time.  The configs are
+the 27 corpus configs of ``conftest`` (``count=4``), the quartic
+(``count=4``) and the sphere (``dt=1e-2``), six expression Lagrangians
+(three with a solver), two metrics that vanish along an extremal (g = x1
+and g = x1^2) and an indefinite temporal metric with a zero diagonal.
+Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
-solver.
+solver.  Besides these, the benchmark's generated configs (every job of
+the cycle of each workload in ``perfbench/workloads.py``, seeds 3 and 7)
+run their workload's own command.
 
 The report gives the number of byte-identical runs; for every other run,
 the numbers that moved, grouped by JSON path (list indices collapsed) or by
@@ -36,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+WORKLOAD_SEEDS = (3, 7)
 POINT_COMMANDS = ("connection", "torsion", "curvature")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
@@ -51,6 +55,19 @@ def _harmonic_p1(g_entries, x0, y0) -> dict:
     }
 
 
+def _expression(p, n, expression, h=None, x0=None, y0=None) -> dict:
+    cfg = {
+        "dims": {"p": p, "n": n},
+        "lagrangian": {"kind": "expression", "expression": expression},
+        "temporal_metric": h or {"kind": "flat"},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 1},
+    }
+    if x0 is not None:
+        cfg["solver"] = {"t_end": 0.5, "dt": 0.01,
+                         "initial": {"t": 0.0, "x": x0, "y": y0}}
+    return cfg
+
+
 def configs() -> dict:
     """Name -> config dict of the comparison set."""
     from conftest import CORPUS_DIMS, KINDS, corpus_config, quartic_config, sphere_config
@@ -59,6 +76,24 @@ def configs() -> dict:
            for kind in KINDS for p, n in CORPUS_DIMS}
     out["quartic"] = quartic_config(count=4)
     out["sphere"] = sphere_config(dt=1e-2)
+    out["expr_p1_n2"] = _expression(
+        1, 2, "(1 + x1^2)*v1_1^2 + 0.4*sin(x2)*v1_1*v2_1 + (2 + cos(x1))*v2_1^2 + x1*x2*v1_1",
+        x0=[0.2, -0.1], y0=[0.5, 0.3])
+    out["expr_p1_n3"] = _expression(
+        1, 3, "exp(0.1*t1)*(v1_1^2 + v2_1^2 + v3_1^2) + 0.3*x1*v2_1*v3_1 + x2^2",
+        h={"kind": "expression", "entries": [["1 + t1^2"]], "signature": [1, 0]},
+        x0=[0.1, 0.2, 0.3], y0=[-0.4, 0.2, 0.6])
+    out["expr_lorentz_p1_n2"] = _expression(
+        1, 2, "v1_1^2 - (1 + 0.2*x1^2)*v2_1^2 + 0.1*x1*v2_1", x0=[0.3, 0.0], y0=[0.2, 0.4])
+    out["expr_p2_n2"] = _expression(
+        2, 2, "(1 + x2^2)*(v1_1^2/(1 + t1^2) + v1_2^2/2) + v2_1^2/(1 + t1^2) + v2_2^2/2 + x1*x2",
+        h={"kind": "expression", "entries": [["1 + t1^2", "0"], ["0", "2"]],
+           "signature": [2, 0]})
+    out["expr_p2_n1"] = _expression(
+        2, 1, "v1_1^2 - v1_2^2 + x1^2*t2",
+        h={"kind": "expression", "entries": [["1", "0"], ["0", "-1"]], "signature": [1, 1]})
+    out["expr_p3_n2"] = _expression(
+        3, 2, "v1_1^2 + v1_2^2 + v1_3^2 + (1 + x1^2)*(v2_1^2 + v2_2^2 + v2_3^2)")
     out["abort_x1"] = _harmonic_p1([["x1"]], 0.3, -1.0)
     out["abort_x1_sq"] = _harmonic_p1([["x1^2"]], 0.3, -1.0)
     out["indefinite_h"] = {
@@ -79,21 +114,33 @@ def _point(cfg: dict) -> str:
     return f"t={ts};x={xs};v={vs}"
 
 
-def runs(cfgs: dict) -> list:
-    """(config name, argv tail) for every run of the comparison set."""
+def runs(tmp: str) -> list:
+    """(name, argv) for every run of the comparison set, its configs
+    written into ``tmp``."""
     out = []
-    for name, cfg in cfgs.items():
-        out.append((name, ["analyze"]))
-        out.append((name, ["verify"]))
-        out.extend((name, [cmd, "--point", _point(cfg)]) for cmd in POINT_COMMANDS)
+    for name, cfg in configs().items():
+        path = os.path.join(tmp, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out.append((name, ["analyze", "--config", path]))
+        out.append((name, ["verify", "--config", path]))
+        out.extend((name, [cmd, "--config", path, "--point", _point(cfg)])
+                   for cmd in POINT_COMMANDS)
         if "solver" in cfg:
-            out.append((name, ["extremal"]))
+            out.append((name, ["extremal", "--config", path]))
+    from workloads import WORKLOADS
+
+    for seed in WORKLOAD_SEEDS:
+        for workload in WORKLOADS.values():
+            for job in workload.generate(seed, Path(tmp, f"seed{seed}")):
+                out.append((f"{workload.name}-{job.index} seed {seed}",
+                            [str(a) for a in job.argv]))
     return out
 
 
-def _run_one(src: str, path: str, argv: list) -> tuple:
+def _run_one(src: str, argv: list) -> tuple:
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-m", "jetlag", argv[0], "--config", path, *argv[1:]],
+    proc = subprocess.run([sys.executable, "-m", "jetlag", *argv],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -183,21 +230,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--jobs", type=int, default=2, help="runs at a time (default 2)")
     args = parser.parse_args(argv)
     trees = [str(Path(s).resolve()) for s in (args.old_src, args.new_src)]
-    sys.path[:0] = [str(HERE), trees[1]]
-    cfgs = configs()
-    plan = runs(cfgs)
+    sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench"), trees[1]]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for name, cfg in cfgs.items():
-            paths[name] = os.path.join(tmp, f"{name}.json")
-            with open(paths[name], "w") as fh:
-                json.dump(cfg, fh)
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-            results = [[pool.submit(_run_one, src, paths[name], argv) for src in trees]
-                       for name, argv in plan]
+        plan = runs(tmp)
+        with ThreadPoolExecutor(2) as pool:
+            results = [[pool.submit(_run_one, src, argv) for src in trees] for _, argv in plan]
             results = [(a.result(), b.result()) for a, b in results]
     identical = 0
     for (name, argv), (old, new) in zip(plan, results):

@@ -135,7 +135,7 @@ def canonical_n_reference(h: TemporalMetric, deco, point: JetPoint):
     jac = field_jacobian(deco.g_field, point, ts)
     return electrodynamics_n_values(
         h, deco, point, g_christoffel_values(deco.g_field, point),
-        checked_inverse(deco.g_field(point)), [jac[c] for c in ts])
+        checked_inverse(deco.g_field(point)).inverse, [jac[c] for c in ts])
 
 
 # --- Small central-difference oracles (independent of the calculus module) ---

@@ -77,7 +77,7 @@ class TestExitCodes:
         assert out.splitlines()[0] == "t,x1,y1"
         assert len(out.splitlines()) == 82  # header, t0 and 80 steps
         assert err == ("steps=80 max_el_residual=8.522e+01 aborted=(EvalDomainError: "
-                       "1:1: sqrt of a negative value in 'sqrt(1 - x1)')\n")
+                       "1:1: sqrt of a negative value in 'sqrt(1 - x1)' at step 81, t=0.805)\n")
 
     @pytest.mark.parametrize("dt", [0.75, 5.0])
     def test_extremal_needs_two_steps(self, tmp_path, capsys, dt):
@@ -133,6 +133,24 @@ class TestExitCodes:
         assert len(out.splitlines()) == 36  # header, t0 and 34 steps
         assert err == ("steps=34 max_el_residual=4.661e+215 aborted=(FloatingPointError: "
                        "overflow encountered in scalar multiply at step 35, t=0.35)\n")
+
+    def test_extremal_degeneracy_names_the_step(self, tmp_path, capsys):
+        # g = x1^2 vanishes at the initial state x1 = 0: the spray's own
+        # factorization of g raises, and the reason still names step and t
+        cfg = {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "harmonic", "g_entries": [["x1^2"]]},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+            "solver": {"t_end": 1.0, "dt": 0.01,
+                       "initial": {"t": 0.0, "x": [0.0], "y": [-1.0]}},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
+        out, err = capsys.readouterr()
+        assert out == "t,x1,y1\n0,0,-1\n"
+        assert err == ("steps=0 max_el_residual=nan aborted=(DegeneracyError: "
+                       "degenerate metric (det=0.000e+00) at step 1, t=0)\n")
 
     @pytest.mark.parametrize("expression, box, x, position", [
         ("exp(x1^3)*v1_1^2", [-1.0, 1.0], "10", "1:1"),

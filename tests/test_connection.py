@@ -254,7 +254,7 @@ class TestNonlinearConnection:
                           (rng.uniform(-1, 1), rng.uniform(-1, 1)),
                           ((rng.uniform(-1, 1),), (rng.uniform(-1, 1),)))
             gamma = g_christoffel_values(gs, pt)
-            ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt))]
+            ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt)).inverse]
             h11 = scalar_value(h.matrix_at(pt.t)[0][0])
             ucurl = deco.u_curl_at(pt)
             nval = pack.coefficients_at(pt).n
@@ -274,7 +274,7 @@ class TestNonlinearConnection:
         pts = sample_points(inst.dims, [-1, 1], 4, seed=11)
         for pt in pts:
             gamma = g_christoffel_values(gs, pt)
-            ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt))]
+            ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt)).inverse]
             hmat = [[scalar_value(e) for e in row] for row in inst.h.matrix_at(pt.t)]
             ucurl = deco.u_curl_at(pt)
             nval = pack.coefficients_at(pt).n

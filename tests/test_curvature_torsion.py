@@ -550,7 +550,7 @@ def _f_tensor(inst, deco, pt):
     """
     n, p = inst.dims.n, inst.dims.p
     gs = deco.g_field
-    ginv = checked_inverse(gs(pt))
+    ginv = checked_inverse(gs(pt)).inverse
     hmat = inst.h.matrix_at(pt.t)
     ts = [t_coord(mu) for mu in range(p)]
     dg_dt = field_jacobian(gs, pt, ts)

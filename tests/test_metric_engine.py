@@ -22,7 +22,6 @@ from jetlag.metric_engine import (
     g_curvature_values,
     h_christoffel_values,
     h_curvature_values,
-    symmetric_factor,
 )
 from jetlag.regularity import electrodynamics_decompose, sample_points
 
@@ -239,10 +238,10 @@ class TestSpatial:
 
 class TestInversion:
     def test_identity(self):
-        assert np.allclose(checked_inverse(np.eye(3).tolist()), np.eye(3))
+        assert np.allclose(checked_inverse(np.eye(3).tolist()).inverse, np.eye(3))
 
     def test_diагonal_frozen(self):
-        out = np.array(checked_inverse(np.diag([2.0, -3.0]).tolist()))
+        out = np.array(checked_inverse(np.diag([2.0, -3.0]).tolist()).inverse)
         assert np.allclose(out, np.diag([0.5, -1.0 / 3.0]))
 
     def test_random_symmetric_roundtrip(self):
@@ -250,7 +249,7 @@ class TestInversion:
         for _ in range(20):
             a = rng.uniform(-1, 1, (3, 3))
             m = a @ a.T + 3.0 * np.eye(3)  # well conditioned
-            inv = np.array(checked_inverse(m.tolist()))
+            inv = np.array(checked_inverse(m.tolist()).inverse)
             assert np.max(np.abs(inv @ m - np.eye(3))) <= 1e-12
 
     def test_degenerate_rejected(self):
@@ -292,14 +291,14 @@ def _symmetric_samples(seed=7, per_dim=10):
 class TestSymmetricFactor:
     @pytest.mark.parametrize("a", _symmetric_samples(), ids=lambda a: f"n{len(a)}")
     def test_against_numpy(self, a):
-        fac = symmetric_factor(a.tolist())
+        fac = checked_inverse(a.tolist())
         eigs = np.linalg.eigvalsh(a)
         assert fac.inertia == (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
         assert fac.det == pytest.approx(np.linalg.det(a), rel=1e-12)
         assert np.max(np.abs(a @ np.array(fac.inverse) - np.eye(len(a)))) <= 1e-12
 
     def test_zero_diagonal_takes_a_2x2_pivot(self):
-        fac = symmetric_factor([[0.0, 1.0], [1.0, 0.0]])
+        fac = checked_inverse([[0.0, 1.0], [1.0, 0.0]])
         assert fac.inverse == [[0.0, 1.0], [1.0, 0.0]]
         assert (fac.det, fac.inertia) == (-1.0, (1, 1))
 
@@ -312,7 +311,7 @@ class TestSymmetricFactor:
             da = [rng.uniform(-1.0, 1.0, (n, n)) for _ in range(2)]
             da = [d + d.T for d in da]
             lifted = [[Dual(a[i][j], [d[i][j] for d in da]) for j in range(n)] for i in range(n)]
-            inv = symmetric_factor(lifted).inverse
+            inv = checked_inverse(lifted).inverse
             ainv = np.linalg.inv(a)
             for s, d in enumerate(da):
                 want = -ainv @ d @ ainv
@@ -321,7 +320,7 @@ class TestSymmetricFactor:
 
     def test_singular_rejected_with_det_zero(self):
         with pytest.raises(DegeneracyError, match=r"degenerate metric \(det=0\.000e\+00\)") as err:
-            symmetric_factor([[1.0, 1.0], [1.0, 1.0]])
+            checked_inverse([[1.0, 1.0], [1.0, 1.0]])
         assert err.value.det == 0.0
 
     def test_declared_signature_validated(self):
