@@ -74,6 +74,8 @@ class SprayData(NamedTuple):
     g: list        # h-trace spatial metric
     ginv: list
     inertia: tuple  # of g: (positive, negative) eigenvalue counts
+    hmat: list     # temporal metric h at the point's t
+    hinv: list
     hch: list      # temporal Christoffels [c][a][b]
     bracket: list  # first-order Euler-Lagrange bracket, per i
     s_vec: list
@@ -102,6 +104,7 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     """Assemble the spray entities from first/second partials of L, all
     from one evaluation of L over every coordinate (``hessian_blocks`` with
     the pairs of ``_spray_pairs``); g is the h-trace of its vertical blocks.
+    It carries h and its inverse, from one evaluation and factorization.
 
     2S^k = (g^{ki}/2)[d2L/dx^j dv^i_a v^j_a - dL/dx^i]
     2H^k = (g^{ki}/2)[d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}]
@@ -112,8 +115,9 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     v = point.v
 
     blocks, grad, hess = hessian_blocks(L, point, dims, all_coords(dims), _spray_pairs(n, p))
-    g = trace_metric(h.matrix_at(point.t), blocks)
-    hinv = h.inverse_at(point.t)
+    hmat = h.matrix_at(point.t)
+    hinv = h.inverse_at(point.t) if h.constant else checked_inverse(hmat).inverse
+    g = trace_metric(hmat, blocks)
     hch = h_christoffel_values(h, point.t)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
     ginv, _, inertia = checked_inverse(g)
@@ -157,8 +161,8 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
         h_vec.append(h_k)
         j_vec.append(j_k)
         g_vec.append(s_k + h_k + j_k)
-    return SprayData(g=g, ginv=ginv, inertia=inertia, hch=hch, bracket=bracket,
-                     s_vec=s_vec, h_vec=h_vec, j_vec=j_vec, g_vec=g_vec)
+    return SprayData(g=g, ginv=ginv, inertia=inertia, hmat=hmat, hinv=hinv, hch=hch,
+                     bracket=bracket, s_vec=s_vec, h_vec=h_vec, j_vec=j_vec, g_vec=g_vec)
 
 
 def gcal_values(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None):

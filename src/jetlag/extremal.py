@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import euler_lagrange_residual, gcal_values, spray_data
+# gcal_values: perfbench/selftest.py checks the tracer patches this binding.
+from .connection import euler_lagrange_residual, gcal_values, spray_data  # noqa: F401
 from .errors import DegeneracyError, DimensionError, JetLagError, StencilError
 from .jet_core import Dims, JetPoint
 from .metric_engine import TemporalMetric, h_christoffel_values
@@ -67,7 +68,7 @@ def _acceleration(L, h, dims, t, x, y):
     spatial metric g."""
     point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
     data = spray_data(L, h, point, dims)
-    h11 = scalar_value(h.matrix_at((t,))[0][0])
+    h11 = scalar_value(data.hmat[0][0])
     hc = scalar_value(data.hch[0][0][0])
     accel = np.array([hc * y[k] - 2.0 * h11 * scalar_value(data.g_vec[k]) for k in range(dims.n)])
     return accel, data.inertia
@@ -258,9 +259,10 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
         first, second = _grid_jet(grid, idx)
         xs = grid.values[idx]
         point = JetPoint(ts, tuple(xs), tuple(tuple(first[i]) for i in range(n)))
-        hinv = [[scalar_value(e) for e in r] for r in h.inverse_at(ts)]
+        data = spray_data(L, h, point, dims)
+        hinv = [[scalar_value(e) for e in r] for r in data.hinv]
         hch = h_christoffel_values(h, ts)
-        g_vec = gcal_values(L, h, point, dims)
+        g_vec = data.g_vec
         for k in range(n):
             acc = 0.0
             for a in range(p):

@@ -26,6 +26,13 @@ through the dense formula's operations in the dense order, so every entry a
 dense scalar would compute nonzero comes out bitwise the same; only zeros
 can differ, in sign.
 
+Each op runs a kernel, generated straight-line code that spells its
+formula entry by entry at the positions of its plan or layout instead of
+looping over index tuples (source transformation in place of operator
+overloading, Griewank & Walther, ch. 6).  A kernel is compiled the first
+time its op runs on a plan or layout, never at import, and one function is
+kept per distinct source, so supports of one relative pattern share it.
+
 All arithmetic is generic over the component kind, which is what makes
 nesting (derivatives of quantities that are themselves assembled from
 derivatives) work without any symbolic machinery.
@@ -160,10 +167,11 @@ class Layout:
     (pairs, seeds) is one object, and each caches in ``plans`` its plan
     with every layout it has met as left operand.  Both live for the
     process; their number is bounded by the supports the fields produce,
-    not by the number of evaluations.
+    not by the number of evaluations.  A unary op runs the kernel that
+    ``kernel`` compiles on its first use and keeps under its ``_UNARY`` name.
     """
 
-    __slots__ = ("pairs", "seeds", "kept", "hg", "plans")
+    __slots__ = ("pairs", "seeds", "kept", "hg", "plans", "scale", "neg", "reciprocal", "chain")
 
     def __init__(self, pairs, seeds):
         rows, cols = pairs
@@ -174,9 +182,15 @@ class Layout:
                           if i in at and j in at)
         self.hg = tuple((at[rows[m]], at[cols[m]]) for m in self.kept)
         self.plans = {}
+        self.scale = self.neg = self.reciprocal = self.chain = None
 
     def __repr__(self):
         return f"Layout({self.seeds!r}, {self.kept!r})"
+
+    def kernel(self, op):
+        args, eg, eh = _UNARY[op]
+        return _kernel(self, op, args, [eg.format(q=q) for q in range(len(self.seeds))],
+                       [eh.format(m=m, i=i, j=j) for m, (i, j) in enumerate(self.hg)])
 
 
 _LAYOUTS = {}
@@ -192,17 +206,52 @@ def layout(pairs, seeds) -> Layout:
     return lay
 
 
+# Entry formulas of each op: the g entry at position q and the h entry at
+# position m (of seeds at g positions i, j) of a unary op's result, with its
+# kernel's arguments; a binary op reads the operand positions p, q of the
+# same entry, and its product g_a[i] g_b[j] and g_a[j2] g_b[i2].
+_UNARY = {
+    "scale": ("g, h, o", "g[{q}] * o", "h[{m}] * o"),
+    "neg": ("g, h", "-g[{q}]", "-h[{m}]"),
+    "reciprocal": ("g, h, inv, inv2", "-g[{q}] * inv2",
+                   "-h[{m}] * inv2 + 2.0 * g[{i}] * g[{j}] * inv2 * inv"),
+    "chain": ("g, h, d, dd", "d * g[{q}]", "d * h[{m}] + dd * g[{i}] * g[{j}]"),
+}
+_BINARY = {
+    "plus": ("ga[{p}] + gb[{q}]", "ha[{p}] + hb[{q}]"),
+    "minus": ("ga[{p}] - gb[{q}]", "ha[{p}] - hb[{q}]"),
+    "times": ("a * gb[{q}] + ga[{p}] * b",
+              "a * hb[{q}] + ga[{i}] * gb[{j}] + ga[{j2}] * gb[{i2}] + ha[{p}] * b"),
+}
+_KERNELS = {}
+
+
+def _kernel(owner, op, args, g, h):
+    """Keep on ``owner`` as ``op`` and return the kernel ``lambda args:
+    (g, h)`` whose list displays hold the entry expressions ``g`` and ``h``,
+    each ended by the 0.0 sentinel; one function per distinct source."""
+    source = f"lambda {args}: ([{', '.join([*g, '0.0'])}], [{', '.join([*h, '0.0'])}])"
+    fn = _KERNELS.get(source)
+    if fn is None:
+        fn = _KERNELS[source] = eval(source)  # noqa: S307 - source is generated from index tuples
+    setattr(owner, op, fn)
+    return fn
+
+
 class _Plan:
     """Index plan of a binary op between Taylor2s of layouts a and b: the
     layout of the union of their seeds, and for each entry of it the
     positions of the operand entries the dense formula reads, -1 (the 0.0
-    sentinel) where an operand does not carry the entry.  ``g`` and ``h``
-    hold (a, b) positions of the same entry, each with a last (-1, -1) row
-    that makes a sum or difference end in its own sentinel (0.0 +- 0.0 is
-    0.0); ``mul`` holds, per Hessian pair (i, j), the positions of h_a,
-    h_b, g_a[i], g_b[j], g_a[j] and g_b[i]."""
+    sentinel) where an operand does not carry the entry.  ``g`` holds the
+    (a, b) positions of each gradient entry; ``mul`` holds, per Hessian
+    pair (i, j), the positions of h_a, h_b, g_a[i], g_b[j], g_a[j] and
+    g_b[i].  An op runs the kernel ``(a, b, ga, gb, ha, hb) -> (g, h)``
+    that ``kernel`` compiles on its first use and keeps under its
+    ``_BINARY`` name; reading the sentinels where the formula does, it
+    gives every entry bitwise.
+    """
 
-    __slots__ = ("layout", "g", "h", "mul")
+    __slots__ = ("layout", "g", "mul", "plus", "minus", "times")
 
     def __init__(self, a, b):
         rows, cols = a.pairs
@@ -211,13 +260,19 @@ class _Plan:
         gb = {s: q for q, s in enumerate(b.seeds)}
         ha = {m: q for q, m in enumerate(a.kept)}
         hb = {m: q for q, m in enumerate(b.kept)}
-        self.g = tuple((ga.get(s, -1), gb.get(s, -1)) for s in u.seeds) + ((-1, -1),)
-        self.h = tuple((ha.get(m, -1), hb.get(m, -1)) for m in u.kept) + ((-1, -1),)
+        self.g = tuple((ga.get(s, -1), gb.get(s, -1)) for s in u.seeds)
         self.mul = tuple(
             (ha.get(m, -1), hb.get(m, -1), ga.get(rows[m], -1), gb.get(cols[m], -1),
              ga.get(cols[m], -1), gb.get(rows[m], -1))
             for m in u.kept
         )
+        self.plus = self.minus = self.times = None
+
+    def kernel(self, op):
+        eg, eh = _BINARY[op]
+        return _kernel(self, op, "a, b, ga, gb, ha, hb", [eg.format(p=p, q=q) for p, q in self.g],
+                       [eh.format(p=p, q=q, i=i, j=j, j2=j2, i2=i2)
+                        for p, q, i, j, j2, i2 in self.mul])
 
 
 def _plan(a: Layout, b: Layout) -> _Plan:
@@ -240,13 +295,13 @@ class Taylor2:
     ``hessian_pairs(k)`` is the full upper triangle.  A binary op computes
     every entry of the union of its operands' supports with the dense
     formula, reading an entry an operand does not carry at the sentinel,
-    through the plan cached on the operands' layouts; a unary op keeps its
-    operand's layout.  The lists are shared between scalars and never
-    mutated.  Entry (i, j) reads only entry (i, j) and gradient entries i
-    and j of the operands, and goes through exactly the operations of a
-    hyper-dual number seeded with e1 on coordinate i and e2 on coordinate
-    j, so one evaluation reproduces every two-direction pair it keeps, up
-    to the sign of a zero.
+    through the kernel of the plan cached on the operands' layouts; a
+    unary op runs a kernel of its operand's layout and keeps that layout.
+    The lists are shared between scalars and never mutated.  Entry (i, j)
+    reads only entry (i, j) and gradient entries i and j of the operands,
+    and goes through exactly the operations of a hyper-dual number seeded
+    with e1 on coordinate i and e2 on coordinate j, so one evaluation
+    reproduces every two-direction pair it keeps, up to the sign of a zero.
     """
 
     __slots__ = ("re", "g", "h", "layout")
@@ -262,10 +317,9 @@ class Taylor2:
 
     def __add__(self, o):
         if type(o) is Taylor2:
-            ga, gb, ha, hb = self.g, o.g, self.h, o.h
             plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
-            return Taylor2(self.re + o.re, [ga[p] + gb[q] for p, q in plan.g],
-                           [ha[p] + hb[q] for p, q in plan.h], plan.layout)
+            g, h = (plan.plus or plan.kernel("plus"))(self.re, o.re, self.g, o.g, self.h, o.h)
+            return Taylor2(self.re + o.re, g, h, plan.layout)
         if isinstance(o, _NUM) or type(o) is Dual:
             return Taylor2(self.re + o, self.g, self.h, self.layout)
         return NotImplemented
@@ -274,10 +328,9 @@ class Taylor2:
 
     def __sub__(self, o):
         if type(o) is Taylor2:
-            ga, gb, ha, hb = self.g, o.g, self.h, o.h
             plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
-            return Taylor2(self.re - o.re, [ga[p] - gb[q] for p, q in plan.g],
-                           [ha[p] - hb[q] for p, q in plan.h], plan.layout)
+            g, h = (plan.minus or plan.kernel("minus"))(self.re, o.re, self.g, o.g, self.h, o.h)
+            return Taylor2(self.re - o.re, g, h, plan.layout)
         if isinstance(o, _NUM) or type(o) is Dual:
             return Taylor2(self.re - o, self.g, self.h, self.layout)
         return NotImplemented
@@ -289,19 +342,14 @@ class Taylor2:
 
     def __mul__(self, o):
         if type(o) is Taylor2:
-            a, b, ga, gb, ha, hb = self.re, o.re, self.g, o.g, self.h, o.h
+            a, b = self.re, o.re
             plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
-            g = [a * gb[q] + ga[p] * b for p, q in plan.g]
-            g[-1] = 0.0
-            h = [a * hb[q] + ga[i] * gb[j] + ga[j2] * gb[i2] + ha[p] * b
-                 for p, q, i, j, j2, i2 in plan.mul]
-            h.append(0.0)
+            g, h = (plan.times or plan.kernel("times"))(a, b, self.g, o.g, self.h, o.h)
             return Taylor2(a * b, g, h, plan.layout)
         if isinstance(o, _NUM) or type(o) is Dual:
-            g = [x * o for x in self.g]
-            h = [x * o for x in self.h]
-            g[-1] = h[-1] = 0.0
-            return Taylor2(self.re * o, g, h, self.layout)
+            lay = self.layout
+            g, h = (lay.scale or lay.kernel("scale"))(self.g, self.h, o)
+            return Taylor2(self.re * o, g, h, lay)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -311,15 +359,9 @@ class Taylor2:
         if scalar_value(v) == 0.0:
             raise ZeroDivisionError("taylor division by zero")
         inv = 1.0 / v if isinstance(v, _NUM) else reciprocal(v)
-        inv2 = inv * inv
-        g = self.g
-        twice = [2.0 * x for x in g]
-        dg = [-x * inv2 for x in g]
-        dg[-1] = 0.0
-        dh = [-hh * inv2 + twice[i] * g[j] * inv2 * inv
-              for (i, j), hh in zip(self.layout.hg, self.h)]
-        dh.append(0.0)
-        return Taylor2(inv, dg, dh, self.layout)
+        lay = self.layout
+        g, h = (lay.reciprocal or lay.kernel("reciprocal"))(self.g, self.h, inv, inv * inv)
+        return Taylor2(inv, g, h, lay)
 
     def __truediv__(self, o):
         if type(o) is Taylor2:
@@ -337,10 +379,9 @@ class Taylor2:
         return NotImplemented
 
     def __neg__(self):
-        g = [-x for x in self.g]
-        h = [-x for x in self.h]
-        g[-1] = h[-1] = 0.0
-        return Taylor2(-self.re, g, h, self.layout)
+        lay = self.layout
+        g, h = (lay.neg or lay.kernel("neg"))(self.g, self.h)
+        return Taylor2(-self.re, g, h, lay)
 
     def __pow__(self, o):
         return g_pow(self, o)
@@ -380,14 +421,9 @@ def _chain(x, f, df, d2f):
     if type(x) is Dual:
         d = df(v)
         return Dual(f(v), [d * e for e in x.du])
-    d, dd = df(v), d2f(v)
-    g = x.g
-    scaled = [dd * e for e in g]
-    dg = [d * e for e in g]
-    dg[-1] = 0.0
-    dh = [d * hh + scaled[i] * g[j] for (i, j), hh in zip(x.layout.hg, x.h)]
-    dh.append(0.0)
-    return Taylor2(f(v), dg, dh, x.layout)
+    lay = x.layout
+    g, h = (lay.chain or lay.kernel("chain"))(x.g, x.h, df(v), d2f(v))
+    return Taylor2(f(v), g, h, lay)
 
 
 def _domain(cond, message):

@@ -6,8 +6,8 @@ report where their outputs differ.
 Each run is ``python -m jetlag COMMAND --config FILE`` in a fresh process
 with ``PYTHONPATH`` set to one tree, two runs at a time.  The configs are
 the 27 corpus configs of ``conftest`` (``count=4``), the quartic
-(``count=4``) and the sphere (``dt=1e-2``), six expression Lagrangians
-(three with a solver), two metrics that vanish along an extremal (g = x1
+(``count=4``) and the sphere (``dt=1e-2``), seven expression Lagrangians
+(four with a solver), two metrics that vanish along an extremal (g = x1
 and g = x1^2) and an indefinite temporal metric with a zero diagonal.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
@@ -92,6 +92,12 @@ def configs() -> dict:
     out["expr_p2_n1"] = _expression(
         2, 1, "v1_1^2 - v1_2^2 + x1^2*t2",
         h={"kind": "expression", "entries": [["1", "0"], ["0", "-1"]], "signature": [1, 1]})
+    # sqrt, log, tan, cosh, a negative integer power, a non-integer power and
+    # a quotient by a seeded denominator; g is positive definite over the box
+    out["expr_functions_p1_n2"] = _expression(
+        1, 2, "sqrt(2 + x1^2)*v1_1^2 + (log(2 + x2^2) + (1 + x2^2)^(-1))*v2_1^2"
+              " + tan(0.3*x1)*v1_1*v2_1 + cosh(0.2*x2)/(2 + t1^2) + (1.5 + x1)^1.5",
+        x0=[0.2, -0.1], y0=[0.5, 0.3])
     out["expr_p3_n2"] = _expression(
         3, 2, "v1_1^2 + v1_2^2 + v1_3^2 + (1 + x1^2)*(v2_1^2 + v2_2^2 + v2_3^2)")
     out["abort_x1"] = _harmonic_p1([["x1"]], 0.3, -1.0)

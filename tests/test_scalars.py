@@ -17,12 +17,23 @@ coordinate wrapped.
 ``DenseTaylor2`` below is the former dense Taylor2, every scalar carrying
 all k gradient entries and every pair: the sparse evaluation must give each
 of its entries bitwise, zeros by value.
+
+The ``_ref_*`` functions below are each op's formula as the per-entry
+comprehensions that the compiled kernels replaced: every kernel must give
+their value, entries and layout bitwise, zeros by sign.
 """
 
 import math
+import os
 import random
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetlag import cartan, connection, dsl, extremal, metric_engine, scalars
 from jetlag.calculus import (
@@ -753,6 +764,212 @@ class TestSupport:
                 pack.coefficients_at(q)
             seen.append(totals())
         assert seen[0] == seen[1]
+
+
+# --- Compiled kernels against the per-entry formulas ------------------------------
+#
+# The references read the same plan positions and 0.0 sentinels as the
+# kernels.  A nan is compared as a nan: which operand's nan a product of two
+# nans returns changes once the interpreter specializes the instruction, so
+# its sign is not reproducible even between two runs of one formula.
+
+
+def _ref_binary(x, y, op):
+    plan = scalars._Plan(x.layout, y.layout)
+    ga, gb, ha, hb = x.g, y.g, x.h, y.h
+    rows_g = plan.g + ((-1, -1),)
+    rows_h = tuple(row[:2] for row in plan.mul) + ((-1, -1),)
+    if op == "+":
+        return Taylor2(x.re + y.re, [ga[p] + gb[q] for p, q in rows_g],
+                       [ha[p] + hb[q] for p, q in rows_h], plan.layout)
+    if op == "-":
+        return Taylor2(x.re - y.re, [ga[p] - gb[q] for p, q in rows_g],
+                       [ha[p] - hb[q] for p, q in rows_h], plan.layout)
+    a, b = x.re, y.re
+    g = [a * gb[q] + ga[p] * b for p, q in rows_g]
+    g[-1] = 0.0
+    h = [a * hb[q] + ga[i] * gb[j] + ga[j2] * gb[i2] + ha[p] * b
+         for p, q, i, j, j2, i2 in plan.mul]
+    h.append(0.0)
+    return Taylor2(a * b, g, h, plan.layout)
+
+
+def _ref_scale(x, o):
+    g = [e * o for e in x.g]
+    h = [e * o for e in x.h]
+    g[-1] = h[-1] = 0.0
+    return Taylor2(x.re * o, g, h, x.layout)
+
+
+def _ref_neg(x):
+    g = [-e for e in x.g]
+    h = [-e for e in x.h]
+    g[-1] = h[-1] = 0.0
+    return Taylor2(-x.re, g, h, x.layout)
+
+
+def _ref_reciprocal(x):
+    v = x.re
+    if _value(v) == 0.0:
+        raise ZeroDivisionError("taylor division by zero")
+    inv = 1.0 / v if isinstance(v, _NUM) else _reciprocal(v)
+    inv2 = inv * inv
+    g = x.g
+    twice = [2.0 * e for e in g]
+    dg = [-e * inv2 for e in g]
+    dg[-1] = 0.0
+    dh = [-hh * inv2 + twice[i] * g[j] * inv2 * inv for (i, j), hh in zip(x.layout.hg, x.h)]
+    dh.append(0.0)
+    return Taylor2(inv, dg, dh, x.layout)
+
+
+def _ref_chain(x, fv, d, dd):
+    g = x.g
+    scaled = [dd * e for e in g]
+    dg = [d * e for e in g]
+    dg[-1] = 0.0
+    dh = [d * hh + scaled[i] * g[j] for (i, j), hh in zip(x.layout.hg, x.h)]
+    dh.append(0.0)
+    return Taylor2(fv, dg, dh, x.layout)
+
+
+def _bits(s):
+    """A scalar as its packed float bits, recursively, with its layout."""
+    if type(s) is Dual:
+        return ("Dual", _bits(s.re), tuple(map(_bits, s.du)))
+    if type(s) is Taylor2:
+        return ("Taylor2", _bits(s.re), tuple(map(_bits, s.g)), tuple(map(_bits, s.h)), s.layout)
+    return "nan" if math.isnan(s) else struct.pack("<d", s)
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+# Entry values: either full-mantissa values of one scale, whose sums round
+# differently in another order, or specials mixed with any float.
+_VALUES = (
+    st.integers(-2**53, 2**53).map(lambda m: m / 2**51),
+    st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]),
+              st.floats()),
+)
+_DUAL_WIDTH = 2
+
+
+@st.composite
+def _case(draw):
+    """Two Taylor2s of one evaluation, full triangle or spray pairs, with
+    supports disjoint, overlapping, equal or carrying no kept pair, and a
+    plain and a Dual constant and f', f'' for the unary ops; the Taylor2
+    entries are floats or Duals."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        pairs, unpaired = hessian_pairs(k), ()
+    else:
+        p, n = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]))
+        pairs, k = connection._spray_pairs(n, p), p + n + n * p
+        unpaired = tuple(range(p + n))  # t and x carry no pair among themselves
+    seeds = st.sets(st.sampled_from(range(k)), max_size=k)
+    mode = draw(st.sampled_from(["disjoint", "overlapping", "equal", "no kept pair"]))
+    if mode == "no kept pair":
+        pool = st.sets(st.sampled_from(unpaired)) if unpaired else st.just(set())
+        sa, sb = draw(pool), draw(pool)
+    else:
+        sa = draw(seeds)
+        if mode == "equal":
+            sb = sa
+        elif mode == "disjoint":
+            rest = sorted(set(range(k)) - sa)
+            sb = draw(st.sets(st.sampled_from(rest))) if rest else set()
+        else:
+            sb = draw(seeds)
+    values = draw(st.sampled_from(_VALUES))
+
+    def entry(dual):
+        if dual:
+            return Dual(draw(values), [draw(values) for _ in range(_DUAL_WIDTH)])
+        return draw(values)
+
+    dual = draw(st.booleans())
+    out = []
+    for s in (sa, sb):
+        lay = scalars.layout(pairs, tuple(sorted(s)))
+        g = [entry(dual) for _ in lay.seeds] + [0.0]
+        h = [entry(dual) for _ in lay.kept] + [0.0]
+        out.append(Taylor2(entry(dual), g, h, lay))
+    if mode == "no kept pair":
+        assert out[0].layout.kept == out[1].layout.kept == ()
+    return (*out, entry(False), entry(True), entry(False), entry(False))
+
+
+class TestKernelsMatchTheFormulas:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_case())
+    def test_every_op_is_bitwise_the_formula(self, case):
+        x, y, constant, dual_constant, d, dd = case
+        assert _bits(x + y) == _bits(_ref_binary(x, y, "+"))
+        assert _bits(x - y) == _bits(_ref_binary(x, y, "-"))
+        assert _bits(x * y) == _bits(_ref_binary(x, y, "*"))
+        for o in (constant, dual_constant):
+            assert _bits(x * o) == _bits(_ref_scale(x, o))
+        assert _bits(-x) == _bits(_ref_neg(x))
+        assert _outcome(Taylor2._reciprocal, x) == _outcome(_ref_reciprocal, x)
+        chained = scalars._chain(x, lambda v: 0.5, lambda v: d, lambda v: dd)
+        assert _bits(chained) == _bits(_ref_chain(x, 0.5, d, dd))
+
+    def test_full_triangle_product_over_99_seeds(self):
+        # the expression language's largest evaluation: p = n = 9 over
+        # p + n + np = 99 coordinates
+        k = 9 + 9 + 81
+        pairs = hessian_pairs(k)
+        rng = random.Random(99)
+        out = []
+        for seeds in (tuple(range(k)), tuple(sorted(rng.sample(range(k), 60)))):
+            lay = scalars.layout(pairs, seeds)
+            out.append(Taylor2(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in seeds] + [0.0],
+                               [rng.uniform(-2, 2) for _ in lay.kept] + [0.0], lay))
+        x, y = out
+        assert _bits(x * y) == _bits(_ref_binary(x, y, "*"))
+        assert _bits(y * x) == _bits(_ref_binary(y, x, "*"))
+
+    def test_plans_of_one_index_pattern_share_one_kernel(self):
+        # x^0 * (x^0 x^1) and x^1 * (x^1 x^2) in one evaluation, and the
+        # first again in an evaluation over more seeds, read their operands
+        # at the same positions
+        def product(pairs, s):
+            a, b = scalars.layout(pairs, (s,)), scalars.layout(pairs, (s, s + 1))
+            x = Taylor2(1.0, [1.0, 0.0], [0.0, 0.0], a)
+            y = Taylor2(2.0, [1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], b)
+            return x * y, a.plans[b]
+
+        results = [product(hessian_pairs(3), 0), product(hessian_pairs(3), 1),
+                   product(hessian_pairs(5), 3)]
+        plans = [plan for _, plan in results]
+        assert len({id(plan) for plan in plans}) == 3
+        assert len({plan.times for plan in plans}) == 1
+        assert len({_bits(r)[1:4] for r, _ in results}) == 1
+
+    def test_import_and_config_assembly_compile_no_kernel(self):
+        script = (
+            "from jetlag import scalars\n"
+            "from conftest import CORPUS_DIMS, KINDS, corpus_instance, quartic_config, sphere_config\n"
+            "from jetlag.config import assemble\n"
+            "for kind in KINDS:\n"
+            "    for p, n in CORPUS_DIMS:\n"
+            "        corpus_instance(kind, p, n)\n"
+            "assemble(quartic_config())\n"
+            "assemble(sphere_config())\n"
+            "print(len(scalars._KERNELS))\n"
+        )
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=here, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 # --- Evaluations per assembly ---------------------------------------------------------
