@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DimensionError
 from .jet_core import Dims, JetPoint, raw_point
 from .scalars import Dual, Taylor2, hessian_pairs, scalar_value, seeded
 
@@ -48,23 +47,6 @@ def all_coords(dims: Dims):
     out = [t_coord(a) for a in range(dims.p)]
     out += [x_coord(i) for i in range(dims.n)]
     return out + vertical_coords(dims)
-
-
-def parse_coord(text: str) -> Coord:
-    """Parse the surface form t1 / x2 / v1_2 (1-based) into a Coord."""
-    kind = text[:1]
-    rest = text[1:]
-    try:
-        if kind == "t":
-            return t_coord(int(rest) - 1)
-        if kind == "x":
-            return x_coord(int(rest) - 1)
-        if kind == "v":
-            i, a = rest.split("_")
-            return v_coord(int(i) - 1, int(a) - 1)
-    except ValueError:
-        pass
-    raise DimensionError(f"not a coordinate name: {text!r}")
 
 
 # --- Lifts ------------------------------------------------------------------
@@ -145,15 +127,6 @@ def gradient_hessian(f, point: JetPoint, coords, pairs=None):
             i, j = rows[m], cols[m]
             hess[i][j] = hess[j][i] = e
     return grad, hess
-
-
-def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):
-    """Mixed second partial, with ``wrt1`` as the first direction."""
-    if isinstance(wrt1, str):
-        wrt1 = parse_coord(wrt1)
-    if isinstance(wrt2, str):
-        wrt2 = parse_coord(wrt2)
-    return gradient_hessian(f, point, (wrt1, wrt2))[1][0][1]
 
 
 # --- Finite differences (cross-check only) ---------------------------------
@@ -278,6 +251,14 @@ def structure_entry(obj, idx):
     return obj
 
 
+def _value(obj):
+    """Value of every leaf of a lifted structure (a leaf with no Dual is
+    its own value)."""
+    if isinstance(obj, (list, tuple)):
+        return [_value(o) for o in obj]
+    return obj.re if type(obj) is Dual else obj
+
+
 def _partial(obj, s):
     """Sensitivity s of every leaf of a lifted structure (0.0 if no Dual)."""
     if isinstance(obj, (list, tuple)):
@@ -286,8 +267,10 @@ def _partial(obj, s):
 
 
 def field_jacobian(field, point: JetPoint, coords):
-    """Derivatives of a structure-valued field along each of ``coords``,
-    from one evaluation on a Dual lift over them, as a dict keyed by
-    coordinate."""
+    """Value of a structure-valued field at ``point`` and its derivatives
+    along each of ``coords``, as a dict keyed by coordinate, from one
+    evaluation on a Dual lift over them.  The value is bitwise that of a
+    plain call, as a lifted value always is (see ``scalars``), with every
+    container a list."""
     out = field(lift_d1(point, coords))
-    return {c: _partial(out, s) for s, c in enumerate(coords)}
+    return _value(out), {c: _partial(out, s) for s, c in enumerate(coords)}

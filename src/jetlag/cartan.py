@@ -123,12 +123,11 @@ def _cartan_coefficients_p1(L, h, dims):
         return g_from_hessian(L, h, point, dims)
 
     def coefficients(point: JetPoint):
-        g = g_matrix(point)
+        g, jac = field_jacobian(g_matrix, point, all_coords(dims))
         ginv = checked_inverse(g).inverse
-        hbar = h_christoffel_values(h, point.t)
+        _, _, hbar = h_christoffel_values(h, point.t)
         m_co = m_values(hbar, point)
         n_co = spray_n_values(L, h, point, dims)
-        jac = field_jacobian(g_matrix, point, all_coords(dims))
         g_co = _g_block(ginv, [_delta_matrix(jac, t_coord(0), m_co)])
         l_co = christoffel(ginv, [_delta_matrix(jac, x_coord(k), n_co) for k in range(n)])
         c_co = christoffel(ginv, [jac[v_coord(k, 0)] for k in range(n)])
@@ -148,15 +147,15 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
     ts = [t_coord(a) for a in range(p)]
 
     def coefficients(point: JetPoint):
-        ginv = checked_inverse(deco.g_field(point)).inverse
-        hbar = h_christoffel_values(h, point.t)
-        jac = field_jacobian(deco.g_field, point, xs + ts)
+        g, jac = field_jacobian(deco.g_field, point, xs + ts)
+        ginv = checked_inverse(g).inverse
+        hmat, _, hbar = h_christoffel_values(h, point.t)
         l_co = christoffel(ginv, [jac[c] for c in xs])
         dg_dt = [jac[c] for c in ts]
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
         return Coefficients(
             hbar=hbar, g=_g_block(ginv, dg_dt), l=l_co, c=c_co, m=m_values(hbar, point),
-            n=electrodynamics_n_values(h, deco, point, l_co, ginv, dg_dt))
+            n=electrodynamics_n_values(hmat, deco, point, l_co, ginv, dg_dt))
 
     return coefficients, deco.g_field
 
@@ -201,7 +200,7 @@ def berwald_connection(h: TemporalMetric, g_matrix, dims: Dims) -> LinearConnect
     n, p = dims.n, dims.p
 
     def coefficients(point: JetPoint):
-        hbar = h_christoffel_values(h, point.t)
+        _, _, hbar = h_christoffel_values(h, point.t)
         l_co = g_christoffel_values(g_matrix, point)
         g_co = [[[0.0] * p for _ in range(n)] for _ in range(n)]
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -278,10 +277,9 @@ def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
         raise DimensionError(f"unknown covariant direction {direction!r}")
 
     coords = [base_coord] if coeffs is None else [base_coord] + vertical_coords(dims)
-    jac = field_jacobian(field, point, coords)
+    values, jac = field_jacobian(field, point, coords)
     if not valence:
         return jac[base_coord] if coeffs is None else delta_entry(jac, (), base_coord, coeffs)
-    values = field(point)
 
     out = DTensor(valence)
     spatial, temporal = _direction_tables(co, dims, direction)
@@ -347,12 +345,11 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint,
     """
     dims = pack.dims
     n, p = dims.n, dims.p
-    gv = [[scalar_value(e) for e in row] for row in pack.g_matrix_at(point)]
-    hv = [[scalar_value(e) for e in row] for row in pack.h.matrix_at(point.t)]
-
     coords = all_coords(dims)
-    g_jac = field_jacobian(pack.g_matrix_at, point, coords)
-    h_jac = field_jacobian(lambda q: pack.h.matrix_at(q.t), point, coords)
+    g, g_jac = field_jacobian(pack.g_matrix_at, point, coords)
+    hmat, h_jac = field_jacobian(lambda q: pack.h.matrix_at(q.t), point, coords)
+    gv = [[scalar_value(e) for e in row] for row in g]
+    hv = [[scalar_value(e) for e in row] for row in hmat]
 
     G = [[[scalar_value(e) for e in r] for r in m] for m in co.g]
     Lc = [[[scalar_value(e) for e in r] for r in m] for m in co.l]

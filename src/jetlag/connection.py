@@ -104,7 +104,8 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     """Assemble the spray entities from first/second partials of L, all
     from one evaluation of L over every coordinate (``hessian_blocks`` with
     the pairs of ``_spray_pairs``); g is the h-trace of its vertical blocks.
-    It carries h and its inverse, from one evaluation and factorization.
+    It carries h, its inverse and its Christoffels, from the one lift of h
+    in ``h_christoffel_values``.
 
     2S^k = (g^{ki}/2)[d2L/dx^j dv^i_a v^j_a - dL/dx^i]
     2H^k = (g^{ki}/2)[d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}]
@@ -115,10 +116,8 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     v = point.v
 
     blocks, grad, hess = hessian_blocks(L, point, dims, all_coords(dims), _spray_pairs(n, p))
-    hmat = h.matrix_at(point.t)
-    hinv = h.inverse_at(point.t) if h.constant else checked_inverse(hmat).inverse
+    hmat, hinv, hch = h_christoffel_values(h, point.t)
     g = trace_metric(hmat, blocks)
-    hch = h_christoffel_values(h, point.t)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
     ginv, _, inertia = checked_inverse(g)
 
@@ -215,7 +214,7 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
     dims = getattr(L, "dims", None) or point.dims
     n, p = dims.n, dims.p
     data = spray_data(L, h, point, dims)
-    hmat = [[scalar_value(e) for e in row] for row in h.matrix_at(point.t)]
+    hmat = [[scalar_value(e) for e in row] for row in data.hmat]
 
     s = np.array([scalar_value(e) for e in data.s_vec])
     hv = np.array([scalar_value(e) for e in data.h_vec])
@@ -239,7 +238,7 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
     else:
         if decomposition is None:
             decomposition = electrodynamics_decompose(L, h)
-        t_vec = _trace_tensor_vector(h, point, decomposition, data)
+        t_vec = _trace_tensor_vector(point, decomposition, data)
         gamma = g_christoffel_values(decomposition.g_field, point)
         t_tens = DTensor((vertical_upper(n, p), temporal_lower(p)))
         for l in range(n):
@@ -257,23 +256,21 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
                      G_spatial=g_spat, T_tensor=t_tens)
 
 
-def _trace_tensor_vector(h, point, deco: ElectrodynamicsDecomposition, data: SprayData):
+def _trace_tensor_vector(point, deco: ElectrodynamicsDecomposition, data: SprayData):
     """T^l = (g^{li}/4)[2 h^{ab} dg_ij/dt^a v^j_b + U^{(a)}_{(i)j} v^j_a
     + dU^a_i/dt^a + U^a_i H^c_{ac} - dF/dx^i] (halved displayed value)."""
     dims = deco.dims
     n, p = dims.n, dims.p
     v = point.v
-    hinv = h.inverse_at(point.t)
+    hinv = data.hinv
     htrace = [_sum(data.hch[c][a][c] for c in range(p)) for a in range(p)]
 
     ts = [t_coord(a) for a in range(p)]
-    jac = field_jacobian(lambda q: (deco.g_field(q), deco.u_field(q)), point, ts)
+    (_, u), jac = field_jacobian(lambda q: (deco.g_field(q), deco.u_field(q)), point, ts)
     dg_dt = [jac[c][0] for c in ts]
     du_dt = [jac[c][1] for c in ts]
-    u = deco.u_field(point)
     ucurl = deco.u_curl_at(point)
-    df_dx = list(field_jacobian(deco.f_field, point,
-                                [x_coord(i) for i in range(n)]).values())
+    df_dx = list(field_jacobian(deco.f_field, point, [x_coord(i) for i in range(n)])[1].values())
 
     out = []
     for l in range(n):
@@ -319,14 +316,14 @@ def pair_n_values(gamma, point: JetPoint):
     ]
 
 
-def electrodynamics_n_values(h: TemporalMetric, deco: ElectrodynamicsDecomposition,
+def electrodynamics_n_values(hmat, deco: ElectrodynamicsDecomposition,
                              point: JetPoint, gamma, ginv, dg_dt):
     """The p >= 2 canonical N^{(i)}_{(a)j} = Gamma^i_{jk} v^k_a
     + (g^{ik}/2) dg_jk/dt^a + (g^{ik}/4) h_{ac} U^{(c)}_{(k)j} as
-    [i][a][j], from the decomposition metric's Christoffels ``gamma``,
-    inverse ``ginv`` and t-partials ``dg_dt[a]`` at the point."""
+    [i][a][j], from h's matrix ``hmat`` and the decomposition metric's
+    Christoffels ``gamma``, inverse ``ginv`` and t-partials ``dg_dt[a]``
+    at the point."""
     n, p = len(ginv), len(dg_dt)
-    hmat = h.matrix_at(point.t)
     ucurl = deco.u_curl_at(point)
     out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
     for i in range(n):
@@ -348,7 +345,7 @@ def spray_n_values(L, h: TemporalMetric, point: JetPoint, dims: Dims):
     included."""
     vs = [v_coord(j, 0) for j in range(dims.n)]
     hmat = h.matrix_at(point.t)
-    jac = field_jacobian(lambda q: gcal_values(L, h, q, dims), point, vs)
+    _, jac = field_jacobian(lambda q: gcal_values(L, h, q, dims), point, vs)
     return [[[hmat[0][0] * jac[c][i] for c in vs]] for i in range(dims.n)]
 
 

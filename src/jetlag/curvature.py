@@ -56,11 +56,11 @@ class _Frame:
             co = pack.coefficients_at(q)
             return [co.m, co.n, co.hbar, co.g, co.l, co.c]
 
-        base = dict(zip(_TABLES, structure_values(tables(point))))
+        values, jac = field_jacobian(tables, point, all_coords(self.dims))
+        base = dict(zip(_TABLES, structure_values(values)))
         # M and N stay nested float lists: delta_entry skips their float zeros
         self.m_values, self.n_values = base["M"], base["N"]
         self.H, self.G, self.L, self.C = (np.array(base[k]) for k in "HGLC")
-        jac = field_jacobian(tables, point, all_coords(self.dims))
         self.d = {c: {k: np.array(part) for k, part in zip(_TABLES, parts)}
                   for c, parts in jac.items()}
 

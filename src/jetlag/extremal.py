@@ -261,7 +261,7 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
         point = JetPoint(ts, tuple(xs), tuple(tuple(first[i]) for i in range(n)))
         data = spray_data(L, h, point, dims)
         hinv = [[scalar_value(e) for e in r] for r in data.hinv]
-        hch = h_christoffel_values(h, ts)
+        _, _, hch = h_christoffel_values(h, ts)
         g_vec = data.g_vec
         for k in range(n):
             acc = 0.0

@@ -149,11 +149,11 @@ def riemann(ch, dch):
 
 
 def _t_partials(fn, ts):
-    """[d fn/dt^a for each a] of a structure-valued function of the
-    t-tuple alone."""
+    """The value at ``ts`` of a structure-valued function of the t-tuple
+    alone and [d fn/dt^a for each a], from one evaluation on a lift."""
     coords = [t_coord(a) for a in range(len(ts))]
-    jac = field_jacobian(lambda q: fn(q.t), raw_point(tuple(ts), (), ()), coords)
-    return [jac[c] for c in coords]
+    value, jac = field_jacobian(lambda q: fn(q.t), raw_point(tuple(ts), (), ()), coords)
+    return value, [jac[c] for c in coords]
 
 
 @dataclass
@@ -213,12 +213,16 @@ class TemporalMetric:
 
 
 def h_christoffel_values(h: TemporalMetric, ts):
-    """H^c_{ab} = h^{cm}(d_a h_{mb} + d_b h_{ma} - d_m h_{ab})/2 as nested
-    lists [c][a][b]; generic over the scalar kind of ts."""
+    """h's matrix at ``ts``, its inverse and the Christoffels
+    H^c_{ab} = h^{cm}(d_a h_{mb} + d_b h_{ma} - d_m h_{ab})/2 as nested
+    lists [c][a][b], all from one evaluation of h on a lift over t and one
+    factorization; generic over the scalar kind of ts."""
     p = h.p
     if h.constant:
-        return [[[0.0] * p for _ in range(p)] for _ in range(p)]
-    return christoffel(h.inverse_at(ts), _t_partials(h.matrix_at, ts))
+        return h.matrix_at(ts), h.inverse_at(ts), [[[0.0] * p for _ in range(p)] for _ in range(p)]
+    hmat, dh = _t_partials(h.matrix_at, ts)
+    hinv = checked_inverse(hmat).inverse
+    return hmat, hinv, christoffel(hinv, dh)
 
 
 def h_curvature_values(h: TemporalMetric, ts):
@@ -227,8 +231,7 @@ def h_curvature_values(h: TemporalMetric, ts):
     p = h.p
     if h.constant or p == 1:
         return [[[[0.0] * p for _ in range(p)] for _ in range(p)] for _ in range(p)]
-    ch = h_christoffel_values(h, ts)
-    return riemann(ch, _t_partials(lambda q: h_christoffel_values(h, q), ts))
+    return riemann(*_t_partials(lambda q: h_christoffel_values(h, q)[2], ts))
 
 
 # --- Spatial metric ----------------------------------------------------------
@@ -239,15 +242,13 @@ def g_christoffel_values(g_matrix, point: JetPoint):
     [l][j][k], of the spatial metric ``g_matrix`` (JetPoint -> n x n);
     spatial partials only."""
     xs = [x_coord(k) for k in range(len(point.x))]
-    ginv = checked_inverse(g_matrix(point)).inverse
-    dg = field_jacobian(g_matrix, point, xs)
-    return christoffel(ginv, [dg[c] for c in xs])
+    g, dg = field_jacobian(g_matrix, point, xs)
+    return christoffel(checked_inverse(g).inverse, [dg[c] for c in xs])
 
 
 def g_curvature_values(g_matrix, point: JetPoint):
     """r^m_{pij} = d_j Gamma^m_{pi} - d_i Gamma^m_{pj}
     + Gamma^k_{pi} Gamma^m_{kj} - Gamma^k_{pj} Gamma^m_{ki}, [m][p][i][j]."""
     xs = [x_coord(j) for j in range(len(point.x))]
-    gam = g_christoffel_values(g_matrix, point)
-    dgam = field_jacobian(lambda q: g_christoffel_values(g_matrix, q), point, xs)
+    gam, dgam = field_jacobian(lambda q: g_christoffel_values(g_matrix, q), point, xs)
     return riemann(gam, [dgam[c] for c in xs])

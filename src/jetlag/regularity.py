@@ -299,7 +299,7 @@ class ElectrodynamicsDecomposition:
         evaluation of the U field lifted over every x."""
         n, p = self.dims.n, self.dims.p
         xs = [x_coord(j) for j in range(n)]
-        du = field_jacobian(self.u_field, point, xs)
+        _, du = field_jacobian(self.u_field, point, xs)
         return [
             [[du[xs[j]][i][a] - du[xs[i]][j][a] for j in range(n)] for a in range(p)]
             for i in range(n)
@@ -340,7 +340,7 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
             return [[(g[i][j] + g[j][i]) * 0.5 for j in range(n)] for i in range(n)]
 
         def u_field(pt):
-            jac = field_jacobian(L, _at_zero_velocity(pt, dims), vertical_coords(dims))
+            _, jac = field_jacobian(L, _at_zero_velocity(pt, dims), vertical_coords(dims))
             return [[jac[v_coord(i, a)] for a in range(p)] for i in range(n)]
 
         def f_field(pt):

@@ -36,6 +36,12 @@ kept per distinct source, so supports of one relative pattern share it.
 All arithmetic is generic over the component kind, which is what makes
 nesting (derivatives of quantities that are themselves assembled from
 derivatives) work without any symbolic machinery.
+
+The value of every result is the plain evaluation's value, bitwise: a
+quotient's value is ``a.re / b.re``, the one division a plain (or, nested,
+the older layer's) evaluation makes, while its derivative entries go
+through 1/b.  So a caller holding a lifted evaluation reads the plain
+values from it (``calculus.field_jacobian`` returns both).
 """
 
 from __future__ import annotations
@@ -131,7 +137,7 @@ class Dual:
             if scalar_value(b) == 0.0:
                 raise ZeroDivisionError("dual division by zero")
             inv = 1.0 / b if isinstance(b, _NUM) else reciprocal(b)
-            return Dual(a * inv, [(x * b - a * y) * inv * inv for x, y in zip(self.du, o.du)])
+            return Dual(a / b, [(x * b - a * y) * inv * inv for x, y in zip(self.du, o.du)])
         if isinstance(o, _NUM):
             if o == 0.0:
                 raise ZeroDivisionError("dual division by zero")
@@ -143,7 +149,7 @@ class Dual:
             if scalar_value(self.re) == 0.0:
                 raise ZeroDivisionError("dual division by zero")
             inv = 1.0 / self.re if isinstance(self.re, _NUM) else reciprocal(self.re)
-            return Dual(o * inv, [-o * x * inv * inv for x in self.du])
+            return Dual(o / self.re, [-o * x * inv * inv for x in self.du])
         return NotImplemented
 
     def __neg__(self):
@@ -365,17 +371,19 @@ class Taylor2:
 
     def __truediv__(self, o):
         if type(o) is Taylor2:
-            return self * o._reciprocal()
+            r = self * o._reciprocal()
+            return Taylor2(self.re / o.re, r.g, r.h, r.layout)
         if isinstance(o, _NUM) or type(o) is Dual:
             if scalar_value(o) == 0.0:
                 raise ZeroDivisionError("taylor division by zero")
-            inv = 1.0 / o if isinstance(o, _NUM) else reciprocal(o)
-            return self * inv
+            r = self * (1.0 / o if isinstance(o, _NUM) else reciprocal(o))
+            return Taylor2(self.re / o, r.g, r.h, r.layout)
         return NotImplemented
 
     def __rtruediv__(self, o):
         if isinstance(o, _NUM) or type(o) is Dual:
-            return self._reciprocal() * o
+            r = self._reciprocal() * o
+            return Taylor2(o / self.re, r.g, r.h, r.layout)
         return NotImplemented
 
     def __neg__(self):

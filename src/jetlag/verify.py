@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import d2, fd_crosscheck, v_coord, x_coord
+from .calculus import fd_crosscheck
 from .cartan import cartan_connection, metric_compatibility
 from .config import ProblemInstance
 from .connection import euler_lagrange_residual, spray_data, spray_entities
@@ -79,17 +79,6 @@ def run_checks(instance: ProblemInstance) -> list:
         ok = ok and rep.passed
     checks.append(CheckResult("ad_fd_crosscheck", ok, worst, tols["crosscheck"]))
 
-    # Symmetry of mixed second derivatives under argument swap.
-    worst = 0.0
-    for pt in pts[:3]:
-        for i in range(dims.n):
-            for a in range(dims.p):
-                one = d2(L, pt, x_coord(i), v_coord(i, a))
-                two = d2(L, pt, v_coord(i, a), x_coord(i))
-                scale = max(abs(one), abs(two), 1.0)
-                worst = max(worst, abs(one - two) / scale)
-    checks.append(CheckResult("schwartz_symmetry", worst <= 1e-9, worst, 1e-9))
-
     # Block regularity.
     verdict = kronecker_test(L, h, instance.sampling["box"],
                              K=instance.sampling["count"],
@@ -150,7 +139,7 @@ def run_checks(instance: ProblemInstance) -> list:
         data = spray_data(L, h, mid, dims)
         res = euler_lagrange_residual(L, mid, xab, data)
         ginv = [[scalar_value(e) for e in row] for row in data.ginv]
-        hinv = [[scalar_value(e) for e in row] for row in h.inverse_at(pt.t)]
+        hinv = [[scalar_value(e) for e in row] for row in data.hinv]
         for k in range(dims.n):
             weighted = 0.5 * sum(ginv[k][i] * res[i] for i in range(dims.n))
             lap = 0.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from jetlag.calculus import Coord, field_jacobian, t_coord
+from jetlag.calculus import Coord, field_jacobian, gradient_hessian, t_coord
 from jetlag.config import assemble
 from jetlag.connection import electrodynamics_n_values
 from jetlag.jet_core import JetPoint
@@ -132,10 +132,16 @@ def canonical_n_reference(h: TemporalMetric, deco, point: JetPoint):
     own evaluations of the decomposition metric: its Christoffels, its
     inverse and its Jacobian along t."""
     ts = [t_coord(a) for a in range(len(point.t))]
-    jac = field_jacobian(deco.g_field, point, ts)
+    _, jac = field_jacobian(deco.g_field, point, ts)
     return electrodynamics_n_values(
-        h, deco, point, g_christoffel_values(deco.g_field, point),
+        h.matrix_at(point.t), deco, point, g_christoffel_values(deco.g_field, point),
         checked_inverse(deco.g_field(point)).inverse, [jac[c] for c in ts])
+
+
+def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):
+    """Mixed second partial of ``f``, with ``wrt1`` as the first direction,
+    from one Taylor2 evaluation over the two coordinates."""
+    return gradient_hessian(f, point, (wrt1, wrt2))[1][0][1]
 
 
 # --- Small central-difference oracles (independent of the calculus module) ---

@@ -16,7 +16,7 @@ from jetlag.cartan import berwald_connection, cartan_connection, metric_compatib
 from jetlag.config import assemble
 from jetlag.connection import spray_entities
 from jetlag.curvature import curvature_table, table_zero_audit, torsion_table
-from jetlag.calculus import d2, fd_crosscheck, v_coord, x_coord
+from jetlag.calculus import fd_crosscheck, v_coord, x_coord
 from jetlag.errors import DslError
 from jetlag.extremal import ExtremalProblem, GridMap, harmonic_residual, integrate_extremal
 from jetlag.fields import (
@@ -34,6 +34,7 @@ from conftest import (
     CORPUS_DIMS,
     KINDS,
     corpus_instance,
+    d2,
     quartic_config,
     spatial_metric_of,
     sphere_config,

@@ -95,7 +95,7 @@ class TestEulerLagrange:
             res = euler_lagrange_residual(inst.L, point, xab, data)
             ginv = [[scalar_value(e) for e in row] for row in data.ginv]
             hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(ts)]
-            hch = h_christoffel_values(inst.h, ts)
+            hch = h_christoffel_values(inst.h, ts)[2]
             for k in range(d.n):
                 weighted = 0.5 * sum(ginv[k][i] * res[i] for i in range(d.n))
                 lap = 0.0
@@ -193,7 +193,7 @@ class TestNonlinearConnection:
         inst = corpus_instance("autonomous", 2, 2)  # nonflat h
         pack = cartan_connection(inst.L, inst.h)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=0)[0]
-        hch = h_christoffel_values(inst.h, pt.t)
+        hch = h_christoffel_values(inst.h, pt.t)[2]
         m = pack.coefficients_at(pt).m
         for i in range(2):
             for a in range(2):

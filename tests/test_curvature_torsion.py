@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from jetlag.calculus import all_coords, field_jacobian, lift_d1, t_coord, v_coord
+from jetlag.calculus import all_coords, field_jacobian, lift_d1, map_structure, t_coord, v_coord
 from jetlag.cartan import MHorizontal, berwald_connection, cartan_connection, covariant_derivative
 from jetlag.config import assemble
 from jetlag.connection import gcal_values
@@ -133,7 +133,7 @@ class TestCartanTwoRoute:
             f_tensor = _f_tensor(inst, deco, pt)
             co = pack.coefficients_at(pt)
             ts = [t_coord(a) for a in range(2)]
-            dn_dt = field_jacobian(lambda q: canonical_n_reference(inst.h, deco, q), pt, ts)
+            _, dn_dt = field_jacobian(lambda q: canonical_n_reference(inst.h, deco, q), pt, ts)
             for m in range(2):
                 for mu in range(2):
                     for a in range(2):
@@ -182,7 +182,7 @@ class TestCartanTwoRoute:
         for pt in pts:
             tor = torsion_table(pack, pt)
             co = pack.coefficients_at(pt)
-            dn = field_jacobian(lambda q: pack.coefficients_at(q).n, pt, coords)
+            _, dn = field_jacobian(lambda q: pack.coefficients_at(q).n, pt, coords)
             h111 = scalar_value(co.hbar[0][0][0])
             for m in range(2):
                 for j in range(2):
@@ -216,7 +216,7 @@ class TestCartanTwoRoute:
         tor = torsion_table(pack, pt)
         co = pack.coefficients_at(pt)
         vs = [v_coord(j, 0) for j in range(2)]
-        dn_dv = field_jacobian(lambda q: pack.coefficients_at(q).n, pt, vs)
+        _, dn_dv = field_jacobian(lambda q: pack.coefficients_at(q).n, pt, vs)
         for m in range(2):
             for i in range(2):
                 for j in range(2):
@@ -408,7 +408,7 @@ class TestOneFramePerPoint:
         counting = dataclasses.replace(pack, coefficients_at=counted)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
         curvature_table(torsion_table(counting, pt))
-        assert len(calls) == 1 + 1  # the point, then one lift over every coordinate
+        assert len(calls) == 1  # one lift over every coordinate, its value the point's
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_arrays_match_entry_loops_bitwise(self, p):
@@ -455,7 +455,7 @@ class TestOneLiftIsEveryDirection:
         pt = sample_points(dims, inst.sampling["box"], 1, seed=61)[0]
         for field in (lambda q: gcal_values(inst.L, inst.h, q, dims),
                       lambda q: g_from_hessian(inst.L, inst.h, q, dims)):
-            assert repr(field_jacobian(field, pt, coords)) == repr(
+            assert repr(field_jacobian(field, pt, coords)[1]) == repr(
                 _per_coordinate(field, pt, coords))
         if name == "quartic":
             return  # quartic in the velocities: no Cartan connection for p = 2
@@ -470,6 +470,31 @@ class TestOneLiftIsEveryDirection:
         for c in coords:
             for k, table in zip(_TABLES, want[c]):
                 assert repr(frame.d[c][k].tolist()) == repr(np.array(table).tolist()), (c, k)
+
+
+class TestLiftedValueIsThePlainCall:
+    """``field_jacobian``'s value is a plain call of the field, bitwise by
+    repr (signed zeros included), for every field whose plain call the
+    library replaced with it: the coefficient tables (a frame's) and the
+    spatial metric of the Cartan and Berwald packs, and h's matrix."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
+    def test_frame_tables_and_metrics(self, name):
+        inst = assemble(_ORACLE_CONFIGS[name])
+        dims = inst.dims
+        coords = all_coords(dims)
+        fields = [lambda q: inst.h.matrix_at(q.t)]
+        if name == "quartic":  # no Cartan connection for p = 2: its g alone
+            fields.append(lambda q: g_from_hessian(inst.L, inst.h, q, dims))
+        else:
+            _, cartan = build(inst)
+            berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, dims)
+            for pack in (cartan, berwald):
+                fields += [pack.g_matrix_at, pack.coefficients_at]
+        for pt in sample_points(dims, inst.sampling["box"], 2, seed=62):
+            for field in fields:
+                value, _ = field_jacobian(field, pt, coords)
+                assert repr(value) == repr(map_structure(lambda e: e, field(pt)))
 
 
 def _reprs(tensor):
@@ -553,7 +578,7 @@ def _f_tensor(inst, deco, pt):
     ginv = checked_inverse(gs(pt)).inverse
     hmat = inst.h.matrix_at(pt.t)
     ts = [t_coord(mu) for mu in range(p)]
-    dg_dt = field_jacobian(gs, pt, ts)
+    _, dg_dt = field_jacobian(gs, pt, ts)
     dg = [dg_dt[c] for c in ts]
     ucurl = deco.u_curl_at(pt)
     out = [[[0.0] * p for _ in range(n)] for _ in range(n)]

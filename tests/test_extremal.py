@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from jetlag import connection, extremal, metric_engine
 from jetlag.config import assemble
 from jetlag.errors import DimensionError, StencilError
 from jetlag.extremal import (
@@ -25,7 +26,7 @@ from jetlag.fields import (
 from jetlag.jet_core import Dims
 from jetlag.metric_engine import TemporalMetric
 
-from conftest import sphere_config, temporal_metric_of
+from conftest import corpus_instance, sphere_config, temporal_metric_of
 
 
 def flat_metric_model(n, h=None):
@@ -314,3 +315,31 @@ class TestAction:
             y = base.y + eps * np.outer(dphi, w)
             traj = Trajectory(t=base.t, x=x, y=y)
             assert action_value(inst.L, inst.h, traj) >= s0 - 1e-10
+
+
+class TestWorkPerStage:
+    def test_one_stage_evaluates_h_twice_and_factorizes_three_times(self, monkeypatch):
+        # p = 1 with t-dependent h: L's Taylor2 lift inverts h inside the
+        # spray's one evaluation (h once, factorization once);
+        # h_christoffel_values lifts h over t once, whose value is h's
+        # matrix, and factorizes it once for the inverse; g is factorized
+        # once
+        inst = corpus_instance("non_autonomous", 1, 3)
+        assert not inst.h.constant
+        counts = {"h": 0, "factorizations": 0}
+        matrix, factor = inst.h.matrix, metric_engine.checked_inverse
+
+        def counted_matrix(ts):
+            counts["h"] += 1
+            return matrix(ts)
+
+        def counted_factor(rows):
+            counts["factorizations"] += 1
+            return factor(rows)
+
+        monkeypatch.setattr(inst.h, "matrix", counted_matrix)
+        for module in (metric_engine, connection):
+            monkeypatch.setattr(module, "checked_inverse", counted_factor)
+        extremal._acceleration(inst.L, inst.h, inst.dims, 0.3, np.array([0.1, -0.2, 0.3]),
+                               np.array([0.4, 0.2, -0.3]))
+        assert counts == {"h": 2, "factorizations": 3}

@@ -34,7 +34,7 @@ def u_curl_per_entry(deco, point):
     n, p = deco.dims.n, deco.dims.p
     du = [
         [[field_jacobian(lambda pt, i=i, a=a: deco.u_field(pt)[i][a], point,
-                         (x_coord(j),))[x_coord(j)]
+                         (x_coord(j),))[1][x_coord(j)]
           for j in range(n)] for a in range(p)] for i in range(n)
     ]
     return [

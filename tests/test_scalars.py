@@ -9,14 +9,17 @@ and Hessian entry of one Taylor2 evaluation must be bitwise the entry of
 the hyper-dual evaluation seeded on that pair of coordinates (e1 on the
 lower index).  Zeros are compared by value, since the Taylor2 evaluation
 also carries the other coordinates' seeds, whose zero terms can flip the
-sign of a zero.  The electrodynamics family is compared with the former
-two-seed evaluations as they were; random expressions, whose quotients of
-unseeded coordinates round differently in plain floats, with every
-coordinate wrapped.
+sign of a zero.  Both oracles take a quotient's value as ``a.re / b.re``,
+as the library does, so a quotient of unseeded coordinates, which runs in
+plain floats in a two-seed evaluation, has the same value in both.
 
 ``DenseTaylor2`` below is the former dense Taylor2, every scalar carrying
 all k gradient entries and every pair: the sparse evaluation must give each
 of its entries bitwise, zeros by value.
+
+A lifted evaluation's value is the plain evaluation's, bitwise, for a
+``Dual``, a Taylor2 and a Taylor2 over a ``Dual``-lifted point; restoring the
+former (1/b)·a value at any one quotient fails that invariant.
 
 The ``_ref_*`` functions below are each op's formula as the per-entry
 comprehensions that the compiled kernels replaced: every kernel must give
@@ -135,17 +138,19 @@ class HyperDual:
 
     def __truediv__(self, o):
         if type(o) is HyperDual:
-            return self * o._reciprocal()
+            r = self * o._reciprocal()
+            return HyperDual(self.re / o.re, r.e1, r.e2, r.e12)
         if isinstance(o, _NUM) or type(o) is Dual:
             if _value(o) == 0.0:
                 raise ZeroDivisionError("hyperdual division by zero")
             inv = 1.0 / o if isinstance(o, _NUM) else _reciprocal(o)
-            return HyperDual(self.re * inv, self.e1 * inv, self.e2 * inv, self.e12 * inv)
+            return HyperDual(self.re / o, self.e1 * inv, self.e2 * inv, self.e12 * inv)
         return NotImplemented
 
     def __rtruediv__(self, o):
         if isinstance(o, _NUM) or type(o) is Dual:
-            return self._reciprocal() * o
+            r = self._reciprocal() * o
+            return HyperDual(o / self.re, r.e1, r.e2, r.e12)
         return NotImplemented
 
     def __neg__(self):
@@ -231,15 +236,6 @@ def lift_d2(point, w1, w2):
     return _seed_coord(lifted, w2, HyperDual(point.coord(w2), 0.0, 1.0, 0.0))
 
 
-def lift_d2_everywhere(point, coords, w1, w2):
-    """``lift_d2`` with every other coordinate of ``coords`` wrapped in an
-    unseeded HyperDual, so that no subexpression runs in plain floats."""
-    for c in coords:
-        if c not in (w1, w2):
-            point = _seed_coord(point, c, HyperDual(point.coord(c)))
-    return lift_d2(point, w1, w2)
-
-
 @pytest.fixture
 def hyperdual_kernels(monkeypatch):
     """Expression closures compiled inside this fixture send hyper-dual
@@ -276,10 +272,9 @@ def _same(a, b) -> bool:
     return repr(a) == repr(b)
 
 
-def _pair_mismatches(f, point, coords, everywhere=False):
+def _pair_mismatches(f, point, coords):
     """Entries where the one Taylor2 evaluation over ``coords`` differs from
-    the hyper-dual evaluation of each pair (with ``everywhere``, the other
-    coordinates wrapped too); None when both raise."""
+    the hyper-dual evaluation of each pair; None when both raise."""
     try:
         grad, hess = gradient_hessian(f, point, coords)
     except EvalDomainError:
@@ -288,10 +283,7 @@ def _pair_mismatches(f, point, coords, everywhere=False):
     for i, c1 in enumerate(coords):
         for j in range(i, len(coords)):
             try:
-                if everywhere:
-                    r = f(lift_d2_everywhere(point, coords, c1, coords[j]))
-                else:
-                    r = f(lift_d2(point, c1, coords[j]))
+                r = f(lift_d2(point, c1, coords[j]))
             except EvalDomainError:
                 raised = True
                 continue
@@ -308,10 +300,6 @@ def _pair_mismatches(f, point, coords, everywhere=False):
 
 class TestTaylor2MatchesHyperDual:
     def test_random_expressions(self, hyperdual_kernels):
-        # In a two-seed evaluation a quotient of unseeded coordinates runs in
-        # floats, and a/b rounds differently from the a * (1/b) of every
-        # derivative scalar (3.932 / v2_1 moves an entry by one ulp), so the
-        # oracle here wraps every coordinate.
         rng = random.Random(21)
         dims = Dims(2, 2)
         coords = all_coords(dims)
@@ -322,7 +310,7 @@ class TestTaylor2MatchesHyperDual:
             point = JetPoint(tuple(rng.uniform(0.1, 2) for _ in range(2)),
                              tuple(rng.uniform(0.1, 2) for _ in range(2)),
                              tuple(tuple(rng.uniform(0.1, 2) for _ in range(2)) for _ in range(2)))
-            bad = _pair_mismatches(field, point, coords, everywhere=True)
+            bad = _pair_mismatches(field, point, coords)
             if bad is not None:
                 compared += 1
                 assert bad == [], text
@@ -536,18 +524,20 @@ class DenseTaylor2:
 
     def __truediv__(self, o):
         if type(o) is DenseTaylor2:
-            return self * o._reciprocal()
+            r = self * o._reciprocal()
+            return DenseTaylor2(self.re / o.re, r.g, r.h, r.pairs)
         if isinstance(o, _NUM) or type(o) is Dual:
             if _value(o) == 0.0:
                 raise ZeroDivisionError("taylor division by zero")
             inv = 1.0 / o if isinstance(o, _NUM) else _reciprocal(o)
-            return DenseTaylor2(self.re * inv, [x * inv for x in self.g],
+            return DenseTaylor2(self.re / o, [x * inv for x in self.g],
                                 [x * inv for x in self.h], self.pairs)
         return NotImplemented
 
     def __rtruediv__(self, o):
         if isinstance(o, _NUM) or type(o) is Dual:
-            return self._reciprocal() * o
+            r = self._reciprocal() * o
+            return DenseTaylor2(o / self.re, r.g, r.h, r.pairs)
         return NotImplemented
 
     def __neg__(self):
@@ -972,6 +962,91 @@ class TestKernelsMatchTheFormulas:
         assert proc.stdout.strip() == "0"
 
 
+# --- A lifted value is the plain value -------------------------------------------------
+
+
+def _lifted_value_mismatches(cases, first_only=False):
+    """Over ``cases`` random depth-4 expressions on dims (2, 2) at points
+    with every coordinate in [0.1, 1], the number of evaluable ones and of
+    those whose lifted value is not bitwise the plain one: the value of a
+    Dual lift over every coordinate and of a Taylor2 lift over every
+    coordinate against the plain evaluation, and the value of a Taylor2
+    lift over three coordinates of that Dual-lifted point against the
+    Dual evaluation, its entries included.  With ``first_only``, stop at
+    the first mismatch."""
+    rng = random.Random(18)
+    dims = Dims(2, 2)
+    coords = all_coords(dims)
+    nested = (t_coord(0), x_coord(1), v_coord(0, 1))
+    evaluable, bad = 0, {"dual": 0, "taylor2": 0, "taylor2 over dual": 0}
+    for _ in range(cases):
+        field = ExpressionField(dsl.format_ast(random_ast(rng, dims, depth=4)), dims)
+        point = JetPoint(*(tuple(rng.uniform(0.1, 1) for _ in range(2)) for _ in range(2)),
+                         tuple(tuple(rng.uniform(0.1, 1) for _ in range(2)) for _ in range(2)))
+        dual_point = lift_d1(point, coords)
+        try:
+            plain = field(point)
+            dual = field(dual_point)
+            taylor = field(lift_taylor(point, coords))
+            nested_taylor = field(lift_taylor(dual_point, nested))
+        except (EvalDomainError, ArithmeticError):
+            continue
+        evaluable += 1
+        bad["dual"] += _bits(dual.re if type(dual) is Dual else dual) != _bits(plain)
+        bad["taylor2"] += _bits(taylor.re if type(taylor) is Taylor2 else taylor) != _bits(plain)
+        bad["taylor2 over dual"] += _bits(
+            nested_taylor.re if type(nested_taylor) is Taylor2 else nested_taylor) != _bits(dual)
+        if first_only and any(bad.values()):
+            break
+    return evaluable, bad
+
+
+def _former_value(cls, name, applies, value):
+    """``cls.name`` with the quotient's value taken as the former (1/b)*a
+    wherever ``applies(o)``; its derivative entries are unchanged."""
+    current = getattr(cls, name)
+
+    def method(self, o):
+        r = current(self, o)
+        if r is NotImplemented or not applies(o):
+            return r
+        if type(r) is Dual:
+            return Dual(value(self, o), r.du)
+        return Taylor2(value(self, o), r.g, r.h, r.layout)
+
+    return method
+
+
+# Each quotient site with its former value, the product of one operand and
+# the reciprocal of the denominator.
+_FORMER_QUOTIENTS = {
+    "Dual / Dual": (Dual, "__truediv__", lambda o: type(o) is Dual,
+                    lambda s, o: s.re * _reciprocal(o.re)),
+    "number / Dual": (Dual, "__rtruediv__", lambda o: True,
+                      lambda s, o: o * _reciprocal(s.re)),
+    "Taylor2 / Taylor2": (Taylor2, "__truediv__", lambda o: type(o) is Taylor2,
+                          lambda s, o: s.re * _reciprocal(o.re)),
+    "Taylor2 / (number | Dual)": (Taylor2, "__truediv__", lambda o: type(o) is not Taylor2,
+                                  lambda s, o: s.re * _reciprocal(o)),
+    "(number | Dual) / Taylor2": (Taylor2, "__rtruediv__", lambda o: True,
+                                  lambda s, o: _reciprocal(s.re) * o),
+}
+
+
+class TestLiftedValueIsPlainValue:
+    def test_random_expressions(self):
+        evaluable, bad = _lifted_value_mismatches(2000)
+        assert evaluable >= 1800
+        assert bad == {"dual": 0, "taylor2": 0, "taylor2 over dual": 0}
+
+    @pytest.mark.parametrize("site", sorted(_FORMER_QUOTIENTS))
+    def test_the_former_quotient_value_fails_it(self, monkeypatch, site):
+        cls, name, applies, value = _FORMER_QUOTIENTS[site]
+        monkeypatch.setattr(cls, name, _former_value(cls, name, applies, value))
+        _, bad = _lifted_value_mismatches(2000, first_only=True)
+        assert any(bad.values()), site
+
+
 # --- Evaluations per assembly ---------------------------------------------------------
 
 
@@ -1031,10 +1106,10 @@ class TestOneEvaluationPerHessian:
         pack = cartan_connection(inst.L, inst.h)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
         curvature_table(torsion_table(pack, pt))
-        lifts = 1 + 1  # the point, then one lift over every coordinate
-        # M, from the closure's own temporal Christoffels, and N, the spray
-        # derivative, are each computed once per lift
-        assert calls == {"m": lifts, "n": lifts}
+        # the frame's one lift over every coordinate, whose value is the
+        # point's: M, from the closure's own temporal Christoffels, and N,
+        # the spray derivative, are each computed once
+        assert calls == {"m": 1, "n": 1}
 
 
 class TestBenchmarkCallStructure:
