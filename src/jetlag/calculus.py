@@ -6,13 +6,19 @@ coordinates gives all k first partials; one on a Taylor2 lift over k
 coordinates also gives the second partials of the pairs it is lifted with,
 by default all k(k+1)/2 of them.  Central finite differences, at the fixed
 steps ``FD_STEP_1`` and ``FD_STEP_2``, exist only to cross-check the forward
-values.
+values.  Their whole stencil, the 1 + 4k + 2k(k - 1) distinct points of
+every first and second difference quotient, is one evaluation of the field
+on a point whose coordinates are float64 arrays over those points (array
+leaves, see ``scalars``); each quotient reads its points' values from that
+evaluation, in the order of the point-by-point formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .jet_core import Dims, JetPoint, raw_point
 from .scalars import Dual, Taylor2, hessian_pairs, scalar_value, seeded
@@ -138,28 +144,47 @@ FD_STEP_1 = 6e-6
 FD_STEP_2 = 2e-4
 
 
-def _shift(point: JetPoint, coord: Coord, delta: float) -> JetPoint:
-    return point.replace_coord(coord, point.coord(coord) + delta)
+def _stencil(point: JetPoint, coords):
+    """The distinct points of the central differences of every first and
+    second partial along ``coords`` at ``point``, as one JetPoint whose
+    coordinates are float64 arrays over them, with the steps h1[s] and
+    h2[s] of each coordinate.  In order: the centre; coordinate s moved by
+    +h1 and -h1, for each s; then for each pair s <= r, s moved by +h2 and
+    -h2 if r = s, else the corners (+h2, +h2), (+h2, -h2), (-h2, +h2),
+    (-h2, -h2) of (s, r).  Each moved coordinate is its value plus the
+    signed step, as a float."""
+    k = len(coords)
+    centre = [float(point.coord(c)) for c in coords]
+    h1 = [FD_STEP_1 * max(1.0, abs(c)) for c in centre]
+    h2 = [FD_STEP_2 * max(1.0, abs(c)) for c in centre]
+    rows = [centre]
 
+    def moved(*shifts):
+        row = list(centre)
+        for s, delta in shifts:
+            row[s] = centre[s] + delta
+        rows.append(row)
 
-def fd_d1(f, point: JetPoint, wrt: Coord, step: float) -> float:
-    h = step * max(1.0, abs(float(point.coord(wrt))))
-    return (f(_shift(point, wrt, h)) - f(_shift(point, wrt, -h))) / (2.0 * h)
-
-
-def fd_d2(f, point: JetPoint, w1: Coord, w2: Coord, step: float) -> float:
-    h1 = step * max(1.0, abs(float(point.coord(w1))))
-    if w1 == w2:
-        up = f(_shift(point, w1, h1))
-        mid = f(point)
-        dn = f(_shift(point, w1, -h1))
-        return (up - 2.0 * mid + dn) / (h1 * h1)
-    h2 = step * max(1.0, abs(float(point.coord(w2))))
-    pp = f(_shift(_shift(point, w1, h1), w2, h2))
-    pm = f(_shift(_shift(point, w1, h1), w2, -h2))
-    mp = f(_shift(_shift(point, w1, -h1), w2, h2))
-    mm = f(_shift(_shift(point, w1, -h1), w2, -h2))
-    return (pp - pm - mp + mm) / (4.0 * h1 * h2)
+    for s in range(k):
+        moved((s, h1[s]))
+        moved((s, -h1[s]))
+    for s in range(k):
+        for r in range(s, k):
+            if r == s:
+                moved((s, h2[s]))
+                moved((s, -h2[s]))
+                continue
+            for d1 in (h2[s], -h2[s]):
+                for d2 in (h2[r], -h2[r]):
+                    moved((s, d1), (r, d2))
+    cols = dict(zip(coords, np.array(rows).T.copy()))
+    dims = point.dims
+    batch = raw_point(
+        tuple(cols[t_coord(a)] for a in range(dims.p)),
+        tuple(cols[x_coord(i)] for i in range(dims.n)),
+        tuple(tuple(cols[v_coord(i, a)] for a in range(dims.p)) for i in range(dims.n)),
+    )
+    return batch, h1, h2
 
 
 @dataclass
@@ -189,17 +214,28 @@ _ABS_FLOOR = 1e-8
 
 
 def fd_crosscheck(f, point: JetPoint, dims: Dims, tol: float) -> CrosscheckReport:
-    """Compare all first and second partials at ``point`` against central
-    finite differences; flags any discrepancy above the relative tolerance
-    ``tol`` (with an absolute floor, below).
+    """Compare all first and second partials at ``point``, from one Taylor2
+    evaluation of ``f``, against central finite differences, from one
+    evaluation on the stencil's arrays; flags any discrepancy above the
+    relative tolerance ``tol`` (with an absolute floor, below).  An error
+    at a stencil point is raised as that point raises it alone; where
+    points fail at different steps of ``f``, it is that of the earliest
+    step.
 
     The absolute floor is stated in units of the field magnitude: with
     these steps, the rounding noise of a second-difference stencil is
     about 1e-8 * |f| on its own, so a smaller floor would flag noise.
     """
     coords = all_coords(dims)
+    k = len(coords)
     report = CrosscheckReport()
-    scale = max(1.0, abs(float(f(point))))
+    grad, hess = gradient_hessian(f, point, coords)
+    batch, h1, h2 = _stencil(point, coords)
+    # IEEE arithmetic on the arrays is that on floats, numpy's warnings aside
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(f(batch), (1 + 4 * k + 2 * k * (k - 1),)).tolist()
+    mid = values[0]
+    scale = max(1.0, abs(float(mid)))
     eps = 2.220446049250313e-16
     # Rounding noise of the stencils themselves: each is a near-cancelling
     # combination of O(scale) evaluations divided by h or h^2.
@@ -219,13 +255,21 @@ def fd_crosscheck(f, point: JetPoint, dims: Dims, tol: float) -> CrosscheckRepor
         if not ok:
             report.passed = False
 
-    grad, hess = gradient_hessian(f, point, coords)
     for s, c in enumerate(coords):
-        record((c,), 1, grad[s], fd_d1(f, point, c, FD_STEP_1))
+        up, dn = values[1 + 2 * s], values[2 + 2 * s]
+        record((c,), 1, grad[s], (up - dn) / (2.0 * h1[s]))
+    at = 1 + 2 * k
     for s, c1 in enumerate(coords):
-        for r in range(s, len(coords)):
-            c2 = coords[r]
-            record((c1, c2), 2, hess[s][r], fd_d2(f, point, c1, c2, FD_STEP_2))
+        for r in range(s, k):
+            if r == s:
+                up, dn = values[at], values[at + 1]
+                central = (up - 2.0 * mid + dn) / (h2[s] * h2[s])
+                at += 2
+            else:
+                pp, pm, mp, mm = values[at:at + 4]
+                central = (pp - pm - mp + mm) / (4.0 * h2[s] * h2[r])
+                at += 4
+            record((c1, coords[r]), 2, hess[s][r], central)
     return report
 
 

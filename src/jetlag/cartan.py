@@ -125,9 +125,9 @@ def _cartan_coefficients_p1(L, h, dims):
     def coefficients(point: JetPoint):
         g, jac = field_jacobian(g_matrix, point, all_coords(dims))
         ginv = checked_inverse(g).inverse
-        _, _, hbar = h_christoffel_values(h, point.t)
+        hmat, _, hbar = h_christoffel_values(h, point.t)
         m_co = m_values(hbar, point)
-        n_co = spray_n_values(L, h, point, dims)
+        n_co = spray_n_values(L, h, hmat, point, dims)
         g_co = _g_block(ginv, [_delta_matrix(jac, t_coord(0), m_co)])
         l_co = christoffel(ginv, [_delta_matrix(jac, x_coord(k), n_co) for k in range(n)])
         c_co = christoffel(ginv, [jac[v_coord(k, 0)] for k in range(n)])

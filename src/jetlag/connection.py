@@ -339,12 +339,11 @@ def electrodynamics_n_values(hmat, deco: ElectrodynamicsDecomposition,
     return out
 
 
-def spray_n_values(L, h: TemporalMetric, point: JetPoint, dims: Dims):
-    """The p = 1 canonical N^{(i)}_{(1)j} = h_11 dG^i/dv^j_1 as [i][0][j]:
-    forward mode pushed through the whole spray assembly, metric inversion
-    included."""
+def spray_n_values(L, h: TemporalMetric, hmat, point: JetPoint, dims: Dims):
+    """The p = 1 canonical N^{(i)}_{(1)j} = h_11 dG^i/dv^j_1 as [i][0][j],
+    with ``hmat`` h's matrix at point.t: forward mode pushed through the
+    whole spray assembly, metric inversion included."""
     vs = [v_coord(j, 0) for j in range(dims.n)]
-    hmat = h.matrix_at(point.t)
     _, jac = field_jacobian(lambda q: gcal_values(L, h, q, dims), point, vs)
     return [[[hmat[0][0] * jac[c][i] for c in vs]] for i in range(dims.n)]
 

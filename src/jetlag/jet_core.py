@@ -35,7 +35,8 @@ class JetPoint:
     """A point (t, x, v) of the jet space; v[i][a] is the velocity v^i_a.
 
     Entries are ordinarily floats but the container is deliberately agnostic
-    so derivative scalars can flow through the same evaluation code.
+    so derivative scalars, and float64 arrays over a batch of points, can
+    flow through the same evaluation code.
     """
 
     t: tuple
@@ -63,17 +64,6 @@ class JetPoint:
         if kind == "x":
             return self.x[i]
         return self.v[i][a]
-
-    def replace_coord(self, c, value) -> "JetPoint":
-        kind, i, a = c
-        t, x, v = list(self.t), list(self.x), [list(r) for r in self.v]
-        if kind == "t":
-            t[a] = value
-        elif kind == "x":
-            x[i] = value
-        else:
-            v[i][a] = value
-        return JetPoint(t, x, v)
 
 
 def zero_velocity_point(t, x, dims: Dims) -> JetPoint:

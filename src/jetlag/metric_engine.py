@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .calculus import field_jacobian, t_coord, x_coord
 from .errors import DegeneracyError
 from .jet_core import JetPoint, raw_point
@@ -33,17 +35,48 @@ class SymmetricFactor(NamedTuple):
     inertia: tuple
 
 
+class _Disagree(Exception):
+    """The elements of a batched factorization take different branches."""
+
+
+def _agreeing(compare):
+    def method(self, other):
+        out = np.asarray(compare(self, other))
+        if out.all():
+            return True
+        if out.any():
+            raise _Disagree
+        return False
+
+    return method
+
+
+class _Agreed(np.ndarray):
+    """A float64-array entry of a batched sweep: a comparison is one bool
+    when every element answers it alike and raises _Disagree otherwise, so
+    the sweep's branches run unchanged on the whole batch."""
+
+    __lt__ = _agreeing(np.less)
+    __le__ = _agreeing(np.less_equal)
+    __gt__ = _agreeing(np.greater)
+    __ge__ = _agreeing(np.greater_equal)
+    __eq__ = _agreeing(np.equal)
+    __ne__ = _agreeing(np.not_equal)
+
+
 def _exchange(a, k, c):
     """Gauss-Jordan exchange of row k and column c of ``a`` in place.  Plain
     0.0 entries of the pivot row and plain 0.0 multipliers are skipped, so
-    structural zeros stay floats under a lifted pivot."""
+    structural zeros stay floats under a lifted pivot; so are batched
+    entries whose elements are all 0.0."""
     inv_p = reciprocal(a[k][c])
     a[k][c] = 0.0
-    pivot = a[k] = [e if type(e) is float and e == 0.0 else e * inv_p for e in a[k]]
+    pivot = a[k] = [e if (type(e) is float or type(e) is _Agreed) and e == 0.0 else e * inv_p
+                    for e in a[k]]
     pivot[c] = inv_p
     for i, row in enumerate(a):
         f = row[c]
-        if i == k or isinstance(f, (int, float)) and f == 0.0:
+        if i == k or isinstance(f, (int, float, _Agreed)) and f == 0.0:
             continue
         row[c] = 0.0
         a[i] = [e - f * q for e, q in zip(row, pivot)]
@@ -58,21 +91,35 @@ def checked_inverse(rows) -> SymmetricFactor:
     and a swap back.  The swept array is the inverse, the product of the
     pivot blocks the determinant, and their signs, by Sylvester's law of
     inertia, the inertia (a 2x2 block is indefinite).  Raises
-    DegeneracyError where |det| <= 1e-10 scale^n."""
+    DegeneracyError where |det| <= 1e-10 scale^n.  Float64-array entries
+    factorize a batch of matrices (``_batch_factor``)."""
     dim = len(rows)
+    try:
+        scale = max([abs(scalar_value(e)) for r in rows for e in r])
+    except TypeError:  # an array entry, which has no one plain value
+        return _batch_factor(rows)
     a = [list(r) for r in rows]
-    scale = max([abs(scalar_value(e)) for r in rows for e in r])
+    det, neg = _sweep(a, scalar_value)
+    if abs(det) <= _DEGENERACY_SCALE * max(scale, 1e-300) ** dim:
+        raise DegeneracyError(f"degenerate metric (det={det:.3e})", det=det)
+    return SymmetricFactor(a, det, (dim - neg, neg))
+
+
+def _sweep(a, value):
+    """The pivoted sweep of checked_inverse on ``a`` in place, reading the
+    plain value of an entry through ``value``; returns the determinant and
+    the number of negative pivots."""
     det, neg = 1.0, 0
-    todo = list(range(dim))
+    todo = list(range(len(a)))
     while todo:
         k = todo.pop(0)
-        akk = scalar_value(a[k][k])
+        akk = value(a[k][k])
         if todo:
-            lam, r = max((abs(scalar_value(a[i][k])), i) for i in todo)
+            lam, r = max((abs(value(a[i][k])), i) for i in todo)
             if abs(akk) < _BK_ALPHA * lam:
-                sigma = max(abs(scalar_value(a[i][r])) for i in todo + [k] if i != r)
+                sigma = max(abs(value(a[i][r])) for i in todo + [k] if i != r)
                 if abs(akk) * sigma < _BK_ALPHA * lam * lam:
-                    arr = scalar_value(a[r][r])
+                    arr = value(a[r][r])
                     if abs(arr) >= _BK_ALPHA * sigma:
                         todo[todo.index(r)] = k
                         k, akk = r, arr
@@ -92,9 +139,57 @@ def checked_inverse(rows) -> SymmetricFactor:
         det *= akk
         neg += 1 if akk < 0.0 else 0
         _exchange(a, k, k)
-    if abs(det) <= _DEGENERACY_SCALE * max(scale, 1e-300) ** dim:
-        raise DegeneracyError(f"degenerate metric (det={det:.3e})", det=det)
-    return SymmetricFactor(a, det, (dim - neg, neg))
+    return det, neg
+
+
+def _elements(x, size):
+    """The ``size`` plain values of an entry of a batch: an array's
+    elements, or a float shared by every element."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x] * size
+
+
+def _stack(values):
+    """One entry of a batch from its value in each element: the float they
+    all share bit for bit (so a structural zero stays a float), else their
+    array."""
+    out = np.array(values)
+    bits = out.view(np.int64)
+    return values[0] if (bits == bits[0]).all() else out
+
+
+def _batch_factor(rows) -> SymmetricFactor:
+    """checked_inverse of a batch of matrices, each entry a float64 array
+    over the batch or a float shared by all of it.  When every element
+    takes every branch of the sweep alike and none is degenerate, the one
+    sweep runs on the arrays; a definite batch always does, taking its
+    diagonal pivots in order.  Otherwise each element is factorized on its
+    own and the results stacked, so that a degenerate element raises as it
+    would alone, the first one first.  Either way each element of the
+    result is bitwise its own factorization; det and inertia are entries
+    of the batch too."""
+    dim = len(rows)
+    size = next(len(e) for r in rows for e in r if isinstance(e, np.ndarray))
+    try:
+        a = [[e.view(_Agreed) if isinstance(e, np.ndarray) else e for e in r] for r in rows]
+        scale = max([abs(e) for r in a for e in r])
+        det, neg = _sweep(a, lambda e: e)  # an _Agreed entry is its own plain value
+        for d, s in zip(_elements(det, size), _elements(scale, size)):
+            if abs(d) <= _DEGENERACY_SCALE * max(s, 1e-300) ** dim:
+                raise _Disagree
+    except _Disagree:
+        values = [[_elements(e, size) for e in r] for r in rows]
+        factors = [checked_inverse([[e[j] for e in r] for r in values]) for j in range(size)]
+        return SymmetricFactor(
+            [[_stack([f.inverse[i][j] for f in factors]) for j in range(dim)]
+             for i in range(dim)],
+            _stack([f.det for f in factors]),
+            tuple(_stack([f.inertia[s] for f in factors]) for s in (0, 1)))
+    return SymmetricFactor([[_unagreed(e) for e in r] for r in a], _unagreed(det),
+                           (dim - neg, neg))
+
+
+def _unagreed(e):
+    return e.view(np.ndarray) if type(e) is _Agreed else e
 
 
 def symmetric_matrix(entries, point):

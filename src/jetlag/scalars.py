@@ -42,6 +42,17 @@ quotient's value is ``a.re / b.re``, the one division a plain (or, nested,
 the older layer's) evaluation makes, while its derivative entries go
 through 1/b.  So a caller holding a lifted evaluation reads the plain
 values from it (``calculus.field_jacobian`` returns both).
+
+A float64 ``ndarray`` is a plain leaf beside floats: a field evaluated on a
+point whose coordinates are arrays evaluates every element at once, each
+bitwise its float evaluation (Griewank & Walther, ch. 6: one program over
+many points).  ``+ - * /`` are IEEE on both; the ``g_*`` functions apply
+``math`` to each element, since numpy's own exp, log, tan, sinh and cosh
+differ from ``math`` in the last bit on some inputs; the domain and zero
+tests raise, with the float path's message, when any element fails them.
+Arrays are never lifted, and an array leaf has no one plain value:
+``scalar_value`` refuses it with TypeError, which is how
+``metric_engine.checked_inverse`` tells a batch.
 """
 
 from __future__ import annotations
@@ -49,13 +60,17 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from .errors import EvalDomainError
 
 _NUM = (int, float)
+_ARRAY = np.ndarray
 
 
 def scalar_value(s) -> float:
-    """Innermost plain value of a possibly nested derivative scalar."""
+    """Innermost plain value of a possibly nested derivative scalar (a
+    TypeError for an array leaf)."""
     while True:
         t = type(s)
         if t is Dual or t is Taylor2:
@@ -434,21 +449,36 @@ def _chain(x, f, df, d2f):
     return Taylor2(f(v), g, h, lay)
 
 
-def _domain(cond, message):
-    if not cond:
+def _plain(x):
+    """The plain value a domain test reads: an array leaf's own elements,
+    else ``scalar_value``."""
+    return x if type(x) is _ARRAY else scalar_value(x)
+
+
+def _domain(ok, message):
+    """Raise EvalDomainError(message) unless ``ok``, a test of a plain
+    value or the elementwise test of an array leaf, holds everywhere."""
+    if ok is not True and not (type(ok) is _ARRAY and ok.all()):
         raise EvalDomainError(message)
+
+
+def _each(fn, x):
+    """``fn`` from ``math`` applied to each element of the array leaf x,
+    so that each is bitwise its float evaluation (numpy's own functions
+    are not) and an element ``math`` refuses raises its error."""
+    return np.array([fn(e) for e in x.tolist()])
 
 
 def g_sin(x):
     if type(x) in _LIFTED:
         return _chain(x, g_sin, g_cos, lambda v: -g_sin(v))
-    return math.sin(x)
+    return _each(math.sin, x) if type(x) is _ARRAY else math.sin(x)
 
 
 def g_cos(x):
     if type(x) in _LIFTED:
         return _chain(x, g_cos, lambda v: -g_sin(v), lambda v: -g_cos(v))
-    return math.cos(x)
+    return _each(math.cos, x) if type(x) is _ARRAY else math.cos(x)
 
 
 def g_tan(x):
@@ -458,24 +488,24 @@ def g_tan(x):
             return 1.0 + tv * tv
 
         return _chain(x, g_tan, dtan, lambda v: 2.0 * g_tan(v) * dtan(v))
-    return math.tan(x)
+    return _each(math.tan, x) if type(x) is _ARRAY else math.tan(x)
 
 
 def g_exp(x):
     if type(x) in _LIFTED:
         return _chain(x, g_exp, g_exp, g_exp)
-    return math.exp(x)
+    return _each(math.exp, x) if type(x) is _ARRAY else math.exp(x)
 
 
 def g_log(x):
-    _domain(scalar_value(x) > 0.0, "log of a non-positive value")
+    _domain(_plain(x) > 0.0, "log of a non-positive value")
     if type(x) in _LIFTED:
         return _chain(x, g_log, reciprocal, lambda v: -reciprocal(v * v))
-    return math.log(x)
+    return _each(math.log, x) if type(x) is _ARRAY else math.log(x)
 
 
 def g_sqrt(x):
-    value = scalar_value(x)
+    value = _plain(x)
     _domain(value >= 0.0, "sqrt of a negative value")
     if type(x) in _LIFTED:
         # Differentiating through sqrt needs a strictly interior point.
@@ -486,19 +516,19 @@ def g_sqrt(x):
             lambda v: 0.5 * reciprocal(g_sqrt(v)),
             lambda v: -0.25 * reciprocal(g_sqrt(v) * v),
         )
-    return math.sqrt(x)
+    return _each(math.sqrt, x) if type(x) is _ARRAY else math.sqrt(x)
 
 
 def g_sinh(x):
     if type(x) in _LIFTED:
         return _chain(x, g_sinh, g_cosh, g_sinh)
-    return math.sinh(x)
+    return _each(math.sinh, x) if type(x) is _ARRAY else math.sinh(x)
 
 
 def g_cosh(x):
     if type(x) in _LIFTED:
         return _chain(x, g_cosh, g_sinh, g_cosh)
-    return math.cosh(x)
+    return _each(math.cosh, x) if type(x) is _ARRAY else math.cosh(x)
 
 
 def g_abs(x):
@@ -510,8 +540,7 @@ def g_abs(x):
 
 
 def g_div(a, b):
-    if scalar_value(b) == 0.0:
-        raise EvalDomainError("division by zero")
+    _domain(_plain(b) != 0.0, "division by zero")
     return a / b
 
 
@@ -530,8 +559,7 @@ def g_ipow(u, k: int):
         if k:
             base = base * base
     if negative:
-        if scalar_value(acc) == 0.0:
-            raise EvalDomainError("zero raised to a negative power")
+        _domain(_plain(acc) != 0.0, "zero raised to a negative power")
         return reciprocal(acc)
     return acc
 
@@ -539,11 +567,17 @@ def g_ipow(u, k: int):
 def g_pow(u, w):
     """General power.  Integer seedless exponents work for any base; other
     exponents go through exp(w*log(u)) and need a positive base.  A Dual
-    exponent is seedless only when it is so along all its directions."""
+    exponent is seedless only when it is so along all its directions.  An
+    array exponent takes the branch of each element, one element at a
+    time."""
+    if type(w) is _ARRAY:
+        us = u.tolist() if type(u) is _ARRAY else [u] * len(w)
+        return np.array([g_pow(a, b) for a, b in zip(us, w.tolist())])
     if is_seedless(w):
         wv = scalar_value(w)
         if wv.is_integer() and abs(wv) <= 1e6:
             return g_ipow(u, int(wv))
-    if scalar_value(u) <= 0.0:
-        raise EvalDomainError("non-integer power of a non-positive base")
+    v = _plain(u)
+    # not v <= 0, elementwise: a NaN base goes on to fail in log
+    _domain((v > 0.0) | (v != v), "non-integer power of a non-positive base")
     return g_exp(w * g_log(u))

@@ -6,9 +6,10 @@ report where their outputs differ.
 Each run is ``python -m jetlag COMMAND --config FILE`` in a fresh process
 with ``PYTHONPATH`` set to one tree, two runs at a time.  The configs are
 the 27 corpus configs of ``conftest`` (``count=4``), the quartic
-(``count=4``) and the sphere (``dt=1e-2``), seven expression Lagrangians
-(four with a solver), two metrics that vanish along an extremal (g = x1
-and g = x1^2) and an indefinite temporal metric with a zero diagonal.
+(``count=4``) and the sphere (``dt=1e-2``), eight expression Lagrangians
+(five with a solver), two metrics that vanish along an extremal (g = x1
+and g = x1^2), an indefinite temporal metric with a zero diagonal and a
+p = 2 temporal metric with t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
 solver.  Besides these, the benchmark's generated configs (every job of
@@ -98,6 +99,11 @@ def configs() -> dict:
         1, 2, "sqrt(2 + x1^2)*v1_1^2 + (log(2 + x2^2) + (1 + x2^2)^(-1))*v2_1^2"
               " + tan(0.3*x1)*v1_1*v2_1 + cosh(0.2*x2)/(2 + t1^2) + (1.5 + x1)^1.5",
         x0=[0.2, -0.1], y0=[0.5, 0.3])
+    # sinh and an exponent that depends on a coordinate
+    out["expr_sinh_pow_p1_n2"] = _expression(
+        1, 2, "(1 + x1^2)*v1_1^2 + (2 + sinh(0.3*x2))*v2_1^2 + 0.2*v1_1*v2_1"
+              " + (1.5 + x1)^(1 + 0.1*t1)",
+        x0=[0.2, -0.1], y0=[0.5, 0.3])
     out["expr_p3_n2"] = _expression(
         3, 2, "v1_1^2 + v1_2^2 + v1_3^2 + (1 + x1^2)*(v2_1^2 + v2_2^2 + v2_3^2)")
     out["abort_x1"] = _harmonic_p1([["x1"]], 0.3, -1.0)
@@ -108,6 +114,17 @@ def configs() -> dict:
         "temporal_metric": {"kind": "expression", "entries": [["0", "1"], ["1", "0"]],
                             "signature": [1, 1]},
         "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+    }
+    # every entry of h depends on t, as in the lattice benchmark
+    out["offdiag_h_p2_n2"] = {
+        "dims": {"p": 2, "n": 2},
+        "lagrangian": {"kind": "harmonic",
+                       "g_entries": [["1 + 0.3*x2^2", "0.1"], ["0.1", "1 + 0.2*x1^2"]]},
+        "temporal_metric": {"kind": "expression",
+                            "entries": [["1 + 0.4*t1^2", "0.15*t1*t2"],
+                                        ["0.15*t1*t2", "1 + 0.3*t2^2"]],
+                            "signature": [2, 0]},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 2},
     }
     return out
 

@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from jetlag.calculus import Coord, field_jacobian, gradient_hessian, t_coord
+from jetlag.calculus import (
+    _ABS_FLOOR,
+    FD_STEP_1,
+    FD_STEP_2,
+    Coord,
+    CrosscheckEntry,
+    CrosscheckReport,
+    all_coords,
+    field_jacobian,
+    gradient_hessian,
+    t_coord,
+)
 from jetlag.config import assemble
 from jetlag.connection import electrodynamics_n_values
 from jetlag.jet_core import JetPoint
@@ -144,30 +155,73 @@ def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):
     return gradient_hessian(f, point, (wrt1, wrt2))[1][0][1]
 
 
-# --- Small central-difference oracles (independent of the calculus module) ---
+# --- Central-difference oracles, one plain evaluation per stencil point -------
+# calculus.fd_crosscheck evaluates its whole stencil at once, on float64-array
+# coordinates; these are its stencils point by point, the bitwise reference,
+# and the central differences the other tests compare with.
 
 
-def oracle_d1(f, point: JetPoint, coord: Coord, h: float = 1e-6) -> float:
-    step = h * max(1.0, abs(float(point.coord(coord))))
-    up = f(point.replace_coord(coord, point.coord(coord) + step))
-    dn = f(point.replace_coord(coord, point.coord(coord) - step))
-    return (up - dn) / (2.0 * step)
+def _shift(point: JetPoint, coord: Coord, delta: float) -> JetPoint:
+    """``point`` with coordinate ``coord`` moved by ``delta``."""
+    kind, i, a = coord
+    t, x, v = list(point.t), list(point.x), [list(r) for r in point.v]
+    value = point.coord(coord) + delta
+    if kind == "t":
+        t[a] = value
+    elif kind == "x":
+        x[i] = value
+    else:
+        v[i][a] = value
+    return JetPoint(t, x, v)
 
 
-def oracle_d2(f, point: JetPoint, c1: Coord, c2: Coord, h: float = 2e-4) -> float:
-    if c1 == c2:
-        step = h * max(1.0, abs(float(point.coord(c1))))
-        up = f(point.replace_coord(c1, point.coord(c1) + step))
-        dn = f(point.replace_coord(c1, point.coord(c1) - step))
-        return (up - 2.0 * f(point) + dn) / step**2
-    s1 = h * max(1.0, abs(float(point.coord(c1))))
-    s2 = h * max(1.0, abs(float(point.coord(c2))))
+def fd_d1(f, point: JetPoint, wrt: Coord, step: float) -> float:
+    h = step * max(1.0, abs(float(point.coord(wrt))))
+    return (f(_shift(point, wrt, h)) - f(_shift(point, wrt, -h))) / (2.0 * h)
 
-    def at(d1v, d2v):
-        moved = point.replace_coord(c1, point.coord(c1) + d1v)
-        return f(moved.replace_coord(c2, moved.coord(c2) + d2v))
 
-    return (at(s1, s2) - at(s1, -s2) - at(-s1, s2) + at(-s1, -s2)) / (4 * s1 * s2)
+def fd_d2(f, point: JetPoint, w1: Coord, w2: Coord, step: float) -> float:
+    h1 = step * max(1.0, abs(float(point.coord(w1))))
+    if w1 == w2:
+        up = f(_shift(point, w1, h1))
+        mid = f(point)
+        dn = f(_shift(point, w1, -h1))
+        return (up - 2.0 * mid + dn) / (h1 * h1)
+    h2 = step * max(1.0, abs(float(point.coord(w2))))
+    pp = f(_shift(_shift(point, w1, h1), w2, h2))
+    pm = f(_shift(_shift(point, w1, h1), w2, -h2))
+    mp = f(_shift(_shift(point, w1, -h1), w2, h2))
+    mm = f(_shift(_shift(point, w1, -h1), w2, -h2))
+    return (pp - pm - mp + mm) / (4.0 * h1 * h2)
+
+
+def scalar_crosscheck(f, point: JetPoint, dims, tol: float) -> CrosscheckReport:
+    """``fd_crosscheck`` with every stencil point evaluated on its own."""
+    coords = all_coords(dims)
+    report = CrosscheckReport()
+    scale = max(1.0, abs(float(f(point))))
+    eps = 2.220446049250313e-16
+    floor_1 = max(_ABS_FLOOR * scale, 8.0 * eps * scale / (2.0 * FD_STEP_1))
+    floor_2 = max(_ABS_FLOOR * scale, 16.0 * eps * scale / FD_STEP_2**2)
+
+    def record(coords_key, order, ad, fd):
+        floor = floor_1 if order == 1 else floor_2
+        denom = max(abs(ad), abs(fd))
+        ok = abs(ad - fd) <= max(tol * denom, floor)
+        rel = abs(ad - fd) / max(denom, scale)
+        report.entries.append(CrosscheckEntry(coords_key, order, ad, fd, rel, ok))
+        report.max_rel_discrepancy = max(report.max_rel_discrepancy, rel)
+        if not ok:
+            report.passed = False
+
+    grad, hess = gradient_hessian(f, point, coords)
+    for s, c in enumerate(coords):
+        record((c,), 1, grad[s], fd_d1(f, point, c, FD_STEP_1))
+    for s, c1 in enumerate(coords):
+        for r in range(s, len(coords)):
+            c2 = coords[r]
+            record((c1, c2), 2, hess[s][r], fd_d2(f, point, c1, c2, FD_STEP_2))
+    return report
 
 
 @pytest.fixture

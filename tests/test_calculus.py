@@ -2,7 +2,10 @@
 
 import math
 import random
+import struct
+import warnings
 
+import numpy as np
 import pytest
 
 from jetlag.calculus import (
@@ -14,11 +17,25 @@ from jetlag.calculus import (
     v_coord,
     x_coord,
 )
-from jetlag.errors import EvalDomainError
-from jetlag.fields import ExpressionField
+from jetlag.config import assemble
+from jetlag.errors import DegeneracyError, EvalDomainError
+from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField
 from jetlag.jet_core import Dims, JetPoint
+from jetlag.regularity import sample_points
+from jetlag.scalars import Taylor2
 
-from conftest import d2, oracle_d1, oracle_d2
+from conftest import (
+    CORPUS_DIMS,
+    KINDS,
+    corpus_config,
+    d2,
+    fd_d1,
+    fd_d2,
+    quartic_config,
+    scalar_crosscheck,
+    sphere_config,
+    temporal_metric_of,
+)
 
 
 def jp(dims, **kw):
@@ -54,7 +71,7 @@ class TestD1:
         point = JetPoint((1.0,), (2.0,), ((0.0,),))
         exact = d1(f, point, t_coord(0))
         assert exact == pytest.approx(2.0 * math.cos(1.0), abs=1e-14)
-        assert exact == pytest.approx(oracle_d1(f, point, t_coord(0)), rel=1e-7)
+        assert exact == pytest.approx(fd_d1(f, point, t_coord(0), 1e-6), rel=1e-7)
 
     def test_coordinates_past_the_first(self):
         dims = Dims(2, 2)
@@ -135,7 +152,7 @@ class TestD2:
         exact = d2(f, point, v_coord(0, 0), v_coord(0, 1))
         assert exact == pytest.approx(1.0, abs=1e-14)
         assert exact == pytest.approx(
-            oracle_d2(f, point, v_coord(0, 0), v_coord(0, 1)), abs=1e-6)
+            fd_d2(f, point, v_coord(0, 0), v_coord(0, 1), 2e-4), abs=1e-6)
 
     def test_schwartz_symmetry_random_fields(self):
         rng = random.Random(77)
@@ -201,6 +218,86 @@ class TestCrosscheck:
         assert not rep.passed
         first = next(e for e in rep.failures if e.order == 1)
         assert (first.forward, first.central) == (-1.0, pytest.approx(-0.5))
+
+
+def _report_bits(rep):
+    def bits(x):
+        return struct.pack("<d", x)
+
+    return ([(e.coords, e.order, bits(e.forward), bits(e.central), bits(e.discrepancy), e.ok)
+             for e in rep.entries], bits(rep.max_rel_discrepancy), rep.passed)
+
+
+_CROSSCHECK_CONFIGS = {f"{kind}_p{p}_n{n}": corpus_config(kind, p, n)
+                       for kind in KINDS for p, n in CORPUS_DIMS}
+_CROSSCHECK_CONFIGS["quartic"] = quartic_config()
+_CROSSCHECK_CONFIGS["sphere"] = sphere_config()
+
+
+class TestOneEvaluationStencil:
+    """fd_crosscheck evaluates L once on a point whose coordinates are
+    float64 arrays over the whole stencil; each entry is bitwise that of
+    the stencils evaluated one point at a time."""
+
+    @pytest.mark.parametrize("name", sorted(_CROSSCHECK_CONFIGS))
+    def test_entries_are_the_scalar_stencils(self, name):
+        inst = assemble(_CROSSCHECK_CONFIGS[name])
+        for pt in sample_points(inst.dims, inst.sampling["box"], 2, seed=inst.seed):
+            got = fd_crosscheck(inst.L, pt, inst.dims, 1e-5)
+            assert _report_bits(got) == _report_bits(scalar_crosscheck(inst.L, pt, inst.dims, 1e-5))
+
+    def test_two_evaluations_of_L(self):
+        inst = assemble(corpus_config("non_autonomous", 2, 3))
+        kinds = []
+
+        def L(point):
+            kinds.append(type(point.t[0]))
+            return inst.L(point)
+
+        pt = sample_points(inst.dims, inst.sampling["box"], 1, seed=3)[0]
+        fd_crosscheck(L, pt, inst.dims, 1e-5)
+        # one Taylor2 lift and one evaluation on the arrays; point by point
+        # it takes 1 + 5k + 2k(k - 1) = 276 for k = p + n + np = 11
+        assert kinds == [Taylor2, np.ndarray]
+
+    def test_a_stencil_point_outside_the_domain_raises_as_alone(self):
+        dims = Dims(1, 1)
+        f = ExpressionField("sqrt(x1) + v1_1^2", dims)
+        point = JetPoint((0.0,), (1e-7,), ((0.5,),))  # x1 - 6e-6 < 0
+        errors = []
+        for crosscheck in (fd_crosscheck, scalar_crosscheck):
+            with pytest.raises(EvalDomainError) as raised:
+                crosscheck(f, point, dims, 1e-5)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+
+    def test_a_degenerate_stencil_point_raises_as_alone(self):
+        # h_11 = t1 is 6e-6 at the point and exactly 0 at t1 - h1
+        dims = Dims(2, 1)
+        h = temporal_metric_of([[ExpressionField("t1", dims), ExpressionField("0", dims)],
+                                [ExpressionField("0", dims), ExpressionField("1 + t2^2", dims)]],
+                               (2, 0))
+        g = [[ExpressionField("1 + x1^2", dims)]]
+        L = ElectrodynamicsLagrangian(dims, h, g)
+        point = JetPoint((6e-6, 0.3), (0.2,), ((0.4, -0.1),))
+        errors = []
+        for crosscheck in (fd_crosscheck, scalar_crosscheck):
+            with pytest.raises(DegeneracyError) as raised:
+                crosscheck(L, point, dims, 1e-5)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] == "degenerate metric (det=0.000e+00)"
+
+    def test_overflow_is_silent(self):
+        # inf - inf at the stencil points is nan, as on floats, with no numpy
+        # warning
+        dims = Dims(1, 1)
+        f = ExpressionField("exp(700*x1)*exp(700*x1)", dims)
+        point = JetPoint((0.0,), (0.6,), ((0.0,),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fd_crosscheck(f, point, dims, 1e-5)
+        assert math.isnan(got.entries[1].central)
+        assert _report_bits(got) == _report_bits(scalar_crosscheck(f, point, dims, 1e-5))
 
 
 class TestDomainEdges:

@@ -269,6 +269,23 @@ class TestOneEvaluationPerPoint:
     """A coefficient closure computes H, g, g^{-1} and the Christoffels once
     per point and builds M and N from those values."""
 
+    def test_p1_cartan_evaluates_h_five_times(self):
+        inst = corpus_instance("non_autonomous", 1, 2)  # h = 1 + t1^2
+        calls, matrix = [], inst.h.matrix
+
+        def counted(ts):
+            calls.append(ts)
+            return matrix(ts)
+
+        inst.h.matrix = counted
+        pack = cartan_connection(inst.L, inst.h)
+        pack.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=45)[0])
+        # g: the h-trace of the vertical Hessian (1) of one evaluation of L
+        # (1); N, the spray derivative: one evaluation of L (1) and the
+        # spray's h_christoffel_values lift (1); the closure's own lift (1),
+        # whose matrix N's h_11 is read from
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
     def test_p2_cartan_evaluates_g_once_per_direction(self, p, n):
         inst = corpus_instance("non_autonomous", p, n)
@@ -339,7 +356,7 @@ class TestOneEvaluationPerPoint:
         spray_n_values = cartan.spray_n_values
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(args[3])
             return spray_n_values(*args)
 
         monkeypatch.setattr(cartan, "spray_n_values", counting)
@@ -351,7 +368,7 @@ class TestOneEvaluationPerPoint:
         worst = 0.0
         for pt in verify._points(inst, 6)[:3]:
             gamma = g_christoffel_values(inst.L.structure.g_matrix, pt)
-            nval = spray_n_values(inst.L, inst.h, pt, inst.dims)
+            nval = spray_n_values(inst.L, inst.h, inst.h.matrix_at(pt.t), pt, inst.dims)
             for i in range(n):
                 for j in range(n):
                     expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(n))

@@ -62,8 +62,6 @@ class TestJetPoint:
         with pytest.raises(DimensionError):
             JetPoint((float("nan"),), (0.0,), ((0.0,),))
 
-    def test_coord_roundtrip(self):
+    def test_coord_reads_each_kind(self):
         pt = JetPoint((0.1,), (1.0, 2.0), ((0.5,), (0.6,)))
-        new = pt.replace_coord(("v", 1, 0), 9.0)
-        assert new.v[1][0] == 9.0
-        assert pt.v[1][0] == 0.6  # original untouched
+        assert [pt.coord(c) for c in (("t", 0, 0), ("x", 1, 0), ("v", 1, 0))] == [0.1, 2.0, 0.6]

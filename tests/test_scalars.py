@@ -34,6 +34,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +53,7 @@ from jetlag.calculus import (
 from jetlag.cartan import cartan_connection
 from jetlag.connection import spray_data
 from jetlag.curvature import curvature_table, torsion_table
-from jetlag.errors import EvalDomainError
+from jetlag.errors import DegeneracyError, EvalDomainError
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint, raw_point
 from jetlag.regularity import hessian_blocks, sample_points, trace_metric
@@ -1155,3 +1156,251 @@ class TestBenchmarkCallStructure:
         assert sprays[0] == interior
         assert L.lifts == [(2 + 3 + 6, _SPRAY_ENTRIES[(2, 3)])] * interior
         assert L.calls == interior
+
+
+# --- Float64-array leaves ---------------------------------------------------------------
+
+
+_UNARY_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "abs")
+# Element values: near 0 (signed zeros, subnormals), +-large (math's range
+# errors), ordinary, and any float at all.
+_ELEMENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 0.5, 2.0,
+                     709.0, 711.0, -746.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(-4.0, 4.0),
+    st.floats(),
+)
+# Exponents: integral ones, which g_pow takes as integer powers, and others.
+_EXPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, -0.5, 1.5, 1e6, 1e6 + 1.0]),
+    st.floats(-4.0, 4.0),
+)
+
+
+def _arrays(element, size):
+    return st.lists(element, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def _leaf_case(draw, element=_ELEMENT):
+    """Two array leaves of one size, 2 to 6."""
+    size = draw(st.integers(2, 6))
+    return draw(_arrays(element, size)), draw(_arrays(element, size))
+
+
+def _result(fn, *args):
+    """What ``fn(*args)`` gives: the packed bits of its value, per element
+    for an array, or the type and message of the evaluation error it
+    raises.  numpy's floating-point warnings are silenced, as around the
+    crosscheck's evaluation."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except (EvalDomainError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, np.ndarray):
+        return [_bits(e) for e in out.tolist()]
+    return _bits(out)
+
+
+def _element_results(fn, *args):
+    """``_result`` of ``fn`` on each element of the array arguments, the
+    other arguments shared."""
+    size = next(len(a) for a in args if isinstance(a, np.ndarray))
+    return [_result(fn, *[a.tolist()[j] if isinstance(a, np.ndarray) else a for a in args])
+            for j in range(size)]
+
+
+def _assert_elementwise(fn, *args):
+    """An array evaluation is each element's float evaluation, bit for bit;
+    it raises exactly when some element does, with the error of one that
+    does (of the first, where one check fails for all of them)."""
+    whole, each = _result(fn, *args), _element_results(fn, *args)
+    failed = [r for r in each if type(r) is tuple]
+    if failed:
+        assert whole in failed
+    elif type(whole) is list:
+        assert whole == each
+    else:  # a float shared by every element, such as u**0
+        assert [whole] * len(each) == each
+
+
+class TestArrayLeaves:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_leaf_case())
+    def test_every_function_is_the_float_evaluation(self, case):
+        x, _ = case
+        for name in _UNARY_FUNCTIONS:
+            _assert_elementwise(getattr(scalars, f"g_{name}"), x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_leaf_case(), other=_ELEMENT)
+    def test_division(self, case, other):
+        x, y = case
+        _assert_elementwise(scalars.g_div, x, y)
+        _assert_elementwise(scalars.g_div, x, other)
+        _assert_elementwise(scalars.g_div, other, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_leaf_case(), k=st.integers(-4, 4))
+    def test_integer_powers(self, case, k):
+        x, _ = case
+        _assert_elementwise(scalars.g_ipow, x, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=_leaf_case(), exponent=_leaf_case(_EXPONENT), other=_EXPONENT)
+    def test_general_powers(self, base, exponent, other):
+        u, _ = base
+        w = exponent[0][:len(u)]
+        w = np.concatenate([w, np.full(len(u) - len(w), 2.0)])
+        _assert_elementwise(scalars.g_pow, u, w)
+        _assert_elementwise(scalars.g_pow, 1.5, w)
+        _assert_elementwise(scalars.g_pow, u, other)
+
+    def test_a_domain_error_is_the_float_error(self):
+        # the one element outside the domain raises what it raises alone
+        x = np.array([1.0, 2.0, -1.0, 3.0])
+        for fn, message in ((scalars.g_log, "log of a non-positive value"),
+                            (scalars.g_sqrt, "sqrt of a negative value"),
+                            (lambda u: scalars.g_div(1.0, u + 1.0), "division by zero"),
+                            (lambda u: scalars.g_ipow(u + 1.0, -2), "zero raised to a negative power"),
+                            (lambda u: scalars.g_pow(u, 0.5), "non-integer power of a non-positive base")):
+            with pytest.raises(EvalDomainError) as raised:
+                fn(x)
+            assert str(raised.value) == message
+        with pytest.raises(OverflowError, match="math range error"):
+            scalars.g_exp(np.array([1.0, 800.0]))
+
+    def test_random_expressions_are_the_evaluation_at_each_point(self):
+        rng = random.Random(77)
+        dims = Dims(2, 2)
+        size = 5
+        for _ in range(300):
+            field = ExpressionField(dsl.format_ast(random_ast(rng, dims, rng.randrange(1, 5))),
+                                    dims)
+            rows = [[rng.uniform(-1.0, 1.0) for _ in range(2 + 2 + 4)] for _ in range(size)]
+            cols = [np.array(c) for c in zip(*rows)]
+            batch = raw_point(tuple(cols[:2]), tuple(cols[2:4]),
+                              ((cols[4], cols[5]), (cols[6], cols[7])))
+            points = [JetPoint(r[:2], r[2:4], (r[4:6], r[6:8])) for r in rows]
+
+            def each(points=points, field=field):
+                return np.array([field(q) for q in points])
+
+            whole, alone = _result(field, batch), _result(each)
+            if type(alone) is tuple:
+                assert type(whole) is tuple
+            else:
+                assert (whole if type(whole) is list else [whole] * size) == alone
+
+
+def _factor_bits(factor, j):
+    def at(x):
+        return x.tolist()[j] if isinstance(x, np.ndarray) else x
+
+    return ([[_bits(at(e)) for e in row] for row in factor.inverse], _bits(at(factor.det)),
+            tuple(at(s) for s in factor.inertia))
+
+
+def _factor_result(rows, j=None):
+    """The factorization of ``rows`` (element j of a batch) as bits, or the
+    error it raises."""
+    try:
+        factor = metric_engine.checked_inverse(rows)
+    except DegeneracyError as exc:
+        return str(exc)
+    return _factor_bits(factor, 0 if j is None else j)
+
+
+def _assert_batch_is_each_element(rows):
+    size = next(len(e) for r in rows for e in r if isinstance(e, np.ndarray))
+    alone = [_factor_result([[e.tolist()[j] if isinstance(e, np.ndarray) else e for e in r]
+                             for r in rows]) for j in range(size)]
+    errors = [r for r in alone if type(r) is str]
+    with np.errstate(all="ignore"):  # as around the crosscheck's evaluation
+        if errors:
+            with pytest.raises(DegeneracyError) as raised:
+                metric_engine.checked_inverse(rows)
+            assert str(raised.value) == errors[0]
+            return
+        factor = metric_engine.checked_inverse(rows)
+    assert [_factor_bits(factor, j) for j in range(size)] == alone
+
+
+# Matrix entries: exact zeros, ties in magnitude, and ordinary values.
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _symmetric_batch(draw):
+    """A symmetric matrix of dimension 1-3 whose entries are arrays over a
+    batch of 2-6 or floats shared by it."""
+    dim, size = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    rows = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            shared = draw(st.booleans()) and draw(st.booleans())
+            entry = draw(_ENTRY) if shared else draw(_arrays(_ENTRY, size))
+            rows[i][j] = rows[j][i] = entry
+    if all(not isinstance(e, np.ndarray) for r in rows for e in r):
+        rows[0][0] = draw(_arrays(_ENTRY, size))
+    return rows
+
+
+class TestBatchedFactorization:
+    @settings(max_examples=500, deadline=None)
+    @given(rows=_symmetric_batch())
+    def test_each_element_is_its_own_factorization(self, rows):
+        _assert_batch_is_each_element(rows)
+
+    def test_a_batch_straddling_the_pivot_choice(self):
+        # |a00| < alpha |a10| takes a 2x2 pivot in the first two elements
+        # and the 1x1 pivot in the others
+        a00 = np.array([0.1, 0.3, 0.9, 1.5])
+        rows = [[a00, 1.0, 0.2], [1.0, 0.2, 0.3], [0.2, 0.3, 2.0]]
+        assert [abs(a) < metric_engine._BK_ALPHA * 1.0 for a in a00.tolist()] == [
+            True, True, False, False]
+        _assert_batch_is_each_element(rows)
+
+    def test_a_degenerate_element_raises_as_alone(self):
+        # elements 1 and 3 are singular, with different determinants; the
+        # error is element 1's
+        a11 = np.array([2.0, 0.25, 3.0, 0.25 + 1e-13])
+        rows = [[1.0, 0.5], [0.5, a11]]
+        with pytest.raises(DegeneracyError) as raised:
+            metric_engine.checked_inverse(rows)
+        assert str(raised.value) == _factor_result([[1.0, 0.5], [0.5, 0.25]])
+        _assert_batch_is_each_element(rows)
+
+    def test_a_definite_batch_is_one_sweep(self, monkeypatch):
+        calls, factor = [], metric_engine.checked_inverse
+
+        def counted(rows):
+            calls.append(rows)
+            return factor(rows)
+
+        monkeypatch.setattr(metric_engine, "checked_inverse", counted)
+        t = np.array([-0.3, 0.1, 0.2, 0.7])
+        rows = [[1.0 + t * t, 0.5 * t, 0.0], [0.5 * t, 2.0 + t, 0.0], [0.0, 0.0, 3.0]]
+        out = metric_engine.checked_inverse(rows)
+        assert len(calls) == 1
+        # structural zeros stay floats
+        assert [type(e) for e in out.inverse[2]] == [float, float, float]
+        assert out.inertia == (3, 0)
+        _assert_batch_is_each_element(rows)
+
+    def test_an_entry_zero_in_some_elements_only(self, monkeypatch):
+        # a plain 0.0 is skipped where a nonzero is not, so an entry that is
+        # 0.0 in one element only sends the batch element by element
+        calls, factor = [], metric_engine.checked_inverse
+
+        def counted(rows):
+            calls.append(rows)
+            return factor(rows)
+
+        monkeypatch.setattr(metric_engine, "checked_inverse", counted)
+        t = np.array([-0.3, 0.0, 0.2, -0.0])
+        rows = [[1.0 + t * t, 0.5 * t], [0.5 * t, 2.0 - t]]
+        metric_engine.checked_inverse(rows)
+        assert len(calls) == 1 + len(t)
+        _assert_batch_is_each_element(rows)
