@@ -295,19 +295,16 @@ def structure_entry(obj, idx):
     return obj
 
 
-def _value(obj):
+def _value_partials(obj, k):
     """Value of every leaf of a lifted structure (a leaf with no Dual is
-    its own value)."""
+    its own value) and, for each of the k sensitivities, that sensitivity
+    of every leaf (0.0 if no Dual), from one walk."""
     if isinstance(obj, (list, tuple)):
-        return [_value(o) for o in obj]
-    return obj.re if type(obj) is Dual else obj
-
-
-def _partial(obj, s):
-    """Sensitivity s of every leaf of a lifted structure (0.0 if no Dual)."""
-    if isinstance(obj, (list, tuple)):
-        return [_partial(o, s) for o in obj]
-    return obj.du[s] if type(obj) is Dual else 0.0
+        walked = [_value_partials(o, k) for o in obj]
+        return [w[0] for w in walked], [[w[1][s] for w in walked] for s in range(k)]
+    if type(obj) is Dual:
+        return obj.re, obj.du
+    return obj, (0.0,) * k
 
 
 def field_jacobian(field, point: JetPoint, coords):
@@ -316,5 +313,5 @@ def field_jacobian(field, point: JetPoint, coords):
     evaluation on a Dual lift over them.  The value is bitwise that of a
     plain call, as a lifted value always is (see ``scalars``), with every
     container a list."""
-    out = field(lift_d1(point, coords))
-    return _value(out), {c: _partial(out, s) for s, c in enumerate(coords)}
+    value, partials = _value_partials(field(lift_d1(point, coords)), len(coords))
+    return value, dict(zip(coords, partials))

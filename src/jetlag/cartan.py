@@ -140,22 +140,19 @@ def _cartan_coefficients_p1(L, h, dims):
 def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
     """For p >= 2 the spatial metric depends on (t, x) only, so the adapted
     derivatives reduce to plain partials and the vertical coefficients
-    vanish identically.  One Jacobian of g along x and t gives L (the
+    vanish identically.  The decomposition's jet at the point gives L (the
     Christoffels of g), G and, with g^{-1} and H, the M and N below them."""
     n, p = dims.n, dims.p
-    xs = [x_coord(k) for k in range(n)]
-    ts = [t_coord(a) for a in range(p)]
 
     def coefficients(point: JetPoint):
-        g, jac = field_jacobian(deco.g_field, point, xs + ts)
-        ginv = checked_inverse(g).inverse
+        jet = deco.jet_at(point)
+        ginv = checked_inverse(jet.g).inverse
         hmat, _, hbar = h_christoffel_values(h, point.t)
-        l_co = christoffel(ginv, [jac[c] for c in xs])
-        dg_dt = [jac[c] for c in ts]
+        l_co = christoffel(ginv, jet.dg_dx)
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
         return Coefficients(
-            hbar=hbar, g=_g_block(ginv, dg_dt), l=l_co, c=c_co, m=m_values(hbar, point),
-            n=electrodynamics_n_values(hmat, deco, point, l_co, ginv, dg_dt))
+            hbar=hbar, g=_g_block(ginv, jet.dg_dt), l=l_co, c=c_co, m=m_values(hbar, point),
+            n=electrodynamics_n_values(hmat, jet, point, l_co, ginv))
 
     return coefficients, deco.g_field
 

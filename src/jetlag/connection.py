@@ -32,9 +32,7 @@ from .calculus import (
     all_coords,
     field_jacobian,
     structure_entry,
-    t_coord,
     v_coord,
-    x_coord,
 )
 from .jet_core import (
     Dims,
@@ -46,10 +44,11 @@ from .jet_core import (
 from .metric_engine import (
     TemporalMetric,
     checked_inverse,
-    g_christoffel_values,
+    christoffel,
     h_christoffel_values,
 )
 from .regularity import (
+    DecompositionJet,
     ElectrodynamicsDecomposition,
     electrodynamics_decompose,
     hessian_blocks,
@@ -238,8 +237,9 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
     else:
         if decomposition is None:
             decomposition = electrodynamics_decompose(L, h)
-        t_vec = _trace_tensor_vector(point, decomposition, data)
-        gamma = g_christoffel_values(decomposition.g_field, point)
+        jet = decomposition.jet_at(point)
+        t_vec = _trace_tensor_vector(point, jet, data)
+        gamma = christoffel(checked_inverse(jet.g).inverse, jet.dg_dx)
         t_tens = DTensor((vertical_upper(n, p), temporal_lower(p)))
         for l in range(n):
             for a in range(p):
@@ -256,21 +256,15 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
                      G_spatial=g_spat, T_tensor=t_tens)
 
 
-def _trace_tensor_vector(point, deco: ElectrodynamicsDecomposition, data: SprayData):
+def _trace_tensor_vector(point, jet: DecompositionJet, data: SprayData):
     """T^l = (g^{li}/4)[2 h^{ab} dg_ij/dt^a v^j_b + U^{(a)}_{(i)j} v^j_a
-    + dU^a_i/dt^a + U^a_i H^c_{ac} - dF/dx^i] (halved displayed value)."""
-    dims = deco.dims
-    n, p = dims.n, dims.p
+    + dU^a_i/dt^a + U^a_i H^c_{ac} - dF/dx^i] (halved displayed value),
+    from the decomposition's ``jet`` at the point."""
+    n, p = len(point.x), len(point.t)
     v = point.v
     hinv = data.hinv
     htrace = [_sum(data.hch[c][a][c] for c in range(p)) for a in range(p)]
-
-    ts = [t_coord(a) for a in range(p)]
-    (_, u), jac = field_jacobian(lambda q: (deco.g_field(q), deco.u_field(q)), point, ts)
-    dg_dt = [jac[c][0] for c in ts]
-    du_dt = [jac[c][1] for c in ts]
-    ucurl = deco.u_curl_at(point)
-    df_dx = list(field_jacobian(deco.f_field, point, [x_coord(i) for i in range(n)])[1].values())
+    dg_dt, du_dt, u, ucurl, df_dx = jet.dg_dt, jet.du_dt, jet.u, jet.u_curl, jet.df_dx
 
     out = []
     for l in range(n):
@@ -316,15 +310,14 @@ def pair_n_values(gamma, point: JetPoint):
     ]
 
 
-def electrodynamics_n_values(hmat, deco: ElectrodynamicsDecomposition,
-                             point: JetPoint, gamma, ginv, dg_dt):
+def electrodynamics_n_values(hmat, jet: DecompositionJet, point: JetPoint, gamma, ginv):
     """The p >= 2 canonical N^{(i)}_{(a)j} = Gamma^i_{jk} v^k_a
     + (g^{ik}/2) dg_jk/dt^a + (g^{ik}/4) h_{ac} U^{(c)}_{(k)j} as
-    [i][a][j], from h's matrix ``hmat`` and the decomposition metric's
-    Christoffels ``gamma``, inverse ``ginv`` and t-partials ``dg_dt[a]``
-    at the point."""
-    n, p = len(ginv), len(dg_dt)
-    ucurl = deco.u_curl_at(point)
+    [i][a][j], from h's matrix ``hmat``, the decomposition's ``jet`` and
+    its metric's Christoffels ``gamma`` and inverse ``ginv`` at the
+    point."""
+    n, p = len(ginv), len(jet.dg_dt)
+    dg_dt, ucurl = jet.dg_dt, jet.u_curl
     out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
     for i in range(n):
         for a in range(p):

@@ -88,9 +88,8 @@ class SlotKind(enum.Enum):
     VERTICAL_UPPER = "vertical_upper"
     VERTICAL_LOWER = "vertical_lower"
 
-    @property
-    def family(self) -> str:
-        return self.value.rsplit("_", 1)[0]
+    def __init__(self, value):
+        self.family = value.rsplit("_", 1)[0]  # "temporal", "spatial" or "vertical"
 
 
 @dataclass(frozen=True)

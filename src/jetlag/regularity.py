@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .calculus import field_jacobian, gradient_hessian, v_coord, vertical_coords, x_coord
+from .calculus import field_jacobian, gradient_hessian, t_coord, v_coord, vertical_coords, x_coord
 from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, JetPoint, zero_velocity_point
 from .metric_engine import TemporalMetric, checked_inverse
@@ -166,10 +166,6 @@ class RegularityVerdict:
         }
 
 
-def _g_estimate_floats(L, h, point, dims):
-    return [[scalar_value(e) for e in row] for row in g_from_hessian(L, h, point, dims)]
-
-
 def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
                    tol: float = DEFAULT_TOL, seed: int = 0) -> RegularityVerdict:
     """Sampled test of the factorization G^{(ab)}_{(ij)} = h^{ab} g_ij.
@@ -194,7 +190,8 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         idx, point = idx_point
         n, p = dims.n, dims.p
         blocks = hessian_blocks(L, point, dims).blocks
-        g = trace_metric(h.matrix_at(point.t), blocks)
+        hmat = h.matrix_at(point.t)
+        g = trace_metric(hmat, blocks)
         hinv = h.inverse_at(point.t)
         residual = 0.0
         for i in range(n):
@@ -213,11 +210,11 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
             _, det, sig = checked_inverse(g)
         except DegeneracyError as exc:
             det, sig, issue = exc.det, None, f"sample {idx}: {exc}"
-        # Velocity dependence: redraw v at fixed (t, x) and compare estimates.
+        # Velocity dependence: redraw v at fixed (t, x), h is hmat there, and compare.
         vdep = 0.0
         for redraw in redraws[idx]:
             probe = JetPoint(point.t, point.x, redraw.v)
-            g2 = _g_estimate_floats(L, h, probe, dims)
+            g2 = trace_metric(hmat, hessian_blocks(L, probe, dims).blocks)
             vdep = max(
                 vdep,
                 max(abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n)),
@@ -276,47 +273,70 @@ def _infer_n(L, h) -> int:
 # --- Electrodynamics decomposition -------------------------------------------
 
 
+class DecompositionJet(NamedTuple):
+    """g, U, F of a decomposition at a point with their partials along
+    every x and t, from one lift (``ElectrodynamicsDecomposition.jet_at``)."""
+
+    g: list       # [i][j]
+    u: list       # [i][a] = U^a_i
+    f: object
+    dg_dx: list   # [k][i][j] = d g_ij/dx^k
+    dg_dt: list   # [c][i][j] = d g_ij/dt^c
+    du_dt: list   # [c][i][a] = d U^a_i/dt^c
+    df_dx: list   # [i] = dF/dx^i
+    u_curl: list  # [i][a][j] = U^{(a)}_{(i)j} = d U^a_i/dx^j - d U^a_j/dx^i
+
+
 @dataclass
 class ElectrodynamicsDecomposition:
     """g, U, F fields with L = h^{ab} g_ij v^i_a v^j_b + U^a_i v^i_a + F,
     plus per-point samples and the verified reassembly residual.
 
-    ``g_field`` is the spatial metric, symmetric at every point; the spray,
-    N, the T-tensor and the Cartan closure all read it."""
+    ``g_field`` is the spatial metric, symmetric at every point; packs,
+    Berwald and metric compatibility read it alone.  ``potentials`` gives
+    (U, F) together, and ``jet_at`` everything the spray, N, the T-tensor
+    and the Cartan closure read of the three."""
 
     dims: Dims
     g_field: object          # JetPoint -> n x n (reads t, x only)
-    u_field: object          # JetPoint -> n x p
-    f_field: object          # JetPoint -> scalar
+    potentials: object       # JetPoint -> (n x p U, scalar F) (reads t, x only)
     g_samples: list = field(default_factory=list)
     u_samples: list = field(default_factory=list)
     f_samples: list = field(default_factory=list)
     u_curl_samples: list = field(default_factory=list)
     reassembly_residual: float = 0.0
 
-    def u_curl_at(self, point: JetPoint):
-        """U^{(a)}_{(i)j} = d U^a_i/dx^j - d U^a_j/dx^i as [i][a][j], from one
-        evaluation of the U field lifted over every x."""
+    def jet_at(self, point: JetPoint) -> DecompositionJet:
+        """g, U, F at ``point`` and their partials along every x and t, from
+        one evaluation of both fields lifted over all of them together."""
         n, p = self.dims.n, self.dims.p
         xs = [x_coord(j) for j in range(n)]
-        _, du = field_jacobian(self.u_field, point, xs)
-        return [
-            [[du[xs[j]][i][a] - du[xs[i]][j][a] for j in range(n)] for a in range(p)]
-            for i in range(n)
-        ]
+        ts = [t_coord(a) for a in range(p)]
+        (g, (u, f)), jac = field_jacobian(
+            lambda q: (self.g_field(q), self.potentials(q)), point, xs + ts)
+        du = [jac[c][1][0] for c in xs]
+        return DecompositionJet(
+            g=g, u=u, f=f,
+            dg_dx=[jac[c][0] for c in xs],
+            dg_dt=[jac[c][0] for c in ts],
+            du_dt=[jac[c][1][0] for c in ts],
+            df_dx=[jac[c][1][1] for c in xs],
+            u_curl=[[[du[j][i][a] - du[i][j][a] for j in range(n)] for a in range(p)]
+                    for i in range(n)],
+        )
 
 
 def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
                               seed: int = 0) -> ElectrodynamicsDecomposition:
     """Recover (g, U, F) from a block-regular, velocity-independent L.
 
-    F(t,x) = L(t,x,0); U^a_i = dL/dv^i_a at v=0; g is the h-trace of the
-    vertical Hessian at v=0, averaged with its transpose (for p >= 2 the
-    (i, j) and (j, i) sums of the trace run in different orders).  When L
-    is a builtin quadratic family the recovered fields coincide exactly
-    with its entries, which are then used as the field backend; the
-    reassembly check below runs on L itself either way and fails loudly
-    when L is not quadratic in v.
+    F(t,x) = L(t,x,0) and U^a_i = dL/dv^i_a at v=0, both from one lift of
+    L over the verticals; g is the h-trace of the vertical Hessian at v=0,
+    averaged with its transpose (for p >= 2 the (i, j) and (j, i) sums of
+    the trace run in different orders).  When L is a builtin quadratic
+    family the recovered fields coincide exactly with its entries, which
+    are then used as the field backend; the reassembly check below runs on
+    L itself either way and fails loudly when L is not quadratic in v.
     """
     dims = Dims(h.p, _infer_n(L, h))
     n, p = dims.n, dims.p
@@ -324,31 +344,23 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
     structure = getattr(L, "structure", None)
     if structure is not None:
         g_field = structure.g_matrix
-        if structure.u_entries is not None:
-            u_field = lambda pt: [
-                [structure.u_entries[i][a](pt) for a in range(p)] for i in range(n)
-            ]
-        else:
-            u_field = lambda pt: [[0.0] * p for _ in range(n)]
-        if structure.f_entry is not None:
-            f_field = structure.f_entry
-        else:
-            f_field = lambda pt: 0.0
+
+        def potentials(pt):
+            if structure.u_entries is None:
+                u = [[0.0] * p for _ in range(n)]
+            else:
+                u = [[structure.u_entries[i][a](pt) for a in range(p)] for i in range(n)]
+            return u, 0.0 if structure.f_entry is None else structure.f_entry(pt)
     else:
         def g_field(pt):
             g = g_from_hessian(L, h, _at_zero_velocity(pt, dims), dims)
             return [[(g[i][j] + g[j][i]) * 0.5 for j in range(n)] for i in range(n)]
 
-        def u_field(pt):
-            _, jac = field_jacobian(L, _at_zero_velocity(pt, dims), vertical_coords(dims))
-            return [[jac[v_coord(i, a)] for a in range(p)] for i in range(n)]
+        def potentials(pt):
+            f, jac = field_jacobian(L, _at_zero_velocity(pt, dims), vertical_coords(dims))
+            return [[jac[v_coord(i, a)] for a in range(p)] for i in range(n)], f
 
-        def f_field(pt):
-            return L(_at_zero_velocity(pt, dims))
-
-    deco = ElectrodynamicsDecomposition(
-        dims=dims, g_field=g_field, u_field=u_field, f_field=f_field,
-    )
+    deco = ElectrodynamicsDecomposition(dims=dims, g_field=g_field, potentials=potentials)
 
     if base_points is None:
         base_points = sample_points(dims, None, 8, seed=seed)
@@ -356,16 +368,15 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
     worst = 0.0
     for pt in base_points:
         base = _at_zero_velocity(pt, dims)
-        g = [[scalar_value(e) for e in row] for row in g_field(base)]
-        u = [[scalar_value(e) for e in row] for row in u_field(base)]
-        f_val = scalar_value(f_field(base))
+        jet = deco.jet_at(base)
+        g = [[scalar_value(e) for e in row] for row in jet.g]
+        u = [[scalar_value(e) for e in row] for row in jet.u]
+        f_val = scalar_value(jet.f)
         deco.g_samples.append(g)
         deco.u_samples.append(u)
         deco.f_samples.append(f_val)
-        deco.u_curl_samples.append(
-            [[[scalar_value(e) for e in row] for row in plane]
-             for plane in deco.u_curl_at(base)]
-        )
+        deco.u_curl_samples.append([[[scalar_value(e) for e in row] for row in plane]
+                                    for plane in jet.u_curl])
         hinv = h.inverse_at(base.t)
         for _ in range(4):
             v = [[rng.uniform(-1.0, 1.0) for _ in range(p)] for _ in range(n)]

@@ -6,8 +6,8 @@ report where their outputs differ.
 Each run is ``python -m jetlag COMMAND --config FILE`` in a fresh process
 with ``PYTHONPATH`` set to one tree, two runs at a time.  The configs are
 the 27 corpus configs of ``conftest`` (``count=4``), the quartic
-(``count=4``) and the sphere (``dt=1e-2``), eight expression Lagrangians
-(five with a solver), two metrics that vanish along an extremal (g = x1
+(``count=4``) and the sphere (``dt=1e-2``), nine expression Lagrangians
+(five with a solver; one p = 2 with velocity-linear terms), two metrics that vanish along an extremal (g = x1
 and g = x1^2), an indefinite temporal metric with a zero diagonal and a
 p = 2 temporal metric with t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
@@ -71,7 +71,14 @@ def _expression(p, n, expression, h=None, x0=None, y0=None) -> dict:
 
 def configs() -> dict:
     """Name -> config dict of the comparison set."""
-    from conftest import CORPUS_DIMS, KINDS, corpus_config, quartic_config, sphere_config
+    from conftest import (
+        CORPUS_DIMS,
+        KINDS,
+        corpus_config,
+        potentials_config,
+        quartic_config,
+        sphere_config,
+    )
 
     out = {f"{kind}_p{p}_n{n}": corpus_config(kind, p, n, count=4)
            for kind in KINDS for p, n in CORPUS_DIMS}
@@ -104,6 +111,9 @@ def configs() -> dict:
         1, 2, "(1 + x1^2)*v1_1^2 + (2 + sinh(0.3*x2))*v2_1^2 + 0.2*v1_1*v2_1"
               " + (1.5 + x1)^(1 + 0.1*t1)",
         x0=[0.2, -0.1], y0=[0.5, 0.3])
+    # velocity-linear terms: the expression backend's U and its curl are
+    # nonzero, and F depends on x and t
+    out["expr_potentials_p2_n2"] = potentials_config()
     out["expr_p3_n2"] = _expression(
         3, 2, "v1_1^2 + v1_2^2 + v1_3^2 + (1 + x1^2)*(v2_1^2 + v2_2^2 + v2_3^2)")
     out["abort_x1"] = _harmonic_p1([["x1"]], 0.3, -1.0)

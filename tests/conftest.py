@@ -84,6 +84,23 @@ def corpus_instance(kind: str, p: int, n: int, count: int = 16, seed: int = 0):
     return assemble(corpus_config(kind, p, n, count=count, seed=seed))
 
 
+def potentials_config() -> dict:
+    """A block-regular p = 2, n = 2 expression Lagrangian with
+    velocity-linear terms, so the expression backend's U, its curl and the
+    x- and t-partials of F are nonzero."""
+    return {
+        "dims": {"p": 2, "n": 2},
+        "lagrangian": {
+            "kind": "expression",
+            "expression": "(1 + x2^2)*(v1_1^2/(1 + t1^2) + v1_2^2/2) + (2 + x1^2)*(v2_1^2/(1 + t1^2)"
+                          " + v2_2^2/2) + exp(0.3*t1*x2)*v1_1 + log(2 + x1)*v2_2 + x1*x2/(2 + t2^2)",
+        },
+        "temporal_metric": {"kind": "expression", "entries": [["1 + t1^2", "0"], ["0", "2"]],
+                            "signature": [2, 0]},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 1},
+    }
+
+
 def quartic_config(count: int = 16) -> dict:
     return {
         "dims": {"p": 2, "n": 2},
@@ -135,18 +152,30 @@ def temporal_metric_of(entries, signature) -> TemporalMetric:
     return TemporalMetric(len(entries), matrix, signature)
 
 
+def counted(calls: dict, name: str, fn):
+    """``fn``, adding 1 to ``calls[name]`` at each call."""
+
+    def wrapped(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapped
+
+
 # --- Reference values of the nonlinear connection -------------------------------
 
 
 def canonical_n_reference(h: TemporalMetric, deco, point: JetPoint):
-    """The p >= 2 canonical N^{(i)}_{(a)j} as [i][a][j], from this helper's
-    own evaluations of the decomposition metric: its Christoffels, its
-    inverse and its Jacobian along t."""
+    """The p >= 2 canonical N^{(i)}_{(a)j} as [i][a][j], from the curl of U
+    in the decomposition's jet and this helper's own evaluations of the
+    decomposition metric: its Christoffels, its inverse and its Jacobian
+    along t."""
     ts = [t_coord(a) for a in range(len(point.t))]
     _, jac = field_jacobian(deco.g_field, point, ts)
+    jet = deco.jet_at(point)._replace(dg_dt=[jac[c] for c in ts])
     return electrodynamics_n_values(
-        h.matrix_at(point.t), deco, point, g_christoffel_values(deco.g_field, point),
-        checked_inverse(deco.g_field(point)).inverse, [jac[c] for c in ts])
+        h.matrix_at(point.t), jet, point, g_christoffel_values(deco.g_field, point),
+        checked_inverse(deco.g_field(point)).inverse)
 
 
 def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):

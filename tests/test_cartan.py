@@ -33,6 +33,8 @@ from conftest import (
     canonical_n_reference,
     corpus_config,
     corpus_instance,
+    counted,
+    potentials_config,
     spatial_metric_of,
     sphere_config,
 )
@@ -286,38 +288,30 @@ class TestOneEvaluationPerPoint:
         # whose matrix N's h_11 is read from
         assert len(calls) == 5
 
-    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
-    def test_p2_cartan_evaluates_g_once_per_direction(self, p, n):
-        inst = corpus_instance("non_autonomous", p, n)
+    @pytest.mark.parametrize("config", [corpus_config("non_autonomous", 2, 3),
+                                        corpus_config("non_autonomous", 3, 2),
+                                        potentials_config()])
+    def test_p2_cartan_reads_one_decomposition_jet(self, config):
+        # g and (U, F) once each, in the one lift of the decomposition's
+        # jet over every x^k and t^a together, whose value is g at the
+        # point: N's curl of U is read from it, not lifted again
+        inst = assemble(config)
         deco = electrodynamics_decompose(inst.L, inst.h)
-        calls = []
-
-        def counted(q):
-            calls.append(q)
-            return deco.g_field(q)
-
-        counting = dataclasses.replace(deco, g_field=counted)
+        calls = {"g": 0, "potentials": 0}
+        counting = dataclasses.replace(deco, g_field=counted(calls, "g", deco.g_field),
+                                       potentials=counted(calls, "potentials", deco.potentials))
         pack = cartan_connection(inst.L, inst.h, decomposition=counting)
         pack.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=31)[0])
-        # one lift over every x^k and t^a together, whose value is g at the
-        # point
-        assert len(calls) == 1
+        assert calls == {"g": 1, "potentials": 1}
 
     def test_berwald_computes_each_christoffel_family_once(self, monkeypatch):
         inst = corpus_instance("non_autonomous", 2, 2)  # h depends on t
         calls = {"g": 0, "h": 0}
-
-        def counted(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
-
+        monkeypatch.setattr(cartan, "g_christoffel_values",
+                            counted(calls, "g", metric_engine.g_christoffel_values))
         for module in (cartan, connection):
-            monkeypatch.setattr(module, "g_christoffel_values",
-                                counted("g", metric_engine.g_christoffel_values))
             monkeypatch.setattr(module, "h_christoffel_values",
-                                counted("h", metric_engine.h_christoffel_values))
+                                counted(calls, "h", metric_engine.h_christoffel_values))
         berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
         berwald.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=32)[0])
         assert calls == {"g": 1, "h": 1}

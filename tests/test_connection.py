@@ -1,5 +1,6 @@
 """Sprays, the canonical nonlinear connection and adapted derivatives."""
 
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from jetlag.cartan import MHorizontal, THorizontal, VerticalCov, cartan_connection, covariant_derivative
+from jetlag.config import assemble
 from jetlag.connection import (
     euler_lagrange_residual,
     gcal_values,
@@ -29,7 +31,14 @@ from jetlag.metric_engine import (
 from jetlag.regularity import electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 
-from conftest import corpus_instance, spatial_metric_of, temporal_metric_of
+from conftest import (
+    corpus_config,
+    corpus_instance,
+    counted,
+    potentials_config,
+    spatial_metric_of,
+    temporal_metric_of,
+)
 
 
 def flat_h(p):
@@ -128,6 +137,20 @@ class TestSprayEntities:
         pt = JetPoint((0.2, -0.3), (0.5, 0.7), ((0.3, -0.2), (0.1, 0.6)))
         pack = spray_entities(inst.L, inst.h, pt)
         assert np.allclose(pack.Gc, pack.S + pack.Hc + pack.J, atol=1e-14)
+
+    @pytest.mark.parametrize("config", [corpus_config("non_autonomous", 2, 3),
+                                        potentials_config()])
+    def test_p2_spray_reads_one_decomposition_jet(self, config):
+        # the T-tensor and the Christoffels of g read the decomposition's
+        # jet: g and (U, F) once each
+        inst = assemble(config)
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        calls = {"g": 0, "potentials": 0}
+        counting = dataclasses.replace(deco, g_field=counted(calls, "g", deco.g_field),
+                                       potentials=counted(calls, "potentials", deco.potentials))
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=12)[0]
+        spray_entities(inst.L, inst.h, pt, decomposition=counting)
+        assert calls == {"g": 1, "potentials": 1}
 
     def test_h_trace_identity_random_points(self):
         # G^l = h^{ab} G^{(l)}_{(a)b} at random points
@@ -256,7 +279,7 @@ class TestNonlinearConnection:
             gamma = g_christoffel_values(gs, pt)
             ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt)).inverse]
             h11 = scalar_value(h.matrix_at(pt.t)[0][0])
-            ucurl = deco.u_curl_at(pt)
+            ucurl = deco.jet_at(pt).u_curl
             nval = pack.coefficients_at(pt).n
             for i in range(2):
                 for j in range(2):
@@ -276,7 +299,7 @@ class TestNonlinearConnection:
             gamma = g_christoffel_values(gs, pt)
             ginv = [[scalar_value(e) for e in row] for row in checked_inverse(gs(pt)).inverse]
             hmat = [[scalar_value(e) for e in row] for row in inst.h.matrix_at(pt.t)]
-            ucurl = deco.u_curl_at(pt)
+            ucurl = deco.jet_at(pt).u_curl
             nval = pack.coefficients_at(pt).n
             for i in range(2):
                 for a in range(2):

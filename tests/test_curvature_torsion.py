@@ -580,7 +580,7 @@ def _f_tensor(inst, deco, pt):
     ts = [t_coord(mu) for mu in range(p)]
     _, dg_dt = field_jacobian(gs, pt, ts)
     dg = [dg_dt[c] for c in ts]
-    ucurl = deco.u_curl_at(pt)
+    ucurl = deco.jet_at(pt).u_curl
     out = [[[0.0] * p for _ in range(n)] for _ in range(n)]
     for m in range(n):
         for i in range(n):

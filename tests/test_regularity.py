@@ -1,10 +1,13 @@
 """Vertical Hessian, block-regularity verdicts, quadratic decomposition."""
 
+import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
 
+from jetlag import calculus, metric_engine, regularity
 from jetlag.calculus import field_jacobian, lift_d1, t_coord, x_coord
 from jetlag.config import assemble
 from jetlag.errors import DecompositionError
@@ -17,6 +20,7 @@ from jetlag.fields import (
 from jetlag.jet_core import Dims, JetPoint, zero_velocity_point
 from jetlag.metric_engine import TemporalMetric
 from jetlag.regularity import (
+    DecompositionJet,
     electrodynamics_decompose,
     g_from_hessian,
     hessian_blocks,
@@ -25,15 +29,23 @@ from jetlag.regularity import (
 )
 from jetlag.scalars import scalar_value
 
-from conftest import corpus_config, corpus_instance, fd_d2, quartic_config
+from conftest import (
+    KINDS,
+    corpus_config,
+    corpus_instance,
+    counted,
+    fd_d2,
+    potentials_config,
+    quartic_config,
+)
 
 
 def u_curl_per_entry(deco, point):
     """Oracle: the curl of U from one first partial per entry of U and
-    direction, n^2 p lifted evaluations of the whole U field."""
+    direction, n^2 p lifted evaluations of the whole potentials field."""
     n, p = deco.dims.n, deco.dims.p
     du = [
-        [[field_jacobian(lambda pt, i=i, a=a: deco.u_field(pt)[i][a], point,
+        [[field_jacobian(lambda pt, i=i, a=a: deco.potentials(pt)[0][i][a], point,
                          (x_coord(j),))[1][x_coord(j)]
           for j in range(n)] for a in range(p)] for i in range(n)
     ]
@@ -143,6 +155,94 @@ class TestKroneckerTest:
                                      seed=inst.seed)
             assert verdict.is_kronecker, (kind, verdict.diagnostics)
 
+    def test_h_evaluated_twice_per_sample(self, monkeypatch):
+        # per sample h's matrix once, for the trace and the 8 velocity
+        # redraws at the same t, and once inside inverse_at; the other 36
+        # evaluations, with their factorizations, are L's own (9 evaluations
+        # of L per sample)
+        inst = corpus_instance("non_autonomous", 2, 3, count=4)
+        calls = {"matrix": 0, "factorizations": 0}
+        inst.h.matrix = counted(calls, "matrix", inst.h.matrix)
+        factor = counted(calls, "factorizations", metric_engine.checked_inverse)
+        for module in (metric_engine, regularity):
+            monkeypatch.setattr(module, "checked_inverse", factor)
+        verdict = kronecker_test(inst.L, inst.h, inst.sampling["box"], K=4, seed=inst.seed)
+        assert verdict.is_kronecker
+        assert calls == {"matrix": 44, "factorizations": 44}
+
+
+def _jet_reference(deco, pt):
+    """Every entry of the decomposition's jet from the evaluation or lift
+    of that field alone: g and (U, F) plainly, one lift per partial and
+    direction, and the per-entry curl."""
+    n, p = deco.dims.n, deco.dims.p
+    xs = [x_coord(k) for k in range(n)]
+    ts = [t_coord(c) for c in range(p)]
+
+    def partial(fld, c):
+        return field_jacobian(fld, pt, (c,))[1][c]
+
+    u, f = deco.potentials(pt)
+    return DecompositionJet(
+        g=deco.g_field(pt), u=u, f=f,
+        dg_dx=[partial(deco.g_field, c) for c in xs],
+        dg_dt=[partial(deco.g_field, c) for c in ts],
+        du_dt=[partial(lambda q: deco.potentials(q)[0], c) for c in ts],
+        df_dx=[partial(lambda q: deco.potentials(q)[1], c) for c in xs],
+        u_curl=u_curl_per_entry(deco, pt),
+    )
+
+
+class TestDecompositionJet:
+    """``jet_at`` lifts (g, U, F) once over every x and t."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [corpus_config(kind, p, n, count=4) for kind in KINDS for p in (2, 3) for n in (1, 2, 3)]
+        + [potentials_config()],
+        ids=[f"{kind}_p{p}_n{n}" for kind in KINDS for p in (2, 3) for n in (1, 2, 3)]
+        + ["potentials"])
+    def test_every_entry_is_its_field_alone_bitwise(self, config):
+        inst = assemble(config)
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        for pt in _curl_probe_points(inst.dims, seed=7):
+            assert repr(deco.jet_at(pt)) == repr(_jet_reference(deco, pt))
+
+    def test_expression_jet_closed_form(self):
+        # U^1_1 = exp(0.3 t1 x2), U^2_2 = log(2 + x1), F = x1 x2/(2 + t2^2)
+        inst = assemble(potentials_config())
+        deco = electrodynamics_decompose(inst.L, inst.h)
+        pt = sample_points(inst.dims, None, 1, seed=3)[0]
+        (t1, t2), (x1, x2) = pt.t, pt.x
+        e, d = math.exp(0.3 * t1 * x2), 2.0 + t2 * t2
+        jet = deco.jet_at(pt)
+        np.testing.assert_allclose(jet.u, [[e, 0.0], [0.0, math.log(2.0 + x1)]], rtol=0, atol=1e-12)
+        assert jet.f == pytest.approx(x1 * x2 / d, abs=1e-12)
+        assert jet.du_dt[0][0][0] == pytest.approx(0.3 * x2 * e, abs=1e-12)
+        assert jet.df_dx == pytest.approx([x2 / d, x1 / d], abs=1e-12)
+        # U^{(1)}_{(1)2} = dU^1_1/dx^2 and U^{(2)}_{(2)1} = dU^2_2/dx^1
+        assert jet.u_curl[0][0][1] == pytest.approx(0.3 * t1 * e, abs=1e-12)
+        assert jet.u_curl[1][1][0] == pytest.approx(1.0 / (2.0 + x1), abs=1e-12)
+        np.testing.assert_allclose(jet.g, [[1.0 + x2 * x2, 0.0], [0.0, 2.0 + x1 * x1]], rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("config, evaluations, lifts", [
+        # the builtin family's fields are its entries: the 4 reassembly
+        # probes are L's only evaluations, the jet one lift per sample
+        (corpus_config("non_autonomous", 2, 2, count=4), 32, 8),
+        # per sample the g trace (a Taylor2 evaluation of L), U and F (one
+        # Dual evaluation of L, a lift inside the jet's lift) and the 4 probes
+        (potentials_config(), 48, 16),
+    ])
+    def test_one_jet_per_sample(self, monkeypatch, config, evaluations, lifts):
+        inst = assemble(config)
+        calls = {"L": 0, "lift_d1": 0}
+        L = dataclasses.replace(inst.L, field=counted(calls, "L", inst.L.field))
+        monkeypatch.setattr(calculus, "lift_d1", counted(calls, "lift_d1", calculus.lift_d1))
+        deco = electrodynamics_decompose(L, inst.h)
+        assert len(deco.u_curl_samples) == 8
+        assert calls == {"L": evaluations, "lift_d1": lifts}
+
 
 class TestDecomposition:
     def test_roundtrip_frozen_instance(self):
@@ -158,9 +258,10 @@ class TestDecomposition:
         assert deco.reassembly_residual <= 1e-8
         pt = zero_velocity_point((0.5, -0.2), (0.3, 0.7), d)
         gm = deco.g_field(pt)
+        jet = deco.jet_at(pt)
         assert gm[0][0] == pytest.approx(1.25)
-        assert deco.u_field(pt)[0][0] == pytest.approx(0.5 * 0.7)
-        assert deco.f_field(pt) == pytest.approx(0.5 + 0.3)
+        assert jet.u[0][0] == pytest.approx(0.5 * 0.7)
+        assert jet.f == pytest.approx(0.5 + 0.3)
 
     def test_expression_kind_matches_family(self):
         # the same Lagrangian written as one expression decomposes to the
@@ -174,10 +275,11 @@ class TestDecomposition:
         assert deco.reassembly_residual <= 1e-8
         pt = zero_velocity_point((0.5, -0.2), (0.3, 0.7), d)
         gm = deco.g_field(pt)
+        jet = deco.jet_at(pt)
         assert gm[0][0] == pytest.approx(1.25, abs=1e-9)
         assert gm[0][1] == pytest.approx(0.0, abs=1e-9)
-        assert deco.u_field(pt)[0][0] == pytest.approx(0.35, abs=1e-9)
-        assert deco.f_field(pt) == pytest.approx(0.8, abs=1e-9)
+        assert jet.u[0][0] == pytest.approx(0.35, abs=1e-9)
+        assert jet.f == pytest.approx(0.8, abs=1e-9)
 
     def test_expression_g_is_symmetric_where_the_trace_is_not(self):
         # L = h^{ab} g_ij v^i_a v^j_b written out term by term, with g_12 and
@@ -231,7 +333,7 @@ class TestDecomposition:
         inst = corpus_instance("non_autonomous", p, 3, count=4)
         deco = electrodynamics_decompose(inst.L, inst.h)
         for pt in _curl_probe_points(inst.dims, seed=p):
-            assert repr(deco.u_curl_at(pt)) == repr(u_curl_per_entry(deco, pt))
+            assert repr(deco.jet_at(pt).u_curl) == repr(u_curl_per_entry(deco, pt))
 
     def test_u_curl_matches_per_entry_partials_bitwise_generic(self):
         # the generic decomposition, whose U is a vertical gradient of L
@@ -241,7 +343,7 @@ class TestDecomposition:
         deco = electrodynamics_decompose(LagrangianModel.from_expression(src, d),
                                          TemporalMetric.flat(2))
         for pt in _curl_probe_points(d, seed=5):
-            curl = deco.u_curl_at(pt)
+            curl = deco.jet_at(pt).u_curl
             assert repr(curl) == repr(u_curl_per_entry(deco, pt))
         assert abs(scalar_value(curl[0][0][1])) > 0.0  # dU^1_1/dx^2 = t1
 
@@ -249,16 +351,16 @@ class TestDecomposition:
         n = 3
         inst = corpus_instance("non_autonomous", 2, n, count=4)
         deco = electrodynamics_decompose(inst.L, inst.h)
-        u_field = deco.u_field
+        potentials = deco.potentials
         calls = []
 
         def counted(pt):
             calls.append(pt)
-            return u_field(pt)
+            return potentials(pt)
 
-        deco.u_field = counted
-        deco.u_curl_at(sample_points(inst.dims, None, 1, seed=4)[0])
-        assert len(calls) == 1  # one lift over all n x directions
+        deco.potentials = counted
+        deco.jet_at(sample_points(inst.dims, None, 1, seed=4)[0])
+        assert len(calls) == 1  # one lift over all n x directions (and every t)
 
     def test_non_quadratic_rejected(self):
         d = Dims(2, 1)
