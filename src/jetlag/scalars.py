@@ -15,16 +15,20 @@ Derivatives*, 2nd ed., SIAM 2008, ch. 3):
   a Taylor2 meets a Dual the Dual is an older layer, treated as a constant.
 
 A Taylor2 stores only its support (the sparse forward mode of Griewank &
-Walther, ch. 7): the seeds its gradient depends on and the evaluation's
-pairs within them, named by an interned ``Layout``.  A product of two
-velocities in the spray's evaluation carries its 2 gradient entries and
-the 3 Hessian entries between them instead of all k and every pair.  A
-binary op reads the union of its operands' supports through an index
-``_Plan`` cached on their layouts, and a 0.0 sentinel at the end of every
-entry list stands for an entry an operand does not carry.  Each entry goes
-through the dense formula's operations in the dense order, so every entry a
-dense scalar would compute nonzero comes out bitwise the same; only zeros
-can differ, in sign.
+Walther, ch. 7, carried down to single pairs): the seeds its gradient
+depends on and the evaluation's pairs its Hessian can be nonzero on, named
+by an interned ``Layout``.  A seeded leaf carries no pair; ``+`` and ``-``
+carry the union of their operands' pairs; ``*`` adds the pairs with one
+seed in each operand; reciprocal and chain, whose g_i g_j term reaches
+them all, carry every pair among their seeds; scale and neg keep their
+operand's.  A product of two velocities in the spray's evaluation carries
+its 2 gradient entries and the one Hessian entry between them instead of
+all k and every pair.  A binary op reads its operands through an index
+``_Plan`` cached on their layouts.  Each entry sums, in the dense formula's
+order, only the terms whose operand entries exist; every term dropped is
+an exact zero addend, so every entry a dense scalar would compute nonzero
+comes out bitwise the same.  Only a zero can differ, in sign, and a NaN
+that a dense 0·inf term would give does not appear.
 
 Each op runs a kernel, generated straight-line code that spells its
 formula entry by entry at the positions of its plan or layout instead of
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 
 import numpy as np
 
@@ -182,76 +187,95 @@ class Layout:
 
     ``pairs`` is the evaluation's ``(rows, cols)``; ``seeds`` the sorted
     seed indices the gradient can be nonzero on, aligned with ``g``;
-    ``kept`` the indices into ``pairs`` of the pairs with both seeds in
-    ``seeds``, aligned with ``h``; ``hg`` the positions in ``g`` of the two
-    seeds of each kept pair.  Layouts are interned by ``layout``, so one
-    (pairs, seeds) is one object, and each caches in ``plans`` its plan
-    with every layout it has met as left operand.  Both live for the
-    process; their number is bounded by the supports the fields produce,
-    not by the number of evaluations.  A unary op runs the kernel that
-    ``kernel`` compiles on its first use and keeps under its ``_UNARY`` name.
+    ``kept`` the sorted indices into ``pairs`` of the pairs (both seeds in
+    ``seeds``) the Hessian can be nonzero on, aligned with ``h``.  Layouts
+    are interned by ``layout``, so one (pairs, seeds, kept) is one object,
+    and each caches in ``plans`` its plan with every layout it has met as
+    left operand.  Both live for the process; their number is bounded by
+    the supports the fields produce, not by the number of evaluations.  A
+    unary op runs the kernel that ``kernel`` compiles on its first use and
+    keeps under its ``_UNARY`` name; compiling reciprocal or chain sets
+    ``full``, the layout of every pair among the seeds, which they give.
     """
 
-    __slots__ = ("pairs", "seeds", "kept", "hg", "plans", "scale", "neg", "reciprocal", "chain")
+    __slots__ = ("pairs", "seeds", "kept", "plans", "full", "scale", "neg", "reciprocal", "chain")
 
-    def __init__(self, pairs, seeds):
-        rows, cols = pairs
-        at = {s: q for q, s in enumerate(seeds)}
-        self.pairs = pairs
-        self.seeds = seeds
-        self.kept = tuple(m for m, (i, j) in enumerate(zip(rows, cols))
-                          if i in at and j in at)
-        self.hg = tuple((at[rows[m]], at[cols[m]]) for m in self.kept)
+    def __init__(self, pairs, seeds, kept):
+        self.pairs, self.seeds, self.kept = pairs, seeds, kept
         self.plans = {}
-        self.scale = self.neg = self.reciprocal = self.chain = None
+        self.full = self.scale = self.neg = self.reciprocal = self.chain = None
 
     def __repr__(self):
         return f"Layout({self.seeds!r}, {self.kept!r})"
 
     def kernel(self, op):
         args, eg, eh = _UNARY[op]
-        return _kernel(self, op, args, [eg.format(q=q) for q in range(len(self.seeds))],
-                       [eh.format(m=m, i=i, j=j) for m, (i, j) in enumerate(self.hg)])
+        out, s = self, set(self.seeds)
+        if op in ("reciprocal", "chain"):  # their g_i g_j term reaches every pair
+            out = self.full = layout(self.pairs, self.seeds,
+                                     _pairs_where(self.pairs, lambda i, j: i in s and j in s))
+        rows, cols = self.pairs
+        g, h = _positions(self.seeds), _positions(self.kept)
+        return _kernel(self, op, args, [_sum(eg, q=q) for q in range(len(self.seeds))],
+                       [_sum(eh, p=h.get(m), i=g[rows[m]], j=g[cols[m]]) for m in out.kept])
 
 
 _LAYOUTS = {}
 
 
-def layout(pairs, seeds) -> Layout:
-    """The one Layout of the sorted seed indices ``seeds`` in an evaluation
-    carrying ``pairs``."""
-    key = (pairs, seeds)
+def layout(pairs, seeds, kept) -> Layout:
+    """The one Layout of the sorted seed indices ``seeds`` and pair
+    indices ``kept`` in an evaluation carrying ``pairs``."""
+    key = (pairs, seeds, kept)
     lay = _LAYOUTS.get(key)
     if lay is None:
-        lay = _LAYOUTS[key] = Layout(pairs, seeds)
+        lay = _LAYOUTS[key] = Layout(pairs, seeds, kept)
     return lay
 
 
-# Entry formulas of each op: the g entry at position q and the h entry at
-# position m (of seeds at g positions i, j) of a unary op's result, with its
-# kernel's arguments; a binary op reads the operand positions p, q of the
-# same entry, and its product g_a[i] g_b[j] and g_a[j2] g_b[i2].
+def _positions(entries) -> dict:
+    return {e: q for q, e in enumerate(entries)}
+
+
+def _pairs_where(pairs, test) -> tuple:
+    return tuple(m for m, (i, j) in enumerate(zip(*pairs)) if test(i, j))
+
+
+# Entry formulas of each op as the terms of a sum in the dense formula's
+# order, a term starting with "-" subtracted: the g entry at position q and
+# the h entry (operand h at position p, seeds at g positions i, j) of a
+# unary op's result, with its kernel's arguments; a binary op reads the
+# operand positions p, q of the same entry, and its product g_a[i] g_b[j]
+# and g_a[j2] g_b[i2].  An entry keeps the terms whose positions exist.
 _UNARY = {
-    "scale": ("g, h, o", "g[{q}] * o", "h[{m}] * o"),
-    "neg": ("g, h", "-g[{q}]", "-h[{m}]"),
-    "reciprocal": ("g, h, inv, inv2", "-g[{q}] * inv2",
-                   "-h[{m}] * inv2 + 2.0 * g[{i}] * g[{j}] * inv2 * inv"),
-    "chain": ("g, h, d, dd", "d * g[{q}]", "d * h[{m}] + dd * g[{i}] * g[{j}]"),
+    "scale": ("g, h, o", ("g[{q}] * o",), ("h[{p}] * o",)),
+    "neg": ("g, h", ("-g[{q}]",), ("-h[{p}]",)),
+    "reciprocal": ("g, h, inv, inv2", ("-g[{q}] * inv2",),
+                   ("-h[{p}] * inv2", "2.0 * g[{i}] * g[{j}] * inv2 * inv")),
+    "chain": ("g, h, d, dd", ("d * g[{q}]",), ("d * h[{p}]", "dd * g[{i}] * g[{j}]")),
 }
 _BINARY = {
-    "plus": ("ga[{p}] + gb[{q}]", "ha[{p}] + hb[{q}]"),
-    "minus": ("ga[{p}] - gb[{q}]", "ha[{p}] - hb[{q}]"),
-    "times": ("a * gb[{q}] + ga[{p}] * b",
-              "a * hb[{q}] + ga[{i}] * gb[{j}] + ga[{j2}] * gb[{i2}] + ha[{p}] * b"),
+    "plus": (("ga[{p}]", "gb[{q}]"), ("ha[{p}]", "hb[{q}]")),
+    "minus": (("ga[{p}]", "-gb[{q}]"), ("ha[{p}]", "-hb[{q}]")),
+    "times": (("a * gb[{q}]", "ga[{p}] * b"),
+              ("a * hb[{q}]", "ga[{i}] * gb[{j}]", "ga[{j2}] * gb[{i2}]", "ha[{p}] * b")),
 }
 _KERNELS = {}
+_FIELD = re.compile(r"\{(\w+)\}")
+
+
+def _sum(terms, **at) -> str:
+    """Source of the sum of the ``terms`` whose positions ``at`` all gives
+    (None where an operand does not carry the entry)."""
+    kept = [t.format(**at) for t in terms if None not in map(at.get, _FIELD.findall(t))]
+    return " + ".join(kept).replace(" + -", " - ")
 
 
 def _kernel(owner, op, args, g, h):
     """Keep on ``owner`` as ``op`` and return the kernel ``lambda args:
-    (g, h)`` whose list displays hold the entry expressions ``g`` and ``h``,
-    each ended by the 0.0 sentinel; one function per distinct source."""
-    source = f"lambda {args}: ([{', '.join([*g, '0.0'])}], [{', '.join([*h, '0.0'])}])"
+    (g, h)`` whose list displays hold the entry expressions ``g`` and ``h``;
+    one function per distinct source."""
+    source = f"lambda {args}: ([{', '.join(g)}], [{', '.join(h)}])"
     fn = _KERNELS.get(source)
     if fn is None:
         fn = _KERNELS[source] = eval(source)  # noqa: S307 - source is generated from index tuples
@@ -261,39 +285,35 @@ def _kernel(owner, op, args, g, h):
 
 class _Plan:
     """Index plan of a binary op between Taylor2s of layouts a and b: the
-    layout of the union of their seeds, and for each entry of it the
-    positions of the operand entries the dense formula reads, -1 (the 0.0
-    sentinel) where an operand does not carry the entry.  ``g`` holds the
-    (a, b) positions of each gradient entry; ``mul`` holds, per Hessian
-    pair (i, j), the positions of h_a, h_b, g_a[i], g_b[j], g_a[j] and
-    g_b[i].  An op runs the kernel ``(a, b, ga, gb, ha, hb) -> (g, h)``
-    that ``kernel`` compiles on its first use and keeps under its
-    ``_BINARY`` name; reading the sentinels where the formula does, it
-    gives every entry bitwise.
+    layout ``sum`` of ``+`` and ``-``, the union of their seeds and pairs,
+    and the layout ``product`` of ``*``, which adds the pairs with one seed
+    in each operand.  An op runs the kernel ``(a, b, ga, gb, ha, hb) ->
+    (g, h)`` that ``kernel`` compiles on its first use and keeps under its
+    ``_BINARY`` name.
     """
 
-    __slots__ = ("layout", "g", "mul", "plus", "minus", "times")
+    __slots__ = ("a", "b", "sum", "product", "plus", "minus", "times")
 
     def __init__(self, a, b):
-        rows, cols = a.pairs
-        u = self.layout = layout(a.pairs, tuple(sorted({*a.seeds, *b.seeds})))
-        ga = {s: q for q, s in enumerate(a.seeds)}
-        gb = {s: q for q, s in enumerate(b.seeds)}
-        ha = {m: q for q, m in enumerate(a.kept)}
-        hb = {m: q for q, m in enumerate(b.kept)}
-        self.g = tuple((ga.get(s, -1), gb.get(s, -1)) for s in u.seeds)
-        self.mul = tuple(
-            (ha.get(m, -1), hb.get(m, -1), ga.get(rows[m], -1), gb.get(cols[m], -1),
-             ga.get(cols[m], -1), gb.get(rows[m], -1))
-            for m in u.kept
-        )
+        seeds = tuple(sorted({*a.seeds, *b.seeds}))
+        kept = {*a.kept, *b.kept}
+        sa, sb = set(a.seeds), set(b.seeds)
+        cross = _pairs_where(a.pairs, lambda i, j: i in sa and j in sb or j in sa and i in sb)
+        self.a, self.b = a, b
+        self.sum = layout(a.pairs, seeds, tuple(sorted(kept)))
+        self.product = layout(a.pairs, seeds, tuple(sorted(kept.union(cross))))
         self.plus = self.minus = self.times = None
 
     def kernel(self, op):
+        a, b = self.a, self.b
+        rows, cols = a.pairs
+        ga, gb, ha, hb = map(_positions, (a.seeds, b.seeds, a.kept, b.kept))
         eg, eh = _BINARY[op]
-        return _kernel(self, op, "a, b, ga, gb, ha, hb", [eg.format(p=p, q=q) for p, q in self.g],
-                       [eh.format(p=p, q=q, i=i, j=j, j2=j2, i2=i2)
-                        for p, q, i, j, j2, i2 in self.mul])
+        out = self.product if op == "times" else self.sum
+        return _kernel(self, op, "a, b, ga, gb, ha, hb",
+                       [_sum(eg, p=ga.get(s), q=gb.get(s)) for s in out.seeds],
+                       [_sum(eh, p=ha.get(m), q=hb.get(m), i=ga.get(rows[m]), j=gb.get(cols[m]),
+                             j2=ga.get(cols[m]), i2=gb.get(rows[m])) for m in out.kept])
 
 
 def _plan(a: Layout, b: Layout) -> _Plan:
@@ -310,19 +330,19 @@ class Taylor2:
 
     Each scalar carries only its support, the entries that can be nonzero:
     ``layout`` (a ``Layout``) names the seeds its gradient depends on and
-    the evaluation's pairs within them, and ``g`` and ``h`` hold those
-    entries in that order, each followed by a 0.0 sentinel at index -1.
-    The evaluation's ``(rows, cols)`` is ``layout.pairs``;
-    ``hessian_pairs(k)`` is the full upper triangle.  A binary op computes
-    every entry of the union of its operands' supports with the dense
-    formula, reading an entry an operand does not carry at the sentinel,
-    through the kernel of the plan cached on the operands' layouts; a
-    unary op runs a kernel of its operand's layout and keeps that layout.
-    The lists are shared between scalars and never mutated.  Entry (i, j)
-    reads only entry (i, j) and gradient entries i and j of the operands,
-    and goes through exactly the operations of a hyper-dual number seeded
-    with e1 on coordinate i and e2 on coordinate j, so one evaluation
-    reproduces every two-direction pair it keeps, up to the sign of a zero.
+    the evaluation's pairs its Hessian can be nonzero on, and ``g`` and
+    ``h`` hold exactly those entries in that order.  The evaluation's
+    ``(rows, cols)`` is ``layout.pairs``; ``hessian_pairs(k)`` is the full
+    upper triangle.  A binary op computes each entry of its result's
+    support (the module docstring gives the rules) from the terms of the
+    dense formula whose operand entries exist, through the kernel of the
+    plan cached on the operands' layouts; a unary op runs a kernel of its
+    operand's layout.  The lists are shared between scalars and never
+    mutated.  Entry (i, j) reads only entry (i, j) and gradient entries i
+    and j of the operands, and goes through the operations of a hyper-dual
+    number seeded with e1 on coordinate i and e2 on coordinate j less its
+    exact zero terms, so one evaluation reproduces every two-direction pair
+    it keeps, up to the sign of a zero.
     """
 
     __slots__ = ("re", "g", "h", "layout")
@@ -340,7 +360,7 @@ class Taylor2:
         if type(o) is Taylor2:
             plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
             g, h = (plan.plus or plan.kernel("plus"))(self.re, o.re, self.g, o.g, self.h, o.h)
-            return Taylor2(self.re + o.re, g, h, plan.layout)
+            return Taylor2(self.re + o.re, g, h, plan.sum)
         if isinstance(o, _NUM) or type(o) is Dual:
             return Taylor2(self.re + o, self.g, self.h, self.layout)
         return NotImplemented
@@ -351,7 +371,7 @@ class Taylor2:
         if type(o) is Taylor2:
             plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
             g, h = (plan.minus or plan.kernel("minus"))(self.re, o.re, self.g, o.g, self.h, o.h)
-            return Taylor2(self.re - o.re, g, h, plan.layout)
+            return Taylor2(self.re - o.re, g, h, plan.sum)
         if isinstance(o, _NUM) or type(o) is Dual:
             return Taylor2(self.re - o, self.g, self.h, self.layout)
         return NotImplemented
@@ -366,7 +386,7 @@ class Taylor2:
             a, b = self.re, o.re
             plan = self.layout.plans.get(o.layout) or _plan(self.layout, o.layout)
             g, h = (plan.times or plan.kernel("times"))(a, b, self.g, o.g, self.h, o.h)
-            return Taylor2(a * b, g, h, plan.layout)
+            return Taylor2(a * b, g, h, plan.product)
         if isinstance(o, _NUM) or type(o) is Dual:
             lay = self.layout
             g, h = (lay.scale or lay.kernel("scale"))(self.g, self.h, o)
@@ -382,7 +402,7 @@ class Taylor2:
         inv = 1.0 / v if isinstance(v, _NUM) else reciprocal(v)
         lay = self.layout
         g, h = (lay.reciprocal or lay.kernel("reciprocal"))(self.g, self.h, inv, inv * inv)
-        return Taylor2(inv, g, h, lay)
+        return Taylor2(inv, g, h, lay.full)
 
     def __truediv__(self, o):
         if type(o) is Taylor2:
@@ -415,9 +435,9 @@ class Taylor2:
 
 def seeded(value, pairs, seeds) -> Taylor2:
     """``value`` seeded with 1 in each of ``seeds`` (sorted seed indices) of
-    an evaluation carrying ``pairs``."""
-    lay = layout(pairs, seeds)
-    return Taylor2(value, [1.0] * len(seeds) + [0.0], [0.0] * (len(lay.kept) + 1), lay)
+    an evaluation carrying ``pairs``: its second partials are zero, so it
+    carries no pair."""
+    return Taylor2(value, [1.0] * len(seeds), [], layout(pairs, seeds, ()))
 
 
 @functools.cache
@@ -446,7 +466,7 @@ def _chain(x, f, df, d2f):
         return Dual(f(v), [d * e for e in x.du])
     lay = x.layout
     g, h = (lay.chain or lay.kernel("chain"))(x.g, x.h, df(v), d2f(v))
-    return Taylor2(f(v), g, h, lay)
+    return Taylor2(f(v), g, h, lay.full)
 
 
 def _plain(x):

@@ -6,10 +6,11 @@ report where their outputs differ.
 Each run is ``python -m jetlag COMMAND --config FILE`` in a fresh process
 with ``PYTHONPATH`` set to one tree, two runs at a time.  The configs are
 the 27 corpus configs of ``conftest`` (``count=4``), the quartic
-(``count=4``) and the sphere (``dt=1e-2``), nine expression Lagrangians
-(five with a solver; one p = 2 with velocity-linear terms), two metrics that vanish along an extremal (g = x1
-and g = x1^2), an indefinite temporal metric with a zero diagonal and a
-p = 2 temporal metric with t-dependent off-diagonal entries.
+(``count=4``) and the sphere (``dt=1e-2``), ten expression Lagrangians
+(six with a solver; one p = 2 with velocity-linear terms), two metrics
+that vanish along an extremal (g = x1 and g = x1^2), an indefinite
+temporal metric with a zero diagonal and a p = 2 temporal metric with
+t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
 solver.  Besides these, the benchmark's generated configs (every job of
@@ -110,6 +111,11 @@ def configs() -> dict:
     out["expr_sinh_pow_p1_n2"] = _expression(
         1, 2, "(1 + x1^2)*v1_1^2 + (2 + sinh(0.3*x2))*v2_1^2 + 0.2*v1_1*v2_1"
               " + (1.5 + x1)^(1 + 0.1*t1)",
+        x0=[0.2, -0.1], y0=[0.5, 0.3])
+    # velocities through a reciprocal and a chain, the two ops that widen a
+    # support to every pair among its seeds
+    out["expr_quotient_exp_p1_n2"] = _expression(
+        1, 2, "(2 + x1^2)*v1_1^2/(3 + v2_1^2) + exp(0.2*x2*v2_1) + (1 + x2^2)*v2_1^2",
         x0=[0.2, -0.1], y0=[0.5, 0.3])
     # velocity-linear terms: the expression backend's U and its curl are
     # nonzero, and F depends on x and t

@@ -21,9 +21,10 @@ A lifted evaluation's value is the plain evaluation's, bitwise, for a
 ``Dual``, a Taylor2 and a Taylor2 over a ``Dual``-lifted point; restoring the
 former (1/b)·a value at any one quotient fails that invariant.
 
-The ``_ref_*`` functions below are each op's formula as the per-entry
-comprehensions that the compiled kernels replaced: every kernel must give
-their value, entries and layout bitwise, zeros by sign.
+The ``_ref_*`` functions below are each op's formula entry by entry, over
+the support the rules give its result and the terms whose operand entries
+exist: every kernel must give their value, entries and layout bitwise,
+zeros by sign.
 """
 
 import math
@@ -705,26 +706,28 @@ def _spray_lift(p, n):
 
 
 class TestSupport:
-    def test_velocity_product_carries_the_v_v_triangle_of_its_two_seeds(self):
+    def test_velocity_product_carries_its_one_cross_pair(self):
         q, coords = _spray_lift(2, 3)
         r = q.v[0][0] * q.v[1][1]
         v00, v11 = coords.index(v_coord(0, 0)), coords.index(v_coord(1, 1))
         assert r.layout.seeds == (v00, v11)
         rows, cols = r.layout.pairs
-        assert [(rows[m], cols[m]) for m in r.layout.kept] == [(v00, v00), (v00, v11),
-                                                               (v11, v11)]
-        # 3 of the 45 spray pairs: the entries, then the sentinel
-        assert len(r.g) == 2 + 1 and r.h == [0.0, 1.0, 0.0, 0.0]
+        # seeded leaves carry no pair; the product adds the one pair with a
+        # seed in each operand, 1 of the 45 spray pairs
+        assert [(rows[m], cols[m]) for m in r.layout.kept] == [(v00, v11)]
+        assert r.g == [q.v[1][1].re, q.v[0][0].re] and r.h == [1.0]
 
     def test_metric_times_velocity_product_carries_its_x_v_and_v_v_entries(self):
         q, coords = _spray_lift(2, 3)
         r = scalars.g_cos(q.x[0]) * (q.v[0][0] * q.v[1][1])
         rows, cols = r.layout.pairs
         x0, v00, v11 = (coords.index(c) for c in (x_coord(0), v_coord(0, 0), v_coord(1, 1)))
-        # (x0, x0) is not a spray pair
-        assert {(rows[m], cols[m]) for m in r.layout.kept} == {
-            (x0, v00), (x0, v11), (v00, v00), (v00, v11), (v11, v11)}
-        assert len(r.h) == 5 + 1
+        # cos carries every pair among its seed, and (x0, x0) is not a spray
+        # pair; the product adds its x-v cross pairs to (v00, v11)
+        assert [(rows[m], cols[m]) for m in r.layout.kept] == [(x0, v00), (x0, v11),
+                                                               (v00, v11)]
+        x, y0, y1 = q.x[0].re, q.v[0][0].re, q.v[1][1].re
+        assert r.h == [-math.sin(x) * y1, -math.sin(x) * y0, math.cos(x)]
 
     def test_gradient_hessian_reads_zero_in_pairs_and_none_outside(self):
         dims = Dims(2, 3)
@@ -757,46 +760,110 @@ class TestSupport:
         assert seen[0] == seen[1]
 
 
+class TestAbsentEntriesAreNotRead:
+    """A kernel reads only the entries its operands carry; an index of -1
+    would silently read an operand's last real entry instead."""
+
+    def test_a_sum_of_a_leaf_and_a_square_has_no_cross_entry(self):
+        dims = Dims(1, 1)
+        coords = all_coords(dims)
+        grad, hess = gradient_hessian(ExpressionField("t1 + x1^2", dims),
+                                      JetPoint((0.3,), (0.7,), ((0.2,),)), coords)
+        t, x = coords.index(t_coord(0)), coords.index(x_coord(0))
+        assert repr(hess[t][x]) == repr(hess[t][t]) == "0.0"
+        assert hess[x][x] == 2.0 and grad[:2] == [1.0, 1.4]
+
+    def test_a_seeded_leaf_carries_no_hessian_entry(self):
+        q, _ = _spray_lift(2, 3)
+        leaf = q.v[0][0]
+        assert leaf.layout.kept == () and leaf.h == [] and leaf.g == [1.0]
+
+    def test_no_kernel_indexes_from_the_end(self):
+        for kind in KINDS:
+            for p, n in CORPUS_DIMS:
+                inst = corpus_instance(kind, p, n)
+                spray_data(inst.L, inst.h, sample_points(inst.dims, [-1, 1], 1, seed=5)[0])
+        assert [src for src in scalars._KERNELS if "[-1]" in src] == []
+
+
 # --- Compiled kernels against the per-entry formulas ------------------------------
 #
-# The references read the same plan positions and 0.0 sentinels as the
-# kernels.  A nan is compared as a nan: which operand's nan a product of two
-# nans returns changes once the interpreter specializes the instruction, so
-# its sign is not reproducible even between two runs of one formula.
+# The references derive each result's support from the support rules and
+# sum, in the dense formula's order, the terms whose operand entries exist,
+# reading the operands by seed and pair index.  A nan is compared as a nan:
+# which operand's nan a product of two nans returns changes once the
+# interpreter specializes the instruction, so its sign is not reproducible
+# even between two runs of one formula.
+
+
+def _total(terms):
+    """Left-to-right sum of ``terms`` (``sum`` would add them to 0, which
+    can change the sign of a zero)."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
+
+
+def _entries(x):
+    """A Taylor2's gradient by seed and Hessian by pair index."""
+    return dict(zip(x.layout.seeds, x.g)), dict(zip(x.layout.kept, x.h))
+
+
+def _among(pairs, seeds):
+    """The pair indices with both seeds in ``seeds``."""
+    return tuple(m for m, (i, j) in enumerate(zip(*pairs)) if i in seeds and j in seeds)
 
 
 def _ref_binary(x, y, op):
-    plan = scalars._Plan(x.layout, y.layout)
-    ga, gb, ha, hb = x.g, y.g, x.h, y.h
-    rows_g = plan.g + ((-1, -1),)
-    rows_h = tuple(row[:2] for row in plan.mul) + ((-1, -1),)
-    if op == "+":
-        return Taylor2(x.re + y.re, [ga[p] + gb[q] for p, q in rows_g],
-                       [ha[p] + hb[q] for p, q in rows_h], plan.layout)
-    if op == "-":
-        return Taylor2(x.re - y.re, [ga[p] - gb[q] for p, q in rows_g],
-                       [ha[p] - hb[q] for p, q in rows_h], plan.layout)
+    pairs = x.layout.pairs
+    rows, cols = pairs
+    (ga, ha), (gb, hb) = _entries(x), _entries(y)
+    seeds = tuple(sorted({*ga, *gb}))
+    kept = {*ha, *hb}
+    if op in "+-":
+        # x - y as x + (-y), bitwise the same
+        sign = (lambda e: e) if op == "+" else (lambda e: -e)
+        g = [_total([e for e in (ga.get(s), sign(gb[s]) if s in gb else None)
+                     if e is not None]) for s in seeds]
+        h = [_total([e for e in (ha.get(m), sign(hb[m]) if m in hb else None)
+                     if e is not None]) for m in sorted(kept)]
+        return Taylor2(x.re + sign(y.re), g, h, scalars.layout(pairs, seeds, tuple(sorted(kept))))
+    # a product adds the pairs with one seed in each operand
+    kept |= {m for m, (i, j) in enumerate(zip(rows, cols))
+             if (i in ga and j in gb) or (j in ga and i in gb)}
     a, b = x.re, y.re
-    g = [a * gb[q] + ga[p] * b for p, q in rows_g]
-    g[-1] = 0.0
-    h = [a * hb[q] + ga[i] * gb[j] + ga[j2] * gb[i2] + ha[p] * b
-         for p, q, i, j, j2, i2 in plan.mul]
-    h.append(0.0)
-    return Taylor2(a * b, g, h, plan.layout)
+    g = [_total([e for e in (a * gb[s] if s in gb else None, ga[s] * b if s in ga else None)
+                 if e is not None]) for s in seeds]
+    h = []
+    for m in sorted(kept):
+        i, j = rows[m], cols[m]
+        terms = (a * hb[m] if m in hb else None,
+                 ga[i] * gb[j] if i in ga and j in gb else None,
+                 ga[j] * gb[i] if j in ga and i in gb else None,
+                 ha[m] * b if m in ha else None)
+        h.append(_total([e for e in terms if e is not None]))
+    return Taylor2(a * b, g, h, scalars.layout(pairs, seeds, tuple(sorted(kept))))
 
 
 def _ref_scale(x, o):
-    g = [e * o for e in x.g]
-    h = [e * o for e in x.h]
-    g[-1] = h[-1] = 0.0
-    return Taylor2(x.re * o, g, h, x.layout)
+    return Taylor2(x.re * o, [e * o for e in x.g], [e * o for e in x.h], x.layout)
 
 
 def _ref_neg(x):
-    g = [-e for e in x.g]
-    h = [-e for e in x.h]
-    g[-1] = h[-1] = 0.0
-    return Taylor2(-x.re, g, h, x.layout)
+    return Taylor2(-x.re, [-e for e in x.g], [-e for e in x.h], x.layout)
+
+
+def _ref_widened(x, fv, d, first, second):
+    """Reciprocal and chain: g_q = d g_q, and each pair among the seeds
+    sums ``first(h_m)`` where x carries the pair and ``second(g_i, g_j)``."""
+    lay = x.layout
+    g, h = _entries(x)
+    rows, cols = lay.pairs
+    full = _among(lay.pairs, set(lay.seeds))
+    dh = [_total([e for e in (first(h[m]) if m in h else None, second(g[rows[m]], g[cols[m]]))
+                  if e is not None]) for m in full]
+    return Taylor2(fv, [d(e) for e in x.g], dh, scalars.layout(lay.pairs, lay.seeds, full))
 
 
 def _ref_reciprocal(x):
@@ -805,23 +872,12 @@ def _ref_reciprocal(x):
         raise ZeroDivisionError("taylor division by zero")
     inv = 1.0 / v if isinstance(v, _NUM) else _reciprocal(v)
     inv2 = inv * inv
-    g = x.g
-    twice = [2.0 * e for e in g]
-    dg = [-e * inv2 for e in g]
-    dg[-1] = 0.0
-    dh = [-hh * inv2 + twice[i] * g[j] * inv2 * inv for (i, j), hh in zip(x.layout.hg, x.h)]
-    dh.append(0.0)
-    return Taylor2(inv, dg, dh, x.layout)
+    return _ref_widened(x, inv, lambda e: -e * inv2, lambda e: -e * inv2,
+                        lambda gi, gj: 2.0 * gi * gj * inv2 * inv)
 
 
 def _ref_chain(x, fv, d, dd):
-    g = x.g
-    scaled = [dd * e for e in g]
-    dg = [d * e for e in g]
-    dg[-1] = 0.0
-    dh = [d * hh + scaled[i] * g[j] for (i, j), hh in zip(x.layout.hg, x.h)]
-    dh.append(0.0)
-    return Taylor2(fv, dg, dh, x.layout)
+    return _ref_widened(x, fv, lambda e: d * e, lambda e: d * e, lambda gi, gj: dd * gi * gj)
 
 
 def _bits(s):
@@ -853,9 +909,10 @@ _DUAL_WIDTH = 2
 @st.composite
 def _case(draw):
     """Two Taylor2s of one evaluation, full triangle or spray pairs, with
-    supports disjoint, overlapping, equal or carrying no kept pair, and a
-    plain and a Dual constant and f', f'' for the unary ops; the Taylor2
-    entries are floats or Duals."""
+    seeds disjoint, overlapping or equal (the second then of the first's
+    layout) or with no pair among them, each carrying none, some or all of
+    the pairs among its seeds, and a plain and a Dual constant and f', f''
+    for the unary ops; the Taylor2 entries are floats or Duals."""
     if draw(st.booleans()):
         k = draw(st.integers(1, 6))
         pairs, unpaired = hessian_pairs(k), ()
@@ -864,8 +921,8 @@ def _case(draw):
         pairs, k = connection._spray_pairs(n, p), p + n + n * p
         unpaired = tuple(range(p + n))  # t and x carry no pair among themselves
     seeds = st.sets(st.sampled_from(range(k)), max_size=k)
-    mode = draw(st.sampled_from(["disjoint", "overlapping", "equal", "no kept pair"]))
-    if mode == "no kept pair":
+    mode = draw(st.sampled_from(["disjoint", "overlapping", "equal", "no pair among"]))
+    if mode == "no pair among":
         pool = st.sets(st.sampled_from(unpaired)) if unpaired else st.just(set())
         sa, sb = draw(pool), draw(pool)
     else:
@@ -884,14 +941,20 @@ def _case(draw):
             return Dual(draw(values), [draw(values) for _ in range(_DUAL_WIDTH)])
         return draw(values)
 
+    def support(s):
+        among = _among(pairs, s)
+        carried = draw(st.sampled_from(["none", "some", "all"]))
+        if carried == "some" and among:
+            return tuple(sorted(draw(st.sets(st.sampled_from(among)))))
+        return among if carried == "all" else ()
+
     dual = draw(st.booleans())
-    out = []
-    for s in (sa, sb):
-        lay = scalars.layout(pairs, tuple(sorted(s)))
-        g = [entry(dual) for _ in lay.seeds] + [0.0]
-        h = [entry(dual) for _ in lay.kept] + [0.0]
-        out.append(Taylor2(entry(dual), g, h, lay))
-    if mode == "no kept pair":
+    lays = [scalars.layout(pairs, tuple(sorted(sa)), support(sa))]
+    lays.append(lays[0] if mode == "equal" else
+                scalars.layout(pairs, tuple(sorted(sb)), support(sb)))
+    out = [Taylor2(entry(dual), [entry(dual) for _ in lay.seeds],
+                   [entry(dual) for _ in lay.kept], lay) for lay in lays]
+    if mode == "no pair among":
         assert out[0].layout.kept == out[1].layout.kept == ()
     return (*out, entry(False), entry(True), entry(False), entry(False))
 
@@ -913,15 +976,18 @@ class TestKernelsMatchTheFormulas:
 
     def test_full_triangle_product_over_99_seeds(self):
         # the expression language's largest evaluation: p = n = 9 over
-        # p + n + np = 99 coordinates
+        # p + n + np = 99 coordinates; a quotient carries every pair among
+        # its seeds, a sum of products some of them
         k = 9 + 9 + 81
         pairs = hessian_pairs(k)
         rng = random.Random(99)
         out = []
         for seeds in (tuple(range(k)), tuple(sorted(rng.sample(range(k), 60)))):
-            lay = scalars.layout(pairs, seeds)
-            out.append(Taylor2(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in seeds] + [0.0],
-                               [rng.uniform(-2, 2) for _ in lay.kept] + [0.0], lay))
+            among = _among(pairs, set(seeds))
+            kept = among if len(seeds) == k else tuple(sorted(rng.sample(among, len(among) // 2)))
+            lay = scalars.layout(pairs, seeds, kept)
+            out.append(Taylor2(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in seeds],
+                               [rng.uniform(-2, 2) for _ in kept], lay))
         x, y = out
         assert _bits(x * y) == _bits(_ref_binary(x, y, "*"))
         assert _bits(y * x) == _bits(_ref_binary(y, x, "*"))
@@ -929,12 +995,12 @@ class TestKernelsMatchTheFormulas:
     def test_plans_of_one_index_pattern_share_one_kernel(self):
         # x^0 * (x^0 x^1) and x^1 * (x^1 x^2) in one evaluation, and the
         # first again in an evaluation over more seeds, read their operands
-        # at the same positions
+        # at the same positions: a seeded leaf carries no pair, x^s x^(s+1)
+        # its one cross pair, and the product adds (s, s) and (s, s + 1)
         def product(pairs, s):
-            a, b = scalars.layout(pairs, (s,)), scalars.layout(pairs, (s, s + 1))
-            x = Taylor2(1.0, [1.0, 0.0], [0.0, 0.0], a)
-            y = Taylor2(2.0, [1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], b)
-            return x * y, a.plans[b]
+            x = scalars.seeded(1.0, pairs, (s,))
+            y = x * scalars.seeded(2.0, pairs, (s + 1,))
+            return x * y, x.layout.plans[y.layout]
 
         results = [product(hessian_pairs(3), 0), product(hessian_pairs(3), 1),
                    product(hessian_pairs(5), 3)]
@@ -942,6 +1008,12 @@ class TestKernelsMatchTheFormulas:
         assert len({id(plan) for plan in plans}) == 3
         assert len({plan.times for plan in plans}) == 1
         assert len({_bits(r)[1:4] for r, _ in results}) == 1
+        for (r, _), s in zip(results, (0, 1, 3)):
+            rows, cols = r.layout.pairs
+            assert r.layout.seeds == (s, s + 1)
+            assert [(rows[m], cols[m]) for m in r.layout.kept] == [(s, s), (s, s + 1)]
+            # x^2 y at (1, 2): gradient (2xy, x^2), second partials 2y and 2x
+            assert (r.re, r.g, r.h) == (2.0, [4.0, 1.0], [4.0, 2.0])
 
     def test_import_and_config_assembly_compile_no_kernel(self):
         script = (

@@ -3,9 +3,11 @@
 "Hints on test data selection", IEEE Computer 11(4), 1978).  A check that
 no such mutation can fail passes on a wrong program too."""
 
+import itertools
+
 import pytest
 
-from jetlag import calculus, verify
+from jetlag import calculus, cartan, scalars, verify
 from jetlag.calculus import v_coord, x_coord
 from jetlag.config import assemble
 
@@ -15,6 +17,8 @@ from conftest import CORPUS_DIMS, KINDS, corpus_config
 # crosscheck tolerance (1e-5), at which a perturbed entry is outside the
 # tolerance whatever the stencil's own error.
 _PERTURBATION = 1e-4
+# Relative and absolute perturbation of one Cartan Christoffel symbol.
+_CHRISTOFFEL_PERTURBATION = 1e-3
 
 
 def _perturbed_cross_partial(monkeypatch):
@@ -31,6 +35,48 @@ def _perturbed_cross_partial(monkeypatch):
     monkeypatch.setattr(calculus, "gradient_hessian", mutated)
 
 
+def _product_kernel_without_its_mirrored_cross_term(monkeypatch):
+    """Generate every Taylor2 product kernel with 0.0 in place of its
+    g_a[j] g_b[i] term (so an entry that only this term reaches is still
+    written), in fresh layout and kernel tables, so that no kernel compiled
+    before is reused and none of the mutant's outlives the test."""
+    g_terms, h_terms = scalars._BINARY["times"]
+    monkeypatch.setitem(scalars._BINARY, "times",
+                        (g_terms, tuple("0.0" if t == "ga[{j2}] * gb[{i2}]" else t
+                                        for t in h_terms)))
+    monkeypatch.setattr(scalars, "_LAYOUTS", {})
+    monkeypatch.setattr(scalars, "_KERNELS", {})
+
+
+def _perturbed_cartan_l(monkeypatch, p):
+    """Make the Cartan closure's L^0_00 wrong: ``cartan.christoffel``
+    returns it scaled by 1 + ``_CHRISTOFFEL_PERTURBATION`` plus that
+    amount.  The p = 1 closure builds L and then C through it, the p >= 2
+    closure only L."""
+    christoffel = cartan.christoffel
+    calls = itertools.count()
+
+    def mutated(inv, d):
+        out = christoffel(inv, d)
+        if p >= 2 or next(calls) % 2 == 0:
+            out[0][0][0] = out[0][0][0] * (1.0 + _CHRISTOFFEL_PERTURBATION) \
+                + _CHRISTOFFEL_PERTURBATION
+        return out
+
+    monkeypatch.setattr(cartan, "christoffel", mutated)
+
+
+def _fails_under(monkeypatch, check, mutate, kind, p, n):
+    """``check`` passes on the corpus config and fails once ``mutate``
+    (called with the monkeypatch) has broken the code it guards."""
+    inst = assemble(corpus_config(kind, p, n, count=4))
+    checks = {c.name: c for c in verify.run_checks(inst)}
+    assert checks[check].passed
+    mutate(monkeypatch)
+    checks = {c.name: c for c in verify.run_checks(inst)}
+    assert not checks[check].passed
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p, n", CORPUS_DIMS)
 def test_ad_fd_crosscheck_fails_on_a_wrong_cross_partial(monkeypatch, kind, p, n):
@@ -40,3 +86,18 @@ def test_ad_fd_crosscheck_fails_on_a_wrong_cross_partial(monkeypatch, kind, p, n
     _perturbed_cross_partial(monkeypatch)
     checks = {c.name: c for c in verify.run_checks(inst)}
     assert not checks["ad_fd_crosscheck"].passed
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p, n", CORPUS_DIMS)
+def test_ad_fd_crosscheck_fails_on_a_product_kernel_missing_a_term(monkeypatch, kind, p, n):
+    _fails_under(monkeypatch, "ad_fd_crosscheck",
+                 _product_kernel_without_its_mirrored_cross_term, kind, p, n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p, n", CORPUS_DIMS)
+def test_cartan_metric_compatibility_fails_on_a_wrong_christoffel_symbol(
+        monkeypatch, kind, p, n):
+    _fails_under(monkeypatch, "cartan_metric_compatibility",
+                 lambda mp: _perturbed_cartan_l(mp, p), kind, p, n)
