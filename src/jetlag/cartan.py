@@ -53,11 +53,7 @@ from .metric_engine import (
     g_christoffel_values,
     h_christoffel_values,
 )
-from .regularity import (
-    ElectrodynamicsDecomposition,
-    electrodynamics_decompose,
-    g_from_hessian,
-)
+from .regularity import ElectrodynamicsDecomposition, g_from_hessian
 from .scalars import scalar_value
 
 
@@ -158,7 +154,7 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
 
 
 def cartan_connection(L, h: TemporalMetric,
-                      decomposition: ElectrodynamicsDecomposition | None = None
+                      decomposition: ElectrodynamicsDecomposition | None
                       ) -> LinearConnectionPack:
     """The unique h-normal connection over the canonical nonlinear
     connection that is metric for the derived spatial metric and has
@@ -172,7 +168,8 @@ def cartan_connection(L, h: TemporalMetric,
 
     M comes from the temporal Christoffels H the closure computes; N is
     the spray derivative for p = 1 and, for p >= 2, the closed form over
-    the closure's Gamma and g^{-1}.
+    the closure's Gamma and g^{-1}.  ``decomposition`` is L's
+    electrodynamics decomposition for p >= 2 and None for p = 1.
     """
     dims = getattr(L, "dims", None)
     if dims is None:
@@ -180,8 +177,7 @@ def cartan_connection(L, h: TemporalMetric,
     if dims.p == 1:
         coefficients, g_matrix = _cartan_coefficients_p1(L, h, dims)
     else:
-        deco = decomposition or electrodynamics_decompose(L, h)
-        coefficients, g_matrix = _cartan_coefficients_p2(h, deco, dims)
+        coefficients, g_matrix = _cartan_coefficients_p2(h, decomposition, dims)
     return LinearConnectionPack(
         dims=dims, kind="cartan", coefficients_at=coefficients,
         g_matrix_at=g_matrix, h=h,

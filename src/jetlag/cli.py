@@ -109,10 +109,10 @@ def cmd_analyze(instance: ProblemInstance, args) -> int:
             deco = _decompose(instance)
             report["decomposition"] = {
                 "reassembly_residual": deco.reassembly_residual,
-                "g_samples": deco.g_samples,
-                "u_samples": deco.u_samples,
-                "f_samples": deco.f_samples,
-                "u_curl_samples": deco.u_curl_samples,
+                "g_samples": [structure_values(jet.g) for jet in deco.jets],
+                "u_samples": [structure_values(jet.u) for jet in deco.jets],
+                "f_samples": [structure_values(jet.f) for jet in deco.jets],
+                "u_curl_samples": [structure_values(jet.u_curl) for jet in deco.jets],
             }
         except DecompositionError as exc:
             report["decomposition"] = {"error": str(exc)}
@@ -168,7 +168,8 @@ def cmd_connection(instance: ProblemInstance, args) -> int:
     report["cartan"] = _coefficient_tables(co)
     if berwald is not None:
         report["berwald"] = _coefficient_tables(berwald.coefficients_at(point))
-    spray = spray_entities(instance.L, instance.h, point, decomposition=deco)
+    spray = spray_entities(instance.L, instance.h, point,
+                           None if deco is None else deco.jet_at(point))
     report["spray"] = {
         "S": list(spray.S),
         "H": list(spray.Hc),

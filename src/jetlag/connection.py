@@ -47,13 +47,7 @@ from .metric_engine import (
     christoffel,
     h_christoffel_values,
 )
-from .regularity import (
-    DecompositionJet,
-    ElectrodynamicsDecomposition,
-    electrodynamics_decompose,
-    hessian_blocks,
-    trace_metric,
-)
+from .regularity import DecompositionJet, hessian_blocks, trace_metric
 from .scalars import scalar_value
 
 
@@ -209,7 +203,9 @@ class SprayPack:
 
 
 def spray_entities(L, h: TemporalMetric, point: JetPoint,
-                   decomposition: ElectrodynamicsDecomposition | None = None) -> SprayPack:
+                   jet: DecompositionJet | None) -> SprayPack:
+    """The spray pack at ``point``; for p >= 2 its spatial block reads the
+    decomposition's ``jet`` at the point's (t, x), None for p = 1."""
     dims = getattr(L, "dims", None) or point.dims
     n, p = dims.n, dims.p
     data = spray_data(L, h, point, dims)
@@ -235,9 +231,6 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
         for l in range(n):
             g_spat.set(((l, 0), 0), hmat[0][0] * gv[l])
     else:
-        if decomposition is None:
-            decomposition = electrodynamics_decompose(L, h)
-        jet = decomposition.jet_at(point)
         t_vec = _trace_tensor_vector(point, jet, data)
         gamma = christoffel(checked_inverse(jet.g).inverse, jet.dg_dx)
         t_tens = DTensor((vertical_upper(n, p), temporal_lower(p)))

@@ -290,7 +290,7 @@ class DecompositionJet(NamedTuple):
 @dataclass
 class ElectrodynamicsDecomposition:
     """g, U, F fields with L = h^{ab} g_ij v^i_a v^j_b + U^a_i v^i_a + F,
-    plus per-point samples and the verified reassembly residual.
+    plus the jet at each base point and the verified reassembly residual.
 
     ``g_field`` is the spatial metric, symmetric at every point; packs,
     Berwald and metric compatibility read it alone.  ``potentials`` gives
@@ -300,10 +300,7 @@ class ElectrodynamicsDecomposition:
     dims: Dims
     g_field: object          # JetPoint -> n x n (reads t, x only)
     potentials: object       # JetPoint -> (n x p U, scalar F) (reads t, x only)
-    g_samples: list = field(default_factory=list)
-    u_samples: list = field(default_factory=list)
-    f_samples: list = field(default_factory=list)
-    u_curl_samples: list = field(default_factory=list)
+    jets: list = field(default_factory=list)  # DecompositionJet per base point
     reassembly_residual: float = 0.0
 
     def jet_at(self, point: JetPoint) -> DecompositionJet:
@@ -337,6 +334,7 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
     family the recovered fields coincide exactly with its entries, which
     are then used as the field backend; the reassembly check below runs on
     L itself either way and fails loudly when L is not quadratic in v.
+    ``jets[k]`` is the jet at ``base_points[k]``'s (t, x).
     """
     dims = Dims(h.p, _infer_n(L, h))
     n, p = dims.n, dims.p
@@ -369,14 +367,10 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
     for pt in base_points:
         base = _at_zero_velocity(pt, dims)
         jet = deco.jet_at(base)
+        deco.jets.append(jet)
         g = [[scalar_value(e) for e in row] for row in jet.g]
         u = [[scalar_value(e) for e in row] for row in jet.u]
         f_val = scalar_value(jet.f)
-        deco.g_samples.append(g)
-        deco.u_samples.append(u)
-        deco.f_samples.append(f_val)
-        deco.u_curl_samples.append([[[scalar_value(e) for e in row] for row in plane]
-                                    for plane in jet.u_curl])
         hinv = h.inverse_at(base.t)
         for _ in range(4):
             v = [[rng.uniform(-1.0, 1.0) for _ in range(p)] for _ in range(n)]

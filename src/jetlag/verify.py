@@ -105,8 +105,9 @@ def run_checks(instance: ProblemInstance) -> list:
 
     # Spray identity: the h-trace of the spatial block is G.
     worst_trace = 0.0
-    for pt in pts:
-        pack = spray_entities(L, h, pt, decomposition=deco)
+    for k, pt in enumerate(pts):
+        # the decomposition's base points are pts, so its k-th jet is at pt's (t, x)
+        pack = spray_entities(L, h, pt, deco.jets[k] if dims.p >= 2 else None)
         hinv = [[scalar_value(e) for e in row] for row in h.inverse_at(pt.t)]
         for l in range(dims.n):
             acc = 0.0

@@ -117,7 +117,7 @@ def test_criterion_3_h_trace_identity():
             deco = electrodynamics_decompose(inst.L, inst.h) if p >= 2 else None
             pts = sample_points(inst.dims, [-1, 1], 32, seed=3)
             for pt in pts:
-                pack = spray_entities(inst.L, inst.h, pt, decomposition=deco)
+                pack = spray_entities(inst.L, inst.h, pt, None if deco is None else deco.jet_at(pt))
                 hinv = [[scalar_value(e) for e in row]
                         for row in inst.h.inverse_at(pt.t)]
                 for l in range(n):

@@ -52,7 +52,7 @@ class TestCartanCoefficients:
         h = TemporalMetric.flat(2)
         g = [[constant_field(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
         L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
-        pack = cartan_connection(L, h)
+        pack = cartan_connection(L, h, electrodynamics_decompose(L, h))
         pt = JetPoint((0.2, -0.4), (0.5, 0.6), ((0.3, 0.2), (-0.1, 0.5)))
         co = pack.coefficients_at(pt)
         for block in (co.hbar, co.g, co.l, co.c):
@@ -128,7 +128,7 @@ class TestCartanCoefficients:
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
         L = LagrangianModel.from_expression("v1_1^2 + 0.5*v1_1^4", d)
-        pack = cartan_connection(L, h)
+        pack = cartan_connection(L, h, None)
         for y in (0.6, -0.4, 1.1):
             pt = JetPoint((0.0,), (0.2,), ((y,),))
             co = pack.coefficients_at(pt)
@@ -155,7 +155,7 @@ class TestMetricCompatibility:
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
         L = LagrangianModel.from_expression("v1_1^2 + 0.5*v1_1^4", d)
-        pack = cartan_connection(L, h)
+        pack = cartan_connection(L, h, None)
         pt = JetPoint((0.1,), (0.4,), ((0.6,),))
         compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
         assert max(compat.values()) <= 1e-9
@@ -280,7 +280,7 @@ class TestOneEvaluationPerPoint:
             return matrix(ts)
 
         inst.h.matrix = counted
-        pack = cartan_connection(inst.L, inst.h)
+        pack = cartan_connection(inst.L, inst.h, None)
         pack.coefficients_at(sample_points(inst.dims, [-1, 1], 1, seed=45)[0])
         # g: the h-trace of the vertical Hessian (1) of one evaluation of L
         # (1); N, the spray derivative: one evaluation of L (1) and the

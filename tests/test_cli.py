@@ -354,9 +354,9 @@ class TestTableCommands:
 
     def test_connection_decomposes_once(self, tmp_path, capsys, monkeypatch):
         # p >= 2: the spray reuses the decomposition built at the instance's
-        # points.  The reference run lets it decompose L again at its own
-        # default points, as it once did; the report must not change.
-        from jetlag import cli, connection, regularity
+        # points.  The reference run hands it the jet of a decomposition
+        # built again at the default points; the report must not change.
+        from jetlag import cli, regularity
 
         path = write_config(tmp_path, corpus_config("autonomous", 2, 2))
         argv = ["connection", "--config", path, "--point", "t=0.1,0.2;x=0.3,0.4;v=0.5,0.1,-0.2,0.3"]
@@ -367,15 +367,15 @@ class TestTableCommands:
             calls.append(kwargs.get("base_points"))
             return decompose(*args, **kwargs)
 
-        for module in (cli, connection, regularity):
+        for module in (cli, regularity):
             monkeypatch.setattr(module, "electrodynamics_decompose", counted)
         assert run(argv) == EX_OK
         report = capsys.readouterr().out
         assert len(calls) == 1 and calls[0] is not None
 
         spray = cli.spray_entities
-        monkeypatch.setattr(cli, "spray_entities",
-                            lambda L, h, point, decomposition: spray(L, h, point))
+        monkeypatch.setattr(cli, "spray_entities", lambda L, h, point, jet: spray(
+            L, h, point, regularity.electrodynamics_decompose(L, h).jet_at(point)))
         assert run(argv) == EX_OK
         assert capsys.readouterr().out == report
         assert len(calls) == 1 + 2

@@ -45,6 +45,18 @@ def flat_h(p):
     return TemporalMetric.flat(p)
 
 
+def decomposition_of(inst):
+    """The instance's decomposition at the default base points, None for
+    p = 1."""
+    return electrodynamics_decompose(inst.L, inst.h) if inst.dims.p >= 2 else None
+
+
+def decomposition_jet(inst, point):
+    """The jet at ``point`` of ``decomposition_of(inst)``, None for p = 1."""
+    deco = decomposition_of(inst)
+    return None if deco is None else deco.jet_at(point)
+
+
 def el_residual(L, h, point, xab):
     return euler_lagrange_residual(L, point, xab, spray_data(L, h, point))
 
@@ -122,34 +134,37 @@ class TestSprayEntities:
     def test_flat_at_zero_velocity(self):
         inst = corpus_instance("harmonic", 2, 2)
         pt = JetPoint((0.1, 0.2), (0.3, 0.4), ((0.0, 0.0), (0.0, 0.0)))
-        pack = spray_entities(inst.L, inst.h, pt)
+        pack = spray_entities(inst.L, inst.h, pt, decomposition_jet(inst, pt))
         assert np.max(np.abs(pack.Gc)) <= 1e-12
         assert np.max(np.abs(pack.S)) <= 1e-12
 
     def test_flat_h_kills_j(self):
         inst = corpus_instance("harmonic", 2, 2)  # flat h by construction
         pt = JetPoint((0.1, 0.2), (0.3, 0.4), ((0.5, -0.2), (0.7, 0.1)))
-        pack = spray_entities(inst.L, inst.h, pt)
+        pack = spray_entities(inst.L, inst.h, pt, decomposition_jet(inst, pt))
         assert np.max(np.abs(pack.J)) == 0.0
 
     def test_entity_sum(self):
         inst = corpus_instance("non_autonomous", 2, 2)
         pt = JetPoint((0.2, -0.3), (0.5, 0.7), ((0.3, -0.2), (0.1, 0.6)))
-        pack = spray_entities(inst.L, inst.h, pt)
+        pack = spray_entities(inst.L, inst.h, pt, decomposition_jet(inst, pt))
         assert np.allclose(pack.Gc, pack.S + pack.Hc + pack.J, atol=1e-14)
 
     @pytest.mark.parametrize("config", [corpus_config("non_autonomous", 2, 3),
                                         potentials_config()])
     def test_p2_spray_reads_one_decomposition_jet(self, config):
         # the T-tensor and the Christoffels of g read the decomposition's
-        # jet: g and (U, F) once each
+        # jet the caller hands in, which evaluates g and (U, F) once each;
+        # the spray evaluates neither
         inst = assemble(config)
         deco = electrodynamics_decompose(inst.L, inst.h)
         calls = {"g": 0, "potentials": 0}
         counting = dataclasses.replace(deco, g_field=counted(calls, "g", deco.g_field),
                                        potentials=counted(calls, "potentials", deco.potentials))
         pt = sample_points(inst.dims, [-1, 1], 1, seed=12)[0]
-        spray_entities(inst.L, inst.h, pt, decomposition=counting)
+        jet = counting.jet_at(pt)
+        assert calls == {"g": 1, "potentials": 1}
+        spray_entities(inst.L, inst.h, pt, jet)
         assert calls == {"g": 1, "potentials": 1}
 
     def test_h_trace_identity_random_points(self):
@@ -159,7 +174,7 @@ class TestSprayEntities:
             deco = electrodynamics_decompose(inst.L, inst.h)
             pts = sample_points(inst.dims, [-1, 1], 10, seed=3)
             for pt in pts:
-                pack = spray_entities(inst.L, inst.h, pt, decomposition=deco)
+                pack = spray_entities(inst.L, inst.h, pt, deco.jet_at(pt))
                 hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(pt.t)]
                 for l in range(inst.dims.n):
                     acc = sum(hinv[a][b] * pack.G_spatial.get((l, a), b)
@@ -173,7 +188,7 @@ class TestSprayEntities:
         g_field = deco.g_field
         pts = sample_points(inst.dims, [-1, 1], 6, seed=8)
         for pt in pts:
-            pack = spray_entities(inst.L, inst.h, pt, decomposition=deco)
+            pack = spray_entities(inst.L, inst.h, pt, deco.jet_at(pt))
             gamma = g_christoffel_values(g_field, pt)
             hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(pt.t)]
             t_vec = [
@@ -201,7 +216,7 @@ class TestSprayEntities:
     def test_symmetry_g_spatial(self):
         inst = corpus_instance("non_autonomous", 3, 2)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=4)[0]
-        pack = spray_entities(inst.L, inst.h, pt)
+        pack = spray_entities(inst.L, inst.h, pt, decomposition_jet(inst, pt))
         for l in range(2):
             for a in range(3):
                 for b in range(3):
@@ -214,7 +229,7 @@ class TestSprayEntities:
 class TestNonlinearConnection:
     def test_m_is_temporal_block(self):
         inst = corpus_instance("autonomous", 2, 2)  # nonflat h
-        pack = cartan_connection(inst.L, inst.h)
+        pack = cartan_pack(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=0)[0]
         hch = h_christoffel_values(inst.h, pt.t)[2]
         m = pack.coefficients_at(pt).m
@@ -232,7 +247,7 @@ class TestNonlinearConnection:
         d = inst.dims
         L = LagrangianModel.from_family(
             ElectrodynamicsLagrangian(d, inst.h, [[constant_field(1.0)]]), "harmonic")
-        pack = cartan_connection(L, inst.h)
+        pack = cartan_connection(L, inst.h, electrodynamics_decompose(L, inst.h))
         pt = JetPoint((0.1, 0.2), (0.4,), ((0.3, -0.2),))
         co = pack.coefficients_at(pt)
         assert np.max(np.abs(np.array(co.m))) == 0.0
@@ -242,7 +257,7 @@ class TestNonlinearConnection:
         # (T,h)=(R,delta), L = g_ij(x) y^i y^j: N^{(i)}_{(1)j} = gamma^i_{jk} y^k
         d = Dims(1, 2)
         L = LagrangianModel.from_expression("v1_1*v1_1 + sin(x1)^2*v2_1*v2_1", d)
-        pack = cartan_connection(L, flat_h(1))
+        pack = cartan_connection(L, flat_h(1), None)
         gs = spatial_metric_of([
             [constant_field(1.0), constant_field(0.0)],
             [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
@@ -268,7 +283,7 @@ class TestNonlinearConnection:
         f = ExpressionField("t1 + x2", d)
         fam = ElectrodynamicsLagrangian(d, h, g, u, f)
         L = LagrangianModel.from_family(fam, "electrodynamics")
-        pack = cartan_connection(L, h)
+        pack = cartan_connection(L, h, None)
         gs = spatial_metric_of(g)
         deco = electrodynamics_decompose(L, h)
         rng = random.Random(16)
@@ -314,7 +329,7 @@ class TestNonlinearConnection:
 def cartan_pack(inst):
     """A pack over the canonical connection; a covariant derivative of empty
     valence over it is the adapted-frame derivative along that connection."""
-    return cartan_connection(inst.L, inst.h)
+    return cartan_connection(inst.L, inst.h, decomposition_of(inst))
 
 
 class TestAdaptedDerivative:

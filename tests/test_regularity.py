@@ -240,7 +240,7 @@ class TestDecompositionJet:
         L = dataclasses.replace(inst.L, field=counted(calls, "L", inst.L.field))
         monkeypatch.setattr(calculus, "lift_d1", counted(calls, "lift_d1", calculus.lift_d1))
         deco = electrodynamics_decompose(L, inst.h)
-        assert len(deco.u_curl_samples) == 8
+        assert len(deco.jets) == 8
         assert calls == {"L": evaluations, "lift_d1": lifts}
 
 
@@ -316,13 +316,13 @@ class TestDecomposition:
     def test_pure_kinetic_has_no_linear_or_constant_part(self):
         inst = corpus_instance("harmonic", 2, 2)
         deco = electrodynamics_decompose(inst.L, inst.h)
-        assert all(abs(v) <= 1e-12 for v in deco.f_samples)
-        assert all(abs(e) <= 1e-12 for m in deco.u_samples for row in m for e in row)
+        assert all(abs(jet.f) <= 1e-12 for jet in deco.jets)
+        assert all(abs(e) <= 1e-12 for jet in deco.jets for row in jet.u for e in row)
 
     def test_u_curl_antisymmetric(self):
         inst = corpus_instance("non_autonomous", 2, 3)
         deco = electrodynamics_decompose(inst.L, inst.h)
-        for curl in deco.u_curl_samples:
+        for curl in (jet.u_curl for jet in deco.jets):
             for i in range(3):
                 for a in range(2):
                     for j in range(3):

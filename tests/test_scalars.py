@@ -57,7 +57,7 @@ from jetlag.curvature import curvature_table, torsion_table
 from jetlag.errors import DegeneracyError, EvalDomainError
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint, raw_point
-from jetlag.regularity import hessian_blocks, sample_points, trace_metric
+from jetlag.regularity import electrodynamics_decompose, hessian_blocks, sample_points, trace_metric
 from jetlag.scalars import Dual, Taylor2, hessian_pairs
 
 from conftest import CORPUS_DIMS, KINDS, corpus_instance
@@ -748,7 +748,7 @@ class TestSupport:
                     sum(len(lay.plans) for lay in scalars._LAYOUTS.values()))
 
         inst = corpus_instance("non_autonomous", 2, 2)
-        pack = cartan_connection(inst.L, inst.h)
+        pack = cartan_connection(inst.L, inst.h, electrodynamics_decompose(inst.L, inst.h))
         pt = sample_points(inst.dims, [-1, 1], 1, seed=4)[0]
         seen = []
         for _ in range(2):
@@ -1176,7 +1176,7 @@ class TestOneEvaluationPerHessian:
 
         monkeypatch.setattr(cartan, "m_values", counted("m", cartan.m_values))
         monkeypatch.setattr(cartan, "spray_n_values", counted("n", cartan.spray_n_values))
-        pack = cartan_connection(inst.L, inst.h)
+        pack = cartan_connection(inst.L, inst.h, None)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
         curvature_table(torsion_table(pack, pt))
         # the frame's one lift over every coordinate, whose value is the

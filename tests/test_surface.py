@@ -39,6 +39,11 @@ TEST_ORACLES = (
 DUAL_MODULES = ("scalars", "calculus")
 DUAL_NAMES = {"Dual", "lift_d1"}
 
+# The modules that may name the electrodynamics decomposition's builder:
+# its own, and the commands, which build it once and hand it, or a
+# point's jet of it, to every reader.
+DECOMPOSING_MODULES = ("regularity", "cli", "verify")
+
 
 class _Uses(ast.NodeVisitor):
     """Names a piece of code reads; an import is not a read."""
@@ -175,6 +180,14 @@ def test_only_calculus_and_scalars_name_the_dual_lift():
         if used:
             offenders[path.stem] = sorted(used)
     assert offenders == {}
+
+
+def test_only_the_commands_build_a_decomposition():
+    offenders = [path.stem for path in sorted(SRC.glob("*.py"))
+                 if path.stem not in DECOMPOSING_MODULES
+                 and "electrodynamics_decompose"
+                 in _referenced_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert offenders == []
 
 
 def _defaulted_parameters(tree):

@@ -7,11 +7,11 @@ import itertools
 
 import pytest
 
-from jetlag import calculus, cartan, scalars, verify
+from jetlag import calculus, cartan, regularity, scalars, verify
 from jetlag.calculus import v_coord, x_coord
 from jetlag.config import assemble
 
-from conftest import CORPUS_DIMS, KINDS, corpus_config
+from conftest import CORPUS_DIMS, KINDS, corpus_config, potentials_config
 
 # Relative perturbation of one forward second partial: ten times the
 # crosscheck tolerance (1e-5), at which a perturbed entry is outside the
@@ -19,6 +19,17 @@ from conftest import CORPUS_DIMS, KINDS, corpus_config
 _PERTURBATION = 1e-4
 # Relative and absolute perturbation of one Cartan Christoffel symbol.
 _CHRISTOFFEL_PERTURBATION = 1e-3
+# Relative perturbation of g_00 in the decomposition's jet: a hundred times
+# the reassembly tolerance (1e-8) against velocity terms of order one.
+_JET_PERTURBATION = 1e-6
+
+
+def _configs(min_p):
+    """The corpus configs with p >= ``min_p`` (``count=4``) and the
+    velocity-linear expression Lagrangian of ``potentials_config``."""
+    return [pytest.param(corpus_config(kind, p, n, count=4), id=f"{kind}-p{p}-n{n}")
+            for kind in KINDS for p, n in CORPUS_DIMS if p >= min_p] \
+        + [pytest.param(potentials_config(), id="potentials")]
 
 
 def _perturbed_cross_partial(monkeypatch):
@@ -66,10 +77,36 @@ def _perturbed_cartan_l(monkeypatch, p):
     monkeypatch.setattr(cartan, "christoffel", mutated)
 
 
-def _fails_under(monkeypatch, check, mutate, kind, p, n):
-    """``check`` passes on the corpus config and fails once ``mutate``
-    (called with the monkeypatch) has broken the code it guards."""
-    inst = assemble(corpus_config(kind, p, n, count=4))
+def _jets_of_the_next_base_point(monkeypatch):
+    """Make the decomposition ``verify`` builds hold, as the jet of each of
+    its base points, the jet of the next one (the last holds the first's)."""
+    decompose = verify.electrodynamics_decompose
+
+    def mutated(*args, **kwargs):
+        deco = decompose(*args, **kwargs)
+        deco.jets = deco.jets[1:] + deco.jets[:1]
+        return deco
+
+    monkeypatch.setattr(verify, "electrodynamics_decompose", mutated)
+
+
+def _perturbed_jet_metric(monkeypatch):
+    """Make ``ElectrodynamicsDecomposition.jet_at`` return g_00 wrong by
+    ``_JET_PERTURBATION`` relative."""
+    jet_at = regularity.ElectrodynamicsDecomposition.jet_at
+
+    def mutated(self, point):
+        jet = jet_at(self, point)
+        jet.g[0][0] = jet.g[0][0] * (1.0 + _JET_PERTURBATION)
+        return jet
+
+    monkeypatch.setattr(regularity.ElectrodynamicsDecomposition, "jet_at", mutated)
+
+
+def _fails_under(monkeypatch, check, mutate, config):
+    """``check`` passes on ``config`` and fails once ``mutate`` (called
+    with the monkeypatch) has broken the code it guards."""
+    inst = assemble(config)
     checks = {c.name: c for c in verify.run_checks(inst)}
     assert checks[check].passed
     mutate(monkeypatch)
@@ -92,7 +129,8 @@ def test_ad_fd_crosscheck_fails_on_a_wrong_cross_partial(monkeypatch, kind, p, n
 @pytest.mark.parametrize("p, n", CORPUS_DIMS)
 def test_ad_fd_crosscheck_fails_on_a_product_kernel_missing_a_term(monkeypatch, kind, p, n):
     _fails_under(monkeypatch, "ad_fd_crosscheck",
-                 _product_kernel_without_its_mirrored_cross_term, kind, p, n)
+                 _product_kernel_without_its_mirrored_cross_term,
+                 corpus_config(kind, p, n, count=4))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -100,4 +138,14 @@ def test_ad_fd_crosscheck_fails_on_a_product_kernel_missing_a_term(monkeypatch, 
 def test_cartan_metric_compatibility_fails_on_a_wrong_christoffel_symbol(
         monkeypatch, kind, p, n):
     _fails_under(monkeypatch, "cartan_metric_compatibility",
-                 lambda mp: _perturbed_cartan_l(mp, p), kind, p, n)
+                 lambda mp: _perturbed_cartan_l(mp, p), corpus_config(kind, p, n, count=4))
+
+
+@pytest.mark.parametrize("config", _configs(min_p=2))
+def test_h_trace_identity_fails_on_the_jet_of_another_point(monkeypatch, config):
+    _fails_under(monkeypatch, "h_trace_identity", _jets_of_the_next_base_point, config)
+
+
+@pytest.mark.parametrize("config", _configs(min_p=1))
+def test_decomposition_roundtrip_fails_on_a_wrong_jet_metric(monkeypatch, config):
+    _fails_under(monkeypatch, "decomposition_roundtrip", _perturbed_jet_metric, config)
