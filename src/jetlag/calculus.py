@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jet_core import Dims, JetPoint, raw_point
-from .scalars import Dual, Taylor2, hessian_pairs, scalar_value, seeded
+from .scalars import Dual, Taylor2, hessian_pairs, leaf_layouts, scalar_value, seeded
 
 
 class Coord(NamedTuple):
@@ -90,10 +90,8 @@ def lift_taylor(point: JetPoint, coords, pairs=None) -> JetPoint:
     so the entry between those slots is its pure second partial."""
     if pairs is None:
         pairs = hessian_pairs(len(coords))
-    slots = {}
-    for s, c in enumerate(coords):
-        slots.setdefault(c, []).append(s)
-    lifted = {c: seeded(point.coord(c), pairs, tuple(ss)) for c, ss in slots.items()}
+    lifted = {c: seeded(point.coord(c), lay)
+              for c, lay in leaf_layouts(pairs, tuple(coords)).items()}
     t = tuple(lifted.get(t_coord(a), val) for a, val in enumerate(point.t))
     x = tuple(lifted.get(x_coord(i), val) for i, val in enumerate(point.x))
     v = tuple(

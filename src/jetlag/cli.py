@@ -12,8 +12,11 @@ and config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .calculus import structure_values
@@ -250,8 +253,12 @@ def cmd_residual(instance: ProblemInstance, args) -> int:
     dims = instance.dims
 
     def fn(ts):
+        """Each map entry evaluated once, on the point whose t are the
+        nodes' arrays; each element is bitwise its float evaluation."""
         pt = JetPoint(ts, (0.0,) * dims.n, tuple((0.0,) * dims.p for _ in range(dims.n)))
-        return [float(f(pt)) for f in fields]
+        # IEEE arithmetic on the arrays is that on floats, numpy's warnings aside
+        with np.errstate(all="ignore"):
+            return [f(pt) for f in fields]
 
     grid = GridMap.from_function(dims, grid_cfg["box"], grid_cfg["shape"], fn)
     field = harmonic_residual(instance.L, instance.h, grid)
@@ -279,7 +286,10 @@ def cmd_verify(instance: ProblemInstance, args) -> int:
     return EX_VERIFY_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``run`` in this process, built on the first
+    (and not at import)."""
     parser = argparse.ArgumentParser(
         prog="jetlag",
         description="Numerical geometry of multi-time Lagrangians on jet bundles",
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, 0 after --help or --version
         return EX_OK if not exc.code else EX_USAGE

@@ -181,13 +181,16 @@ class GridMap:
 
     @classmethod
     def from_function(cls, dims: Dims, box, shape, fn) -> "GridMap":
+        """The map ``fn`` sampled at every node at once: ``fn`` receives
+        the p coordinates t^a of the nodes, each a float64 array over them
+        in ``np.ndindex`` order, and returns the n map entries, each an
+        array over the nodes or a float shared by all of them."""
         box = [(float(lo), float(hi)) for lo, hi in box]
         shape = tuple(int(s) for s in shape)
-        values = np.zeros(shape + (dims.n,))
-        for idx in np.ndindex(shape):
-            ts = tuple(lo + k * (hi - lo) / (s - 1)
-                       for (lo, hi), s, k in zip(box, shape, idx))
-            values[idx] = fn(ts)
+        ks = np.indices(shape).reshape(len(shape), -1)
+        ts = tuple(lo + k * (hi - lo) / (s - 1) for (lo, hi), s, k in zip(box, shape, ks))
+        entries = [np.broadcast_to(np.asarray(e, dtype=float), ks.shape[1:]) for e in fn(ts)]
+        values = np.stack(entries, axis=-1).reshape(shape + (len(entries),))
         return cls(dims=dims, box=box, shape=shape, values=values)
 
     def node_t(self, idx) -> tuple:
@@ -197,34 +200,35 @@ class GridMap:
         return itertools.product(*[range(1, s - 1) for s in self.shape])
 
 
-def _shift(idx, axis, step):
-    out = list(idx)
-    out[axis] += step
-    return tuple(out)
-
-
-def _grid_jet(grid: GridMap, idx):
-    """Central-difference first and second derivatives at an interior node."""
+def _central_differences(grid: GridMap):
+    """x, x_a and x_ab at every interior node, in ``interior_indices``
+    order, from one pass of central differences over the whole lattice:
+    lists ``x[node][k]``, ``first[node][k][a]`` and ``second[node][k][a][b]``
+    of floats.  Each element goes through the float operations of the
+    node-by-node formulas, in their order."""
     p, n = grid.dims.p, grid.dims.n
-    v = grid.values
     sp = grid.spacing
-    first = np.zeros((n, p))
-    second = np.zeros((n, p, p))
-    for a in range(p):
-        up = v[_shift(idx, a, 1)]
-        dn = v[_shift(idx, a, -1)]
-        first[:, a] = (up - dn) / (2.0 * sp[a])
-        second[:, a, a] = (up - 2.0 * v[idx] + dn) / (sp[a] ** 2)
-    for a in range(p):
-        for b in range(a + 1, p):
-            pp = v[_shift(_shift(idx, a, 1), b, 1)]
-            pm = v[_shift(_shift(idx, a, 1), b, -1)]
-            mp = v[_shift(_shift(idx, a, -1), b, 1)]
-            mm = v[_shift(_shift(idx, a, -1), b, -1)]
-            mixed = (pp - pm - mp + mm) / (4.0 * sp[a] * sp[b])
-            second[:, a, b] = mixed
-            second[:, b, a] = mixed
-    return first, second
+
+    def at(*steps):
+        """The values at every interior node moved by ``steps`` (axis, step)."""
+        shift = dict(steps)
+        return grid.values[tuple(slice(1 + shift.get(a, 0), s - 1 + shift.get(a, 0))
+                                 for a, s in enumerate(grid.shape))].reshape(-1, n)
+
+    centre = at()
+    first = np.empty(centre.shape + (p,))
+    second = np.empty(centre.shape + (p, p))
+    # IEEE arithmetic on the arrays is that on floats, numpy's warnings aside
+    with np.errstate(all="ignore"):
+        for a in range(p):
+            up, dn = at((a, 1)), at((a, -1))
+            first[..., a] = (up - dn) / (2.0 * sp[a])
+            second[..., a, a] = (up - 2.0 * centre + dn) / (sp[a] ** 2)
+            for b in range(a + 1, p):
+                pp, pm = at((a, 1), (b, 1)), at((a, 1), (b, -1))
+                mp, mm = at((a, -1), (b, 1)), at((a, -1), (b, -1))
+                second[..., a, b] = second[..., b, a] = (pp - pm - mp + mm) / (4.0 * sp[a] * sp[b])
+    return centre.tolist(), first.tolist(), second.tolist()
 
 
 @dataclass
@@ -253,25 +257,22 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
     indices = list(grid.interior_indices())
     residuals = np.zeros((len(indices), n))
     points = []
-    for row, idx in enumerate(indices):
+    nodes = zip(indices, *_central_differences(grid))
+    for row, (idx, xs, first, second) in enumerate(nodes):
         ts = grid.node_t(idx)
         points.append(ts)
-        first, second = _grid_jet(grid, idx)
-        xs = grid.values[idx]
-        point = JetPoint(ts, tuple(xs), tuple(tuple(first[i]) for i in range(n)))
-        data = spray_data(L, h, point, dims)
+        data = spray_data(L, h, JetPoint(ts, xs, first), dims)
         hinv = [[scalar_value(e) for e in r] for r in data.hinv]
-        _, _, hch = h_christoffel_values(h, ts)
-        g_vec = data.g_vec
+        hch = [[[scalar_value(e) for e in r] for r in m] for m in h_christoffel_values(h, ts)[2]]
         for k in range(n):
             acc = 0.0
             for a in range(p):
                 for b in range(p):
-                    lap = second[k, a, b]
+                    lap = second[k][a][b]
                     for c in range(p):
-                        lap -= scalar_value(hch[c][a][b]) * first[k, c]
+                        lap -= hch[c][a][b] * first[k][c]
                     acc += hinv[a][b] * lap
-            residuals[row, k] = acc + 2.0 * scalar_value(g_vec[k])
+            residuals[row, k] = acc + 2.0 * scalar_value(data.g_vec[k])
     max_norm = float(np.max(np.abs(residuals))) if len(indices) else 0.0
     rms = float(np.sqrt(np.mean(residuals ** 2))) if len(indices) else 0.0
     return ResidualField(indices=indices, points=points, residuals=residuals,

@@ -196,13 +196,17 @@ class Layout:
     unary op runs the kernel that ``kernel`` compiles on its first use and
     keeps under its ``_UNARY`` name; compiling reciprocal or chain sets
     ``full``, the layout of every pair among the seeds, which they give.
+    The seedless layout of an evaluation holds the ``leaf_layouts`` of its
+    lifts in ``leaves``.
     """
 
-    __slots__ = ("pairs", "seeds", "kept", "plans", "full", "scale", "neg", "reciprocal", "chain")
+    __slots__ = ("pairs", "seeds", "kept", "plans", "leaves", "full", "scale", "neg",
+                 "reciprocal", "chain")
 
     def __init__(self, pairs, seeds, kept):
         self.pairs, self.seeds, self.kept = pairs, seeds, kept
         self.plans = {}
+        self.leaves = {}
         self.full = self.scale = self.neg = self.reciprocal = self.chain = None
 
     def __repr__(self):
@@ -433,11 +437,26 @@ class Taylor2:
         return g_pow(o, self)
 
 
-def seeded(value, pairs, seeds) -> Taylor2:
-    """``value`` seeded with 1 in each of ``seeds`` (sorted seed indices) of
-    an evaluation carrying ``pairs``: its second partials are zero, so it
-    carries no pair."""
-    return Taylor2(value, [1.0] * len(seeds), [], layout(pairs, seeds, ()))
+def seeded(value, lay: Layout) -> Taylor2:
+    """``value`` seeded with 1 in each seed of ``lay``, a layout with no
+    pair: the second partials of a seeded leaf are zero."""
+    return Taylor2(value, [1.0] * len(lay.seeds), [], lay)
+
+
+def leaf_layouts(pairs, labels) -> dict:
+    """The pairless layout of each distinct label of ``labels`` in an
+    evaluation carrying ``pairs``, seeded at every position the label
+    holds: ``{label: Layout}``.  The seedless layout of ``pairs`` keeps
+    it in ``leaves`` under ``labels``, so a lift over the same labels and
+    pairs looks its pairs up once, not once per leaf."""
+    table = layout(pairs, (), ()).leaves
+    out = table.get(labels)
+    if out is None:
+        slots = {}
+        for s, c in enumerate(labels):
+            slots.setdefault(c, []).append(s)
+        out = table[labels] = {c: layout(pairs, tuple(ss), ()) for c, ss in slots.items()}
+    return out
 
 
 @functools.cache

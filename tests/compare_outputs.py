@@ -13,9 +13,13 @@ temporal metric with a zero diagonal and a p = 2 temporal metric with
 t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
-solver.  Besides these, the benchmark's generated configs (every job of
-the cycle of each workload in ``perfbench/workloads.py``, seeds 3 and 7)
-run their workload's own command.
+solver.  Four lattices beyond the benchmark's run ``residual``: a p = 3
+grid, a non-square p = 2 grid with a constant map entry, and two
+expression Lagrangians, one with an indefinite g whose off-diagonal entry
+is exactly zero along a column of nodes.  Besides these, the benchmark's
+generated configs (every job of the cycle of each workload in
+``perfbench/workloads.py``, seeds 3 and 7) run their workload's own
+command.
 
 The report gives the number of byte-identical runs; for every other run,
 the numbers that moved, grouped by JSON path (list indices collapsed) or by
@@ -145,6 +149,34 @@ def configs() -> dict:
     return out
 
 
+def residual_configs() -> dict:
+    """Name -> config of the lattices that run ``residual``."""
+    from conftest import corpus_config, potentials_config
+
+    def lattice(cfg, shape, box, maps):
+        return dict(cfg, grid={"shape": shape, "box": box, "map": maps})
+
+    return {
+        # three mixed pairs
+        "lattice_p3_n2": lattice(
+            corpus_config("non_autonomous", 3, 2, count=4), [5, 6, 5],
+            [[-0.5, 0.5], [-0.4, 0.6], [0.0, 1.0]],
+            ["0.2 + 0.3*sin(t1)*cos(t2) + 0.1*t3^2", "0.1*t1*t2*t3 - 0.2*cos(t3)"]),
+        "lattice_nonsquare_constant_p2_n3": lattice(
+            corpus_config("autonomous", 2, 3, count=4), [7, 5], [[-0.6, 0.6], [0.0, 0.8]],
+            ["0.3", "0.2*sin(t1) + 0.1*t2", "0.1*t1*t2 - 0.2"]),
+        "lattice_expr_potentials_p2_n2": lattice(
+            potentials_config(), [6, 6], [[-0.5, 0.5], [-0.5, 0.5]],
+            ["0.3*cos(t1) + 0.1*t2", "0.2*t1*t2 + 0.1"]),
+        # g = [[1, x1/2], [x1/2, -(2 + x2^2)]] has its negative pivot last,
+        # and x1 = 0.5*t1 is exactly zero on the middle column of nodes
+        "lattice_expr_indefinite_p2_n2": lattice(
+            _expression(2, 2, "v1_1^2 + v1_2^2 - (2 + x2^2)*(v2_1^2 + v2_2^2)"
+                              " + x1*(v1_1*v2_1 + v1_2*v2_2)"),
+            [7, 5], [[-1.0, 1.0], [0.0, 0.5]], ["0.5*t1", "0.3*sin(t2) + 0.1*t1*t2"]),
+    }
+
+
 def _point(cfg: dict) -> str:
     p, n = cfg["dims"]["p"], cfg["dims"]["n"]
     ts = ",".join(f"{0.1 * (a + 1):g}" for a in range(p))
@@ -167,6 +199,11 @@ def runs(tmp: str) -> list:
                    for cmd in POINT_COMMANDS)
         if "solver" in cfg:
             out.append((name, ["extremal", "--config", path]))
+    for name, cfg in residual_configs().items():
+        path = os.path.join(tmp, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out.append((name, ["residual", "--config", path]))
     from workloads import WORKLOADS
 
     for seed in WORKLOAD_SEEDS:

@@ -307,7 +307,7 @@ def test_criterion_8_harmonic_residual_convergence():
     for m in (9, 17, 33, 65):
         grid = GridMap.from_function(
             d, [(0, 1), (0, 1)], (m, m),
-            lambda ts: [math.pi / 2, math.sin(ts[0]) * math.sinh(ts[1])])
+            lambda ts: [math.pi / 2, np.sin(ts[0]) * np.sinh(ts[1])])
         sheet.append(harmonic_residual(L_sphere, h, grid).rms)
     ratios = [sheet[k] / sheet[k + 1] for k in range(3)]
     assert all(r >= 3.5 for r in ratios), ratios

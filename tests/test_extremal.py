@@ -232,7 +232,7 @@ class TestHarmonicResidual:
         for m in (9, 17, 33):
             grid = GridMap.from_function(
                 self.d, [(0, 1), (0, 1)], (m, m),
-                lambda ts: [math.pi / 2, math.sin(ts[0]) * math.sinh(ts[1])])
+                lambda ts: [math.pi / 2, np.sin(ts[0]) * np.sinh(ts[1])])
             rf = harmonic_residual(self.L_sphere, self.h, grid)
             norms.append(rf.rms)
         ratios = [norms[i] / norms[i + 1] for i in range(2)]
@@ -241,13 +241,20 @@ class TestHarmonicResidual:
     def test_non_harmonic_map_separates(self):
         grid_good = GridMap.from_function(
             self.d, [(0, 1), (0, 1)], (17, 17),
-            lambda ts: [math.pi / 2, math.sin(ts[0]) * math.sinh(ts[1])])
+            lambda ts: [math.pi / 2, np.sin(ts[0]) * np.sinh(ts[1])])
         good = harmonic_residual(self.L_sphere, self.h, grid_good).max_norm
         grid_bad = GridMap.from_function(
             self.d, [(0, 1), (0, 1)], (17, 17),
-            lambda ts: [math.pi / 2 + 0.3 * ts[0] ** 2, math.sin(3 * ts[0]) + ts[1] ** 3])
+            lambda ts: [math.pi / 2 + 0.3 * ts[0] ** 2, np.sin(3 * ts[0]) + ts[1] ** 3])
         bad = harmonic_residual(self.L_sphere, self.h, grid_bad).max_norm
         assert bad >= 10 * good
+
+    def test_constant_entry_is_broadcast(self):
+        box, shape = [(0.0, 1.0), (-1.0, 2.0)], (5, 7)
+        grid = GridMap.from_function(self.d, box, shape, lambda ts: [0.25, ts[0] * ts[1]])
+        for idx in np.ndindex(shape):
+            t0, t1 = (lo + k * (hi - lo) / (s - 1) for (lo, hi), s, k in zip(box, shape, idx))
+            assert grid.values[idx].tolist() == [0.25, t0 * t1]
 
     def test_small_grid_rejected(self):
         with pytest.raises(StencilError):
@@ -259,6 +266,50 @@ class TestHarmonicResidual:
                                      lambda ts: [1.0, 1.0])
         with pytest.raises(DimensionError):
             harmonic_residual(inst.L, inst.h, grid)
+
+
+def _node_differences(grid, idx):
+    """x_a and x_ab at one interior node, node by node: each read from the
+    node's own neighbours."""
+    p, n = grid.dims.p, grid.dims.n
+    v, sp = grid.values, grid.spacing
+
+    def moved(*steps):
+        out = list(idx)
+        for axis, step in steps:
+            out[axis] += step
+        return v[tuple(out)]
+
+    first = np.zeros((n, p))
+    second = np.zeros((n, p, p))
+    for a in range(p):
+        up, dn = moved((a, 1)), moved((a, -1))
+        first[:, a] = (up - dn) / (2.0 * sp[a])
+        second[:, a, a] = (up - 2.0 * v[idx] + dn) / (sp[a] ** 2)
+    for a in range(p):
+        for b in range(a + 1, p):
+            pp, pm = moved((a, 1), (b, 1)), moved((a, 1), (b, -1))
+            mp, mm = moved((a, -1), (b, 1)), moved((a, -1), (b, -1))
+            mixed = (pp - pm - mp + mm) / (4.0 * sp[a] * sp[b])
+            second[:, a, b] = mixed
+            second[:, b, a] = mixed
+    return v[idx].tolist(), first.tolist(), second.tolist()
+
+
+class TestCentralDifferences:
+    """The whole-lattice differences are bitwise those of each node alone."""
+
+    @pytest.mark.parametrize("p, n, shape", [(2, 3, (5, 5)), (2, 2, (6, 9)), (3, 2, (5, 6, 7))])
+    def test_bitwise_node_by_node(self, p, n, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.standard_normal(shape + (n,)) * 10.0 ** rng.integers(-3, 4, shape + (n,))
+        values[(1,) * p] = 0.0  # exact zeros, whose sign a difference must keep
+        grid = GridMap(Dims(p, n), [(-1.0, 0.5 + a) for a in range(p)], shape, values)
+        nodes = list(zip(*extremal._central_differences(grid)))
+        indices = list(grid.interior_indices())
+        assert len(nodes) == len(indices)
+        for idx, node in zip(indices, nodes):
+            assert repr(node) == repr(_node_differences(grid, idx)), idx
 
 
 class TestAction:

@@ -998,8 +998,8 @@ class TestKernelsMatchTheFormulas:
         # at the same positions: a seeded leaf carries no pair, x^s x^(s+1)
         # its one cross pair, and the product adds (s, s) and (s, s + 1)
         def product(pairs, s):
-            x = scalars.seeded(1.0, pairs, (s,))
-            y = x * scalars.seeded(2.0, pairs, (s + 1,))
+            x = scalars.seeded(1.0, scalars.layout(pairs, (s,), ()))
+            y = x * scalars.seeded(2.0, scalars.layout(pairs, (s + 1,), ()))
             return x * y, x.layout.plans[y.layout]
 
         results = [product(hessian_pairs(3), 0), product(hessian_pairs(3), 1),
@@ -1127,10 +1127,10 @@ class _Counted:
     """L, counting its evaluations and recording, for each one on a
     Taylor2-lifted point, the seed count (the lifted coordinates: each
     scalar carries only its own seeds) and the Hessian entries carried (the
-    evaluation's pairs)."""
+    evaluation's pairs), and the types of the lifted leaves' values."""
 
     def __init__(self, L):
-        self.L, self.dims, self.calls, self.lifts = L, L.dims, 0, []
+        self.L, self.dims, self.calls, self.lifts, self.leaf_types = L, L.dims, 0, [], set()
 
     def __call__(self, point):
         self.calls += 1
@@ -1138,6 +1138,7 @@ class _Counted:
         lifted = [e for e in coords if type(e) is Taylor2]
         if lifted:
             self.lifts.append((len(lifted), len(lifted[0].layout.pairs[0])))
+            self.leaf_types.update(type(e.re) for e in lifted)
         return self.L(point)
 
 
@@ -1228,6 +1229,9 @@ class TestBenchmarkCallStructure:
         assert sprays[0] == interior
         assert L.lifts == [(2 + 3 + 6, _SPRAY_ENTRIES[(2, 3)])] * interior
         assert L.calls == interior
+        # each node's spray runs on Python floats, not on the numpy scalars
+        # of the lattice's float64 arrays
+        assert L.leaf_types == {float}
 
 
 # --- Float64-array leaves ---------------------------------------------------------------
