@@ -203,10 +203,6 @@ class CrosscheckReport:
     max_rel_discrepancy: float = 0.0
     passed: bool = True
 
-    @property
-    def failures(self):
-        return [e for e in self.entries if not e.ok]
-
 
 _ABS_FLOOR = 1e-8
 

@@ -15,10 +15,9 @@ Christoffels; the p = 1 Cartan N is the spray derivative
 (``spray_n_values``).
 
 ``metric_compatibility`` checks that a pack is metric for (h, g) in all
-three directions.  ``covariant_derivative`` is the generic T-horizontal,
-M-horizontal and vertical operator for any d-tensor valence; an empty
-valence gives the adapted-frame derivative of a scalar field.  The tests
-use it as the reference for ``metric_compatibility``.
+three directions.  Its reference is the generic T-horizontal, M-horizontal
+and vertical covariant derivative of any d-tensor valence, which lives
+with the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,17 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .calculus import (
-    all_coords,
-    field_jacobian,
-    structure_entry,
-    t_coord,
-    v_coord,
-    vertical_coords,
-    x_coord,
-)
+from .calculus import all_coords, field_jacobian, t_coord, v_coord, x_coord
 from .connection import (
     delta_entry,
     electrodynamics_n_values,
@@ -45,7 +34,7 @@ from .connection import (
     spray_n_values,
 )
 from .errors import DimensionError
-from .jet_core import Dims, DTensor, JetPoint, SlotKind
+from .jet_core import Dims, JetPoint
 from .metric_engine import (
     TemporalMetric,
     checked_inverse,
@@ -73,8 +62,7 @@ class Coefficients(NamedTuple):
 class LinearConnectionPack:
     """An h-normal linear connection: the four effective coefficient fields
     (with the M, N below them) and the spatial metric they were built over.
-    The derived vertical coefficients are delta-combinations of these four,
-    which the covariant derivative operators implement."""
+    The derived vertical coefficients are delta-combinations of these four."""
 
     dims: Dims
     kind: str                  # "cartan" | "berwald" | "custom"
@@ -116,14 +104,14 @@ def _cartan_coefficients_p1(L, h, dims):
     n = dims.n
 
     def g_matrix(point: JetPoint):
-        return g_from_hessian(L, h, point, dims)
+        return g_from_hessian(L, h, point)
 
     def coefficients(point: JetPoint):
         g, jac = field_jacobian(g_matrix, point, all_coords(dims))
         ginv = checked_inverse(g).inverse
         hmat, _, hbar = h_christoffel_values(h, point.t)
         m_co = m_values(hbar, point)
-        n_co = spray_n_values(L, h, hmat, point, dims)
+        n_co = spray_n_values(L, h, hmat, point)
         g_co = _g_block(ginv, [_delta_matrix(jac, t_coord(0), m_co)])
         l_co = christoffel(ginv, [_delta_matrix(jac, x_coord(k), n_co) for k in range(n)])
         c_co = christoffel(ginv, [jac[v_coord(k, 0)] for k in range(n)])
@@ -206,123 +194,6 @@ def berwald_connection(h: TemporalMetric, g_matrix, dims: Dims) -> LinearConnect
     )
 
 
-# --- Covariant derivatives -------------------------------------------------------
-
-
-class THorizontal(NamedTuple):
-    gamma: int
-
-
-class MHorizontal(NamedTuple):
-    k: int
-
-
-class VerticalCov(NamedTuple):
-    k: int
-    gamma: int
-
-
-def _direction_tables(co: Coefficients, dims: Dims, direction):
-    """(spatial, temporal) correction coefficient tables for a direction:
-    spatial[m][l] multiplies upper-spatial slots, temporal[a][mu] upper-
-    temporal slots (lower slots use the transposes with a minus sign)."""
-    n, p = dims.n, dims.p
-    if isinstance(direction, THorizontal):
-        c = direction.gamma
-        spatial = [[co.g[m][l][c] for l in range(n)] for m in range(n)]
-        temporal = [[co.hbar[a][mu][c] for mu in range(p)] for a in range(p)]
-    elif isinstance(direction, MHorizontal):
-        k = direction.k
-        spatial = [[co.l[m][l][k] for l in range(n)] for m in range(n)]
-        temporal = [[0.0] * p for _ in range(p)]
-    else:
-        k, c = direction.k, direction.gamma
-        spatial = [[co.c[m][l][k][c] for l in range(n)] for m in range(n)]
-        temporal = [[0.0] * p for _ in range(p)]
-    return spatial, temporal
-
-
-def covariant_derivative(field, valence, direction, pack: LinearConnectionPack,
-                         point: JetPoint):
-    """Covariant derivative of a tensor field of the given valence, over the
-    pack's nonlinear connection.
-
-    ``field`` maps a JetPoint to nested lists matching ``valence`` (flat
-    vertical indexing i*p + a).  The base derivative is the adapted one for
-    horizontal directions, d/dt^a - M^{(l)}_{(b)a} d/dv^l_b and
-    d/dx^k - N^{(l)}_{(b)k} d/dv^l_b, and the plain d/dv^k_c for vertical
-    ones; slot corrections contract the pack coefficients, vertical slots
-    receiving both their spatial and temporal contributions.  An empty
-    valence (a scalar field) has no corrections and gives the base
-    derivative as a scalar; any other valence gives a DTensor.
-    """
-    dims = pack.dims
-    n, p = dims.n, dims.p
-    valence = tuple(valence)
-    co = pack.coefficients_at(point)
-    if isinstance(direction, THorizontal):
-        base_coord, coeffs = t_coord(direction.gamma), co.m
-    elif isinstance(direction, MHorizontal):
-        base_coord, coeffs = x_coord(direction.k), co.n
-    elif isinstance(direction, VerticalCov):
-        base_coord, coeffs = v_coord(direction.k, direction.gamma), None
-    else:
-        raise DimensionError(f"unknown covariant direction {direction!r}")
-
-    coords = [base_coord] if coeffs is None else [base_coord] + vertical_coords(dims)
-    values, jac = field_jacobian(field, point, coords)
-    if not valence:
-        return jac[base_coord] if coeffs is None else delta_entry(jac, (), base_coord, coeffs)
-
-    out = DTensor(valence)
-    spatial, temporal = _direction_tables(co, dims, direction)
-
-    shape = out.shape
-    for idx in np.ndindex(shape):
-        if coeffs is None:
-            acc = structure_entry(jac[base_coord], idx)
-        else:
-            acc = delta_entry(jac, idx, base_coord, coeffs)
-        for pos, slot in enumerate(valence):
-            kind = slot.kind
-            if kind is SlotKind.SPATIAL_UPPER:
-                m = idx[pos]
-                for l in range(n):
-                    acc = acc + spatial[m][l] * structure_entry(values, _with(idx, pos, l))
-            elif kind is SlotKind.SPATIAL_LOWER:
-                i = idx[pos]
-                for l in range(n):
-                    acc = acc - spatial[l][i] * structure_entry(values, _with(idx, pos, l))
-            elif kind is SlotKind.TEMPORAL_UPPER:
-                a = idx[pos]
-                for mu in range(p):
-                    acc = acc + temporal[a][mu] * structure_entry(values, _with(idx, pos, mu))
-            elif kind is SlotKind.TEMPORAL_LOWER:
-                b = idx[pos]
-                for mu in range(p):
-                    acc = acc - temporal[mu][b] * structure_entry(values, _with(idx, pos, mu))
-            elif kind is SlotKind.VERTICAL_UPPER:
-                i, a = divmod(idx[pos], p)
-                for l in range(n):
-                    acc = acc + spatial[i][l] * structure_entry(values, _with(idx, pos, l * p + a))
-                for mu in range(p):
-                    acc = acc - temporal[mu][a] * structure_entry(values, _with(idx, pos, i * p + mu))
-            elif kind is SlotKind.VERTICAL_LOWER:
-                k, c = divmod(idx[pos], p)
-                for l in range(n):
-                    acc = acc - spatial[l][k] * structure_entry(values, _with(idx, pos, l * p + c))
-                for mu in range(p):
-                    acc = acc + temporal[c][mu] * structure_entry(values, _with(idx, pos, k * p + mu))
-        out.data[idx] = scalar_value(acc)
-    return out
-
-
-def _with(idx, pos, value):
-    lst = list(idx)
-    lst[pos] = value
-    return tuple(lst)
-
-
 # --- Metric compatibility ------------------------------------------------------------
 
 
@@ -333,8 +204,8 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint,
 
     ``co`` is ``pack.coefficients_at(point)``, which the caller has already
     evaluated.  One Jacobian of each metric serves all directions (the
-    slot rules are the same ones ``covariant_derivative`` implements; the
-    test-suite pins the two code paths against each other).
+    slot rules are those of the covariant derivative in ``tests/oracles.py``,
+    which the test-suite pins this code path against).
     """
     dims = pack.dims
     n, p = dims.n, dims.p

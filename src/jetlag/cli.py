@@ -198,19 +198,18 @@ def cmd_tables(instance: ProblemInstance, args, which: str) -> int:
     if berwald is not None:
         sections.append(("berwald", berwald))
     for label, the_pack in sections:
+        # the zero table assumes a metric pair with g = g(x); for
+        # time-dependent g the Berwald tables are a distinctness probe,
+        # not a case the zero cells describe
+        audited = label == "cartan" or instance.g_reads_x_only()
         tor = torsion_table(the_pack, point)
-        if which == "torsion":
-            report[label] = tor.to_json_dict()
+        cur = curvature_table(tor) if which == "curvature" or audited else None
+        report[label] = (tor if which == "torsion" else cur).to_json_dict()
+        if audited:
+            audit = table_zero_audit(the_pack, [(tor, cur)])
+            report[f"{label}_zero_audit"] = audit.to_json_dict()
         else:
-            report[label] = curvature_table(tor).to_json_dict()
-        if label == "berwald" and not instance.g_reads_x_only():
-            # the zero table assumes a metric pair with g = g(x); for
-            # time-dependent g the Berwald tables are a distinctness probe,
-            # not a case the zero cells describe
             report["berwald_zero_audit"] = {"skipped": "g depends on t; metric-pair zero table not applicable"}
-            continue
-        audit = table_zero_audit(the_pack, [point])
-        report[f"{label}_zero_audit"] = audit.to_json_dict()
     _write(canonical_json(report) + "\n", args.out)
     return EX_OK
 

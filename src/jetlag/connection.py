@@ -34,13 +34,7 @@ from .calculus import (
     structure_entry,
     v_coord,
 )
-from .jet_core import (
-    Dims,
-    DTensor,
-    JetPoint,
-    temporal_lower,
-    vertical_upper,
-)
+from .jet_core import DTensor, JetPoint, temporal_lower, vertical_upper
 from .metric_engine import (
     TemporalMetric,
     checked_inverse,
@@ -93,7 +87,7 @@ def _spray_pairs(n: int, p: int):
     return tuple(r for r, _ in kept), tuple(c for _, c in kept)
 
 
-def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) -> SprayData:
+def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
     """Assemble the spray entities from first/second partials of L, all
     from one evaluation of L over every coordinate (``hessian_blocks`` with
     the pairs of ``_spray_pairs``); g is the h-trace of its vertical blocks.
@@ -104,11 +98,11 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
     2H^k = (g^{ki}/2)[d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}]
     2J^k = h^{ab} H^c_{ab} v^k_c
     """
-    dims = dims or getattr(L, "dims", None) or point.dims
+    dims = point.dims
     n, p = dims.n, dims.p
     v = point.v
 
-    blocks, grad, hess = hessian_blocks(L, point, dims, all_coords(dims), _spray_pairs(n, p))
+    blocks, grad, hess = hessian_blocks(L, point, all_coords(dims), _spray_pairs(n, p))
     hmat, hinv, hch = h_christoffel_values(h, point.t)
     g = trace_metric(hmat, blocks)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
@@ -157,9 +151,9 @@ def spray_data(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None) 
                      bracket=bracket, s_vec=s_vec, h_vec=h_vec, j_vec=j_vec, g_vec=g_vec)
 
 
-def gcal_values(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None):
+def gcal_values(L, h: TemporalMetric, point: JetPoint):
     """The spray vector G^k (halved doubled entity) as a plain list."""
-    return spray_data(L, h, point, dims).g_vec
+    return spray_data(L, h, point).g_vec
 
 
 # --- Euler-Lagrange residual ---------------------------------------------------
@@ -206,9 +200,8 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
                    jet: DecompositionJet | None) -> SprayPack:
     """The spray pack at ``point``; for p >= 2 its spatial block reads the
     decomposition's ``jet`` at the point's (t, x), None for p = 1."""
-    dims = getattr(L, "dims", None) or point.dims
-    n, p = dims.n, dims.p
-    data = spray_data(L, h, point, dims)
+    n, p = len(point.x), len(point.t)
+    data = spray_data(L, h, point)
     hmat = [[scalar_value(e) for e in row] for row in data.hmat]
 
     s = np.array([scalar_value(e) for e in data.s_vec])
@@ -325,13 +318,14 @@ def electrodynamics_n_values(hmat, jet: DecompositionJet, point: JetPoint, gamma
     return out
 
 
-def spray_n_values(L, h: TemporalMetric, hmat, point: JetPoint, dims: Dims):
+def spray_n_values(L, h: TemporalMetric, hmat, point: JetPoint):
     """The p = 1 canonical N^{(i)}_{(1)j} = h_11 dG^i/dv^j_1 as [i][0][j],
     with ``hmat`` h's matrix at point.t: forward mode pushed through the
     whole spray assembly, metric inversion included."""
-    vs = [v_coord(j, 0) for j in range(dims.n)]
-    _, jac = field_jacobian(lambda q: gcal_values(L, h, q, dims), point, vs)
-    return [[[hmat[0][0] * jac[c][i] for c in vs]] for i in range(dims.n)]
+    n = len(point.x)
+    vs = [v_coord(j, 0) for j in range(n)]
+    _, jac = field_jacobian(lambda q: gcal_values(L, h, q), point, vs)
+    return [[[hmat[0][0] * jac[c][i] for c in vs]] for i in range(n)]
 
 
 # --- Adapted derivatives ----------------------------------------------------------

@@ -317,16 +317,15 @@ class ZeroAuditReport:
         }
 
 
-def table_zero_audit(pack: LinearConnectionPack, points) -> ZeroAuditReport:
-    """Evaluate the generic formula for every component the tables declare
-    zero for this (p, connection kind) and report the worst magnitude."""
+def table_zero_audit(pack: LinearConnectionPack, tables) -> ZeroAuditReport:
+    """The worst magnitude, over the (TorsionTable, CurvatureTable) pairs
+    ``tables`` of ``pack``, of every component the tables declare zero for
+    this (p, connection kind), as its generic formula evaluates it."""
     key_p = 1 if pack.dims.p == 1 else 2
     tor_zero = TORSION_ZERO_CELLS[(pack.kind, key_p)]
     cur_zero = CURVATURE_ZERO_CELLS[(pack.kind, key_p)]
     per_cell = {}
-    for point in points:
-        tor = torsion_table(pack, point)
-        cur = curvature_table(tor)
+    for tor, cur in tables:
         for cell in tor_zero:
             val = tor.families()[cell].max_abs()
             per_cell[f"torsion.{cell}"] = max(per_cell.get(f"torsion.{cell}", 0.0), val)

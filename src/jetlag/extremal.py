@@ -63,14 +63,14 @@ class Trajectory:
         return float(np.max(np.abs(self.el_residuals)))
 
 
-def _acceleration(L, h, dims, t, x, y):
+def _acceleration(L, h, t, x, y):
     """x''^k = H^1_11 x'^k - 2 h_11 G^k, and the inertia of the spray's
     spatial metric g."""
     point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
-    data = spray_data(L, h, point, dims)
+    data = spray_data(L, h, point)
     h11 = scalar_value(data.hmat[0][0])
     hc = scalar_value(data.hch[0][0][0])
-    accel = np.array([hc * y[k] - 2.0 * h11 * scalar_value(data.g_vec[k]) for k in range(dims.n)])
+    accel = np.array([hc * y[k] - 2.0 * h11 * scalar_value(data.g_vec[k]) for k in range(len(y))])
     return accel, data.inertia
 
 
@@ -82,7 +82,6 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     three inner stages must keep the signature g has at the initial state.
     The abort reason ends with the step and t of the last stage begun."""
     L, h = problem.L, problem.h
-    dims = getattr(L, "dims")
     span = problem.t_end - problem.t0
     steps = max(1, round(abs(span) / problem.dt))
     dt = span / steps
@@ -98,7 +97,7 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     def stage(step, t, x, y):
         nonlocal signature, where
         where = f"at step {step}, t={t:.6g}"
-        accel, sig = _acceleration(L, h, dims, t, x, y)
+        accel, sig = _acceleration(L, h, t, x, y)
         if signature is not None and sig != signature:
             raise DegeneracyError(f"signature of g changed from {signature} to {sig}")
         signature = sig
@@ -140,14 +139,13 @@ def trajectory_el_residuals(L, h: TemporalMetric, traj: Trajectory) -> np.ndarra
     """Max-norm Euler-Lagrange residual at every interior trajectory sample;
     the second derivative is the central difference of the stored y
     (independent of the integrator's right-hand side)."""
-    dims = getattr(L, "dims")
     t, x, y = traj.t, traj.x, traj.y
     dt = t[1] - t[0]
     out = []
     for k in range(1, len(t) - 1):
         point = JetPoint((float(t[k]),), x[k], [[yi] for yi in y[k]])
         xab = [[[a]] for a in (y[k + 1] - y[k - 1]) / (2.0 * dt)]
-        res = euler_lagrange_residual(L, point, xab, spray_data(L, h, point, dims))
+        res = euler_lagrange_residual(L, point, xab, spray_data(L, h, point))
         out.append(float(np.max(np.abs(res))))
     return np.array(out)
 
@@ -261,7 +259,7 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
     for row, (idx, xs, first, second) in enumerate(nodes):
         ts = grid.node_t(idx)
         points.append(ts)
-        data = spray_data(L, h, JetPoint(ts, xs, first), dims)
+        data = spray_data(L, h, JetPoint(ts, xs, first))
         hinv = [[scalar_value(e) for e in r] for r in data.hinv]
         hch = [[[scalar_value(e) for e in r] for r in m] for m in h_christoffel_values(h, ts)[2]]
         for k in range(n):
@@ -277,18 +275,3 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
     rms = float(np.sqrt(np.mean(residuals ** 2))) if len(indices) else 0.0
     return ResidualField(indices=indices, points=points, residuals=residuals,
                          max_norm=max_norm, rms=rms)
-
-
-# --- Action values ----------------------------------------------------------------
-
-
-def action_value(L, h: TemporalMetric, traj: Trajectory) -> float:
-    """Trapezoidal quadrature of L * sqrt(|h_11|) over a p = 1 trajectory."""
-    vals = []
-    for t, x, y in zip(traj.t, traj.x, traj.y):
-        point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
-        h11 = scalar_value(h.matrix_at((t,))[0][0])
-        vals.append(scalar_value(L(point)) * math.sqrt(abs(h11)))
-    dt = traj.t[1] - traj.t[0]
-    vals = np.asarray(vals)
-    return float(dt * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1]))

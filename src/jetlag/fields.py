@@ -45,21 +45,6 @@ class ExpressionField:
         return f"ExpressionField({self.source!r})"
 
 
-@dataclass
-class CallableField:
-    """Adapter for plain python callables with an optional label."""
-
-    fn: object
-    label: str = ""
-
-    def __call__(self, point: JetPoint):
-        return self.fn(point)
-
-
-def constant_field(value: float):
-    return CallableField(lambda pt, v=float(value): v, label=f"const {value}")
-
-
 class ElectrodynamicsLagrangian:
     """Closed-form family L = h^{ab}(t) g_ij v^i_a v^j_b + U^a_i v^i_a + F.
 
@@ -122,10 +107,6 @@ class LagrangianModel:
 
     def __call__(self, point: JetPoint):
         return self.field(point)
-
-    @classmethod
-    def from_expression(cls, source: str, dims: Dims) -> "LagrangianModel":
-        return cls(dims=dims, field=ExpressionField(source, dims), kind="expression")
 
     @classmethod
     def from_family(cls, family: ElectrodynamicsLagrangian, kind: str) -> "LagrangianModel":

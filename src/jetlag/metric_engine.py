@@ -320,15 +320,6 @@ def h_christoffel_values(h: TemporalMetric, ts):
     return hmat, hinv, christoffel(hinv, dh)
 
 
-def h_curvature_values(h: TemporalMetric, ts):
-    """H^c_{m a b} = d_b H^c_{ma} - d_a H^c_{mb} + H^e_{ma} H^c_{eb}
-    - H^e_{mb} H^c_{ea}, [c][m][a][b]."""
-    p = h.p
-    if h.constant or p == 1:
-        return [[[[0.0] * p for _ in range(p)] for _ in range(p)] for _ in range(p)]
-    return riemann(*_t_partials(lambda q: h_christoffel_values(h, q)[2], ts))
-
-
 # --- Spatial metric ----------------------------------------------------------
 
 
@@ -339,11 +330,3 @@ def g_christoffel_values(g_matrix, point: JetPoint):
     xs = [x_coord(k) for k in range(len(point.x))]
     g, dg = field_jacobian(g_matrix, point, xs)
     return christoffel(checked_inverse(g).inverse, [dg[c] for c in xs])
-
-
-def g_curvature_values(g_matrix, point: JetPoint):
-    """r^m_{pij} = d_j Gamma^m_{pi} - d_i Gamma^m_{pj}
-    + Gamma^k_{pi} Gamma^m_{kj} - Gamma^k_{pj} Gamma^m_{ki}, [m][p][i][j]."""
-    xs = [x_coord(j) for j in range(len(point.x))]
-    gam, dgam = field_jacobian(lambda q: g_christoffel_values(g_matrix, q), point, xs)
-    return riemann(gam, [dgam[c] for c in xs])

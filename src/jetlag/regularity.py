@@ -72,8 +72,7 @@ class HessianBlocks(NamedTuple):
     hess: list
 
 
-def hessian_blocks(L, point: JetPoint, dims: Dims | None = None, coords=None,
-                   pairs=None) -> HessianBlocks:
+def hessian_blocks(L, point: JetPoint, coords=None, pairs=None) -> HessianBlocks:
     """The one second-order evaluation of L at ``point``: one Taylor2 lift
     over ``coords`` (default the np vertical coordinates) carrying ``pairs``
     (default the full triangle), as ``calculus.gradient_hessian`` takes
@@ -81,10 +80,9 @@ def hessian_blocks(L, point: JetPoint, dims: Dims | None = None, coords=None,
     as ``vertical_coords`` and ``all_coords`` give them, and ``pairs`` holds
     the v-v triangle.  The blocks are symmetric by construction and generic
     over the scalar kind of the point."""
-    dims = dims or point.dims
-    n, p = dims.n, dims.p
+    n, p = len(point.x), len(point.t)
     if coords is None:
-        coords = vertical_coords(dims)
+        coords = vertical_coords(point.dims)
     grad, hess = gradient_hessian(L, point, coords, pairs)
     off = len(coords) - n * p  # index of v^0_0
     blocks = [[[[hess[off + i * p + a][off + j * p + b] * 0.5 for b in range(p)]
@@ -108,12 +106,10 @@ def trace_metric(hmat, blocks):
     return g
 
 
-def g_from_hessian(L, h: TemporalMetric, point: JetPoint, dims: Dims | None = None):
+def g_from_hessian(L, h: TemporalMetric, point: JetPoint):
     """Spatial metric estimate g_ij = (1/p) h_ab G^{(ab)}_{(ij)} (the
     h-trace of the vertical Hessian); generic over the scalar kind."""
-    dims = dims or point.dims
-    hmat = h.matrix_at(point.t)
-    return trace_metric(hmat, hessian_blocks(L, point, dims).blocks)
+    return trace_metric(h.matrix_at(point.t), hessian_blocks(L, point).blocks)
 
 
 # --- Block-regularity verdict ------------------------------------------------
@@ -189,7 +185,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
     def examine(idx_point):
         idx, point = idx_point
         n, p = dims.n, dims.p
-        blocks = hessian_blocks(L, point, dims).blocks
+        blocks = hessian_blocks(L, point).blocks
         hmat = h.matrix_at(point.t)
         g = trace_metric(hmat, blocks)
         hinv = h.inverse_at(point.t)
@@ -214,7 +210,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         vdep = 0.0
         for redraw in redraws[idx]:
             probe = JetPoint(point.t, point.x, redraw.v)
-            g2 = trace_metric(hmat, hessian_blocks(L, probe, dims).blocks)
+            g2 = trace_metric(hmat, hessian_blocks(L, probe).blocks)
             vdep = max(
                 vdep,
                 max(abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n)),
@@ -351,7 +347,7 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
             return u, 0.0 if structure.f_entry is None else structure.f_entry(pt)
     else:
         def g_field(pt):
-            g = g_from_hessian(L, h, _at_zero_velocity(pt, dims), dims)
+            g = g_from_hessian(L, h, _at_zero_velocity(pt, dims))
             return [[(g[i][j] + g[j][i]) * 0.5 for j in range(n)] for i in range(n)]
 
         def potentials(pt):

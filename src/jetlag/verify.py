@@ -137,7 +137,7 @@ def run_checks(instance: ProblemInstance) -> list:
             xab.append([[2.0 * quad[i][a] if a == b else 0.0 for b in range(dims.p)]
                         for a in range(dims.p)])
         mid = JetPoint(pt.t, xs, vs)
-        data = spray_data(L, h, mid, dims)
+        data = spray_data(L, h, mid)
         res = euler_lagrange_residual(L, mid, xab, data)
         ginv = [[scalar_value(e) for e in row] for row in data.ginv]
         hinv = [[scalar_value(e) for e in row] for row in data.hinv]
@@ -174,7 +174,9 @@ def run_checks(instance: ProblemInstance) -> list:
                               worst_compat, tols["compatibility"]))
     checks.append(CheckResult("cartan_coefficient_symmetry", worst_sym <= 1e-9, worst_sym, 1e-9))
 
-    audit = table_zero_audit(pack, pts[:2])
+    # perfbench/selftest.py pins these 2 and the antisymmetry check's 2 tables of each kind
+    tors = [torsion_table(pack, pt) for pt in pts[:2]]
+    audit = table_zero_audit(pack, [(tor, curvature_table(tor)) for tor in tors])
     checks.append(CheckResult("table_zero_audit", audit.passed, audit.worst, AUDIT_TOL,
                               audit.worst_cell))
 

@@ -18,6 +18,7 @@ from jetlag.calculus import (
 )
 from jetlag.config import assemble
 from jetlag.connection import electrodynamics_n_values
+from jetlag.curvature import curvature_table, torsion_table
 from jetlag.jet_core import JetPoint
 from jetlag.metric_engine import TemporalMetric, checked_inverse, g_christoffel_values
 
@@ -150,6 +151,12 @@ def temporal_metric_of(entries, signature) -> TemporalMetric:
         return [[e(point) for e in row] for row in entries]
 
     return TemporalMetric(len(entries), matrix, signature)
+
+
+def tables_at(pack, points):
+    """The (TorsionTable, CurvatureTable) pair of ``pack`` at each point,
+    as ``curvature.table_zero_audit`` takes them."""
+    return [(tor, curvature_table(tor)) for tor in (torsion_table(pack, pt) for pt in points)]
 
 
 def counted(calls: dict, name: str, fn):

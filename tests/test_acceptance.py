@@ -19,12 +19,7 @@ from jetlag.curvature import curvature_table, table_zero_audit, torsion_table
 from jetlag.calculus import fd_crosscheck, v_coord, x_coord
 from jetlag.errors import DslError
 from jetlag.extremal import ExtremalProblem, GridMap, harmonic_residual, integrate_extremal
-from jetlag.fields import (
-    ElectrodynamicsLagrangian,
-    ExpressionField,
-    LagrangianModel,
-    constant_field,
-)
+from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from jetlag.jet_core import Dims
 from jetlag.metric_engine import TemporalMetric, g_christoffel_values
 from jetlag.regularity import electrodynamics_decompose, kronecker_test, sample_points
@@ -38,8 +33,10 @@ from conftest import (
     quartic_config,
     spatial_metric_of,
     sphere_config,
+    tables_at,
     temporal_metric_of,
 )
+from oracles import constant, expression_lagrangian, failures
 from test_dsl import random_ast
 from test_extremal import sphere_geodesic_oracle
 
@@ -95,7 +92,7 @@ def test_criterion_2_characterization_randomized():
                 c = round(rng.uniform(-0.5, 0.5), 3)
                 terms.append(f"{c}*t{a + 1}*x{i + 1}*v{i + 1}_{a + 1}")
         terms.append(f"{round(rng.uniform(-1, 1), 3)}*t1 + 0.5*x1^2")
-        L = LagrangianModel.from_expression(" + ".join(terms), dims)
+        L = expression_lagrangian(" + ".join(terms), dims)
         h = TemporalMetric.flat(p)
         verdict = kronecker_test(L, h, None, K=8, tol=1e-6, seed=trial)
         assert verdict.is_kronecker, (trial, verdict.diagnostics)
@@ -152,12 +149,12 @@ def test_criterion_5_zero_audits():
             inst = corpus_instance(kind, p, 2)
             deco, pack = build_geometry(inst)
             pts = sample_points(inst.dims, [-1, 1], 2, seed=5)
-            audit = table_zero_audit(pack, pts)
+            audit = table_zero_audit(pack, tables_at(pack, pts))
             assert audit.passed, (kind, p, "cartan", audit.worst_cell, audit.worst)
             worst = max(worst, audit.worst)
             if inst.L.structure is not None and kind != "non_autonomous":
                 bw = berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims)
-                audit_b = table_zero_audit(bw, pts)
+                audit_b = table_zero_audit(bw, tables_at(bw, pts))
                 assert audit_b.passed, (kind, p, "berwald", audit_b.worst_cell)
                 worst = max(worst, audit_b.worst)
     # autonomous electrodynamics: only the three R-families survive in the
@@ -182,8 +179,8 @@ def test_criterion_6_classical_reduction():
     inst = assemble(sphere_config(dt=1e-3))
     deco, pack = build_geometry(inst)
     gs = spatial_metric_of([
-        [constant_field(1.0), constant_field(0.0)],
-        [constant_field(0.0), ExpressionField("sin(x1)^2", inst.dims)]])
+        [constant(1.0), constant(0.0)],
+        [constant(0.0), ExpressionField("sin(x1)^2", inst.dims)]])
     # N equals gamma^i_{jk} y^k
     worst_n = 0.0
     for pt in sample_points(inst.dims, inst.sampling["box"], 8, seed=61):
@@ -227,18 +224,18 @@ def _el_corpus():
     h_flat = TemporalMetric.flat(1)
     h_exp = temporal_metric_of([[ExpressionField("exp(2*t1)", flat1)]], (1, 0))
     out = []
-    out.append(("flat-line", LagrangianModel.from_expression("v1_1^2 + v2_1^2", flat2),
+    out.append(("flat-line", expression_lagrangian("v1_1^2 + v2_1^2", flat2),
                 h_flat, (0.0, 0.0), (1.0, 2.0)))
     sphere = assemble(sphere_config())
     out.append(("sphere", sphere.L, sphere.h, (1.1, 0.3), (0.2, 0.8)))
     out.append(("exp-h", LagrangianModel.from_family(
-        ElectrodynamicsLagrangian(flat1, h_exp, [[constant_field(1.0)]]), "harmonic"),
+        ElectrodynamicsLagrangian(flat1, h_exp, [[constant(1.0)]]), "harmonic"),
         h_exp, (0.5,), (1.0,)))
-    out.append(("oscillator", LagrangianModel.from_expression("v1_1^2 - x1^2", flat1),
+    out.append(("oscillator", expression_lagrangian("v1_1^2 - x1^2", flat1),
                 h_flat, (0.0,), (1.0,)))
-    out.append(("time-dependent-g", LagrangianModel.from_expression(
+    out.append(("time-dependent-g", expression_lagrangian(
         "(1 + 0.3*t1^2 + 0.3*x1^2)*v1_1^2", flat1), h_flat, (0.3,), (0.8,)))
-    out.append(("velocity-dependent", LagrangianModel.from_expression(
+    out.append(("velocity-dependent", expression_lagrangian(
         "v1_1^2 + 0.1*v1_1^4", flat1), h_flat, (0.2,), (0.9,)))
     return out
 
@@ -257,9 +254,9 @@ def test_criterion_7_euler_lagrange_consistency():
     flat1 = Dims(1, 1)
     h_exp = temporal_metric_of([[ExpressionField("exp(2*t1)", flat1)]], (1, 0))
     L_exp = LagrangianModel.from_family(
-        ElectrodynamicsLagrangian(flat1, h_exp, [[constant_field(1.0)]]), "harmonic")
+        ElectrodynamicsLagrangian(flat1, h_exp, [[constant(1.0)]]), "harmonic")
     exact_exp = 0.5 + (math.e - 1.0)
-    L_osc = LagrangianModel.from_expression("v1_1^2 - x1^2", flat1)
+    L_osc = expression_lagrangian("v1_1^2 - x1^2", flat1)
     h_flat = TemporalMetric.flat(1)
     exact_osc = math.sin(1.0)
     for L, h, x0, y0, exact in (
@@ -282,11 +279,11 @@ def test_criterion_8_harmonic_residual_convergence():
     start = time.monotonic()
     d = Dims(2, 2)
     h = TemporalMetric.flat(2)
-    flat_g = [[constant_field(1.0), constant_field(0.0)],
-              [constant_field(0.0), constant_field(1.0)]]
+    flat_g = [[constant(1.0), constant(0.0)],
+              [constant(0.0), constant(1.0)]]
     L_flat = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, flat_g), "harmonic")
-    sphere_g = [[constant_field(1.0), constant_field(0.0)],
-                [constant_field(0.0), ExpressionField("sin(x1)^2", d)]]
+    sphere_g = [[constant(1.0), constant(0.0)],
+                [constant(0.0), ExpressionField("sin(x1)^2", d)]]
     L_sphere = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, sphere_g), "harmonic")
 
     # affine map in the flat instance: exactly harmonic, residual at
@@ -326,7 +323,7 @@ def test_criterion_9_ad_fd_crosscheck():
             pts = sample_points(inst.dims, [-1, 1], 2, seed=9)
             for pt in pts:
                 rep = fd_crosscheck(inst.L, pt, inst.dims, 1e-5)
-                assert rep.passed, (kind, p, n, [f.coords for f in rep.failures])
+                assert rep.passed, (kind, p, n, [f.coords for f in failures(rep)])
                 worst_rel = max(worst_rel, rep.max_rel_discrepancy)
                 for i in range(n):
                     for a in range(p):

@@ -36,6 +36,7 @@ from conftest import (
     sphere_config,
     temporal_metric_of,
 )
+from oracles import failures
 
 
 def jp(dims, **kw):
@@ -216,7 +217,7 @@ class TestCrosscheck:
         point = JetPoint((0.0,), (0.0,), ((0.0,),))
         rep = fd_crosscheck(f, point, dims, 1e-5)
         assert not rep.passed
-        first = next(e for e in rep.failures if e.order == 1)
+        first = next(e for e in failures(rep) if e.order == 1)
         assert (first.forward, first.central) == (-1.0, pytest.approx(-0.5))
 
 

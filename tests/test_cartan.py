@@ -8,22 +8,9 @@ import pytest
 
 from jetlag import cartan, connection, metric_engine, verify
 from jetlag.calculus import field_jacobian, lift_d1, t_coord, v_coord, x_coord
-from jetlag.cartan import (
-    MHorizontal,
-    THorizontal,
-    VerticalCov,
-    berwald_connection,
-    cartan_connection,
-    covariant_derivative,
-    metric_compatibility,
-)
+from jetlag.cartan import berwald_connection, cartan_connection, metric_compatibility
 from jetlag.connection import m_values
-from jetlag.fields import (
-    ElectrodynamicsLagrangian,
-    ExpressionField,
-    LagrangianModel,
-    constant_field,
-)
+from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from jetlag.jet_core import Dims, JetPoint, spatial_lower, spatial_upper, temporal_lower
 from jetlag.metric_engine import TemporalMetric, g_christoffel_values, h_christoffel_values
 from jetlag.regularity import electrodynamics_decompose, sample_points
@@ -39,6 +26,14 @@ from conftest import (
     sphere_config,
 )
 from jetlag.config import assemble
+from oracles import (
+    MHorizontal,
+    THorizontal,
+    VerticalCov,
+    constant,
+    covariant_derivative,
+    expression_lagrangian,
+)
 
 
 def build_cartan(inst):
@@ -50,7 +45,7 @@ class TestCartanCoefficients:
     def test_flat_all_zero(self):
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
-        g = [[constant_field(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
+        g = [[constant(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
         L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
         pack = cartan_connection(L, h, electrodynamics_decompose(L, h))
         pt = JetPoint((0.2, -0.4), (0.5, 0.6), ((0.3, 0.2), (-0.1, 0.5)))
@@ -127,7 +122,7 @@ class TestCartanCoefficients:
         # C^{1(1)}_{1(1)} = (g^{-1}/2) dg/dy = 3y / (1 + 3y^2)
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
-        L = LagrangianModel.from_expression("v1_1^2 + 0.5*v1_1^4", d)
+        L = expression_lagrangian("v1_1^2 + 0.5*v1_1^4", d)
         pack = cartan_connection(L, h, None)
         for y in (0.6, -0.4, 1.1):
             pt = JetPoint((0.0,), (0.2,), ((y,),))
@@ -154,7 +149,7 @@ class TestMetricCompatibility:
     def test_velocity_dependent_p1(self):
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
-        L = LagrangianModel.from_expression("v1_1^2 + 0.5*v1_1^4", d)
+        L = expression_lagrangian("v1_1^2 + 0.5*v1_1^4", d)
         pack = cartan_connection(L, h, None)
         pt = JetPoint((0.1,), (0.4,), ((0.6,),))
         compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
@@ -225,8 +220,8 @@ class TestCovariantDerivative:
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
         gs = spatial_metric_of([
-            [constant_field(1.0), constant_field(0.0)],
-            [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
+            [constant(1.0), constant(0.0)],
+            [constant(0.0), ExpressionField("sin(x1)^2", d)]])
         pack = berwald_connection(h, gs, d)
         pt = JetPoint((0.1, 0.2), (0.9, 0.5), ((0.2, 0.1), (0.3, -0.2)))
         co = pack.coefficients_at(pt)
@@ -240,8 +235,8 @@ class TestCovariantDerivative:
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
         gs = spatial_metric_of([
-            [constant_field(1.0), constant_field(0.0)],
-            [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
+            [constant(1.0), constant(0.0)],
+            [constant(0.0), ExpressionField("sin(x1)^2", d)]])
         pack = berwald_connection(h, gs, d)
         pt = JetPoint((0.1, 0.2), (0.9, 0.5), ((0.2, 0.1), (0.3, -0.2)))
         compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
@@ -362,7 +357,7 @@ class TestOneEvaluationPerPoint:
         worst = 0.0
         for pt in verify._points(inst, 6)[:3]:
             gamma = g_christoffel_values(inst.L.structure.g_matrix, pt)
-            nval = spray_n_values(inst.L, inst.h, inst.h.matrix_at(pt.t), pt, inst.dims)
+            nval = spray_n_values(inst.L, inst.h, inst.h.matrix_at(pt.t), pt)
             for i in range(n):
                 for j in range(n):
                     expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(n))

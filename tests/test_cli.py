@@ -352,6 +352,43 @@ class TestTableCommands:
         assert "skipped" in rep["berwald_zero_audit"]
         assert rep["cartan_zero_audit"]["passed"] is True
 
+    @pytest.mark.parametrize("command", ("torsion", "curvature"))
+    @pytest.mark.parametrize("kind, p, n, point, audited", [
+        pytest.param("autonomous", 3, 2, "t=0.1,0.2,0.3;x=0.3,0.4;v=0.5,0.1,-0.2,0.3,0.2,-0.1",
+                     True, id="autonomous-p3-n2"),
+        pytest.param("non_autonomous", 2, 3, "t=0.1,0.2;x=0.3,0.4,-0.2;v=0.5,0.1,-0.2,0.3,0.2,-0.1",
+                     False, id="non_autonomous-p2-n3"),
+    ])
+    def test_one_table_of_each_kind_per_pack(self, tmp_path, capsys, monkeypatch,
+                                             command, kind, p, n, point, audited):
+        # the zero audit reads the tables the report prints; the torsion
+        # command builds no curvature table for a pack it does not audit
+        from jetlag import cli, curvature
+
+        path = write_config(tmp_path, corpus_config(kind, p, n, count=4))
+        built = {"torsion": [], "curvature": []}
+        torsion_table, curvature_table = cli.torsion_table, cli.curvature_table
+        kinds = {}
+
+        def counted_torsion(pack, pt):
+            built["torsion"].append(pack.kind)
+            tor = torsion_table(pack, pt)
+            kinds[id(tor)] = pack.kind
+            return tor
+
+        def counted_curvature(tor):
+            built["curvature"].append(kinds[id(tor)])
+            return curvature_table(tor)
+
+        for module in (cli, curvature):
+            monkeypatch.setattr(module, "torsion_table", counted_torsion)
+            monkeypatch.setattr(module, "curvature_table", counted_curvature)
+        assert run([command, "--config", path, "--point", point]) == EX_OK
+        capsys.readouterr()
+        assert built["torsion"] == ["cartan", "berwald"]
+        berwald = ["berwald"] if command == "curvature" or audited else []
+        assert built["curvature"] == ["cartan"] + berwald
+
     def test_connection_decomposes_once(self, tmp_path, capsys, monkeypatch):
         # p >= 2: the spray reuses the decomposition built at the instance's
         # points.  The reference run hands it the jet of a decomposition

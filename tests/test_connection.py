@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from jetlag.cartan import MHorizontal, THorizontal, VerticalCov, cartan_connection, covariant_derivative
+from jetlag.cartan import cartan_connection
 from jetlag.config import assemble
 from jetlag.connection import (
     euler_lagrange_residual,
@@ -15,12 +15,7 @@ from jetlag.connection import (
     spray_data,
     spray_entities,
 )
-from jetlag.fields import (
-    ElectrodynamicsLagrangian,
-    ExpressionField,
-    LagrangianModel,
-    constant_field,
-)
+from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from jetlag.jet_core import Dims, JetPoint
 from jetlag.metric_engine import (
     TemporalMetric,
@@ -38,6 +33,14 @@ from conftest import (
     potentials_config,
     spatial_metric_of,
     temporal_metric_of,
+)
+from oracles import (
+    MHorizontal,
+    THorizontal,
+    VerticalCov,
+    constant,
+    covariant_derivative,
+    expression_lagrangian,
 )
 
 
@@ -66,14 +69,14 @@ class TestEulerLagrange:
 
     def test_straight_line_flat(self):
         # x = (1 + 2 t, 0.5 - t) at t = 0.3
-        L = LagrangianModel.from_expression("v1_1*v1_1 + v2_1*v2_1", Dims(1, 2))
+        L = expression_lagrangian("v1_1*v1_1 + v2_1*v2_1", Dims(1, 2))
         point = JetPoint((0.3,), (1.6, 0.2), ((2.0,), (-1.0,)))
         res = el_residual(L, flat_h(1), point, [[[0.0]], [[0.0]]])
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_parabola_frozen(self):
         # x = t^2 at t = 0.5
-        L = LagrangianModel.from_expression("v1_1*v1_1", Dims(1, 1))
+        L = expression_lagrangian("v1_1*v1_1", Dims(1, 1))
         point = JetPoint((0.5,), (0.25,), ((1.0,),))
         res = el_residual(L, flat_h(1), point, [[[2.0]]])
         assert res[0] == pytest.approx(4.0, abs=1e-12)
@@ -81,7 +84,7 @@ class TestEulerLagrange:
     @pytest.mark.parametrize("sign, expect", [(-1.0, 0.0), (1.0, 8.0)])
     def test_p2_flat_quadratic_maps(self, sign, expect):
         # x = t1^2 + sign t2^2: the residual is 2 (x_11 + x_22)
-        L = LagrangianModel.from_expression("v1_1^2 + v1_2^2", Dims(2, 1))
+        L = expression_lagrangian("v1_1^2 + v1_2^2", Dims(2, 1))
         t1, t2 = 0.3, -0.4
         point = JetPoint((t1, t2), (t1 * t1 + sign * t2 * t2,), ((2.0 * t1, sign * 2.0 * t2),))
         res = el_residual(L, flat_h(2), point, [[[2.0, 0.0], [0.0, sign * 2.0]]])
@@ -94,7 +97,7 @@ class TestEulerLagrange:
         h = TemporalMetric(p=2, matrix=lambda ts: [[2.0, 1.0], [1.0, 2.0]],
                            signature=(2, 0), constant=True)
         L = LagrangianModel.from_family(
-            ElectrodynamicsLagrangian(d, h, [[constant_field(1.0)]]), "harmonic")
+            ElectrodynamicsLagrangian(d, h, [[constant(1.0)]]), "harmonic")
         t1, t2 = 0.7, -0.2
         point = JetPoint((t1, t2), (t1 * t2,), ((t2, t1),))
         res = el_residual(L, h, point, [[[0.0, 1.0], [1.0, 0.0]]])
@@ -112,7 +115,7 @@ class TestEulerLagrange:
             ts = (t1, t2)
             point = JetPoint(ts, (0.2 + 0.3 * t1 - 0.1 * t2 * t2, 0.1 * t1 * t1 + 0.4 * t2),
                              ((0.3, -0.2 * t2), (0.2 * t1, 0.4)))
-            data = spray_data(inst.L, inst.h, point, d)
+            data = spray_data(inst.L, inst.h, point)
             res = euler_lagrange_residual(inst.L, point, xab, data)
             ginv = [[scalar_value(e) for e in row] for row in data.ginv]
             hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(ts)]
@@ -205,7 +208,7 @@ class TestSprayEntities:
 
     def test_sphere_geodesic_spray(self):
         d = Dims(1, 2)
-        L = LagrangianModel.from_expression("v1_1*v1_1 + sin(x1)^2*v2_1*v2_1", d)
+        L = expression_lagrangian("v1_1*v1_1 + sin(x1)^2*v2_1*v2_1", d)
         th, y1, y2 = 0.9, 0.4, 0.7
         pt = JetPoint((0.0,), (th, 0.2), ((y1,), (y2,)))
         gv = [scalar_value(e) for e in gcal_values(L, flat_h(1), pt)]
@@ -246,7 +249,7 @@ class TestNonlinearConnection:
         # kill the x-dependence: use explicitly flat g
         d = inst.dims
         L = LagrangianModel.from_family(
-            ElectrodynamicsLagrangian(d, inst.h, [[constant_field(1.0)]]), "harmonic")
+            ElectrodynamicsLagrangian(d, inst.h, [[constant(1.0)]]), "harmonic")
         pack = cartan_connection(L, inst.h, electrodynamics_decompose(L, inst.h))
         pt = JetPoint((0.1, 0.2), (0.4,), ((0.3, -0.2),))
         co = pack.coefficients_at(pt)
@@ -256,11 +259,11 @@ class TestNonlinearConnection:
     def test_p1_reduction_to_geodesic_form(self):
         # (T,h)=(R,delta), L = g_ij(x) y^i y^j: N^{(i)}_{(1)j} = gamma^i_{jk} y^k
         d = Dims(1, 2)
-        L = LagrangianModel.from_expression("v1_1*v1_1 + sin(x1)^2*v2_1*v2_1", d)
+        L = expression_lagrangian("v1_1*v1_1 + sin(x1)^2*v2_1*v2_1", d)
         pack = cartan_connection(L, flat_h(1), None)
         gs = spatial_metric_of([
-            [constant_field(1.0), constant_field(0.0)],
-            [constant_field(0.0), ExpressionField("sin(x1)^2", d)]])
+            [constant(1.0), constant(0.0)],
+            [constant(0.0), ExpressionField("sin(x1)^2", d)]])
         rng = random.Random(6)
         for _ in range(5):
             pt = JetPoint((rng.uniform(-1, 1),),
@@ -277,8 +280,8 @@ class TestNonlinearConnection:
         # N^{(i)}_{(1)j} = gamma^i_{jk} y^k + (g^{ik}/4) h_11 U^{(1)}_{(k)j}
         d = Dims(1, 2)
         h = temporal_metric_of([[ExpressionField("exp(2*t1)", d)]], (1, 0))
-        g = [[ExpressionField("1 + x1^2", d), constant_field(0.2)],
-             [constant_field(0.2), ExpressionField("1 + x2^2", d)]]
+        g = [[ExpressionField("1 + x1^2", d), constant(0.2)],
+             [constant(0.2), ExpressionField("1 + x2^2", d)]]
         u = [[ExpressionField("0.5*t1*x1", d)], [ExpressionField("0.7*x2*x1", d)]]
         f = ExpressionField("t1 + x2", d)
         fam = ElectrodynamicsLagrangian(d, h, g, u, f)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from jetlag.calculus import all_coords, field_jacobian, lift_d1, map_structure, t_coord, v_coord
-from jetlag.cartan import MHorizontal, berwald_connection, cartan_connection, covariant_derivative
+from jetlag.cartan import berwald_connection, cartan_connection
 from jetlag.config import assemble
 from jetlag.connection import gcal_values
 from jetlag.curvature import _TABLES, curvature_table, table_zero_audit, torsion_table
-from jetlag.fields import ExpressionField, constant_field
+from jetlag.fields import ExpressionField
 from jetlag.jet_core import (
     Dims,
     DTensor,
@@ -23,12 +23,7 @@ from jetlag.jet_core import (
     vertical_lower,
     vertical_upper,
 )
-from jetlag.metric_engine import (
-    TemporalMetric,
-    checked_inverse,
-    g_curvature_values,
-    h_curvature_values,
-)
+from jetlag.metric_engine import TemporalMetric, checked_inverse
 from jetlag.regularity import electrodynamics_decompose, g_from_hessian, sample_points
 from jetlag.scalars import Dual, scalar_value
 from jetlag.verify import _antisymmetry_defect
@@ -42,7 +37,15 @@ from conftest import (
     quartic_config,
     spatial_metric_of,
     sphere_config,
+    tables_at,
     temporal_metric_of,
+)
+from oracles import (
+    MHorizontal,
+    constant,
+    covariant_derivative,
+    g_curvature_values,
+    h_curvature_values,
 )
 
 
@@ -54,8 +57,8 @@ def build(inst):
 
 def sphere_metric(dims):
     return spatial_metric_of([
-        [constant_field(1.0), constant_field(0.0)],
-        [constant_field(0.0), ExpressionField("sin(x1)^2", dims)]])
+        [constant(1.0), constant(0.0)],
+        [constant(0.0), ExpressionField("sin(x1)^2", dims)]])
 
 
 class TestBerwald:
@@ -98,7 +101,7 @@ class TestBerwald:
                                 assert cur.mm_v.get((l, eta), (i, al), j, k) == expect
 
     def test_audit_passes(self):
-        audit = table_zero_audit(self.pack, [self.pt])
+        audit = table_zero_audit(self.pack, tables_at(self.pack, [self.pt]))
         assert audit.passed
 
     def test_nonflat_h_tt_v(self):
@@ -106,7 +109,7 @@ class TestBerwald:
         entries = [["1", "0"], ["0", "sin(t1)^2"]]
         h = temporal_metric_of([[ExpressionField(e, dims) for e in row] for row in entries],
                                (2, 0))
-        g = spatial_metric_of([[constant_field(1.0)]])
+        g = spatial_metric_of([[constant(1.0)]])
         pack = berwald_connection(h, g, dims)
         pt = JetPoint((0.7, 0.2), (0.4,), ((0.3, -0.5),))
         tor = torsion_table(pack, pt)
@@ -266,7 +269,7 @@ class TestCartanTables:
             inst = corpus_instance(kind, p, 2)
             deco, pack = build(inst)
             pts = sample_points(inst.dims, [-1, 1], 2, seed=42)
-            audit = table_zero_audit(pack, pts)
+            audit = table_zero_audit(pack, tables_at(pack, pts))
             assert audit.passed, (kind, p, audit.worst_cell, audit.worst)
 
     def test_p1_audit_does_not_flag_t_m1j(self):
@@ -276,7 +279,7 @@ class TestCartanTables:
         pt = sample_points(inst.dims, [-1, 1], 1, seed=43)[0]
         tor = torsion_table(pack, pt)
         assert tor.mt_m.max_abs() > 1e-6  # nonzero...
-        audit = table_zero_audit(pack, [pt])
+        audit = table_zero_audit(pack, [(tor, curvature_table(tor))])
         assert audit.passed  # ...and not audited as a zero cell
 
     def test_antisymmetries(self):
@@ -453,8 +456,8 @@ class TestOneLiftIsEveryDirection:
         dims = inst.dims
         coords = all_coords(dims)
         pt = sample_points(dims, inst.sampling["box"], 1, seed=61)[0]
-        for field in (lambda q: gcal_values(inst.L, inst.h, q, dims),
-                      lambda q: g_from_hessian(inst.L, inst.h, q, dims)):
+        for field in (lambda q: gcal_values(inst.L, inst.h, q),
+                      lambda q: g_from_hessian(inst.L, inst.h, q)):
             assert repr(field_jacobian(field, pt, coords)[1]) == repr(
                 _per_coordinate(field, pt, coords))
         if name == "quartic":
@@ -485,7 +488,7 @@ class TestLiftedValueIsThePlainCall:
         coords = all_coords(dims)
         fields = [lambda q: inst.h.matrix_at(q.t)]
         if name == "quartic":  # no Cartan connection for p = 2: its g alone
-            fields.append(lambda q: g_from_hessian(inst.L, inst.h, q, dims))
+            fields.append(lambda q: g_from_hessian(inst.L, inst.h, q))
         else:
             _, cartan = build(inst)
             berwald = berwald_connection(inst.h, inst.L.structure.g_matrix, dims)

@@ -13,7 +13,6 @@ from jetlag.extremal import (
     ExtremalProblem,
     GridMap,
     Trajectory,
-    action_value,
     harmonic_residual,
     integrate_extremal,
 )
@@ -21,18 +20,18 @@ from jetlag.fields import (
     ElectrodynamicsLagrangian,
     ExpressionField,
     LagrangianModel,
-    constant_field,
 )
 from jetlag.jet_core import Dims
 from jetlag.metric_engine import TemporalMetric
 
 from conftest import corpus_instance, sphere_config, temporal_metric_of
+from oracles import action_value, constant
 
 
 def flat_metric_model(n, h=None):
     d = Dims(1, n)
     h = h or TemporalMetric.flat(1)
-    g = [[constant_field(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    g = [[constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
     return LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic"), h
 
 
@@ -181,7 +180,6 @@ class TestIntegration:
 
     def test_degeneracy_aborts_with_state(self):
         from jetlag.errors import DegeneracyError
-        from jetlag.fields import CallableField
 
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
@@ -193,7 +191,7 @@ class TestIntegration:
                 raise DegeneracyError("metric patch ends at x1 = 0.5", det=0.0)
             return 1.0
 
-        g = [[CallableField(guarded)]]
+        g = [[guarded]]
         L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
         traj = integrate_extremal(ExtremalProblem(
             L=L, h=h, t0=0.0, x0=(0.0,), y0=(1.0,), t_end=2.0, dt=1e-2))
@@ -211,12 +209,12 @@ class TestHarmonicResidual:
     def setup_method(self):
         self.d = Dims(2, 2)
         self.h = TemporalMetric.flat(2)
-        g = [[constant_field(1.0), constant_field(0.0)],
-             [constant_field(0.0), constant_field(1.0)]]
+        g = [[constant(1.0), constant(0.0)],
+             [constant(0.0), constant(1.0)]]
         self.L_flat = LagrangianModel.from_family(
             ElectrodynamicsLagrangian(self.d, self.h, g), "harmonic")
-        gs = [[constant_field(1.0), constant_field(0.0)],
-              [constant_field(0.0), ExpressionField("sin(x1)^2", self.d)]]
+        gs = [[constant(1.0), constant(0.0)],
+              [constant(0.0), ExpressionField("sin(x1)^2", self.d)]]
         self.L_sphere = LagrangianModel.from_family(
             ElectrodynamicsLagrangian(self.d, self.h, gs), "harmonic")
 
@@ -391,6 +389,6 @@ class TestWorkPerStage:
         monkeypatch.setattr(inst.h, "matrix", counted_matrix)
         for module in (metric_engine, connection):
             monkeypatch.setattr(module, "checked_inverse", counted_factor)
-        extremal._acceleration(inst.L, inst.h, inst.dims, 0.3, np.array([0.1, -0.2, 0.3]),
+        extremal._acceleration(inst.L, inst.h, 0.3, np.array([0.1, -0.2, 0.3]),
                                np.array([0.4, 0.2, -0.3]))
         assert counts == {"h": 2, "factorizations": 3}

@@ -19,13 +19,12 @@ from jetlag.metric_engine import (
     TemporalMetric,
     checked_inverse,
     g_christoffel_values,
-    g_curvature_values,
     h_christoffel_values,
-    h_curvature_values,
 )
 from jetlag.regularity import electrodynamics_decompose, sample_points
 
 from conftest import corpus_instance, spatial_metric_of, temporal_metric_of
+from oracles import g_curvature_values, h_curvature_values
 
 
 def tmetric(p, entries_src, signature):

@@ -11,12 +11,7 @@ from jetlag import calculus, metric_engine, regularity
 from jetlag.calculus import field_jacobian, lift_d1, t_coord, x_coord
 from jetlag.config import assemble
 from jetlag.errors import DecompositionError
-from jetlag.fields import (
-    ElectrodynamicsLagrangian,
-    ExpressionField,
-    LagrangianModel,
-    constant_field,
-)
+from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from jetlag.jet_core import Dims, JetPoint, zero_velocity_point
 from jetlag.metric_engine import TemporalMetric
 from jetlag.regularity import (
@@ -38,6 +33,7 @@ from conftest import (
     potentials_config,
     quartic_config,
 )
+from oracles import constant, expression_lagrangian
 
 
 def u_curl_per_entry(deco, point):
@@ -66,7 +62,7 @@ class TestVerticalHessian:
     def test_flat_identity(self):
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
-        g = [[constant_field(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
+        g = [[constant(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
         L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
         pt = JetPoint((0.1, 0.2), (0.3, -0.4), ((0.5, -0.6), (0.7, 0.8)))
         G = np.array(hessian_blocks(L, pt).blocks).reshape(4, 4)  # flat index i*p + a
@@ -74,13 +70,13 @@ class TestVerticalHessian:
 
     def test_linear_in_velocity_zero(self):
         d = Dims(1, 1)
-        L = LagrangianModel.from_expression("3*v1_1 + x1", d)
+        L = expression_lagrangian("3*v1_1 + x1", d)
         pt = JetPoint((0.0,), (0.2,), ((1.5,),))
         assert hessian_blocks(L, pt).blocks == [[[[0.0]]]]
 
     def test_quartic_single(self):
         d = Dims(1, 1)
-        L = LagrangianModel.from_expression("v1_1^4", d)
+        L = expression_lagrangian("v1_1^4", d)
         pt = JetPoint((0.0,), (0.0,), ((1.0,),))
         G = hessian_blocks(L, pt).blocks[0][0][0][0]
         oracle = 0.5 * fd_d2(L, pt, ("v", 0, 0), ("v", 0, 0), 2e-4)
@@ -89,7 +85,7 @@ class TestVerticalHessian:
 
     def test_block_symmetry(self):
         d = Dims(2, 2)
-        L = LagrangianModel.from_expression(
+        L = expression_lagrangian(
             "exp(0.2*v1_1*v2_2) + sin(v1_2)*v2_1 + x1*v1_1^2", d)
         pt = JetPoint((0.1, -0.2), (0.4, 0.3), ((0.2, -0.5), (0.3, 0.1)))
         G = np.array(hessian_blocks(L, pt).blocks).reshape(4, 4)
@@ -100,8 +96,8 @@ class TestKroneckerTest:
     def test_electrodynamics_identity_g(self):
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
-        g = [[constant_field(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
-        u = [[ExpressionField("t1*x2", d), constant_field(0.4)],
+        g = [[constant(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
+        u = [[ExpressionField("t1*x2", d), constant(0.4)],
              [ExpressionField("x1", d), ExpressionField("t2", d)]]
         f = ExpressionField("t1 + x1", d)
         L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g, u, f), "electrodynamics")
@@ -122,7 +118,7 @@ class TestKroneckerTest:
     def test_p1_velocity_dependent_allowed(self):
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
-        L = LagrangianModel.from_expression("(1 + v1_1^2) * v1_1^2", d)
+        L = expression_lagrangian("(1 + v1_1^2) * v1_1^2", d)
         verdict = kronecker_test(L, h, K=8, seed=3)
         assert verdict.is_kronecker
         assert verdict.velocity_dependent_g
@@ -130,7 +126,7 @@ class TestKroneckerTest:
     def test_degenerate_offdiag_regular(self):
         d = Dims(1, 2)
         h = TemporalMetric.flat(1)
-        L = LagrangianModel.from_expression("v1_1 * v2_1", d)
+        L = expression_lagrangian("v1_1 * v2_1", d)
         verdict = kronecker_test(L, h, K=4, seed=1)
         assert verdict.is_kronecker
         assert verdict.signature == (1, 1)
@@ -143,7 +139,7 @@ class TestKroneckerTest:
     def test_degenerate_g_is_verdict_not_exception(self):
         d = Dims(1, 1)
         h = TemporalMetric.flat(1)
-        L = LagrangianModel.from_expression("x1 + t1", d)  # zero Hessian
+        L = expression_lagrangian("x1 + t1", d)  # zero Hessian
         verdict = kronecker_test(L, h, K=4, seed=0)
         assert not verdict.is_kronecker
         assert verdict.diagnostics
@@ -248,10 +244,10 @@ class TestDecomposition:
     def test_roundtrip_frozen_instance(self):
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
-        g = [[ExpressionField("1 + t1^2", d), constant_field(0.0)],
-             [constant_field(0.0), constant_field(1.0)]]
-        u = [[ExpressionField("t1*x2", d), constant_field(0.0)],
-             [constant_field(0.0), ExpressionField("x1", d)]]
+        g = [[ExpressionField("1 + t1^2", d), constant(0.0)],
+             [constant(0.0), constant(1.0)]]
+        u = [[ExpressionField("t1*x2", d), constant(0.0)],
+             [constant(0.0), ExpressionField("x1", d)]]
         f = ExpressionField("t1 + x1", d)
         L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g, u, f), "electrodynamics")
         deco = electrodynamics_decompose(L, h)
@@ -270,7 +266,7 @@ class TestDecomposition:
         h = TemporalMetric.flat(2)
         src = ("(1 + t1^2)*(v1_1*v1_1 + v1_2*v1_2) + v2_1*v2_1 + v2_2*v2_2"
                " + t1*x2*v1_1 + x1*v2_2 + t1 + x1")
-        L = LagrangianModel.from_expression(src, d)
+        L = expression_lagrangian(src, d)
         deco = electrodynamics_decompose(L, h)
         assert deco.reassembly_residual <= 1e-8
         pt = zero_velocity_point((0.5, -0.2), (0.3, 0.7), d)
@@ -340,7 +336,7 @@ class TestDecomposition:
         d = Dims(2, 2)
         src = ("(1 + t1^2)*(v1_1*v1_1 + v1_2*v1_2) + v2_1*v2_1 + v2_2*v2_2"
                " + t1*x2*v1_1 + x1^2*v2_2 + t1 + x1")
-        deco = electrodynamics_decompose(LagrangianModel.from_expression(src, d),
+        deco = electrodynamics_decompose(expression_lagrangian(src, d),
                                          TemporalMetric.flat(2))
         for pt in _curl_probe_points(d, seed=5):
             curl = deco.jet_at(pt).u_curl
@@ -365,7 +361,7 @@ class TestDecomposition:
     def test_non_quadratic_rejected(self):
         d = Dims(2, 1)
         h = TemporalMetric.flat(2)
-        L = LagrangianModel.from_expression("v1_1^2 + v1_2^2 + 0.1*v1_1^4", d)
+        L = expression_lagrangian("v1_1^2 + v1_2^2 + 0.1*v1_1^4", d)
         with pytest.raises(DecompositionError):
             electrodynamics_decompose(L, h)
 

@@ -441,7 +441,7 @@ class TestSprayMetricFromItsOnePass:
         # curvature frame lift it
         for point in (base, lift_d1(base, all_coords(dims))):
             alone = hessian_blocks(inst.L, point).blocks
-            spray = hessian_blocks(inst.L, point, dims, all_coords(dims),
+            spray = hessian_blocks(inst.L, point, all_coords(dims),
                                    connection._spray_pairs(n, p)).blocks
             assert _repr_unsigned(spray) == _repr_unsigned(alone)
             want = trace_metric(inst.h.matrix_at(point.t), alone)

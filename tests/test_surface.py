@@ -1,5 +1,6 @@
-"""The library's surface: every definition in ``src/jetlag`` is run by the
-command line, except a short list of test oracles.
+"""The library's surface: every definition in ``src/jetlag``, public or
+private, is run by the command line, and the test oracles share none of
+its internals.
 
 A definition is reachable when its name is used in code that runs:
 ``cli.run``, the module-level statements of every module (they run on
@@ -15,22 +16,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "jetlag"
 TESTS = Path(__file__).resolve().parent
-
-# Public definitions no command runs, kept because tests use them as
-# independent references for what the commands compute.
-TEST_ORACLES = (
-    "covariant_derivative",
-    "THorizontal",
-    "MHorizontal",
-    "VerticalCov",
-    "h_curvature_values",
-    "g_curvature_values",
-    "action_value",
-    "constant_field",
-    "CallableField",
-    "LagrangianModel.from_expression",
-    "CrosscheckReport.failures",
-)
+ORACLES = TESTS / "oracles.py"
 
 
 # The modules that may name the forward-mode first-derivative machinery;
@@ -134,28 +120,10 @@ def _run_function(defs):
     return next(d for d in defs if d.qualname == "run").nodes
 
 
-def test_unreachable_public_definitions_are_the_test_oracles():
+def test_every_definition_is_reachable_from_the_commands():
     defs, top = _scan()
     reached = _reachable(defs, _run_function(defs) + top)
-    unreachable = {d.qualname for d in defs if d.qualname not in reached
-                   and not any(part.startswith("_") for part in d.qualname.split("."))}
-    assert sorted(unreachable) == sorted(TEST_ORACLES)
-
-
-def test_every_definition_serves_the_commands_or_the_oracles():
-    defs, top = _scan()
-    oracles = [node for d in defs if d.qualname in TEST_ORACLES for node in d.nodes + d.special]
-    reached = _reachable(defs, _run_function(defs) + top + oracles) | set(TEST_ORACLES)
     assert sorted(d.qualname for d in defs if d.qualname not in reached) == []
-
-
-def test_every_oracle_is_used_by_a_test():
-    used = set()
-    for path in sorted(TESTS.glob("test_*.py")):
-        if path.name != Path(__file__).name:
-            used |= _uses(ast.parse(path.read_text(encoding="utf-8")).body)
-    missing = [q for q in TEST_ORACLES if q.rsplit(".", 1)[-1] not in used]
-    assert missing == []
 
 
 def _referenced_names(tree) -> set:
@@ -169,6 +137,16 @@ def _referenced_names(tree) -> set:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     return names
+
+
+def test_oracles_read_no_private_jetlag_name():
+    # a reference that shares the internals it checks cannot catch their defects
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    own = {stmt.name for stmt in tree.body
+           if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))} | {"_"}
+    private = {name for name in _referenced_names(tree)
+               if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - own) == []
 
 
 def test_only_calculus_and_scalars_name_the_dual_lift():

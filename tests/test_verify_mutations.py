@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from jetlag import calculus, cartan, regularity, scalars, verify
+from jetlag import calculus, cartan, metric_engine, regularity, scalars, verify
 from jetlag.calculus import v_coord, x_coord
 from jetlag.config import assemble
 
@@ -22,6 +22,16 @@ _CHRISTOFFEL_PERTURBATION = 1e-3
 # Relative perturbation of g_00 in the decomposition's jet: a hundred times
 # the reassembly tolerance (1e-8) against velocity terms of order one.
 _JET_PERTURBATION = 1e-6
+# Relative perturbation of the Euler-Lagrange residual's x_ab term; at 1e-6
+# the p = 3, n = 1 autonomous and non-autonomous configs stay within the
+# check's 1e-7.
+_EL_PERTURBATION = 1e-5
+# Relative perturbation of the p = 1 Cartan N^0_00; on the three configs
+# the reduction applies to it moves the entry by 6e-8 to 3e-7, above the
+# check's 1e-8.
+_N_PERTURBATION = 1e-6
+# Relative perturbation of g_00 in the regularity test's h-trace.
+_TRACE_PERTURBATION = 1e-5
 
 
 def _configs(min_p):
@@ -103,6 +113,57 @@ def _perturbed_jet_metric(monkeypatch):
     monkeypatch.setattr(regularity.ElectrodynamicsDecomposition, "jet_at", mutated)
 
 
+def _perturbed_el_second_derivative_term(monkeypatch):
+    """Make the residual ``verify`` reads from ``euler_lagrange_residual``
+    wrong in its 2 G x_ab term by ``_EL_PERTURBATION`` relative: the term
+    reads every x_ab scaled by 1 + that amount."""
+    residual = verify.euler_lagrange_residual
+
+    def mutated(L, point, xab, data):
+        scaled = [[[e * (1.0 + _EL_PERTURBATION) for e in row] for row in m] for m in xab]
+        return residual(L, point, scaled, data)
+
+    monkeypatch.setattr(verify, "euler_lagrange_residual", mutated)
+
+
+def _perturbed_spray_n(monkeypatch):
+    """Make the p = 1 Cartan closure's spray derivative N^0_00 wrong by
+    ``_N_PERTURBATION`` relative."""
+    spray_n_values = cartan.spray_n_values
+
+    def mutated(*args):
+        out = spray_n_values(*args)
+        out[0][0][0] = out[0][0][0] * (1.0 + _N_PERTURBATION)
+        return out
+
+    monkeypatch.setattr(cartan, "spray_n_values", mutated)
+
+
+def _perturbed_trace_metric(monkeypatch):
+    """Make the h-trace of the vertical Hessian that the regularity test
+    reads wrong in g_00 by ``_TRACE_PERTURBATION`` relative."""
+    trace_metric = regularity.trace_metric
+
+    def mutated(hmat, blocks):
+        g = trace_metric(hmat, blocks)
+        g[0][0] = g[0][0] * (1.0 + _TRACE_PERTURBATION)
+        return g
+
+    monkeypatch.setattr(regularity, "trace_metric", mutated)
+
+
+def _reversed_inertia(monkeypatch):
+    """Make the factorization the temporal metric's checks read return its
+    inertia as (negative, positive) counts."""
+    checked_inverse = metric_engine.checked_inverse
+
+    def mutated(rows):
+        factor = checked_inverse(rows)
+        return factor._replace(inertia=factor.inertia[::-1])
+
+    monkeypatch.setattr(metric_engine, "checked_inverse", mutated)
+
+
 def _fails_under(monkeypatch, check, mutate, config):
     """``check`` passes on ``config`` and fails once ``mutate`` (called
     with the monkeypatch) has broken the code it guards."""
@@ -149,3 +210,26 @@ def test_h_trace_identity_fails_on_the_jet_of_another_point(monkeypatch, config)
 @pytest.mark.parametrize("config", _configs(min_p=1))
 def test_decomposition_roundtrip_fails_on_a_wrong_jet_metric(monkeypatch, config):
     _fails_under(monkeypatch, "decomposition_roundtrip", _perturbed_jet_metric, config)
+
+
+@pytest.mark.parametrize("config", _configs(min_p=1))
+def test_el_rearrangement_fails_on_a_wrong_second_derivative_term(monkeypatch, config):
+    _fails_under(monkeypatch, "el_rearrangement", _perturbed_el_second_derivative_term, config)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_classical_reduction_fails_on_a_wrong_spray_derivative(monkeypatch, n):
+    # the only corpus configs the reduction applies to: p = 1, constant h,
+    # g of x only and no U
+    _fails_under(monkeypatch, "classical_reduction", _perturbed_spray_n,
+                 corpus_config("harmonic", 1, n, count=4))
+
+
+@pytest.mark.parametrize("config", _configs(min_p=1))
+def test_kronecker_regularity_fails_on_a_wrong_trace_metric(monkeypatch, config):
+    _fails_under(monkeypatch, "kronecker_regularity", _perturbed_trace_metric, config)
+
+
+@pytest.mark.parametrize("config", _configs(min_p=1))
+def test_temporal_metric_signature_fails_on_a_reversed_inertia(monkeypatch, config):
+    _fails_under(monkeypatch, "temporal_metric_signature", _reversed_inertia, config)
