@@ -15,6 +15,7 @@ evaluation, in the order of the point-by-point formulas.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,10 +50,13 @@ def vertical_coords(dims: Dims):
     return [v_coord(i, a) for i in range(dims.n) for a in range(dims.p)]
 
 
-def all_coords(dims: Dims):
-    out = [t_coord(a) for a in range(dims.p)]
-    out += [x_coord(i) for i in range(dims.n)]
-    return out + vertical_coords(dims)
+@functools.cache
+def all_coords(dims: Dims) -> tuple:
+    """Every coordinate, ordered t, x, then v in row-major (i, a) order;
+    built once per Dims and shared."""
+    return (tuple(Coord("t", 0, a) for a in range(dims.p))
+            + tuple(Coord("x", i, 0) for i in range(dims.n))
+            + tuple(Coord("v", i, a) for i in range(dims.n) for a in range(dims.p)))
 
 
 # --- Lifts ------------------------------------------------------------------
@@ -107,29 +111,23 @@ def lift_taylor(point: JetPoint, coords, pairs=None) -> JetPoint:
 def gradient_hessian(f, point: JetPoint, coords, pairs=None):
     """First and second partials of ``f`` along ``coords`` from one
     evaluation on a Taylor2 lift: ``grad[s]`` is the partial along
-    coords[s] and, for each pair (s, r) = (rows[m], cols[m]) of ``pairs``
-    (default the full triangle), ``hess[s][r] = hess[r][s]`` the second
-    partial along coords[s] and coords[r], computed with coords[s] as the
-    first direction.  An entry of ``pairs`` outside the result's support is
-    0.0, since it is structurally zero.  Entries outside ``pairs`` are
-    None: they were never computed, so reading one fails instead of giving a
-    plausible zero."""
+    coords[s] and ``hess[m]``, for the m-th pair (s, r) = (rows[m], cols[m])
+    of ``pairs`` (default the full triangle), the second partial along
+    coords[s] and coords[r], computed with coords[s] as the first
+    direction.  A pair outside the result's support reads 0.0, since it is
+    structurally zero; a pair not in ``pairs`` has no entry to read."""
     k = len(coords)
     if pairs is None:
         pairs = hessian_pairs(k)
     r = f(lift_taylor(point, coords, pairs))
-    rows, cols = pairs
     grad = [0.0] * k
-    hess = [[None] * k for _ in range(k)]
-    for i, j in zip(rows, cols):
-        hess[i][j] = hess[j][i] = 0.0
+    hess = [0.0] * len(pairs[0])
     if type(r) is Taylor2:
         lay = r.layout
         for s, e in zip(lay.seeds, r.g):
             grad[s] = e
         for m, e in zip(lay.kept, r.h):
-            i, j = rows[m], cols[m]
-            hess[i][j] = hess[j][i] = e
+            hess[m] = e
     return grad, hess
 
 
@@ -253,17 +251,16 @@ def fd_crosscheck(f, point: JetPoint, dims: Dims, tol: float) -> CrosscheckRepor
         up, dn = values[1 + 2 * s], values[2 + 2 * s]
         record((c,), 1, grad[s], (up - dn) / (2.0 * h1[s]))
     at = 1 + 2 * k
-    for s, c1 in enumerate(coords):
-        for r in range(s, k):
-            if r == s:
-                up, dn = values[at], values[at + 1]
-                central = (up - 2.0 * mid + dn) / (h2[s] * h2[s])
-                at += 2
-            else:
-                pp, pm, mp, mm = values[at:at + 4]
-                central = (pp - pm - mp + mm) / (4.0 * h2[s] * h2[r])
-                at += 4
-            record((c1, coords[r]), 2, hess[s][r], central)
+    for s, r, second in zip(*hessian_pairs(k), hess):
+        if r == s:
+            up, dn = values[at], values[at + 1]
+            central = (up - 2.0 * mid + dn) / (h2[s] * h2[s])
+            at += 2
+        else:
+            pp, pm, mp, mm = values[at:at + 4]
+            central = (pp - pm - mp + mm) / (4.0 * h2[s] * h2[r])
+            at += 4
+        record((coords[s], coords[r]), 2, second, central)
     return report
 
 

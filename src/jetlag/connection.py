@@ -42,7 +42,7 @@ from .metric_engine import (
     h_christoffel_values,
 )
 from .regularity import DecompositionJet, hessian_blocks, trace_metric
-from .scalars import scalar_value
+from .scalars import pair_positions, scalar_value
 
 
 def _sum(items):
@@ -60,6 +60,7 @@ class SprayData(NamedTuple):
 
     g: list        # h-trace spatial metric
     ginv: list
+    det: float     # of g, from the factorization that gives ginv
     inertia: tuple  # of g: (positive, negative) eigenvalue counts
     hmat: list     # temporal metric h at the point's t
     hinv: list
@@ -87,6 +88,19 @@ def _spray_pairs(n: int, p: int):
     return tuple(r for r, _ in kept), tuple(c for _, c in kept)
 
 
+@functools.cache
+def _cross_positions(pairs, n: int, p: int):
+    """Positions in ``pairs``, over the coordinates ordered t, x, v, of the
+    spray's cross partials d2L/dx^j dv^i_a, as [j][i][a], and d2L/dt^a
+    dv^i_a, as [i][a]; built once per pair set."""
+    at = pair_positions(pairs)
+    off = p + n  # index of v^0_0
+    xv = tuple(tuple(tuple(at[p + j, off + i * p + a] for a in range(p)) for i in range(n))
+               for j in range(n))
+    tv = tuple(tuple(at[a, off + i * p + a] for a in range(p)) for i in range(n))
+    return xv, tv
+
+
 def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
     """Assemble the spray entities from first/second partials of L, all
     from one evaluation of L over every coordinate (``hessian_blocks`` with
@@ -102,19 +116,15 @@ def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
     n, p = dims.n, dims.p
     v = point.v
 
-    blocks, grad, hess = hessian_blocks(L, point, all_coords(dims), _spray_pairs(n, p))
+    pairs = _spray_pairs(n, p)
+    blocks, grad, hess = hessian_blocks(L, point, all_coords(dims), pairs)
     hmat, hinv, hch = h_christoffel_values(h, point.t)
     g = trace_metric(hmat, blocks)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
-    ginv, _, inertia = checked_inverse(g)
+    ginv, det, inertia = checked_inverse(g)
 
     off = p + n  # index of v^0_0
-    dldx = grad[p:off]
-    dldv = [[grad[off + i * p + a] for a in range(p)] for i in range(n)]
-    cross_xv = [[[hess[p + j][off + i * p + a] for a in range(p)] for i in range(n)]
-                for j in range(n)]  # [j][i][a]
-    cross_tv = [[hess[a][off + i * p + a] for a in range(p)] for i in range(n)]  # [i][a]
-
+    xv, tv = _cross_positions(pairs, n, p)
     spatial_part = [0.0] * n
     temporal_part = [0.0] * n
     bracket = [0.0] * n
@@ -122,11 +132,11 @@ def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
         acc = 0.0
         for j in range(n):
             for a in range(p):
-                acc = acc + cross_xv[j][i][a] * v[j][a]
-        spatial_part[i] = acc - dldx[i]
+                acc = acc + hess[xv[j][i][a]] * v[j][a]
+        spatial_part[i] = acc - grad[p + i]
         acc_t = 0.0
         for a in range(p):
-            acc_t = acc_t + cross_tv[i][a] + dldv[i][a] * htrace[a]
+            acc_t = acc_t + hess[tv[i][a]] + grad[off + i * p + a] * htrace[a]
         temporal_part[i] = acc_t
         bracket[i] = spatial_part[i] + acc_t
 
@@ -147,7 +157,7 @@ def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
         h_vec.append(h_k)
         j_vec.append(j_k)
         g_vec.append(s_k + h_k + j_k)
-    return SprayData(g=g, ginv=ginv, inertia=inertia, hmat=hmat, hinv=hinv, hch=hch,
+    return SprayData(g=g, ginv=ginv, det=det, inertia=inertia, hmat=hmat, hinv=hinv, hch=hch,
                      bracket=bracket, s_vec=s_vec, h_vec=h_vec, j_vec=j_vec, g_vec=g_vec)
 
 

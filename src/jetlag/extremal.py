@@ -63,15 +63,22 @@ class Trajectory:
         return float(np.max(np.abs(self.el_residuals)))
 
 
+# A stage whose |det g| is below this share of |det g| at the initial state
+# aborts the extremal.  checked_inverse's own test is relative to g itself,
+# so a 1x1 g is degenerate only at exactly 0, and RK4's stages step across
+# a zero of det g rather than land on it.
+DEGENERACY_MARGIN = 1e-2
+
+
 def _acceleration(L, h, t, x, y):
-    """x''^k = H^1_11 x'^k - 2 h_11 G^k, and the inertia of the spray's
-    spatial metric g."""
-    point = JetPoint((t,), tuple(x), tuple((yi,) for yi in y))
+    """x''^k = H^1_11 x'^k - 2 h_11 G^k, and the spray it is read from.
+    The spray's point is built from Python floats, so that no Taylor2
+    kernel runs on numpy scalars."""
+    ys = y.tolist()
+    point = JetPoint((t,), x.tolist(), [(yk,) for yk in ys])
     data = spray_data(L, h, point)
-    h11 = scalar_value(data.hmat[0][0])
-    hc = scalar_value(data.hch[0][0][0])
-    accel = np.array([hc * y[k] - 2.0 * h11 * scalar_value(data.g_vec[k]) for k in range(len(y))])
-    return accel, data.inertia
+    h11, hc = data.hmat[0][0], data.hch[0][0][0]
+    return np.array([hc * yk - 2.0 * h11 * gk for yk, gk in zip(ys, data.g_vec)]), data
 
 
 def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
@@ -79,8 +86,11 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     the last valid state if the spray degenerates mid-trajectory.  The
     paper's regularity (det g != 0, constant signature) is checked at every
     state the spray is evaluated at: each step's starting state and its
-    three inner stages must keep the signature g has at the initial state.
-    The abort reason ends with the step and t of the last stage begun."""
+    three inner stages must keep the signature g has at the initial state,
+    and a |det g| of at least ``DEGENERACY_MARGIN`` times its initial
+    value.  A stage whose acceleration is not finite aborts too, since
+    float arithmetic overflows to inf without raising.  The abort reason
+    ends with the step and t of the last stage begun."""
     L, h = problem.L, problem.h
     span = problem.t_end - problem.t0
     steps = max(1, round(abs(span) / problem.dt))
@@ -92,15 +102,24 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     aborted = False
     reason = ""
     signature = None
+    det0 = None
     where = ""
 
     def stage(step, t, x, y):
-        nonlocal signature, where
+        nonlocal signature, det0, where
         where = f"at step {step}, t={t:.6g}"
-        accel, sig = _acceleration(L, h, t, x, y)
-        if signature is not None and sig != signature:
-            raise DegeneracyError(f"signature of g changed from {signature} to {sig}")
-        signature = sig
+        accel, data = _acceleration(L, h, t, x, y)
+        if signature is not None and data.inertia != signature:
+            raise DegeneracyError(f"signature of g changed from {signature} to {data.inertia}")
+        signature = data.inertia
+        det = abs(data.det)
+        if det0 is None:
+            det0 = det
+        elif det < DEGENERACY_MARGIN * det0:
+            raise DegeneracyError(f"|det g| = {det:.3e} fell below {DEGENERACY_MARGIN:g} "
+                                  f"of its initial {det0:.3e}", det=data.det)
+        if not np.isfinite(accel).all():
+            raise FloatingPointError(f"acceleration is not finite: {accel.tolist()}")
         return accel
 
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -139,12 +158,12 @@ def trajectory_el_residuals(L, h: TemporalMetric, traj: Trajectory) -> np.ndarra
     """Max-norm Euler-Lagrange residual at every interior trajectory sample;
     the second derivative is the central difference of the stored y
     (independent of the integrator's right-hand side)."""
-    t, x, y = traj.t, traj.x, traj.y
-    dt = t[1] - t[0]
+    ts, xs, ys = traj.t.tolist(), traj.x.tolist(), traj.y.tolist()
+    dt = ts[1] - ts[0]
     out = []
-    for k in range(1, len(t) - 1):
-        point = JetPoint((float(t[k]),), x[k], [[yi] for yi in y[k]])
-        xab = [[[a]] for a in (y[k + 1] - y[k - 1]) / (2.0 * dt)]
+    for k in range(1, len(ts) - 1):
+        point = JetPoint((ts[k],), xs[k], [[yi] for yi in ys[k]])
+        xab = [[[(up - dn) / (2.0 * dt)]] for up, dn in zip(ys[k + 1], ys[k - 1])]
         res = euler_lagrange_residual(L, point, xab, spray_data(L, h, point))
         out.append(float(np.max(np.abs(res))))
     return np.array(out)

@@ -10,6 +10,7 @@ decomposition recovers and verifies by reassembly.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -19,7 +20,7 @@ from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, JetPoint, zero_velocity_point
 from .metric_engine import TemporalMetric, checked_inverse
 from .parallel import map_ordered
-from .scalars import scalar_value
+from .scalars import hessian_pairs, pair_positions, scalar_value
 
 DEFAULT_SAMPLES = 64
 DEFAULT_TOL = 1e-6
@@ -65,11 +66,21 @@ def sample_points(dims: Dims, box, count: int, seed: int = 0):
 
 class HessianBlocks(NamedTuple):
     """The vertical blocks of one second-order evaluation of L, beside that
-    evaluation's gradient and Hessian over its coordinates."""
+    evaluation's gradient and Hessian over its coordinates, as
+    ``calculus.gradient_hessian`` returns them."""
 
     blocks: list  # [i][a][j][b] = (1/2) d^2L/dv^i_a dv^j_b
     grad: list
-    hess: list
+    hess: list    # one entry per pair
+
+
+@functools.cache
+def _block_positions(pairs, off: int, n: int, p: int):
+    """Position in ``pairs`` of the pair behind each block entry
+    [i][a][j][b], with v^0_0 the seed at ``off``; built once per pair set."""
+    at = pair_positions(pairs)
+    return tuple(tuple(tuple(tuple(at[off + i * p + a, off + j * p + b] for b in range(p))
+                             for j in range(n)) for a in range(p)) for i in range(n))
 
 
 def hessian_blocks(L, point: JetPoint, coords=None, pairs=None) -> HessianBlocks:
@@ -83,10 +94,11 @@ def hessian_blocks(L, point: JetPoint, coords=None, pairs=None) -> HessianBlocks
     n, p = len(point.x), len(point.t)
     if coords is None:
         coords = vertical_coords(point.dims)
+    if pairs is None:
+        pairs = hessian_pairs(len(coords))
     grad, hess = gradient_hessian(L, point, coords, pairs)
-    off = len(coords) - n * p  # index of v^0_0
-    blocks = [[[[hess[off + i * p + a][off + j * p + b] * 0.5 for b in range(p)]
-                for j in range(n)] for a in range(p)] for i in range(n)]
+    blocks = [[[[hess[m] * 0.5 for m in ms] for ms in mj] for mj in ma] for ma in
+              _block_positions(pairs, len(coords) - n * p, n, p)]
     return HessianBlocks(blocks, grad, hess)
 
 

@@ -468,6 +468,15 @@ def hessian_pairs(k: int):
     return rows, cols
 
 
+def pair_positions(pairs) -> dict:
+    """``{(i, j): m}`` for each pair m = (i, j) of ``pairs``, in both
+    orders: where an evaluation carrying ``pairs`` keeps each entry."""
+    at = {}
+    for m, (i, j) in enumerate(zip(*pairs)):
+        at[i, j] = at[j, i] = m
+    return at
+
+
 def reciprocal(s):
     """1/s for a nested derivative scalar."""
     return 1.0 / s if isinstance(s, _NUM) else s.__rtruediv__(1.0)

@@ -8,7 +8,8 @@ with ``PYTHONPATH`` set to one tree, two runs at a time.  The configs are
 the 27 corpus configs of ``conftest`` (``count=4``), the quartic
 (``count=4``) and the sphere (``dt=1e-2``), ten expression Lagrangians
 (six with a solver; one p = 2 with velocity-linear terms), two metrics
-that vanish along an extremal (g = x1 and g = x1^2), an indefinite
+that vanish along an extremal (g = x1 and g = x1^2), an extremal that
+overflows under a constant g, an indefinite
 temporal metric with a zero diagonal and a p = 2 temporal metric with
 t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
@@ -128,6 +129,10 @@ def configs() -> dict:
         3, 2, "v1_1^2 + v1_2^2 + v1_3^2 + (1 + x1^2)*(v2_1^2 + v2_2^2 + v2_3^2)")
     out["abort_x1"] = _harmonic_p1([["x1"]], 0.3, -1.0)
     out["abort_x1_sq"] = _harmonic_p1([["x1^2"]], 0.3, -1.0)
+    # g = 1, and x'' = 2 x^3 overflows near t = 1
+    out["abort_overflow"] = dict(_expression(1, 1, "v1_1^2 + x1^4"),
+                                 solver={"t_end": 2.0, "dt": 0.01,
+                                         "initial": {"t": 0.0, "x": [1.0], "y": [1.0]}})
     out["indefinite_h"] = {
         "dims": {"p": 2, "n": 1},
         "lagrangian": {"kind": "harmonic", "g_entries": [["1 + x1^2"]]},

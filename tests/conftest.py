@@ -21,6 +21,7 @@ from jetlag.connection import electrodynamics_n_values
 from jetlag.curvature import curvature_table, torsion_table
 from jetlag.jet_core import JetPoint
 from jetlag.metric_engine import TemporalMetric, checked_inverse, g_christoffel_values
+from jetlag.scalars import hessian_pairs
 
 CORPUS_DIMS = [(p, n) for p in (1, 2, 3) for n in (1, 2, 3)]
 KINDS = ("harmonic", "autonomous", "non_autonomous")
@@ -187,8 +188,9 @@ def canonical_n_reference(h: TemporalMetric, deco, point: JetPoint):
 
 def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):
     """Mixed second partial of ``f``, with ``wrt1`` as the first direction,
-    from one Taylor2 evaluation over the two coordinates."""
-    return gradient_hessian(f, point, (wrt1, wrt2))[1][0][1]
+    from one Taylor2 evaluation over the two coordinates carrying their one
+    pair."""
+    return gradient_hessian(f, point, (wrt1, wrt2), ((0,), (1,)))[1][0]
 
 
 # --- Central-difference oracles, one plain evaluation per stencil point -------
@@ -253,10 +255,9 @@ def scalar_crosscheck(f, point: JetPoint, dims, tol: float) -> CrosscheckReport:
     grad, hess = gradient_hessian(f, point, coords)
     for s, c in enumerate(coords):
         record((c,), 1, grad[s], fd_d1(f, point, c, FD_STEP_1))
-    for s, c1 in enumerate(coords):
-        for r in range(s, len(coords)):
-            c2 = coords[r]
-            record((c1, c2), 2, hess[s][r], fd_d2(f, point, c1, c2, FD_STEP_2))
+    for s, r, second in zip(*hessian_pairs(len(coords)), hess):
+        c1, c2 = coords[s], coords[r]
+        record((c1, c2), 2, second, fd_d2(f, point, c1, c2, FD_STEP_2))
     return report
 
 

@@ -116,9 +116,10 @@ class TestExitCodes:
         assert err == ("steps=20 max_el_residual=2.418e+01 aborted=(DegeneracyError: "
                        "signature of g changed from (1, 0) to (0, 1) at step 21, t=0.205)\n")
 
-    def test_extremal_stops_at_the_first_float_error(self, tmp_path, capsys):
+    def test_extremal_stops_where_det_g_nears_zero(self, tmp_path, capsys):
         # g = x1^2 keeps its sign, but it vanishes at x1 = 0 near t = 0.15;
-        # past it the acceleration blows up until numpy overflows
+        # the run stops at the first stage whose |det g| is below
+        # DEGENERACY_MARGIN of its initial value, not past it
         cfg = {
             "dims": {"p": 1, "n": 1},
             "lagrangian": {"kind": "harmonic", "g_entries": [["x1^2"]]},
@@ -130,9 +131,30 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
         out, err = capsys.readouterr()
-        assert len(out.splitlines()) == 36  # header, t0 and 34 steps
-        assert err == ("steps=34 max_el_residual=4.661e+215 aborted=(FloatingPointError: "
-                       "overflow encountered in scalar multiply at step 35, t=0.35)\n")
+        assert len(out.splitlines()) == 16  # header, t0 and 14 steps
+        assert err == ("steps=14 max_el_residual=3.212e-01 aborted=(DegeneracyError: "
+                       "|det g| = 3.479e-04 fell below 0.01 of its initial 9.000e-02 "
+                       "at step 15, t=0.15)\n")
+
+    def test_extremal_stops_at_the_first_non_finite_acceleration(self, tmp_path, capsys):
+        # g = 1, but x'' = 2 x^3 blows up near t = 1: the acceleration
+        # overflows to inf, which float arithmetic does not raise
+        cfg = {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "expression", "expression": "v1_1^2 + x1^4"},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+            "solver": {"t_end": 2.0, "dt": 0.01,
+                       "initial": {"t": 0.0, "x": [1.0], "y": [1.0]}},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
+        out, err = capsys.readouterr()
+        rows = out.splitlines()
+        assert len(rows) == 104  # header, t0 and 102 steps
+        assert all(math.isfinite(float(e)) for row in rows[1:] for e in row.split(","))
+        assert err == ("steps=102 max_el_residual=3.803e+121 aborted=(FloatingPointError: "
+                       "acceleration is not finite: [inf] at step 103, t=1.025)\n")
 
     def test_extremal_degeneracy_names_the_step(self, tmp_path, capsys):
         # g = x1^2 vanishes at the initial state x1 = 0: the spray's own

@@ -58,7 +58,7 @@ from jetlag.errors import DegeneracyError, EvalDomainError
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint, raw_point
 from jetlag.regularity import electrodynamics_decompose, hessian_blocks, sample_points, trace_metric
-from jetlag.scalars import Dual, Taylor2, hessian_pairs
+from jetlag.scalars import Dual, Taylor2, hessian_pairs, pair_positions
 
 from conftest import CORPUS_DIMS, KINDS, corpus_instance
 from test_dsl import random_ast
@@ -282,20 +282,18 @@ def _pair_mismatches(f, point, coords):
     except EvalDomainError:
         grad = None
     bad, raised = [], False
-    for i, c1 in enumerate(coords):
-        for j in range(i, len(coords)):
-            try:
-                r = f(lift_d2(point, c1, coords[j]))
-            except EvalDomainError:
-                raised = True
-                continue
-            if grad is None:
-                continue
-            e1, e2, e12 = (r.e1, r.e2, r.e12) if type(r) is HyperDual else (0.0, 0.0, 0.0)
-            for got, want, what in ((grad[i], e1, "e1"), (grad[j], e2, "e2"),
-                                    (hess[i][j], e12, "e12")):
-                if not _same(got, want):
-                    bad.append((i, j, what, got, want))
+    for m, (i, j) in enumerate(zip(*hessian_pairs(len(coords)))):
+        try:
+            r = f(lift_d2(point, coords[i], coords[j]))
+        except EvalDomainError:
+            raised = True
+            continue
+        if grad is None:
+            continue
+        e1, e2, e12 = (r.e1, r.e2, r.e12) if type(r) is HyperDual else (0.0, 0.0, 0.0)
+        for got, want, what in ((grad[i], e1, "e1"), (grad[j], e2, "e2"), (hess[m], e12, "e12")):
+            if not _same(got, want):
+                bad.append((i, j, what, got, want))
     assert raised == (grad is None), "Taylor2 and hyper-dual disagree on a domain error"
     return None if raised else bad
 
@@ -333,7 +331,8 @@ class TestTaylor2MatchesHyperDual:
         point = JetPoint((0.0,), (0.4,), ((1.5,),))
         grad, hess = gradient_hessian(field, point, (v_coord(0, 0), v_coord(0, 0)))
         assert grad[0] == grad[1] == 3.0 * math.sin(0.4) * 1.5 ** 2
-        assert hess[0][1] == pytest.approx(6.0 * math.sin(0.4) * 1.5, rel=1e-15)
+        # the pairs (0, 0), (0, 1), (1, 1): the second is the cross pair
+        assert hess[1] == pytest.approx(6.0 * math.sin(0.4) * 1.5, rel=1e-15)
 
 
 # --- Pair-restricted evaluation ------------------------------------------------------
@@ -350,7 +349,8 @@ def _random_pairs(rng, k):
 def _restriction_mismatches(f, point, coords, pairs):
     """Entries where the evaluation carrying only ``pairs`` is not the
     full-triangle evaluation bitwise (by repr, signed zeros included), or
-    where an entry outside ``pairs`` is not None; None when both raise."""
+    does not hold exactly one entry per pair of ``pairs``; None when both
+    raise."""
     try:
         full = gradient_hessian(f, point, coords)
     except EvalDomainError:
@@ -361,13 +361,14 @@ def _restriction_mismatches(f, point, coords, pairs):
         assert full is None, "only the restricted evaluation raised"
         return None
     assert full is not None, "only the full evaluation raised"
-    kept = set(zip(*pairs)) | set(zip(pairs[1], pairs[0]))
+    at = pair_positions(hessian_pairs(len(coords)))
     bad = [("grad", s) for s in range(len(coords)) if repr(grad[s]) != repr(full[0][s])]
-    for s in range(len(coords)):
-        for r in range(len(coords)):
-            want = full[1][s][r] if (s, r) in kept else None
-            if repr(hess[s][r]) != repr(want):
-                bad.append((s, r, hess[s][r], want))
+    if len(hess) != len(pairs[0]):
+        bad.append(("entries", len(hess), len(pairs[0])))
+    for s, r, got in zip(*pairs, hess):
+        want = full[1][at[s, r]]
+        if repr(got) != repr(want):
+            bad.append((s, r, got, want))
     return bad
 
 
@@ -617,7 +618,8 @@ def dense_kernels(monkeypatch):
 
 def _dense_gradient_hessian(f, point, coords, pairs):
     """The former ``gradient_hessian``: one evaluation on a lift where every
-    seeded coordinate carries all len(coords) gradient entries."""
+    seeded coordinate carries all len(coords) gradient entries, and one
+    Hessian entry per pair of ``pairs``."""
     k = len(coords)
     zeros = [0.0] * len(pairs[0])
     seeded = {
@@ -630,18 +632,13 @@ def _dense_gradient_hessian(f, point, coords, pairs):
               for i, row in enumerate(point.v))
     r = f(raw_point(t, x, v))
     if type(r) is DenseTaylor2:
-        grad, entries = r.g, r.h
-    else:
-        grad, entries = [0.0] * k, [0.0] * len(pairs[0])
-    hess = [[None] * k for _ in range(k)]
-    for i, j, e in zip(*pairs, entries):
-        hess[i][j] = hess[j][i] = e
-    return grad, hess
+        return r.g, r.h
+    return [0.0] * k, [0.0] * len(pairs[0])
 
 
 def _dense_mismatches(f, point, coords, pairs):
     """Entries where the sparse evaluation is not the dense one (bitwise by
-    repr, zeros by value, None where neither computed the entry); None
+    repr, zeros by value, one Hessian entry per pair on both sides); None
     when both raise."""
     try:
         want = _dense_gradient_hessian(f, point, coords, pairs)
@@ -655,13 +652,11 @@ def _dense_mismatches(f, point, coords, pairs):
     assert want is not None, "only the dense evaluation raised"
     bad = [("grad", s, grad[s], want[0][s]) for s in range(len(coords))
            if not _same(grad[s], want[0][s])]
-    for s in range(len(coords)):
-        for r in range(len(coords)):
-            got, exp = hess[s][r], want[1][s][r]
-            if (got is None or exp is None) and got is not exp:
-                bad.append((s, r, got, exp))
-            elif got is not None and not _same(got, exp):
-                bad.append((s, r, got, exp))
+    if len(hess) != len(want[1]):
+        bad.append(("entries", len(hess), len(want[1])))
+    for s, r, got, exp in zip(*pairs, hess, want[1]):
+        if not _same(got, exp):
+            bad.append((s, r, got, exp))
     return bad
 
 
@@ -729,17 +724,20 @@ class TestSupport:
         x, y0, y1 = q.x[0].re, q.v[0][0].re, q.v[1][1].re
         assert r.h == [-math.sin(x) * y1, -math.sin(x) * y0, math.cos(x)]
 
-    def test_gradient_hessian_reads_zero_in_pairs_and_none_outside(self):
+    def test_gradient_hessian_has_one_entry_per_pair_and_zero_outside_the_support(self):
         dims = Dims(2, 3)
         coords = all_coords(dims)
         point = sample_points(dims, [-1, 1], 1, seed=3)[0]
-        grad, hess = gradient_hessian(lambda q: q.v[0][0] * q.v[1][1], point, coords,
-                                      connection._spray_pairs(3, 2))
+        pairs = connection._spray_pairs(3, 2)
+        grad, hess = gradient_hessian(lambda q: q.v[0][0] * q.v[1][1], point, coords, pairs)
         x0, x1, v00, v11 = (coords.index(c)
                             for c in (x_coord(0), x_coord(1), v_coord(0, 0), v_coord(1, 1)))
-        assert repr(hess[x0][v00]) == repr(hess[v00][x0]) == "0.0"  # kept, outside support
-        assert hess[v00][v11] == hess[v11][v00] == 1.0
-        assert hess[x0][x1] is None  # not a spray pair
+        at = pair_positions(pairs)
+        assert len(hess) == len(pairs[0]) == 45
+        assert repr(hess[at[x0, v00]]) == "0.0"  # a spray pair, outside the support
+        assert hess[at[v00, v11]] == 1.0
+        assert [repr(e) for m, e in enumerate(hess) if m != at[v00, v11]] == ["0.0"] * 44
+        assert (x0, x1) not in at  # not a spray pair: no entry to read
         assert grad[v00] == point.v[1][1] and repr(grad[x0]) == "0.0"
 
     def test_repeated_evaluation_makes_no_new_layout_or_plan(self):
@@ -770,8 +768,9 @@ class TestAbsentEntriesAreNotRead:
         grad, hess = gradient_hessian(ExpressionField("t1 + x1^2", dims),
                                       JetPoint((0.3,), (0.7,), ((0.2,),)), coords)
         t, x = coords.index(t_coord(0)), coords.index(x_coord(0))
-        assert repr(hess[t][x]) == repr(hess[t][t]) == "0.0"
-        assert hess[x][x] == 2.0 and grad[:2] == [1.0, 1.4]
+        at = pair_positions(hessian_pairs(len(coords)))
+        assert repr(hess[at[t, x]]) == repr(hess[at[t, t]]) == "0.0"
+        assert hess[at[x, x]] == 2.0 and grad[:2] == [1.0, 1.4]
 
     def test_a_seeded_leaf_carries_no_hessian_entry(self):
         q, _ = _spray_lift(2, 3)
@@ -1216,6 +1215,9 @@ class TestBenchmarkCallStructure:
         # each interior sample's residual also evaluates the vertical blocks
         assert len(L.lifts) == L.calls == 6 * steps - 2
         assert L.lifts.count((1 + 3 + 3, _SPRAY_ENTRIES[(1, 3)])) == 5 * steps - 1
+        # each stage's spray and each sample's residual runs on Python
+        # floats, not on the numpy scalars of the stored states
+        assert L.leaf_types == {float}
 
     def test_lattice(self, sprays):
         inst = corpus_instance("non_autonomous", 2, 3)
