@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .calculus import all_coords, field_jacobian, t_coord, v_coord, x_coord
+from .calculus import all_coords, field_jacobian, structure_values, t_coord, v_coord, x_coord
 from .connection import (
     delta_entry,
     electrodynamics_n_values,
@@ -42,8 +42,7 @@ from .metric_engine import (
     g_christoffel_values,
     h_christoffel_values,
 )
-from .regularity import ElectrodynamicsDecomposition, g_from_hessian
-from .scalars import scalar_value
+from .regularity import ElectrodynamicsDecomposition, g_from_hessian, nan_max
 
 
 class Coefficients(NamedTuple):
@@ -197,6 +196,22 @@ def berwald_connection(h: TemporalMetric, g_matrix, dims: Dims) -> LinearConnect
 # --- Metric compatibility ------------------------------------------------------------
 
 
+def _covariant_defect(d, metric, gamma) -> float:
+    """Max over i, j of |d_ij - gamma[m][i] metric_mj - gamma[m][j] metric_im|,
+    the covariant derivative of a metric along one direction, from the
+    metric's (adapted) derivative ``d`` along it and the pack's coefficients
+    ``gamma`` [m][i] in that direction, all plain values; an empty
+    ``gamma`` is a direction the pack has no coefficients in.  A NaN
+    defect is kept."""
+    defects = []
+    for i, row in enumerate(d):
+        for j, val in enumerate(row):
+            for m, gm in enumerate(gamma):
+                val -= gm[i] * metric[m][j] + gm[j] * metric[i][m]
+            defects.append(abs(val))
+    return nan_max(0.0, *defects)
+
+
 def metric_compatibility(pack: LinearConnectionPack, point: JetPoint,
                          co: Coefficients) -> dict:
     """Max |covariant derivative| of the spatial and temporal metrics in all
@@ -205,63 +220,34 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint,
     ``co`` is ``pack.coefficients_at(point)``, which the caller has already
     evaluated.  One Jacobian of each metric serves all directions (the
     slot rules are those of the covariant derivative in ``tests/oracles.py``,
-    which the test-suite pins this code path against).
+    which the test-suite pins this code path against).  The pack is
+    h-normal: h has no coefficients along x or v.
     """
-    dims = pack.dims
-    n, p = dims.n, dims.p
-    coords = all_coords(dims)
+    n, p = pack.dims.n, pack.dims.p
+    coords = all_coords(pack.dims)
     g, g_jac = field_jacobian(pack.g_matrix_at, point, coords)
     hmat, h_jac = field_jacobian(lambda q: pack.h.matrix_at(q.t), point, coords)
-    gv = [[scalar_value(e) for e in row] for row in g]
-    hv = [[scalar_value(e) for e in row] for row in hmat]
+    g, hmat, G, Lc, C, H = structure_values((g, hmat, co.g, co.l, co.c, co.hbar))
 
-    G = [[[scalar_value(e) for e in r] for r in m] for m in co.g]
-    Lc = [[[scalar_value(e) for e in r] for r in m] for m in co.l]
-    C = [[[[scalar_value(e) for e in r] for r in m] for m in q] for q in co.c]
-    H = [[[scalar_value(e) for e in r] for r in m] for m in co.hbar]
+    worst = dict.fromkeys(("g_t_horizontal", "g_m_horizontal", "g_vertical",
+                           "h_t_horizontal", "h_m_horizontal", "h_vertical"), 0.0)
 
-    worst = {
-        "g_t_horizontal": 0.0, "g_m_horizontal": 0.0, "g_vertical": 0.0,
-        "h_t_horizontal": 0.0, "h_m_horizontal": 0.0, "h_vertical": 0.0,
-    }
+    def record(direction, dg, dh, gamma_g, gamma_h):
+        g_key, h_key = "g_" + direction, "h_" + direction
+        worst[g_key] = nan_max(worst[g_key], _covariant_defect(dg, g, gamma_g))
+        worst[h_key] = nan_max(worst[h_key], _covariant_defect(dh, hmat, gamma_h))
+
     for c in range(p):
-        dg = _delta_matrix(g_jac, t_coord(c), co.m)
-        dh = _delta_matrix(h_jac, t_coord(c), co.m)
-        for i in range(n):
-            for j in range(n):
-                val = dg[i][j]
-                for m in range(n):
-                    val -= G[m][i][c] * gv[m][j] + G[m][j][c] * gv[i][m]
-                worst["g_t_horizontal"] = max(worst["g_t_horizontal"], abs(val))
-        for a in range(p):
-            for b in range(p):
-                val = dh[a][b]
-                for mu in range(p):
-                    val -= H[mu][a][c] * hv[mu][b] + H[mu][b][c] * hv[a][mu]
-                worst["h_t_horizontal"] = max(worst["h_t_horizontal"], abs(val))
+        record("t_horizontal", _delta_matrix(g_jac, t_coord(c), co.m),
+               _delta_matrix(h_jac, t_coord(c), co.m),
+               [[G[m][i][c] for i in range(n)] for m in range(n)],
+               [[H[mu][a][c] for a in range(p)] for mu in range(p)])
     for k in range(n):
-        dg = _delta_matrix(g_jac, x_coord(k), co.n)
-        dh = _delta_matrix(h_jac, x_coord(k), co.n)
-        for i in range(n):
-            for j in range(n):
-                val = dg[i][j]
-                for m in range(n):
-                    val -= Lc[m][i][k] * gv[m][j] + Lc[m][j][k] * gv[i][m]
-                worst["g_m_horizontal"] = max(worst["g_m_horizontal"], abs(val))
-        worst["h_m_horizontal"] = max(
-            worst["h_m_horizontal"],
-            max(abs(dh[a][b]) for a in range(p) for b in range(p)))
+        record("m_horizontal", _delta_matrix(g_jac, x_coord(k), co.n),
+               _delta_matrix(h_jac, x_coord(k), co.n),
+               [[Lc[m][i][k] for i in range(n)] for m in range(n)], [])
     for k in range(n):
         for c in range(p):
-            dg = g_jac[v_coord(k, c)]
-            dh = h_jac[v_coord(k, c)]
-            for i in range(n):
-                for j in range(n):
-                    val = scalar_value(dg[i][j])
-                    for m in range(n):
-                        val -= C[m][i][k][c] * gv[m][j] + C[m][j][k][c] * gv[i][m]
-                    worst["g_vertical"] = max(worst["g_vertical"], abs(val))
-            worst["h_vertical"] = max(
-                worst["h_vertical"],
-                max(abs(scalar_value(dh[a][b])) for a in range(p) for b in range(p)))
+            record("vertical", g_jac[v_coord(k, c)], h_jac[v_coord(k, c)],
+                   [[C[m][i][k][c] for i in range(n)] for m in range(n)], [])
     return worst

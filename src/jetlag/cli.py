@@ -5,8 +5,9 @@ verify.  Reports are canonical JSON on stdout (byte-identical for a fixed
 config and seed); trajectories and residual fields are CSV.  Exit codes:
 0 success (``--help`` and ``--version`` included), 1 failed verification,
 evaluation-domain error or aborted extremal, 2 irregular Lagrangian,
-64 usage errors (a missing or unknown argument or command among them)
-and config errors.
+64 usage errors (a missing or unknown argument or command among them, a
+negative ``--seed`` and an ``--out`` path that cannot be written) and
+config errors.
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ def _regularity_gate(instance: ProblemInstance):
 def _write(text: str, out_path: str | None) -> None:
     """Write a command's output to the ``--out`` file, or else to stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -171,7 +171,7 @@ def assemble(raw: dict, seed_override: int | None = None) -> ProblemInstance:
         if "seed" in raw["sampling"]:
             sampling["seed"] = _int(raw["sampling"]["seed"], "sampling.seed", 0)
     if seed_override is not None:
-        sampling["seed"] = seed_override
+        sampling["seed"] = _int(seed_override, "--seed", 0)
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in raw:
@@ -255,7 +255,7 @@ def _assemble_lagrangian(raw, dims: Dims, h: TemporalMetric):
         for key in ("g_entries", "U_entries", "F"):
             _require(key not in raw, f"lagrangian.{key}", "only valid for builtin families")
         fld = _expression(raw["expression"], dims, "lagrangian.expression")
-        return LagrangianModel(dims=dims, field=fld, kind="expression")
+        return LagrangianModel(dims=dims, field=fld)
 
     _require("g_entries" in raw, "lagrangian", f"kind '{kind}' needs 'g_entries'")
     g_allow = ("t", "x", "v") if p == 1 else ("t", "x")
@@ -273,7 +273,7 @@ def _assemble_lagrangian(raw, dims: Dims, h: TemporalMetric):
         if "F" in raw:
             f_entry = _expression(raw["F"], dims, "lagrangian.F", ("t", "x"))
     family = ElectrodynamicsLagrangian(dims, h, g_entries, u_entries, f_entry)
-    return LagrangianModel.from_family(family, kind)
+    return LagrangianModel.from_family(family)
 
 
 def _assemble_solver(raw, dims: Dims) -> dict:

@@ -2,10 +2,14 @@
 
 From L and the temporal metric h this module assembles, at any jet point:
 
-* the Euler-Lagrange residual at a map's 2-jet, from the spray there,
+* the Euler-Lagrange residual at a map's 2-jet, from the spray there, and
+  the extremal equations rearranged as the harmonic-map form
+  h^{ab}(x_ab - H^c_ab x_c) + 2G (``harmonic_form``, over plain floats),
+  which lattice residuals and ``verify`` both evaluate,
 * the spray entity vectors S, H, J and their sum G (stored halved: the
   displayed geometric quantities are 2S, 2H, 2J, 2G),
-* the spray coefficient packages (temporal and spatial blocks),
+* the spray coefficient packages (the temporal block is 1/2 M, from
+  ``m_values``; the spatial block),
 * the M and N kernels of the induced nonlinear connection, and the
   adapted-frame derivative of a field's entries along it (``delta_entry``).
 
@@ -32,6 +36,7 @@ from .calculus import (
     all_coords,
     field_jacobian,
     structure_entry,
+    structure_values,
     v_coord,
 )
 from .jet_core import DTensor, JetPoint, temporal_lower, vertical_upper
@@ -188,6 +193,26 @@ def euler_lagrange_residual(L, point: JetPoint, xab, data: SprayData) -> np.ndar
     return np.array(res)
 
 
+def harmonic_form(hinv, hch, xa, xab, g_vec) -> list:
+    """The extremal equations rearranged as harmonic-map equations, per k:
+    h^{ab}(x^k_ab - H^c_ab x^k_c) + 2 G^k, over plain floats (as the spray
+    of a float point holds them): h^{-1} as ``hinv[a][b]``, the temporal
+    Christoffels ``hch[c][a][b]``, the map's derivatives ``xa[k][c]`` and
+    ``xab[k][a][b]`` and the halved spray vector ``g_vec``."""
+    p = len(hinv)
+    out = []
+    for first, second, g_k in zip(xa, xab, g_vec):
+        acc = 0.0
+        for a in range(p):
+            for b in range(p):
+                lap = second[a][b]
+                for c in range(p):
+                    lap -= hch[c][a][b] * first[c]
+                acc += hinv[a][b] * lap
+        out.append(acc + 2.0 * g_k)
+    return out
+
+
 # --- Spray coefficient packages -------------------------------------------------
 
 
@@ -212,21 +237,12 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
     decomposition's ``jet`` at the point's (t, x), None for p = 1."""
     n, p = len(point.x), len(point.t)
     data = spray_data(L, h, point)
-    hmat = [[scalar_value(e) for e in row] for row in data.hmat]
-
-    s = np.array([scalar_value(e) for e in data.s_vec])
-    hv = np.array([scalar_value(e) for e in data.h_vec])
-    jv = np.array([scalar_value(e) for e in data.j_vec])
-    gv = np.array([scalar_value(e) for e in data.g_vec])
-
-    h_temp = DTensor((vertical_upper(n, p), temporal_lower(p)))
-    for i in range(n):
-        for a in range(p):
-            for b in range(p):
-                acc = 0.0
-                for c in range(p):
-                    acc += scalar_value(data.hch[c][a][b]) * scalar_value(point.v[i][c])
-                h_temp.set(((i, a), b), -0.5 * acc)
+    hmat = structure_values(data.hmat)
+    s, hv, jv, gv = (np.array(structure_values(vec))
+                     for vec in (data.s_vec, data.h_vec, data.j_vec, data.g_vec))
+    m = structure_values(m_values(data.hch, point))
+    h_temp = DTensor((vertical_upper(n, p), temporal_lower(p)),
+                     [[0.5 * e for e in row] for block in m for row in block])
 
     g_spat = DTensor((vertical_upper(n, p), temporal_lower(p)))
     t_tens = None

@@ -5,8 +5,9 @@ system x'' = H(t) x' - 2 h_11(t) G(t, x, x') which is integrated by the
 classical fourth-order Runge-Kutta scheme, then checked by the
 Euler-Lagrange residual at each interior sample's 2-jet.  For several times
 the equations form a PDE system; candidate maps are only *checked* by
-evaluating the residual h^{ab}(x_ab - H^c_ab x_c) + 2G on a lattice with
-central differences.
+evaluating the residual h^{ab}(x_ab - H^c_ab x_c) + 2G
+(``connection.harmonic_form``) at each interior node of a lattice, with
+x_a and x_ab from central differences.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # gcal_values: perfbench/selftest.py checks the tracer patches this binding.
-from .connection import euler_lagrange_residual, gcal_values, spray_data  # noqa: F401
+from .connection import euler_lagrange_residual, gcal_values, harmonic_form, spray_data  # noqa: F401
 from .errors import DegeneracyError, DimensionError, JetLagError, StencilError
 from .jet_core import Dims, JetPoint
 from .metric_engine import TemporalMetric, h_christoffel_values
-from .scalars import scalar_value
 
 
 # --- p = 1: extremal integration ---------------------------------------------
@@ -260,8 +260,9 @@ class ResidualField:
 
 
 def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
-    """residual^k = h^{ab}(x^k_ab - H^c_ab x^k_c) + 2 G^k at interior nodes,
-    with x_a, x_ab supplied by central differences."""
+    """residual^k = h^{ab}(x^k_ab - H^c_ab x^k_c) + 2 G^k
+    (``harmonic_form``) at interior nodes, with x_a, x_ab supplied by
+    central differences."""
     dims = grid.dims
     if dims.p < 2:
         raise DimensionError("lattice residuals are for p >= 2")
@@ -270,26 +271,18 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
         raise DimensionError(f"Lagrangian dims {ldims} do not match the grid {dims}")
     if h.p != dims.p:
         raise DimensionError("temporal metric p does not match the grid")
-    n, p = dims.n, dims.p
     indices = list(grid.interior_indices())
-    residuals = np.zeros((len(indices), n))
+    residuals = np.zeros((len(indices), dims.n))
     points = []
     nodes = zip(indices, *_central_differences(grid))
     for row, (idx, xs, first, second) in enumerate(nodes):
         ts = grid.node_t(idx)
         points.append(ts)
         data = spray_data(L, h, JetPoint(ts, xs, first))
-        hinv = [[scalar_value(e) for e in r] for r in data.hinv]
-        hch = [[[scalar_value(e) for e in r] for r in m] for m in h_christoffel_values(h, ts)[2]]
-        for k in range(n):
-            acc = 0.0
-            for a in range(p):
-                for b in range(p):
-                    lap = second[k][a][b]
-                    for c in range(p):
-                        lap -= hch[c][a][b] * first[k][c]
-                    acc += hinv[a][b] * lap
-            residuals[row, k] = acc + 2.0 * scalar_value(data.g_vec[k])
+        # data.hch holds these Christoffels already; the second call stays
+        # while perfbench/selftest.py pins 2 h_christoffel_values per node
+        hch = h_christoffel_values(h, ts)[2]
+        residuals[row] = harmonic_form(data.hinv, hch, first, second, data.g_vec)
     max_norm = float(np.max(np.abs(residuals))) if len(indices) else 0.0
     rms = float(np.sqrt(np.mean(residuals ** 2))) if len(indices) else 0.0
     return ResidualField(indices=indices, points=points, residuals=residuals,

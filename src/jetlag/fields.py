@@ -102,12 +102,11 @@ class LagrangianModel:
 
     dims: Dims
     field: object  # JetPoint -> scalar
-    kind: str = "expression"  # expression | harmonic | electrodynamics
     structure: ElectrodynamicsLagrangian = None
 
     def __call__(self, point: JetPoint):
         return self.field(point)
 
     @classmethod
-    def from_family(cls, family: ElectrodynamicsLagrangian, kind: str) -> "LagrangianModel":
-        return cls(dims=family.dims, field=family, kind=kind, structure=family)
+    def from_family(cls, family: ElectrodynamicsLagrangian) -> "LagrangianModel":
+        return cls(dims=family.dims, field=family, structure=family)

@@ -300,11 +300,7 @@ class TemporalMetric:
             seen.add(sig)
             if self.signature is not None and tuple(sig) != tuple(self.signature):
                 issues.append({"t": list(ts), "issue": f"signature {sig} != declared {tuple(self.signature)}"})
-        return {
-            "ok": not issues and len(seen) <= 1,
-            "signatures_seen": sorted(seen),
-            "issues": issues,
-        }
+        return {"ok": not issues and len(seen) <= 1, "issues": issues}
 
 
 def h_christoffel_values(h: TemporalMetric, ts):

@@ -29,6 +29,16 @@ VELOCITY_REDRAWS = 8
 REASSEMBLY_TOL = 1e-8
 
 
+def nan_max(first, *rest):
+    """``max`` of the arguments that keeps a NaN: max(0.0, nan) is 0.0, so
+    a NaN defect would pass a check as no defect."""
+    worst = first
+    for x in rest:
+        if x > worst or x != x:
+            worst = x
+    return worst
+
+
 # --- Sampling ----------------------------------------------------------------
 
 
@@ -201,18 +211,10 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         hmat = h.matrix_at(point.t)
         g = trace_metric(hmat, blocks)
         hinv = h.inverse_at(point.t)
-        residual = 0.0
-        for i in range(n):
-            for a in range(p):
-                for j in range(n):
-                    for b in range(p):
-                        residual = max(
-                            residual,
-                            abs(scalar_value(blocks[i][a][j][b]) - hinv[a][b] * g[i][j]),
-                        )
-        sym = max(
-            abs(g[i][j] - g[j][i]) for i in range(n) for j in range(n)
-        )
+        residual = nan_max(0.0, *(abs(scalar_value(blocks[i][a][j][b]) - hinv[a][b] * g[i][j])
+                                  for i in range(n) for a in range(p)
+                                  for j in range(n) for b in range(p)))
+        sym = nan_max(0.0, *(abs(g[i][j] - g[j][i]) for i in range(n) for j in range(n)))
         issue = ""
         try:
             _, det, sig = checked_inverse(g)
@@ -223,10 +225,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         for redraw in redraws[idx]:
             probe = JetPoint(point.t, point.x, redraw.v)
             g2 = trace_metric(hmat, hessian_blocks(L, probe).blocks)
-            vdep = max(
-                vdep,
-                max(abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n)),
-            )
+            vdep = nan_max(vdep, *(abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n)))
         return g, residual, sym, det, sig, issue, vdep
 
     results = map_ordered(examine, list(enumerate(points)))
@@ -243,15 +242,16 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
     for idx, (point, (g, residual, sym, det, sig, issue, vdep)) in enumerate(zip(points, results)):
         verdict.samples.append(SampleRecord(point, residual, sym, det, sig, issue))
         verdict.g_estimates.append(g)
-        verdict.max_block_residual = max(verdict.max_block_residual, residual)
-        vdep_worst = max(vdep_worst, vdep)
+        verdict.max_block_residual = nan_max(verdict.max_block_residual, residual)
+        vdep_worst = nan_max(vdep_worst, vdep)
         if issue:
             verdict.diagnostics.append(issue)
             verdict.is_kronecker = False
-        if residual > tol:
+        # a NaN fails each comparison below
+        if not residual <= tol:
             verdict.diagnostics.append(f"sample {idx}: block residual {residual:.3e} > {tol:.1e}")
             verdict.is_kronecker = False
-        if sym > tol:
+        if not sym <= tol:
             verdict.diagnostics.append(f"sample {idx}: g estimate asymmetric by {sym:.3e}")
             verdict.is_kronecker = False
         if sig is not None:
@@ -260,7 +260,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         verdict.diagnostics.append(f"signature varies across samples: {sorted(signatures)}")
         verdict.is_kronecker = False
     verdict.signature = next(iter(signatures)) if len(signatures) == 1 else None
-    verdict.velocity_dependent_g = vdep_worst > tol
+    verdict.velocity_dependent_g = not vdep_worst <= tol
     if dims.p >= 2 and verdict.velocity_dependent_g:
         verdict.diagnostics.append(
             f"g estimate varies with velocity by {vdep_worst:.3e} (p >= 2 forbids this)"
@@ -359,11 +359,12 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
             return u, 0.0 if structure.f_entry is None else structure.f_entry(pt)
     else:
         def g_field(pt):
-            g = g_from_hessian(L, h, _at_zero_velocity(pt, dims))
+            g = g_from_hessian(L, h, zero_velocity_point(pt.t, pt.x, dims))
             return [[(g[i][j] + g[j][i]) * 0.5 for j in range(n)] for i in range(n)]
 
         def potentials(pt):
-            f, jac = field_jacobian(L, _at_zero_velocity(pt, dims), vertical_coords(dims))
+            f, jac = field_jacobian(L, zero_velocity_point(pt.t, pt.x, dims),
+                                    vertical_coords(dims))
             return [[jac[v_coord(i, a)] for a in range(p)] for i in range(n)], f
 
     deco = ElectrodynamicsDecomposition(dims=dims, g_field=g_field, potentials=potentials)
@@ -373,7 +374,7 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
     rng = random.Random(seed + 1)
     worst = 0.0
     for pt in base_points:
-        base = _at_zero_velocity(pt, dims)
+        base = zero_velocity_point(pt.t, pt.x, dims)
         jet = deco.jet_at(base)
         deco.jets.append(jet)
         g = [[scalar_value(e) for e in row] for row in jet.g]
@@ -390,15 +391,11 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
                         for j in range(n):
                             quad += hinv[a][b] * g[i][j] * v[i][a] * v[j][b]
             lin = sum(u[i][a] * v[i][a] for i in range(n) for a in range(p))
-            worst = max(worst, abs(scalar_value(L(probe)) - (quad + lin + f_val)))
+            worst = nan_max(worst, abs(scalar_value(L(probe)) - (quad + lin + f_val)))
     deco.reassembly_residual = worst
-    if worst > REASSEMBLY_TOL:
+    if not worst <= REASSEMBLY_TOL:
         raise DecompositionError(
             f"reassembly residual {worst:.3e} exceeds {REASSEMBLY_TOL:.1e}; "
             "the Lagrangian is not quadratic in the velocities"
         )
     return deco
-
-
-def _at_zero_velocity(pt: JetPoint, dims: Dims) -> JetPoint:
-    return zero_velocity_point(pt.t, pt.x, dims)

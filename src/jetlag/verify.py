@@ -12,12 +12,13 @@ import numpy as np
 from .calculus import fd_crosscheck
 from .cartan import cartan_connection, metric_compatibility
 from .config import ProblemInstance
-from .connection import euler_lagrange_residual, spray_data, spray_entities
+from .connection import euler_lagrange_residual, harmonic_form, spray_data, spray_entities
 from .curvature import AUDIT_TOL, curvature_table, table_zero_audit, torsion_table
 from .errors import DecompositionError
 from .jet_core import JetPoint
 from .metric_engine import g_christoffel_values
-from .regularity import REASSEMBLY_TOL, electrodynamics_decompose, kronecker_test, sample_points
+from .regularity import (REASSEMBLY_TOL, electrodynamics_decompose, kronecker_test, nan_max,
+                         sample_points)
 from .scalars import scalar_value
 
 
@@ -75,7 +76,7 @@ def run_checks(instance: ProblemInstance) -> list:
     ok = True
     for pt in pts[:3]:
         rep = fd_crosscheck(L, pt, dims, tols["crosscheck"])
-        worst = max(worst, rep.max_rel_discrepancy)
+        worst = nan_max(worst, rep.max_rel_discrepancy)
         ok = ok and rep.passed
     checks.append(CheckResult("ad_fd_crosscheck", ok, worst, tols["crosscheck"]))
 
@@ -114,7 +115,7 @@ def run_checks(instance: ProblemInstance) -> list:
             for a in range(dims.p):
                 for b in range(dims.p):
                     acc += hinv[a][b] * pack.G_spatial.get((l, a), b)
-            worst_trace = max(worst_trace, abs(acc - pack.Gc[l]))
+            worst_trace = nan_max(worst_trace, abs(acc - pack.Gc[l]))
     checks.append(CheckResult("h_trace_identity", worst_trace <= 1e-8, worst_trace, 1e-8))
 
     # Euler-Lagrange consistency: g^{ki}/2-weighted residual equals the
@@ -139,18 +140,9 @@ def run_checks(instance: ProblemInstance) -> list:
         mid = JetPoint(pt.t, xs, vs)
         data = spray_data(L, h, mid)
         res = euler_lagrange_residual(L, mid, xab, data)
-        ginv = [[scalar_value(e) for e in row] for row in data.ginv]
-        hinv = [[scalar_value(e) for e in row] for row in data.hinv]
-        for k in range(dims.n):
-            weighted = 0.5 * sum(ginv[k][i] * res[i] for i in range(dims.n))
-            lap = 0.0
-            for a in range(dims.p):
-                for b in range(dims.p):
-                    term = xab[k][a][b]
-                    for c in range(dims.p):
-                        term -= scalar_value(data.hch[c][a][b]) * mid.v[k][c]
-                    lap += hinv[a][b] * term
-            worst_el = max(worst_el, abs(weighted - (lap + 2.0 * scalar_value(data.g_vec[k]))))
+        rearranged = harmonic_form(data.hinv, data.hch, mid.v, xab, data.g_vec)
+        weighted = [0.5 * sum(gk[i] * res[i] for i in range(dims.n)) for gk in data.ginv]
+        worst_el = nan_max(worst_el, *(abs(w - r) for w, r in zip(weighted, rearranged)))
     checks.append(CheckResult("el_rearrangement", worst_el <= 1e-7, worst_el, 1e-7))
 
     # Cartan pack: compatibility, symmetry, zero audits, antisymmetry.
@@ -162,13 +154,12 @@ def run_checks(instance: ProblemInstance) -> list:
         co = pack.coefficients_at(pt)
         cos.append(co)
         compat = metric_compatibility(pack, pt, co)
-        worst_compat = max(worst_compat, max(compat.values()))
+        worst_compat = nan_max(worst_compat, *compat.values())
         for i in range(dims.n):
             for j in range(dims.n):
                 for k in range(dims.n):
-                    worst_sym = max(worst_sym, abs(scalar_value(co.l[i][j][k]) - scalar_value(co.l[i][k][j])))
-                    for c in range(dims.p):
-                        worst_sym = max(worst_sym, abs(scalar_value(co.c[i][j][k][c]) - scalar_value(co.c[i][k][j][c])))
+                    worst_sym = nan_max(worst_sym, abs(co.l[i][j][k] - co.l[i][k][j]), *(
+                        abs(co.c[i][j][k][c] - co.c[i][k][j][c]) for c in range(dims.p)))
     checks.append(CheckResult("cartan_metric_compatibility",
                               worst_compat <= tols["compatibility"],
                               worst_compat, tols["compatibility"]))
@@ -183,7 +174,7 @@ def run_checks(instance: ProblemInstance) -> list:
     worst_anti = 0.0
     for pt in pts[:2]:
         tor = torsion_table(pack, pt)
-        worst_anti = max(worst_anti, _antisymmetry_defect(tor, curvature_table(tor)))
+        worst_anti = nan_max(worst_anti, _antisymmetry_defect(tor, curvature_table(tor)))
     checks.append(CheckResult("torsion_curvature_antisymmetry",
                               worst_anti <= 1e-9, worst_anti, 1e-9))
 
@@ -198,7 +189,7 @@ def run_checks(instance: ProblemInstance) -> list:
             for i in range(dims.n):
                 for j in range(dims.n):
                     expect = sum(scalar_value(gamma[i][j][k]) * pt.v[k][0] for k in range(dims.n))
-                    worst_red = max(worst_red, abs(scalar_value(co.n[i][0][j]) - expect))
+                    worst_red = nan_max(worst_red, abs(scalar_value(co.n[i][0][j]) - expect))
         checks.append(CheckResult("classical_reduction", worst_red <= 1e-8, worst_red, 1e-8))
     return checks
 

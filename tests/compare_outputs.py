@@ -9,7 +9,8 @@ the 27 corpus configs of ``conftest`` (``count=4``), the quartic
 (``count=4``) and the sphere (``dt=1e-2``), ten expression Lagrangians
 (six with a solver; one p = 2 with velocity-linear terms), two metrics
 that vanish along an extremal (g = x1 and g = x1^2), an extremal that
-overflows under a constant g, an indefinite
+overflows under a constant g, a Lagrangian that is NaN away from x1 = 0
+(``v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10``), an indefinite
 temporal metric with a zero diagonal and a p = 2 temporal metric with
 t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
@@ -81,6 +82,7 @@ def configs() -> dict:
         CORPUS_DIMS,
         KINDS,
         corpus_config,
+        nan_lagrangian_config,
         potentials_config,
         quartic_config,
         sphere_config,
@@ -133,6 +135,7 @@ def configs() -> dict:
     out["abort_overflow"] = dict(_expression(1, 1, "v1_1^2 + x1^4"),
                                  solver={"t_end": 2.0, "dt": 0.01,
                                          "initial": {"t": 0.0, "x": [1.0], "y": [1.0]}})
+    out["nan_lagrangian"] = nan_lagrangian_config()
     out["indefinite_h"] = {
         "dims": {"p": 2, "n": 1},
         "lagrangian": {"kind": "harmonic", "g_entries": [["1 + x1^2"]]},

@@ -103,6 +103,18 @@ def potentials_config() -> dict:
     }
 
 
+def nan_lagrangian_config() -> dict:
+    """A p = n = 1 Lagrangian that is NaN wherever x1 != 0 (inf - inf)
+    but whose vertical Hessian is that of v1_1^2."""
+    return {
+        "dims": {"p": 1, "n": 1},
+        "lagrangian": {"kind": "expression",
+                       "expression": "v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10"},
+        "temporal_metric": {"kind": "flat"},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+    }
+
+
 def quartic_config(count: int = 16) -> dict:
     return {
         "dims": {"p": 2, "n": 2},

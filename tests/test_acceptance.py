@@ -229,7 +229,7 @@ def _el_corpus():
     sphere = assemble(sphere_config())
     out.append(("sphere", sphere.L, sphere.h, (1.1, 0.3), (0.2, 0.8)))
     out.append(("exp-h", LagrangianModel.from_family(
-        ElectrodynamicsLagrangian(flat1, h_exp, [[constant(1.0)]]), "harmonic"),
+        ElectrodynamicsLagrangian(flat1, h_exp, [[constant(1.0)]])),
         h_exp, (0.5,), (1.0,)))
     out.append(("oscillator", expression_lagrangian("v1_1^2 - x1^2", flat1),
                 h_flat, (0.0,), (1.0,)))
@@ -254,7 +254,7 @@ def test_criterion_7_euler_lagrange_consistency():
     flat1 = Dims(1, 1)
     h_exp = temporal_metric_of([[ExpressionField("exp(2*t1)", flat1)]], (1, 0))
     L_exp = LagrangianModel.from_family(
-        ElectrodynamicsLagrangian(flat1, h_exp, [[constant(1.0)]]), "harmonic")
+        ElectrodynamicsLagrangian(flat1, h_exp, [[constant(1.0)]]))
     exact_exp = 0.5 + (math.e - 1.0)
     L_osc = expression_lagrangian("v1_1^2 - x1^2", flat1)
     h_flat = TemporalMetric.flat(1)
@@ -281,10 +281,10 @@ def test_criterion_8_harmonic_residual_convergence():
     h = TemporalMetric.flat(2)
     flat_g = [[constant(1.0), constant(0.0)],
               [constant(0.0), constant(1.0)]]
-    L_flat = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, flat_g), "harmonic")
+    L_flat = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, flat_g))
     sphere_g = [[constant(1.0), constant(0.0)],
                 [constant(0.0), ExpressionField("sin(x1)^2", d)]]
-    L_sphere = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, sphere_g), "harmonic")
+    L_sphere = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, sphere_g))
 
     # affine map in the flat instance: exactly harmonic, residual at
     # truncation level (machine zero) on every grid

@@ -46,7 +46,7 @@ class TestCartanCoefficients:
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
         g = [[constant(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
-        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
+        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g))
         pack = cartan_connection(L, h, electrodynamics_decompose(L, h))
         pt = JetPoint((0.2, -0.4), (0.5, 0.6), ((0.3, 0.2), (-0.1, 0.5)))
         co = pack.coefficients_at(pt)
@@ -145,6 +145,18 @@ class TestMetricCompatibility:
             compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
             worst = max(compat.values())
             assert worst <= 1e-7, (kind, p, n, compat)
+
+    def test_a_nan_coefficient_gives_a_nan_defect(self):
+        # max(0.0, nan) is 0.0: a NaN defect must not read as a vanishing one
+        inst = corpus_instance("non_autonomous", 1, 2)
+        pack = build_cartan(inst)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=14)[0]
+        co = pack.coefficients_at(pt)
+        g_block = [[list(row) for row in plane] for plane in co.g]
+        g_block[1][1][0] = math.nan
+        compat = metric_compatibility(pack, pt, co._replace(g=g_block))
+        assert math.isnan(compat["g_t_horizontal"])
+        assert max(v for k, v in compat.items() if k != "g_t_horizontal") <= 1e-7
 
     def test_velocity_dependent_p1(self):
         d = Dims(1, 1)

@@ -7,7 +7,7 @@ import pytest
 
 from jetlag.cli import EX_IRREGULAR, EX_OK, EX_USAGE, EX_VERIFY_FAIL, run
 
-from conftest import corpus_config, quartic_config, sphere_config
+from conftest import corpus_config, nan_lagrangian_config, quartic_config, sphere_config
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -28,6 +28,30 @@ class TestExitCodes:
         assert run(["analyze", "--config", path]) == EX_IRREGULAR
         rep = json.loads(capsys.readouterr().out)
         assert rep["regularity"]["is_kronecker"] is False
+
+    def test_analyze_reports_a_nan_reassembly_as_a_decomposition_error(self, tmp_path, capsys):
+        # L is NaN at every sample, its reassembly residual with it
+        path = write_config(tmp_path, nan_lagrangian_config())
+        assert run(["analyze", "--config", path]) == EX_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["regularity"]["is_kronecker"] is True
+        assert rep["decomposition"] == {
+            "error": "reassembly residual nan exceeds 1.0e-08; "
+                     "the Lagrangian is not quadratic in the velocities"}
+
+    def test_unwritable_out_is_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, sphere_config())
+        out = str(tmp_path / "missing" / "report.json")
+        assert run(["analyze", "--config", path, "--out", out]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and err.count("\n") == 1
+        assert out in err
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        # the rule of sampling.seed
+        path = write_config(tmp_path, sphere_config())
+        assert run(["analyze", "--config", path, "--seed", "-1"]) == EX_USAGE
+        assert capsys.readouterr().err == "config error: --seed: must be >= 0\n"
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -451,3 +475,15 @@ class TestTableCommands:
         assert max(flat) <= 1e-10  # autonomous: G-block vanishes
         flat_c = [abs(v) for cube in c_block for plane in cube for row in plane for v in row]
         assert max(flat_c) <= 1e-12
+
+    def test_spray_h_temporal_is_half_of_m(self, tmp_path, capsys):
+        # H_temporal is built as 1/2 M; h depends on both times here
+        path = write_config(tmp_path, corpus_config("non_autonomous", 2, 2))
+        point = "t=0.1,0.2;x=0.3,0.4;v=0.5,0.1,-0.2,0.3"
+        assert run(["connection", "--config", path, "--point", point]) == EX_OK
+        rep = json.loads(capsys.readouterr().out)
+        m = rep["nonlinear"]["M"]["entries"]
+        h_temporal = rep["spray"]["H_temporal"]["entries"]
+        assert set(h_temporal) == set(m)
+        assert all(h_temporal[key] == 0.5 * m[key] for key in m)
+        assert sum(1 for value in m.values() if value != 0.0) >= 4

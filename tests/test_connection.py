@@ -97,7 +97,7 @@ class TestEulerLagrange:
         h = TemporalMetric(p=2, matrix=lambda ts: [[2.0, 1.0], [1.0, 2.0]],
                            signature=(2, 0), constant=True)
         L = LagrangianModel.from_family(
-            ElectrodynamicsLagrangian(d, h, [[constant(1.0)]]), "harmonic")
+            ElectrodynamicsLagrangian(d, h, [[constant(1.0)]]))
         t1, t2 = 0.7, -0.2
         point = JetPoint((t1, t2), (t1 * t2,), ((t2, t1),))
         res = el_residual(L, h, point, [[[0.0, 1.0], [1.0, 0.0]]])
@@ -249,7 +249,7 @@ class TestNonlinearConnection:
         # kill the x-dependence: use explicitly flat g
         d = inst.dims
         L = LagrangianModel.from_family(
-            ElectrodynamicsLagrangian(d, inst.h, [[constant(1.0)]]), "harmonic")
+            ElectrodynamicsLagrangian(d, inst.h, [[constant(1.0)]]))
         pack = cartan_connection(L, inst.h, electrodynamics_decompose(L, inst.h))
         pt = JetPoint((0.1, 0.2), (0.4,), ((0.3, -0.2),))
         co = pack.coefficients_at(pt)
@@ -285,7 +285,7 @@ class TestNonlinearConnection:
         u = [[ExpressionField("0.5*t1*x1", d)], [ExpressionField("0.7*x2*x1", d)]]
         f = ExpressionField("t1 + x2", d)
         fam = ElectrodynamicsLagrangian(d, h, g, u, f)
-        L = LagrangianModel.from_family(fam, "electrodynamics")
+        L = LagrangianModel.from_family(fam)
         pack = cartan_connection(L, h, None)
         gs = spatial_metric_of(g)
         deco = electrodynamics_decompose(L, h)

@@ -32,7 +32,7 @@ def flat_metric_model(n, h=None):
     d = Dims(1, n)
     h = h or TemporalMetric.flat(1)
     g = [[constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-    return LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic"), h
+    return LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g)), h
 
 
 def sphere_geodesic_oracle(x0, y0, t_end, dt):
@@ -192,7 +192,7 @@ class TestIntegration:
             return 1.0
 
         g = [[guarded]]
-        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
+        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g))
         traj = integrate_extremal(ExtremalProblem(
             L=L, h=h, t0=0.0, x0=(0.0,), y0=(1.0,), t_end=2.0, dt=1e-2))
         assert traj.aborted
@@ -212,11 +212,11 @@ class TestHarmonicResidual:
         g = [[constant(1.0), constant(0.0)],
              [constant(0.0), constant(1.0)]]
         self.L_flat = LagrangianModel.from_family(
-            ElectrodynamicsLagrangian(self.d, self.h, g), "harmonic")
+            ElectrodynamicsLagrangian(self.d, self.h, g))
         gs = [[constant(1.0), constant(0.0)],
               [constant(0.0), ExpressionField("sin(x1)^2", self.d)]]
         self.L_sphere = LagrangianModel.from_family(
-            ElectrodynamicsLagrangian(self.d, self.h, gs), "harmonic")
+            ElectrodynamicsLagrangian(self.d, self.h, gs))
 
     def test_affine_map_truncation_exact(self):
         grid = GridMap.from_function(

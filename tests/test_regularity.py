@@ -20,6 +20,7 @@ from jetlag.regularity import (
     g_from_hessian,
     hessian_blocks,
     kronecker_test,
+    nan_max,
     sample_points,
 )
 from jetlag.scalars import scalar_value
@@ -63,7 +64,7 @@ class TestVerticalHessian:
         d = Dims(2, 2)
         h = TemporalMetric.flat(2)
         g = [[constant(1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
-        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g), "harmonic")
+        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g))
         pt = JetPoint((0.1, 0.2), (0.3, -0.4), ((0.5, -0.6), (0.7, 0.8)))
         G = np.array(hessian_blocks(L, pt).blocks).reshape(4, 4)  # flat index i*p + a
         assert np.allclose(G, np.eye(4))
@@ -100,7 +101,7 @@ class TestKroneckerTest:
         u = [[ExpressionField("t1*x2", d), constant(0.4)],
              [ExpressionField("x1", d), ExpressionField("t2", d)]]
         f = ExpressionField("t1 + x1", d)
-        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g, u, f), "electrodynamics")
+        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g, u, f))
         verdict = kronecker_test(L, h, K=8, seed=2)
         assert verdict.is_kronecker
         assert not verdict.velocity_dependent_g
@@ -249,7 +250,7 @@ class TestDecomposition:
         u = [[ExpressionField("t1*x2", d), constant(0.0)],
              [constant(0.0), ExpressionField("x1", d)]]
         f = ExpressionField("t1 + x1", d)
-        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g, u, f), "electrodynamics")
+        L = LagrangianModel.from_family(ElectrodynamicsLagrangian(d, h, g, u, f))
         deco = electrodynamics_decompose(L, h)
         assert deco.reassembly_residual <= 1e-8
         pt = zero_velocity_point((0.5, -0.2), (0.3, 0.7), d)
@@ -393,3 +394,14 @@ class TestSampling:
             assert 0.5 <= pt.t[0] <= 0.6
             assert 2.0 <= pt.x[0] <= 2.1
             assert -3.0 <= pt.v[0][0] <= -2.9
+
+
+@pytest.mark.parametrize("args, expect", [
+    ((0.0, 1.0, 3.0, 2.0), 3.0),
+    ((0.0, math.nan, 1.0), math.nan),
+    ((0.0, 1.0, math.nan), math.nan),
+    ((math.nan, 2.0), math.nan),
+])
+def test_nan_max_keeps_a_nan(args, expect):
+    got = nan_max(*args)
+    assert got == expect or (math.isnan(got) and math.isnan(expect))
