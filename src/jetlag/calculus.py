@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jet_core import Dims, JetPoint, raw_point
-from .scalars import Dual, Taylor2, hessian_pairs, leaf_layouts, scalar_value, seeded
+from .scalars import Dual, Taylor2, hessian_pairs, leaf_layouts, nan_max, scalar_value, seeded
 
 
 class Coord(NamedTuple):
@@ -243,7 +243,7 @@ def fd_crosscheck(f, point: JetPoint, dims: Dims, tol: float) -> CrosscheckRepor
         # should not register as a large relative disagreement.
         rel = abs(ad - fd) / max(denom, scale)
         report.entries.append(CrosscheckEntry(coords_key, order, ad, fd, rel, ok))
-        report.max_rel_discrepancy = max(report.max_rel_discrepancy, rel)
+        report.max_rel_discrepancy = nan_max(report.max_rel_discrepancy, rel)
         if not ok:
             report.passed = False
 

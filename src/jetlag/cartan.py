@@ -33,7 +33,6 @@ from .connection import (
     pair_n_values,
     spray_n_values,
 )
-from .errors import DimensionError
 from .jet_core import Dims, JetPoint
 from .metric_engine import (
     TemporalMetric,
@@ -42,7 +41,8 @@ from .metric_engine import (
     g_christoffel_values,
     h_christoffel_values,
 )
-from .regularity import ElectrodynamicsDecomposition, g_from_hessian, nan_max
+from .regularity import ElectrodynamicsDecomposition, g_from_hessian
+from .scalars import nan_max
 
 
 class Coefficients(NamedTuple):
@@ -158,9 +158,7 @@ def cartan_connection(L, h: TemporalMetric,
     the closure's Gamma and g^{-1}.  ``decomposition`` is L's
     electrodynamics decomposition for p >= 2 and None for p = 1.
     """
-    dims = getattr(L, "dims", None)
-    if dims is None:
-        raise DimensionError("Lagrangian must expose .dims")
+    dims = L.dims
     if dims.p == 1:
         coefficients, g_matrix = _cartan_coefficients_p1(L, h, dims)
     else:

@@ -36,6 +36,7 @@ from .jet_core import (
     vertical_upper,
 )
 from .metric_engine import riemann
+from .scalars import nan_max
 
 
 # --- Frame data: all coefficient tables and their coordinate derivatives ----
@@ -320,7 +321,8 @@ class ZeroAuditReport:
 def table_zero_audit(pack: LinearConnectionPack, tables) -> ZeroAuditReport:
     """The worst magnitude, over the (TorsionTable, CurvatureTable) pairs
     ``tables`` of ``pack``, of every component the tables declare zero for
-    this (p, connection kind), as its generic formula evaluates it."""
+    this (p, connection kind), as its generic formula evaluates it; a NaN
+    cell is the worst."""
     key_p = 1 if pack.dims.p == 1 else 2
     tor_zero = TORSION_ZERO_CELLS[(pack.kind, key_p)]
     cur_zero = CURVATURE_ZERO_CELLS[(pack.kind, key_p)]
@@ -328,13 +330,13 @@ def table_zero_audit(pack: LinearConnectionPack, tables) -> ZeroAuditReport:
     for tor, cur in tables:
         for cell in tor_zero:
             val = tor.families()[cell].max_abs()
-            per_cell[f"torsion.{cell}"] = max(per_cell.get(f"torsion.{cell}", 0.0), val)
+            per_cell[f"torsion.{cell}"] = nan_max(per_cell.get(f"torsion.{cell}", 0.0), val)
         for cell in cur_zero:
             val = cur.families()[cell].max_abs()
-            per_cell[f"curvature.{cell}"] = max(per_cell.get(f"curvature.{cell}", 0.0), val)
+            per_cell[f"curvature.{cell}"] = nan_max(per_cell.get(f"curvature.{cell}", 0.0), val)
     worst_cell, worst = "", 0.0
     for cell, val in per_cell.items():
-        if val >= worst:
+        if val >= worst or val != val:  # the last of the largest; a NaN is largest
             worst_cell, worst = cell, val
     return ZeroAuditReport(kind=pack.kind, p=pack.dims.p, worst=worst,
                            worst_cell=worst_cell, per_cell=per_cell,

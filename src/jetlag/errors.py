@@ -48,7 +48,12 @@ class DegeneracyError(JetLagError):
 
 
 class DecompositionError(JetLagError):
-    """Quadratic-in-velocity reassembly of a Lagrangian failed."""
+    """Quadratic-in-velocity reassembly of a Lagrangian failed; carries the
+    reassembly residual."""
+
+    def __init__(self, message, residual):
+        self.residual = residual
+        super().__init__(message)
 
 
 class StencilError(JetLagError):

@@ -266,9 +266,8 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
     dims = grid.dims
     if dims.p < 2:
         raise DimensionError("lattice residuals are for p >= 2")
-    ldims = getattr(L, "dims", None)
-    if ldims is not None and ldims != dims:
-        raise DimensionError(f"Lagrangian dims {ldims} do not match the grid {dims}")
+    if L.dims != dims:
+        raise DimensionError(f"Lagrangian dims {L.dims} do not match the grid {dims}")
     if h.p != dims.p:
         raise DimensionError("temporal metric p does not match the grid")
     indices = list(grid.interior_indices())

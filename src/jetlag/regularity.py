@@ -19,24 +19,13 @@ from .calculus import field_jacobian, gradient_hessian, t_coord, v_coord, vertic
 from .errors import DecompositionError, DegeneracyError, DimensionError
 from .jet_core import Dims, JetPoint, zero_velocity_point
 from .metric_engine import TemporalMetric, checked_inverse
-from .parallel import map_ordered
-from .scalars import hessian_pairs, pair_positions, scalar_value
+from .scalars import hessian_pairs, nan_max, pair_positions, scalar_value
 
 DEFAULT_SAMPLES = 64
 DEFAULT_TOL = 1e-6
 DEFAULT_BOX = (-1.0, 1.0)
 VELOCITY_REDRAWS = 8
 REASSEMBLY_TOL = 1e-8
-
-
-def nan_max(first, *rest):
-    """``max`` of the arguments that keeps a NaN: max(0.0, nan) is 0.0, so
-    a NaN defect would pass a check as no defect."""
-    worst = first
-    for x in rest:
-        if x > worst or x != x:
-            worst = x
-    return worst
 
 
 # --- Sampling ----------------------------------------------------------------
@@ -204,13 +193,21 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         for _ in range(K)
     ]
 
-    def examine(idx_point):
-        idx, point = idx_point
-        n, p = dims.n, dims.p
+    verdict = RegularityVerdict(
+        is_kronecker=True,
+        max_block_residual=0.0,
+        velocity_dependent_g=False,
+        signature=None,
+        tol=tol,
+    )
+    signatures = set()
+    vdep_worst = 0.0
+    n, p = dims.n, dims.p
+    for idx, point in enumerate(points):
         blocks = hessian_blocks(L, point).blocks
         hmat = h.matrix_at(point.t)
         g = trace_metric(hmat, blocks)
-        hinv = h.inverse_at(point.t)
+        hinv = checked_inverse(hmat).inverse
         residual = nan_max(0.0, *(abs(scalar_value(blocks[i][a][j][b]) - hinv[a][b] * g[i][j])
                                   for i in range(n) for a in range(p)
                                   for j in range(n) for b in range(p)))
@@ -221,29 +218,14 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         except DegeneracyError as exc:
             det, sig, issue = exc.det, None, f"sample {idx}: {exc}"
         # Velocity dependence: redraw v at fixed (t, x), h is hmat there, and compare.
-        vdep = 0.0
         for redraw in redraws[idx]:
             probe = JetPoint(point.t, point.x, redraw.v)
             g2 = trace_metric(hmat, hessian_blocks(L, probe).blocks)
-            vdep = nan_max(vdep, *(abs(g2[i][j] - g[i][j]) for i in range(n) for j in range(n)))
-        return g, residual, sym, det, sig, issue, vdep
-
-    results = map_ordered(examine, list(enumerate(points)))
-
-    verdict = RegularityVerdict(
-        is_kronecker=True,
-        max_block_residual=0.0,
-        velocity_dependent_g=False,
-        signature=None,
-        tol=tol,
-    )
-    signatures = set()
-    vdep_worst = 0.0
-    for idx, (point, (g, residual, sym, det, sig, issue, vdep)) in enumerate(zip(points, results)):
+            vdep_worst = nan_max(vdep_worst, *(abs(g2[i][j] - g[i][j])
+                                               for i in range(n) for j in range(n)))
         verdict.samples.append(SampleRecord(point, residual, sym, det, sig, issue))
         verdict.g_estimates.append(g)
         verdict.max_block_residual = nan_max(verdict.max_block_residual, residual)
-        vdep_worst = nan_max(vdep_worst, vdep)
         if issue:
             verdict.diagnostics.append(issue)
             verdict.is_kronecker = False
@@ -270,9 +252,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
 
 
 def _infer_n(L, h) -> int:
-    dims = getattr(L, "dims", None)
-    if dims is None:
-        raise DimensionError("Lagrangian field must expose .dims")
+    dims = L.dims
     if dims.p != h.p:
         raise DimensionError(f"temporal dims disagree: L has p={dims.p}, h has p={h.p}")
     return dims.n
@@ -396,6 +376,6 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
     if not worst <= REASSEMBLY_TOL:
         raise DecompositionError(
             f"reassembly residual {worst:.3e} exceeds {REASSEMBLY_TOL:.1e}; "
-            "the Lagrangian is not quadratic in the velocities"
+            "the Lagrangian is not quadratic in the velocities", worst
         )
     return deco

@@ -56,7 +56,12 @@ differ from ``math`` in the last bit on some inputs; the domain and zero
 tests raise, with the float path's message, when any element fails them.
 Arrays are never lifted, and an array leaf has no one plain value:
 ``scalar_value`` refuses it with TypeError, which is how
-``metric_engine.checked_inverse`` tells a batch.
+``metric_engine.checked_inverse`` tells a batch; it factorizes each
+distinct matrix of the batch on plain values.
+
+``nan_max`` lives here, below every module that reduces a defect to its
+worst value, so that the cross-check, the zero audit and ``verify`` keep a
+NaN instead of reading it as no defect.
 """
 
 from __future__ import annotations
@@ -82,6 +87,16 @@ def scalar_value(s) -> float:
             s = s.re
         else:
             return float(s)
+
+
+def nan_max(first, *rest):
+    """``max`` of the arguments that keeps a NaN: max(0.0, nan) is 0.0, so
+    a NaN defect would pass a check as no defect."""
+    worst = first
+    for x in rest:
+        if x > worst or x != x:
+            worst = x
+    return worst
 
 
 def _is_zero(s) -> bool:

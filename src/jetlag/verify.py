@@ -17,9 +17,8 @@ from .curvature import AUDIT_TOL, curvature_table, table_zero_audit, torsion_tab
 from .errors import DecompositionError
 from .jet_core import JetPoint
 from .metric_engine import g_christoffel_values
-from .regularity import (REASSEMBLY_TOL, electrodynamics_decompose, kronecker_test, nan_max,
-                         sample_points)
-from .scalars import scalar_value
+from .regularity import REASSEMBLY_TOL, electrodynamics_decompose, kronecker_test, sample_points
+from .scalars import nan_max, scalar_value
 
 
 @dataclass
@@ -100,7 +99,7 @@ def run_checks(instance: ProblemInstance) -> list:
             checks.append(CheckResult("decomposition_roundtrip", True,
                                       deco.reassembly_residual, REASSEMBLY_TOL))
         except DecompositionError as exc:
-            checks.append(CheckResult("decomposition_roundtrip", False, math.inf,
+            checks.append(CheckResult("decomposition_roundtrip", False, exc.residual,
                                       REASSEMBLY_TOL, str(exc)))
             return checks
 

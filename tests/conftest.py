@@ -21,7 +21,7 @@ from jetlag.connection import electrodynamics_n_values
 from jetlag.curvature import curvature_table, torsion_table
 from jetlag.jet_core import JetPoint
 from jetlag.metric_engine import TemporalMetric, checked_inverse, g_christoffel_values
-from jetlag.scalars import hessian_pairs
+from jetlag.scalars import hessian_pairs, nan_max
 
 CORPUS_DIMS = [(p, n) for p in (1, 2, 3) for n in (1, 2, 3)]
 KINDS = ("harmonic", "autonomous", "non_autonomous")
@@ -260,7 +260,7 @@ def scalar_crosscheck(f, point: JetPoint, dims, tol: float) -> CrosscheckReport:
         ok = abs(ad - fd) <= max(tol * denom, floor)
         rel = abs(ad - fd) / max(denom, scale)
         report.entries.append(CrosscheckEntry(coords_key, order, ad, fd, rel, ok))
-        report.max_rel_discrepancy = max(report.max_rel_discrepancy, rel)
+        report.max_rel_discrepancy = nan_max(report.max_rel_discrepancy, rel)
         if not ok:
             report.passed = False
 

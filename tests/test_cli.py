@@ -39,6 +39,16 @@ class TestExitCodes:
             "error": "reassembly residual nan exceeds 1.0e-08; "
                      "the Lagrangian is not quadratic in the velocities"}
 
+    def test_verify_keeps_the_nans_of_a_nan_lagrangian(self, tmp_path, capsys):
+        # every central difference of L is NaN, and so is the reassembly
+        # residual the decomposition measured
+        path = write_config(tmp_path, nan_lagrangian_config())
+        assert run(["verify", "--config", path]) == EX_VERIFY_FAIL
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["ad_fd_crosscheck"]["worst"] == "NaN"
+        assert checks["decomposition_roundtrip"]["worst"] == "NaN"
+        assert not checks["ad_fd_crosscheck"]["passed"]
+
     def test_unwritable_out_is_one_line(self, tmp_path, capsys):
         path = write_config(tmp_path, sphere_config())
         out = str(tmp_path / "missing" / "report.json")

@@ -272,6 +272,19 @@ class TestCartanTables:
             audit = table_zero_audit(pack, tables_at(pack, pts))
             assert audit.passed, (kind, p, audit.worst_cell, audit.worst)
 
+    def test_a_nan_in_a_zero_cell_fails_the_audit(self):
+        # the NaN sits in the first of two tables, where a plain max over
+        # the tables would drop it
+        inst = corpus_instance("non_autonomous", 2, 2)
+        deco, pack = build(inst)
+        tables = tables_at(pack, sample_points(inst.dims, [-1, 1], 2, seed=42))
+        assert table_zero_audit(pack, tables).passed
+        tables[0][0].vm_m.data.flat[1] = math.nan
+        audit = table_zero_audit(pack, tables)
+        assert not audit.passed
+        assert math.isnan(audit.worst) and math.isnan(audit.per_cell["torsion.vm_m"])
+        assert audit.worst_cell == "torsion.vm_m"
+
     def test_p1_audit_does_not_flag_t_m1j(self):
         # T^m_{1j} = -G^m_{j1} is generally nonzero for p=1 non-autonomous
         inst = corpus_instance("non_autonomous", 1, 2)

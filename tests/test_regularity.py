@@ -15,15 +15,15 @@ from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, Lagrangian
 from jetlag.jet_core import Dims, JetPoint, zero_velocity_point
 from jetlag.metric_engine import TemporalMetric
 from jetlag.regularity import (
+    REASSEMBLY_TOL,
     DecompositionJet,
     electrodynamics_decompose,
     g_from_hessian,
     hessian_blocks,
     kronecker_test,
-    nan_max,
     sample_points,
 )
-from jetlag.scalars import scalar_value
+from jetlag.scalars import nan_max, scalar_value
 
 from conftest import (
     KINDS,
@@ -152,11 +152,11 @@ class TestKroneckerTest:
                                      seed=inst.seed)
             assert verdict.is_kronecker, (kind, verdict.diagnostics)
 
-    def test_h_evaluated_twice_per_sample(self, monkeypatch):
-        # per sample h's matrix once, for the trace and the 8 velocity
-        # redraws at the same t, and once inside inverse_at; the other 36
-        # evaluations, with their factorizations, are L's own (9 evaluations
-        # of L per sample)
+    def test_h_evaluated_once_per_sample(self, monkeypatch):
+        # per sample h's matrix once, for the trace, its inverse and the 8
+        # velocity redraws at the same t, and two factorizations, of h and
+        # of the g estimate; the other 36 evaluations, with their
+        # factorizations, are L's own (9 evaluations of L per sample)
         inst = corpus_instance("non_autonomous", 2, 3, count=4)
         calls = {"matrix": 0, "factorizations": 0}
         inst.h.matrix = counted(calls, "matrix", inst.h.matrix)
@@ -165,7 +165,7 @@ class TestKroneckerTest:
             monkeypatch.setattr(module, "checked_inverse", factor)
         verdict = kronecker_test(inst.L, inst.h, inst.sampling["box"], K=4, seed=inst.seed)
         assert verdict.is_kronecker
-        assert calls == {"matrix": 44, "factorizations": 44}
+        assert calls == {"matrix": 40, "factorizations": 44}
 
 
 def _jet_reference(deco, pt):
@@ -365,6 +365,15 @@ class TestDecomposition:
         L = expression_lagrangian("v1_1^2 + v1_2^2 + 0.1*v1_1^4", d)
         with pytest.raises(DecompositionError):
             electrodynamics_decompose(L, h)
+
+    def test_a_decomposition_error_carries_its_residual(self):
+        d = Dims(2, 1)
+        L = expression_lagrangian("v1_1^2 + v1_2^2 + 0.1*v1_1^4", d)
+        with pytest.raises(DecompositionError) as raised:
+            electrodynamics_decompose(L, TemporalMetric.flat(2))
+        residual = raised.value.residual
+        assert residual > REASSEMBLY_TOL
+        assert str(raised.value).startswith(f"reassembly residual {residual:.3e} exceeds")
 
     def test_characterization_randomized(self):
         # regularity passing (p >= 2) implies the quadratic reassembly holds

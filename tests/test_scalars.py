@@ -43,6 +43,7 @@ from hypothesis import strategies as st
 from jetlag import cartan, connection, dsl, extremal, metric_engine, scalars
 from jetlag.calculus import (
     all_coords,
+    fd_crosscheck,
     gradient_hessian,
     lift_d1,
     lift_taylor,
@@ -1425,10 +1426,39 @@ def _symmetric_batch(draw):
     return rows
 
 
+@st.composite
+def _repeating_batch(draw):
+    """A batch of 40-300 symmetric matrices of dimension 1-3, each one of
+    1-4 matrices; each of these differs from the one before it in one
+    entry, which is negated (a zero changes sign) or set to 0.0, -0.0 or
+    NaN.  Every entry is an array over the batch."""
+    dim, count = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    m = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            m[i][j] = m[j][i] = draw(_ENTRY)
+    distinct = [m]
+    for _ in range(count - 1):
+        m = [list(row) for row in m]
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        change = draw(st.sampled_from([None, 0.0, -0.0, math.nan]))  # None negates
+        m[i][j] = m[j][i] = -m[i][j] if change is None else change
+        distinct.append(m)
+    rng = draw(st.randoms(use_true_random=False))
+    picks = [rng.randrange(count) for _ in range(draw(st.integers(40, 300)))]
+    return [[np.array([distinct[c][i][j] for c in picks]) for j in range(dim)]
+            for i in range(dim)]
+
+
 class TestBatchedFactorization:
     @settings(max_examples=500, deadline=None)
     @given(rows=_symmetric_batch())
     def test_each_element_is_its_own_factorization(self, rows):
+        _assert_batch_is_each_element(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_repeating_batch())
+    def test_a_large_batch_of_few_matrices(self, rows):
         _assert_batch_is_each_element(rows)
 
     def test_a_batch_straddling_the_pivot_choice(self):
@@ -1450,7 +1480,10 @@ class TestBatchedFactorization:
         assert str(raised.value) == _factor_result([[1.0, 0.5], [0.5, 0.25]])
         _assert_batch_is_each_element(rows)
 
-    def test_a_definite_batch_is_one_sweep(self, monkeypatch):
+    def test_one_factorization_per_distinct_matrix(self, monkeypatch):
+        # 7 elements repeat 4 distinct matrices: the batch's call and one
+        # scalar factorization per distinct matrix, in the order of its
+        # first element
         calls, factor = [], metric_engine.checked_inverse
 
         def counted(rows):
@@ -1458,18 +1491,42 @@ class TestBatchedFactorization:
             return factor(rows)
 
         monkeypatch.setattr(metric_engine, "checked_inverse", counted)
-        t = np.array([-0.3, 0.1, 0.2, 0.7])
+        t = np.array([0.1, -0.3, 0.1, 0.7, -0.3, 0.2, 0.7])
         rows = [[1.0 + t * t, 0.5 * t, 0.0], [0.5 * t, 2.0 + t, 0.0], [0.0, 0.0, 3.0]]
         out = metric_engine.checked_inverse(rows)
-        assert len(calls) == 1
+        assert len(calls) == 1 + 4
+        assert [r[0][1] for r in calls[1:]] == [0.5 * s for s in (0.1, -0.3, 0.7, 0.2)]
+        assert all(type(e) is float for r in calls[1:] for row in r for e in row)
         # structural zeros stay floats
         assert [type(e) for e in out.inverse[2]] == [float, float, float]
         assert out.inertia == (3, 0)
         _assert_batch_is_each_element(rows)
 
+    def test_a_crosscheck_factorizes_h_once_per_distinct_t(self, monkeypatch):
+        # the p = 2 stencil's points hold 1 + 2p(p + 1) = 13 distinct t
+        # rows: the centre, each t^a moved by +-h1 and by +-h2, and the 4
+        # corners of (t^1, t^2) at +-h2; h(t) on them is one batch,
+        # factorized once per row
+        inst = corpus_instance("non_autonomous", 2, 3, count=4)
+        pt = sample_points(inst.dims, inst.sampling["box"], 1, seed=inst.seed)[0]
+        calls, factor = {"batch": 0, "plain": []}, metric_engine.checked_inverse
+
+        def counted(rows):
+            if any(isinstance(e, np.ndarray) for r in rows for e in r):
+                calls["batch"] += 1
+            elif all(type(e) is float for r in rows for e in r):
+                calls["plain"].append(rows)
+            return factor(rows)
+
+        monkeypatch.setattr(metric_engine, "checked_inverse", counted)
+        assert fd_crosscheck(inst.L, pt, inst.dims, inst.tolerances["crosscheck"]).passed
+        plain = [tuple(_bits(e) for r in rows for e in r) for rows in calls["plain"]]
+        assert calls["batch"] == 1
+        assert len(plain) == len(set(plain)) == 1 + 2 * 2 * 3
+
     def test_an_entry_zero_in_some_elements_only(self, monkeypatch):
-        # a plain 0.0 is skipped where a nonzero is not, so an entry that is
-        # 0.0 in one element only sends the batch element by element
+        # 0.0 and -0.0 key two distinct matrices, so each of the 4 elements
+        # is factorized on its own
         calls, factor = [], metric_engine.checked_inverse
 
         def counted(rows):
