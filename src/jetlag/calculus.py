@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .jet_core import Dims, JetPoint, raw_point
-from .scalars import Dual, Taylor2, hessian_pairs, leaf_layouts, nan_max, scalar_value, seeded
+from .scalars import (Dual, Taylor2, hessian_pairs, layout, leaf_layouts, nan_max, scalar_value,
+                      seeded)
 
 
 class Coord(NamedTuple):
@@ -94,15 +95,31 @@ def lift_taylor(point: JetPoint, coords, pairs=None) -> JetPoint:
     so the entry between those slots is its pure second partial."""
     if pairs is None:
         pairs = hessian_pairs(len(coords))
-    lifted = {c: seeded(point.coord(c), lay)
-              for c, lay in leaf_layouts(pairs, tuple(coords)).items()}
-    t = tuple(lifted.get(t_coord(a), val) for a, val in enumerate(point.t))
-    x = tuple(lifted.get(x_coord(i), val) for i, val in enumerate(point.x))
-    v = tuple(
-        tuple(lifted.get(v_coord(i, a), val) for a, val in enumerate(row))
-        for i, row in enumerate(point.v)
+    t, x, v = _position_layouts(pairs, tuple(coords), len(point.t), len(point.x))
+    return raw_point(
+        tuple([val if lay is None else seeded(val, lay) for val, lay in zip(point.t, t)]),
+        tuple([val if lay is None else seeded(val, lay) for val, lay in zip(point.x, x)]),
+        tuple([tuple([val if lay is None else seeded(val, lay) for val, lay in zip(vi, lays)])
+               for vi, lays in zip(point.v, v)]),
     )
-    return raw_point(t, x, v)
+
+
+def _position_layouts(pairs, coords: tuple, p: int, n: int):
+    """The ``leaf_layouts`` of a lift over ``coords`` by position in a point
+    of p times and n positions: (t, x, v) shaped as the point's, None where
+    a coordinate is not lifted.  Kept in the seedless layout's ``leaves``
+    under (coords, p, n), so a lift makes one lookup, not one per
+    coordinate, and a fresh layout table starts a fresh one."""
+    table = layout(pairs, (), ()).leaves
+    key = (coords, p, n)
+    at = table.get(key)
+    if at is None:
+        lays = leaf_layouts(pairs, coords)
+        at = table[key] = (tuple(lays.get(Coord("t", 0, a)) for a in range(p)),
+                           tuple(lays.get(Coord("x", i, 0)) for i in range(n)),
+                           tuple(tuple(lays.get(Coord("v", i, a)) for a in range(p))
+                                 for i in range(n)))
+    return at
 
 
 # --- Derivatives ------------------------------------------------------------

@@ -4,7 +4,8 @@ Commands: analyze, connection, torsion, curvature, extremal, residual,
 verify.  Reports are canonical JSON on stdout (byte-identical for a fixed
 config and seed); trajectories and residual fields are CSV.  Exit codes:
 0 success (``--help`` and ``--version`` included), 1 failed verification,
-evaluation-domain error or aborted extremal, 2 irregular Lagrangian,
+evaluation-domain error, aborted extremal or a spray that is not finite at
+the ``connection`` point, 2 irregular Lagrangian,
 64 usage errors (a missing or unknown argument or command among them, a
 negative ``--seed`` and an ``--out`` path that cannot be written) and
 config errors.
@@ -177,6 +178,12 @@ def cmd_connection(instance: ProblemInstance, args) -> int:
         report["berwald"] = _coefficient_tables(berwald.coefficients_at(point))
     spray = spray_entities(instance.L, instance.h, point,
                            None if deco is None else deco.jet_at(point))
+    for name, values in (("S", spray.S), ("H", spray.Hc), ("J", spray.J), ("G", spray.Gc),
+                         ("G_spatial", spray.G_spatial.data),
+                         ("H_temporal", spray.H_temporal.data)):
+        if not np.isfinite(values).all():
+            sys.stderr.write(f"error: spray.{name} is not finite at the point\n")
+            return EX_VERIFY_FAIL
     report["spray"] = {
         "S": list(spray.S),
         "H": list(spray.Hc),

@@ -45,6 +45,17 @@ class ExpressionField:
         return f"ExpressionField({self.source!r})"
 
 
+def _contract(coefficients, values):
+    """The sum of coefficients[k]*values[k] over the coefficients that are
+    not a plain 0.0, so that a structurally zero term enters no support."""
+    total = 0.0
+    for c, x in zip(coefficients, values):
+        if isinstance(c, float) and c == 0.0:
+            continue
+        total = total + c * x
+    return total
+
+
 class ElectrodynamicsLagrangian:
     """Closed-form family L = h^{ab}(t) g_ij v^i_a v^j_b + U^a_i v^i_a + F.
 
@@ -53,6 +64,18 @@ class ElectrodynamicsLagrangian:
     ``u_entries`` is an n x p matrix of (t, x) fields, ``f_entry`` a (t, x)
     field.  Evaluation is generic over the scalar kind, including the
     temporal-metric inversion.
+
+    The quadratic form is contracted through g first: w^j_a = g_ij v^i_a,
+    then S_ab = w^j_a v^j_b for a <= b only (S is symmetric, as g is), and
+    L sums h^{aa} S_aa + 2 h^{ab} S_ab over a < b (h is symmetric).  A g
+    entry, an h^{ab} or a w that is a plain 0.0 is skipped, so a
+    structurally zero term enters no support.  That is at most
+    p nnz(g) + (n + 1) p(p + 1)/2 products and p(p - 1)/2 doublings, nnz(g)
+    the entries of g that are not a plain 0.0, where the form term by term
+    takes 2 p^2 nnz(g) + p^2 products; on a lift each is a product of
+    derivative scalars unless one factor is plain (operation count in
+    sparse forward mode, Griewank & Walther,
+    *Evaluating Derivatives*, ch. 7).
     """
 
     def __init__(self, dims: Dims, h: TemporalMetric, g_entries, u_entries=None, f_entry=None):
@@ -70,20 +93,16 @@ class ElectrodynamicsLagrangian:
         hinv = self.h.inverse_at(point.t)
         g = self.g_matrix(point)
         v = point.v
+        columns = list(zip(*v))  # columns[a][i] = v^i_a
+        w = [[_contract(g[j], columns[a]) for j in range(n)] for a in range(p)]
         total = 0.0
         for a in range(p):
-            for b in range(p):
+            for b in range(a, p):
                 hab = hinv[a][b]
                 if isinstance(hab, float) and hab == 0.0:
                     continue
-                s = 0.0
-                for i in range(n):
-                    for j in range(n):
-                        gij = g[i][j]
-                        if isinstance(gij, float) and gij == 0.0:
-                            continue
-                        s = s + gij * (v[i][a] * v[j][b])
-                total = total + hab * s
+                s = _contract(w[a], columns[b])
+                total = total + (hab * s if a == b else 2.0 * (hab * s))
         if self.u_entries is not None:
             for i in range(n):
                 for a in range(p):

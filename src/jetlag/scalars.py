@@ -211,8 +211,10 @@ class Layout:
     unary op runs the kernel that ``kernel`` compiles on its first use and
     keeps under its ``_UNARY`` name; compiling reciprocal or chain sets
     ``full``, the layout of every pair among the seeds, which they give.
-    The seedless layout of an evaluation holds the ``leaf_layouts`` of its
-    lifts in ``leaves``.
+    The seedless layout of an evaluation holds in ``leaves`` the
+    ``leaf_layouts`` of its lifts by coordinate position (see
+    ``calculus.lift_taylor``), so a fresh ``_LAYOUTS`` starts fresh leaves
+    too.
     """
 
     __slots__ = ("pairs", "seeds", "kept", "plans", "leaves", "full", "scale", "neg",
@@ -397,7 +399,9 @@ class Taylor2:
 
     def __rsub__(self, o):
         if isinstance(o, _NUM) or type(o) is Dual:
-            return (-self) + o
+            lay = self.layout
+            g, h = (lay.neg or lay.kernel("neg"))(self.g, self.h)
+            return Taylor2(-self.re + o, g, h, lay)
         return NotImplemented
 
     def __mul__(self, o):
@@ -461,17 +465,11 @@ def seeded(value, lay: Layout) -> Taylor2:
 def leaf_layouts(pairs, labels) -> dict:
     """The pairless layout of each distinct label of ``labels`` in an
     evaluation carrying ``pairs``, seeded at every position the label
-    holds: ``{label: Layout}``.  The seedless layout of ``pairs`` keeps
-    it in ``leaves`` under ``labels``, so a lift over the same labels and
-    pairs looks its pairs up once, not once per leaf."""
-    table = layout(pairs, (), ()).leaves
-    out = table.get(labels)
-    if out is None:
-        slots = {}
-        for s, c in enumerate(labels):
-            slots.setdefault(c, []).append(s)
-        out = table[labels] = {c: layout(pairs, tuple(ss), ()) for c, ss in slots.items()}
-    return out
+    holds: ``{label: Layout}``."""
+    slots = {}
+    for s, c in enumerate(labels):
+        slots.setdefault(c, []).append(s)
+    return {c: layout(pairs, tuple(ss), ()) for c, ss in slots.items()}
 
 
 @functools.cache
@@ -494,7 +492,9 @@ def pair_positions(pairs) -> dict:
 
 def reciprocal(s):
     """1/s for a nested derivative scalar."""
-    return 1.0 / s if isinstance(s, _NUM) else s.__rtruediv__(1.0)
+    if isinstance(s, _NUM):
+        return 1.0 / s
+    return s._reciprocal() if type(s) is Taylor2 else s.__rtruediv__(1.0)
 
 
 _LIFTED = (Dual, Taylor2)

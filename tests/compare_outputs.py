@@ -25,11 +25,12 @@ command.
 
 The report gives the number of byte-identical runs; for every other run,
 the numbers that moved, grouped by JSON path (list indices collapsed) or by
-column of a CSV or stderr line, with their count and largest distance in
-ulp, and each text difference (a key or line present on one side only, a
-string or exit code that changed).  The exit status is
-0 when every run is byte-identical and 1 otherwise.  Not collected by
-pytest.
+column of a CSV or stderr line, with their count, largest distance in ulp
+and largest absolute difference (a round-off-sized number that crosses
+zero is many ulp away but only that far), and each text difference (a
+key or line present on one side only, a string or exit code that
+changed).  The exit status is 0 when every run is byte-identical and 1
+otherwise.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -242,14 +243,14 @@ def _ulps(a: float, b: float) -> float:
 
 
 def _record(moved: dict, key: str, old: float, new: float):
-    count, worst = moved.get(key, (0, 0.0))
-    moved[key] = (count + 1, max(worst, _ulps(old, new)))
+    count, worst, widest = moved.get(key, (0, 0.0, 0.0))
+    moved[key] = (count + 1, max(worst, _ulps(old, new)), max(widest, abs(new - old)))
 
 
 def _walk(old, new, path: str, moved: dict, text: list):
     """Compare two JSON values; numbers that moved go to ``moved`` (path ->
-    (count, worst ulp), list indices collapsed to []), anything else to
-    ``text``."""
+    (count, worst ulp, largest absolute difference), list indices collapsed
+    to []), anything else to ``text``."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(set(old) | set(new)):
             sub = f"{path}.{key}" if path else key
@@ -329,8 +330,9 @@ def main(argv=None) -> int:
             continue
         moved, text = compare(old, new)
         print(f"--- {argv[0]} {name}")
-        for key, (count, ulp) in moved.items():
-            print(f"  moved {key}: {count} numbers, at most {ulp:g} ulp")
+        for key, (count, ulp, widest) in moved.items():
+            print(f"  moved {key}: {count} numbers, at most {ulp:g} ulp, "
+                  f"largest difference {widest:.3g}")
         for line in text:
             print(f"  TEXT {line}")
     print(f"{identical} of {len(plan)} runs byte-identical")

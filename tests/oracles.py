@@ -8,6 +8,8 @@ none of the internals it checks.
 * ``h_curvature_values`` and ``g_curvature_values``: the Riemann tensors of
   the temporal and spatial metrics;
 * ``action_value``: the action of a p = 1 trajectory;
+* ``quadratic_form_by_terms``: h^{ab} g_ij v^i_a v^j_b summed term by
+  term, the reference for ``ElectrodynamicsLagrangian``'s contraction;
 * small shared constructors: a constant field, an expression Lagrangian and
   the failed entries of a crosscheck report.
 """
@@ -199,3 +201,29 @@ def action_value(L, h, traj) -> float:
     dt = traj.t[1] - traj.t[0]
     vals = np.asarray(vals)
     return float(dt * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1]))
+
+
+# --- Quadratic form ------------------------------------------------------------------
+
+
+def quadratic_form_by_terms(hinv, g, v):
+    """h^{ab} g_ij v^i_a v^j_b from the inverse temporal metric ``hinv``,
+    the spatial metric ``g`` and the velocities ``v[i][a]``, summed term by
+    term over every (a, b, i, j), skipping the h and g entries that are a
+    plain 0.0.  Generic over the scalar kind."""
+    p, n = len(hinv), len(g)
+    total = 0.0
+    for a in range(p):
+        for b in range(p):
+            hab = hinv[a][b]
+            if isinstance(hab, float) and hab == 0.0:
+                continue
+            s = 0.0
+            for i in range(n):
+                for j in range(n):
+                    gij = g[i][j]
+                    if isinstance(gij, float) and gij == 0.0:
+                        continue
+                    s = s + gij * (v[i][a] * v[j][b])
+            total = total + hab * s
+    return total

@@ -8,13 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
+from jetlag import scalars
 from jetlag.calculus import (
     all_coords,
     fd_crosscheck,
     field_jacobian,
     lift_d1,
+    lift_taylor,
     t_coord,
     v_coord,
+    vertical_coords,
     x_coord,
 )
 from jetlag.config import assemble
@@ -22,7 +25,7 @@ from jetlag.errors import DegeneracyError, EvalDomainError
 from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField
 from jetlag.jet_core import Dims, JetPoint
 from jetlag.regularity import sample_points
-from jetlag.scalars import Taylor2
+from jetlag.scalars import Taylor2, hessian_pairs, leaf_layouts
 
 from conftest import (
     CORPUS_DIMS,
@@ -132,6 +135,46 @@ class TestD1:
             lift_d1(jp(dims), x_coord(0))
         with pytest.raises(TypeError):
             field_jacobian(f, jp(dims), x_coord(0))
+
+
+class TestLiftTaylor:
+    """A Taylor2 lift seeds each coordinate with the layout ``leaf_layouts``
+    gives it, looked up by position from the seedless layout's table."""
+
+    DIMS = Dims(2, 3)
+    POINT = jp(DIMS, t=(0.3, -0.4), x=(0.7, 0.2, -0.1),
+               v=((0.5, 1.1), (-0.6, 0.9), (0.2, -0.3)))
+
+    @pytest.mark.parametrize("coords", [
+        (x_coord(1), v_coord(0, 1), x_coord(1), t_coord(0), v_coord(0, 1), x_coord(1)),
+        tuple(vertical_coords(DIMS)),
+    ], ids=["duplicated", "vertical"])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_each_leaf_has_its_leaf_layout(self, coords, diagonal):
+        k = len(coords)
+        pairs = (tuple(range(k)),) * 2 if diagonal else hessian_pairs(k)
+        lays = leaf_layouts(pairs, coords)
+        q = lift_taylor(self.POINT, coords, pairs)
+        for c in all_coords(self.DIMS):
+            lifted, value = q.coord(c), self.POINT.coord(c)
+            if c not in lays:
+                assert lifted is value
+                continue
+            assert type(lifted) is Taylor2 and lifted.layout is lays[c]
+            assert lifted.layout.seeds == tuple(s for s, d in enumerate(coords) if d == c)
+            assert lifted.re == value and lifted.g == [1.0] * len(lifted.layout.seeds)
+            assert lifted.h == []
+
+    def test_a_fresh_layout_table_gives_fresh_leaves(self, monkeypatch):
+        coords = all_coords(self.DIMS)
+        old = lift_taylor(self.POINT, coords)
+        monkeypatch.setattr(scalars, "_LAYOUTS", {})
+        new = lift_taylor(self.POINT, coords)
+        fresh = scalars._LAYOUTS.values()
+        for c in coords:
+            lay = new.coord(c).layout
+            assert any(lay is e for e in fresh) and lay is not old.coord(c).layout
+            assert lay is leaf_layouts(hessian_pairs(len(coords)), coords)[c]
 
 
 class TestD2:

@@ -49,6 +49,16 @@ class TestExitCodes:
         assert checks["decomposition_roundtrip"]["worst"] == "NaN"
         assert not checks["ad_fd_crosscheck"]["passed"]
 
+    def test_connection_refuses_a_nan_spray(self, tmp_path, capsys):
+        # the vertical Hessian is that of v1_1^2, but every x-partial of L,
+        # and so S and G, is NaN away from x1 = 0
+        path = write_config(tmp_path, nan_lagrangian_config())
+        assert run(["connection", "--config", path, "--point", "t=0.1;x=0.5;v=0.3"]) \
+            == EX_VERIFY_FAIL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: spray.S is not finite at the point\n"
+
     def test_unwritable_out_is_one_line(self, tmp_path, capsys):
         path = write_config(tmp_path, sphere_config())
         out = str(tmp_path / "missing" / "report.json")
