@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jet_core import Dims, JetPoint, raw_point
+from .jet_core import Dims, JetPoint
 from .scalars import (Dual, Taylor2, hessian_pairs, layout, leaf_layouts, nan_max, scalar_value,
                       seeded)
 
@@ -64,8 +64,9 @@ def all_coords(dims: Dims) -> tuple:
 
 
 def lift_d1(point: JetPoint, coords) -> JetPoint:
-    """Wrap every coordinate in a Dual over len(coords) directions, seeding
-    direction s on coords[s]; the unseeded coordinates share one zero row.
+    """A new point with every coordinate wrapped in a Dual over len(coords)
+    directions, seeding direction s on coords[s]; the unseeded coordinates
+    share one zero row.  Its rows are fresh tuples; ``point`` is unchanged.
 
     Wrapping everything keeps nested first-derivative layers distinct: inside
     a lifted evaluation no un-lifted sibling from an older layer can appear.
@@ -78,7 +79,7 @@ def lift_d1(point: JetPoint, coords) -> JetPoint:
     for s, c in enumerate(coords):
         rows.setdefault(c, [0.0] * k)[s] = 1.0
     row = rows.get  # keyed by plain (kind, i, alpha) tuples, which equal Coords
-    return raw_point(
+    return JetPoint(
         tuple([Dual(val, row(("t", 0, a), zero)) for a, val in enumerate(point.t)]),
         tuple([Dual(val, row(("x", i, 0), zero)) for i, val in enumerate(point.x)]),
         tuple([tuple([Dual(val, row(("v", i, a), zero)) for a, val in enumerate(vi)])
@@ -87,16 +88,17 @@ def lift_d1(point: JetPoint, coords) -> JetPoint:
 
 
 def lift_taylor(point: JetPoint, coords, pairs=None) -> JetPoint:
-    """Wrap the coordinates in ``coords`` in Taylor2 scalars over
-    len(coords) seeds, seed s on coords[s], carrying the Hessian entries of
-    ``pairs`` (a ``(rows, cols)`` tuple of seed indices; default the full
-    triangle); the other coordinates stay as they are.  Each coordinate's
+    """A new point with the coordinates in ``coords`` wrapped in Taylor2
+    scalars over len(coords) seeds, seed s on coords[s], carrying the
+    Hessian entries of ``pairs`` (a ``(rows, cols)`` tuple of seed indices;
+    default the full triangle); the other coordinates keep their entries.
+    Its rows are fresh tuples; ``point`` is unchanged.  Each coordinate's
     support is its own slots: a coordinate listed twice is seeded in both,
     so the entry between those slots is its pure second partial."""
     if pairs is None:
         pairs = hessian_pairs(len(coords))
     t, x, v = _position_layouts(pairs, tuple(coords), len(point.t), len(point.x))
-    return raw_point(
+    return JetPoint(
         tuple([val if lay is None else seeded(val, lay) for val, lay in zip(point.t, t)]),
         tuple([val if lay is None else seeded(val, lay) for val, lay in zip(point.x, x)]),
         tuple([tuple([val if lay is None else seeded(val, lay) for val, lay in zip(vi, lays)])
@@ -192,7 +194,7 @@ def _stencil(point: JetPoint, coords):
                     moved((s, d1), (r, d2))
     cols = dict(zip(coords, np.array(rows).T.copy()))
     dims = point.dims
-    batch = raw_point(
+    batch = JetPoint(
         tuple(cols[t_coord(a)] for a in range(dims.p)),
         tuple(cols[x_coord(i)] for i in range(dims.n)),
         tuple(tuple(cols[v_coord(i, a)] for a in range(dims.p)) for i in range(dims.n)),

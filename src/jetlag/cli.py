@@ -4,8 +4,9 @@ Commands: analyze, connection, torsion, curvature, extremal, residual,
 verify.  Reports are canonical JSON on stdout (byte-identical for a fixed
 config and seed); trajectories and residual fields are CSV.  Exit codes:
 0 success (``--help`` and ``--version`` included), 1 failed verification,
-evaluation-domain error, aborted extremal or a spray that is not finite at
-the ``connection`` point, 2 irregular Lagrangian,
+evaluation-domain error, aborted extremal, a spray that is not finite at
+the ``connection`` point or a ``residual`` that is not finite at a lattice
+node, 2 irregular Lagrangian,
 64 usage errors (a missing or unknown argument or command among them, a
 negative ``--seed`` and an ``--out`` path that cannot be written) and
 config errors.
@@ -272,6 +273,12 @@ def cmd_residual(instance: ProblemInstance, args) -> int:
 
     grid = GridMap.from_function(dims, grid_cfg["box"], grid_cfg["shape"], fn)
     field = harmonic_residual(instance.L, instance.h, grid)
+    bad = np.argwhere(~np.isfinite(field.residuals))
+    if len(bad):
+        row, col = bad[0]
+        node = ", ".join(f"t{a+1}={t:.17g}" for a, t in enumerate(field.points[row]))
+        sys.stderr.write(f"error: residual{col+1} is not finite at node {node}\n")
+        return EX_VERIFY_FAIL
     header = [f"t{a+1}" for a in range(dims.p)] + [f"x{i+1}" for i in range(dims.n)] \
         + [f"residual{i+1}" for i in range(dims.n)]
     lines = [",".join(header)]

@@ -10,7 +10,6 @@ as i*p + a.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,27 +29,24 @@ class Dims:
             raise DimensionError(f"dims must be positive, got p={self.p}, n={self.n}")
 
 
-@dataclass(frozen=True)
 class JetPoint:
     """A point (t, x, v) of the jet space; v[i][a] is the velocity v^i_a.
 
-    Entries are ordinarily floats but the container is deliberately agnostic
-    so derivative scalars, and float64 arrays over a batch of points, can
-    flow through the same evaluation code.
+    The point stores the sequences it is given, without a copy and without
+    a check: entries are ordinarily floats, but derivative scalars and
+    float64 arrays over a batch of points flow through the same evaluation
+    code.  Finiteness is checked where a number enters the program (the
+    config, ``--point``) and where a command reports one.  A slotted class
+    rather than a tuple, so that code walking nested sequences of scalars
+    never descends into a point.
     """
 
-    t: tuple
-    x: tuple
-    v: tuple  # tuple of n rows, each a tuple of p entries
+    __slots__ = ("t", "x", "v")
 
     def __init__(self, t, x, v):
-        object.__setattr__(self, "t", tuple(t))
-        object.__setattr__(self, "x", tuple(x))
-        object.__setattr__(self, "v", tuple(tuple(row) for row in v))
-        for group in (self.t, self.x) + self.v:
-            for entry in group:
-                if isinstance(entry, (int, float)) and not math.isfinite(entry):
-                    raise DimensionError("jet point entries must be finite")
+        self.t = t
+        self.x = x
+        self.v = v  # n rows, each of p entries
 
     @property
     def dims(self) -> Dims:
@@ -68,16 +64,6 @@ class JetPoint:
 
 def zero_velocity_point(t, x, dims: Dims) -> JetPoint:
     return JetPoint(tuple(t), tuple(x), tuple((0.0,) * dims.p for _ in range(dims.n)))
-
-
-def raw_point(t: tuple, x: tuple, v: tuple) -> JetPoint:
-    """Internal fast constructor: entries must already be tuples and are not
-    re-validated (used by the derivative lifts on hot paths)."""
-    pt = object.__new__(JetPoint)
-    object.__setattr__(pt, "t", t)
-    object.__setattr__(pt, "x", x)
-    object.__setattr__(pt, "v", v)
-    return pt
 
 
 class SlotKind(enum.Enum):

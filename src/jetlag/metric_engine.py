@@ -15,7 +15,7 @@ import numpy as np
 
 from .calculus import field_jacobian, t_coord, x_coord
 from .errors import DegeneracyError
-from .jet_core import JetPoint, raw_point
+from .jet_core import JetPoint
 from .scalars import reciprocal, scalar_value
 
 _DEGENERACY_SCALE = 1e-10
@@ -201,9 +201,10 @@ def riemann(ch, dch):
 
 def _t_partials(fn, ts):
     """The value at ``ts`` of a structure-valued function of the t-tuple
-    alone and [d fn/dt^a for each a], from one evaluation on a lift."""
+    alone and [d fn/dt^a for each a], from one evaluation on a lift of the
+    point (ts, (), ()), which has no x or v."""
     coords = [t_coord(a) for a in range(len(ts))]
-    value, jac = field_jacobian(lambda q: fn(q.t), raw_point(tuple(ts), (), ()), coords)
+    value, jac = field_jacobian(lambda q: fn(q.t), JetPoint(ts, (), ()), coords)
     return value, [jac[c] for c in coords]
 
 

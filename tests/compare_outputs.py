@@ -15,10 +15,11 @@ temporal metric with a zero diagonal and a p = 2 temporal metric with
 t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
-solver.  Four lattices beyond the benchmark's run ``residual``: a p = 3
-grid, a non-square p = 2 grid with a constant map entry, and two
-expression Lagrangians, one with an indefinite g whose off-diagonal entry
-is exactly zero along a column of nodes.  Besides these, the benchmark's
+solver.  Six lattices beyond the benchmark's run ``residual``: a p = 3
+grid, a non-square p = 2 grid with a constant map entry, two expression
+Lagrangians, one with an indefinite g whose off-diagonal entry is exactly
+zero along a column of nodes, and two whose residuals are not finite (a
+NaN potential F and an overflowing map).  Besides these, the benchmark's
 generated configs (every job of the cycle of each workload in
 ``perfbench/workloads.py``, seeds 3 and 7) run their workload's own
 command.
@@ -160,12 +161,12 @@ def configs() -> dict:
 
 def residual_configs() -> dict:
     """Name -> config of the lattices that run ``residual``."""
-    from conftest import corpus_config, potentials_config
+    from conftest import corpus_config, non_finite_lattice_configs, potentials_config
 
     def lattice(cfg, shape, box, maps):
         return dict(cfg, grid={"shape": shape, "box": box, "map": maps})
 
-    return {
+    return non_finite_lattice_configs() | {
         # three mixed pairs
         "lattice_p3_n2": lattice(
             corpus_config("non_autonomous", 3, 2, count=4), [5, 6, 5],

@@ -115,6 +115,28 @@ def nan_lagrangian_config() -> dict:
     }
 
 
+def non_finite_lattice_configs() -> dict:
+    """Name -> p = 2, n = 1 lattice whose residuals are NaN at every
+    interior node of its 5 x 5 grid: a potential F that is NaN wherever
+    x1 != 0 (inf - inf), and a map that overflows to inf off t1 = 0."""
+
+    def lattice(lagrangian, map_entry):
+        return {
+            "dims": {"p": 2, "n": 1},
+            "lagrangian": lagrangian,
+            "temporal_metric": {"kind": "flat"},
+            "grid": {"shape": [5, 5], "box": [[-1.0, 1.0], [-1.0, 1.0]], "map": [map_entry]},
+        }
+
+    return {
+        "lattice_nan_potential_p2_n1": lattice(
+            {"kind": "electrodynamics", "g_entries": [["1"]],
+             "F": "1e308*x1*1e10 - 1e308*x1*1e10"}, "0.3 + t1*t2"),
+        "lattice_overflowing_map_p2_n1": lattice(
+            {"kind": "harmonic", "g_entries": [["1"]]}, "1e308*t1*10"),
+    }
+
+
 def quartic_config(count: int = 16) -> dict:
     return {
         "dims": {"p": 2, "n": 2},

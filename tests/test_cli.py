@@ -7,7 +7,13 @@ import pytest
 
 from jetlag.cli import EX_IRREGULAR, EX_OK, EX_USAGE, EX_VERIFY_FAIL, run
 
-from conftest import corpus_config, nan_lagrangian_config, quartic_config, sphere_config
+from conftest import (
+    corpus_config,
+    nan_lagrangian_config,
+    non_finite_lattice_configs,
+    quartic_config,
+    sphere_config,
+)
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -58,6 +64,16 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: spray.S is not finite at the point\n"
+
+    @pytest.mark.parametrize("name", sorted(non_finite_lattice_configs()))
+    def test_residual_refuses_a_non_finite_node(self, tmp_path, capsys, name):
+        # a NaN potential gives NaN residuals, and an overflowing map
+        # inf - inf differences; the first node in CSV order is named
+        path = write_config(tmp_path, non_finite_lattice_configs()[name])
+        assert run(["residual", "--config", path]) == EX_VERIFY_FAIL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: residual1 is not finite at node t1=-0.5, t2=-0.5\n"
 
     def test_unwritable_out_is_one_line(self, tmp_path, capsys):
         path = write_config(tmp_path, sphere_config())

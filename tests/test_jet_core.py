@@ -58,10 +58,6 @@ class TestJetPoint:
         pt = JetPoint((0.1, 0.2), (1.0,), ((0.5, 0.6),))
         assert pt.dims == Dims(2, 1)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DimensionError):
-            JetPoint((float("nan"),), (0.0,), ((0.0,),))
-
     def test_coord_reads_each_kind(self):
         pt = JetPoint((0.1,), (1.0, 2.0), ((0.5,), (0.6,)))
         assert [pt.coord(c) for c in (("t", 0, 0), ("x", 1, 0), ("v", 1, 0))] == [0.1, 2.0, 0.6]

@@ -57,7 +57,7 @@ from jetlag.connection import spray_data
 from jetlag.curvature import curvature_table, torsion_table
 from jetlag.errors import DegeneracyError, EvalDomainError
 from jetlag.fields import ExpressionField
-from jetlag.jet_core import Dims, JetPoint, raw_point
+from jetlag.jet_core import Dims, JetPoint
 from jetlag.regularity import electrodynamics_decompose, hessian_blocks, sample_points, trace_metric
 from jetlag.scalars import Dual, Taylor2, hessian_pairs, pair_positions
 
@@ -219,16 +219,16 @@ def _seed_coord(point, coord, scalar):
     kind, i, a = coord
     if kind == "t":
         t = tuple(scalar if a == k else v for k, v in enumerate(point.t))
-        return raw_point(t, point.x, point.v)
+        return JetPoint(t, point.x, point.v)
     if kind == "x":
         x = tuple(scalar if i == k else v for k, v in enumerate(point.x))
-        return raw_point(point.t, x, point.v)
+        return JetPoint(point.t, x, point.v)
     v = tuple(
         tuple(scalar if (i == r and a == c) else val for c, val in enumerate(row))
         if r == i else row
         for r, row in enumerate(point.v)
     )
-    return raw_point(point.t, point.x, v)
+    return JetPoint(point.t, point.x, v)
 
 
 def lift_d2(point, w1, w2):
@@ -631,7 +631,7 @@ def _dense_gradient_hessian(f, point, coords, pairs):
     x = tuple(seeded.get(x_coord(i), val) for i, val in enumerate(point.x))
     v = tuple(tuple(seeded.get(v_coord(i, a), val) for a, val in enumerate(row))
               for i, row in enumerate(point.v))
-    r = f(raw_point(t, x, v))
+    r = f(JetPoint(t, x, v))
     if type(r) is DenseTaylor2:
         return r.g, r.h
     return [0.0] * k, [0.0] * len(pairs[0])
@@ -1359,8 +1359,8 @@ class TestArrayLeaves:
                                     dims)
             rows = [[rng.uniform(-1.0, 1.0) for _ in range(2 + 2 + 4)] for _ in range(size)]
             cols = [np.array(c) for c in zip(*rows)]
-            batch = raw_point(tuple(cols[:2]), tuple(cols[2:4]),
-                              ((cols[4], cols[5]), (cols[6], cols[7])))
+            batch = JetPoint(tuple(cols[:2]), tuple(cols[2:4]),
+                            ((cols[4], cols[5]), (cols[6], cols[7])))
             points = [JetPoint(r[:2], r[2:4], (r[4:6], r[6:8])) for r in rows]
 
             def each(points=points, field=field):

@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from jetlag import calculus, cartan, metric_engine, regularity, scalars, verify
+from jetlag import calculus, cartan, curvature, metric_engine, regularity, scalars, verify
 from jetlag.calculus import v_coord, x_coord
 from jetlag.config import assemble
 
@@ -70,22 +70,36 @@ def _product_kernel_without_its_mirrored_cross_term(monkeypatch):
     monkeypatch.setattr(scalars, "_KERNELS", {})
 
 
-def _perturbed_cartan_l(monkeypatch, p):
-    """Make the Cartan closure's L^0_00 wrong: ``cartan.christoffel``
+def _perturbed_cartan_l(monkeypatch, p, k=0):
+    """Make the Cartan closure's L^0_0k wrong: ``cartan.christoffel``
     returns it scaled by 1 + ``_CHRISTOFFEL_PERTURBATION`` plus that
     amount.  The p = 1 closure builds L and then C through it, the p >= 2
-    closure only L."""
+    closure only L.  With k = 1 L^0_01 no longer equals L^0_10."""
     christoffel = cartan.christoffel
     calls = itertools.count()
 
     def mutated(inv, d):
         out = christoffel(inv, d)
         if p >= 2 or next(calls) % 2 == 0:
-            out[0][0][0] = out[0][0][0] * (1.0 + _CHRISTOFFEL_PERTURBATION) \
+            out[0][0][k] = out[0][0][k] * (1.0 + _CHRISTOFFEL_PERTURBATION) \
                 + _CHRISTOFFEL_PERTURBATION
         return out
 
     monkeypatch.setattr(cartan, "christoffel", mutated)
+
+
+def _riemann_without_its_last_term(monkeypatch):
+    """Make the ``riemann`` that the curvature tables build the temporal
+    curvature with drop the last product term, -Ch^e_{mb} Ch^c_{ea}, of
+    R^c_{mab}, so that R is no longer antisymmetric in (a, b)."""
+
+    def mutated(ch, dch):
+        r = range(len(ch))
+        return [[[[dch[b][c][m][a] - dch[a][c][m][b]
+                   + sum(ch[e][m][a] * ch[c][e][b] for e in r) for b in r]
+                  for a in r] for m in r] for c in r]
+
+    monkeypatch.setattr(curvature, "riemann", mutated)
 
 
 def _jets_of_the_next_base_point(monkeypatch):
@@ -201,6 +215,28 @@ def test_cartan_metric_compatibility_fails_on_a_wrong_christoffel_symbol(
         monkeypatch, kind, p, n):
     _fails_under(monkeypatch, "cartan_metric_compatibility",
                  lambda mp: _perturbed_cartan_l(mp, p), corpus_config(kind, p, n, count=4))
+
+
+@pytest.mark.parametrize("check", ("cartan_coefficient_symmetry", "table_zero_audit"))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p, n", [(p, n) for p, n in CORPUS_DIMS if n >= 2])
+def test_check_fails_on_an_asymmetric_christoffel_symbol(monkeypatch, check, kind, p, n):
+    # with n = 1 L has no off-diagonal pair to make asymmetric
+    _fails_under(monkeypatch, check, lambda mp: _perturbed_cartan_l(mp, p, k=1),
+                 corpus_config(kind, p, n, count=4))
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "harmonic"])
+@pytest.mark.parametrize("p, n", CORPUS_DIMS)
+def test_torsion_curvature_antisymmetry_fails_on_a_riemann_missing_a_term(
+        monkeypatch, kind, p, n):
+    """The mutation reaches the temporal curvature tt_t, the one family
+    built by ``riemann``.  The check's torsion half cannot fail: tt_v and
+    mm_v are built as X - X^T, antisymmetric whatever X is.  The harmonic
+    configs have a flat h, where H = 0 and tt_t vanishes with or without
+    the term."""
+    _fails_under(monkeypatch, "torsion_curvature_antisymmetry",
+                 _riemann_without_its_last_term, corpus_config(kind, p, n, count=4))
 
 
 @pytest.mark.parametrize("config", _configs(min_p=2))
