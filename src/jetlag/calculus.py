@@ -16,7 +16,6 @@ evaluation, in the order of the point-by-point formulas.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -202,23 +201,30 @@ def _stencil(point: JetPoint, coords):
     return batch, h1, h2
 
 
-@dataclass
 class CrosscheckEntry:
-    coords: tuple
-    order: int
-    forward: float
-    central: float
-    discrepancy: float
-    ok: bool
+    """One partial, forward-mode against central difference."""
+
+    __slots__ = ("coords", "order", "forward", "central", "discrepancy", "ok")
+
+    def __init__(self, coords: tuple, order: int, forward: float, central: float,
+                 discrepancy: float, ok: bool):
+        self.coords = coords
+        self.order = order
+        self.forward = forward
+        self.central = central
+        self.discrepancy = discrepancy
+        self.ok = ok
 
 
-@dataclass
 class CrosscheckReport:
     """Forward-mode vs central-difference agreement at one point."""
 
-    entries: list = field(default_factory=list)
-    max_rel_discrepancy: float = 0.0
-    passed: bool = True
+    __slots__ = ("entries", "max_rel_discrepancy", "passed")
+
+    def __init__(self):
+        self.entries = []
+        self.max_rel_discrepancy = 0.0
+        self.passed = True
 
 
 _ABS_FLOOR = 1e-8

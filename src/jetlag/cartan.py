@@ -22,7 +22,6 @@ with the test oracles in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .calculus import all_coords, field_jacobian, structure_values, t_coord, v_coord, x_coord
@@ -57,17 +56,19 @@ class Coefficients(NamedTuple):
     n: list     # [i][a][j]
 
 
-@dataclass
 class LinearConnectionPack:
     """An h-normal linear connection: the four effective coefficient fields
     (with the M, N below them) and the spatial metric they were built over.
     The derived vertical coefficients are delta-combinations of these four."""
 
-    dims: Dims
-    kind: str                  # "cartan" | "berwald" | "custom"
-    coefficients_at: object    # JetPoint -> Coefficients
-    g_matrix_at: object        # JetPoint -> n x n spatial metric values
-    h: TemporalMetric
+    __slots__ = ("dims", "kind", "coefficients_at", "g_matrix_at", "h")
+
+    def __init__(self, dims: Dims, kind: str, coefficients_at, g_matrix_at, h: TemporalMetric):
+        self.dims = dims
+        self.kind = kind                        # "cartan" | "berwald" | "custom"
+        self.coefficients_at = coefficients_at  # JetPoint -> Coefficients
+        self.g_matrix_at = g_matrix_at          # JetPoint -> n x n spatial metric values
+        self.h = h
 
 
 # --- Cartan construction -------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 
 from . import dsl
 from .errors import ConfigError, DslError
@@ -95,23 +94,28 @@ def _symmetric_matrix_of_expressions(raw, size, dims, path, allow):
                     f"{lower.source!r} are asymmetric; using their average",
                     stacklevel=2)
                 upper = ExpressionField(
-                    dsl.Mul(dsl.Add(upper.ast, lower.ast), dsl.Const(0.5)), dims)
+                    dsl.Mul(dsl.Add(upper.ast, lower.ast, offset=0), dsl.Const(0.5, offset=0),
+                            offset=0), dims)
             out[i][j] = out[j][i] = upper
     return out
 
 
-@dataclass
 class ProblemInstance:
     """A fully assembled problem: everything the commands operate on."""
 
-    raw: dict
-    dims: Dims
-    h: TemporalMetric
-    L: LagrangianModel
-    sampling: dict
-    tolerances: dict
-    solver: dict | None = None
-    grid: dict | None = None
+    __slots__ = ("raw", "dims", "h", "L", "sampling", "tolerances", "solver", "grid")
+
+    def __init__(self, raw: dict, dims: Dims, h: TemporalMetric, L: LagrangianModel,
+                 sampling: dict, tolerances: dict, solver: dict | None = None,
+                 grid: dict | None = None):
+        self.raw = raw
+        self.dims = dims
+        self.h = h
+        self.L = L
+        self.sampling = sampling
+        self.tolerances = tolerances
+        self.solver = solver
+        self.grid = grid
 
     @property
     def seed(self) -> int:

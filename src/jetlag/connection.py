@@ -26,7 +26,6 @@ on a lifted point.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -216,19 +215,22 @@ def harmonic_form(hinv, hch, xa, xab, g_vec) -> list:
 # --- Spray coefficient packages -------------------------------------------------
 
 
-@dataclass
 class SprayPack:
     """Point values of the canonical spray: entity vectors plus the temporal
     and spatial coefficient blocks (and the trace-normalized tensor part for
     p >= 2)."""
 
-    S: np.ndarray
-    Hc: np.ndarray
-    J: np.ndarray
-    Gc: np.ndarray
-    H_temporal: DTensor
-    G_spatial: DTensor
-    T_tensor: DTensor | None
+    __slots__ = ("S", "Hc", "J", "Gc", "H_temporal", "G_spatial", "T_tensor")
+
+    def __init__(self, S: np.ndarray, Hc: np.ndarray, J: np.ndarray, Gc: np.ndarray,
+                 H_temporal: DTensor, G_spatial: DTensor, T_tensor: DTensor | None):
+        self.S = S
+        self.Hc = Hc
+        self.J = J
+        self.Gc = Gc
+        self.H_temporal = H_temporal
+        self.G_spatial = G_spatial
+        self.T_tensor = T_tensor
 
 
 def spray_entities(L, h: TemporalMetric, point: JetPoint,

@@ -18,8 +18,6 @@ asserted by ``table_zero_audit``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .calculus import all_coords, field_jacobian, structure_values, t_coord, vertical_coords, x_coord
@@ -102,26 +100,28 @@ def _product(spec, x, y):
 # --- Torsion -----------------------------------------------------------------
 
 
-@dataclass
 class TorsionTable:
     """The nine possibly-nonzero torsion families, keyed by the block row
     (tt/mt/mm/vt/vm/vv) and output column (m: spatial, v: vertical), and the
     frame they were read from."""
 
-    tt_v: DTensor  # R^{(m)}_{(mu) a b}
-    mt_m: DTensor  # T^m_{a j}
-    mt_v: DTensor  # R^{(m)}_{(mu) a j}
-    mm_m: DTensor  # T^m_{ij}
-    mm_v: DTensor  # R^{(m)}_{(mu) i j}
-    vt_v: DTensor  # P^{(m)(b)}_{(mu) a (j)}
-    vm_m: DTensor  # P^{m(b)}_{i(j)}
-    vm_v: DTensor  # P^{(m)(b)}_{(mu) i (j)}
-    vv_v: DTensor  # S^{(m)(a)(b)}_{(mu)(i)(j)}
-    frame: _Frame = field(repr=False, compare=False)
+    _FAMILIES = ("tt_v", "mt_m", "mt_v", "mm_m", "mm_v", "vt_v", "vm_m", "vm_v", "vv_v")
+    __slots__ = _FAMILIES + ("frame",)
+
+    def __init__(self, tt_v, mt_m, mt_v, mm_m, mm_v, vt_v, vm_m, vm_v, vv_v, frame: _Frame):
+        self.tt_v = tt_v  # R^{(m)}_{(mu) a b}
+        self.mt_m = mt_m  # T^m_{a j}
+        self.mt_v = mt_v  # R^{(m)}_{(mu) a j}
+        self.mm_m = mm_m  # T^m_{ij}
+        self.mm_v = mm_v  # R^{(m)}_{(mu) i j}
+        self.vt_v = vt_v  # P^{(m)(b)}_{(mu) a (j)}
+        self.vm_m = vm_m  # P^{m(b)}_{i(j)}
+        self.vm_v = vm_v  # P^{(m)(b)}_{(mu) i (j)}
+        self.vv_v = vv_v  # S^{(m)(a)(b)}_{(mu)(i)(j)}
+        self.frame = frame
 
     def families(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "tt_v", "mt_m", "mt_v", "mm_m", "mm_v", "vt_v", "vm_m", "vm_v", "vv_v")}
+        return {k: getattr(self, k) for k in self._FAMILIES}
 
     def to_json_dict(self) -> dict:
         return {k: v.to_json_dict() for k, v in self.families().items()}
@@ -163,29 +163,31 @@ def torsion_table(pack: LinearConnectionPack, point: JetPoint) -> TorsionTable:
 # --- Curvature ----------------------------------------------------------------
 
 
-@dataclass
 class CurvatureTable:
     """The seven effective curvature families plus the delta-lifted vertical
     column (assembled exactly from the effective ones)."""
 
-    tt_t: DTensor  # H^a_{eta b c}
-    tt_m: DTensor  # R^l_{i b c}
-    mt_m: DTensor  # R^l_{i b k}
-    mm_m: DTensor  # R^l_{i j k}
-    vt_m: DTensor  # P^{l (c)}_{i b (k)}
-    vm_m: DTensor  # P^{l (c)}_{i j (k)}
-    vv_m: DTensor  # S^{l (b)(c)}_{i (j)(k)}
-    tt_v: DTensor
-    mt_v: DTensor
-    mm_v: DTensor
-    vt_v: DTensor
-    vm_v: DTensor
-    vv_v: DTensor
+    __slots__ = ("tt_t", "tt_m", "mt_m", "mm_m", "vt_m", "vm_m", "vv_m",
+                 "tt_v", "mt_v", "mm_v", "vt_v", "vm_v", "vv_v")
+
+    def __init__(self, tt_t, tt_m, mt_m, mm_m, vt_m, vm_m, vv_m,
+                 tt_v, mt_v, mm_v, vt_v, vm_v, vv_v):
+        self.tt_t = tt_t  # H^a_{eta b c}
+        self.tt_m = tt_m  # R^l_{i b c}
+        self.mt_m = mt_m  # R^l_{i b k}
+        self.mm_m = mm_m  # R^l_{i j k}
+        self.vt_m = vt_m  # P^{l (c)}_{i b (k)}
+        self.vm_m = vm_m  # P^{l (c)}_{i j (k)}
+        self.vv_m = vv_m  # S^{l (b)(c)}_{i (j)(k)}
+        self.tt_v = tt_v
+        self.mt_v = mt_v
+        self.mm_v = mm_v
+        self.vt_v = vt_v
+        self.vm_v = vm_v
+        self.vv_v = vv_v
 
     def families(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "tt_t", "tt_m", "mt_m", "mm_m", "vt_m", "vm_m", "vv_m",
-            "tt_v", "mt_v", "mm_v", "vt_v", "vm_v", "vv_v")}
+        return {k: getattr(self, k) for k in self.__slots__}
 
     def to_json_dict(self) -> dict:
         return {k: v.to_json_dict() for k, v in self.families().items()}
@@ -298,14 +300,19 @@ CURVATURE_ZERO_CELLS = {
 AUDIT_TOL = 1e-7
 
 
-@dataclass
 class ZeroAuditReport:
-    kind: str
-    p: int
-    worst: float
-    worst_cell: str
-    per_cell: dict
-    passed: bool
+    """The worst declared-zero cell of a pack's tables, and each cell's."""
+
+    __slots__ = ("kind", "p", "worst", "worst_cell", "per_cell", "passed")
+
+    def __init__(self, kind: str, p: int, worst: float, worst_cell: str, per_cell: dict,
+                 passed: bool):
+        self.kind = kind
+        self.p = p
+        self.worst = worst
+        self.worst_cell = worst_cell
+        self.per_cell = per_cell
+        self.passed = passed
 
     def to_json_dict(self) -> dict:
         return {

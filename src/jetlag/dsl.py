@@ -15,8 +15,6 @@ multiplication, no user-defined functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DslSemanticError, DslSyntaxError
 from .jet_core import Dims
 from . import scalars
@@ -36,13 +34,44 @@ _FUNC_IMPL = {
 }
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class _Located:
+    """Base of the AST nodes and ParseDiagnostic: a slotted record of the
+    fields ``_fields``, given positionally, plus the source ``offset``, by
+    keyword (0 for a node built outside the parser).  The fields compare in
+    order and equal records hash equal; the offset is kept for diagnostics
+    but left out of both, so an AST compares structurally.  Records are
+    immutable by convention.  Plain classes rather than dataclasses, so
+    that importing the language compiles no generated source."""
+
+    __slots__ = ("offset",)
+    _fields = ()
+
+    def __init__(self, *values, offset: int):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes fields {self._fields}")
+        for name, value in zip(self._fields, values):
+            setattr(self, name, value)
+        self.offset = offset
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((self.__class__, self._key()))
+
+
+class ParseDiagnostic(_Located):
     """Where parsing failed, what went wrong, and which tokens would fit."""
 
-    offset: int
-    message: str
-    expected: frozenset = frozenset()
+    __slots__ = _fields = ("message", "expected")
+
+    def __init__(self, offset: int, message: str, expected: frozenset = frozenset()):
+        super().__init__(message, expected, offset=offset)
 
     def __str__(self):
         if self.expected:
@@ -58,80 +87,50 @@ class ParseDiagnostic:
 
 
 # --- AST ------------------------------------------------------------------
-# Offsets are kept for diagnostics but excluded from structural equality.
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
-    offset: int = field(default=0, compare=False)
+class Const(_Located):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class VarT:
-    alpha: int  # 0-based
-    offset: int = field(default=0, compare=False)
+class VarT(_Located):
+    __slots__ = _fields = ("alpha",)  # 0-based
 
 
-@dataclass(frozen=True)
-class VarX:
-    i: int
-    offset: int = field(default=0, compare=False)
+class VarX(_Located):
+    __slots__ = _fields = ("i",)
 
 
-@dataclass(frozen=True)
-class VarV:
-    i: int
-    alpha: int
-    offset: int = field(default=0, compare=False)
+class VarV(_Located):
+    __slots__ = _fields = ("i", "alpha")
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-    offset: int = field(default=0, compare=False)
+class Add(_Located):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-    offset: int = field(default=0, compare=False)
+class Sub(_Located):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-    offset: int = field(default=0, compare=False)
+class Mul(_Located):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-    offset: int = field(default=0, compare=False)
+class Div(_Located):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    left: object
-    right: object
-    offset: int = field(default=0, compare=False)
+class Pow(_Located):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
-    offset: int = field(default=0, compare=False)
+class Neg(_Located):
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
-class Func:
-    name: str
-    arg: object
-    offset: int = field(default=0, compare=False)
+class Func(_Located):
+    __slots__ = _fields = ("name", "arg")
 
 
 ExprAst = object  # any of the node classes above

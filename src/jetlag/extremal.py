@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,33 +27,40 @@ from .metric_engine import TemporalMetric, h_christoffel_values
 # --- p = 1: extremal integration ---------------------------------------------
 
 
-@dataclass
 class ExtremalProblem:
-    L: object
-    h: TemporalMetric
-    t0: float
-    x0: tuple
-    y0: tuple
-    t_end: float
-    dt: float
+    """Initial state (t0, x0, y0 = x'(t0)) of an extremal of L over h, to be
+    integrated up to t_end in steps of dt."""
 
-    def __post_init__(self):
-        if self.h.p != 1:
+    __slots__ = ("L", "h", "t0", "x0", "y0", "t_end", "dt")
+
+    def __init__(self, L, h: TemporalMetric, t0: float, x0: tuple, y0: tuple, t_end: float,
+                 dt: float):
+        if h.p != 1:
             raise DimensionError("extremal integration needs p = 1")
-        if self.dt <= 0:
+        if dt <= 0:
             raise DimensionError("dt must be positive")
+        self.L = L
+        self.h = h
+        self.t0 = t0
+        self.x0 = x0
+        self.y0 = y0
+        self.t_end = t_end
+        self.dt = dt
 
 
-@dataclass
 class Trajectory:
     """Uniformly sampled (t, x, y) states plus a residual summary."""
 
-    t: np.ndarray       # (steps+1,)
-    x: np.ndarray       # (steps+1, n)
-    y: np.ndarray       # (steps+1, n)
-    aborted: bool = False
-    abort_reason: str = ""
-    el_residuals: np.ndarray = None  # interior-sample residual norms
+    __slots__ = ("t", "x", "y", "aborted", "abort_reason", "el_residuals")
+
+    def __init__(self, t: np.ndarray, x: np.ndarray, y: np.ndarray, aborted: bool = False,
+                 abort_reason: str = ""):
+        self.t = t  # (steps+1,)
+        self.x = x  # (steps+1, n)
+        self.y = y  # (steps+1, n)
+        self.aborted = aborted
+        self.abort_reason = abort_reason
+        self.el_residuals = None  # interior-sample residual norms, once measured
 
     @property
     def max_el_residual(self) -> float:
@@ -172,28 +178,27 @@ def trajectory_el_residuals(L, h: TemporalMetric, traj: Trajectory) -> np.ndarra
 # --- p >= 2: lattice residuals --------------------------------------------------
 
 
-@dataclass
 class GridMap:
     """A candidate map T -> M sampled on a rectangular lattice."""
 
-    dims: Dims
-    box: list            # p pairs (lo, hi)
-    shape: tuple         # p ints, each >= 5
-    values: np.ndarray   # shape (*shape, n)
-    spacing: tuple = field(init=False)
+    __slots__ = ("dims", "box", "shape", "values", "spacing")
 
-    def __post_init__(self):
-        p, n = self.dims.p, self.dims.n
-        if len(self.shape) != p or len(self.box) != p:
+    def __init__(self, dims: Dims, box: list, shape: tuple, values: np.ndarray):
+        p, n = dims.p, dims.n
+        if len(shape) != p or len(box) != p:
             raise DimensionError("grid shape/box rank must equal p")
-        if any(s < 5 for s in self.shape):
+        if any(s < 5 for s in shape):
             raise StencilError("need at least 5 nodes per axis")
-        if self.values.shape != tuple(self.shape) + (n,):
+        if values.shape != tuple(shape) + (n,):
             raise DimensionError(
-                f"values shape {self.values.shape} != {tuple(self.shape) + (n,)}"
+                f"values shape {values.shape} != {tuple(shape) + (n,)}"
             )
+        self.dims = dims
+        self.box = box        # p pairs (lo, hi)
+        self.shape = shape    # p ints, each >= 5
+        self.values = values  # shape (*shape, n)
         self.spacing = tuple(
-            (hi - lo) / (s - 1) for (lo, hi), s in zip(self.box, self.shape)
+            (hi - lo) / (s - 1) for (lo, hi), s in zip(box, shape)
         )
 
     @classmethod
@@ -248,15 +253,18 @@ def _central_differences(grid: GridMap):
     return centre.tolist(), first.tolist(), second.tolist()
 
 
-@dataclass
 class ResidualField:
     """Interior-node residuals of the harmonic-map equations."""
 
-    indices: list
-    points: list         # node t-tuples
-    residuals: np.ndarray  # (len(indices), n)
-    max_norm: float
-    rms: float
+    __slots__ = ("indices", "points", "residuals", "max_norm", "rms")
+
+    def __init__(self, indices: list, points: list, residuals: np.ndarray, max_norm: float,
+                 rms: float):
+        self.indices = indices
+        self.points = points        # node t-tuples
+        self.residuals = residuals  # (len(indices), n)
+        self.max_norm = max_norm
+        self.rms = rms
 
 
 def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:

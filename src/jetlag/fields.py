@@ -7,8 +7,6 @@ floats and for the derivative scalars in ``scalars``; everything downstream
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dsl
 from .errors import EvalDomainError
 from .jet_core import Dims, JetPoint
@@ -115,13 +113,15 @@ class ElectrodynamicsLagrangian:
         return f"ElectrodynamicsLagrangian(p={self.dims.p}, n={self.dims.n})"
 
 
-@dataclass
 class LagrangianModel:
     """A Lagrangian plus what is known about its provenance."""
 
-    dims: Dims
-    field: object  # JetPoint -> scalar
-    structure: ElectrodynamicsLagrangian = None
+    __slots__ = ("dims", "field", "structure")
+
+    def __init__(self, dims: Dims, field, structure: ElectrodynamicsLagrangian | None = None):
+        self.dims = dims
+        self.field = field  # JetPoint -> scalar
+        self.structure = structure
 
     def __call__(self, point: JetPoint):
         return self.field(point)

@@ -10,23 +10,34 @@ as i*p + a.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
 
 
-@dataclass(frozen=True)
 class Dims:
-    """Dimensions (p, n) of the temporal and spatial factors."""
+    """Dimensions (p, n) of the temporal and spatial factors; compared and
+    hashed by value (a cache key of ``calculus.all_coords``)."""
 
-    p: int
-    n: int
+    __slots__ = ("p", "n")
 
-    def __post_init__(self):
-        if self.p < 1 or self.n < 1:
-            raise DimensionError(f"dims must be positive, got p={self.p}, n={self.n}")
+    def __init__(self, p: int, n: int):
+        if p < 1 or n < 1:
+            raise DimensionError(f"dims must be positive, got p={p}, n={n}")
+        self.p = p
+        self.n = n
+
+    def __eq__(self, other):
+        if other.__class__ is not Dims:
+            return NotImplemented
+        return self.p == other.p and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.p, self.n))
+
+    def __repr__(self):
+        return f"Dims(p={self.p}, n={self.n})"
 
 
 class JetPoint:
@@ -78,7 +89,6 @@ class SlotKind(enum.Enum):
         self.family = value.rsplit("_", 1)[0]  # "temporal", "spatial" or "vertical"
 
 
-@dataclass(frozen=True)
 class IndexSlot:
     """One tensor index with its valence and extent.
 
@@ -86,18 +96,19 @@ class IndexSlot:
     or by an (i, a) pair; the pair flattens as i*p + a.
     """
 
-    kind: SlotKind
-    n: int = 0
-    p: int = 0
+    __slots__ = ("kind", "n", "p")
 
-    def __post_init__(self):
-        fam = self.kind.family
-        if fam == "temporal" and self.p < 1:
+    def __init__(self, kind: SlotKind, n: int = 0, p: int = 0):
+        fam = kind.family
+        if fam == "temporal" and p < 1:
             raise DimensionError("temporal slot needs p >= 1")
-        if fam == "spatial" and self.n < 1:
+        if fam == "spatial" and n < 1:
             raise DimensionError("spatial slot needs n >= 1")
-        if fam == "vertical" and (self.n < 1 or self.p < 1):
+        if fam == "vertical" and (n < 1 or p < 1):
             raise DimensionError("vertical slot needs n, p >= 1")
+        self.kind = kind
+        self.n = n
+        self.p = p
 
     @property
     def extent(self) -> int:
@@ -146,7 +157,6 @@ def vertical_lower(n, p):
     return IndexSlot(SlotKind.VERTICAL_LOWER, n=n, p=p)
 
 
-@dataclass
 class DTensor:
     """Dense multi-index array with declared slot valences.
 
@@ -154,8 +164,7 @@ class DTensor:
     buffer is shared read-only across threads.
     """
 
-    slots: tuple
-    data: np.ndarray = field(repr=False)
+    __slots__ = ("slots", "data")
 
     def __init__(self, slots, data=None):
         slots = tuple(slots)

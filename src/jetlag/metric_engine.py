@@ -8,7 +8,6 @@ curvature code can push derivative scalars straight through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -208,17 +207,19 @@ def _t_partials(fn, ts):
     return value, [jac[c] for c in coords]
 
 
-@dataclass
 class TemporalMetric:
     """Semi-Riemannian metric h on the temporal factor: ``matrix`` maps a
     t-tuple to the symmetric p x p matrix of h there, evaluated once per
     ``matrix_at``.  A ``constant`` metric is evaluated once, at t = 0."""
 
-    p: int
-    matrix: object  # ts -> p x p
-    signature: tuple = None
-    constant: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("p", "matrix", "signature", "constant", "_cache")
+
+    def __init__(self, p: int, matrix, signature: tuple | None = None, constant: bool = False):
+        self.p = p
+        self.matrix = matrix  # ts -> p x p
+        self.signature = signature
+        self.constant = constant
+        self._cache = {}
 
     @classmethod
     def flat(cls, p: int) -> "TemporalMetric":

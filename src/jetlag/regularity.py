@@ -11,8 +11,8 @@ decomposition recovers and verifies by reassembly.
 from __future__ import annotations
 
 import functools
+import math
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .calculus import field_jacobian, gradient_hessian, t_coord, v_coord, vertical_coords, x_coord
@@ -126,28 +126,37 @@ def g_from_hessian(L, h: TemporalMetric, point: JetPoint):
 # --- Block-regularity verdict ------------------------------------------------
 
 
-@dataclass
 class SampleRecord:
-    point: JetPoint
-    residual: float
-    symmetry_dev: float
-    det: float
-    signature: tuple | None
-    issue: str = ""
+    """What the block-factorization test measured at one sample."""
+
+    __slots__ = ("point", "residual", "symmetry_dev", "det", "signature", "issue")
+
+    def __init__(self, point: JetPoint, residual: float, symmetry_dev: float, det: float,
+                 signature: tuple | None, issue: str = ""):
+        self.point = point
+        self.residual = residual
+        self.symmetry_dev = symmetry_dev
+        self.det = det
+        self.signature = signature
+        self.issue = issue
 
 
-@dataclass
 class RegularityVerdict:
     """Outcome of the sampled block-factorization test."""
 
-    is_kronecker: bool
-    max_block_residual: float
-    velocity_dependent_g: bool
-    signature: tuple | None
-    samples: list = field(default_factory=list)
-    g_estimates: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-    tol: float = DEFAULT_TOL
+    __slots__ = ("is_kronecker", "max_block_residual", "velocity_dependent_g", "signature",
+                 "samples", "g_estimates", "diagnostics", "tol")
+
+    def __init__(self, tol: float):
+        """An empty verdict that passes, to which the samples are added."""
+        self.is_kronecker = True
+        self.max_block_residual = 0.0
+        self.velocity_dependent_g = False
+        self.signature = None
+        self.samples = []
+        self.g_estimates = []
+        self.diagnostics = []
+        self.tol = tol
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,10 +186,13 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
                    tol: float = DEFAULT_TOL, seed: int = 0) -> RegularityVerdict:
     """Sampled test of the factorization G^{(ab)}_{(ij)} = h^{ab} g_ij.
 
-    Per sample: estimate g by the h-trace, measure the worst block residual,
-    check symmetry, non-degeneracy, and signature constancy; for p >= 2 an
-    additional velocity-redraw test decides whether g depends on v.
-    Degeneracies yield a false verdict with a diagnostic, not an exception.
+    Per sample: check that L itself is finite there (one evaluation on
+    plain floats; the Hessian of a NaN L can be finite), estimate g by the
+    h-trace, measure the worst block residual, check symmetry,
+    non-degeneracy, and signature constancy; for p >= 2 an additional
+    velocity-redraw test decides whether g depends on v.  Degeneracies and
+    a non-finite L yield a false verdict with a diagnostic, not an
+    exception.
     """
     if K < 1:
         raise DimensionError("sample count must be >= 1")
@@ -193,13 +205,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         for _ in range(K)
     ]
 
-    verdict = RegularityVerdict(
-        is_kronecker=True,
-        max_block_residual=0.0,
-        velocity_dependent_g=False,
-        signature=None,
-        tol=tol,
-    )
+    verdict = RegularityVerdict(tol)
     signatures = set()
     vdep_worst = 0.0
     n, p = dims.n, dims.p
@@ -212,11 +218,13 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
                                   for i in range(n) for a in range(p)
                                   for j in range(n) for b in range(p)))
         sym = nan_max(0.0, *(abs(g[i][j] - g[j][i]) for i in range(n) for j in range(n)))
-        issue = ""
+        value = L(point)
+        issue = "" if math.isfinite(value) else f"sample {idx}: L is not finite ({value})"
         try:
             _, det, sig = checked_inverse(g)
         except DegeneracyError as exc:
-            det, sig, issue = exc.det, None, f"sample {idx}: {exc}"
+            det, sig = exc.det, None
+            issue = issue or f"sample {idx}: {exc}"
         # Velocity dependence: redraw v at fixed (t, x), h is hmat there, and compare.
         for redraw in redraws[idx]:
             probe = JetPoint(point.t, point.x, redraw.v)
@@ -275,7 +283,6 @@ class DecompositionJet(NamedTuple):
     u_curl: list  # [i][a][j] = U^{(a)}_{(i)j} = d U^a_i/dx^j - d U^a_j/dx^i
 
 
-@dataclass
 class ElectrodynamicsDecomposition:
     """g, U, F fields with L = h^{ab} g_ij v^i_a v^j_b + U^a_i v^i_a + F,
     plus the jet at each base point and the verified reassembly residual.
@@ -285,11 +292,14 @@ class ElectrodynamicsDecomposition:
     (U, F) together, and ``jet_at`` everything the spray, N, the T-tensor
     and the Cartan closure read of the three."""
 
-    dims: Dims
-    g_field: object          # JetPoint -> n x n (reads t, x only)
-    potentials: object       # JetPoint -> (n x p U, scalar F) (reads t, x only)
-    jets: list = field(default_factory=list)  # DecompositionJet per base point
-    reassembly_residual: float = 0.0
+    __slots__ = ("dims", "g_field", "potentials", "jets", "reassembly_residual")
+
+    def __init__(self, dims: Dims, g_field, potentials):
+        self.dims = dims
+        self.g_field = g_field        # JetPoint -> n x n (reads t, x only)
+        self.potentials = potentials  # JetPoint -> (n x p U, scalar F) (reads t, x only)
+        self.jets = []                # DecompositionJet per base point, as they are verified
+        self.reassembly_residual = 0.0
 
     def jet_at(self, point: JetPoint) -> DecompositionJet:
         """g, U, F at ``point`` and their partials along every x and t, from

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +20,17 @@ from .regularity import REASSEMBLY_TOL, electrodynamics_decompose, kronecker_tes
 from .scalars import nan_max, scalar_value
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    worst: float
-    tol: float
-    detail: str = ""
+    """One invariant's outcome: its worst measured value against ``tol``."""
+
+    __slots__ = ("name", "passed", "worst", "tol", "detail")
+
+    def __init__(self, name: str, passed: bool, worst: float, tol: float, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.worst = worst
+        self.tol = tol
+        self.detail = detail
 
     def to_json_dict(self) -> dict:
         return {

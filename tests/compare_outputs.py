@@ -10,7 +10,9 @@ the 27 corpus configs of ``conftest`` (``count=4``), the quartic
 (six with a solver; one p = 2 with velocity-linear terms), two metrics
 that vanish along an extremal (g = x1 and g = x1^2), an extremal that
 overflows under a constant g, a Lagrangian that is NaN away from x1 = 0
-(``v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10``), an indefinite
+(``v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10``), one that is finite on its
+sampling box but NaN at the fixed point (``v1_1^2 + 1e300*x1^3*1e10 -
+1e300*x1^3*1e10``, box [-0.2, 0.2]), an indefinite
 temporal metric with a zero diagonal and a p = 2 temporal metric with
 t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
@@ -84,6 +86,7 @@ def configs() -> dict:
         CORPUS_DIMS,
         KINDS,
         corpus_config,
+        nan_at_point_config,
         nan_lagrangian_config,
         potentials_config,
         quartic_config,
@@ -138,6 +141,8 @@ def configs() -> dict:
                                  solver={"t_end": 2.0, "dt": 0.01,
                                          "initial": {"t": 0.0, "x": [1.0], "y": [1.0]}})
     out["nan_lagrangian"] = nan_lagrangian_config()
+    # finite on its samples, NaN at the point: connection's spray check
+    out["nan_at_point"] = nan_at_point_config()
     out["indefinite_h"] = {
         "dims": {"p": 2, "n": 1},
         "lagrangian": {"kind": "harmonic", "g_entries": [["1 + x1^2"]]},

@@ -115,6 +115,19 @@ def nan_lagrangian_config() -> dict:
     }
 
 
+def nan_at_point_config() -> dict:
+    """A p = n = 1 Lagrangian that is finite on its sampling box
+    [-0.2, 0.2] but NaN (inf - inf) where |x1| > 0.26, as at the point
+    x1 = 0.5, and whose vertical Hessian is that of v1_1^2."""
+    return {
+        "dims": {"p": 1, "n": 1},
+        "lagrangian": {"kind": "expression",
+                       "expression": "v1_1^2 + 1e300*x1^3*1e10 - 1e300*x1^3*1e10"},
+        "temporal_metric": {"kind": "flat"},
+        "sampling": {"box": [-0.2, 0.2], "count": 4, "seed": 0},
+    }
+
+
 def non_finite_lattice_configs() -> dict:
     """Name -> p = 2, n = 1 lattice whose residuals are NaN at every
     interior node of its 5 x 5 grid: a potential F that is NaN wherever

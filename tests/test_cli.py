@@ -9,6 +9,7 @@ from jetlag.cli import EX_IRREGULAR, EX_OK, EX_USAGE, EX_VERIFY_FAIL, run
 
 from conftest import (
     corpus_config,
+    nan_at_point_config,
     nan_lagrangian_config,
     non_finite_lattice_configs,
     quartic_config,
@@ -35,30 +36,43 @@ class TestExitCodes:
         rep = json.loads(capsys.readouterr().out)
         assert rep["regularity"]["is_kronecker"] is False
 
-    def test_analyze_reports_a_nan_reassembly_as_a_decomposition_error(self, tmp_path, capsys):
-        # L is NaN at every sample, its reassembly residual with it
+    def test_analyze_fails_the_gate_on_a_nan_lagrangian(self, tmp_path, capsys):
+        # the vertical Hessian is that of v1_1^2, but L is NaN at every sample
         path = write_config(tmp_path, nan_lagrangian_config())
-        assert run(["analyze", "--config", path]) == EX_OK
+        assert run(["analyze", "--config", path]) == EX_IRREGULAR
         rep = json.loads(capsys.readouterr().out)
-        assert rep["regularity"]["is_kronecker"] is True
-        assert rep["decomposition"] == {
-            "error": "reassembly residual nan exceeds 1.0e-08; "
-                     "the Lagrangian is not quadratic in the velocities"}
+        assert rep["regularity"]["is_kronecker"] is False
+        assert rep["regularity"]["diagnostics"] == [
+            f"sample {k}: L is not finite (nan)" for k in range(4)]
+        assert "decomposition" not in rep
 
-    def test_verify_keeps_the_nans_of_a_nan_lagrangian(self, tmp_path, capsys):
-        # every central difference of L is NaN, and so is the reassembly
-        # residual the decomposition measured
+    @pytest.mark.parametrize("command", ["connection", "torsion", "curvature"])
+    def test_point_commands_refuse_a_nan_lagrangian(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, nan_lagrangian_config())
+        assert run([command, "--config", path, "--point", "t=0.1;x=0.5;v=0.3"]) \
+            == EX_IRREGULAR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "Lagrangian is not block-regular; no canonical connection\n"
+
+    def test_verify_fails_regularity_on_a_nan_lagrangian(self, tmp_path, capsys):
+        # the gate fails and the checks behind it are skipped; every central
+        # difference of L is still NaN
         path = write_config(tmp_path, nan_lagrangian_config())
         assert run(["verify", "--config", path]) == EX_VERIFY_FAIL
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks["kronecker_regularity"]["passed"]
+        assert checks["kronecker_regularity"]["detail"].startswith(
+            "sample 0: L is not finite (nan); ")
+        assert not checks["downstream_invariants"]["passed"]
+        assert "decomposition_roundtrip" not in checks
         assert checks["ad_fd_crosscheck"]["worst"] == "NaN"
-        assert checks["decomposition_roundtrip"]["worst"] == "NaN"
         assert not checks["ad_fd_crosscheck"]["passed"]
 
     def test_connection_refuses_a_nan_spray(self, tmp_path, capsys):
-        # the vertical Hessian is that of v1_1^2, but every x-partial of L,
-        # and so S and G, is NaN away from x1 = 0
-        path = write_config(tmp_path, nan_lagrangian_config())
+        # L is finite on its samples, so it passes the gate, but at x1 = 0.5
+        # every x-partial of L, and so S and G, is NaN
+        path = write_config(tmp_path, nan_at_point_config())
         assert run(["connection", "--config", path, "--point", "t=0.1;x=0.5;v=0.3"]) \
             == EX_VERIFY_FAIL
         out = capsys.readouterr()

@@ -1,6 +1,5 @@
 """Sprays, the canonical nonlinear connection and adapted derivatives."""
 
-import dataclasses
 import math
 import random
 
@@ -23,7 +22,7 @@ from jetlag.metric_engine import (
     g_christoffel_values,
     h_christoffel_values,
 )
-from jetlag.regularity import electrodynamics_decompose, sample_points
+from jetlag.regularity import ElectrodynamicsDecomposition, electrodynamics_decompose, sample_points
 from jetlag.scalars import scalar_value
 
 from conftest import (
@@ -162,8 +161,9 @@ class TestSprayEntities:
         inst = assemble(config)
         deco = electrodynamics_decompose(inst.L, inst.h)
         calls = {"g": 0, "potentials": 0}
-        counting = dataclasses.replace(deco, g_field=counted(calls, "g", deco.g_field),
-                                       potentials=counted(calls, "potentials", deco.potentials))
+        counting = ElectrodynamicsDecomposition(
+            deco.dims, counted(calls, "g", deco.g_field),
+            counted(calls, "potentials", deco.potentials))
         pt = sample_points(inst.dims, [-1, 1], 1, seed=12)[0]
         jet = counting.jet_at(pt)
         assert calls == {"g": 1, "potentials": 1}

@@ -1,14 +1,13 @@
 """Torsion/curvature tables: closed forms vs generic formulas, zero audits,
 antisymmetries, classical reductions."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from jetlag.calculus import all_coords, field_jacobian, lift_d1, map_structure, t_coord, v_coord
-from jetlag.cartan import berwald_connection, cartan_connection
+from jetlag.cartan import LinearConnectionPack, berwald_connection, cartan_connection
 from jetlag.config import assemble
 from jetlag.connection import gcal_values
 from jetlag.curvature import _TABLES, curvature_table, table_zero_audit, torsion_table
@@ -339,7 +338,7 @@ class TestAsymmetricCPack:
     vv torsion family stops vanishing and must match its defining formula."""
 
     def _pack(self):
-        from jetlag.cartan import Coefficients, LinearConnectionPack
+        from jetlag.cartan import Coefficients
 
         def coefficients(point: JetPoint):
             y1 = point.v[0][0]
@@ -421,7 +420,7 @@ class TestOneFramePerPoint:
             calls.append(q)
             return pack.coefficients_at(q)
 
-        counting = dataclasses.replace(pack, coefficients_at=counted)
+        counting = LinearConnectionPack(pack.dims, pack.kind, counted, pack.g_matrix_at, pack.h)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
         curvature_table(torsion_table(counting, pt))
         assert len(calls) == 1  # one lift over every coordinate, its value the point's

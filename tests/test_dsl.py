@@ -125,7 +125,7 @@ class TestParse:
 
 class TestEval:
     def test_constant(self):
-        assert evaluate(dsl.Const(7.0), D21, pt(D21)) == 7.0
+        assert evaluate(dsl.Const(7.0, offset=0), D21, pt(D21)) == 7.0
 
     def test_square_of_negative(self):
         assert evaluate("v1_1^2", D12, pt(D12, v=((-2.0,), (0.0,)))) == 4.0
@@ -227,22 +227,23 @@ def random_ast(rng: random.Random, dims: Dims, depth: int):
     if depth <= 0:
         choice = rng.randrange(4)
         if choice == 0:
-            return dsl.Const(round(rng.uniform(0, 9), 3))
+            return dsl.Const(round(rng.uniform(0, 9), 3), offset=0)
         if choice == 1:
-            return dsl.VarT(rng.randrange(dims.p))
+            return dsl.VarT(rng.randrange(dims.p), offset=0)
         if choice == 2:
-            return dsl.VarX(rng.randrange(dims.n))
-        return dsl.VarV(rng.randrange(dims.n), rng.randrange(dims.p))
+            return dsl.VarX(rng.randrange(dims.n), offset=0)
+        return dsl.VarV(rng.randrange(dims.n), rng.randrange(dims.p), offset=0)
     kind = rng.randrange(8)
     if kind < 4:
         cls = (dsl.Add, dsl.Sub, dsl.Mul, dsl.Div)[kind]
-        return cls(random_ast(rng, dims, depth - 1), random_ast(rng, dims, depth - 1))
+        return cls(random_ast(rng, dims, depth - 1), random_ast(rng, dims, depth - 1), offset=0)
     if kind == 4:
-        return dsl.Neg(random_ast(rng, dims, depth - 1))
+        return dsl.Neg(random_ast(rng, dims, depth - 1), offset=0)
     if kind == 5:
-        return dsl.Pow(random_ast(rng, dims, depth - 1), dsl.Const(float(rng.randrange(0, 4))))
+        return dsl.Pow(random_ast(rng, dims, depth - 1),
+                       dsl.Const(float(rng.randrange(0, 4)), offset=0), offset=0)
     name = rng.choice(dsl.FUNCTIONS)
-    return dsl.Func(name, random_ast(rng, dims, depth - 1))
+    return dsl.Func(name, random_ast(rng, dims, depth - 1), offset=0)
 
 
 class TestRoundTrip:
@@ -252,7 +253,8 @@ class TestRoundTrip:
         for _ in range(1000):
             ast = random_ast(rng, dims, depth=rng.randrange(1, 5))
             text = dsl.format_ast(ast)
-            assert dsl.parse(text, dims) == ast, text
+            parsed = dsl.parse(text, dims)
+            assert parsed == ast and hash(parsed) == hash(ast), text
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -57,6 +57,10 @@ class TestJetPoint:
     def test_dims(self):
         pt = JetPoint((0.1, 0.2), (1.0,), ((0.5, 0.6),))
         assert pt.dims == Dims(2, 1)
+        assert pt.dims != Dims(1, 2) and hash(pt.dims) == hash(Dims(p=2, n=1))
+        assert repr(Dims(2, 3)) == "Dims(p=2, n=3)"
+        with pytest.raises(DimensionError, match=r"dims must be positive, got p=0, n=1"):
+            Dims(0, 1)
 
     def test_coord_reads_each_kind(self):
         pt = JetPoint((0.1,), (1.0, 2.0), ((0.5,), (0.6,)))

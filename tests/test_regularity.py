@@ -1,6 +1,5 @@
 """Vertical Hessian, block-regularity verdicts, quadratic decomposition."""
 
-import dataclasses
 import math
 import random
 
@@ -155,8 +154,9 @@ class TestKroneckerTest:
     def test_h_evaluated_once_per_sample(self, monkeypatch):
         # per sample h's matrix once, for the trace, its inverse and the 8
         # velocity redraws at the same t, and two factorizations, of h and
-        # of the g estimate; the other 36 evaluations, with their
-        # factorizations, are L's own (9 evaluations of L per sample)
+        # of the g estimate; the other 40 evaluations, with their
+        # factorizations, are L's own (10 evaluations of L per sample: its
+        # value on floats, its Hessian and the 8 redraws)
         inst = corpus_instance("non_autonomous", 2, 3, count=4)
         calls = {"matrix": 0, "factorizations": 0}
         inst.h.matrix = counted(calls, "matrix", inst.h.matrix)
@@ -165,7 +165,7 @@ class TestKroneckerTest:
             monkeypatch.setattr(module, "checked_inverse", factor)
         verdict = kronecker_test(inst.L, inst.h, inst.sampling["box"], K=4, seed=inst.seed)
         assert verdict.is_kronecker
-        assert calls == {"matrix": 40, "factorizations": 44}
+        assert calls == {"matrix": 44, "factorizations": 48}
 
 
 def _jet_reference(deco, pt):
@@ -234,7 +234,7 @@ class TestDecompositionJet:
     def test_one_jet_per_sample(self, monkeypatch, config, evaluations, lifts):
         inst = assemble(config)
         calls = {"L": 0, "lift_d1": 0}
-        L = dataclasses.replace(inst.L, field=counted(calls, "L", inst.L.field))
+        L = LagrangianModel(inst.L.dims, counted(calls, "L", inst.L.field), inst.L.structure)
         monkeypatch.setattr(calculus, "lift_d1", counted(calls, "lift_d1", calculus.lift_d1))
         deco = electrodynamics_decompose(L, inst.h)
         assert len(deco.jets) == 8

@@ -222,3 +222,20 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 for name, param, index in _defaulted_parameters(trees[path])
                 if not any(_passes(c, param, index) for c in calls.get(name, ()))]
     assert unpassed == []
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass compiles generated source for its methods when its module
+    # is imported, which every command pays for; records are plain classes
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                offenders.append(path.stem)
+    assert offenders == []
