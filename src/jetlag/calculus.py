@@ -127,26 +127,28 @@ def _position_layouts(pairs, coords: tuple, p: int, n: int):
 
 
 def gradient_hessian(f, point: JetPoint, coords, pairs=None):
-    """First and second partials of ``f`` along ``coords`` from one
-    evaluation on a Taylor2 lift: ``grad[s]`` is the partial along
-    coords[s] and ``hess[m]``, for the m-th pair (s, r) = (rows[m], cols[m])
-    of ``pairs`` (default the full triangle), the second partial along
-    coords[s] and coords[r], computed with coords[s] as the first
-    direction.  A pair outside the result's support reads 0.0, since it is
-    structurally zero; a pair not in ``pairs`` has no entry to read."""
+    """Value, first and second partials of ``f`` along ``coords`` from one
+    evaluation on a Taylor2 lift: the value is bitwise that of a plain call
+    (see ``scalars``), ``grad[s]`` is the partial along coords[s] and
+    ``hess[m]``, for the m-th pair (s, r) = (rows[m], cols[m]) of ``pairs``
+    (default the full triangle), the second partial along coords[s] and
+    coords[r], computed with coords[s] as the first direction.  A pair
+    outside the result's support reads 0.0, since it is structurally zero;
+    a pair not in ``pairs`` has no entry to read."""
     k = len(coords)
     if pairs is None:
         pairs = hessian_pairs(k)
     r = f(lift_taylor(point, coords, pairs))
     grad = [0.0] * k
     hess = [0.0] * len(pairs[0])
+    value = r
     if type(r) is Taylor2:
-        lay = r.layout
+        value, lay = r.re, r.layout
         for s, e in zip(lay.seeds, r.g):
             grad[s] = e
         for m, e in zip(lay.kept, r.h):
             hess[m] = e
-    return grad, hess
+    return value, grad, hess
 
 
 # --- Finite differences (cross-check only) ---------------------------------
@@ -246,7 +248,7 @@ def fd_crosscheck(f, point: JetPoint, dims: Dims, tol: float) -> CrosscheckRepor
     coords = all_coords(dims)
     k = len(coords)
     report = CrosscheckReport()
-    grad, hess = gradient_hessian(f, point, coords)
+    _, grad, hess = gradient_hessian(f, point, coords)
     batch, h1, h2 = _stencil(point, coords)
     # IEEE arithmetic on the arrays is that on floats, numpy's warnings aside
     with np.errstate(all="ignore"):

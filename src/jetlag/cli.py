@@ -5,8 +5,8 @@ verify.  Reports are canonical JSON on stdout (byte-identical for a fixed
 config and seed); trajectories and residual fields are CSV.  Exit codes:
 0 success (``--help`` and ``--version`` included), 1 failed verification,
 evaluation-domain error, aborted extremal, a spray that is not finite at
-the ``connection`` point or a ``residual`` that is not finite at a lattice
-node, 2 irregular Lagrangian,
+the point of ``connection``, ``torsion`` or ``curvature`` or a
+``residual`` that is not finite at a lattice node, 2 irregular Lagrangian,
 64 usage errors (a missing or unknown argument or command among them, a
 negative ``--seed`` and an ``--out`` path that cannot be written) and
 config errors.
@@ -163,6 +163,20 @@ def _coefficient_tables(co) -> dict:
     }
 
 
+def _finite_spray(instance: ProblemInstance, point: JetPoint, deco):
+    """The spray pack at ``point``, or None, with one line on stderr, where
+    an entry of it is not finite there."""
+    spray = spray_entities(instance.L, instance.h, point,
+                           None if deco is None else deco.jet_at(point))
+    for name, values in (("S", spray.S), ("H", spray.Hc), ("J", spray.J), ("G", spray.Gc),
+                         ("G_spatial", spray.G_spatial.data),
+                         ("H_temporal", spray.H_temporal.data)):
+        if not np.isfinite(values).all():
+            sys.stderr.write(f"error: spray.{name} is not finite at the point\n")
+            return None
+    return spray
+
+
 def cmd_connection(instance: ProblemInstance, args) -> int:
     verdict = _regularity_gate(instance)
     if not verdict.is_kronecker:
@@ -177,14 +191,9 @@ def cmd_connection(instance: ProblemInstance, args) -> int:
     report["cartan"] = _coefficient_tables(co)
     if berwald is not None:
         report["berwald"] = _coefficient_tables(berwald.coefficients_at(point))
-    spray = spray_entities(instance.L, instance.h, point,
-                           None if deco is None else deco.jet_at(point))
-    for name, values in (("S", spray.S), ("H", spray.Hc), ("J", spray.J), ("G", spray.Gc),
-                         ("G_spatial", spray.G_spatial.data),
-                         ("H_temporal", spray.H_temporal.data)):
-        if not np.isfinite(values).all():
-            sys.stderr.write(f"error: spray.{name} is not finite at the point\n")
-            return EX_VERIFY_FAIL
+    spray = _finite_spray(instance, point, deco)
+    if spray is None:
+        return EX_VERIFY_FAIL
     report["spray"] = {
         "S": list(spray.S),
         "H": list(spray.Hc),
@@ -203,7 +212,9 @@ def cmd_tables(instance: ProblemInstance, args, which: str) -> int:
         sys.stderr.write("Lagrangian is not block-regular; no canonical connection\n")
         return EX_IRREGULAR
     point = _parse_point(args.point, instance)
-    _, pack, berwald = _connection_objects(instance, verdict)
+    deco, pack, berwald = _connection_objects(instance, verdict)
+    if _finite_spray(instance, point, deco) is None:
+        return EX_VERIFY_FAIL
     report = _report_head(instance, which)
     report["point"] = {"t": list(point.t), "x": list(point.x), "v": [list(r) for r in point.v]}
     sections = [("cartan", pack)]

@@ -121,7 +121,7 @@ def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
     v = point.v
 
     pairs = _spray_pairs(n, p)
-    blocks, grad, hess = hessian_blocks(L, point, all_coords(dims), pairs)
+    blocks, _, grad, hess = hessian_blocks(L, point, all_coords(dims), pairs)
     hmat, hinv, hch = h_christoffel_values(h, point.t)
     g = trace_metric(hmat, blocks)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]

@@ -3,7 +3,10 @@ metric matrix (its inverse, determinant and inertia), Christoffel symbols
 and their curvature tensors.
 
 All assembly routines are generic over the scalar kind so connection and
-curvature code can push derivative scalars straight through them.
+curvature code can push derivative scalars straight through them.  Their
+symmetric results are symmetric bit for bit: symmetric_matrix,
+checked_inverse, christoffel's lower pair and regularity.trace_metric each
+compute an unordered pair once and store it at both places.
 """
 
 from __future__ import annotations
@@ -69,6 +72,9 @@ def checked_inverse(rows) -> SymmetricFactor:
         return _batch_factor(rows)
     a = [list(r) for r in rows]
     det, neg = _sweep(a)
+    for i in range(1, dim):
+        for j in range(i):
+            a[i][j] = a[j][i]
     if abs(det) <= _DEGENERACY_SCALE * max(scale, 1e-300) ** dim:
         raise DegeneracyError(f"degenerate metric (det={det:.3e})", det=det)
     return SymmetricFactor(a, det, (dim - neg, neg))
@@ -170,11 +176,11 @@ def christoffel(inv, d):
     out = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
     for l in range(dim):
         for j in range(dim):
-            for k in range(dim):
+            for k in range(j, dim):
                 acc = 0.0
                 for i in range(dim):
                     acc = acc + inv[l][i] * (d[k][i][j] + d[j][i][k] - d[i][j][k])
-                out[l][j][k] = acc * 0.5
+                out[l][j][k] = out[l][k][j] = acc * 0.5
     return out
 
 

@@ -65,10 +65,11 @@ def sample_points(dims: Dims, box, count: int, seed: int = 0):
 
 class HessianBlocks(NamedTuple):
     """The vertical blocks of one second-order evaluation of L, beside that
-    evaluation's gradient and Hessian over its coordinates, as
+    evaluation's value, gradient and Hessian over its coordinates, as
     ``calculus.gradient_hessian`` returns them."""
 
     blocks: list  # [i][a][j][b] = (1/2) d^2L/dv^i_a dv^j_b
+    value: object  # L at the point, bitwise its plain value
     grad: list
     hess: list    # one entry per pair
 
@@ -95,10 +96,10 @@ def hessian_blocks(L, point: JetPoint, coords=None, pairs=None) -> HessianBlocks
         coords = vertical_coords(point.dims)
     if pairs is None:
         pairs = hessian_pairs(len(coords))
-    grad, hess = gradient_hessian(L, point, coords, pairs)
+    value, grad, hess = gradient_hessian(L, point, coords, pairs)
     blocks = [[[[hess[m] * 0.5 for m in ms] for ms in mj] for mj in ma] for ma in
               _block_positions(pairs, len(coords) - n * p, n, p)]
-    return HessianBlocks(blocks, grad, hess)
+    return HessianBlocks(blocks, value, grad, hess)
 
 
 def trace_metric(hmat, blocks):
@@ -108,12 +109,12 @@ def trace_metric(hmat, blocks):
     n, p = len(blocks), len(hmat)
     g = [[0.0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             acc = 0.0
             for a in range(p):
                 for b in range(p):
                     acc = acc + hmat[a][b] * blocks[i][a][j][b]
-            g[i][j] = acc * (1.0 / p)
+            g[i][j] = g[j][i] = acc * (1.0 / p)
     return g
 
 
@@ -129,13 +130,12 @@ def g_from_hessian(L, h: TemporalMetric, point: JetPoint):
 class SampleRecord:
     """What the block-factorization test measured at one sample."""
 
-    __slots__ = ("point", "residual", "symmetry_dev", "det", "signature", "issue")
+    __slots__ = ("point", "residual", "det", "signature", "issue")
 
-    def __init__(self, point: JetPoint, residual: float, symmetry_dev: float, det: float,
-                 signature: tuple | None, issue: str = ""):
+    def __init__(self, point: JetPoint, residual: float, det: float, signature: tuple | None,
+                 issue: str = ""):
         self.point = point
         self.residual = residual
-        self.symmetry_dev = symmetry_dev
         self.det = det
         self.signature = signature
         self.issue = issue
@@ -172,7 +172,6 @@ class RegularityVerdict:
                     "x": list(rec.point.x),
                     "v": [list(r) for r in rec.point.v],
                     "residual": rec.residual,
-                    "symmetry_dev": rec.symmetry_dev,
                     "det": rec.det,
                     "signature": list(rec.signature) if rec.signature else None,
                     "issue": rec.issue,
@@ -186,9 +185,9 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
                    tol: float = DEFAULT_TOL, seed: int = 0) -> RegularityVerdict:
     """Sampled test of the factorization G^{(ab)}_{(ij)} = h^{ab} g_ij.
 
-    Per sample: check that L itself is finite there (one evaluation on
-    plain floats; the Hessian of a NaN L can be finite), estimate g by the
-    h-trace, measure the worst block residual, check symmetry,
+    Per sample: check that L itself is finite there (its value from the
+    evaluation that gives the Hessian, which can be finite where L is NaN),
+    estimate g by the h-trace, measure the worst block residual, check
     non-degeneracy, and signature constancy; for p >= 2 an additional
     velocity-redraw test decides whether g depends on v.  Degeneracies and
     a non-finite L yield a false verdict with a diagnostic, not an
@@ -210,15 +209,13 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
     vdep_worst = 0.0
     n, p = dims.n, dims.p
     for idx, point in enumerate(points):
-        blocks = hessian_blocks(L, point).blocks
+        blocks, value, _, _ = hessian_blocks(L, point)
         hmat = h.matrix_at(point.t)
         g = trace_metric(hmat, blocks)
         hinv = checked_inverse(hmat).inverse
         residual = nan_max(0.0, *(abs(scalar_value(blocks[i][a][j][b]) - hinv[a][b] * g[i][j])
                                   for i in range(n) for a in range(p)
                                   for j in range(n) for b in range(p)))
-        sym = nan_max(0.0, *(abs(g[i][j] - g[j][i]) for i in range(n) for j in range(n)))
-        value = L(point)
         issue = "" if math.isfinite(value) else f"sample {idx}: L is not finite ({value})"
         try:
             _, det, sig = checked_inverse(g)
@@ -231,7 +228,7 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
             g2 = trace_metric(hmat, hessian_blocks(L, probe).blocks)
             vdep_worst = nan_max(vdep_worst, *(abs(g2[i][j] - g[i][j])
                                                for i in range(n) for j in range(n)))
-        verdict.samples.append(SampleRecord(point, residual, sym, det, sig, issue))
+        verdict.samples.append(SampleRecord(point, residual, det, sig, issue))
         verdict.g_estimates.append(g)
         verdict.max_block_residual = nan_max(verdict.max_block_residual, residual)
         if issue:
@@ -240,9 +237,6 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
         # a NaN fails each comparison below
         if not residual <= tol:
             verdict.diagnostics.append(f"sample {idx}: block residual {residual:.3e} > {tol:.1e}")
-            verdict.is_kronecker = False
-        if not sym <= tol:
-            verdict.diagnostics.append(f"sample {idx}: g estimate asymmetric by {sym:.3e}")
             verdict.is_kronecker = False
         if sig is not None:
             signatures.add(sig)
@@ -326,12 +320,11 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
     """Recover (g, U, F) from a block-regular, velocity-independent L.
 
     F(t,x) = L(t,x,0) and U^a_i = dL/dv^i_a at v=0, both from one lift of
-    L over the verticals; g is the h-trace of the vertical Hessian at v=0,
-    averaged with its transpose (for p >= 2 the (i, j) and (j, i) sums of
-    the trace run in different orders).  When L is a builtin quadratic
-    family the recovered fields coincide exactly with its entries, which
-    are then used as the field backend; the reassembly check below runs on
-    L itself either way and fails loudly when L is not quadratic in v.
+    L over the verticals; g is the h-trace of the vertical Hessian at v=0.
+    When L is a builtin quadratic family the recovered fields coincide
+    exactly with its entries, which are then used as the field backend; the
+    reassembly check below runs on L itself either way and fails loudly
+    when L is not quadratic in v.
     ``jets[k]`` is the jet at ``base_points[k]``'s (t, x).
     """
     dims = Dims(h.p, _infer_n(L, h))
@@ -349,8 +342,7 @@ def electrodynamics_decompose(L, h: TemporalMetric, base_points=None,
             return u, 0.0 if structure.f_entry is None else structure.f_entry(pt)
     else:
         def g_field(pt):
-            g = g_from_hessian(L, h, zero_velocity_point(pt.t, pt.x, dims))
-            return [[(g[i][j] + g[j][i]) * 0.5 for j in range(n)] for i in range(n)]
+            return g_from_hessian(L, h, zero_velocity_point(pt.t, pt.x, dims))
 
         def potentials(pt):
             f, jac = field_jacobian(L, zero_velocity_point(pt.t, pt.x, dims),

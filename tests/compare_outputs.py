@@ -13,8 +13,8 @@ overflows under a constant g, a Lagrangian that is NaN away from x1 = 0
 (``v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10``), one that is finite on its
 sampling box but NaN at the fixed point (``v1_1^2 + 1e300*x1^3*1e10 -
 1e300*x1^3*1e10``, box [-0.2, 0.2]), an indefinite
-temporal metric with a zero diagonal and a p = 2 temporal metric with
-t-dependent off-diagonal entries.
+temporal metric with a zero diagonal, and a p = 2 and a p = 3 temporal
+metric with t-dependent off-diagonal entries.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
 solver.  Six lattices beyond the benchmark's run ``residual``: a p = 3
@@ -159,6 +159,21 @@ def configs() -> dict:
                             "entries": [["1 + 0.4*t1^2", "0.15*t1*t2"],
                                         ["0.15*t1*t2", "1 + 0.3*t2^2"]],
                             "signature": [2, 0]},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 2},
+    }
+    # 1 + c t_a^2 on the diagonal and b t_a t_b off it (c = b = 3, positive
+    # definite as c >= b and c + 2b >= 0): a p = 3 h whose pivoted sweep can
+    # round the two triangles of the inverse differently, where a
+    # mirrored inverse moves the numbers that read its lower triangle
+    out["offdiag_h_p3_n2"] = {
+        "dims": {"p": 3, "n": 2},
+        "lagrangian": {"kind": "harmonic",
+                       "g_entries": [["1 + 0.3*x2^2", "0.1"], ["0.1", "1 + 0.2*x1^2"]]},
+        "temporal_metric": {"kind": "expression",
+                            "entries": [["1 + 3*t1^2", "3*t1*t2", "3*t1*t3"],
+                                        ["3*t1*t2", "1 + 3*t2^2", "3*t2*t3"],
+                                        ["3*t1*t3", "3*t2*t3", "1 + 3*t3^2"]],
+                            "signature": [3, 0]},
         "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 2},
     }
     return out

@@ -237,7 +237,7 @@ def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):
     """Mixed second partial of ``f``, with ``wrt1`` as the first direction,
     from one Taylor2 evaluation over the two coordinates carrying their one
     pair."""
-    return gradient_hessian(f, point, (wrt1, wrt2), ((0,), (1,)))[1][0]
+    return gradient_hessian(f, point, (wrt1, wrt2), ((0,), (1,)))[2][0]
 
 
 # --- Central-difference oracles, one plain evaluation per stencil point -------
@@ -299,7 +299,7 @@ def scalar_crosscheck(f, point: JetPoint, dims, tol: float) -> CrosscheckReport:
         if not ok:
             report.passed = False
 
-    grad, hess = gradient_hessian(f, point, coords)
+    _, grad, hess = gradient_hessian(f, point, coords)
     for s, c in enumerate(coords):
         record((c,), 1, grad[s], fd_d1(f, point, c, FD_STEP_1))
     for s, r, second in zip(*hessian_pairs(len(coords)), hess):

@@ -79,6 +79,16 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err == "error: spray.S is not finite at the point\n"
 
+    @pytest.mark.parametrize("command", ["torsion", "curvature"])
+    def test_tables_refuse_a_nan_spray(self, tmp_path, capsys, command):
+        # the point where connection refuses the spray: no tables either
+        path = write_config(tmp_path, nan_at_point_config())
+        assert run([command, "--config", path, "--point", "t=0.1;x=0.5;v=0.3"]) \
+            == EX_VERIFY_FAIL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: spray.S is not finite at the point\n"
+
     @pytest.mark.parametrize("name", sorted(non_finite_lattice_configs()))
     def test_residual_refuses_a_non_finite_node(self, tmp_path, capsys, name):
         # a NaN potential gives NaN residuals, and an overflowing map

@@ -3,9 +3,12 @@
 import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jetlag.calculus import all_coords, lift_d1, lift_taylor, t_coord, x_coord
 from jetlag import verify
@@ -14,14 +17,15 @@ from jetlag.config import assemble
 from jetlag.errors import DegeneracyError
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import Dims, JetPoint
-from jetlag.scalars import Dual
+from jetlag.scalars import Dual, Taylor2
 from jetlag.metric_engine import (
     TemporalMetric,
     checked_inverse,
+    christoffel,
     g_christoffel_values,
     h_christoffel_values,
 )
-from jetlag.regularity import electrodynamics_decompose, sample_points
+from jetlag.regularity import electrodynamics_decompose, sample_points, trace_metric
 
 from conftest import corpus_instance, spatial_metric_of, temporal_metric_of
 from oracles import g_curvature_values, h_curvature_values
@@ -337,6 +341,91 @@ class TestSymmetricFactor:
         })
         checks = {c.name: c for c in verify.run_checks(inst)}
         assert checks["temporal_metric_signature"].passed
+
+
+def _bits(x):
+    """Every bit of a scalar of any kind: its value and each derivative
+    entry, with the support of a Taylor2."""
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if type(x) is Dual:
+        return _bits(x.re), tuple(_bits(e) for e in x.du)
+    if type(x) is Taylor2:
+        return (_bits(x.re), tuple(_bits(e) for e in x.g), tuple(_bits(e) for e in x.h),
+                x.layout.seeds, x.layout.kept)
+    return struct.pack("<d", x)
+
+
+_COEF = st.floats(-2.0, 2.0)
+_T = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _lifted_ts(draw, k):
+    """k values t_1..t_k of one scalar kind: plain floats, Duals over two
+    directions, Taylor2s seeded on all k, or float64 arrays over a batch."""
+    kind = draw(st.sampled_from(("plain", "dual", "taylor2", "batch")))
+    if kind == "batch":
+        size = draw(st.integers(2, 5))
+        return [np.array(draw(st.lists(_T, min_size=size, max_size=size))) for _ in range(k)]
+    ts = draw(st.lists(_T, min_size=k, max_size=k))
+    if kind == "dual":
+        return [Dual(t, [draw(_COEF), draw(_COEF)]) for t in ts]
+    if kind == "taylor2":
+        return list(lift_taylor(JetPoint(ts, (), ()), [t_coord(a) for a in range(k)]).t)
+    return ts
+
+
+@st.composite
+def _symmetric(draw, size, ts, h_form=False):
+    """A size x size symmetric matrix of the kind of ``ts``: entry (r, s)
+    base_rs + coef_rs t_r t_s, one value per unordered pair in both places.
+    ``h_form`` gives the temporal metrics 1 + c t_a^2 on the diagonal and
+    b t_a t_b off it, for which an unmirrored p = 3 sweep leaves about a
+    third of the off-diagonal pairs unequal."""
+    c, b = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
+    rows = [[None] * size for _ in range(size)]
+    for r in range(size):
+        for s in range(r, size):
+            if h_form:
+                base, coef = (1.0, c) if r == s else (0.0, b)
+            else:
+                base, coef = draw(st.floats(-3.0, 3.0)), draw(_COEF)
+            rows[r][s] = rows[s][r] = base + coef * ts[r % len(ts)] * ts[s % len(ts)]
+    return rows
+
+
+def _assert_mirrored(m, i, j):
+    assert _bits(m[i][j]) == _bits(m[j][i]), (i, j)
+
+
+class TestSymmetricByConstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), p=st.integers(1, 3), h_form=st.booleans())
+    def test_inverse_christoffel_and_trace_are_bitwise_symmetric(self, data, n, p, h_form):
+        # a symmetric matrix's producer stores one value per unordered pair
+        ts = data.draw(_lifted_ts(4))
+        m = data.draw(_symmetric(n, ts, h_form))
+        try:
+            with np.errstate(all="ignore"):
+                inv = checked_inverse(m).inverse
+        except DegeneracyError:
+            assume(False)
+        d = [data.draw(_symmetric(n, ts)) for _ in range(n)]
+        gamma = christoffel(inv, d)
+        for i in range(n):
+            for j in range(n):
+                _assert_mirrored(inv, i, j)
+                for l in range(n):
+                    _assert_mirrored(gamma[l], i, j)
+        hmat = data.draw(_symmetric(p, ts))
+        flat = data.draw(_symmetric(n * p, ts))
+        blocks = [[[[flat[i * p + a][j * p + b] for b in range(p)] for j in range(n)]
+                   for a in range(p)] for i in range(n)]
+        g = trace_metric(hmat, blocks)
+        for i in range(n):
+            for j in range(n):
+                _assert_mirrored(g, i, j)
 
 
 class TestSymmetricAssembly:

@@ -30,6 +30,7 @@ from conftest import (
     corpus_instance,
     counted,
     fd_d2,
+    nan_lagrangian_config,
     potentials_config,
     quartic_config,
 )
@@ -154,9 +155,9 @@ class TestKroneckerTest:
     def test_h_evaluated_once_per_sample(self, monkeypatch):
         # per sample h's matrix once, for the trace, its inverse and the 8
         # velocity redraws at the same t, and two factorizations, of h and
-        # of the g estimate; the other 40 evaluations, with their
-        # factorizations, are L's own (10 evaluations of L per sample: its
-        # value on floats, its Hessian and the 8 redraws)
+        # of the g estimate; the other 36 evaluations, with their
+        # factorizations, are L's own (9 evaluations of L per sample: its
+        # Hessian, which carries its value, and the 8 redraws)
         inst = corpus_instance("non_autonomous", 2, 3, count=4)
         calls = {"matrix": 0, "factorizations": 0}
         inst.h.matrix = counted(calls, "matrix", inst.h.matrix)
@@ -165,7 +166,15 @@ class TestKroneckerTest:
             monkeypatch.setattr(module, "checked_inverse", factor)
         verdict = kronecker_test(inst.L, inst.h, inst.sampling["box"], K=4, seed=inst.seed)
         assert verdict.is_kronecker
-        assert calls == {"matrix": 44, "factorizations": 48}
+        assert calls == {"matrix": 40, "factorizations": 44}
+
+    @pytest.mark.parametrize("config", [corpus_config(kind, p, n, count=4)
+                                        for kind in KINDS for p, n in ((1, 2), (2, 3))]
+                             + [potentials_config(), nan_lagrangian_config()])
+    def test_blocks_carry_the_plain_value_of_L(self, config):
+        inst = assemble(config)
+        for pt in sample_points(inst.dims, inst.sampling["box"], 4, seed=inst.seed):
+            assert repr(hessian_blocks(inst.L, pt).value) == repr(inst.L(pt))
 
 
 def _jet_reference(deco, pt):
@@ -278,13 +287,13 @@ class TestDecomposition:
         assert jet.u[0][0] == pytest.approx(0.35, abs=1e-9)
         assert jet.f == pytest.approx(0.8, abs=1e-9)
 
-    def test_expression_g_is_symmetric_where_the_trace_is_not(self):
+    def test_expression_trace_is_symmetric_and_is_g(self):
         # L = h^{ab} g_ij v^i_a v^j_b written out term by term, with g_12 and
         # g_21 summed in opposite orders, so the mixed Hessian entries differ
         # in the last bits.  For p >= 2 the (i, j) and (j, i) sums of the
-        # h-trace run in different orders, so where |h_12| is large the trace
-        # can differ from its transpose; the decomposition's g averages the
-        # two, so every reader of g sees one symmetric matrix
+        # h-trace would run in different orders; the trace computes each
+        # unordered pair once, so it is symmetric bit for bit where |h_12|
+        # is large too, and the decomposition's g is that trace
         h = [["1 + 0.3*t1^2", "0.2*t1*t2"], ["0.2*t1*t2", "1 + 0.4*t2^2"]]
         det = "((1 + 0.3*t1^2)*(1 + 0.4*t2^2) - (0.2*t1*t2)^2)"
         hinv = [[f"(1 + 0.4*t2^2)/{det}", f"-0.2*t1*t2/{det}"],
@@ -300,15 +309,10 @@ class TestDecomposition:
             "temporal_metric": {"kind": "expression", "entries": h, "signature": [2, 0]},
         })
         deco = electrodynamics_decompose(inst.L, inst.h)
-        asymmetric = []
         for pt in sample_points(inst.dims, [-3.0, 3.0], 200, seed=0):
             trace = g_from_hessian(inst.L, inst.h, zero_velocity_point(pt.t, pt.x, inst.dims))
-            if repr(trace[0][1]) != repr(trace[1][0]):
-                asymmetric.append(pt)
-        assert asymmetric
-        for pt in asymmetric:
-            gm = deco.g_field(pt)
-            assert repr(gm[0][1]) == repr(gm[1][0])
+            assert repr(trace[0][1]) == repr(trace[1][0])
+            assert repr(deco.g_field(pt)) == repr(trace)
 
     def test_pure_kinetic_has_no_linear_or_constant_part(self):
         inst = corpus_instance("harmonic", 2, 2)

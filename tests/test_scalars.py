@@ -279,7 +279,7 @@ def _pair_mismatches(f, point, coords):
     """Entries where the one Taylor2 evaluation over ``coords`` differs from
     the hyper-dual evaluation of each pair; None when both raise."""
     try:
-        grad, hess = gradient_hessian(f, point, coords)
+        _, grad, hess = gradient_hessian(f, point, coords)
     except EvalDomainError:
         grad = None
     bad, raised = [], False
@@ -330,7 +330,7 @@ class TestTaylor2MatchesHyperDual:
         dims = Dims(1, 1)
         field = ExpressionField("sin(x1) * v1_1^3", dims)
         point = JetPoint((0.0,), (0.4,), ((1.5,),))
-        grad, hess = gradient_hessian(field, point, (v_coord(0, 0), v_coord(0, 0)))
+        _, grad, hess = gradient_hessian(field, point, (v_coord(0, 0), v_coord(0, 0)))
         assert grad[0] == grad[1] == 3.0 * math.sin(0.4) * 1.5 ** 2
         # the pairs (0, 0), (0, 1), (1, 1): the second is the cross pair
         assert hess[1] == pytest.approx(6.0 * math.sin(0.4) * 1.5, rel=1e-15)
@@ -353,11 +353,11 @@ def _restriction_mismatches(f, point, coords, pairs):
     does not hold exactly one entry per pair of ``pairs``; None when both
     raise."""
     try:
-        full = gradient_hessian(f, point, coords)
+        full = gradient_hessian(f, point, coords)[1:]
     except EvalDomainError:
         full = None
     try:
-        grad, hess = gradient_hessian(f, point, coords, pairs)
+        _, grad, hess = gradient_hessian(f, point, coords, pairs)
     except EvalDomainError:
         assert full is None, "only the restricted evaluation raised"
         return None
@@ -646,7 +646,7 @@ def _dense_mismatches(f, point, coords, pairs):
     except EvalDomainError:
         want = None
     try:
-        grad, hess = gradient_hessian(f, point, coords, pairs)
+        _, grad, hess = gradient_hessian(f, point, coords, pairs)
     except EvalDomainError:
         assert want is None, "only the sparse evaluation raised"
         return None
@@ -730,7 +730,7 @@ class TestSupport:
         coords = all_coords(dims)
         point = sample_points(dims, [-1, 1], 1, seed=3)[0]
         pairs = connection._spray_pairs(3, 2)
-        grad, hess = gradient_hessian(lambda q: q.v[0][0] * q.v[1][1], point, coords, pairs)
+        _, grad, hess = gradient_hessian(lambda q: q.v[0][0] * q.v[1][1], point, coords, pairs)
         x0, x1, v00, v11 = (coords.index(c)
                             for c in (x_coord(0), x_coord(1), v_coord(0, 0), v_coord(1, 1)))
         at = pair_positions(pairs)
@@ -766,8 +766,8 @@ class TestAbsentEntriesAreNotRead:
     def test_a_sum_of_a_leaf_and_a_square_has_no_cross_entry(self):
         dims = Dims(1, 1)
         coords = all_coords(dims)
-        grad, hess = gradient_hessian(ExpressionField("t1 + x1^2", dims),
-                                      JetPoint((0.3,), (0.7,), ((0.2,),)), coords)
+        _, grad, hess = gradient_hessian(ExpressionField("t1 + x1^2", dims),
+                                         JetPoint((0.3,), (0.7,), ((0.2,),)), coords)
         t, x = coords.index(t_coord(0)), coords.index(x_coord(0))
         at = pair_positions(hessian_pairs(len(coords)))
         assert repr(hess[at[t, x]]) == repr(hess[at[t, t]]) == "0.0"

@@ -48,11 +48,11 @@ def _perturbed_cross_partial(monkeypatch):
     gradient_hessian = calculus.gradient_hessian
 
     def mutated(f, point, coords, pairs=None):
-        grad, hess = gradient_hessian(f, point, coords, pairs)
+        value, grad, hess = gradient_hessian(f, point, coords, pairs)
         at = scalars.pair_positions(pairs or scalars.hessian_pairs(len(coords)))
         m = at[coords.index(x_coord(0)), coords.index(v_coord(0, 0))]
         hess[m] = hess[m] * (1.0 + _PERTURBATION)
-        return grad, hess
+        return value, grad, hess
 
     monkeypatch.setattr(calculus, "gradient_hessian", mutated)
 
