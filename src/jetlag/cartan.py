@@ -125,7 +125,9 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
     """For p >= 2 the spatial metric depends on (t, x) only, so the adapted
     derivatives reduce to plain partials and the vertical coefficients
     vanish identically.  The decomposition's jet at the point gives L (the
-    Christoffels of g), G and, with g^{-1} and H, the M and N below them."""
+    Christoffels of g), G and, with g^{-1} and H, the M below them; N is L's
+    pair N plus the G block plus the potentials' term
+    (``electrodynamics_n_values``)."""
     n, p = dims.n, dims.p
 
     def coefficients(point: JetPoint):
@@ -133,10 +135,11 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
         ginv = checked_inverse(jet.g).inverse
         hmat, _, hbar = h_christoffel_values(h, point.t)
         l_co = christoffel(ginv, jet.dg_dx)
+        g_co = _g_block(ginv, jet.dg_dt)
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
         return Coefficients(
-            hbar=hbar, g=_g_block(ginv, jet.dg_dt), l=l_co, c=c_co, m=m_values(hbar, point),
-            n=electrodynamics_n_values(hmat, jet, point, l_co, ginv))
+            hbar=hbar, g=g_co, l=l_co, c=c_co, m=m_values(hbar, point),
+            n=electrodynamics_n_values(hmat, jet, ginv, pair_n_values(l_co, point), g_co))
 
     return coefficients, deco.g_field
 
@@ -155,8 +158,8 @@ def cartan_connection(L, h: TemporalMetric,
                - d g_jk/dv^m_c).
 
     M comes from the temporal Christoffels H the closure computes; N is
-    the spray derivative for p = 1 and, for p >= 2, the closed form over
-    the closure's Gamma and g^{-1}.  ``decomposition`` is L's
+    the spray derivative for p = 1 and, for p >= 2, Gamma's pair N plus
+    the G block plus the potentials' term.  ``decomposition`` is L's
     electrodynamics decomposition for p >= 2 and None for p = 1.
     """
     dims = L.dims

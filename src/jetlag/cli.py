@@ -333,8 +333,6 @@ def _parser() -> argparse.ArgumentParser:
         cp.add_argument("--config", required=True, help="path to the problem JSON")
         cp.add_argument("--out", default=None, help="write the report here instead of stdout")
         cp.add_argument("--seed", type=int, default=None, help="override sampling.seed")
-        cp.add_argument("--json", action="store_true",
-                        help="accepted for compatibility; reports are always JSON")
         if needs_point:
             cp.add_argument("--point", required=True,
                             help='evaluation point, e.g. "t=0;x=0.1,0.2;v=1,0"')

@@ -15,8 +15,10 @@ From L and the temporal metric h this module assembles, at any jet point:
 
 M and N are kernels over values the caller holds at the point
 (``m_values``, ``pair_n_values``, ``electrodynamics_n_values``), so a
-linear-connection closure computes H, Gamma and g^{-1} once per point;
-the p = 1 canonical N, the spray derivative, is ``spray_n_values``.
+linear-connection closure computes H, Gamma and g^{-1} once per point.
+The p >= 2 canonical N (section 3) is the metric pair's N plus the Cartan
+G block plus the potentials' term; the p = 1 one, the spray derivative,
+is ``spray_n_values``.
 
 Every assembly evaluates generically over the scalar kind; derivatives of
 M and N (needed by torsion/curvature) come from running the same assembly
@@ -324,26 +326,19 @@ def pair_n_values(gamma, point: JetPoint):
     ]
 
 
-def electrodynamics_n_values(hmat, jet: DecompositionJet, point: JetPoint, gamma, ginv):
+def electrodynamics_n_values(hmat, jet: DecompositionJet, ginv, pair_n, g_block):
     """The p >= 2 canonical N^{(i)}_{(a)j} = Gamma^i_{jk} v^k_a
-    + (g^{ik}/2) dg_jk/dt^a + (g^{ik}/4) h_{ac} U^{(c)}_{(k)j} as
-    [i][a][j], from h's matrix ``hmat``, the decomposition's ``jet`` and
-    its metric's Christoffels ``gamma`` and inverse ``ginv`` at the
-    point."""
-    n, p = len(ginv), len(jet.dg_dt)
-    dg_dt, ucurl = jet.dg_dt, jet.u_curl
-    out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
-    for i in range(n):
-        for a in range(p):
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc = acc + gamma[i][j][k] * point.v[k][a]
-                    acc = acc + 0.5 * ginv[i][k] * dg_dt[a][j][k]
-                    for c in range(p):
-                        acc = acc + 0.25 * ginv[i][k] * hmat[a][c] * ucurl[k][c][j]
-                out[i][a][j] = acc
-    return out
+    + (g^{ik}/2) dg_jk/dt^a + (g^{ik}/4) h_{ac} U^{(c)}_{(k)j} (section 3)
+    as [i][a][j]: the metric pair's N ``pair_n`` (``pair_n_values``, the
+    first term), plus the Cartan G block ``g_block`` [i][j][a] (the second),
+    plus the potentials' term, the only one computed here, from h's matrix
+    ``hmat``, the curl of U in the decomposition's ``jet`` and g^{-1}
+    ``ginv`` at the point."""
+    n, p = len(ginv), len(hmat)
+    ucurl = jet.u_curl
+    return [[[pair_n[i][a][j] + g_block[i][j][a] + 0.25 * _sum(
+        ginv[i][k] * hmat[a][c] * ucurl[k][c][j] for k in range(n) for c in range(p))
+        for j in range(n)] for a in range(p)] for i in range(n)]
 
 
 def spray_n_values(L, h: TemporalMetric, hmat, point: JetPoint):

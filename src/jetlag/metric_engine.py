@@ -1,6 +1,8 @@
 """Temporal and spatial metric machinery: one symmetric factorization per
 metric matrix (its inverse, determinant and inertia), Christoffel symbols
-and their curvature tensors.
+and their curvature tensors.  ``levi_civita`` is the one Levi-Civita
+construction (lift, factorize, contract): h's Christoffels along t and g's
+along x both read it.
 
 All assembly routines are generic over the scalar kind so connection and
 curvature code can push derivative scalars straight through them.  Their
@@ -184,6 +186,17 @@ def christoffel(inv, d):
     return out
 
 
+def levi_civita(matrix, point: JetPoint, coords):
+    """The Levi-Civita data of a metric along ``coords``: its matrix at
+    ``point``, its inverse and its Christoffels [l][j][k] (``christoffel``
+    of the partials along ``coords``), from one lift of ``matrix`` (a
+    JetPoint to the symmetric matrix there) and one factorization.
+    Generic over the scalar kind."""
+    m, jac = field_jacobian(matrix, point, coords)
+    inv = checked_inverse(m).inverse
+    return m, inv, christoffel(inv, [jac[c] for c in coords])
+
+
 def riemann(ch, dch):
     """Curvature of Christoffel symbols ``ch`` [c][m][a] with partials
     ``dch[b]`` = d_b ch: R^c_{mab} = d_b Ch^c_{ma} - d_a Ch^c_{mb}
@@ -202,15 +215,6 @@ def riemann(ch, dch):
 
 
 # --- Temporal metric ---------------------------------------------------------
-
-
-def _t_partials(fn, ts):
-    """The value at ``ts`` of a structure-valued function of the t-tuple
-    alone and [d fn/dt^a for each a], from one evaluation on a lift of the
-    point (ts, (), ()), which has no x or v."""
-    coords = [t_coord(a) for a in range(len(ts))]
-    value, jac = field_jacobian(lambda q: fn(q.t), JetPoint(ts, (), ()), coords)
-    return value, [jac[c] for c in coords]
 
 
 class TemporalMetric:
@@ -270,14 +274,13 @@ class TemporalMetric:
 def h_christoffel_values(h: TemporalMetric, ts):
     """h's matrix at ``ts``, its inverse and the Christoffels
     H^c_{ab} = h^{cm}(d_a h_{mb} + d_b h_{ma} - d_m h_{ab})/2 as nested
-    lists [c][a][b], all from one evaluation of h on a lift over t and one
-    factorization; generic over the scalar kind of ts."""
+    lists [c][a][b]: the ``levi_civita`` of h along t on the point (ts, (),
+    ()), which has no x or v; generic over the scalar kind of ts."""
     p = h.p
     if h.constant:
         return h.matrix_at(ts), h.inverse_at(ts), [[[0.0] * p for _ in range(p)] for _ in range(p)]
-    hmat, dh = _t_partials(h.matrix_at, ts)
-    hinv = checked_inverse(hmat).inverse
-    return hmat, hinv, christoffel(hinv, dh)
+    return levi_civita(lambda q: h.matrix_at(q.t), JetPoint(ts, (), ()),
+                       [t_coord(a) for a in range(p)])
 
 
 # --- Spatial metric ----------------------------------------------------------
@@ -285,8 +288,6 @@ def h_christoffel_values(h: TemporalMetric, ts):
 
 def g_christoffel_values(g_matrix, point: JetPoint):
     """Gamma^l_{jk} = g^{li}(d_k g_{ij} + d_j g_{ik} - d_i g_{jk})/2,
-    [l][j][k], of the spatial metric ``g_matrix`` (JetPoint -> n x n);
-    spatial partials only."""
-    xs = [x_coord(k) for k in range(len(point.x))]
-    g, dg = field_jacobian(g_matrix, point, xs)
-    return christoffel(checked_inverse(g).inverse, [dg[c] for c in xs])
+    [l][j][k], of the spatial metric ``g_matrix`` (JetPoint -> n x n): its
+    ``levi_civita`` along x."""
+    return levi_civita(g_matrix, point, [x_coord(k) for k in range(len(point.x))])[2]

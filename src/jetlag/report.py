@@ -53,10 +53,5 @@ def config_hash(raw_config: dict) -> str:
 
 
 def csv_row(values) -> str:
-    out = []
-    for v in values:
-        if isinstance(v, float):
-            out.append(format(v, ".17g"))
-        else:
-            out.append(str(v))
-    return ",".join(out)
+    """One CSV line of floats, each at 17 significant digits."""
+    return ",".join(format(v, ".17g") for v in values)

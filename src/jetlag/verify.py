@@ -147,11 +147,12 @@ def run_checks(instance: ProblemInstance) -> list:
         worst_el = nan_max(worst_el, *(abs(w - r) for w, r in zip(weighted, rearranged)))
     checks.append(CheckResult("el_rearrangement", worst_el <= 1e-7, worst_el, 1e-7))
 
-    # Cartan pack: compatibility, symmetry, zero audits, antisymmetry.
+    # Cartan pack at 4 points: coefficients, compatibility, symmetry and one
+    # torsion and one curvature table per point, which the zero audit and
+    # the antisymmetry check both read: 4 points each for 4 + 4 tables.
     pack = cartan_connection(L, h, decomposition=deco)
-    worst_compat = 0.0
-    worst_sym = 0.0
-    cos = []
+    worst_compat = worst_sym = worst_anti = 0.0
+    cos, tables = [], []
     for pt in pts[:4]:
         co = pack.coefficients_at(pt)
         cos.append(co)
@@ -162,21 +163,16 @@ def run_checks(instance: ProblemInstance) -> list:
                 for k in range(dims.n):
                     worst_sym = nan_max(worst_sym, abs(co.l[i][j][k] - co.l[i][k][j]), *(
                         abs(co.c[i][j][k][c] - co.c[i][k][j][c]) for c in range(dims.p)))
+        tor = torsion_table(pack, pt)
+        tables.append((tor, curvature_table(tor)))
+        worst_anti = nan_max(worst_anti, _antisymmetry_defect(*tables[-1]))
     checks.append(CheckResult("cartan_metric_compatibility",
                               worst_compat <= tols["compatibility"],
                               worst_compat, tols["compatibility"]))
     checks.append(CheckResult("cartan_coefficient_symmetry", worst_sym <= 1e-9, worst_sym, 1e-9))
-
-    # perfbench/selftest.py pins these 2 and the antisymmetry check's 2 tables of each kind
-    tors = [torsion_table(pack, pt) for pt in pts[:2]]
-    audit = table_zero_audit(pack, [(tor, curvature_table(tor)) for tor in tors])
+    audit = table_zero_audit(pack, tables)
     checks.append(CheckResult("table_zero_audit", audit.passed, audit.worst, AUDIT_TOL,
                               audit.worst_cell))
-
-    worst_anti = 0.0
-    for pt in pts[:2]:
-        tor = torsion_table(pack, pt)
-        worst_anti = nan_max(worst_anti, _antisymmetry_defect(tor, curvature_table(tor)))
     checks.append(CheckResult("torsion_curvature_antisymmetry",
                               worst_anti <= 1e-9, worst_anti, 1e-9))
 

@@ -13,8 +13,9 @@ overflows under a constant g, a Lagrangian that is NaN away from x1 = 0
 (``v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10``), one that is finite on its
 sampling box but NaN at the fixed point (``v1_1^2 + 1e300*x1^3*1e10 -
 1e300*x1^3*1e10``, box [-0.2, 0.2]), an indefinite
-temporal metric with a zero diagonal, and a p = 2 and a p = 3 temporal
-metric with t-dependent off-diagonal entries.
+temporal metric with a zero diagonal, a p = 2 and a p = 3 temporal
+metric with t-dependent off-diagonal entries, and a builtin p = 3
+electrodynamics Lagrangian whose U has a nonzero curl.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
 solver.  Six lattices beyond the benchmark's run ``residual``: a p = 3
@@ -86,6 +87,7 @@ def configs() -> dict:
         CORPUS_DIMS,
         KINDS,
         corpus_config,
+        curled_potentials_config,
         nan_at_point_config,
         nan_lagrangian_config,
         potentials_config,
@@ -132,6 +134,9 @@ def configs() -> dict:
     # velocity-linear terms: the expression backend's U and its curl are
     # nonzero, and F depends on x and t
     out["expr_potentials_p2_n2"] = potentials_config()
+    # the builtin backend with a t-dependent g and a U whose curl is
+    # nonzero: every term of the p >= 2 canonical N is nonzero
+    out["electrodynamics_curl_p3_n2"] = curled_potentials_config()
     out["expr_p3_n2"] = _expression(
         3, 2, "v1_1^2 + v1_2^2 + v1_3^2 + (1 + x1^2)*(v2_1^2 + v2_2^2 + v2_3^2)")
     out["abort_x1"] = _harmonic_p1([["x1"]], 0.3, -1.0)

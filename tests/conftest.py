@@ -17,7 +17,8 @@ from jetlag.calculus import (
     t_coord,
 )
 from jetlag.config import assemble
-from jetlag.connection import electrodynamics_n_values
+from jetlag.cartan import _g_block
+from jetlag.connection import electrodynamics_n_values, pair_n_values
 from jetlag.curvature import curvature_table, torsion_table
 from jetlag.jet_core import JetPoint
 from jetlag.metric_engine import TemporalMetric, checked_inverse, g_christoffel_values
@@ -100,6 +101,29 @@ def potentials_config() -> dict:
         "temporal_metric": {"kind": "expression", "entries": [["1 + t1^2", "0"], ["0", "2"]],
                             "signature": [2, 0]},
         "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 1},
+    }
+
+
+def curled_potentials_config() -> dict:
+    """A block-regular p = 3, n = 2 builtin electrodynamics Lagrangian whose
+    g depends on t and has an off-diagonal entry and whose U^a_i depend on
+    the other x, so all three terms of the canonical N (Gamma v, the G
+    block and the potentials' term) are nonzero."""
+    return {
+        "dims": {"p": 3, "n": 2},
+        "lagrangian": {
+            "kind": "electrodynamics",
+            "g_entries": [["1 + 0.2*t1^2 + 0.3*x2^2", "0.1 + 0.05*t2*x1"],
+                          ["0.1 + 0.05*t2*x1", "1 + 0.1*t3^2 + 0.2*x1^2"]],
+            "U_entries": [["0.3*t1*x2", "0.2*x2^2", "0.1*t3*x2"],
+                          ["-0.2*t2*x1", "0.4*x1", "0.1*x1*x2"]],
+            "F": "t1*x2 + x1",
+        },
+        "temporal_metric": {"kind": "expression",
+                            "entries": [["1 + t1^2", "0", "0"], ["0", "2", "0"],
+                                        ["0", "0", "2 + sin(t3)"]],
+                            "signature": [3, 0]},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 3},
     }
 
 
@@ -223,14 +247,15 @@ def counted(calls: dict, name: str, fn):
 def canonical_n_reference(h: TemporalMetric, deco, point: JetPoint):
     """The p >= 2 canonical N^{(i)}_{(a)j} as [i][a][j], from the curl of U
     in the decomposition's jet and this helper's own evaluations of the
-    decomposition metric: its Christoffels, its inverse and its Jacobian
-    along t."""
+    decomposition metric: its Christoffels (for the pair N), its inverse
+    and its Jacobian along t (for the G block)."""
     ts = [t_coord(a) for a in range(len(point.t))]
     _, jac = field_jacobian(deco.g_field, point, ts)
-    jet = deco.jet_at(point)._replace(dg_dt=[jac[c] for c in ts])
+    ginv = checked_inverse(deco.g_field(point)).inverse
     return electrodynamics_n_values(
-        h.matrix_at(point.t), jet, point, g_christoffel_values(deco.g_field, point),
-        checked_inverse(deco.g_field(point)).inverse)
+        h.matrix_at(point.t), deco.jet_at(point), ginv,
+        pair_n_values(g_christoffel_values(deco.g_field, point), point),
+        _g_block(ginv, [jac[c] for c in ts]))
 
 
 def d2(f, point: JetPoint, wrt1: Coord, wrt2: Coord):

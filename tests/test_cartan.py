@@ -11,15 +11,23 @@ from jetlag.cartan import berwald_connection, cartan_connection, metric_compatib
 from jetlag.connection import m_values
 from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from jetlag.jet_core import Dims, JetPoint, spatial_lower, spatial_upper, temporal_lower
-from jetlag.metric_engine import TemporalMetric, g_christoffel_values, h_christoffel_values
+from jetlag.metric_engine import (
+    TemporalMetric,
+    checked_inverse,
+    g_christoffel_values,
+    h_christoffel_values,
+)
 from jetlag.regularity import ElectrodynamicsDecomposition, electrodynamics_decompose, sample_points
-from jetlag.scalars import scalar_value
+from jetlag.scalars import Dual, scalar_value
 
 from conftest import (
+    CORPUS_DIMS,
+    KINDS,
     canonical_n_reference,
     corpus_config,
     corpus_instance,
     counted,
+    curled_potentials_config,
     potentials_config,
     spatial_metric_of,
     sphere_config,
@@ -363,8 +371,8 @@ class TestOneEvaluationPerPoint:
         monkeypatch.setattr(cartan, "spray_n_values", counting)
         checks = verify.run_checks(inst)
         # one per coefficients_at: the 4 compatibility points, then the one
-        # lift over every coordinate of 4 torsion tables (2 audit, 2
-        # antisymmetry); 3 more when the reduction computed N itself
+        # lift over every coordinate of the torsion table at each of them;
+        # 3 more when the reduction computed N itself
         assert len(calls) == 4 + 4 == 8
         worst = 0.0
         for pt in verify._points(inst, 6)[:3]:
@@ -376,3 +384,86 @@ class TestOneEvaluationPerPoint:
                     worst = max(worst, abs(scalar_value(nval[i][0][j]) - expect))
         (reduction,) = [c for c in checks if c.name == "classical_reduction"]
         assert reduction.passed and repr(reduction.worst) == repr(worst)
+
+    @pytest.mark.parametrize("config", [corpus_config("harmonic", 1, 2, count=4),
+                                        corpus_config("non_autonomous", 2, 3, count=4)],
+                             ids=["p1", "p2"])
+    def test_verify_builds_one_table_pair_per_compatibility_point(self, monkeypatch, config):
+        # 4 torsion and 4 curvature tables at the 4 distinct compatibility
+        # points, and the zero audit and the antisymmetry check read the
+        # same 4 pairs
+        inst = assemble(config)
+        points, audited, checked = [], [], []
+        torsion_table, audit, defect = (verify.torsion_table, verify.table_zero_audit,
+                                        verify._antisymmetry_defect)
+
+        def recording_torsion(pack, pt):
+            points.append(pt)
+            return torsion_table(pack, pt)
+
+        def recording_audit(pack, tables):
+            audited.extend(tables)
+            return audit(pack, tables)
+
+        def recording_defect(tor, cur):
+            checked.append((tor, cur))
+            return defect(tor, cur)
+
+        monkeypatch.setattr(verify, "torsion_table", recording_torsion)
+        monkeypatch.setattr(verify, "table_zero_audit", recording_audit)
+        monkeypatch.setattr(verify, "_antisymmetry_defect", recording_defect)
+        verify.run_checks(inst)
+        expect = verify._points(inst, verify.POINT_BUDGET)[:4]
+        assert [repr((pt.t, pt.x, pt.v)) for pt in points] == \
+            [repr((pt.t, pt.x, pt.v)) for pt in expect]
+        assert len({repr((pt.t, pt.x, pt.v)) for pt in points}) == 4
+        assert len(audited) == 4
+        assert [(id(tor), id(cur)) for tor, cur in audited] == \
+            [(id(tor), id(cur)) for tor, cur in checked]
+
+
+def _value_and_derivative(entry):
+    """[value, derivative] of a plain entry or of a Dual over one direction."""
+    if isinstance(entry, Dual):
+        return [entry.re, entry.du[0]]
+    return [entry, 0.0]
+
+
+P2_CONFIGS = {f"{kind}_p{p}_n{n}": corpus_config(kind, p, n)
+              for kind in KINDS for p, n in CORPUS_DIMS if p >= 2}
+P2_CONFIGS["potentials"] = potentials_config()
+P2_CONFIGS["curled_potentials"] = curled_potentials_config()
+
+
+@pytest.mark.parametrize("lift", [None, x_coord(0)], ids=["plain", "dual"])
+@pytest.mark.parametrize("name", list(P2_CONFIGS))
+def test_canonical_n_is_the_pair_n_plus_the_g_block_plus_the_potentials_term(name, lift):
+    # section 3: N^{(i)}_{(a)j} = Gamma^i_{jk} v^k_a + G^i_{ja}
+    # + (g^{ik}/4) h_{ac} U^{(c)}_{(k)j}, the first term the Berwald N of
+    # the metric pair the CLI builds
+    inst = assemble(P2_CONFIGS[name])
+    n, p = inst.dims.n, inst.dims.p
+    deco = electrodynamics_decompose(inst.L, inst.h)
+    pack = cartan_connection(inst.L, inst.h, decomposition=deco)
+    structure = inst.L.structure
+    g_matrix = structure.g_matrix if structure is not None else pack.g_matrix_at
+    berwald = berwald_connection(inst.h, g_matrix, inst.dims)
+    pt = sample_points(inst.dims, [-1, 1], 1, seed=36)[0]
+    if lift is not None:
+        pt = lift_d1(pt, (lift,))
+    co, pair_n = pack.coefficients_at(pt), berwald.coefficients_at(pt).n
+    jet = deco.jet_at(pt)
+    ginv = checked_inverse(jet.g).inverse
+    hmat = inst.h.matrix_at(pt.t)
+    diff, expect, scale = [], [], 1.0
+    for i in range(n):
+        for a in range(p):
+            for j in range(n):
+                potentials = 0.0
+                for k in range(n):
+                    for c in range(p):
+                        potentials = potentials + ginv[i][k] * hmat[a][c] * jet.u_curl[k][c][j]
+                diff.append(_value_and_derivative(co.n[i][a][j] - pair_n[i][a][j]))
+                expect.append(_value_and_derivative(co.g[i][j][a] + 0.25 * potentials))
+                scale = max(scale, *map(abs, _value_and_derivative(co.n[i][a][j])))
+    assert np.max(np.abs(np.array(diff) - np.array(expect))) <= 1e-12 * scale

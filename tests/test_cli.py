@@ -356,6 +356,15 @@ class TestExitCodes:
         assert run(argv) == EX_USAGE
         assert "usage: jetlag" in capsys.readouterr().err
 
+    def test_json_is_an_unknown_option(self, tmp_path, capsys):
+        # reports are always JSON; --json is refused like any unknown option
+        path = write_config(tmp_path, sphere_config())
+        assert run(["analyze", "--config", path, "--json"]) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "jetlag: error: unrecognized arguments: --json"]
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, flag, capsys):
         assert run([flag]) == EX_OK
