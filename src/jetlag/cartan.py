@@ -219,8 +219,10 @@ def metric_compatibility(pack: LinearConnectionPack, point: JetPoint,
     """Max |covariant derivative| of the spatial and temporal metrics in all
     three directions; all six must vanish for the Cartan pack.
 
-    ``co`` is ``pack.coefficients_at(point)``, which the caller has already
-    evaluated.  One Jacobian of each metric serves all directions (the
+    ``co`` is the pack's coefficients at ``point``, which the caller has
+    already evaluated: ``verify`` reads them from the torsion table's frame
+    (``curvature._Frame.coefficients``), bitwise ``pack.coefficients_at(point)``.
+    One Jacobian of each metric serves all directions (the
     slot rules are those of the covariant derivative in ``tests/oracles.py``,
     which the test-suite pins this code path against).  The pack is
     h-normal: h has no coefficients along x or v.

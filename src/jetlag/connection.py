@@ -333,11 +333,15 @@ def electrodynamics_n_values(hmat, jet: DecompositionJet, ginv, pair_n, g_block)
     first term), plus the Cartan G block ``g_block`` [i][j][a] (the second),
     plus the potentials' term, the only one computed here, from h's matrix
     ``hmat``, the curl of U in the decomposition's ``jet`` and g^{-1}
-    ``ginv`` at the point."""
+    ``ginv`` at the point.  A curl entry that is a plain float zero adds
+    no term."""
     n, p = len(ginv), len(hmat)
     ucurl = jet.u_curl
+    curl = [[(k, c, ucurl[k][c][j]) for k in range(n) for c in range(p)
+             if not (type(ucurl[k][c][j]) is float and ucurl[k][c][j] == 0.0)]
+            for j in range(n)]
     return [[[pair_n[i][a][j] + g_block[i][j][a] + 0.25 * _sum(
-        ginv[i][k] * hmat[a][c] * ucurl[k][c][j] for k in range(n) for c in range(p))
+        ginv[i][k] * hmat[a][c] * w for k, c, w in curl[j])
         for j in range(n)] for a in range(p)] for i in range(n)]
 
 

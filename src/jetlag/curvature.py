@@ -3,9 +3,10 @@
 Both tables read one frame per point: the coefficient tables (M, N, Hbar,
 G, L, C) at the point and their partials along every coordinate, from one
 evaluation on a Dual lift over all of them.  Every pack's coefficient
-evaluation returns M and N with the four families.  ``torsion_table``
-builds the frame and keeps it; ``curvature_table`` takes that torsion
-table and reads the same frame.
+evaluation returns M and N with the four families; the lift's value is
+the point's coefficients, which ``verify`` reads from the frame.
+``torsion_table`` builds the frame and keeps it; ``curvature_table`` takes
+that torsion table and reads the same frame.
 
 Every family is evaluated from its generic defining formula as one numpy
 array, vertical index pairs flattened as i*p + a.  A sum over a repeated
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import all_coords, field_jacobian, structure_values, t_coord, vertical_coords, x_coord
-from .cartan import LinearConnectionPack
-from .connection import delta_entry
+from .calculus import all_coords, field_jacobian, t_coord
+from .cartan import Coefficients, LinearConnectionPack
 from .jet_core import (
     DTensor,
     JetPoint,
@@ -34,7 +34,7 @@ from .jet_core import (
     vertical_upper,
 )
 from .metric_engine import riemann
-from .scalars import nan_max
+from .scalars import nan_max, scalar_value
 
 
 # --- Frame data: all coefficient tables and their coordinate derivatives ----
@@ -43,40 +43,88 @@ from .scalars import nan_max
 _TABLES = ("M", "N", "H", "G", "L", "C")
 
 
+def _flatten(obj):
+    """The leaves of a nested list structure, row-major."""
+    if isinstance(obj, (list, tuple)):
+        return [leaf for item in obj for leaf in _flatten(item)]
+    return [obj]
+
+
+def _nest(flat, shape):
+    """The row-major nested lists of ``shape`` holding ``flat``."""
+    for size in reversed(shape[1:]):
+        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
+    return flat
+
+
+def _adapted(acc, dv, coeffs, col):
+    """The adapted derivative of every entry along t^col (``coeffs`` M) or
+    x^col (N) from its partial row ``acc`` and the vertical rows ``dv``:
+    acc - coeffs[l][c][col] * dv[(l, c)] in row-major (l, c) order,
+    skipping plain-zero weights, as ``connection.delta_entry``."""
+    weights = [scalar_value(row[col]) for block in coeffs for row in block]
+    for w, d_v in zip(weights, dv):
+        if w != 0.0:
+            acc = acc - w * d_v
+    return acc
+
+
 class _Frame:
-    """Coefficient tables at a point and their partials: ``d[coord][table]``
-    is the partial of a table along ``coord``.  The derivative methods return
-    a table's derivatives with the direction appended as the last axes."""
+    """Coefficient tables at a point and their partials.  The lifted field
+    returns all tables' entries as one flat list, so the frame holds one
+    float64 row of entries per coordinate (``all_coords`` order) and per
+    adapted direction, each of those one ``_adapted`` pass over every
+    entry.  ``coefficients`` is the lift's value, bitwise a plain call's.
+    The accessors return a fresh array of one table, the direction
+    appended as the last axes."""
 
     def __init__(self, pack: LinearConnectionPack, point: JetPoint):
-        self.dims = pack.dims
+        self.dims = dims = pack.dims
+        n, p = dims.n, dims.p
 
         def tables(q):
             co = pack.coefficients_at(q)
-            return [co.m, co.n, co.hbar, co.g, co.l, co.c]
+            return _flatten([co.m, co.n, co.hbar, co.g, co.l, co.c])
 
-        values, jac = field_jacobian(tables, point, all_coords(self.dims))
-        base = dict(zip(_TABLES, structure_values(values)))
-        # M and N stay nested float lists: delta_entry skips their float zeros
-        self.m_values, self.n_values = base["M"], base["N"]
-        self.H, self.G, self.L, self.C = (np.array(base[k]) for k in "HGLC")
-        self.d = {c: {k: np.array(part) for k, part in zip(_TABLES, parts)}
-                  for c, parts in jac.items()}
+        coords = all_coords(dims)
+        values, jac = field_jacobian(tables, point, coords)
+        self._d = np.array([jac[c] for c in coords])
+        shapes = ((n, p, p), (n, p, n), (p, p, p), (n, n, p), (n, n, n), (n, n, n, p))
+        self._slice, at, start = {}, {}, 0
+        for name, shape in zip(_TABLES, shapes):
+            stop = start + int(np.prod(shape))
+            self._slice[name] = slice(start, stop), shape
+            at[name] = _nest(values[start:stop], shape)
+            start = stop
+        self.coefficients = Coefficients(hbar=at["H"], g=at["G"], l=at["L"], c=at["C"],
+                                         m=at["M"], n=at["N"])
+        value_row = np.array([values], dtype=float)
+        self.H, self.G, self.L, self.C = (self._table(value_row, k, ()) for k in "HGLC")
+        dv = self._d[p + n:]  # rows (l, c) row-major
+        self._dt = np.array([_adapted(self._d[b], dv, at["M"], b) for b in range(p)])
+        self._dx = np.array([_adapted(self._d[p + j], dv, at["N"], j) for j in range(n)])
+
+    def _table(self, rows, table, extra):
+        sl, shape = self._slice[table]
+        return rows[:, sl].T.copy().reshape(shape + extra)
+
+    def partial(self, coord, table):
+        """d/d(coord) of a table."""
+        row = all_coords(self.dims).index(coord)
+        return self._table(self._d[row:row + 1], table, ())
 
     def partial_v(self, table):
         """d/dv^k_c of a table, axes (k, c) appended."""
-        parts = [self.d[c][table] for c in vertical_coords(self.dims)]
-        return np.stack(parts, axis=-1).reshape(parts[0].shape + (self.dims.n, self.dims.p))
+        n, p = self.dims.n, self.dims.p
+        return self._table(self._d[p + n:], table, (n, p))
 
     def delta_t(self, table):
         """Adapted d/dt^b of a table, axis b appended."""
-        return np.stack([delta_entry(self.d, (table,), t_coord(b), self.m_values)
-                         for b in range(self.dims.p)], axis=-1)
+        return self._table(self._dt, table, (self.dims.p,))
 
     def delta_x(self, table):
         """Adapted d/dx^j of a table, axis j appended."""
-        return np.stack([delta_entry(self.d, (table,), x_coord(j), self.n_values)
-                         for j in range(self.dims.n)], axis=-1)
+        return self._table(self._dx, table, (self.dims.n,))
 
 
 def _tensor(slots, array) -> DTensor:
@@ -227,7 +275,7 @@ def curvature_table(torsion: TorsionTable) -> CurvatureTable:
     tl, sl, vl = temporal_lower(p), spatial_lower(n), vertical_lower(n, p)
 
     # Temporal block curvature (plain t-partials; H depends on t only).
-    tt_t = np.array(riemann(H, [fr.d[t_coord(b)]["H"] for b in range(p)]))
+    tt_t = np.array(riemann(H, [fr.partial(t_coord(b), "H") for b in range(p)]))
 
     # Covariant derivatives of C in the T- and M-horizontal directions,
     # [l, i, k, c, b] and [l, i, k, c, j].

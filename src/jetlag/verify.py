@@ -147,14 +147,19 @@ def run_checks(instance: ProblemInstance) -> list:
         worst_el = nan_max(worst_el, *(abs(w - r) for w, r in zip(weighted, rearranged)))
     checks.append(CheckResult("el_rearrangement", worst_el <= 1e-7, worst_el, 1e-7))
 
-    # Cartan pack at 4 points: coefficients, compatibility, symmetry and one
-    # torsion and one curvature table per point, which the zero audit and
-    # the antisymmetry check both read: 4 points each for 4 + 4 tables.
+    # Cartan pack at 4 points: one torsion and one curvature table per
+    # point, which the zero audit and the antisymmetry check both read.  The
+    # torsion table's frame is one evaluation of the coefficients, lifted
+    # over every coordinate; its value is the point's coefficients, which
+    # compatibility, symmetry and the classical reduction read.
     pack = cartan_connection(L, h, decomposition=deco)
     worst_compat = worst_sym = worst_anti = 0.0
     cos, tables = [], []
     for pt in pts[:4]:
-        co = pack.coefficients_at(pt)
+        tor = torsion_table(pack, pt)
+        tables.append((tor, curvature_table(tor)))
+        worst_anti = nan_max(worst_anti, _antisymmetry_defect(*tables[-1]))
+        co = tor.frame.coefficients
         cos.append(co)
         compat = metric_compatibility(pack, pt, co)
         worst_compat = nan_max(worst_compat, *compat.values())
@@ -163,9 +168,6 @@ def run_checks(instance: ProblemInstance) -> list:
                 for k in range(dims.n):
                     worst_sym = nan_max(worst_sym, abs(co.l[i][j][k] - co.l[i][k][j]), *(
                         abs(co.c[i][j][k][c] - co.c[i][k][j][c]) for c in range(dims.p)))
-        tor = torsion_table(pack, pt)
-        tables.append((tor, curvature_table(tor)))
-        worst_anti = nan_max(worst_anti, _antisymmetry_defect(*tables[-1]))
     checks.append(CheckResult("cartan_metric_compatibility",
                               worst_compat <= tols["compatibility"],
                               worst_compat, tols["compatibility"]))

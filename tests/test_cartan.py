@@ -370,10 +370,14 @@ class TestOneEvaluationPerPoint:
 
         monkeypatch.setattr(cartan, "spray_n_values", counting)
         checks = verify.run_checks(inst)
-        # one per coefficients_at: the 4 compatibility points, then the one
-        # lift over every coordinate of the torsion table at each of them;
-        # 3 more when the reduction computed N itself
-        assert len(calls) == 4 + 4 == 8
+        # one per coefficients_at, and verify evaluates the coefficients once
+        # per compatibility point: the torsion table's lift over every
+        # coordinate, whose value is the point's coefficients.  Compatibility,
+        # symmetry and the reduction read that value, so 4 points give 4
+        # calls, each on a lifted point; a plain evaluation beside the frame
+        # would add 4, and a reduction computing N itself 3 more
+        assert len(calls) == 4
+        assert all(type(pt.x[0]) is Dual for pt in calls)
         worst = 0.0
         for pt in verify._points(inst, 6)[:3]:
             gamma = g_christoffel_values(inst.L.structure.g_matrix, pt)
@@ -384,6 +388,43 @@ class TestOneEvaluationPerPoint:
                     worst = max(worst, abs(scalar_value(nval[i][0][j]) - expect))
         (reduction,) = [c for c in checks if c.name == "classical_reduction"]
         assert reduction.passed and repr(reduction.worst) == repr(worst)
+
+    @pytest.mark.parametrize("kind, p, n", [("harmonic", 1, 2), ("non_autonomous", 1, 2),
+                                            ("harmonic", 2, 2), ("non_autonomous", 2, 3),
+                                            ("autonomous", 3, 2)])
+    def test_verify_evaluates_the_coefficients_once_per_point(self, monkeypatch, kind, p, n):
+        # each of the 4 compatibility points is one coefficients_at, the
+        # torsion frame's lift; for p >= 2 the closure reads the jet of the
+        # lifted point, so the only plain jet_at calls are the
+        # decomposition's, one per distinct base point
+        inst = assemble(corpus_config(kind, p, n, count=4))
+        coefficient_points, plain_jets = [], []
+        build, jet_at = verify.cartan_connection, ElectrodynamicsDecomposition.jet_at
+
+        def recording_build(L, h, decomposition):
+            pack = build(L, h, decomposition=decomposition)
+            coefficients = pack.coefficients_at
+
+            def recording(pt):
+                coefficient_points.append(pt)
+                return coefficients(pt)
+
+            pack.coefficients_at = recording
+            return pack
+
+        def recording_jet(deco, pt):
+            if all(type(e) is float for e in pt.t + pt.x):
+                plain_jets.append(repr((pt.t, pt.x)))
+            return jet_at(deco, pt)
+
+        monkeypatch.setattr(verify, "cartan_connection", recording_build)
+        monkeypatch.setattr(ElectrodynamicsDecomposition, "jet_at", recording_jet)
+        assert verify.checks_to_json(verify.run_checks(inst))["passed"]
+        assert len(coefficient_points) == 4
+        assert all(type(e) is Dual for pt in coefficient_points for e in pt.t + pt.x)
+        if p >= 2:
+            base = {repr((tuple(pt.t), tuple(pt.x))) for pt in verify._points(inst, 6)}
+            assert len(plain_jets) == len(set(plain_jets)) == len(base)
 
     @pytest.mark.parametrize("config", [corpus_config("harmonic", 1, 2, count=4),
                                         corpus_config("non_autonomous", 2, 3, count=4)],

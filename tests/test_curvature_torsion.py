@@ -6,10 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from jetlag.calculus import all_coords, field_jacobian, lift_d1, map_structure, t_coord, v_coord
+from jetlag.calculus import (
+    all_coords,
+    field_jacobian,
+    lift_d1,
+    map_structure,
+    t_coord,
+    v_coord,
+    x_coord,
+)
 from jetlag.cartan import LinearConnectionPack, berwald_connection, cartan_connection
 from jetlag.config import assemble
-from jetlag.connection import gcal_values
+from jetlag.connection import delta_entry, gcal_values
 from jetlag.curvature import _TABLES, curvature_table, table_zero_audit, torsion_table
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import (
@@ -484,7 +492,43 @@ class TestOneLiftIsEveryDirection:
         want = _per_coordinate(tables, pt, coords)
         for c in coords:
             for k, table in zip(_TABLES, want[c]):
-                assert repr(frame.d[c][k].tolist()) == repr(np.array(table).tolist()), (c, k)
+                assert repr(frame.partial(c, k).tolist()) == repr(np.array(table).tolist()), (c, k)
+
+
+_FLAT_FRAME_CONFIGS = {**{name: config for name, config in _ORACLE_CONFIGS.items()
+                           if name != "quartic" and config["dims"]["p"] <= 2},
+                        "sphere": sphere_config()}
+
+
+class TestFlatFrame:
+    """The frame's one pass per adapted direction over all tables' entries
+    gives, table by table, bitwise what ``delta_entry`` gives over that
+    table's own Jacobian; its coefficients are the plain call's."""
+
+    @pytest.mark.parametrize("name", sorted(_FLAT_FRAME_CONFIGS))
+    def test_tables_match_delta_entry_per_table(self, name):
+        inst = assemble(_FLAT_FRAME_CONFIGS[name])
+        dims = inst.dims
+        n, p = dims.n, dims.p
+        coords = all_coords(dims)
+        _, pack = build(inst)
+        pt = sample_points(dims, inst.sampling["box"], 1, seed=63)[0]
+        frame = torsion_table(pack, pt).frame
+        co = pack.coefficients_at(pt)
+        assert repr(frame.coefficients) == repr(co)
+        m_co, n_co = map_structure(scalar_value, co.m), map_structure(scalar_value, co.n)
+        fields = dict(zip(_TABLES, ("m", "n", "hbar", "g", "l", "c")))
+        for table, field in fields.items():
+            _, jac = field_jacobian(lambda q: getattr(pack.coefficients_at(q), field), pt, coords)
+            jac = {c: np.array(part, dtype=float) for c, part in jac.items()}
+            shape = jac[coords[0]].shape
+            want_t = np.stack([delta_entry(jac, (), t_coord(b), m_co) for b in range(p)], axis=-1)
+            want_x = np.stack([delta_entry(jac, (), x_coord(j), n_co) for j in range(n)], axis=-1)
+            want_v = np.stack([jac[v_coord(k, c)] for k in range(n) for c in range(p)],
+                              axis=-1).reshape(shape + (n, p))
+            for got, want in ((frame.delta_t(table), want_t), (frame.delta_x(table), want_x),
+                              (frame.partial_v(table), want_v)):
+                assert repr(got.tolist()) == repr(want.tolist()), table
 
 
 class TestLiftedValueIsThePlainCall:
