@@ -11,20 +11,17 @@ This module builds the two instances the geometry singles out:
 
 A pack's ``coefficients_at`` also returns the (M, N) below it, built by
 the ``connection`` kernels from the closure's own H, g^{-1} and
-Christoffels; the p = 1 Cartan N is the spray derivative
-(``spray_n_values``).
-
-``metric_compatibility`` checks that a pack is metric for (h, g) in all
-three directions.  Its reference is the generic T-horizontal, M-horizontal
-and vertical covariant derivative of any d-tensor valence, which lives
-with the test oracles in ``tests/oracles.py``.
+Christoffels (the p = 1 Cartan N is the spray derivative,
+``spray_n_values``), and the matrices of g and h the closure built its
+families from.  This module only builds the packs; ``curvature`` reads
+them at a point, through one lift of ``coefficients_at``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .calculus import all_coords, field_jacobian, structure_values, t_coord, v_coord, x_coord
+from .calculus import all_coords, field_jacobian, t_coord, v_coord, x_coord
 from .connection import (
     delta_entry,
     electrodynamics_n_values,
@@ -37,16 +34,16 @@ from .metric_engine import (
     TemporalMetric,
     checked_inverse,
     christoffel,
-    g_christoffel_values,
     h_christoffel_values,
+    levi_civita,
 )
 from .regularity import ElectrodynamicsDecomposition, g_from_hessian
-from .scalars import nan_max
 
 
 class Coefficients(NamedTuple):
-    """Point values of the four effective families (generic scalars) and
-    of the (M, N) coefficients of the nonlinear connection below them."""
+    """Point values of the four effective families (generic scalars), of
+    the (M, N) coefficients of the nonlinear connection below them and of
+    the metrics g and h the families were built from."""
 
     hbar: list  # [c][a][b]
     g: list     # [k][j][c]
@@ -54,6 +51,8 @@ class Coefficients(NamedTuple):
     c: list     # [i][j][k][c]  (C^{i(c)}_{j(k)})
     m: list     # [i][a][b]
     n: list     # [i][a][j]
+    gmat: list  # [i][j]
+    hmat: list  # [a][b]
 
 
 class LinearConnectionPack:
@@ -61,14 +60,13 @@ class LinearConnectionPack:
     (with the M, N below them) and the spatial metric they were built over.
     The derived vertical coefficients are delta-combinations of these four."""
 
-    __slots__ = ("dims", "kind", "coefficients_at", "g_matrix_at", "h")
+    __slots__ = ("dims", "kind", "coefficients_at", "g_matrix_at")
 
-    def __init__(self, dims: Dims, kind: str, coefficients_at, g_matrix_at, h: TemporalMetric):
+    def __init__(self, dims: Dims, kind: str, coefficients_at, g_matrix_at):
         self.dims = dims
         self.kind = kind                        # "cartan" | "berwald" | "custom"
         self.coefficients_at = coefficients_at  # JetPoint -> Coefficients
         self.g_matrix_at = g_matrix_at          # JetPoint -> n x n spatial metric values
-        self.h = h
 
 
 # --- Cartan construction -------------------------------------------------------
@@ -116,7 +114,8 @@ def _cartan_coefficients_p1(L, h, dims):
         l_co = christoffel(ginv, [_delta_matrix(jac, x_coord(k), n_co) for k in range(n)])
         c_co = christoffel(ginv, [jac[v_coord(k, 0)] for k in range(n)])
         c_co = [[[[e] for e in row] for row in plane] for plane in c_co]  # trailing index c = 0
-        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co, m=m_co, n=n_co)
+        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co, m=m_co, n=n_co,
+                            gmat=g, hmat=hmat)
 
     return coefficients, g_matrix
 
@@ -139,7 +138,8 @@ def _cartan_coefficients_p2(h, deco: ElectrodynamicsDecomposition, dims):
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
         return Coefficients(
             hbar=hbar, g=g_co, l=l_co, c=c_co, m=m_values(hbar, point),
-            n=electrodynamics_n_values(hmat, jet, ginv, pair_n_values(l_co, point), g_co))
+            n=electrodynamics_n_values(hmat, jet, ginv, pair_n_values(l_co, point), g_co),
+            gmat=jet.g, hmat=hmat)
 
     return coefficients, deco.g_field
 
@@ -168,9 +168,7 @@ def cartan_connection(L, h: TemporalMetric,
     else:
         coefficients, g_matrix = _cartan_coefficients_p2(h, decomposition, dims)
     return LinearConnectionPack(
-        dims=dims, kind="cartan", coefficients_at=coefficients,
-        g_matrix_at=g_matrix, h=h,
-    )
+        dims=dims, kind="cartan", coefficients_at=coefficients, g_matrix_at=g_matrix)
 
 
 def berwald_connection(h: TemporalMetric, g_matrix, dims: Dims) -> LinearConnectionPack:
@@ -182,76 +180,12 @@ def berwald_connection(h: TemporalMetric, g_matrix, dims: Dims) -> LinearConnect
     n, p = dims.n, dims.p
 
     def coefficients(point: JetPoint):
-        _, _, hbar = h_christoffel_values(h, point.t)
-        l_co = g_christoffel_values(g_matrix, point)
+        hmat, _, hbar = h_christoffel_values(h, point.t)
+        gmat, _, l_co = levi_civita(g_matrix, point, [x_coord(k) for k in range(n)])
         g_co = [[[0.0] * p for _ in range(n)] for _ in range(n)]
         c_co = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co,
-                            m=m_values(hbar, point), n=pair_n_values(l_co, point))
+        return Coefficients(hbar=hbar, g=g_co, l=l_co, c=c_co, m=m_values(hbar, point),
+                            n=pair_n_values(l_co, point), gmat=gmat, hmat=hmat)
 
     return LinearConnectionPack(
-        dims=dims, kind="berwald", coefficients_at=coefficients,
-        g_matrix_at=g_matrix, h=h,
-    )
-
-
-# --- Metric compatibility ------------------------------------------------------------
-
-
-def _covariant_defect(d, metric, gamma) -> float:
-    """Max over i, j of |d_ij - gamma[m][i] metric_mj - gamma[m][j] metric_im|,
-    the covariant derivative of a metric along one direction, from the
-    metric's (adapted) derivative ``d`` along it and the pack's coefficients
-    ``gamma`` [m][i] in that direction, all plain values; an empty
-    ``gamma`` is a direction the pack has no coefficients in.  A NaN
-    defect is kept."""
-    defects = []
-    for i, row in enumerate(d):
-        for j, val in enumerate(row):
-            for m, gm in enumerate(gamma):
-                val -= gm[i] * metric[m][j] + gm[j] * metric[i][m]
-            defects.append(abs(val))
-    return nan_max(0.0, *defects)
-
-
-def metric_compatibility(pack: LinearConnectionPack, point: JetPoint,
-                         co: Coefficients) -> dict:
-    """Max |covariant derivative| of the spatial and temporal metrics in all
-    three directions; all six must vanish for the Cartan pack.
-
-    ``co`` is the pack's coefficients at ``point``, which the caller has
-    already evaluated: ``verify`` reads them from the torsion table's frame
-    (``curvature._Frame.coefficients``), bitwise ``pack.coefficients_at(point)``.
-    One Jacobian of each metric serves all directions (the
-    slot rules are those of the covariant derivative in ``tests/oracles.py``,
-    which the test-suite pins this code path against).  The pack is
-    h-normal: h has no coefficients along x or v.
-    """
-    n, p = pack.dims.n, pack.dims.p
-    coords = all_coords(pack.dims)
-    g, g_jac = field_jacobian(pack.g_matrix_at, point, coords)
-    hmat, h_jac = field_jacobian(lambda q: pack.h.matrix_at(q.t), point, coords)
-    g, hmat, G, Lc, C, H = structure_values((g, hmat, co.g, co.l, co.c, co.hbar))
-
-    worst = dict.fromkeys(("g_t_horizontal", "g_m_horizontal", "g_vertical",
-                           "h_t_horizontal", "h_m_horizontal", "h_vertical"), 0.0)
-
-    def record(direction, dg, dh, gamma_g, gamma_h):
-        g_key, h_key = "g_" + direction, "h_" + direction
-        worst[g_key] = nan_max(worst[g_key], _covariant_defect(dg, g, gamma_g))
-        worst[h_key] = nan_max(worst[h_key], _covariant_defect(dh, hmat, gamma_h))
-
-    for c in range(p):
-        record("t_horizontal", _delta_matrix(g_jac, t_coord(c), co.m),
-               _delta_matrix(h_jac, t_coord(c), co.m),
-               [[G[m][i][c] for i in range(n)] for m in range(n)],
-               [[H[mu][a][c] for a in range(p)] for mu in range(p)])
-    for k in range(n):
-        record("m_horizontal", _delta_matrix(g_jac, x_coord(k), co.n),
-               _delta_matrix(h_jac, x_coord(k), co.n),
-               [[Lc[m][i][k] for i in range(n)] for m in range(n)], [])
-    for k in range(n):
-        for c in range(p):
-            record("vertical", g_jac[v_coord(k, c)], h_jac[v_coord(k, c)],
-                   [[C[m][i][k][c] for i in range(n)] for m in range(n)], [])
-    return worst
+        dims=dims, kind="berwald", coefficients_at=coefficients, g_matrix_at=g_matrix)

@@ -139,13 +139,16 @@ def _reject_constant(token: str):
 
 
 def load_config(path: str) -> dict:
-    """Read a config file as strict JSON: NaN and Infinity are rejected."""
+    """Read a config file as strict UTF-8 JSON: NaN and Infinity are
+    rejected, and so is an integer too long for Python to convert."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}")
+    except ValueError as exc:  # a JSONDecodeError, or int()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 

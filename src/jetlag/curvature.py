@@ -1,12 +1,14 @@
-"""Torsion and curvature d-tensors of an h-normal linear connection.
+"""Torsion and curvature d-tensors of an h-normal linear connection, and
+its metric compatibility.
 
-Both tables read one frame per point: the coefficient tables (M, N, Hbar,
-G, L, C) at the point and their partials along every coordinate, from one
-evaluation on a Dual lift over all of them.  Every pack's coefficient
-evaluation returns M and N with the four families; the lift's value is
-the point's coefficients, which ``verify`` reads from the frame.
-``torsion_table`` builds the frame and keeps it; ``curvature_table`` takes
-that torsion table and reads the same frame.
+Every quantity here reads one frame per point: the coefficient tables
+(M, N, Hbar, G, L, C) at the point, the matrices of g and h they were
+built from, and all their partials along every coordinate, from one
+evaluation of the pack's ``coefficients_at`` on a Dual lift over all of
+them.  The lift's value is the point's coefficients, which ``verify``
+reads from the frame.  ``torsion_table`` builds the frame and keeps it;
+``curvature_table`` and ``metric_compatibility`` take that torsion table
+and read the same frame.
 
 Every family is evaluated from its generic defining formula as one numpy
 array, vertical index pairs flattened as i*p + a.  A sum over a repeated
@@ -14,7 +16,9 @@ index adds one array term per index value, in index order, so each entry
 goes through the float operations of the scalar formula.  The specialized
 closed forms of the two distinguished connections are exercised by the
 test-suite as oracles; the zero cells of their component tables are
-asserted by ``table_zero_audit``.
+asserted by ``table_zero_audit``.  The reference for
+``metric_compatibility`` is the generic covariant derivative of any
+d-tensor valence in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .scalars import nan_max, scalar_value
 # --- Frame data: all coefficient tables and their coordinate derivatives ----
 
 
-_TABLES = ("M", "N", "H", "G", "L", "C")
+_TABLES = ("M", "N", "H", "G", "L", "C", "gmat", "hmat")
 
 
 def _flatten(obj):
@@ -70,13 +74,13 @@ def _adapted(acc, dv, coeffs, col):
 
 
 class _Frame:
-    """Coefficient tables at a point and their partials.  The lifted field
-    returns all tables' entries as one flat list, so the frame holds one
-    float64 row of entries per coordinate (``all_coords`` order) and per
-    adapted direction, each of those one ``_adapted`` pass over every
-    entry.  ``coefficients`` is the lift's value, bitwise a plain call's.
-    The accessors return a fresh array of one table, the direction
-    appended as the last axes."""
+    """Coefficient tables and metrics at a point and their partials.  The
+    lifted field returns all tables' entries as one flat list, so the frame
+    holds one float64 row of entries per coordinate (``all_coords`` order)
+    and per adapted direction, each of those one ``_adapted`` pass over
+    every entry.  ``coefficients`` is the lift's value, bitwise a plain
+    call's.  The accessors return a fresh array of one table, the
+    direction appended as the last axes."""
 
     def __init__(self, pack: LinearConnectionPack, point: JetPoint):
         self.dims = dims = pack.dims
@@ -84,12 +88,13 @@ class _Frame:
 
         def tables(q):
             co = pack.coefficients_at(q)
-            return _flatten([co.m, co.n, co.hbar, co.g, co.l, co.c])
+            return _flatten([co.m, co.n, co.hbar, co.g, co.l, co.c, co.gmat, co.hmat])
 
         coords = all_coords(dims)
         values, jac = field_jacobian(tables, point, coords)
         self._d = np.array([jac[c] for c in coords])
-        shapes = ((n, p, p), (n, p, n), (p, p, p), (n, n, p), (n, n, n), (n, n, n, p))
+        shapes = ((n, p, p), (n, p, n), (p, p, p), (n, n, p), (n, n, n), (n, n, n, p),
+                  (n, n), (p, p))
         self._slice, at, start = {}, {}, 0
         for name, shape in zip(_TABLES, shapes):
             stop = start + int(np.prod(shape))
@@ -97,9 +102,11 @@ class _Frame:
             at[name] = _nest(values[start:stop], shape)
             start = stop
         self.coefficients = Coefficients(hbar=at["H"], g=at["G"], l=at["L"], c=at["C"],
-                                         m=at["M"], n=at["N"])
+                                         m=at["M"], n=at["N"], gmat=at["gmat"],
+                                         hmat=at["hmat"])
         value_row = np.array([values], dtype=float)
-        self.H, self.G, self.L, self.C = (self._table(value_row, k, ()) for k in "HGLC")
+        self.H, self.G, self.L, self.C, self.gmat, self.hmat = (
+            self._table(value_row, k, ()) for k in ("H", "G", "L", "C", "gmat", "hmat"))
         dv = self._d[p + n:]  # rows (l, c) row-major
         self._dt = np.array([_adapted(self._d[b], dv, at["M"], b) for b in range(p)])
         self._dx = np.array([_adapted(self._d[p + j], dv, at["N"], j) for j in range(n)])
@@ -326,6 +333,59 @@ def curvature_table(torsion: TorsionTable) -> CurvatureTable:
         vm_v=_tensor((vu, vl, sl, vl), _delta_lift(vm_m, p)),
         vv_v=_tensor((vu, vl, vl, vl), _delta_lift(vv_m, p)),
     )
+
+
+# --- Metric compatibility --------------------------------------------------------
+
+
+def _covariant_defect(d, metric, gamma) -> float:
+    """Max over i, j of |d_ij - gamma[m][i] metric_mj - gamma[m][j] metric_im|,
+    the covariant derivative of a metric along one direction, from the
+    metric's (adapted) derivative ``d`` along it and the pack's coefficients
+    ``gamma`` [m][i] in that direction, all plain lists; an empty ``gamma``
+    is a direction the pack has no coefficients in.  A NaN defect is kept."""
+    defects = []
+    for i, row in enumerate(d):
+        for j, val in enumerate(row):
+            for m, gm in enumerate(gamma):
+                val -= gm[i] * metric[m][j] + gm[j] * metric[i][m]
+            defects.append(abs(val))
+    return nan_max(0.0, *defects)
+
+
+def _per_direction(arr, axes):
+    """The subarrays of ``arr`` along its last ``axes`` axes, a direction
+    index or pair, as plain nested lists in row-major direction order."""
+    lead = arr.ndim - axes
+    moved = np.moveaxis(arr, range(lead, arr.ndim), range(axes))
+    return moved.reshape((-1,) + arr.shape[:lead]).tolist()
+
+
+def metric_compatibility(torsion: TorsionTable) -> dict:
+    """Max |covariant derivative| of the spatial and temporal metrics in all
+    three directions at the torsion table's point; all six must vanish for
+    the Cartan pack.  Reads only the table's frame: g, h, their adapted and
+    vertical partials and the coefficients.  The slot rules are those of
+    the covariant derivative in ``tests/oracles.py``, which the test-suite
+    pins this code against.  The pack is h-normal: h has no coefficients
+    along x or v."""
+    fr = torsion.frame
+    g, hmat = fr.gmat.tolist(), fr.hmat.tolist()
+    worst = dict.fromkeys(("g_t_horizontal", "g_m_horizontal", "g_vertical",
+                           "h_t_horizontal", "h_m_horizontal", "h_vertical"), 0.0)
+    for direction, derivative, gamma_g, gamma_h in (
+            ("t_horizontal", fr.delta_t, fr.G, fr.H),
+            ("m_horizontal", fr.delta_x, fr.L, None),
+            ("vertical", fr.partial_v, fr.C, None)):
+        axes = gamma_g.ndim - 2  # a coefficient table's direction axes are its last
+        dg, dh = _per_direction(derivative("gmat"), axes), _per_direction(derivative("hmat"), axes)
+        gam_g = _per_direction(gamma_g, axes)
+        gam_h = [[]] * len(dh) if gamma_h is None else _per_direction(gamma_h, axes)
+        worst["g_" + direction] = nan_max(
+            0.0, *(_covariant_defect(d, g, gam) for d, gam in zip(dg, gam_g)))
+        worst["h_" + direction] = nan_max(
+            0.0, *(_covariant_defect(d, hmat, gam) for d, gam in zip(dh, gam_h)))
+    return worst
 
 
 # --- Zero audits -----------------------------------------------------------------

@@ -11,6 +11,12 @@ Grammar (one token of lookahead, ^ right-associative):
 Variables are t1..t9, x1..x9 and v{i}_{a} (e.g. v2_1); functions are
 sin, cos, tan, exp, log, sqrt, sinh, cosh, abs.  No implicit
 multiplication, no user-defined functions.
+
+An expression is at most MAX_DEPTH levels deep: each operator, function
+call, pair of parentheses and the number or variable that ends a path is a
+level, counted along the deepest path.  The bound keeps the recursive
+parser, formatter, compiler and AST comparisons well inside Python's
+recursion limit and the compiled source inside its 200 nested parentheses.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 from .errors import DslSemanticError, DslSyntaxError
 from .jet_core import Dims
 from . import scalars
+
+MAX_DEPTH = 100
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "abs")
 
@@ -237,48 +245,72 @@ class _Parser:
             return f"identifier {tok.text!r}"
         return f"token {tok.kind!r}"
 
-    def parse_expr(self):
-        node = self.parse_term()
+    # Each parse_* method takes ``level``, the number of levels (nodes and
+    # parentheses) above the expression it parses, and returns that
+    # expression's node and depth.  A level passed to an operand of a
+    # left-associative chain counts the chain as one node, so every check
+    # on the way down errs low; the chain's own node checks its full depth.
+
+    def too_deep(self, offset):
+        raise DslSyntaxError(ParseDiagnostic(
+            offset, f"expression nested more than {MAX_DEPTH} levels deep"))
+
+    def parse_expr(self, level):
+        node, depth = self.parse_term(level)
         while self.peek().kind in "+-":
             op = self.advance()
-            rhs = self.parse_term()
+            rhs, rhs_depth = self.parse_term(level + 1)
+            depth = 1 + max(depth, rhs_depth)
+            if level + depth > MAX_DEPTH:
+                self.too_deep(op.offset)
             cls = Add if op.kind == "+" else Sub
             node = cls(node, rhs, offset=op.offset)
-        return node
+        return node, depth
 
-    def parse_term(self):
-        node = self.parse_unary()
+    def parse_term(self, level):
+        node, depth = self.parse_unary(level)
         while self.peek().kind in "*/":
             op = self.advance()
-            rhs = self.parse_unary()
+            rhs, rhs_depth = self.parse_unary(level + 1)
+            depth = 1 + max(depth, rhs_depth)
+            if level + depth > MAX_DEPTH:
+                self.too_deep(op.offset)
             cls = Mul if op.kind == "*" else Div
             node = cls(node, rhs, offset=op.offset)
-        return node
+        return node, depth
 
-    def parse_unary(self):
+    def parse_unary(self, level):
         if self.peek().kind == "-":
             op = self.advance()
-            return Neg(self.parse_power(), offset=op.offset)
-        return self.parse_power()
+            child, depth = self.parse_power(level + 1)
+            return Neg(child, offset=op.offset), 1 + depth
+        return self.parse_power(level)
 
-    def parse_power(self):
-        base = self.parse_atom()
+    def parse_power(self, level):
+        # every nested operand, parenthesized group and argument passes
+        # here, so the recursion stops before it outgrows the bound
+        if level >= MAX_DEPTH:
+            self.too_deep(self.peek().offset)
+        base, depth = self.parse_atom(level)
         if self.peek().kind == "^":
             op = self.advance()
-            expo = self.parse_unary()
-            return Pow(base, expo, offset=op.offset)
-        return base
+            expo, expo_depth = self.parse_unary(level + 1)
+            depth = 1 + max(depth, expo_depth)
+            if level + depth > MAX_DEPTH:
+                self.too_deep(op.offset)
+            return Pow(base, expo, offset=op.offset), depth
+        return base, depth
 
-    def parse_atom(self):
+    def parse_atom(self, level):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.text), offset=tok.offset)
+            return Const(float(tok.text), offset=tok.offset), 1
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node, depth = self.parse_expr(level + 1)
             self.expect(")")
-            return node
+            return node, 1 + depth
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -292,10 +324,10 @@ class _Parser:
                         )
                     )
                 self.advance()
-                arg = self.parse_expr()
+                arg, depth = self.parse_expr(level + 1)
                 self.expect(")")
-                return Func(name, arg, offset=tok.offset)
-            return self._variable(name, tok.offset)
+                return Func(name, arg, offset=tok.offset), 1 + depth
+            return self._variable(name, tok.offset), 1
         self.fail(
             f"unexpected {self._describe(tok)}",
             expected={"number", "identifier", "'('", "'-'"},
@@ -344,7 +376,7 @@ def parse(source: str, dims: Dims) -> ExprAst:
     if not source or not source.strip():
         raise DslSyntaxError(ParseDiagnostic(0, "empty expression"))
     parser = _Parser(_tokenize(source), dims)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr(0)
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail(f"trailing input: {parser._describe(tok)}", expected={"end of input"})

@@ -9,10 +9,16 @@ import random
 import numpy as np
 
 from .calculus import fd_crosscheck
-from .cartan import cartan_connection, metric_compatibility
+from .cartan import cartan_connection
 from .config import ProblemInstance
 from .connection import euler_lagrange_residual, harmonic_form, spray_data, spray_entities
-from .curvature import AUDIT_TOL, curvature_table, table_zero_audit, torsion_table
+from .curvature import (
+    AUDIT_TOL,
+    curvature_table,
+    metric_compatibility,
+    table_zero_audit,
+    torsion_table,
+)
 from .errors import DecompositionError
 from .jet_core import JetPoint
 from .metric_engine import g_christoffel_values
@@ -150,8 +156,8 @@ def run_checks(instance: ProblemInstance) -> list:
     # Cartan pack at 4 points: one torsion and one curvature table per
     # point, which the zero audit and the antisymmetry check both read.  The
     # torsion table's frame is one evaluation of the coefficients, lifted
-    # over every coordinate; its value is the point's coefficients, which
-    # compatibility, symmetry and the classical reduction read.
+    # over every coordinate; compatibility reads it, and its value is the
+    # point's coefficients, which symmetry and the classical reduction read.
     pack = cartan_connection(L, h, decomposition=deco)
     worst_compat = worst_sym = worst_anti = 0.0
     cos, tables = [], []
@@ -161,8 +167,7 @@ def run_checks(instance: ProblemInstance) -> list:
         worst_anti = nan_max(worst_anti, _antisymmetry_defect(*tables[-1]))
         co = tor.frame.coefficients
         cos.append(co)
-        compat = metric_compatibility(pack, pt, co)
-        worst_compat = nan_max(worst_compat, *compat.values())
+        worst_compat = nan_max(worst_compat, *metric_compatibility(tor).values())
         for i in range(dims.n):
             for j in range(dims.n):
                 for k in range(dims.n):

@@ -6,8 +6,9 @@ report where their outputs differ.
 Each run is ``python -m jetlag COMMAND --config FILE`` in a fresh process
 with ``PYTHONPATH`` set to one tree, two runs at a time.  The configs are
 the 27 corpus configs of ``conftest`` (``count=4``), the quartic
-(``count=4``) and the sphere (``dt=1e-2``), ten expression Lagrangians
-(six with a solver; one p = 2 with velocity-linear terms), two metrics
+(``count=4``) and the sphere (``dt=1e-2``), eleven expression Lagrangians
+(seven with a solver; one p = 2 with velocity-linear terms; one p = 1
+with a t-dependent h and a velocity-dependent g), two metrics
 that vanish along an extremal (g = x1 and g = x1^2), an extremal that
 overflows under a constant g, a Lagrangian that is NaN away from x1 = 0
 (``v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10``), one that is finite on its
@@ -130,6 +131,12 @@ def configs() -> dict:
     # support to every pair among its seeds
     out["expr_quotient_exp_p1_n2"] = _expression(
         1, 2, "(2 + x1^2)*v1_1^2/(3 + v2_1^2) + exp(0.2*x2*v2_1) + (1 + x2^2)*v2_1^2",
+        x0=[0.2, -0.1], y0=[0.5, 0.3])
+    # a t-dependent h (M != 0) under a g that depends on the velocities:
+    # the T-horizontal covariant derivative of g subtracts M dg/dv terms
+    out["expr_finsler_th_p1_n2"] = _expression(
+        1, 2, "(2 + x1^2)*v1_1^2/(3 + v2_1^2) + (1 + x2^2)*v2_1^2 + 0.1*v1_1^4 + 0.2*t1*x1*v2_1",
+        h={"kind": "expression", "entries": [["1 + t1^2"]], "signature": [1, 0]},
         x0=[0.2, -0.1], y0=[0.5, 0.3])
     # velocity-linear terms: the expression backend's U and its curl are
     # nonzero, and F depends on x and t

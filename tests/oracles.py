@@ -4,7 +4,7 @@ none of the internals it checks.
 
 * ``covariant_derivative``: the generic T-horizontal, M-horizontal and
   vertical covariant derivative of a d-tensor field of any valence over a
-  connection pack, the reference for ``cartan.metric_compatibility``;
+  connection pack, the reference for ``curvature.metric_compatibility``;
 * ``h_curvature_values`` and ``g_curvature_values``: the Riemann tensors of
   the temporal and spatial metrics;
 * ``action_value``: the action of a p = 1 trajectory;

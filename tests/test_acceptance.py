@@ -12,10 +12,10 @@ import time
 import numpy as np
 
 from jetlag import dsl
-from jetlag.cartan import berwald_connection, cartan_connection, metric_compatibility
+from jetlag.cartan import berwald_connection, cartan_connection
 from jetlag.config import assemble
 from jetlag.connection import spray_entities
-from jetlag.curvature import curvature_table, table_zero_audit, torsion_table
+from jetlag.curvature import curvature_table, metric_compatibility, table_zero_audit, torsion_table
 from jetlag.calculus import fd_crosscheck, v_coord, x_coord
 from jetlag.errors import DslError
 from jetlag.extremal import ExtremalProblem, GridMap, harmonic_residual, integrate_extremal
@@ -135,7 +135,7 @@ def test_criterion_4_metric_compatibility():
             deco, pack = build_geometry(inst)
             pts = sample_points(inst.dims, [-1, 1], 32, seed=4)
             for pt in pts:
-                worst = max(worst, max(metric_compatibility(pack, pt, pack.coefficients_at(pt)).values()))
+                worst = max(worst, max(metric_compatibility(torsion_table(pack, pt)).values()))
     assert worst <= 1e-7, worst
     report(4, f"all six Cartan metric-compatibility tensors <= 1e-7 over the "
               f"corpus (worst {worst:.2e})", time.monotonic() - start)

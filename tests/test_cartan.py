@@ -1,14 +1,16 @@
 """Cartan and Berwald connections, covariant derivatives, metric compatibility."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from jetlag import cartan, connection, metric_engine, verify
 from jetlag.calculus import field_jacobian, lift_d1, t_coord, v_coord, x_coord
-from jetlag.cartan import berwald_connection, cartan_connection, metric_compatibility
+from jetlag.cartan import berwald_connection, cartan_connection
 from jetlag.connection import m_values
+from jetlag.curvature import metric_compatibility, torsion_table
 from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from jetlag.jet_core import Dims, JetPoint, spatial_lower, spatial_upper, temporal_lower
 from jetlag.metric_engine import (
@@ -149,7 +151,7 @@ class TestMetricCompatibility:
         pack = build_cartan(inst)
         pts = sample_points(inst.dims, [-1, 1], 3, seed=14)
         for pt in pts:
-            compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
+            compat = metric_compatibility(torsion_table(pack, pt))
             worst = max(compat.values())
             assert worst <= 1e-7, (kind, p, n, compat)
 
@@ -158,10 +160,9 @@ class TestMetricCompatibility:
         inst = corpus_instance("non_autonomous", 1, 2)
         pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=14)[0]
-        co = pack.coefficients_at(pt)
-        g_block = [[list(row) for row in plane] for plane in co.g]
-        g_block[1][1][0] = math.nan
-        compat = metric_compatibility(pack, pt, co._replace(g=g_block))
+        tor = torsion_table(pack, pt)
+        tor.frame.G[1, 1, 0] = math.nan
+        compat = metric_compatibility(tor)
         assert math.isnan(compat["g_t_horizontal"])
         assert max(v for k, v in compat.items() if k != "g_t_horizontal") <= 1e-7
 
@@ -171,7 +172,7 @@ class TestMetricCompatibility:
         L = expression_lagrangian("v1_1^2 + 0.5*v1_1^4", d)
         pack = cartan_connection(L, h, None)
         pt = JetPoint((0.1,), (0.4,), ((0.6,),))
-        compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
+        compat = metric_compatibility(torsion_table(pack, pt))
         assert max(compat.values()) <= 1e-9
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -183,10 +184,10 @@ class TestMetricCompatibility:
         inst = corpus_instance("non_autonomous", p, n)
         pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=15)[0]
-        compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
+        compat = metric_compatibility(torsion_table(pack, pt))
         fields = {
             "g": (pack.g_matrix_at, (spatial_lower(n), spatial_lower(n))),
-            "h": (lambda q: pack.h.matrix_at(q.t), (temporal_lower(p), temporal_lower(p))),
+            "h": (lambda q: inst.h.matrix_at(q.t), (temporal_lower(p), temporal_lower(p))),
         }
         directions = {
             "t_horizontal": [THorizontal(c) for c in range(p)],
@@ -201,6 +202,57 @@ class TestMetricCompatibility:
                 )
                 entry = f"{name}_{label}"
                 assert compat[entry] == pytest.approx(worst_op, abs=1e-12), entry
+
+
+def _packs_over_the_corpus():
+    """(pack, h) for the Cartan packs of the non-autonomous p = 1, 2, 3
+    corpus configs (t-dependent h and g) and the Berwald pack of the p = 2
+    one."""
+    out = []
+    for p in (1, 2, 3):
+        inst = corpus_instance("non_autonomous", p, 2)
+        out.append(pytest.param(build_cartan(inst), inst.h, id=f"cartan_p{p}"))
+    inst = corpus_instance("non_autonomous", 2, 2)
+    out.append(pytest.param(berwald_connection(inst.h, inst.L.structure.g_matrix, inst.dims),
+                            inst.h, id="berwald_p2"))
+    return out
+
+
+class TestCompatibilityReadsTheFrame:
+    """``metric_compatibility`` reads the torsion table's frame, whose one
+    lift of the coefficients also carries the g and h they were built
+    from."""
+
+    @pytest.mark.parametrize("pack, h", _packs_over_the_corpus())
+    def test_evaluates_nothing(self, monkeypatch, pack, h):
+        pt = sample_points(pack.dims, [-1, 1], 1, seed=71)[0]
+        tor = torsion_table(pack, pt)
+        want = metric_compatibility(tor)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("metric_compatibility evaluated something")
+
+        for module_name, attr in (("jetlag.calculus", "field_jacobian"),
+                                  ("jetlag.metric_engine", "checked_inverse")):
+            original = getattr(sys.modules[module_name], attr)
+            for module in list(sys.modules.values()):  # every binding of it
+                if (getattr(module, "__name__", "").startswith("jetlag")
+                        and getattr(module, attr, None) is original):
+                    monkeypatch.setattr(module, attr, refuse)
+        monkeypatch.setattr(pack, "coefficients_at", refuse)
+        monkeypatch.setattr(pack, "g_matrix_at", refuse)
+        got = metric_compatibility(tor)
+        assert len(got) == 6 and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("pack, h", _packs_over_the_corpus())
+    @pytest.mark.parametrize("lift", [None, x_coord(0)], ids=["plain", "lifted_x1"])
+    def test_metrics_are_the_packs_own(self, pack, h, lift):
+        pt = sample_points(pack.dims, [-1, 1], 1, seed=72)[0]
+        if lift is not None:
+            pt = lift_d1(pt, (lift,))
+        co = pack.coefficients_at(pt)
+        assert repr(co.gmat) == repr(pack.g_matrix_at(pt))
+        assert repr(co.hmat) == repr(h.matrix_at(pt.t))
 
 
 class TestCovariantDerivative:
@@ -258,7 +310,7 @@ class TestCovariantDerivative:
             [constant(0.0), ExpressionField("sin(x1)^2", d)]])
         pack = berwald_connection(h, gs, d)
         pt = JetPoint((0.1, 0.2), (0.9, 0.5), ((0.2, 0.1), (0.3, -0.2)))
-        compat = metric_compatibility(pack, pt, pack.coefficients_at(pt))
+        compat = metric_compatibility(torsion_table(pack, pt))
         assert max(compat.values()) <= 1e-9
 
 
@@ -276,9 +328,9 @@ class TestUniquenessProbe:
             berwald_g = np.array(berwald.coefficients_at(pt).g, dtype=float)
             assert np.max(np.abs(berwald_g)) == 0.0
             assert np.max(np.abs(cartan_g - berwald_g)) > 1e-4
-            compat = metric_compatibility(berwald, pt, berwald.coefficients_at(pt))
+            compat = metric_compatibility(torsion_table(berwald, pt))
             assert compat["g_t_horizontal"] > 1e-4
-            assert max(metric_compatibility(pack, pt, pack.coefficients_at(pt)).values()) <= 1e-10
+            assert max(metric_compatibility(torsion_table(pack, pt)).values()) <= 1e-10
 
 
 class TestOneEvaluationPerPoint:
@@ -322,8 +374,7 @@ class TestOneEvaluationPerPoint:
     def test_berwald_computes_each_christoffel_family_once(self, monkeypatch):
         inst = corpus_instance("non_autonomous", 2, 2)  # h depends on t
         calls = {"g": 0, "h": 0}
-        monkeypatch.setattr(cartan, "g_christoffel_values",
-                            counted(calls, "g", metric_engine.g_christoffel_values))
+        monkeypatch.setattr(cartan, "levi_civita", counted(calls, "g", metric_engine.levi_civita))
         for module in (cartan, connection):
             monkeypatch.setattr(module, "h_christoffel_values",
                                 counted(calls, "h", metric_engine.h_christoffel_values))

@@ -119,6 +119,24 @@ class TestExitCodes:
         assert run(["analyze", "--config", str(path)]) == EX_USAGE
         assert "config error" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(["analyze", "--config", str(path)]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not UTF-8: ") and err.count("\n") == 1
+
+    def test_integer_too_long_to_convert(self, tmp_path, capsys):
+        # a sampling.seed past Python's 4300-digit limit on int() of a string
+        cfg = sphere_config()
+        cfg["sampling"]["seed"] = "@seed@"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@seed@"', "9" * 5001))
+        assert run(["analyze", "--config", str(path)]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON: ") and err.count("\n") == 1
+        assert "digits" in err
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = sphere_config()
         cfg["surprise"] = 1
@@ -131,6 +149,20 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert run(["analyze", "--config", path]) == EX_USAGE
         assert "g_entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expression, position", [
+        ("v1_1^2" + "+x1" * 199, "1:301"),              # the sum's 101st level
+        ("(" * 199 + "v1_1^2" + ")" * 199, "1:101"),  # inside the 100th '('
+    ], ids=["sum_of_200_terms", "199_nested_parentheses"])
+    def test_too_deep_expression_is_one_line(self, tmp_path, capsys, expression, position):
+        path = write_config(tmp_path, {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "expression", "expression": expression},
+            "temporal_metric": {"kind": "flat"},
+        })
+        assert run(["analyze", "--config", path]) == EX_USAGE
+        assert capsys.readouterr().err == (f"config error: lagrangian.expression: {position}: "
+                                           "expression nested more than 100 levels deep\n")
 
     def test_extremal_needs_p1(self, tmp_path, capsys):
         cfg = corpus_config("harmonic", 2, 2)

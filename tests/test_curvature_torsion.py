@@ -358,11 +358,12 @@ class TestAsymmetricCPack:
             l = [[[0.0] * 2 for _ in range(2)] for _ in range(2)]
             m = [[[0.0]] for _ in range(2)]      # M = 0, [i][a][b]
             n = [[[0.0] * 2] for _ in range(2)]  # N = 0, [i][a][j]
-            return Coefficients(hbar=hbar, g=g, l=l, c=c, m=m, n=n)
+            return Coefficients(hbar=hbar, g=g, l=l, c=c, m=m, n=n,
+                                gmat=[[1.0, 0.0], [0.0, 1.0]], hmat=[[1.0]])
 
         return LinearConnectionPack(
             dims=Dims(1, 2), kind="custom", coefficients_at=coefficients,
-            g_matrix_at=lambda pt: [[1.0, 0.0], [0.0, 1.0]], h=TemporalMetric.flat(1))
+            g_matrix_at=lambda pt: [[1.0, 0.0], [0.0, 1.0]])
 
     def test_vv_torsion_formula(self):
         pack = self._pack()
@@ -428,7 +429,7 @@ class TestOneFramePerPoint:
             calls.append(q)
             return pack.coefficients_at(q)
 
-        counting = LinearConnectionPack(pack.dims, pack.kind, counted, pack.g_matrix_at, pack.h)
+        counting = LinearConnectionPack(pack.dims, pack.kind, counted, pack.g_matrix_at)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
         curvature_table(torsion_table(counting, pt))
         assert len(calls) == 1  # one lift over every coordinate, its value the point's
@@ -486,7 +487,7 @@ class TestOneLiftIsEveryDirection:
 
         def tables(q):
             co = pack.coefficients_at(q)
-            return [co.m, co.n, co.hbar, co.g, co.l, co.c]
+            return [co.m, co.n, co.hbar, co.g, co.l, co.c, co.gmat, co.hmat]
 
         frame = torsion_table(pack, pt).frame
         want = _per_coordinate(tables, pt, coords)
@@ -517,7 +518,7 @@ class TestFlatFrame:
         co = pack.coefficients_at(pt)
         assert repr(frame.coefficients) == repr(co)
         m_co, n_co = map_structure(scalar_value, co.m), map_structure(scalar_value, co.n)
-        fields = dict(zip(_TABLES, ("m", "n", "hbar", "g", "l", "c")))
+        fields = dict(zip(_TABLES, ("m", "n", "hbar", "g", "l", "c", "gmat", "hmat")))
         for table, field in fields.items():
             _, jac = field_jacobian(lambda q: getattr(pack.coefficients_at(q), field), pt, coords)
             jac = {c: np.array(part, dtype=float) for c, part in jac.items()}

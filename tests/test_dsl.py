@@ -222,6 +222,66 @@ class TestFormat:
         assert dsl.format_ast(dsl.parse("v2_1 * x1 - t2", Dims(2, 2))) == "v2_1 * x1 - t2"
 
 
+def _nested(shape, depth):
+    """Source of ``shape`` exactly ``depth`` levels deep, counting each
+    operator, function call and pair of parentheses as a level."""
+    half, odd = divmod(depth - 1, 2)  # the two-level shapes: an odd one in parentheses
+    return {
+        "sum": "v1_1" + "+x1" * (depth - 1),
+        "product": "v1_1" + "*x1" * (depth - 1),
+        "parens": "(" * (depth - 1) + "v1_1" + ")" * (depth - 1),
+        "power": "^".join(["v1_1"] * depth),
+        "right_sub": "(" * odd + "x1-(" * half + "v1_1" + ")" * (half + odd),
+        "neg": "(" * odd + "-(" * half + "v1_1" + ")" * (half + odd),
+        "neg_leaf": "(" * (depth - 2) + "-v1_1" + ")" * (depth - 2),
+        "function": "sin(" * (depth - 1) + "v1_1" + ")" * (depth - 1),
+    }[shape]
+
+
+_SHAPES = ("sum", "product", "parens", "power", "right_sub", "neg", "neg_leaf", "function")
+
+
+class TestDepthBound:
+    """An expression nests at most MAX_DEPTH levels; within it every
+    recursive walk of the tree stays under Python's limits, and past it the
+    parser refuses the expression where the bound is crossed."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_deepest_accepted_expression_works_everywhere(self, shape):
+        source = _nested(shape, dsl.MAX_DEPTH)
+        ast = dsl.parse(source, D12)
+        again = dsl.parse(source, D12)
+        assert ast == again and hash(ast) == hash(again)
+        assert dsl.parse(dsl.format_ast(ast), D12) == ast
+        assert ("v", 0, 0) in dsl.used_variables(ast)
+        dsl.compile_ast(ast)
+        value = ExpressionField(source, D12)(pt(D12, x=(0.5, 0.0), v=((0.25,), (0.0,))))
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_one_level_more_is_a_syntax_error(self, shape):
+        source = _nested(shape, dsl.MAX_DEPTH + 1)
+        with pytest.raises(DslSyntaxError, match="nested more than 100 levels deep"):
+            dsl.parse(source, D12)
+
+    def test_a_sum_of_200_terms_is_refused_at_the_crossing_operator(self):
+        # compiled, each sum was a pair of parentheses: CPython's tokenizer
+        # stops at 200 nested pairs
+        source = "v1_1^2" + "+x1" * 199
+        with pytest.raises(DslSyntaxError) as info:
+            dsl.parse(source, D12)
+        # v1_1^2 is 2 levels, and the k-th '+' (at offset 3 + 3k) makes 2 + k
+        offset = info.value.diagnostic.offset
+        assert source[offset] == "+" and offset == 3 + 3 * (dsl.MAX_DEPTH - 1)
+
+    def test_199_nested_parentheses_are_refused_before_the_recursion_runs_out(self):
+        source = "(" * 199 + "v1_1^2" + ")" * 199
+        with pytest.raises(DslSyntaxError) as info:
+            dsl.parse(source, D12)
+        # the 100th level holds the 100th '(', the level past it its operand
+        assert info.value.diagnostic.offset == dsl.MAX_DEPTH
+
+
 def random_ast(rng: random.Random, dims: Dims, depth: int):
     """Random parse-image AST (non-negative constants only)."""
     if depth <= 0:
