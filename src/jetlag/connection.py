@@ -219,20 +219,18 @@ def harmonic_form(hinv, hch, xa, xab, g_vec) -> list:
 
 class SprayPack:
     """Point values of the canonical spray: entity vectors plus the temporal
-    and spatial coefficient blocks (and the trace-normalized tensor part for
-    p >= 2)."""
+    and spatial coefficient blocks."""
 
-    __slots__ = ("S", "Hc", "J", "Gc", "H_temporal", "G_spatial", "T_tensor")
+    __slots__ = ("S", "Hc", "J", "Gc", "H_temporal", "G_spatial")
 
     def __init__(self, S: np.ndarray, Hc: np.ndarray, J: np.ndarray, Gc: np.ndarray,
-                 H_temporal: DTensor, G_spatial: DTensor, T_tensor: DTensor | None):
+                 H_temporal: DTensor, G_spatial: DTensor):
         self.S = S
         self.Hc = Hc
         self.J = J
         self.Gc = Gc
         self.H_temporal = H_temporal
         self.G_spatial = G_spatial
-        self.T_tensor = T_tensor
 
 
 def spray_entities(L, h: TemporalMetric, point: JetPoint,
@@ -249,14 +247,12 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
                      [[0.5 * e for e in row] for block in m for row in block])
 
     g_spat = DTensor((vertical_upper(n, p), temporal_lower(p)))
-    t_tens = None
     if p == 1:
         for l in range(n):
             g_spat.set(((l, 0), 0), hmat[0][0] * gv[l])
     else:
         t_vec = _trace_tensor_vector(point, jet, data)
         gamma = christoffel(checked_inverse(jet.g).inverse, jet.dg_dx)
-        t_tens = DTensor((vertical_upper(n, p), temporal_lower(p)))
         for l in range(n):
             for a in range(p):
                 for b in range(p):
@@ -265,11 +261,8 @@ def spray_entities(L, h: TemporalMetric, point: JetPoint,
                         for k in range(n):
                             quad += scalar_value(gamma[l][j][k]) * \
                                 scalar_value(point.v[j][a]) * scalar_value(point.v[k][b])
-                    t_ab = (hmat[a][b] / p) * t_vec[l]
-                    t_tens.set(((l, a), b), t_ab)
-                    g_spat.set(((l, a), b), 0.5 * quad + t_ab)
-    return SprayPack(S=s, Hc=hv, J=jv, Gc=gv, H_temporal=h_temp,
-                     G_spatial=g_spat, T_tensor=t_tens)
+                    g_spat.set(((l, a), b), 0.5 * quad + (hmat[a][b] / p) * t_vec[l])
+    return SprayPack(S=s, Hc=hv, J=jv, Gc=gv, H_temporal=h_temp, G_spatial=g_spat)
 
 
 def _trace_tensor_vector(point, jet: DecompositionJet, data: SprayData):
@@ -364,8 +357,10 @@ def delta_entry(jac, idx, coord: Coord, coeffs):
     every vertical coordinate): for coord = t^a and coeffs = M values
     delta/delta t^a = d/dt^a - M^{(l)}_{(b)a} d/dv^l_b, for coord = x^j and
     coeffs = N values delta/delta x^j = d/dx^j - N^{(l)}_{(b)j} d/dv^l_b.
-    Weights that are plain float zeros are skipped.  An ``idx`` that ends at
-    an ndarray leaf gives the derivative of every entry of that array."""
+    Weights that are plain float zeros are skipped.  It serves two kinds of
+    leaf: a scalar, one entry (the p = 1 Cartan closure, the test oracles),
+    and an ndarray, every entry at once (the torsion frame, whose leaf per
+    coordinate is one float64 row of every coefficient table's entries)."""
     col = coord.alpha if coord.kind == "t" else coord.i
     acc = structure_entry(jac[coord], idx)
     for l, block in enumerate(coeffs):

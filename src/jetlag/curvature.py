@@ -1,14 +1,14 @@
 """Torsion and curvature d-tensors of an h-normal linear connection, and
 its metric compatibility.
 
-Every quantity here reads one frame per point: the coefficient tables
-(M, N, Hbar, G, L, C) at the point, the matrices of g and h they were
-built from, and all their partials along every coordinate, from one
-evaluation of the pack's ``coefficients_at`` on a Dual lift over all of
-them.  The lift's value is the point's coefficients, which ``verify``
-reads from the frame.  ``torsion_table`` builds the frame and keeps it;
-``curvature_table`` and ``metric_compatibility`` take that torsion table
-and read the same frame.
+Every quantity here reads one frame per point: the tables of the pack's
+``cartan.Coefficients`` at the point and all their partials along every
+coordinate, from one evaluation of ``coefficients_at`` on a Dual lift
+over all of them; the adapted derivatives are ``connection.delta_entry``
+over those partials.  The lift's value is the point's coefficients,
+which ``verify`` reads from the frame.  ``torsion_table`` builds the
+frame and keeps it; ``curvature_table`` and ``metric_compatibility``
+take that torsion table and read the same frame.
 
 Every family is evaluated from its generic defining formula as one numpy
 array, vertical index pairs flattened as i*p + a.  A sum over a repeated
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import all_coords, field_jacobian, t_coord
+from .calculus import all_coords, field_jacobian, t_coord, x_coord
 from .cartan import Coefficients, LinearConnectionPack
+from .connection import delta_entry
 from .jet_core import (
     DTensor,
     JetPoint,
@@ -38,13 +39,10 @@ from .jet_core import (
     vertical_upper,
 )
 from .metric_engine import riemann
-from .scalars import nan_max, scalar_value
+from .scalars import nan_max
 
 
 # --- Frame data: all coefficient tables and their coordinate derivatives ----
-
-
-_TABLES = ("M", "N", "H", "G", "L", "C", "gmat", "hmat")
 
 
 def _flatten(obj):
@@ -54,62 +52,45 @@ def _flatten(obj):
     return [obj]
 
 
-def _nest(flat, shape):
-    """The row-major nested lists of ``shape`` holding ``flat``."""
-    for size in reversed(shape[1:]):
-        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
-    return flat
-
-
-def _adapted(acc, dv, coeffs, col):
-    """The adapted derivative of every entry along t^col (``coeffs`` M) or
-    x^col (N) from its partial row ``acc`` and the vertical rows ``dv``:
-    acc - coeffs[l][c][col] * dv[(l, c)] in row-major (l, c) order,
-    skipping plain-zero weights, as ``connection.delta_entry``."""
-    weights = [scalar_value(row[col]) for block in coeffs for row in block]
-    for w, d_v in zip(weights, dv):
-        if w != 0.0:
-            acc = acc - w * d_v
-    return acc
+def _refill(template, leaves):
+    """The nested lists of ``template``'s structure holding the next leaves
+    of the iterator ``leaves``, row-major."""
+    if isinstance(template, (list, tuple)):
+        return [_refill(item, leaves) for item in template]
+    return next(leaves)
 
 
 class _Frame:
-    """Coefficient tables and metrics at a point and their partials.  The
-    lifted field returns all tables' entries as one flat list, so the frame
-    holds one float64 row of entries per coordinate (``all_coords`` order)
-    and per adapted direction, each of those one ``_adapted`` pass over
-    every entry.  ``coefficients`` is the lift's value, bitwise a plain
-    call's.  The accessors return a fresh array of one table, the
-    direction appended as the last axes."""
+    """The pack's ``Coefficients`` at a point and their partials, from one
+    evaluation of ``coefficients_at`` on a Dual lift over every coordinate.
+    The lifted field returns every table's entries as one flat list, in
+    ``Coefficients`` field order, so the frame holds one float64 row of
+    entries per coordinate and per adapted direction, each of those one
+    ``delta_entry`` over the coordinate rows.  ``coefficients`` is the
+    lift's value, bitwise a plain call's, and ``arrays`` the same tables as
+    float64 arrays.  The accessors take a field name and return a fresh
+    array of that table, the direction appended as the last axes."""
 
     def __init__(self, pack: LinearConnectionPack, point: JetPoint):
         self.dims = dims = pack.dims
-        n, p = dims.n, dims.p
+        lifted = []
 
-        def tables(q):
-            co = pack.coefficients_at(q)
-            return _flatten([co.m, co.n, co.hbar, co.g, co.l, co.c, co.gmat, co.hmat])
+        def entries(q):
+            lifted[:] = pack.coefficients_at(q)
+            return _flatten(lifted)
 
         coords = all_coords(dims)
-        values, jac = field_jacobian(tables, point, coords)
+        values, jac = field_jacobian(entries, point, coords)
+        self.coefficients = co = Coefficients(*_refill(lifted, iter(values)))
+        self.arrays = Coefficients(*(np.array(table, dtype=float) for table in co))
+        self._slice, start = {}, 0
+        for name, table in zip(co._fields, self.arrays):
+            self._slice[name] = slice(start, start + table.size), table.shape
+            start += table.size
         self._d = np.array([jac[c] for c in coords])
-        shapes = ((n, p, p), (n, p, n), (p, p, p), (n, n, p), (n, n, n), (n, n, n, p),
-                  (n, n), (p, p))
-        self._slice, at, start = {}, {}, 0
-        for name, shape in zip(_TABLES, shapes):
-            stop = start + int(np.prod(shape))
-            self._slice[name] = slice(start, stop), shape
-            at[name] = _nest(values[start:stop], shape)
-            start = stop
-        self.coefficients = Coefficients(hbar=at["H"], g=at["G"], l=at["L"], c=at["C"],
-                                         m=at["M"], n=at["N"], gmat=at["gmat"],
-                                         hmat=at["hmat"])
-        value_row = np.array([values], dtype=float)
-        self.H, self.G, self.L, self.C, self.gmat, self.hmat = (
-            self._table(value_row, k, ()) for k in ("H", "G", "L", "C", "gmat", "hmat"))
-        dv = self._d[p + n:]  # rows (l, c) row-major
-        self._dt = np.array([_adapted(self._d[b], dv, at["M"], b) for b in range(p)])
-        self._dx = np.array([_adapted(self._d[p + j], dv, at["N"], j) for j in range(n)])
+        self._rows = rows = dict(zip(coords, self._d))
+        self._dt = np.array([delta_entry(rows, (), t_coord(b), co.m) for b in range(dims.p)])
+        self._dx = np.array([delta_entry(rows, (), x_coord(j), co.n) for j in range(dims.n)])
 
     def _table(self, rows, table, extra):
         sl, shape = self._slice[table]
@@ -117,8 +98,7 @@ class _Frame:
 
     def partial(self, coord, table):
         """d/d(coord) of a table."""
-        row = all_coords(self.dims).index(coord)
-        return self._table(self._d[row:row + 1], table, ())
+        return self._table(self._rows[coord][None], table, ())
 
     def partial_v(self, table):
         """d/dv^k_c of a table, axes (k, c) appended."""
@@ -185,13 +165,13 @@ class TorsionTable:
 def torsion_table(pack: LinearConnectionPack, point: JetPoint) -> TorsionTable:
     fr = _Frame(pack, point)
     n, p = fr.dims.n, fr.dims.p
-    G, L, C, H = fr.G, fr.L, fr.C, fr.H
+    H, G, L, C = fr.arrays.hbar, fr.arrays.g, fr.arrays.l, fr.arrays.c
     su, vu = spatial_upper(n), vertical_upper(n, p)
     tl, sl, vl = temporal_lower(p), spatial_lower(n), vertical_lower(n, p)
 
-    dtM, dxN = fr.delta_t("M"), fr.delta_x("N")    # [m, mu, a, b], [m, mu, i, j]
-    vt_v = fr.partial_v("M")                       # [m, mu, a, j, b]
-    vm_v = fr.partial_v("N")                       # [m, mu, i, j, b]
+    dtM, dxN = fr.delta_t("m"), fr.delta_x("n")    # [m, mu, a, b], [m, mu, i, j]
+    vt_v = fr.partial_v("m")                       # [m, mu, a, j, b]
+    vm_v = fr.partial_v("n")                       # [m, mu, i, j, b]
     vv_v = np.zeros((n, p, n, p, n, p))            # [m, mu, i, a, j, b]
     for mu in range(p):
         vt_v[:, mu, :, :, mu] -= G.transpose(0, 2, 1)       # delta^b_mu G^m_{ja}
@@ -204,7 +184,7 @@ def torsion_table(pack: LinearConnectionPack, point: JetPoint) -> TorsionTable:
     return TorsionTable(
         tt_v=_tensor((vu, tl, tl), dtM - dtM.swapaxes(2, 3)),
         mt_m=_tensor((su, tl, sl), -G.transpose(0, 2, 1)),
-        mt_v=_tensor((vu, tl, sl), fr.delta_x("M") - fr.delta_t("N").swapaxes(2, 3)),
+        mt_v=_tensor((vu, tl, sl), fr.delta_x("m") - fr.delta_t("n").swapaxes(2, 3)),
         mm_m=_tensor((su, sl, sl), L - L.transpose(0, 2, 1)),
         mm_v=_tensor((vu, sl, sl), dxN - dxN.swapaxes(2, 3)),
         vt_v=_tensor((vu, tl, vl), vt_v),
@@ -277,23 +257,23 @@ def _delta_lift(x, p):
 def curvature_table(torsion: TorsionTable) -> CurvatureTable:
     fr = torsion.frame
     n, p = fr.dims.n, fr.dims.p
-    G, L, C, H = fr.G, fr.L, fr.C, fr.H
+    H, G, L, C = fr.arrays.hbar, fr.arrays.g, fr.arrays.l, fr.arrays.c
     tu, su, vu = temporal_upper(p), spatial_upper(n), vertical_upper(n, p)
     tl, sl, vl = temporal_lower(p), spatial_lower(n), vertical_lower(n, p)
 
     # Temporal block curvature (plain t-partials; H depends on t only).
-    tt_t = np.array(riemann(H, [fr.partial(t_coord(b), "H") for b in range(p)]))
+    tt_t = np.array(riemann(H, [fr.partial(t_coord(b), "hbar") for b in range(p)]))
 
     # Covariant derivatives of C in the T- and M-horizontal directions,
     # [l, i, k, c, b] and [l, i, k, c, j].
-    ccov_t = _c_covariant(fr.delta_t("C"), G, C)
+    ccov_t = _c_covariant(fr.delta_t("c"), G, C)
     for mu in range(p):
         ccov_t = ccov_t + _product("cb,lik->likcb", H[:, mu], C[..., mu])
-    ccov_x = _c_covariant(fr.delta_x("C"), L, C)
+    ccov_x = _c_covariant(fr.delta_x("c"), L, C)
 
-    dtG, dxL, pvC = fr.delta_t("G"), fr.delta_x("L"), fr.partial_v("C")
+    dtG, dxL, pvC = fr.delta_t("g"), fr.delta_x("l"), fr.partial_v("c")
     tt_m = dtG - dtG.swapaxes(2, 3)                           # [l, i, b, c]
-    mt_m = fr.delta_x("G") - fr.delta_t("L").swapaxes(2, 3)  # [l, i, b, k]
+    mt_m = fr.delta_x("g") - fr.delta_t("l").swapaxes(2, 3)  # [l, i, b, k]
     mm_m = dxL - dxL.swapaxes(2, 3)                           # [l, i, j, k]
     vv_m = pvC - pvC.transpose(0, 1, 4, 5, 2, 3)              # [l, i, j, b, k, c]
     for m in range(n):
@@ -308,9 +288,9 @@ def curvature_table(torsion: TorsionTable) -> CurvatureTable:
     tt_m = _plus_c_torsion(tt_m, C, torsion.tt_v)
     mt_m = _plus_c_torsion(mt_m, C, torsion.mt_v)
     mm_m = _plus_c_torsion(mm_m, C, torsion.mm_v)
-    vt_m = (fr.partial_v("G") - ccov_t.transpose(0, 1, 4, 2, 3)).reshape(n, n, p, n * p)
+    vt_m = (fr.partial_v("g") - ccov_t.transpose(0, 1, 4, 2, 3)).reshape(n, n, p, n * p)
     vt_m = _plus_c_torsion(vt_m, C, torsion.vt_v)            # [l, i, b, (k, c)]
-    vm_m = (fr.partial_v("L") - ccov_x.transpose(0, 1, 4, 2, 3)).reshape(n, n, n, n * p)
+    vm_m = (fr.partial_v("l") - ccov_x.transpose(0, 1, 4, 2, 3)).reshape(n, n, n, n * p)
     vm_m = _plus_c_torsion(vm_m, C, torsion.vm_v)            # [l, i, j, (k, c)]
 
     # Delta-lifted vertical column.
@@ -369,14 +349,14 @@ def metric_compatibility(torsion: TorsionTable) -> dict:
     the covariant derivative in ``tests/oracles.py``, which the test-suite
     pins this code against.  The pack is h-normal: h has no coefficients
     along x or v."""
-    fr = torsion.frame
-    g, hmat = fr.gmat.tolist(), fr.hmat.tolist()
+    fr, co = torsion.frame, torsion.frame.arrays
+    g, hmat = co.gmat.tolist(), co.hmat.tolist()
     worst = dict.fromkeys(("g_t_horizontal", "g_m_horizontal", "g_vertical",
                            "h_t_horizontal", "h_m_horizontal", "h_vertical"), 0.0)
     for direction, derivative, gamma_g, gamma_h in (
-            ("t_horizontal", fr.delta_t, fr.G, fr.H),
-            ("m_horizontal", fr.delta_x, fr.L, None),
-            ("vertical", fr.partial_v, fr.C, None)):
+            ("t_horizontal", fr.delta_t, co.g, co.hbar),
+            ("m_horizontal", fr.delta_x, co.l, None),
+            ("vertical", fr.partial_v, co.c, None)):
         axes = gamma_g.ndim - 2  # a coefficient table's direction axes are its last
         dg, dh = _per_direction(derivative("gmat"), axes), _per_direction(derivative("hmat"), axes)
         gam_g = _per_direction(gamma_g, axes)

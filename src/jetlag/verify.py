@@ -202,9 +202,9 @@ def run_checks(instance: ProblemInstance) -> list:
 def _antisymmetry_defect(tor, cur) -> float:
     """Largest |X + X^T| over the antisymmetric last index pair of the torsion
     families tt_v, mm_v and the curvature families mm_m, tt_t (0.0 when all
-    are zero; NaN entries are skipped)."""
+    are zero; a NaN entry gives NaN)."""
     sums = [x.data + x.data.swapaxes(-1, -2) for x in (tor.tt_v, tor.mm_v, cur.mm_m, cur.tt_t)]
-    return max(float(np.fmax.reduce(np.abs(s), axis=None, initial=0.0)) for s in sums)
+    return nan_max(0.0, *(float(np.max(np.abs(s), initial=0.0)) for s in sums))
 
 
 def checks_to_json(checks) -> dict:

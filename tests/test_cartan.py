@@ -161,7 +161,7 @@ class TestMetricCompatibility:
         pack = build_cartan(inst)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=14)[0]
         tor = torsion_table(pack, pt)
-        tor.frame.G[1, 1, 0] = math.nan
+        tor.frame.arrays.g[1, 1, 0] = math.nan
         compat = metric_compatibility(tor)
         assert math.isnan(compat["g_t_horizontal"])
         assert max(v for k, v in compat.items() if k != "g_t_horizontal") <= 1e-7

@@ -9,6 +9,7 @@ import pytest
 from jetlag.cartan import cartan_connection
 from jetlag.config import assemble
 from jetlag.connection import (
+    _trace_tensor_vector,
     euler_lagrange_residual,
     gcal_values,
     spray_data,
@@ -194,11 +195,7 @@ class TestSprayEntities:
             pack = spray_entities(inst.L, inst.h, pt, deco.jet_at(pt))
             gamma = g_christoffel_values(g_field, pt)
             hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(pt.t)]
-            t_vec = [
-                sum(hinv[a][b] * pack.T_tensor.get((l, a), b)
-                    for a in range(2) for b in range(2))
-                for l in range(2)
-            ]
+            t_vec = _trace_tensor_vector(pt, deco.jet_at(pt), spray_data(inst.L, inst.h, pt))
             for l in range(2):
                 quad = 0.5 * sum(
                     hinv[a][b] * scalar_value(gamma[l][j][k]) * pt.v[j][a] * pt.v[k][b]

@@ -15,10 +15,16 @@ from jetlag.calculus import (
     v_coord,
     x_coord,
 )
-from jetlag.cartan import LinearConnectionPack, berwald_connection, cartan_connection
+from jetlag import curvature
+from jetlag.cartan import (
+    Coefficients,
+    LinearConnectionPack,
+    berwald_connection,
+    cartan_connection,
+)
 from jetlag.config import assemble
 from jetlag.connection import delta_entry, gcal_values
-from jetlag.curvature import _TABLES, curvature_table, table_zero_audit, torsion_table
+from jetlag.curvature import curvature_table, table_zero_audit, torsion_table
 from jetlag.fields import ExpressionField
 from jetlag.jet_core import (
     Dims,
@@ -32,13 +38,14 @@ from jetlag.jet_core import (
 )
 from jetlag.metric_engine import TemporalMetric, checked_inverse
 from jetlag.regularity import electrodynamics_decompose, g_from_hessian, sample_points
-from jetlag.scalars import Dual, scalar_value
+from jetlag.scalars import Dual, nan_max, scalar_value
 from jetlag.verify import _antisymmetry_defect
 
 from conftest import (
     CORPUS_DIMS,
     KINDS,
     canonical_n_reference,
+    counted,
     corpus_config,
     corpus_instance,
     quartic_config,
@@ -346,8 +353,6 @@ class TestAsymmetricCPack:
     vv torsion family stops vanishing and must match its defining formula."""
 
     def _pack(self):
-        from jetlag.cartan import Coefficients
-
         def coefficients(point: JetPoint):
             y1 = point.v[0][0]
             c = [[[[0.0] for _ in range(2)] for _ in range(2)] for _ in range(2)]
@@ -434,6 +439,16 @@ class TestOneFramePerPoint:
         curvature_table(torsion_table(counting, pt))
         assert len(calls) == 1  # one lift over every coordinate, its value the point's
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_one_delta_entry_per_direction(self, p, monkeypatch):
+        inst = corpus_instance("non_autonomous", p, 2)
+        deco, pack = build(inst)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=45)[0]
+        calls = {"delta": 0}
+        monkeypatch.setattr(curvature, "delta_entry", counted(calls, "delta", delta_entry))
+        torsion_table(pack, pt)
+        assert calls["delta"] == inst.dims.p + inst.dims.n
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_arrays_match_entry_loops_bitwise(self, p):
         inst = corpus_instance("non_autonomous", p, 2)
@@ -447,6 +462,17 @@ class TestOneFramePerPoint:
         # off the delta diagonal, 0.0 times a negative entry gives -0.0
         assert p == 1 or any("-0.0" in _reprs(want) for want in lifted.values())
         assert repr(_antisymmetry_defect(tor, cur)) == repr(_antisymmetry_loops(tor, cur, inst.dims))
+
+    def test_a_nan_entry_gives_a_nan_antisymmetry_defect(self):
+        # np.fmax and max(0.0, nan) skip a NaN: it must not read as no defect
+        inst = corpus_instance("non_autonomous", 2, 2)
+        deco, pack = build(inst)
+        pt = sample_points(inst.dims, [-1, 1], 1, seed=3)[0]
+        tor = torsion_table(pack, pt)
+        cur = curvature_table(tor)
+        tor.mm_v.data[0, 0, 1] = math.nan
+        assert math.isnan(_antisymmetry_defect(tor, cur))
+        assert math.isnan(_antisymmetry_loops(tor, cur, inst.dims))
 
 
 _ORACLE_CONFIGS = {
@@ -484,15 +510,10 @@ class TestOneLiftIsEveryDirection:
         if name == "quartic":
             return  # quartic in the velocities: no Cartan connection for p = 2
         _, pack = build(inst)
-
-        def tables(q):
-            co = pack.coefficients_at(q)
-            return [co.m, co.n, co.hbar, co.g, co.l, co.c, co.gmat, co.hmat]
-
         frame = torsion_table(pack, pt).frame
-        want = _per_coordinate(tables, pt, coords)
+        want = _per_coordinate(pack.coefficients_at, pt, coords)
         for c in coords:
-            for k, table in zip(_TABLES, want[c]):
+            for k, table in zip(Coefficients._fields, want[c]):
                 assert repr(frame.partial(c, k).tolist()) == repr(np.array(table).tolist()), (c, k)
 
 
@@ -518,9 +539,8 @@ class TestFlatFrame:
         co = pack.coefficients_at(pt)
         assert repr(frame.coefficients) == repr(co)
         m_co, n_co = map_structure(scalar_value, co.m), map_structure(scalar_value, co.n)
-        fields = dict(zip(_TABLES, ("m", "n", "hbar", "g", "l", "c", "gmat", "hmat")))
-        for table, field in fields.items():
-            _, jac = field_jacobian(lambda q: getattr(pack.coefficients_at(q), field), pt, coords)
+        for table in Coefficients._fields:
+            _, jac = field_jacobian(lambda q: getattr(pack.coefficients_at(q), table), pt, coords)
             jac = {c: np.array(part, dtype=float) for c, part in jac.items()}
             shape = jac[coords[0]].shape
             want_t = np.stack([delta_entry(jac, (), t_coord(b), m_co) for b in range(p)], axis=-1)
@@ -610,20 +630,20 @@ def _antisymmetry_loops(tor, cur, dims):
         for mu in range(p):
             for a in range(p):
                 for b in range(p):
-                    worst = max(worst, abs(tor.tt_v.get((m, mu), a, b) + tor.tt_v.get((m, mu), b, a)))
+                    worst = nan_max(worst, abs(tor.tt_v.get((m, mu), a, b) + tor.tt_v.get((m, mu), b, a)))
             for i in range(n):
                 for j in range(n):
-                    worst = max(worst, abs(tor.mm_v.get((m, mu), i, j) + tor.mm_v.get((m, mu), j, i)))
+                    worst = nan_max(worst, abs(tor.mm_v.get((m, mu), i, j) + tor.mm_v.get((m, mu), j, i)))
     for l in range(n):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    worst = max(worst, abs(cur.mm_m.get(l, i, j, k) + cur.mm_m.get(l, i, k, j)))
+                    worst = nan_max(worst, abs(cur.mm_m.get(l, i, j, k) + cur.mm_m.get(l, i, k, j)))
     for a in range(p):
         for e in range(p):
             for b in range(p):
                 for c in range(p):
-                    worst = max(worst, abs(cur.tt_t.get(a, e, b, c) + cur.tt_t.get(a, e, c, b)))
+                    worst = nan_max(worst, abs(cur.tt_t.get(a, e, b, c) + cur.tt_t.get(a, e, c, b)))
     return worst
 
 
