@@ -64,6 +64,7 @@ def _sum(items):
 class SprayData(NamedTuple):
     """One generic spray assembly at a point; entity vectors are halved."""
 
+    blocks: list   # vertical Hessian blocks [i][a][j][b], as hessian_blocks gives them
     g: list        # h-trace spatial metric
     ginv: list
     det: float     # of g, from the factorization that gives ginv
@@ -163,8 +164,9 @@ def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
         h_vec.append(h_k)
         j_vec.append(j_k)
         g_vec.append(s_k + h_k + j_k)
-    return SprayData(g=g, ginv=ginv, det=det, inertia=inertia, hmat=hmat, hinv=hinv, hch=hch,
-                     bracket=bracket, s_vec=s_vec, h_vec=h_vec, j_vec=j_vec, g_vec=g_vec)
+    return SprayData(blocks=blocks, g=g, ginv=ginv, det=det, inertia=inertia, hmat=hmat,
+                     hinv=hinv, hch=hch, bracket=bracket, s_vec=s_vec, h_vec=h_vec,
+                     j_vec=j_vec, g_vec=g_vec)
 
 
 def gcal_values(L, h: TemporalMetric, point: JetPoint):
@@ -175,14 +177,16 @@ def gcal_values(L, h: TemporalMetric, point: JetPoint):
 # --- Euler-Lagrange residual ---------------------------------------------------
 
 
-def euler_lagrange_residual(L, point: JetPoint, xab, data: SprayData) -> np.ndarray:
+def euler_lagrange_residual(point: JetPoint, xab, data: SprayData) -> np.ndarray:
     """Left side of the extremal equations at the 2-jet (t, x, x_a, x_ab) of a
     map, per i: 2 G^{(ab)}_{(ij)} x^j_{ab} + d2L/dx^j dv^i_a x^j_a - dL/dx^i
     + d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}.  ``point`` is (t, x, x_a),
     ``xab[j][a][b]`` the second derivatives and ``data`` the ``spray_data``
-    at ``point``, whose bracket holds every term but the first."""
+    at ``point``: its bracket holds every term but the first, and its
+    vertical blocks are the G^{(ab)}_{(ij)} of the first, so L is not
+    evaluated here."""
     dims = point.dims
-    blocks = hessian_blocks(L, point).blocks
+    blocks = data.blocks
     res = []
     for i in range(dims.n):
         acc = data.bracket[i]

@@ -3,7 +3,9 @@
 For one-dimensional time the extremal equations reduce to the second-order
 system x'' = H(t) x' - 2 h_11(t) G(t, x, x') which is integrated by the
 classical fourth-order Runge-Kutta scheme, then checked by the
-Euler-Lagrange residual at each interior sample's 2-jet.  For several times
+Euler-Lagrange residual at each interior sample's 2-jet; the residual reads
+the spray that the first RK4 stage of the step leaving the sample assembled
+there, so it evaluates L no further.  For several times
 the equations form a PDE system; candidate maps are only *checked* by
 evaluating the residual h^{ab}(x_ab - H^c_ab x_c) + 2G
 (``connection.harmonic_form``) at each interior node of a lattice, with
@@ -21,7 +23,7 @@ import numpy as np
 from .connection import euler_lagrange_residual, gcal_values, harmonic_form, spray_data  # noqa: F401
 from .errors import DegeneracyError, DimensionError, JetLagError, StencilError
 from .jet_core import Dims, JetPoint
-from .metric_engine import TemporalMetric, h_christoffel_values
+from .metric_engine import TemporalMetric
 
 
 # --- p = 1: extremal integration ---------------------------------------------
@@ -96,7 +98,9 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     and a |det g| of at least ``DEGENERACY_MARGIN`` times its initial
     value.  A stage whose acceleration is not finite aborts too, since
     float arithmetic overflows to inf without raising.  The abort reason
-    ends with the step and t of the last stage begun."""
+    ends with the step and t of the last stage begun.  Each step's first
+    stage keeps its spray, which the residual at the step's starting
+    sample reads."""
     L, h = problem.L, problem.h
     span = problem.t_end - problem.t0
     steps = max(1, round(abs(span) / problem.dt))
@@ -110,6 +114,7 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     signature = None
     det0 = None
     where = ""
+    firsts = []  # the first stage's SprayData of each step begun, at ts[k]
 
     def stage(step, t, x, y):
         nonlocal signature, det0, where
@@ -126,7 +131,7 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
                                   f"of its initial {det0:.3e}", det=data.det)
         if not np.isfinite(accel).all():
             raise FloatingPointError(f"acceleration is not finite: {accel.tolist()}")
-        return accel
+        return accel, data
 
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for k in range(steps):
@@ -134,13 +139,15 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
             x = xs[-1]
             y = ys[-1]
             try:
-                k1x, k1y = y, stage(k + 1, t, x, y)
+                k1y, first = stage(k + 1, t, x, y)
+                firsts.append(first)
+                k1x = y
                 k2x = y + 0.5 * dt * k1y
-                k2y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+                k2y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)[0]
                 k3x = y + 0.5 * dt * k2y
-                k3y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+                k3y = stage(k + 1, t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)[0]
                 k4x = y + dt * k3y
-                k4y = stage(k + 1, t + dt, x + dt * k3x, k4x)
+                k4y = stage(k + 1, t + dt, x + dt * k3x, k4x)[0]
                 x_next = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
                 y_next = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
             except (JetLagError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
@@ -156,21 +163,23 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
         aborted=aborted, abort_reason=reason,
     )
     if len(ts) >= 3:
-        traj.el_residuals = trajectory_el_residuals(L, h, traj)
+        traj.el_residuals = trajectory_el_residuals(traj, firsts)
     return traj
 
 
-def trajectory_el_residuals(L, h: TemporalMetric, traj: Trajectory) -> np.ndarray:
-    """Max-norm Euler-Lagrange residual at every interior trajectory sample;
-    the second derivative is the central difference of the stored y
-    (independent of the integrator's right-hand side)."""
+def trajectory_el_residuals(traj: Trajectory, firsts: list) -> np.ndarray:
+    """Max-norm Euler-Lagrange residual at every interior trajectory sample
+    k, on the spray ``firsts[k]`` that the first RK4 stage leaving sample k
+    assembled at that very point; the second derivative is the central
+    difference of the stored y (independent of the integrator's
+    right-hand side)."""
     ts, xs, ys = traj.t.tolist(), traj.x.tolist(), traj.y.tolist()
     dt = ts[1] - ts[0]
     out = []
     for k in range(1, len(ts) - 1):
         point = JetPoint((ts[k],), xs[k], [[yi] for yi in ys[k]])
         xab = [[[(up - dn) / (2.0 * dt)]] for up, dn in zip(ys[k + 1], ys[k - 1])]
-        res = euler_lagrange_residual(L, point, xab, spray_data(L, h, point))
+        res = euler_lagrange_residual(point, xab, firsts[k])
         out.append(float(np.max(np.abs(res))))
     return np.array(out)
 
@@ -286,10 +295,7 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
         ts = grid.node_t(idx)
         points.append(ts)
         data = spray_data(L, h, JetPoint(ts, xs, first))
-        # data.hch holds these Christoffels already; the second call stays
-        # while perfbench/selftest.py pins 2 h_christoffel_values per node
-        hch = h_christoffel_values(h, ts)[2]
-        residuals[row] = harmonic_form(data.hinv, hch, first, second, data.g_vec)
+        residuals[row] = harmonic_form(data.hinv, data.hch, first, second, data.g_vec)
     max_norm = float(np.max(np.abs(residuals))) if len(indices) else 0.0
     rms = float(np.sqrt(np.mean(residuals ** 2))) if len(indices) else 0.0
     return ResidualField(indices=indices, points=points, residuals=residuals,

@@ -147,7 +147,7 @@ def run_checks(instance: ProblemInstance) -> list:
                         for a in range(dims.p)])
         mid = JetPoint(pt.t, xs, vs)
         data = spray_data(L, h, mid)
-        res = euler_lagrange_residual(L, mid, xab, data)
+        res = euler_lagrange_residual(mid, xab, data)
         rearranged = harmonic_form(data.hinv, data.hch, mid.v, xab, data.g_vec)
         weighted = [0.5 * sum(gk[i] * res[i] for i in range(dims.n)) for gk in data.ginv]
         worst_el = nan_max(worst_el, *(abs(w - r) for w, r in zip(weighted, rearranged)))

@@ -23,10 +23,17 @@ from jetlag.metric_engine import (
     g_christoffel_values,
     h_christoffel_values,
 )
-from jetlag.regularity import ElectrodynamicsDecomposition, electrodynamics_decompose, sample_points
+from jetlag.regularity import (
+    ElectrodynamicsDecomposition,
+    electrodynamics_decompose,
+    hessian_blocks,
+    sample_points,
+)
 from jetlag.scalars import scalar_value
 
 from conftest import (
+    CORPUS_DIMS,
+    KINDS,
     corpus_config,
     corpus_instance,
     counted,
@@ -61,7 +68,7 @@ def decomposition_jet(inst, point):
 
 
 def el_residual(L, h, point, xab):
-    return euler_lagrange_residual(L, point, xab, spray_data(L, h, point))
+    return euler_lagrange_residual(point, xab, spray_data(L, h, point))
 
 
 class TestEulerLagrange:
@@ -116,7 +123,7 @@ class TestEulerLagrange:
             point = JetPoint(ts, (0.2 + 0.3 * t1 - 0.1 * t2 * t2, 0.1 * t1 * t1 + 0.4 * t2),
                              ((0.3, -0.2 * t2), (0.2 * t1, 0.4)))
             data = spray_data(inst.L, inst.h, point)
-            res = euler_lagrange_residual(inst.L, point, xab, data)
+            res = euler_lagrange_residual(point, xab, data)
             ginv = [[scalar_value(e) for e in row] for row in data.ginv]
             hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(ts)]
             hch = h_christoffel_values(inst.h, ts)[2]
@@ -131,6 +138,21 @@ class TestEulerLagrange:
                         lap += hinv[a][b] * term
                 rearranged = lap + 2.0 * scalar_value(data.g_vec[k])
                 assert weighted == pytest.approx(rearranged, abs=1e-7)
+
+
+class TestSprayBlocks:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p, n", CORPUS_DIMS)
+    def test_blocks_are_the_vertical_hessian_blocks(self, kind, p, n):
+        # the spray's one evaluation over every coordinate gives the vertical
+        # blocks bit for bit as the velocity-only evaluation does, so the
+        # Euler-Lagrange residual reads them from the spray
+        inst = corpus_instance(kind, p, n)
+        for pt in sample_points(inst.dims, [-1, 1], 2, seed=6):
+            spray = np.array(spray_data(inst.L, inst.h, pt).blocks, dtype=float)
+            alone = np.array(hessian_blocks(inst.L, pt).blocks, dtype=float)
+            assert spray.shape == (n, p, n, p)
+            assert spray.tobytes() == alone.tobytes()
 
 
 class TestSprayEntities:

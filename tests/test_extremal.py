@@ -8,7 +8,7 @@ import pytest
 
 from jetlag import connection, extremal, metric_engine
 from jetlag.config import assemble
-from jetlag.errors import DimensionError, StencilError
+from jetlag.errors import DegeneracyError, DimensionError, StencilError
 from jetlag.extremal import (
     ExtremalProblem,
     GridMap,
@@ -21,10 +21,12 @@ from jetlag.fields import (
     ExpressionField,
     LagrangianModel,
 )
-from jetlag.jet_core import Dims
+from jetlag.jet_core import Dims, JetPoint
 from jetlag.metric_engine import TemporalMetric
+from jetlag.regularity import hessian_blocks
+from jetlag.scalars import scalar_value
 
-from conftest import corpus_instance, sphere_config, temporal_metric_of
+from conftest import KINDS, corpus_instance, sphere_config, temporal_metric_of
 from oracles import action_value, constant
 
 
@@ -203,6 +205,68 @@ class TestIntegration:
         L, h = flat_metric_model(1)
         with pytest.raises(DimensionError):
             ExtremalProblem(L=L, h=h, t0=0.0, x0=(0.0,), y0=(1.0,), t_end=1.0, dt=0.0)
+
+
+class _EndsAt:
+    """L on t <= t_last; beyond it every evaluation raises a
+    DegeneracyError, which aborts the extremal at the first stage there."""
+
+    def __init__(self, L, t_last):
+        self.L, self.dims, self.t_last = L, L.dims, t_last
+
+    def __call__(self, point):
+        if scalar_value(point.t[0]) > self.t_last:
+            raise DegeneracyError(f"L ends at t = {self.t_last}")
+        return self.L(point)
+
+
+def fresh_el_residuals(L, h, traj):
+    """The max-norm Euler-Lagrange residual at every interior sample of
+    ``traj`` from a spray assembled afresh there, whose vertical blocks are
+    replaced by a velocity-only ``hessian_blocks`` evaluation at the
+    sample."""
+    ts, xs, ys = traj.t.tolist(), traj.x.tolist(), traj.y.tolist()
+    dt = ts[1] - ts[0]
+    out = []
+    for k in range(1, len(ts) - 1):
+        point = JetPoint((ts[k],), xs[k], [[yi] for yi in ys[k]])
+        xab = [[[(up - dn) / (2.0 * dt)]] for up, dn in zip(ys[k + 1], ys[k - 1])]
+        data = connection.spray_data(L, h, point)
+        data = data._replace(blocks=hessian_blocks(L, point).blocks)
+        out.append(float(np.max(np.abs(connection.euler_lagrange_residual(point, xab, data)))))
+    return np.array(out)
+
+
+class TestResidualsReadTheStageSpray:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bitwise_a_fresh_spray_per_sample(self, kind, n):
+        inst = corpus_instance(kind, 1, n)
+        traj = integrate_extremal(ExtremalProblem(
+            L=inst.L, h=inst.h, t0=0.1, x0=(0.3, -0.2, 0.1)[:n], y0=(0.5, 0.4, -0.6)[:n],
+            t_end=0.16, dt=0.01))
+        assert not traj.aborted and len(traj.el_residuals) == 5
+        assert traj.el_residuals.tobytes() == fresh_el_residuals(inst.L, inst.h, traj).tobytes()
+
+    @pytest.mark.parametrize("t_last, t_abort", [(0.0525, "0.055"), (0.0575, "0.06")])
+    def test_bitwise_after_an_abort_inside_a_step(self, monkeypatch, t_last, t_abort):
+        # the sixth step aborts in its second (t = 0.055) or fourth (t = 0.06)
+        # stage, after its first stage kept the spray at the last sample
+        inst = corpus_instance("non_autonomous", 1, 2)
+        L = _EndsAt(inst.L, t_last)
+        kept = []
+        residuals = extremal.trajectory_el_residuals
+
+        def spied(traj, firsts):
+            kept.append(len(firsts))
+            return residuals(traj, firsts)
+
+        monkeypatch.setattr(extremal, "trajectory_el_residuals", spied)
+        traj = integrate_extremal(ExtremalProblem(
+            L=L, h=inst.h, t0=0.0, x0=(0.3, -0.2), y0=(0.5, 0.4), t_end=1.0, dt=0.01))
+        assert traj.aborted and traj.abort_reason.endswith(f"at step 6, t={t_abort}")
+        assert len(traj.t) == 6 and kept == [6]
+        assert traj.el_residuals.tobytes() == fresh_el_residuals(L, inst.h, traj).tobytes()
 
 
 class TestHarmonicResidual:

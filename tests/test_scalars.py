@@ -1188,8 +1188,8 @@ class TestOneEvaluationPerHessian:
 
 class TestBenchmarkCallStructure:
     """The call structure the benchmark's self-test pins per job: each spray
-    is one Taylor2 evaluation of L, and each Euler-Lagrange residual adds
-    its own vertical one."""
+    is one Taylor2 evaluation of L, and each Euler-Lagrange residual reads
+    the spray of the RK4 stage that began at its sample."""
 
     @pytest.fixture
     def sprays(self, monkeypatch):
@@ -1203,6 +1203,19 @@ class TestBenchmarkCallStructure:
         monkeypatch.setattr(connection, "spray_data", counted)
         return count
 
+    @pytest.fixture
+    def christoffels(self, monkeypatch):
+        count, values = [0], metric_engine.h_christoffel_values
+
+        def counted(*args):
+            count[0] += 1
+            return values(*args)
+
+        for module in (connection, extremal, metric_engine):
+            if hasattr(module, "h_christoffel_values"):
+                monkeypatch.setattr(module, "h_christoffel_values", counted)
+        return count
+
     def test_extremal(self, sprays):
         inst = corpus_instance("non_autonomous", 1, 3)
         L = _Counted(inst.L)
@@ -1211,16 +1224,16 @@ class TestBenchmarkCallStructure:
                                            y0=(0.4, 0.2, -0.3), t_end=0.04, dt=0.01)
         traj = extremal.integrate_extremal(problem)
         assert not traj.aborted and len(traj.t) == steps + 1
-        # 4 RK4 stages per step, then one spray per interior sample
-        assert sprays[0] == 5 * steps - 1
-        # each interior sample's residual also evaluates the vertical blocks
-        assert len(L.lifts) == L.calls == 6 * steps - 2
-        assert L.lifts.count((1 + 3 + 3, _SPRAY_ENTRIES[(1, 3)])) == 5 * steps - 1
-        # each stage's spray and each sample's residual runs on Python
-        # floats, not on the numpy scalars of the stored states
+        # 4 RK4 stages per step; the residuals assemble no spray of their own
+        assert sprays[0] == 4 * steps
+        # and evaluate L no further: each evaluation is a stage's spray lift
+        assert len(L.lifts) == L.calls == 4 * steps
+        assert L.lifts == [(1 + 3 + 3, _SPRAY_ENTRIES[(1, 3)])] * (4 * steps)
+        # each stage's spray runs on Python floats, not on the numpy
+        # scalars of the stored states
         assert L.leaf_types == {float}
 
-    def test_lattice(self, sprays):
+    def test_lattice(self, sprays, christoffels):
         inst = corpus_instance("non_autonomous", 2, 3)
         L = _Counted(inst.L)
         grid = extremal.GridMap.from_function(
@@ -1230,6 +1243,8 @@ class TestBenchmarkCallStructure:
         res = extremal.harmonic_residual(L, inst.h, grid)
         assert len(res.indices) == interior
         assert sprays[0] == interior
+        # h's Christoffels once per node, in its spray
+        assert christoffels[0] == interior
         assert L.lifts == [(2 + 3 + 6, _SPRAY_ENTRIES[(2, 3)])] * interior
         assert L.calls == interior
         # each node's spray runs on Python floats, not on the numpy scalars

@@ -134,9 +134,9 @@ def _perturbed_el_second_derivative_term(monkeypatch):
     reads every x_ab scaled by 1 + that amount."""
     residual = verify.euler_lagrange_residual
 
-    def mutated(L, point, xab, data):
+    def mutated(point, xab, data):
         scaled = [[[e * (1.0 + _EL_PERTURBATION) for e in row] for row in m] for m in xab]
-        return residual(L, point, scaled, data)
+        return residual(point, scaled, data)
 
     monkeypatch.setattr(verify, "euler_lagrange_residual", mutated)
 
