@@ -112,8 +112,9 @@ def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
     """Assemble the spray entities from first/second partials of L, all
     from one evaluation of L over every coordinate (``hessian_blocks`` with
     the pairs of ``_spray_pairs``); g is the h-trace of its vertical blocks.
-    It carries h, its inverse and its Christoffels, from the one lift of h
-    in ``h_christoffel_values``.
+    It carries h, its inverse and its Christoffels, which
+    ``h_christoffel_values`` reads from the evaluation of h that L's lift
+    has just kept where L inverts h (the builtin families).
 
     2S^k = (g^{ki}/2)[d2L/dx^j dv^i_a v^j_a - dL/dx^i]
     2H^k = (g^{ki}/2)[d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}]

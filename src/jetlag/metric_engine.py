@@ -1,8 +1,13 @@
 """Temporal and spatial metric machinery: one symmetric factorization per
 metric matrix (its inverse, determinant and inertia), Christoffel symbols
-and their curvature tensors.  ``levi_civita`` is the one Levi-Civita
-construction (lift, factorize, contract): h's Christoffels along t and g's
-along x both read it.
+and their curvature tensors.  ``levi_civita`` is g's Levi-Civita
+construction along x (lift, factorize, contract).  h lives on T alone:
+``TemporalMetric`` keeps its last evaluation and factorization, so h is
+evaluated once per distinct t in a row, and ``h_christoffel_values`` reads
+h's Christoffels from a Taylor2 evaluation of h, the one that the
+Lagrangian's lift has just made and kept when there is one.  The program
+is single-threaded; the matrices a metric returns are shared and
+read-only.
 
 All assembly routines are generic over the scalar kind so connection and
 curvature code can push derivative scalars straight through them.  Their
@@ -13,14 +18,15 @@ compute an unordered pair once and store it at both places.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import field_jacobian, t_coord, x_coord
+from .calculus import field_jacobian, lift_taylor, t_coord, x_coord
 from .errors import DegeneracyError
 from .jet_core import JetPoint
-from .scalars import reciprocal, scalar_value
+from .scalars import Taylor2, reciprocal, scalar_value
 
 _DEGENERACY_SCALE = 1e-10
 _BK_ALPHA = (1.0 + 17.0 ** 0.5) / 8.0  # Bunch-Kaufman's pivot growth bound
@@ -189,9 +195,10 @@ def christoffel(inv, d):
 def levi_civita(matrix, point: JetPoint, coords):
     """The Levi-Civita data of a metric along ``coords``: its matrix at
     ``point``, its inverse and its Christoffels [l][j][k] (``christoffel``
-    of the partials along ``coords``), from one lift of ``matrix`` (a
-    JetPoint to the symmetric matrix there) and one factorization.
-    Generic over the scalar kind."""
+    of the partials along ``coords``), from one Dual lift of ``matrix`` (a
+    JetPoint to the symmetric matrix there) and one factorization; g's
+    along x (h's are ``h_christoffel_values``).  Generic over the scalar
+    kind."""
     m, jac = field_jacobian(matrix, point, coords)
     inv = checked_inverse(m).inverse
     return m, inv, christoffel(inv, [jac[c] for c in coords])
@@ -217,51 +224,110 @@ def riemann(ch, dch):
 # --- Temporal metric ---------------------------------------------------------
 
 
+def _kept_key(ts):
+    """What an evaluation of h at ``ts`` is kept under: per t its value,
+    the sign of that value (so 0.0 and -0.0 differ) and its leaf, None for
+    a float or the interned layout of a seeded Taylor2 leaf over a float.
+    None, never kept, for any other t (a Dual, an array, a nested or an
+    unseeded Taylor2, an int) and for a NaN, which matches nothing."""
+    key = []
+    for t in ts:
+        leaf = None
+        if type(t) is Taylor2:
+            leaf = t.layout
+            if leaf.kept or t.g.count(1.0) != len(t.g):
+                return None
+            t = t.re
+        if type(t) is not float or t != t:
+            return None
+        key.append((t, math.copysign(1.0, t), leaf))
+    return tuple(key)
+
+
 class TemporalMetric:
     """Semi-Riemannian metric h on the temporal factor: ``matrix`` maps a
-    t-tuple to the symmetric p x p matrix of h there, evaluated once per
-    ``matrix_at``.  A ``constant`` metric is evaluated once, at t = 0."""
+    t-tuple to the symmetric p x p matrix of h there.
 
-    __slots__ = ("p", "matrix", "signature", "constant", "_cache")
+    h is evaluated once per distinct t in a row.  One slot keeps the matrix
+    at the last t asked and, once an inverse is asked, that matrix's
+    factorization, found again by ``_kept_key``: a t of the same bits and
+    leaf (a float, or a seeded Taylor2 leaf over a float) reads the slot, a
+    Dual, array or nested t is evaluated and never kept, and a
+    DegeneracyError is never kept, so it raises again on the next ask.  A
+    ``constant`` metric is evaluated once, at t = 0 and as floats, and
+    keeps that evaluation for every t.  The program is single-threaded, and
+    the returned matrices are shared: read-only, as every caller treats
+    them."""
+
+    __slots__ = ("p", "matrix", "signature", "constant", "_key", "_matrix", "_factor")
 
     def __init__(self, p: int, matrix, signature: tuple | None = None, constant: bool = False):
         self.p = p
         self.matrix = matrix  # ts -> p x p
         self.signature = signature
         self.constant = constant
-        self._cache = {}
+        self._key = self._matrix = self._factor = None  # the kept slot
 
     @classmethod
     def flat(cls, p: int) -> "TemporalMetric":
         identity = [[1.0 if i == j else 0.0 for j in range(p)] for i in range(p)]
         return cls(p=p, matrix=lambda ts: identity, signature=(p, 0), constant=True)
 
-    def matrix_at(self, ts):
+    def _evaluated(self, ts, key):
+        """h's matrix at ``ts``: the slot's when ``key`` is its key, else a
+        fresh evaluation, kept under ``key`` unless that is None."""
+        if key is not None and key == self._key:
+            return self._matrix
         if self.constant:
-            cached = self._cache.get("matrix")
-            if cached is None:
-                cached = [[float(e) for e in row] for row in self.matrix((0.0,) * self.p)]
-                self._cache["matrix"] = cached
-            return cached
-        return self.matrix(ts)
+            m = [[float(e) for e in row] for row in self.matrix((0.0,) * self.p)]
+        else:
+            m = self.matrix(ts)
+        if key is not None:
+            self._key, self._matrix, self._factor = key, m, None
+        return m
+
+    def matrix_at(self, ts):
+        return self._evaluated(ts, () if self.constant else _kept_key(ts))
+
+    def factor_at(self, ts) -> SymmetricFactor:
+        """``checked_inverse`` of h's matrix at ``ts``, kept with it."""
+        key = () if self.constant else _kept_key(ts)
+        m = self._evaluated(ts, key)
+        if key is not None and self._factor is not None:
+            return self._factor
+        factor = checked_inverse(m)
+        if key is not None:
+            self._factor = factor
+        return factor
 
     def inverse_at(self, ts):
-        if self.constant:
-            cached = self._cache.get("inverse")
-            if cached is None:
-                cached = checked_inverse(self.matrix_at(ts)).inverse
-                self._cache["inverse"] = cached
-            return cached
-        return checked_inverse(self.matrix_at(ts)).inverse
+        return self.factor_at(ts).inverse
+
+    def kept_lift(self, ts):
+        """The kept evaluation of h on seeded Taylor2 leaves over the floats
+        ``ts``, bitwise, as a lift seeds them (each t in seeds of its own):
+        (one seed of each t, the matrix, its factorization or None); None
+        when the slot holds another."""
+        key = self._key
+        if key is None or len(key) != len(ts):
+            return None
+        for t, (value, sign, leaf) in zip(ts, key):
+            if leaf is None or type(t) is not float or t != value or math.copysign(1.0, t) != sign:
+                return None
+        return [leaf.seeds[0] for _, _, leaf in key], self._matrix, self._factor
 
     def validate_samples(self, ts_list) -> dict:
-        """Sampled rank/signature report; signature mismatches and
-        degeneracies are reported, not raised."""
+        """Sampled rank/signature report; a matrix that is not finite,
+        signature mismatches and degeneracies are reported, not raised."""
         issues = []
         seen = set()
         for ts in ts_list:
+            m = self.matrix_at(ts)
+            if not all(math.isfinite(e) for row in m for e in row):
+                issues.append({"t": list(ts), "issue": f"h is not finite: {m}"})
+                continue
             try:
-                sig = checked_inverse(self.matrix_at(ts)).inertia
+                sig = self.factor_at(ts).inertia
             except DegeneracyError as exc:
                 issues.append({"t": list(ts), "issue": str(exc)})
                 continue
@@ -271,16 +337,45 @@ class TemporalMetric:
         return {"ok": not issues and len(seen) <= 1, "issues": issues}
 
 
+_NO_PAIRS = ((), ())
+
+
+def _value(e):
+    return e.re if type(e) is Taylor2 else e
+
+
+def _partial(e, seed):
+    """The gradient entry of ``e`` at ``seed``: 0.0 where e does not depend
+    on it."""
+    if type(e) is not Taylor2 or seed not in e.layout.seeds:
+        return 0.0
+    return e.g[e.layout.seeds.index(seed)]
+
+
 def h_christoffel_values(h: TemporalMetric, ts):
     """h's matrix at ``ts``, its inverse and the Christoffels
     H^c_{ab} = h^{cm}(d_a h_{mb} + d_b h_{ma} - d_m h_{ab})/2 as nested
-    lists [c][a][b]: the ``levi_civita`` of h along t on the point (ts, (),
-    ()), which has no x or v; generic over the scalar kind of ts."""
+    lists [c][a][b], all read from one Taylor2 evaluation of h at ts: the
+    kept one when a lift (L's, inverting h) has just seeded every t there,
+    with the inverse read from its kept factorization; else h on its own
+    lift of ts, with no Hessian pairs, and a plain factorization of its
+    matrix.  Generic over the scalar kind of ts."""
     p = h.p
     if h.constant:
         return h.matrix_at(ts), h.inverse_at(ts), [[[0.0] * p for _ in range(p)] for _ in range(p)]
-    return levi_civita(lambda q: h.matrix_at(q.t), JetPoint(ts, (), ()),
-                       [t_coord(a) for a in range(p)])
+    kept = h.kept_lift(ts)
+    if kept is None:
+        lifted = lift_taylor(JetPoint(ts, (), ()), [t_coord(a) for a in range(p)], _NO_PAIRS)
+        seeds, matrix, factor = range(p), h.matrix_at(lifted.t), None
+    else:
+        seeds, matrix, factor = kept
+    m = [[_value(e) for e in row] for row in matrix]
+    if factor is None:
+        inv = checked_inverse(m).inverse
+    else:
+        inv = [[_value(e) for e in row] for row in factor.inverse]
+    return m, inv, christoffel(inv, [[[_partial(e, s) for e in row] for row in matrix]
+                                     for s in seeds])
 
 
 # --- Spatial metric ----------------------------------------------------------

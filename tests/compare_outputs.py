@@ -15,7 +15,10 @@ overflows under a constant g, a Lagrangian that is NaN away from x1 = 0
 sampling box but NaN at the fixed point (``v1_1^2 + 1e300*x1^3*1e10 -
 1e300*x1^3*1e10``, box [-0.2, 0.2]), an indefinite
 temporal metric with a zero diagonal, a p = 2 and a p = 3 temporal
-metric with t-dependent off-diagonal entries, and a builtin p = 3
+metric with t-dependent off-diagonal entries, a temporal metric that is
+NaN away from t1 = 0, a p = 1 builtin electrodynamics Lagrangian (with a
+solver) over a temporal metric that is a quotient, whose t-derivative a
+Taylor2 takes through 1/b and a Dual does not, and a builtin p = 3
 electrodynamics Lagrangian whose U has a nonzero curl.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
@@ -90,9 +93,11 @@ def configs() -> dict:
         corpus_config,
         curled_potentials_config,
         nan_at_point_config,
+        nan_h_config,
         nan_lagrangian_config,
         potentials_config,
         quartic_config,
+        quotient_h_config,
         sphere_config,
     )
 
@@ -155,6 +160,8 @@ def configs() -> dict:
     out["nan_lagrangian"] = nan_lagrangian_config()
     # finite on its samples, NaN at the point: connection's spray check
     out["nan_at_point"] = nan_at_point_config()
+    out["nan_h_p1_n1"] = nan_h_config()
+    out["quotient_h_p1_n2"] = quotient_h_config()
     out["indefinite_h"] = {
         "dims": {"p": 2, "n": 1},
         "lagrangian": {"kind": "harmonic", "g_entries": [["1 + x1^2"]]},

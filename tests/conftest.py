@@ -139,6 +139,38 @@ def nan_lagrangian_config() -> dict:
     }
 
 
+def nan_h_config() -> dict:
+    """A p = n = 1 harmonic Lagrangian over a temporal metric that is NaN
+    wherever t1 != 0 (inf - inf), declared (1, 0)."""
+    return {
+        "dims": {"p": 1, "n": 1},
+        "lagrangian": {"kind": "harmonic", "g_entries": [["1 + x1^2"]]},
+        "temporal_metric": {"kind": "expression",
+                            "entries": [["1 + 1e308*t1*1e10 - 1e308*t1*1e10"]],
+                            "signature": [1, 0]},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+    }
+
+
+def quotient_h_config() -> dict:
+    """A p = 1, n = 2 electrodynamics Lagrangian over a temporal metric that
+    is a quotient, h = (2 + t1^2)/(1 + 0.5 t1^2), with a solver."""
+    return {
+        "dims": {"p": 1, "n": 2},
+        "lagrangian": {"kind": "electrodynamics",
+                       "g_entries": [["1 + 0.2*x1^2 + 0.1*t1^2", "0.1"],
+                                     ["0.1", "1 + 0.3*x2^2"]],
+                       "U_entries": [["0.2*t1*x2"], ["-0.1*x1"]],
+                       "F": "0.1*x1*x2 + 0.2*t1*x1"},
+        "temporal_metric": {"kind": "expression",
+                            "entries": [["(2 + t1^2)/(1 + 0.5*t1^2)"]],
+                            "signature": [1, 0]},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+        "solver": {"t_end": 0.5, "dt": 0.01,
+                   "initial": {"t": 0.0, "x": [0.2, -0.1], "y": [0.5, 0.3]}},
+    }
+
+
 def nan_at_point_config() -> dict:
     """A p = n = 1 Lagrangian that is finite on its sampling box
     [-0.2, 0.2] but NaN (inf - inf) where |x1| > 0.26, as at the point
@@ -171,6 +203,48 @@ def non_finite_lattice_configs() -> dict:
              "F": "1e308*x1*1e10 - 1e308*x1*1e10"}, "0.3 + t1*t2"),
         "lattice_overflowing_map_p2_n1": lattice(
             {"kind": "harmonic", "g_entries": [["1"]]}, "1e308*t1*10"),
+    }
+
+
+def lattice_job_config() -> dict:
+    """The shape of the benchmark's lattice jobs: p = 2, n = 3, g with
+    x-dependent diagonal and two constant off-diagonal pairs, every entry
+    of h t-dependent, and a smooth map on a 9 x 9 grid."""
+    return {
+        "dims": {"p": 2, "n": 3},
+        "lagrangian": {"kind": "harmonic",
+                       "g_entries": [["1 + 0.3*x2^2", "0.1", "0"],
+                                     ["0.1", "1 + 0.2*x3^2", "-0.12"],
+                                     ["0", "-0.12", "1 + 0.4*x1^2"]]},
+        "temporal_metric": {"kind": "expression",
+                            "entries": [["1 + 0.4*t1^2", "0.15*t1*t2"],
+                                        ["0.15*t1*t2", "1 + 0.3*t2^2"]],
+                            "signature": [2, 0]},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+        "grid": {"shape": [9, 9], "box": [[-1.0, 1.0], [-1.0, 1.0]],
+                 "map": ["0.1 + 0.3*sin(0.8*t1) + 0.2*cos(0.8*t2)",
+                         "-0.2 + 0.4*sin(t1)*cos(t2)",
+                         "1 + 0.1*cos(1.2*t2) - 0.3*sin(1.2*t1)"]},
+    }
+
+
+def extremal_job_config() -> dict:
+    """The shape of the benchmark's extremal jobs: p = 1, n = 3, g with
+    (t, x)-dependent diagonal and two constant off-diagonal pairs, U and F,
+    and 60 RK4 steps of dt = 0.01 from t = 0."""
+    return {
+        "dims": {"p": 1, "n": 3},
+        "lagrangian": {"kind": "electrodynamics",
+                       "g_entries": [["1 + 0.3*x1^2 + 0.1*t1^2", "0.1", "0"],
+                                     ["0.1", "0.9 + 0.2*x2^2 + 0.2*t1^2", "-0.12"],
+                                     ["0", "-0.12", "1.1 + 0.4*x3^2 + 0.05*t1^2"]],
+                       "U_entries": [["0.2*t1*x2"], ["-0.3*t1*x3"], ["0.1*t1*x1"]],
+                       "F": "0.2*t1*x1 - 0.1*cos(x2) + 0.3*x3^2"},
+        "temporal_metric": {"kind": "expression", "entries": [["1 + t1^2"]],
+                            "signature": [1, 0]},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+        "solver": {"t_end": 60 * 0.01, "dt": 0.01,
+                   "initial": {"t": 0.0, "x": [0.2, -0.3, 0.1], "y": [0.5, -0.4, 0.3]}},
     }
 
 

@@ -5,6 +5,8 @@ none of the internals it checks.
 * ``covariant_derivative``: the generic T-horizontal, M-horizontal and
   vertical covariant derivative of a d-tensor field of any valence over a
   connection pack, the reference for ``curvature.metric_compatibility``;
+* ``h_christoffel_by_dual_lift``: h's matrix, inverse and Christoffels
+  from a Dual lift of h, the reference for ``h_christoffel_values``;
 * ``h_curvature_values`` and ``g_curvature_values``: the Riemann tensors of
   the temporal and spatial metrics;
 * ``action_value``: the action of a p = 1 trajectory;
@@ -26,7 +28,7 @@ from jetlag.connection import delta_entry
 from jetlag.errors import DimensionError
 from jetlag.fields import ExpressionField, LagrangianModel
 from jetlag.jet_core import DTensor, JetPoint, SlotKind
-from jetlag.metric_engine import g_christoffel_values, h_christoffel_values, riemann
+from jetlag.metric_engine import g_christoffel_values, h_christoffel_values, levi_civita, riemann
 from jetlag.scalars import scalar_value
 
 
@@ -164,7 +166,19 @@ def _with(idx, pos, value):
     return tuple(lst)
 
 
-# --- Riemann tensors of the metrics ---------------------------------------------
+# --- Christoffels and Riemann tensors of the metrics ---------------------------
+
+
+def h_christoffel_by_dual_lift(h, ts):
+    """h's matrix at ``ts``, its inverse and its Christoffels [c][a][b]:
+    the ``levi_civita`` of h along t on the point (ts, (), ()), from one
+    Dual lift of h over the t coordinates and a plain factorization of its
+    matrix; generic over the scalar kind of ts."""
+    p = h.p
+    if h.constant:
+        return h.matrix_at(ts), h.inverse_at(ts), [[[0.0] * p for _ in range(p)] for _ in range(p)]
+    return levi_civita(lambda q: h.matrix_at(q.t), JetPoint(ts, (), ()),
+                       [t_coord(a) for a in range(p)])
 
 
 def h_curvature_values(h, ts):

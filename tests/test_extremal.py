@@ -1,12 +1,13 @@
 """Extremal integration, lattice residuals, action values."""
 
+import argparse
 import math
 import random
 
 import numpy as np
 import pytest
 
-from jetlag import connection, extremal, metric_engine
+from jetlag import cli, connection, extremal, metric_engine, regularity
 from jetlag.config import assemble
 from jetlag.errors import DegeneracyError, DimensionError, StencilError
 from jetlag.extremal import (
@@ -26,7 +27,15 @@ from jetlag.metric_engine import TemporalMetric
 from jetlag.regularity import hessian_blocks
 from jetlag.scalars import scalar_value
 
-from conftest import KINDS, corpus_instance, sphere_config, temporal_metric_of
+from conftest import (
+    KINDS,
+    corpus_instance,
+    counted,
+    extremal_job_config,
+    lattice_job_config,
+    sphere_config,
+    temporal_metric_of,
+)
 from oracles import action_value, constant
 
 
@@ -430,29 +439,70 @@ class TestAction:
             assert action_value(inst.L, inst.h, traj) >= s0 - 1e-10
 
 
+def _count_h_work(monkeypatch, h):
+    """Count, from now on, the evaluations of ``h`` and every symmetric
+    factorization (of h and of g), in a dict."""
+    counts = {"h": 0, "factorizations": 0}
+    monkeypatch.setattr(h, "matrix", counted(counts, "h", h.matrix))
+    factor = counted(counts, "factorizations", metric_engine.checked_inverse)
+    for module in (metric_engine, connection, regularity):
+        monkeypatch.setattr(module, "checked_inverse", factor)
+    return counts
+
+
 class TestWorkPerStage:
-    def test_one_stage_evaluates_h_twice_and_factorizes_three_times(self, monkeypatch):
-        # p = 1 with t-dependent h: L's Taylor2 lift inverts h inside the
-        # spray's one evaluation (h once, factorization once);
-        # h_christoffel_values lifts h over t once, whose value is h's
-        # matrix, and factorizes it once for the inverse; g is factorized
-        # once
+    def test_a_stage_evaluates_h_once_and_a_second_stage_at_its_t_not_at_all(self, monkeypatch):
+        # p = 1 with t-dependent h.  On a fresh metric, L's Taylor2 lift
+        # evaluates h and factorizes it inside the spray's one evaluation of
+        # L, h_christoffel_values reads h's matrix, inverse and t-partials
+        # from that kept evaluation, and g is factorized once.  A second
+        # stage at the same t (RK4's stages 2 and 3) finds h kept, so only
+        # its g is factorized.
         inst = corpus_instance("non_autonomous", 1, 3)
         assert not inst.h.constant
-        counts = {"h": 0, "factorizations": 0}
-        matrix, factor = inst.h.matrix, metric_engine.checked_inverse
-
-        def counted_matrix(ts):
-            counts["h"] += 1
-            return matrix(ts)
-
-        def counted_factor(rows):
-            counts["factorizations"] += 1
-            return factor(rows)
-
-        monkeypatch.setattr(inst.h, "matrix", counted_matrix)
-        for module in (metric_engine, connection):
-            monkeypatch.setattr(module, "checked_inverse", counted_factor)
+        counts = _count_h_work(monkeypatch, inst.h)
         extremal._acceleration(inst.L, inst.h, 0.3, np.array([0.1, -0.2, 0.3]),
                                np.array([0.4, 0.2, -0.3]))
-        assert counts == {"h": 2, "factorizations": 3}
+        assert counts == {"h": 1, "factorizations": 2}
+        counts.update(h=0, factorizations=0)
+        extremal._acceleration(inst.L, inst.h, 0.3, np.array([0.2, -0.1, 0.3]),
+                               np.array([0.3, 0.2, -0.1]))
+        assert counts == {"h": 0, "factorizations": 1}
+
+
+def _stage_ts(t0, t_end, dt):
+    """The t of every RK4 stage of ``integrate_extremal``, in order, by its
+    own arithmetic."""
+    span = t_end - t0
+    steps = max(1, round(abs(span) / dt))
+    dt = span / steps
+    out, t = [], t0
+    for k in range(steps):
+        out += [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
+        t = t0 + (k + 1) * dt
+    return out
+
+
+class TestWorkPerJob:
+    """h evaluations and factorizations of one job shaped like the
+    benchmark's: each distinct t in a row evaluates and factorizes h once,
+    and each spray factorizes its g once."""
+
+    def test_extremal_job(self, monkeypatch):
+        config = extremal_job_config()
+        inst = assemble(config)
+        counts = _count_h_work(monkeypatch, inst.h)
+        assert cli.cmd_extremal(inst, argparse.Namespace(out=None)) == 0
+        ts = _stage_ts(0.0, config["solver"]["t_end"], config["solver"]["dt"])
+        # stages 2 and 3 share t + dt/2; stage 4's t + dt is the next
+        # step's t bitwise in 47 of the 59 steps that have one
+        runs = 1 + sum(a.hex() != b.hex() for a, b in zip(ts, ts[1:]))
+        assert (len(ts), runs) == (240, 133)
+        assert counts == {"h": runs, "factorizations": runs + len(ts)}
+
+    def test_lattice_job(self, monkeypatch):
+        inst = assemble(lattice_job_config())
+        counts = _count_h_work(monkeypatch, inst.h)
+        assert cli.cmd_residual(inst, argparse.Namespace(out=None)) == 0
+        # one spray at each of the 7 x 7 interior nodes, each at its own t
+        assert counts == {"h": 49, "factorizations": 2 * 49}

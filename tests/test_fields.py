@@ -12,6 +12,7 @@ from jetlag.config import assemble
 from jetlag.jet_core import JetPoint
 from jetlag.scalars import Taylor2
 
+from conftest import extremal_job_config, lattice_job_config
 from oracles import quadratic_form_by_terms
 
 EPS = 2.0**-52
@@ -109,46 +110,13 @@ class TestContractedForm:
                 assert gap <= ULPS * (EPS * magnitude + TINY), key
 
 
-def _lattice_config() -> dict:
-    """The shape of the benchmark's lattice configs: p = 2, n = 3, g with
-    x-dependent diagonal and two constant off-diagonal pairs, every entry
-    of h t-dependent."""
-    return {
-        "dims": {"p": 2, "n": 3},
-        "lagrangian": {"kind": "harmonic",
-                       "g_entries": [["1 + 0.3*x2^2", "0.1", "0"],
-                                     ["0.1", "1 + 0.2*x3^2", "-0.12"],
-                                     ["0", "-0.12", "1 + 0.4*x1^2"]]},
-        "temporal_metric": {"kind": "expression",
-                            "entries": [["1 + 0.4*t1^2", "0.15*t1*t2"],
-                                        ["0.15*t1*t2", "1 + 0.3*t2^2"]],
-                            "signature": [2, 0]},
-        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
-    }
-
-
-def _extremal_config() -> dict:
-    """The shape of the benchmark's extremal configs: p = 1, n = 3, g with
-    (t, x)-dependent diagonal and two constant off-diagonal pairs, U and F."""
-    return {
-        "dims": {"p": 1, "n": 3},
-        "lagrangian": {"kind": "electrodynamics",
-                       "g_entries": [["1 + 0.3*x1^2 + 0.1*t1^2", "0.1", "0"],
-                                     ["0.1", "0.9 + 0.2*x2^2 + 0.2*t1^2", "-0.12"],
-                                     ["0", "-0.12", "1.1 + 0.4*x3^2 + 0.05*t1^2"]],
-                       "U_entries": [["0.2*t1*x2"], ["-0.3*t1*x3"], ["0.1*t1*x1"]],
-                       "F": "0.2*t1*x1 - 0.1*cos(x2) + 0.3*x3^2"},
-        "temporal_metric": {"kind": "expression", "entries": [["1 + t1^2"]],
-                            "signature": [1, 0]},
-        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
-    }
-
-
 class TestProductCount:
-    """Products of two Taylor2s in one spray: those of L's ingredients (h's
-    inverse, g, U and F) plus those of the contraction, p T(g) for w,
+    """Products of two Taylor2s in one spray: those of L's ingredients g, U
+    and F plus those of the contraction, p T(g) for w,
     n p(p + 1)/2 for S and T(h) for h^{ab} S_ab, T counting the entries
-    that are Taylor2 (h^{ab} for a <= b), and one per Taylor2 U entry."""
+    that are Taylor2 (h^{ab} for a <= b), and one per Taylor2 U entry.  h's
+    inverse on the spray's lift, asked before the spray, is kept, so the
+    spray takes none of its products."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -164,16 +132,19 @@ class TestProductCount:
         return count
 
     @pytest.mark.parametrize("config, point", [
-        (_lattice_config(), JetPoint((0.25, -0.5), (0.1, 0.2, -0.3),
-                                     ((0.3, -0.2), (0.5, 0.1), (-0.4, 0.6)))),
-        (_extremal_config(), JetPoint((0.25,), (0.1, 0.2, -0.3), ((0.3,), (0.5,), (-0.4,)))),
+        (lattice_job_config(), JetPoint((0.25, -0.5), (0.1, 0.2, -0.3),
+                                        ((0.3, -0.2), (0.5, 0.1), (-0.4, 0.6)))),
+        (extremal_job_config(), JetPoint((0.25,), (0.1, 0.2, -0.3), ((0.3,), (0.5,), (-0.4,)))),
     ])
     def test_a_spray_takes_the_contraction_s_products(self, products, config, point):
         inst = assemble(config)
         family, dims = inst.L.structure, inst.dims
         p, n = dims.p, dims.n
         q = lift_taylor(point, all_coords(dims), connection._spray_pairs(n, p))
-        hinv, g = family.h.inverse_at(q.t), family.g_matrix(q)
+        # h's inverse on the spray's lift is kept, and the spray reads it
+        hinv = family.h.inverse_at(q.t)
+        products[0] = 0
+        g = family.g_matrix(q)
         u = [[e(q) for e in row] for row in family.u_entries or ()]
         if family.f_entry is not None:
             family.f_entry(q)
@@ -188,6 +159,7 @@ class TestProductCount:
                        + taylor(e for row in u for e in row))
         products[0] = 0
         connection.spray_data(inst.L, inst.h, point)
-        # 12 + 18 = 30 for the lattice (56 term by term), 15 + 7 = 22 for
-        # the extremal (26 term by term)
+        # 3 + 18 = 21 for the lattice (56 term by term), 11 + 10 = 21 for
+        # the extremal (26 term by term); h's own 9 and 1 products were
+        # taken once, before the spray
         assert products[0] == ingredients + contraction

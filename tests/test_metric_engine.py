@@ -1,5 +1,6 @@
 """Metric inverses, Christoffel symbols, curvature tensors."""
 
+import functools
 import json
 import math
 import random
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jetlag import connection, metric_engine, verify
 from jetlag.calculus import all_coords, lift_d1, lift_taylor, t_coord, x_coord
-from jetlag import verify
 from jetlag.cli import run
 from jetlag.config import assemble
 from jetlag.errors import DegeneracyError
@@ -27,8 +28,15 @@ from jetlag.metric_engine import (
 )
 from jetlag.regularity import electrodynamics_decompose, sample_points, trace_metric
 
-from conftest import corpus_instance, spatial_metric_of, temporal_metric_of
-from oracles import g_curvature_values, h_curvature_values
+from conftest import (
+    KINDS,
+    corpus_instance,
+    counted,
+    nan_h_config,
+    spatial_metric_of,
+    temporal_metric_of,
+)
+from oracles import g_curvature_values, h_christoffel_by_dual_lift, h_curvature_values
 
 
 def tmetric(p, entries_src, signature):
@@ -125,6 +133,144 @@ class TestTemporal:
                         rhs = sum(hm[m, c] * H[m, b, a] + hm[b, m] * H[m, c, a]
                                   for m in range(2))
                         assert dh[b, c] == pytest.approx(rhs, abs=1e-8)
+
+
+def _fresh(h: TemporalMetric) -> TemporalMetric:
+    """A metric of the same matrix function that has kept nothing."""
+    return TemporalMetric(h.p, h.matrix, h.signature, h.constant)
+
+
+def _counting(h: TemporalMetric, monkeypatch) -> dict:
+    """Count, from now on, the evaluations of ``h`` and the factorizations
+    of the module, in a dict."""
+    calls = {"matrix": 0, "factorizations": 0}
+    monkeypatch.setattr(h, "matrix", counted(calls, "matrix", h.matrix))
+    monkeypatch.setattr(metric_engine, "checked_inverse",
+                        counted(calls, "factorizations", metric_engine.checked_inverse))
+    return calls
+
+
+_CORPUS_H = [(f"{kind}_p{p}", kind, p) for kind in KINDS for p in (1, 2, 3)]
+
+
+def _corpus_points(p):
+    """Points of a p, n = 2 jet: two plain ones, each again after the
+    other, and the Taylor2 lifts of the spray and of a full Hessian."""
+    dims = Dims(p, 2)
+    a, b = sample_points(dims, None, 2, seed=3)
+    spray = lift_taylor(a, all_coords(dims), connection._spray_pairs(2, p))
+    return [a, a, b, a, spray, spray, lift_taylor(a, all_coords(dims)), spray]
+
+
+def _up_to_zeros(table, k):
+    """Each leaf of a table at a Dual t over k directions as the reprs of
+    its value and its k sensitivities, "0.0" for a zero of either sign and
+    a plain float's sensitivities."""
+    def leaf(e):
+        parts = [e.re, *e.du] if type(e) is Dual else [e] + [0.0] * k
+        return [repr(x) if x != 0.0 else "0.0" for x in parts]
+    return [[[leaf(e) for e in row] for row in plane] for plane in table]
+
+
+class TestKeptEvaluation:
+    """``TemporalMetric`` keeps its last evaluation of h, and its
+    factorization once asked; ``h_christoffel_values`` reads it."""
+
+    @pytest.mark.parametrize("name, kind, p", _CORPUS_H, ids=[c[0] for c in _CORPUS_H])
+    def test_bitwise_a_fresh_metric_s(self, name, kind, p):
+        h = corpus_instance(kind, p, 2).h
+        for q in _corpus_points(p):
+            fresh = _fresh(h)
+            assert repr(h.matrix_at(q.t)) == repr(fresh.matrix_at(q.t))
+            assert repr(h.inverse_at(q.t)) == repr(fresh.inverse_at(q.t))
+            assert h.matrix_at(q.t) is h.matrix_at(q.t)
+
+    def test_zero_signs_are_not_shared_and_nan_never_matches(self, monkeypatch):
+        h = tmetric(1, [["1 + t1^2"]], (1, 0))
+        calls = _counting(h, monkeypatch)
+        for ts in ((0.0,), (-0.0,), (-0.0,), (math.nan,), (math.nan,)):
+            h.matrix_at(ts)
+        assert calls["matrix"] == 4
+        coords = [t_coord(0)]
+        for t in (0.0, -0.0, -0.0):
+            h.matrix_at(lift_taylor(JetPoint((t,), (), ()), coords).t)
+        assert calls["matrix"] == 6
+
+    def test_dual_array_nested_and_unseeded_t_are_never_kept(self, monkeypatch):
+        h = tmetric(2, [["1 + t2^2", "0.2*t1"], ["0.2*t1", "2 + sin(t1)"]], (2, 0))
+        calls = _counting(h, monkeypatch)
+        pt = JetPoint((0.3, -0.4), (), ())
+        coords = [t_coord(0), t_coord(1)]
+        dual = lift_d1(pt, coords).t
+        nested = lift_taylor(lift_d1(pt, coords), coords).t
+        doubled = tuple(2.0 * t for t in lift_taylor(pt, coords).t)  # g = [2.0]
+        arrays = (np.array([0.3, 0.5]), np.array([-0.4, 0.1]))
+        for ts in (dual, nested, doubled, arrays, (0.3, 1)):
+            h.matrix_at(ts)
+            h.matrix_at(ts)
+        assert calls["matrix"] == 10
+
+    def test_t1_t2_t1_evaluates_h_three_times(self, monkeypatch):
+        h = tmetric(1, [["1 + t1^2"]], (1, 0))
+        calls = _counting(h, monkeypatch)
+        for ts in ((0.1,), (0.2,), (0.1,)):
+            h.matrix_at(ts)
+            h.inverse_at(ts)
+            h.factor_at(ts)
+        assert calls == {"matrix": 3, "factorizations": 3}
+
+    def test_a_degenerate_h_raises_again_on_the_next_ask(self, monkeypatch):
+        h = tmetric(1, [["t1^2"]], (1, 0))
+        calls = _counting(h, monkeypatch)
+        for _ in range(2):
+            with pytest.raises(DegeneracyError):
+                h.inverse_at((0.0,))
+        assert calls == {"matrix": 1, "factorizations": 2}
+
+    def test_a_constant_metric_is_evaluated_and_factorized_once(self, monkeypatch):
+        h = TemporalMetric.flat(2)
+        calls = _counting(h, monkeypatch)
+        for ts in ((0.1, 0.2), (0.3, 0.4), lift_d1(JetPoint((0.5, 0.6), (), ()),
+                                                  [t_coord(0)]).t):
+            assert h.matrix_at(ts) == [[1.0, 0.0], [0.0, 1.0]]
+            assert h.inverse_at(ts) == [[1.0, 0.0], [0.0, 1.0]]
+        assert calls == {"matrix": 1, "factorizations": 1}
+
+    @pytest.mark.parametrize("name, kind, p", _CORPUS_H, ids=[c[0] for c in _CORPUS_H])
+    def test_christoffels_are_bitwise_the_dual_lift_s(self, name, kind, p):
+        # no corpus h has a quotient, whose first-order Taylor2 derivative
+        # goes through 1/b where a Dual's does not.  At a Dual t the Dual
+        # lift carries a zero row for each t an entry of h does not depend
+        # on, which the Taylor2 lift's support leaves out: there a zero
+        # derivative entry of a Christoffel may differ in sign, or be a
+        # plain 0.0 where the Dual lift gives a Dual zero
+        h = corpus_instance(kind, p, 2).h
+        dims = Dims(p, 2)
+        coords = [t_coord(a) for a in range(p)]
+        for pt in sample_points(dims, None, 3, seed=4):
+            spray = lift_taylor(pt, all_coords(dims), connection._spray_pairs(2, p))
+            for ts in (pt.t, lift_d1(pt, coords).t, lift_d1(pt, coords[::-1]).t):
+                bits = repr if ts is pt.t else functools.partial(_up_to_zeros, k=p)
+                m, inv, ch = h_christoffel_by_dual_lift(_fresh(h), ts)
+                want = [repr(m), repr(inv), bits(ch)]
+                for metric in (_fresh(h), h, h):  # its own lift, then kept (a plain t)
+                    m, inv, ch = h_christoffel_values(metric, ts)
+                    assert [repr(m), repr(inv), bits(ch)] == want
+                h.inverse_at(spray.t)  # as L's evaluation on the spray's lift
+                m, inv, ch = h_christoffel_values(h, ts)
+                assert [repr(m), repr(inv), bits(ch)] == want  # read from L's if plain
+
+    def test_christoffels_read_the_kept_evaluation(self, monkeypatch):
+        inst = corpus_instance("non_autonomous", 2, 3)
+        pt = sample_points(inst.dims, None, 1, seed=6)[0]
+        calls = _counting(inst.h, monkeypatch)
+        inst.h.inverse_at(lift_taylor(pt, all_coords(inst.dims)).t)
+        h_christoffel_values(inst.h, pt.t)
+        assert calls == {"matrix": 1, "factorizations": 1}
+        # else its own lift, kept in turn, with a plain factorization
+        h_christoffel_values(inst.h, (0.25, 0.5))
+        h_christoffel_values(inst.h, (0.25, 0.5))
+        assert calls == {"matrix": 2, "factorizations": 3}
 
 
 class TestTemporalCurvature:
@@ -330,6 +476,22 @@ class TestSymmetricFactor:
         h = tmetric(1, [["exp(2*t1)"]], (0, 1))  # deliberately wrong
         report = h.validate_samples([(-0.5,), (0.0,), (0.5,)])
         assert not report["ok"]
+
+    def test_a_nan_h_fails_the_signature_check(self):
+        # h = 1 + 1e308*t1*1e10 - 1e308*t1*1e10 is NaN wherever t1 != 0,
+        # and the factorization reads a NaN pivot as positive: inertia (1, 0)
+        inst = assemble(nan_h_config())
+        report = inst.h.validate_samples([(0.0,), (0.5,)])
+        assert report == {"ok": False, "issues": [{"t": [0.5], "issue": "h is not finite: [[nan]]"}]}
+        check = {c.name: c for c in verify.run_checks(inst)}["temporal_metric_signature"]
+        assert not check.passed and check.worst >= 1.0
+        assert check.detail.split("; ")[0] == "h is not finite: [[nan]]"
+
+    def test_validate_samples_evaluates_and_factorizes_h_once_per_sample(self, monkeypatch):
+        h = tmetric(2, [["1 + t2^2", "0.2*t1"], ["0.2*t1", "2 + sin(t1)"]], (2, 0))
+        calls = _counting(h, monkeypatch)
+        assert h.validate_samples([(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])["ok"]
+        assert calls == {"matrix": 3, "factorizations": 3}
 
     def test_verify_passes_an_indefinite_h_with_zero_diagonal(self):
         inst = assemble({

@@ -153,11 +153,11 @@ class TestKroneckerTest:
             assert verdict.is_kronecker, (kind, verdict.diagnostics)
 
     def test_h_evaluated_once_per_sample(self, monkeypatch):
-        # per sample h's matrix once, for the trace, its inverse and the 8
-        # velocity redraws at the same t, and two factorizations, of h and
-        # of the g estimate; the other 36 evaluations, with their
-        # factorizations, are L's own (9 evaluations of L per sample: its
-        # Hessian, which carries its value, and the 8 redraws)
+        # per sample h is evaluated and factorized once, by L's first
+        # evaluation (its Hessian, over the verticals, so at the float t);
+        # the trace, h's inverse and L in the 8 velocity redraws at the
+        # same t read that kept evaluation, and the g estimate is the
+        # other factorization
         inst = corpus_instance("non_autonomous", 2, 3, count=4)
         calls = {"matrix": 0, "factorizations": 0}
         inst.h.matrix = counted(calls, "matrix", inst.h.matrix)
@@ -166,7 +166,7 @@ class TestKroneckerTest:
             monkeypatch.setattr(module, "checked_inverse", factor)
         verdict = kronecker_test(inst.L, inst.h, inst.sampling["box"], K=4, seed=inst.seed)
         assert verdict.is_kronecker
-        assert calls == {"matrix": 40, "factorizations": 44}
+        assert calls == {"matrix": 4, "factorizations": 8}
 
     @pytest.mark.parametrize("config", [corpus_config(kind, p, n, count=4)
                                         for kind in KINDS for p, n in ((1, 2), (2, 3))]

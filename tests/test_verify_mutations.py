@@ -181,12 +181,13 @@ def _reversed_inertia(monkeypatch):
 
 def _fails_under(monkeypatch, check, mutate, config):
     """``check`` passes on ``config`` and fails once ``mutate`` (called
-    with the monkeypatch) has broken the code it guards."""
-    inst = assemble(config)
-    checks = {c.name: c for c in verify.run_checks(inst)}
+    with the monkeypatch) has broken the code it guards.  Each run has its
+    own instance, so that nothing the first kept (a constant h's
+    factorization) hides the mutation from the second."""
+    checks = {c.name: c for c in verify.run_checks(assemble(config))}
     assert checks[check].passed
     mutate(monkeypatch)
-    checks = {c.name: c for c in verify.run_checks(inst)}
+    checks = {c.name: c for c in verify.run_checks(assemble(config))}
     assert not checks[check].passed
 
 
