@@ -67,7 +67,6 @@ class SprayData(NamedTuple):
     blocks: list   # vertical Hessian blocks [i][a][j][b], as hessian_blocks gives them
     g: list        # h-trace spatial metric
     ginv: list
-    det: float     # of g, from the factorization that gives ginv
     inertia: tuple  # of g: (positive, negative) eigenvalue counts
     hmat: list     # temporal metric h at the point's t
     hinv: list
@@ -129,7 +128,7 @@ def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
     hmat, hinv, hch = h_christoffel_values(h, point.t)
     g = trace_metric(hmat, blocks)
     htrace = [_sum(hch[c][a][c] for c in range(p)) for a in range(p)]
-    ginv, det, inertia = checked_inverse(g)
+    ginv, _, inertia = checked_inverse(g)
 
     off = p + n  # index of v^0_0
     xv, tv = _cross_positions(pairs, n, p)
@@ -165,9 +164,9 @@ def spray_data(L, h: TemporalMetric, point: JetPoint) -> SprayData:
         h_vec.append(h_k)
         j_vec.append(j_k)
         g_vec.append(s_k + h_k + j_k)
-    return SprayData(blocks=blocks, g=g, ginv=ginv, det=det, inertia=inertia, hmat=hmat,
-                     hinv=hinv, hch=hch, bracket=bracket, s_vec=s_vec, h_vec=h_vec,
-                     j_vec=j_vec, g_vec=g_vec)
+    return SprayData(blocks=blocks, g=g, ginv=ginv, inertia=inertia, hmat=hmat, hinv=hinv,
+                     hch=hch, bracket=bracket, s_vec=s_vec, h_vec=h_vec, j_vec=j_vec,
+                     g_vec=g_vec)
 
 
 def gcal_values(L, h: TemporalMetric, point: JetPoint):

@@ -10,7 +10,9 @@ the 27 corpus configs of ``conftest`` (``count=4``), the quartic
 (seven with a solver; one p = 2 with velocity-linear terms; one p = 1
 with a t-dependent h and a velocity-dependent g), two metrics
 that vanish along an extremal (g = x1 and g = x1^2), an extremal that
-overflows under a constant g, a Lagrangian that is NaN away from x1 = 0
+overflows under a constant g, two regular extremals (g = e^(-x1) I with
+n = 3, whose |det g| falls below 1 % of its start, and the benchmark's
+extremal job at dt = 0.05), a Lagrangian that is NaN away from x1 = 0
 (``v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10``), one that is finite on its
 sampling box but NaN at the fixed point (``v1_1^2 + 1e300*x1^3*1e10 -
 1e300*x1^3*1e10``, box [-0.2, 0.2]), an indefinite
@@ -92,12 +94,14 @@ def configs() -> dict:
         KINDS,
         corpus_config,
         curled_potentials_config,
+        extremal_job_config,
         nan_at_point_config,
         nan_h_config,
         nan_lagrangian_config,
         potentials_config,
         quartic_config,
         quotient_h_config,
+        scaled_flat_config,
         sphere_config,
     )
 
@@ -157,6 +161,11 @@ def configs() -> dict:
     out["abort_overflow"] = dict(_expression(1, 1, "v1_1^2 + x1^4"),
                                  solver={"t_end": 2.0, "dt": 0.01,
                                          "initial": {"t": 0.0, "x": [1.0], "y": [1.0]}})
+    # regular extremals: |det g| = e^(-3 x1) falls below 1 % of its start,
+    # and the benchmark's extremal job at five times its dt
+    out["scaled_flat_p1_n3"] = scaled_flat_config()
+    out["extremal_job_dt005"] = extremal_job_config()
+    out["extremal_job_dt005"]["solver"]["dt"] = 0.05
     out["nan_lagrangian"] = nan_lagrangian_config()
     # finite on its samples, NaN at the point: connection's spray check
     out["nan_at_point"] = nan_at_point_config()

@@ -248,6 +248,22 @@ def extremal_job_config() -> dict:
     }
 
 
+def scaled_flat_config() -> dict:
+    """g = e^(-x1) I on n = 3 under a flat h: regular everywhere, though
+    along the extremal from x = 0 with y = (1, 0, 0), 150 steps of dt = 0.01,
+    |det g| = e^(-3 x1) falls below 1 % of its start by t = 1.08."""
+    g = "exp(-x1)"
+    return {
+        "dims": {"p": 1, "n": 3},
+        "lagrangian": {"kind": "harmonic",
+                       "g_entries": [[g, "0", "0"], ["0", g, "0"], ["0", "0", g]]},
+        "temporal_metric": {"kind": "flat"},
+        "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+        "solver": {"t_end": 1.5, "dt": 0.01,
+                   "initial": {"t": 0.0, "x": [0, 0, 0], "y": [1, 0, 0]}},
+    }
+
+
 def quartic_config(count: int = 16) -> dict:
     return {
         "dims": {"p": 2, "n": 2},

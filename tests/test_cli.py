@@ -13,6 +13,7 @@ from conftest import (
     nan_lagrangian_config,
     non_finite_lattice_configs,
     quartic_config,
+    scaled_flat_config,
     sphere_config,
 )
 
@@ -178,7 +179,8 @@ class TestExitCodes:
         assert run(["extremal", "--config", path]) == EX_USAGE
 
     def test_extremal_abort_exits_1(self, tmp_path, capsys):
-        # g = sqrt(1 - x1) turns negative once the extremal passes x1 = 1
+        # g = sqrt(1 - x1) vanishes at x1 = 1: the extremal stops before,
+        # where the Euler-Lagrange residual stops vanishing
         cfg = {
             "dims": {"p": 1, "n": 1},
             "lagrangian": {"kind": "harmonic", "g_entries": [["sqrt(1 - x1)"]]},
@@ -191,9 +193,9 @@ class TestExitCodes:
         assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "t,x1,y1"
-        assert len(out.splitlines()) == 82  # header, t0 and 80 steps
-        assert err == ("steps=80 max_el_residual=8.522e+01 aborted=(EvalDomainError: "
-                       "1:1: sqrt of a negative value in 'sqrt(1 - x1)' at step 81, t=0.805)\n")
+        assert len(out.splitlines()) == 78  # header, t0 and 76 steps
+        assert err == ("steps=76 max_el_residual=1.580e-01 aborted=(relative Euler-Lagrange "
+                       "residual 1.417e-02 at t=0.76 exceeds 0.01 at step 77, t=0.77)\n")
 
     @pytest.mark.parametrize("dt", [0.75, 5.0])
     def test_extremal_needs_two_steps(self, tmp_path, capsys, dt):
@@ -214,7 +216,8 @@ class TestExitCodes:
 
     def test_extremal_stops_where_g_changes_signature(self, tmp_path, capsys):
         # g = x1 is positive at x0 = 0.3; the extremal runs into x1 = 0 near
-        # t = 0.2, where RK4 would step across into g < 0 and go on
+        # t = 0.2, where RK4 would step across into g < 0 and go on; the
+        # Euler-Lagrange residual stops it before
         cfg = {
             "dims": {"p": 1, "n": 1},
             "lagrangian": {"kind": "harmonic", "g_entries": [["x1"]]},
@@ -227,15 +230,15 @@ class TestExitCodes:
         assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
         out, err = capsys.readouterr()
         rows = out.splitlines()
-        assert len(rows) == 22  # header, t0 and 20 steps
+        assert len(rows) == 17  # header, t0 and 15 steps
         assert all(float(row.split(",")[1]) > 0.0 for row in rows[1:])
-        assert err == ("steps=20 max_el_residual=2.418e+01 aborted=(DegeneracyError: "
-                       "signature of g changed from (1, 0) to (0, 1) at step 21, t=0.205)\n")
+        assert err == ("steps=15 max_el_residual=5.386e-02 aborted=(relative Euler-Lagrange "
+                       "residual 1.057e-02 at t=0.15 exceeds 0.01 at step 16, t=0.16)\n")
 
     def test_extremal_stops_where_det_g_nears_zero(self, tmp_path, capsys):
         # g = x1^2 keeps its sign, but it vanishes at x1 = 0 near t = 0.15;
-        # the run stops at the first stage whose |det g| is below
-        # DEGENERACY_MARGIN of its initial value, not past it
+        # the run stops at the first sample whose relative Euler-Lagrange
+        # residual exceeds EL_RESIDUAL_BOUND, not past it
         cfg = {
             "dims": {"p": 1, "n": 1},
             "lagrangian": {"kind": "harmonic", "g_entries": [["x1^2"]]},
@@ -247,14 +250,14 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
         out, err = capsys.readouterr()
-        assert len(out.splitlines()) == 16  # header, t0 and 14 steps
-        assert err == ("steps=14 max_el_residual=3.212e-01 aborted=(DegeneracyError: "
-                       "|det g| = 3.479e-04 fell below 0.01 of its initial 9.000e-02 "
-                       "at step 15, t=0.15)\n")
+        assert len(out.splitlines()) == 12  # header, t0 and 10 steps
+        assert err == ("steps=10 max_el_residual=2.684e-02 aborted=(relative Euler-Lagrange "
+                       "residual 1.275e-02 at t=0.1 exceeds 0.01 at step 11, t=0.11)\n")
 
     def test_extremal_stops_at_the_first_non_finite_acceleration(self, tmp_path, capsys):
-        # g = 1, but x'' = 2 x^3 blows up near t = 1: the acceleration
-        # overflows to inf, which float arithmetic does not raise
+        # g = 1, but x'' = 2 x^3 blows up near t = 1: the Euler-Lagrange
+        # residual stops the run before the acceleration overflows to inf,
+        # which float arithmetic does not raise
         cfg = {
             "dims": {"p": 1, "n": 1},
             "lagrangian": {"kind": "expression", "expression": "v1_1^2 + x1^4"},
@@ -267,10 +270,38 @@ class TestExitCodes:
         assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
         out, err = capsys.readouterr()
         rows = out.splitlines()
-        assert len(rows) == 104  # header, t0 and 102 steps
+        assert len(rows) == 92  # header, t0 and 90 steps
         assert all(math.isfinite(float(e)) for row in rows[1:] for e in row.split(","))
-        assert err == ("steps=102 max_el_residual=3.803e+121 aborted=(FloatingPointError: "
-                       "acceleration is not finite: [inf] at step 103, t=1.025)\n")
+        assert all(abs(float(row.split(",")[1])) <= 100.0 for row in rows[1:])
+        assert err == ("steps=90 max_el_residual=8.131e+01 aborted=(relative Euler-Lagrange "
+                       "residual 1.006e-02 at t=0.9 exceeds 0.01 at step 91, t=0.91)\n")
+
+    @pytest.mark.parametrize("g", ["x1", "x1^2"])
+    @pytest.mark.parametrize("dt", [0.1, 0.01, 0.001])
+    def test_extremal_stops_before_det_g_vanishes_at_every_dt(self, tmp_path, capsys, g, dt):
+        # the extremal from x0 = 0.3 reaches the zero of g = x1 or x1^2 near
+        # t = 0.2; at each dt the residual gate stops it while x > 0
+        cfg = {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "harmonic", "g_entries": [[g]]},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+            "solver": {"t_end": 3.0, "dt": dt,
+                       "initial": {"t": 0.0, "x": [0.3], "y": [-1.0]}},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
+        out, err = capsys.readouterr()
+        assert all(float(row.split(",")[1]) > 0.0 for row in out.splitlines()[1:])
+        assert "aborted=(relative Euler-Lagrange residual " in err
+
+    def test_extremal_of_a_scaled_flat_metric_runs_to_the_end(self, tmp_path, capsys):
+        # g = e^(-x1) I is regular everywhere, whatever the size of |det g|
+        path = write_config(tmp_path, scaled_flat_config())
+        assert run(["extremal", "--config", path]) == EX_OK
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 152  # header, t0 and 150 steps
+        assert err.startswith("steps=150 ") and "aborted" not in err
 
     def test_extremal_degeneracy_names_the_step(self, tmp_path, capsys):
         # g = x1^2 vanishes at the initial state x1 = 0: the spray's own

@@ -258,24 +258,77 @@ class TestResidualsReadTheStageSpray:
         assert traj.el_residuals.tobytes() == fresh_el_residuals(inst.L, inst.h, traj).tobytes()
 
     @pytest.mark.parametrize("t_last, t_abort", [(0.0525, "0.055"), (0.0575, "0.06")])
-    def test_bitwise_after_an_abort_inside_a_step(self, monkeypatch, t_last, t_abort):
+    def test_bitwise_after_an_abort_inside_a_step(self, t_last, t_abort):
         # the sixth step aborts in its second (t = 0.055) or fourth (t = 0.06)
-        # stage, after its first stage kept the spray at the last sample
+        # stage, after its first stage assembled the spray at the last sample
         inst = corpus_instance("non_autonomous", 1, 2)
         L = _EndsAt(inst.L, t_last)
-        kept = []
-        residuals = extremal.trajectory_el_residuals
-
-        def spied(traj, firsts):
-            kept.append(len(firsts))
-            return residuals(traj, firsts)
-
-        monkeypatch.setattr(extremal, "trajectory_el_residuals", spied)
         traj = integrate_extremal(ExtremalProblem(
             L=L, h=inst.h, t0=0.0, x0=(0.3, -0.2), y0=(0.5, 0.4), t_end=1.0, dt=0.01))
         assert traj.aborted and traj.abort_reason.endswith(f"at step 6, t={t_abort}")
-        assert len(traj.t) == 6 and kept == [6]
+        assert len(traj.t) == 6 and len(traj.el_residuals) == 4
         assert traj.el_residuals.tobytes() == fresh_el_residuals(L, inst.h, traj).tobytes()
+
+
+def _stub_spray(monkeypatch, **fields):
+    """Make the extremal's sprays give ``fields`` (name -> function of the
+    assembled value) in place of what they assembled."""
+    assemble_spray = extremal.spray_data
+
+    def stubbed(L, h, point):
+        data = assemble_spray(L, h, point)
+        return data._replace(**{name: f(getattr(data, name)) for name, f in fields.items()})
+
+    monkeypatch.setattr(extremal, "spray_data", stubbed)
+
+
+class TestResidualGate:
+    @staticmethod
+    def short_job():
+        inst = assemble(extremal_job_config())
+        return integrate_extremal(ExtremalProblem(
+            L=inst.L, h=inst.h, t0=0.0, x0=(0.1, -0.2, 0.3), y0=(0.5, 0.4, -0.6),
+            t_end=0.1, dt=0.01))
+
+    def test_a_regular_extremal_at_a_coarse_dt_runs_to_the_end(self):
+        cfg = extremal_job_config()
+        cfg["solver"]["dt"] = 0.05
+        inst = assemble(cfg)
+        sol = inst.solver
+        traj = integrate_extremal(ExtremalProblem(
+            L=inst.L, h=inst.h, t0=sol["t0"], x0=sol["x0"], y0=sol["y0"],
+            t_end=sol["t_end"], dt=sol["dt"]))
+        assert not traj.aborted and len(traj.t) == 13
+        assert len(traj.el_residuals) == 11
+
+    def test_a_nan_residual_aborts(self, monkeypatch):
+        # the bracket feeds the residual only: the accelerations stay finite
+        _stub_spray(monkeypatch, bracket=lambda b: [math.nan] * len(b))
+        traj = self.short_job()
+        assert traj.aborted and len(traj.t) == 2
+        assert traj.abort_reason == ("relative Euler-Lagrange residual nan at t=0.01 exceeds "
+                                     "0.01 at step 2, t=0.02")
+
+    def test_a_signature_change_aborts(self, monkeypatch):
+        # from the sixth spray on, the second stage of step 2, g reads as
+        # negative definite
+        calls = []
+
+        def flipped(inertia):
+            calls.append(inertia)
+            return inertia if len(calls) <= 5 else inertia[::-1]
+
+        _stub_spray(monkeypatch, inertia=flipped)
+        traj = self.short_job()
+        assert traj.aborted and len(traj.t) == 2
+        assert traj.abort_reason == ("DegeneracyError: signature of g changed from (3, 0) "
+                                     "to (0, 3) at step 2, t=0.015")
+
+    def test_a_non_finite_acceleration_aborts(self, monkeypatch):
+        _stub_spray(monkeypatch, g_vec=lambda g: [math.inf] * len(g))
+        traj = self.short_job()
+        assert traj.aborted and len(traj.t) == 1
+        assert traj.abort_reason.startswith("FloatingPointError: acceleration is not finite")
 
 
 class TestHarmonicResidual:
