@@ -72,13 +72,12 @@ class Trajectory:
         return float(np.max(np.abs(self.el_residuals)))
 
 
-# A sample whose relative Euler-Lagrange residual r = ||R||inf /
-# max_i(|R_i - B_i| + |B_i|) exceeds this bound is not on an extremal, and
-# the run aborts there.  B is the first-order bracket and R - B the
-# second-order term, so r weighs R against the terms it sums, whatever the
-# scale of L or of det g.  A regular extremal reads r ~ c dt^2 with c <= 2;
-# one heading into a zero of det g (g = x1 or x1^2) exceeds the bound
-# before it reaches the zero, at every dt from 0.1 to 0.001.
+# A sample whose relative Euler-Lagrange residual r = ||R||inf / S exceeds
+# this bound is off the extremal, and the run aborts there.  S, the largest
+# max_i(|R_i - B_i| + |B_i|) so far (B the first-order bracket), ignores the
+# scale of g and stays above 0 where x'' crosses 0.  R holds the central
+# difference's truncation error, so a regular extremal of fastest rate w
+# reads r ~ (w dt)^2 / 12; README gives the limits this sets.
 EL_RESIDUAL_BOUND = 1e-2
 
 
@@ -95,17 +94,16 @@ def _acceleration(L, h, t, x, y):
 
 def _el_residual(t, x, y, y_prev, y_next, dt, data):
     """The max-norm Euler-Lagrange residual at the interior sample (t, x, y)
-    and its relative size r (0 where the residual is 0), on the spray
-    ``data`` that the first RK4 stage leaving the sample assembled at that
-    very point; the second derivative is the central difference of the
+    and the size max_i(|R_i - B_i| + |B_i|) of the terms it sums, on the
+    spray ``data`` that the first RK4 stage leaving the sample assembled at
+    that very point; the second derivative is the central difference of the
     neighbouring samples' y (independent of the integrator's right-hand
     side)."""
     point = JetPoint((t,), x.tolist(), [[yi] for yi in y.tolist()])
     xab = [[[(up - dn) / (2.0 * dt)]] for up, dn in zip(y_next.tolist(), y_prev.tolist())]
     res = euler_lagrange_residual(point, xab, data)
-    norm = float(np.max(np.abs(res)))
-    scale = float(np.max([abs(ri - bi) + abs(bi) for ri, bi in zip(res.tolist(), data.bracket)]))
-    return norm, norm / scale if norm else 0.0
+    terms = np.max([abs(ri - bi) + abs(bi) for ri, bi in zip(res.tolist(), data.bracket)])
+    return float(np.max(np.abs(res))), float(terms)
 
 
 def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
@@ -129,6 +127,7 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
     xs = [np.array(problem.x0, dtype=float)]
     ys = [np.array(problem.y0, dtype=float)]
     residuals = []
+    scale = 0.0  # the largest size of the residual's terms at any sample so far
     aborted = False
     reason = ""
     signature = None
@@ -166,13 +165,15 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
                 reason = f"{type(exc).__name__}: {exc} {where}"
                 break
             if k:
-                norm, r = _el_residual(t, x, y, ys[-2], y_next, ts[1] - ts[0], first)
-                residuals.append(norm)
+                norm, terms = _el_residual(t, x, y, ys[-2], y_next, ts[1] - ts[0], first)
+                scale = max(terms, scale)  # a NaN stays
+                r = norm / scale if norm else 0.0
                 if not r <= EL_RESIDUAL_BOUND:
                     aborted = True
                     reason = (f"relative Euler-Lagrange residual {r:.3e} at t={t:.6g} "
                               f"exceeds {EL_RESIDUAL_BOUND:g} {where}")
                     break
+                residuals.append(norm)
             xs.append(x_next)
             ys.append(y_next)
             ts.append(problem.t0 + (k + 1) * dt)

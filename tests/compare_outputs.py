@@ -10,9 +10,10 @@ the 27 corpus configs of ``conftest`` (``count=4``), the quartic
 (seven with a solver; one p = 2 with velocity-linear terms; one p = 1
 with a t-dependent h and a velocity-dependent g), two metrics
 that vanish along an extremal (g = x1 and g = x1^2), an extremal that
-overflows under a constant g, two regular extremals (g = e^(-x1) I with
-n = 3, whose |det g| falls below 1 % of its start, and the benchmark's
-extremal job at dt = 0.05), a Lagrangian that is NaN away from x1 = 0
+overflows under a constant g, three regular extremals (g = e^(-x1) I with
+n = 3, whose |det g| falls below 1 % of its start, the benchmark's
+extremal job at dt = 0.05, and x'' = (t - 0.5)^2, whose acceleration
+vanishes at a sample), a Lagrangian that is NaN away from x1 = 0
 (``v1_1^2 + 1e308*x1*1e10 - 1e308*x1*1e10``), one that is finite on its
 sampling box but NaN at the fixed point (``v1_1^2 + 1e300*x1^3*1e10 -
 1e300*x1^3*1e10``, box [-0.2, 0.2]), an indefinite
@@ -166,6 +167,10 @@ def configs() -> dict:
     out["scaled_flat_p1_n3"] = scaled_flat_config()
     out["extremal_job_dt005"] = extremal_job_config()
     out["extremal_job_dt005"]["solver"]["dt"] = 0.05
+    # x'' = (t - 0.5)^2 vanishes at the sample t = 0.5
+    out["accel_zero_p1"] = dict(_expression(1, 1, "v1_1^2 + 2*(t1 - 0.5)^2*x1"),
+                                solver={"t_end": 1.0, "dt": 0.01,
+                                        "initial": {"t": 0.0, "x": [0.0], "y": [0.0]}})
     out["nan_lagrangian"] = nan_lagrangian_config()
     # finite on its samples, NaN at the point: connection's spray check
     out["nan_at_point"] = nan_at_point_config()

@@ -194,7 +194,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "t,x1,y1"
         assert len(out.splitlines()) == 78  # header, t0 and 76 steps
-        assert err == ("steps=76 max_el_residual=1.580e-01 aborted=(relative Euler-Lagrange "
+        assert err == ("steps=76 max_el_residual=8.319e-02 aborted=(relative Euler-Lagrange "
                        "residual 1.417e-02 at t=0.76 exceeds 0.01 at step 77, t=0.77)\n")
 
     @pytest.mark.parametrize("dt", [0.75, 5.0])
@@ -232,7 +232,7 @@ class TestExitCodes:
         rows = out.splitlines()
         assert len(rows) == 17  # header, t0 and 15 steps
         assert all(float(row.split(",")[1]) > 0.0 for row in rows[1:])
-        assert err == ("steps=15 max_el_residual=5.386e-02 aborted=(relative Euler-Lagrange "
+        assert err == ("steps=15 max_el_residual=3.282e-02 aborted=(relative Euler-Lagrange "
                        "residual 1.057e-02 at t=0.15 exceeds 0.01 at step 16, t=0.16)\n")
 
     def test_extremal_stops_where_det_g_nears_zero(self, tmp_path, capsys):
@@ -251,7 +251,7 @@ class TestExitCodes:
         assert run(["extremal", "--config", path]) == EX_VERIFY_FAIL
         out, err = capsys.readouterr()
         assert len(out.splitlines()) == 12  # header, t0 and 10 steps
-        assert err == ("steps=10 max_el_residual=2.684e-02 aborted=(relative Euler-Lagrange "
+        assert err == ("steps=10 max_el_residual=1.684e-02 aborted=(relative Euler-Lagrange "
                        "residual 1.275e-02 at t=0.1 exceeds 0.01 at step 11, t=0.11)\n")
 
     def test_extremal_stops_at_the_first_non_finite_acceleration(self, tmp_path, capsys):
@@ -273,7 +273,7 @@ class TestExitCodes:
         assert len(rows) == 92  # header, t0 and 90 steps
         assert all(math.isfinite(float(e)) for row in rows[1:] for e in row.split(","))
         assert all(abs(float(row.split(",")[1])) <= 100.0 for row in rows[1:])
-        assert err == ("steps=90 max_el_residual=8.131e+01 aborted=(relative Euler-Lagrange "
+        assert err == ("steps=90 max_el_residual=5.035e+01 aborted=(relative Euler-Lagrange "
                        "residual 1.006e-02 at t=0.9 exceeds 0.01 at step 91, t=0.91)\n")
 
     @pytest.mark.parametrize("g", ["x1", "x1^2"])
@@ -302,6 +302,25 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert len(out.splitlines()) == 152  # header, t0 and 150 steps
         assert err.startswith("steps=150 ") and "aborted" not in err
+
+    def test_extremal_runs_through_a_zero_of_the_acceleration(self, tmp_path, capsys):
+        # x'' = (t - 0.5)^2, which RK4 integrates exactly, vanishes at the
+        # sample t = 0.5, and the bracket with it; the residual there is the
+        # central difference's truncation error, and the gate weighs it
+        # against the largest terms of the samples before
+        cfg = {
+            "dims": {"p": 1, "n": 1},
+            "lagrangian": {"kind": "expression", "expression": "v1_1^2 + 2*(t1 - 0.5)^2*x1"},
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+            "solver": {"t_end": 1.0, "dt": 0.01,
+                       "initial": {"t": 0.0, "x": [0.0], "y": [0.0]}},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run(["extremal", "--config", path]) == EX_OK
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 102  # header, t0 and 100 steps
+        assert err == "steps=100 max_el_residual=6.667e-05\n"
 
     def test_extremal_degeneracy_names_the_step(self, tmp_path, capsys):
         # g = x1^2 vanishes at the initial state x1 = 0: the spray's own

@@ -290,6 +290,38 @@ class TestResidualGate:
             L=inst.L, h=inst.h, t0=0.0, x0=(0.1, -0.2, 0.3), y0=(0.5, 0.4, -0.6),
             t_end=0.1, dt=0.01))
 
+    @staticmethod
+    def one_dim(lagrangian, x0, y0, t_end, dt):
+        """An n = 1 extremal under a flat h, with the instance it ran on."""
+        inst = assemble({
+            "dims": {"p": 1, "n": 1}, "lagrangian": lagrangian,
+            "temporal_metric": {"kind": "flat"},
+            "sampling": {"box": [-1.0, 1.0], "count": 4, "seed": 0},
+            "solver": {"t_end": t_end, "dt": dt, "initial": {"t": 0.0, "x": [x0], "y": [y0]}},
+        })
+        return inst, integrate_extremal(ExtremalProblem(
+            L=inst.L, h=inst.h, t0=0.0, x0=(x0,), y0=(y0,), t_end=t_end, dt=dt))
+
+    @pytest.mark.parametrize("w, steps", [(3, 30), (4, 1)])
+    def test_an_oscillator_trips_the_gate_once_its_rate_times_dt_nears_the_limit(self, w, steps):
+        # x'' = -w^2 x reads r ~ (w dt)^2 / 12 at its turning points: about
+        # 0.0075 for w dt = 0.3, under the bound, and 0.0135 for w dt = 0.4
+        traj = self.one_dim({"kind": "expression", "expression": f"v1_1^2 - {w * w}*x1^2"},
+                            x0=1.0, y0=0.0, t_end=3.0, dt=0.1)[1]
+        assert len(traj.t) == steps + 1
+        if steps == 30:
+            assert not traj.aborted
+        else:
+            assert traj.abort_reason == ("relative Euler-Lagrange residual 1.351e-02 at t=0.1 "
+                                         "exceeds 0.01 at step 2, t=0.2")
+
+    def test_the_residuals_after_a_gate_abort_are_those_of_the_printed_samples(self):
+        inst, traj = self.one_dim({"kind": "harmonic", "g_entries": [["x1"]]},
+                                  x0=0.3, y0=-1.0, t_end=3.0, dt=0.01)
+        assert traj.aborted and traj.abort_reason.startswith("relative Euler-Lagrange residual")
+        assert len(traj.t) == 16 and len(traj.el_residuals) == 14
+        assert traj.el_residuals.tobytes() == fresh_el_residuals(inst.L, inst.h, traj).tobytes()
+
     def test_a_regular_extremal_at_a_coarse_dt_runs_to_the_end(self):
         cfg = extremal_job_config()
         cfg["solver"]["dt"] = 0.05
