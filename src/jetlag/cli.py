@@ -6,10 +6,10 @@ config and seed); trajectories and residual fields are CSV.  Exit codes:
 0 success (``--help`` and ``--version`` included), 1 failed verification,
 evaluation-domain error, aborted extremal, a spray that is not finite at
 the point of ``connection``, ``torsion`` or ``curvature`` or a
-``residual`` that is not finite at a lattice node, 2 irregular Lagrangian,
-64 usage errors (a missing or unknown argument or command among them, a
-negative ``--seed`` and an ``--out`` path that cannot be written) and
-config errors.
+``residual`` that is not finite at a lattice node, 2 irregular Lagrangian
+(at a lattice node of ``residual`` too), 64 usage errors (a missing or
+unknown argument or command among them, a negative ``--seed`` and an
+``--out`` path that cannot be written) and config errors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import __version__
 from .calculus import structure_values
 from .cartan import berwald_connection, cartan_connection
 from .config import ProblemInstance, assemble, load_config
-from .connection import spray_entities
+from .connection import m_values, spatial_block, spray_data
 from .curvature import curvature_table, table_zero_audit, torsion_table
 from .errors import ConfigError, DecompositionError, JetLagError
 from .extremal import ExtremalProblem, GridMap, harmonic_residual, integrate_extremal
@@ -164,14 +164,18 @@ def _coefficient_tables(co) -> dict:
 
 
 def _finite_spray(instance: ProblemInstance, point: JetPoint, deco):
-    """The spray pack at ``point``, or None, with one line on stderr, where
-    an entry of it is not finite there."""
-    spray = spray_entities(instance.L, instance.h, point,
-                           None if deco is None else deco.jet_at(point))
-    for name, values in (("S", spray.S), ("H", spray.Hc), ("J", spray.J), ("G", spray.Gc),
-                         ("G_spatial", spray.G_spatial.data),
-                         ("H_temporal", spray.H_temporal.data)):
-        if not np.isfinite(values).all():
+    """The spray at ``point`` by name, as ``connection`` reports it, or
+    None, with one line on stderr, where an entry of it is not finite."""
+    n, p = instance.dims.n, instance.dims.p
+    jet = None if deco is None else deco.jet_at(point)
+    data = spray_data(instance.L, instance.h, point)
+    m = m_values(data.hch, point)
+    spray = {"S": data.s_vec, "H": data.h_vec, "J": data.j_vec, "G": data.g_vec,
+             "G_spatial": spatial_block(point, jet, data),
+             "H_temporal": DTensor((vertical_upper(n, p), temporal_lower(p)),
+                                   [[0.5 * e for e in row] for block in m for row in block])}
+    for name, values in spray.items():
+        if not np.isfinite(getattr(values, "data", values)).all():
             sys.stderr.write(f"error: spray.{name} is not finite at the point\n")
             return None
     return spray
@@ -194,14 +198,8 @@ def cmd_connection(instance: ProblemInstance, args) -> int:
     spray = _finite_spray(instance, point, deco)
     if spray is None:
         return EX_VERIFY_FAIL
-    report["spray"] = {
-        "S": list(spray.S),
-        "H": list(spray.Hc),
-        "J": list(spray.J),
-        "G": list(spray.Gc),
-        "G_spatial": spray.G_spatial.to_json_dict(),
-        "H_temporal": spray.H_temporal.to_json_dict(),
-    }
+    report["spray"] = {name: values.to_json_dict() if isinstance(values, DTensor) else values
+                       for name, values in spray.items()}
     _write(canonical_json(report) + "\n", args.out)
     return EX_OK
 
@@ -263,6 +261,10 @@ def cmd_extremal(instance: ProblemInstance, args) -> int:
     return EX_VERIFY_FAIL if traj.aborted else EX_OK
 
 
+def _node(field, row) -> str:
+    return ", ".join(f"t{a+1}={t:.17g}" for a, t in enumerate(field.points[row]))
+
+
 def cmd_residual(instance: ProblemInstance, args) -> int:
     if instance.dims.p < 2:
         sys.stderr.write("lattice residuals need p >= 2\n")
@@ -287,9 +289,14 @@ def cmd_residual(instance: ProblemInstance, args) -> int:
     bad = np.argwhere(~np.isfinite(field.residuals))
     if len(bad):
         row, col = bad[0]
-        node = ", ".join(f"t{a+1}={t:.17g}" for a, t in enumerate(field.points[row]))
-        sys.stderr.write(f"error: residual{col+1} is not finite at node {node}\n")
+        sys.stderr.write(f"error: residual{col+1} is not finite at node {_node(field, row)}\n")
         return EX_VERIFY_FAIL
+    tol = instance.tolerances["regularity"]
+    if not field.max_block_residual <= tol:
+        sys.stderr.write(f"Lagrangian is not block-regular: block residual "
+                         f"{field.max_block_residual:.3e} > {tol:.1e} at node "
+                         f"{_node(field, field.worst_block_row)}\n")
+        return EX_IRREGULAR
     header = [f"t{a+1}" for a in range(dims.p)] + [f"x{i+1}" for i in range(dims.n)] \
         + [f"residual{i+1}" for i in range(dims.n)]
     lines = [",".join(header)]

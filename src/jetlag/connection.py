@@ -7,9 +7,9 @@ From L and the temporal metric h this module assembles, at any jet point:
   h^{ab}(x_ab - H^c_ab x_c) + 2G (``harmonic_form``, over plain floats),
   which lattice residuals and ``verify`` both evaluate,
 * the spray entity vectors S, H, J and their sum G (stored halved: the
-  displayed geometric quantities are 2S, 2H, 2J, 2G),
-* the spray coefficient packages (the temporal block is 1/2 M, from
-  ``m_values``; the spatial block),
+  displayed geometric quantities are 2S, 2H, 2J, 2G) in one ``SprayData``,
+* the spray's spatial block (``spatial_block``), the one spray quantity
+  ``SprayData`` does not hold; its temporal block is 1/2 M (``m_values``),
 * the M and N kernels of the induced nonlinear connection, and the
   adapted-frame derivative of a field's entries along it (``delta_entry``).
 
@@ -37,7 +37,6 @@ from .calculus import (
     all_coords,
     field_jacobian,
     structure_entry,
-    structure_values,
     v_coord,
 )
 from .jet_core import DTensor, JetPoint, temporal_lower, vertical_upper
@@ -177,22 +176,21 @@ def gcal_values(L, h: TemporalMetric, point: JetPoint):
 # --- Euler-Lagrange residual ---------------------------------------------------
 
 
-def euler_lagrange_residual(point: JetPoint, xab, data: SprayData) -> np.ndarray:
+def euler_lagrange_residual(xab, data: SprayData) -> np.ndarray:
     """Left side of the extremal equations at the 2-jet (t, x, x_a, x_ab) of a
     map, per i: 2 G^{(ab)}_{(ij)} x^j_{ab} + d2L/dx^j dv^i_a x^j_a - dL/dx^i
-    + d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}.  ``point`` is (t, x, x_a),
-    ``xab[j][a][b]`` the second derivatives and ``data`` the ``spray_data``
-    at ``point``: its bracket holds every term but the first, and its
-    vertical blocks are the G^{(ab)}_{(ij)} of the first, so L is not
-    evaluated here."""
-    dims = point.dims
+    + d2L/dt^a dv^i_a + dL/dv^i_a H^c_{ac}.  ``xab[j][a][b]`` holds the
+    second derivatives and ``data`` the ``spray_data`` at (t, x, x_a): its
+    bracket holds every term but the first, and its vertical blocks are the
+    G^{(ab)}_{(ij)} of the first, so L is not evaluated here."""
     blocks = data.blocks
+    n, p = len(blocks), len(blocks[0])
     res = []
-    for i in range(dims.n):
+    for i in range(n):
         acc = data.bracket[i]
-        for j in range(dims.n):
-            for a in range(dims.p):
-                for b in range(dims.p):
+        for j in range(n):
+            for a in range(p):
+                for b in range(p):
                     acc = acc + 2.0 * blocks[i][a][j][b] * xab[j][a][b]
         res.append(scalar_value(acc))
     return np.array(res)
@@ -218,68 +216,29 @@ def harmonic_form(hinv, hch, xa, xab, g_vec) -> list:
     return out
 
 
-# --- Spray coefficient packages -------------------------------------------------
+# --- Spatial block ----------------------------------------------------------------
 
 
-class SprayPack:
-    """Point values of the canonical spray: entity vectors plus the temporal
-    and spatial coefficient blocks."""
-
-    __slots__ = ("S", "Hc", "J", "Gc", "H_temporal", "G_spatial")
-
-    def __init__(self, S: np.ndarray, Hc: np.ndarray, J: np.ndarray, Gc: np.ndarray,
-                 H_temporal: DTensor, G_spatial: DTensor):
-        self.S = S
-        self.Hc = Hc
-        self.J = J
-        self.Gc = Gc
-        self.H_temporal = H_temporal
-        self.G_spatial = G_spatial
-
-
-def spray_entities(L, h: TemporalMetric, point: JetPoint,
-                   jet: DecompositionJet | None) -> SprayPack:
-    """The spray pack at ``point``; for p >= 2 its spatial block reads the
-    decomposition's ``jet`` at the point's (t, x), None for p = 1."""
+def spatial_block(point: JetPoint, jet: DecompositionJet | None, data: SprayData) -> DTensor:
+    """The spray's spatial block G^{(l)}_{(a)b} at a float ``point``, the
+    one spray quantity its ``spray_data`` ``data`` does not hold: h_11 G^l
+    for p = 1 (``jet`` None), and for p >= 2
+    1/2 Gamma^l_jk v^j_a v^k_b + (h_ab / p) T^l, with Gamma the
+    Christoffels of g and
+    T^l = (g^{li}/4)[2 h^{ab} dg_ij/dt^a v^j_b + U^{(a)}_{(i)j} v^j_a
+    + dU^a_i/dt^a + U^a_i H^c_{ac} - dF/dx^i] (halved displayed value),
+    both read from the decomposition's ``jet`` at the point's (t, x)."""
     n, p = len(point.x), len(point.t)
-    data = spray_data(L, h, point)
-    hmat = structure_values(data.hmat)
-    s, hv, jv, gv = (np.array(structure_values(vec))
-                     for vec in (data.s_vec, data.h_vec, data.j_vec, data.g_vec))
-    m = structure_values(m_values(data.hch, point))
-    h_temp = DTensor((vertical_upper(n, p), temporal_lower(p)),
-                     [[0.5 * e for e in row] for block in m for row in block])
-
-    g_spat = DTensor((vertical_upper(n, p), temporal_lower(p)))
+    v, hmat = point.v, data.hmat
+    block = DTensor((vertical_upper(n, p), temporal_lower(p)))
     if p == 1:
         for l in range(n):
-            g_spat.set(((l, 0), 0), hmat[0][0] * gv[l])
-    else:
-        t_vec = _trace_tensor_vector(point, jet, data)
-        gamma = christoffel(checked_inverse(jet.g).inverse, jet.dg_dx)
-        for l in range(n):
-            for a in range(p):
-                for b in range(p):
-                    quad = 0.0
-                    for j in range(n):
-                        for k in range(n):
-                            quad += scalar_value(gamma[l][j][k]) * \
-                                scalar_value(point.v[j][a]) * scalar_value(point.v[k][b])
-                    g_spat.set(((l, a), b), 0.5 * quad + (hmat[a][b] / p) * t_vec[l])
-    return SprayPack(S=s, Hc=hv, J=jv, Gc=gv, H_temporal=h_temp, G_spatial=g_spat)
-
-
-def _trace_tensor_vector(point, jet: DecompositionJet, data: SprayData):
-    """T^l = (g^{li}/4)[2 h^{ab} dg_ij/dt^a v^j_b + U^{(a)}_{(i)j} v^j_a
-    + dU^a_i/dt^a + U^a_i H^c_{ac} - dF/dx^i] (halved displayed value),
-    from the decomposition's ``jet`` at the point."""
-    n, p = len(point.x), len(point.t)
-    v = point.v
+            block.set(((l, 0), 0), hmat[0][0] * data.g_vec[l])
+        return block
     hinv = data.hinv
     htrace = [_sum(data.hch[c][a][c] for c in range(p)) for a in range(p)]
     dg_dt, du_dt, u, ucurl, df_dx = jet.dg_dt, jet.du_dt, jet.u, jet.u_curl, jet.df_dx
-
-    out = []
+    gamma = christoffel(checked_inverse(jet.g).inverse, jet.dg_dx)
     for l in range(n):
         acc = 0.0
         for i in range(n):
@@ -295,8 +254,15 @@ def _trace_tensor_vector(point, jet: DecompositionJet, data: SprayData):
                 inner = inner + du_dt[a][i][a] + u[i][a] * htrace[a]
             inner = inner - df_dx[i]
             acc = acc + data.ginv[l][i] * inner
-        out.append(scalar_value(acc) * 0.25)
-    return out
+        t_l = acc * 0.25
+        for a in range(p):
+            for b in range(p):
+                quad = 0.0
+                for j in range(n):
+                    for k in range(n):
+                        quad += gamma[l][j][k] * v[j][a] * v[k][b]
+                block.set(((l, a), b), 0.5 * quad + (hmat[a][b] / p) * t_l)
+    return block
 
 
 # --- Nonlinear connection kernels -------------------------------------------------

@@ -10,7 +10,9 @@ sample assembled there, so it evaluates L no further.  For several times
 the equations form a PDE system; candidate maps are only *checked* by
 evaluating the residual h^{ab}(x_ab - H^c_ab x_c) + 2G
 (``connection.harmonic_form``) at each interior node of a lattice, with
-x_a and x_ab from central differences.
+x_a and x_ab from central differences.  That form is the extremal
+equations only where L is block-regular, so each node's block residual
+(``regularity.block_residual``) is read from the same spray.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .connection import euler_lagrange_residual, gcal_values, harmonic_form, spr
 from .errors import DegeneracyError, DimensionError, JetLagError, StencilError
 from .jet_core import Dims, JetPoint
 from .metric_engine import TemporalMetric
+from .regularity import block_residual
 
 
 # --- p = 1: extremal integration ---------------------------------------------
@@ -92,16 +95,15 @@ def _acceleration(L, h, t, x, y):
     return np.array([hc * yk - 2.0 * h11 * gk for yk, gk in zip(ys, data.g_vec)]), data
 
 
-def _el_residual(t, x, y, y_prev, y_next, dt, data):
-    """The max-norm Euler-Lagrange residual at the interior sample (t, x, y)
-    and the size max_i(|R_i - B_i| + |B_i|) of the terms it sums, on the
-    spray ``data`` that the first RK4 stage leaving the sample assembled at
-    that very point; the second derivative is the central difference of the
+def _el_residual(y_prev, y_next, dt, data):
+    """The max-norm Euler-Lagrange residual at an interior sample and the
+    size max_i(|R_i - B_i| + |B_i|) of the terms it sums, on the spray
+    ``data`` that the first RK4 stage leaving the sample assembled at that
+    very point; the second derivative is the central difference of the
     neighbouring samples' y (independent of the integrator's right-hand
     side)."""
-    point = JetPoint((t,), x.tolist(), [[yi] for yi in y.tolist()])
     xab = [[[(up - dn) / (2.0 * dt)]] for up, dn in zip(y_next.tolist(), y_prev.tolist())]
-    res = euler_lagrange_residual(point, xab, data)
+    res = euler_lagrange_residual(xab, data)
     terms = np.max([abs(ri - bi) + abs(bi) for ri, bi in zip(res.tolist(), data.bracket)])
     return float(np.max(np.abs(res))), float(terms)
 
@@ -165,7 +167,7 @@ def integrate_extremal(problem: ExtremalProblem) -> Trajectory:
                 reason = f"{type(exc).__name__}: {exc} {where}"
                 break
             if k:
-                norm, terms = _el_residual(t, x, y, ys[-2], y_next, ts[1] - ts[0], first)
+                norm, terms = _el_residual(ys[-2], y_next, ts[1] - ts[0], first)
                 scale = max(terms, scale)  # a NaN stays
                 r = norm / scale if norm else 0.0
                 if not r <= EL_RESIDUAL_BOUND:
@@ -265,21 +267,25 @@ def _central_differences(grid: GridMap):
 class ResidualField:
     """Interior-node residuals of the harmonic-map equations."""
 
-    __slots__ = ("indices", "points", "residuals", "max_norm", "rms")
+    __slots__ = ("indices", "points", "residuals", "max_norm", "rms", "max_block_residual",
+                 "worst_block_row")
 
     def __init__(self, indices: list, points: list, residuals: np.ndarray, max_norm: float,
-                 rms: float):
+                 rms: float, max_block_residual: float, worst_block_row: int):
         self.indices = indices
         self.points = points        # node t-tuples
         self.residuals = residuals  # (len(indices), n)
         self.max_norm = max_norm
         self.rms = rms
+        self.max_block_residual = max_block_residual  # regularity.block_residual; a NaN stays
+        self.worst_block_row = worst_block_row        # the first node that reads it
 
 
 def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
     """residual^k = h^{ab}(x^k_ab - H^c_ab x^k_c) + 2 G^k
     (``harmonic_form``) at interior nodes, with x_a, x_ab supplied by
-    central differences."""
+    central differences, and the worst node's block residual from its
+    spray: only a block-regular L has these as its extremal equations."""
     dims = grid.dims
     if dims.p < 2:
         raise DimensionError("lattice residuals are for p >= 2")
@@ -290,13 +296,18 @@ def harmonic_residual(L, h: TemporalMetric, grid: GridMap) -> ResidualField:
     indices = list(grid.interior_indices())
     residuals = np.zeros((len(indices), dims.n))
     points = []
+    worst, worst_row = 0.0, 0
     nodes = zip(indices, *_central_differences(grid))
     for row, (idx, xs, first, second) in enumerate(nodes):
         ts = grid.node_t(idx)
         points.append(ts)
         data = spray_data(L, h, JetPoint(ts, xs, first))
         residuals[row] = harmonic_form(data.hinv, data.hch, first, second, data.g_vec)
+        block = block_residual(data.blocks, data.hinv, data.g)
+        if worst == worst and not block <= worst:  # the first NaN stays
+            worst, worst_row = block, row
     max_norm = float(np.max(np.abs(residuals))) if len(indices) else 0.0
     rms = float(np.sqrt(np.mean(residuals ** 2))) if len(indices) else 0.0
     return ResidualField(indices=indices, points=points, residuals=residuals,
-                         max_norm=max_norm, rms=rms)
+                         max_norm=max_norm, rms=rms, max_block_residual=worst,
+                         worst_block_row=worst_row)

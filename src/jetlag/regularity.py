@@ -124,6 +124,17 @@ def g_from_hessian(L, h: TemporalMetric, point: JetPoint):
     return trace_metric(h.matrix_at(point.t), hessian_blocks(L, point).blocks)
 
 
+def block_residual(blocks, hinv, g) -> float:
+    """max |G^{(ab)}_{(ij)} - h^{ab} g_ij| over the vertical Hessian
+    ``blocks`` [i][a][j][b] of a float point, h^{-1} ``hinv`` and g there;
+    a NaN entry gives NaN.  The three are symmetric bit for bit, so the
+    upper triangle of the (i p + a, j p + b) index holds every value."""
+    n, p = len(blocks), len(hinv)
+    return nan_max(0.0, *(abs(blocks[i][a][j][b] - hinv[a][b] * g[i][j])
+                          for i in range(n) for a in range(p)
+                          for j in range(i, n) for b in range(a if j == i else 0, p)))
+
+
 # --- Block-regularity verdict ------------------------------------------------
 
 
@@ -207,15 +218,13 @@ def kronecker_test(L, h: TemporalMetric, box=None, K: int = DEFAULT_SAMPLES,
     verdict = RegularityVerdict(tol)
     signatures = set()
     vdep_worst = 0.0
-    n, p = dims.n, dims.p
+    n = dims.n
     for idx, point in enumerate(points):
         blocks, value, _, _ = hessian_blocks(L, point)
         hmat = h.matrix_at(point.t)
         g = trace_metric(hmat, blocks)
         hinv = h.inverse_at(point.t)
-        residual = nan_max(0.0, *(abs(scalar_value(blocks[i][a][j][b]) - hinv[a][b] * g[i][j])
-                                  for i in range(n) for a in range(p)
-                                  for j in range(n) for b in range(p)))
+        residual = block_residual(blocks, hinv, g)
         issue = "" if math.isfinite(value) else f"sample {idx}: L is not finite ({value})"
         try:
             _, det, sig = checked_inverse(g)

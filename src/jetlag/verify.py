@@ -11,7 +11,7 @@ import numpy as np
 from .calculus import fd_crosscheck
 from .cartan import cartan_connection
 from .config import ProblemInstance
-from .connection import euler_lagrange_residual, harmonic_form, spray_data, spray_entities
+from .connection import euler_lagrange_residual, harmonic_form, spatial_block, spray_data
 from .curvature import (
     AUDIT_TOL,
     curvature_table,
@@ -116,14 +116,14 @@ def run_checks(instance: ProblemInstance) -> list:
     worst_trace = 0.0
     for k, pt in enumerate(pts):
         # the decomposition's base points are pts, so its k-th jet is at pt's (t, x)
-        pack = spray_entities(L, h, pt, deco.jets[k] if dims.p >= 2 else None)
-        hinv = [[scalar_value(e) for e in row] for row in h.inverse_at(pt.t)]
+        data = spray_data(L, h, pt)
+        block = spatial_block(pt, deco.jets[k] if dims.p >= 2 else None, data)
         for l in range(dims.n):
             acc = 0.0
             for a in range(dims.p):
                 for b in range(dims.p):
-                    acc += hinv[a][b] * pack.G_spatial.get((l, a), b)
-            worst_trace = nan_max(worst_trace, abs(acc - pack.Gc[l]))
+                    acc += data.hinv[a][b] * block.get((l, a), b)
+            worst_trace = nan_max(worst_trace, abs(acc - data.g_vec[l]))
     checks.append(CheckResult("h_trace_identity", worst_trace <= 1e-8, worst_trace, 1e-8))
 
     # Euler-Lagrange consistency: g^{ki}/2-weighted residual equals the
@@ -147,7 +147,7 @@ def run_checks(instance: ProblemInstance) -> list:
                         for a in range(dims.p)])
         mid = JetPoint(pt.t, xs, vs)
         data = spray_data(L, h, mid)
-        res = euler_lagrange_residual(mid, xab, data)
+        res = euler_lagrange_residual(xab, data)
         rearranged = harmonic_form(data.hinv, data.hch, mid.v, xab, data.g_vec)
         weighted = [0.5 * sum(gk[i] * res[i] for i in range(dims.n)) for gk in data.ginv]
         worst_el = nan_max(worst_el, *(abs(w - r) for w, r in zip(weighted, rearranged)))

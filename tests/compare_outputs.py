@@ -25,11 +25,13 @@ Taylor2 takes through 1/b and a Dual does not, and a builtin p = 3
 electrodynamics Lagrangian whose U has a nonzero curl.
 Every config runs ``analyze``, ``verify`` and ``connection``/``torsion``/
 ``curvature`` at a fixed point; ``extremal`` runs where the config has a
-solver.  Six lattices beyond the benchmark's run ``residual``: a p = 3
+solver.  Seven lattices beyond the benchmark's run ``residual``: a p = 3
 grid, a non-square p = 2 grid with a constant map entry, two expression
 Lagrangians, one with an indefinite g whose off-diagonal entry is exactly
-zero along a column of nodes, and two whose residuals are not finite (a
-NaN potential F and an overflowing map).  Besides these, the benchmark's
+zero along a column of nodes, two whose residuals are not finite (a
+NaN potential F and an overflowing map), and the benchmark's seed-3
+lattice under flat h with an expression L that is not block-regular
+(its cross term 0.3*v1_1*v2_2 gives block residual 0.15 at every node).  Besides these, the benchmark's
 generated configs (every job of the cycle of each workload in
 ``perfbench/workloads.py``, seeds 3 and 7) run their workload's own
 command.
@@ -214,12 +216,18 @@ def configs() -> dict:
 
 def residual_configs() -> dict:
     """Name -> config of the lattices that run ``residual``."""
-    from conftest import corpus_config, non_finite_lattice_configs, potentials_config
+    from conftest import (
+        corpus_config,
+        non_block_regular_lattice_config,
+        non_finite_lattice_configs,
+        potentials_config,
+    )
 
     def lattice(cfg, shape, box, maps):
         return dict(cfg, grid={"shape": shape, "box": box, "map": maps})
 
     return non_finite_lattice_configs() | {
+        "lattice_not_block_regular_p2_n3": non_block_regular_lattice_config(),
         # three mixed pairs
         "lattice_p3_n2": lattice(
             corpus_config("non_autonomous", 3, 2, count=4), [5, 6, 5],

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from jetlag.calculus import (
@@ -204,6 +208,27 @@ def non_finite_lattice_configs() -> dict:
         "lattice_overflowing_map_p2_n1": lattice(
             {"kind": "harmonic", "g_entries": [["1"]]}, "1e308*t1*10"),
     }
+
+
+def benchmark_lattice_config(seed: int) -> dict:
+    """The config of the benchmark's ``lattice_p2`` job that
+    ``perfbench/workloads.py`` draws from ``random.Random(seed)``."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    from workloads import _lattice_config
+
+    return _lattice_config(random.Random(seed))[0]
+
+
+def non_block_regular_lattice_config() -> dict:
+    """The benchmark's seed-3 lattice under flat h with an expression L
+    that is not block-regular: its cross term 0.3*v1_1*v2_2 gives block
+    residual 0.15 at every node."""
+    return dict(benchmark_lattice_config(3), temporal_metric={"kind": "flat"}, lagrangian={
+        "kind": "expression",
+        "expression": "(1 + 0.2*x1^2)*v1_1^2 + v1_2^2 + (1 + 0.1*t1)*v2_1^2 + v2_2^2 + v3_1^2"
+                      " + (1 + 0.1*x2^2)*v3_2^2 + 0.3*v1_1*v2_2 + 0.2*x3*v1_2 + 0.1*t2*x1*x2"})
 
 
 def lattice_job_config() -> dict:

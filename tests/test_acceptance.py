@@ -14,7 +14,7 @@ import numpy as np
 from jetlag import dsl
 from jetlag.cartan import berwald_connection, cartan_connection
 from jetlag.config import assemble
-from jetlag.connection import spray_entities
+from jetlag.connection import spatial_block, spray_data
 from jetlag.curvature import curvature_table, metric_compatibility, table_zero_audit, torsion_table
 from jetlag.calculus import fd_crosscheck, v_coord, x_coord
 from jetlag.errors import DslError
@@ -114,13 +114,14 @@ def test_criterion_3_h_trace_identity():
             deco = electrodynamics_decompose(inst.L, inst.h) if p >= 2 else None
             pts = sample_points(inst.dims, [-1, 1], 32, seed=3)
             for pt in pts:
-                pack = spray_entities(inst.L, inst.h, pt, None if deco is None else deco.jet_at(pt))
+                data = spray_data(inst.L, inst.h, pt)
+                block = spatial_block(pt, None if deco is None else deco.jet_at(pt), data)
                 hinv = [[scalar_value(e) for e in row]
                         for row in inst.h.inverse_at(pt.t)]
                 for l in range(n):
-                    acc = sum(hinv[a][b] * pack.G_spatial.get((l, a), b)
+                    acc = sum(hinv[a][b] * block.get((l, a), b)
                               for a in range(p) for b in range(p))
-                    worst = max(worst, abs(acc - pack.Gc[l]))
+                    worst = max(worst, abs(acc - data.g_vec[l]))
     assert worst <= 1e-8, worst
     report(3, f"h-trace identity G^l = h^ab G^(l)_(a)b at 32 points per "
               f"instance (worst {worst:.2e})", time.monotonic() - start)

@@ -11,6 +11,7 @@ from conftest import (
     corpus_config,
     nan_at_point_config,
     nan_lagrangian_config,
+    non_block_regular_lattice_config,
     non_finite_lattice_configs,
     quartic_config,
     scaled_flat_config,
@@ -99,6 +100,17 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: residual1 is not finite at node t1=-0.5, t2=-0.5\n"
+
+    def test_residual_refuses_a_lattice_that_is_not_block_regular(self, tmp_path, capsys):
+        # the harmonic form is 1/2 g^{ki} times the Euler-Lagrange expression
+        # only where the vertical Hessian factors as h^{ab} g_ij; here every
+        # node reads block residual 0.15, and the first in CSV order is named
+        path = write_config(tmp_path, non_block_regular_lattice_config())
+        assert run(["residual", "--config", path]) == EX_IRREGULAR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("Lagrangian is not block-regular: block residual 1.500e-01 > 1.0e-06"
+                           " at node t1=-0.75, t2=-0.75\n")
 
     def test_unwritable_out_is_one_line(self, tmp_path, capsys):
         path = write_config(tmp_path, sphere_config())
@@ -591,8 +603,10 @@ class TestTableCommands:
         # points.  The reference run hands it the jet of a decomposition
         # built again at the default points; the report must not change.
         from jetlag import cli, regularity
+        from jetlag.config import assemble
 
-        path = write_config(tmp_path, corpus_config("autonomous", 2, 2))
+        cfg = corpus_config("autonomous", 2, 2)
+        path = write_config(tmp_path, cfg)
         argv = ["connection", "--config", path, "--point", "t=0.1,0.2;x=0.3,0.4;v=0.5,0.1,-0.2,0.3"]
         calls = []
         decompose = regularity.electrodynamics_decompose
@@ -607,9 +621,10 @@ class TestTableCommands:
         report = capsys.readouterr().out
         assert len(calls) == 1 and calls[0] is not None
 
-        spray = cli.spray_entities
-        monkeypatch.setattr(cli, "spray_entities", lambda L, h, point, jet: spray(
-            L, h, point, regularity.electrodynamics_decompose(L, h).jet_at(point)))
+        inst = assemble(cfg)
+        block = cli.spatial_block
+        monkeypatch.setattr(cli, "spatial_block", lambda point, jet, data: block(
+            point, regularity.electrodynamics_decompose(inst.L, inst.h).jet_at(point), data))
         assert run(argv) == EX_OK
         assert capsys.readouterr().out == report
         assert len(calls) == 1 + 2

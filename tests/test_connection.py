@@ -9,11 +9,11 @@ import pytest
 from jetlag.cartan import cartan_connection
 from jetlag.config import assemble
 from jetlag.connection import (
-    _trace_tensor_vector,
     euler_lagrange_residual,
     gcal_values,
+    m_values,
+    spatial_block,
     spray_data,
-    spray_entities,
 )
 from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from jetlag.jet_core import Dims, JetPoint
@@ -68,7 +68,7 @@ def decomposition_jet(inst, point):
 
 
 def el_residual(L, h, point, xab):
-    return euler_lagrange_residual(point, xab, spray_data(L, h, point))
+    return euler_lagrange_residual(xab, spray_data(L, h, point))
 
 
 class TestEulerLagrange:
@@ -123,7 +123,7 @@ class TestEulerLagrange:
             point = JetPoint(ts, (0.2 + 0.3 * t1 - 0.1 * t2 * t2, 0.1 * t1 * t1 + 0.4 * t2),
                              ((0.3, -0.2 * t2), (0.2 * t1, 0.4)))
             data = spray_data(inst.L, inst.h, point)
-            res = euler_lagrange_residual(point, xab, data)
+            res = euler_lagrange_residual(xab, data)
             ginv = [[scalar_value(e) for e in row] for row in data.ginv]
             hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(ts)]
             hch = h_christoffel_values(inst.h, ts)[2]
@@ -155,25 +155,42 @@ class TestSprayBlocks:
             assert spray.tobytes() == alone.tobytes()
 
 
+def trace_tensor(inst, jet, pt):
+    """T^l = (g^{li}/4)[2 h^{ab} dg_ij/dt^a v^j_b + U^{(a)}_{(i)j} v^j_a
+    + dU^a_i/dt^a + U^a_i H^c_{ac} - dF/dx^i] (halved displayed value),
+    written out from the decomposition's ``jet`` at pt's (t, x)."""
+    n, p, v = inst.dims.n, inst.dims.p, pt.v
+    hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(pt.t)]
+    hch = h_christoffel_values(inst.h, pt.t)[2]
+    ginv = checked_inverse(jet.g).inverse
+    inner = [sum(2.0 * hinv[a][b] * jet.dg_dt[a][i][j] * v[j][b]
+                 for a in range(p) for b in range(p) for j in range(n))
+             + sum(jet.u_curl[i][a][j] * v[j][a] for j in range(n) for a in range(p))
+             + sum(jet.du_dt[a][i][a] + jet.u[i][a] * sum(hch[c][a][c] for c in range(p))
+                   for a in range(p))
+             - jet.df_dx[i] for i in range(n)]
+    return [0.25 * sum(ginv[l][i] * inner[i] for i in range(n)) for l in range(n)]
+
+
 class TestSprayEntities:
     def test_flat_at_zero_velocity(self):
         inst = corpus_instance("harmonic", 2, 2)
         pt = JetPoint((0.1, 0.2), (0.3, 0.4), ((0.0, 0.0), (0.0, 0.0)))
-        pack = spray_entities(inst.L, inst.h, pt, decomposition_jet(inst, pt))
-        assert np.max(np.abs(pack.Gc)) <= 1e-12
-        assert np.max(np.abs(pack.S)) <= 1e-12
+        data = spray_data(inst.L, inst.h, pt)
+        assert np.max(np.abs(data.g_vec)) <= 1e-12
+        assert np.max(np.abs(data.s_vec)) <= 1e-12
 
     def test_flat_h_kills_j(self):
         inst = corpus_instance("harmonic", 2, 2)  # flat h by construction
         pt = JetPoint((0.1, 0.2), (0.3, 0.4), ((0.5, -0.2), (0.7, 0.1)))
-        pack = spray_entities(inst.L, inst.h, pt, decomposition_jet(inst, pt))
-        assert np.max(np.abs(pack.J)) == 0.0
+        data = spray_data(inst.L, inst.h, pt)
+        assert np.max(np.abs(data.j_vec)) == 0.0
 
     def test_entity_sum(self):
         inst = corpus_instance("non_autonomous", 2, 2)
         pt = JetPoint((0.2, -0.3), (0.5, 0.7), ((0.3, -0.2), (0.1, 0.6)))
-        pack = spray_entities(inst.L, inst.h, pt, decomposition_jet(inst, pt))
-        assert np.allclose(pack.Gc, pack.S + pack.Hc + pack.J, atol=1e-14)
+        data = spray_data(inst.L, inst.h, pt)
+        assert np.allclose(data.g_vec, np.add(data.s_vec, data.h_vec) + data.j_vec, atol=1e-14)
 
     @pytest.mark.parametrize("config", [corpus_config("non_autonomous", 2, 3),
                                         potentials_config()])
@@ -190,7 +207,7 @@ class TestSprayEntities:
         pt = sample_points(inst.dims, [-1, 1], 1, seed=12)[0]
         jet = counting.jet_at(pt)
         assert calls == {"g": 1, "potentials": 1}
-        spray_entities(inst.L, inst.h, pt, jet)
+        spatial_block(pt, jet, spray_data(inst.L, inst.h, pt))
         assert calls == {"g": 1, "potentials": 1}
 
     def test_h_trace_identity_random_points(self):
@@ -200,12 +217,13 @@ class TestSprayEntities:
             deco = electrodynamics_decompose(inst.L, inst.h)
             pts = sample_points(inst.dims, [-1, 1], 10, seed=3)
             for pt in pts:
-                pack = spray_entities(inst.L, inst.h, pt, deco.jet_at(pt))
+                data = spray_data(inst.L, inst.h, pt)
+                block = spatial_block(pt, deco.jet_at(pt), data)
                 hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(pt.t)]
                 for l in range(inst.dims.n):
-                    acc = sum(hinv[a][b] * pack.G_spatial.get((l, a), b)
+                    acc = sum(hinv[a][b] * block.get((l, a), b)
                               for a in range(2) for b in range(2))
-                    assert acc == pytest.approx(pack.Gc[l], abs=1e-8)
+                    assert acc == pytest.approx(data.g_vec[l], abs=1e-8)
 
     def test_cancellation_closed_form(self):
         # Assembled G matches (1/2) h^{ab} Gamma^l_{jk} v^j_a v^k_b + T^l
@@ -214,16 +232,16 @@ class TestSprayEntities:
         g_field = deco.g_field
         pts = sample_points(inst.dims, [-1, 1], 6, seed=8)
         for pt in pts:
-            pack = spray_entities(inst.L, inst.h, pt, deco.jet_at(pt))
+            g_vec = spray_data(inst.L, inst.h, pt).g_vec
             gamma = g_christoffel_values(g_field, pt)
             hinv = [[scalar_value(e) for e in row] for row in inst.h.inverse_at(pt.t)]
-            t_vec = _trace_tensor_vector(pt, deco.jet_at(pt), spray_data(inst.L, inst.h, pt))
+            t_vec = trace_tensor(inst, deco.jet_at(pt), pt)
             for l in range(2):
                 quad = 0.5 * sum(
                     hinv[a][b] * scalar_value(gamma[l][j][k]) * pt.v[j][a] * pt.v[k][b]
                     for a in range(2) for b in range(2)
                     for j in range(2) for k in range(2))
-                assert pack.Gc[l] == pytest.approx(quad + t_vec[l], abs=1e-8)
+                assert g_vec[l] == pytest.approx(quad + t_vec[l], abs=1e-8)
 
     def test_sphere_geodesic_spray(self):
         d = Dims(1, 2)
@@ -236,16 +254,17 @@ class TestSprayEntities:
         assert gv == pytest.approx(expect, abs=1e-12)
 
     def test_symmetry_g_spatial(self):
+        # the spatial block and the temporal block 1/2 M are symmetric in (a, b)
         inst = corpus_instance("non_autonomous", 3, 2)
         pt = sample_points(inst.dims, [-1, 1], 1, seed=4)[0]
-        pack = spray_entities(inst.L, inst.h, pt, decomposition_jet(inst, pt))
+        data = spray_data(inst.L, inst.h, pt)
+        block = spatial_block(pt, decomposition_jet(inst, pt), data)
+        m = m_values(data.hch, pt)
         for l in range(2):
             for a in range(3):
                 for b in range(3):
-                    assert pack.G_spatial.get((l, a), b) == pytest.approx(
-                        pack.G_spatial.get((l, b), a), abs=1e-9)
-                    assert pack.H_temporal.get((l, a), b) == pytest.approx(
-                        pack.H_temporal.get((l, b), a), abs=1e-9)
+                    assert block.get((l, a), b) == pytest.approx(block.get((l, b), a), abs=1e-9)
+                    assert 0.5 * m[l][a][b] == pytest.approx(0.5 * m[l][b][a], abs=1e-9)
 
 
 class TestNonlinearConnection:

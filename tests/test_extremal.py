@@ -29,6 +29,7 @@ from jetlag.scalars import scalar_value
 
 from conftest import (
     KINDS,
+    benchmark_lattice_config,
     corpus_instance,
     counted,
     extremal_job_config,
@@ -36,7 +37,7 @@ from conftest import (
     sphere_config,
     temporal_metric_of,
 )
-from oracles import action_value, constant
+from oracles import action_value, constant, expression_lagrangian
 
 
 def flat_metric_model(n, h=None):
@@ -242,7 +243,7 @@ def fresh_el_residuals(L, h, traj):
         xab = [[[(up - dn) / (2.0 * dt)]] for up, dn in zip(ys[k + 1], ys[k - 1])]
         data = connection.spray_data(L, h, point)
         data = data._replace(blocks=hessian_blocks(L, point).blocks)
-        out.append(float(np.max(np.abs(connection.euler_lagrange_residual(point, xab, data)))))
+        out.append(float(np.max(np.abs(connection.euler_lagrange_residual(xab, data)))))
     return np.array(out)
 
 
@@ -415,6 +416,31 @@ class TestHarmonicResidual:
     def test_small_grid_rejected(self):
         with pytest.raises(StencilError):
             GridMap.from_function(self.d, [(0, 1), (0, 1)], (4, 9), lambda ts: [0.0, 0.0])
+
+    def test_worst_block_residual_is_its_first_node(self):
+        # (1/2) d2L/dv1_1 dv1_2 = (1 + t1)/2 against h^{12} g = 0, largest
+        # on the last interior column t1 = 0.75, first at t2 = -0.75
+        L = expression_lagrangian("v1_1^2 + v1_2^2 + (1 + t1)*v1_1*v1_2", Dims(2, 1))
+        grid = GridMap.from_function(Dims(2, 1), [(-1, 1), (-1, 1)], (9, 9),
+                                     lambda ts: [0.2 * ts[0] * ts[1]])
+        rf = harmonic_residual(L, self.h, grid)
+        assert rf.max_block_residual == 0.875
+        assert rf.points[rf.worst_block_row] == (0.75, -0.75)
+
+    def test_benchmark_lattices_are_block_regular_at_every_node(self, monkeypatch, capsys):
+        fields = []
+
+        def kept(*args):
+            fields.append(harmonic_residual(*args))
+            return fields[-1]
+
+        monkeypatch.setattr(cli, "harmonic_residual", kept)
+        for seed in range(20):
+            inst = assemble(benchmark_lattice_config(seed))
+            assert cli.cmd_residual(inst, argparse.Namespace(out=None)) == 0
+        capsys.readouterr()
+        assert len(fields) == 20
+        assert max(rf.max_block_residual for rf in fields) <= 1e-12
 
     def test_p1_rejected(self):
         inst = assemble(sphere_config())

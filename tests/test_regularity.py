@@ -9,6 +9,7 @@ import pytest
 from jetlag import calculus, metric_engine, regularity
 from jetlag.calculus import field_jacobian, lift_d1, t_coord, x_coord
 from jetlag.config import assemble
+from jetlag.connection import spray_data
 from jetlag.errors import DecompositionError
 from jetlag.fields import ElectrodynamicsLagrangian, ExpressionField, LagrangianModel
 from jetlag.jet_core import Dims, JetPoint, zero_velocity_point
@@ -16,6 +17,7 @@ from jetlag.metric_engine import TemporalMetric
 from jetlag.regularity import (
     REASSEMBLY_TOL,
     DecompositionJet,
+    block_residual,
     electrodynamics_decompose,
     g_from_hessian,
     hessian_blocks,
@@ -26,11 +28,13 @@ from jetlag.scalars import nan_max, scalar_value
 
 from conftest import (
     KINDS,
+    benchmark_lattice_config,
     corpus_config,
     corpus_instance,
     counted,
     fd_d2,
     nan_lagrangian_config,
+    non_block_regular_lattice_config,
     potentials_config,
     quartic_config,
 )
@@ -91,6 +95,37 @@ class TestVerticalHessian:
         pt = JetPoint((0.1, -0.2), (0.4, 0.3), ((0.2, -0.5), (0.3, 0.1)))
         G = np.array(hessian_blocks(L, pt).blocks).reshape(4, 4)
         assert np.max(np.abs(G - G.T)) <= 1e-9
+
+
+class TestBlockResidual:
+    @pytest.mark.parametrize("config", [non_block_regular_lattice_config(),
+                                        benchmark_lattice_config(0),
+                                        corpus_config("non_autonomous", 3, 2, count=4)])
+    def test_a_spray_reads_kronecker_tests_value_bitwise(self, config):
+        # the lattice's node check, on the blocks, g and h^{-1} its spray
+        # holds, is the sampled test's residual at the same point; both read
+        # the upper triangle, whose maximum is that of every entry
+        inst = assemble(config)
+        verdict = kronecker_test(inst.L, inst.h, inst.sampling["box"], K=4, seed=inst.seed)
+        for rec in verdict.samples:
+            data = spray_data(inst.L, inst.h, rec.point)
+            node = block_residual(data.blocks, data.hinv, data.g)
+            assert node.hex() == rec.residual.hex()
+            n, p = inst.dims.n, inst.dims.p
+            every = max(abs(data.blocks[i][a][j][b] - data.hinv[a][b] * data.g[i][j])
+                        for i in range(n) for a in range(p) for j in range(n) for b in range(p))
+            assert node.hex() == every.hex()
+        if config["lagrangian"]["kind"] == "expression":
+            assert verdict.max_block_residual == pytest.approx(0.15, rel=1e-12)
+
+    @pytest.mark.parametrize("where", [(0, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1, 1)])
+    def test_a_nan_entry_stays(self, where):
+        blocks = [[[[1.0 if (i, a) == (j, b) else 0.0 for b in range(2)] for j in range(2)]
+                   for a in range(2)] for i in range(2)]
+        i, a, j, b = where
+        blocks[i][a][j][b] = blocks[j][b][i][a] = math.nan
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        assert math.isnan(block_residual(blocks, eye, eye))
 
 
 class TestKroneckerTest:
